@@ -10,7 +10,7 @@ here so the rest of the package can assume clean inputs.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import Iterable, Sequence
 
@@ -145,8 +145,12 @@ class GaussianEstimate:
     labels: tuple[str, ...] = ()
 
     def __post_init__(self):
+        self._validate(check_eigenvalues=True)
+
+    def _validate(self, check_eigenvalues: bool) -> None:
         mean = np.asarray(self.mean, dtype=float).reshape(-1)
-        cov = check_spd(self.covariance, name="covariance")
+        check = check_spd if check_eigenvalues else check_symmetric
+        cov = check(self.covariance, name="covariance")
         if cov.shape[0] != mean.shape[0]:
             raise DimensionError(
                 f"mean has {mean.shape[0]} entries but covariance is {cov.shape[0]}x{cov.shape[0]}")
@@ -168,8 +172,9 @@ class GaussianEstimate:
     def marginal(self, indices: Sequence[int]) -> "GaussianEstimate":
         """Sub-estimate over the given state indices, in the given order."""
         idx = list(indices)
-        return GaussianEstimate(self.mean[idx], self.covariance[np.ix_(idx, idx)],
-                                tuple(self.labels[i] for i in idx))
+        return _derived(GaussianEstimate, mean=self.mean[idx],
+                        covariance=self.covariance[np.ix_(idx, idx)],
+                        labels=tuple(self.labels[i] for i in idx))
 
     def reindex(self, labels: Sequence[str]) -> "GaussianEstimate":
         """Reorder the state entries to match another estimate's labels."""
@@ -424,7 +429,6 @@ class FusionMethod(str, Enum):
     NMCI = "nmCI"
     SDP = "SDP"
     EXACT = "exact"
-    NONE = "none"
 
 
 def validate_omega(omega, n_blocks: int) -> np.ndarray:
@@ -456,6 +460,9 @@ class FusionResult:
     diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        self._validate(check_eigenvalues=True)
+
+    def _validate(self, check_eigenvalues: bool) -> None:
         ga = np.asarray(self.gain_a, dtype=float)
         gb = np.asarray(self.gain_b, dtype=float)
         if ga.shape != gb.shape or ga.ndim != 2 or ga.shape[0] != ga.shape[1]:
@@ -466,7 +473,8 @@ class FusionResult:
         bound = check_symmetric(self.bound, name="bound")
         if bound.shape[0] != d:
             raise DimensionError("bound size does not match the gains")
-        if min_eigenvalue(bound) < -PD_RTOL * max(float(np.linalg.norm(bound, 2)), 1.0):
+        if check_eigenvalues and \
+                min_eigenvalue(bound) < -PD_RTOL * max(float(np.linalg.norm(bound, 2)), 1.0):
             raise NotPositiveDefiniteError("bound must be positive semidefinite")
         mean = np.asarray(self.fused_mean, dtype=float).reshape(-1)
         if mean.shape[0] != d:
@@ -496,6 +504,21 @@ class FusionResult:
             "omega": None if self.omega is None else self.omega.tolist(),
             "diagnostics": _jsonable(self.diagnostics),
         }
+
+
+def _derived(cls, **values):
+    """Build a GaussianEstimate or FusionResult from values the package derived.
+
+    Runs every check of the public constructor except the eigenvalue test of
+    the covariance or bound, which values derived from validated estimates
+    pass by construction: a principal submatrix of an SPD matrix is SPD,
+    and so is the inverse of a positive combination of SPD informations.
+    """
+    obj = object.__new__(cls)
+    for f in fields(cls):
+        object.__setattr__(obj, f.name, values[f.name])
+    obj._validate(check_eigenvalues=False)
+    return obj
 
 
 def _jsonable(obj):

@@ -18,6 +18,7 @@ from .core import (
     GaussianEstimate,
     JointCovariance,
     NotPositiveDefiniteError,
+    _derived,
     check_spd,
     min_eigenvalue,
     symmetrize,
@@ -38,34 +39,64 @@ def _check_same_labels(a: GaussianEstimate, b: GaussianEstimate) -> None:
     raise DimensionError("estimates describe different state vectors")
 
 
-def optimize_ci_omega(p_a: np.ndarray, p_b: np.ndarray, tol: float = OMEGA_TOL) -> float:
+def _trace_terms(p_a: np.ndarray, p_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(a, b) with trace((w*P_a^-1 + (1-w)*P_b^-1)^-1) = sum(a*b / (w*b + (1-w)*a)).
+
+    With P_a = R R^T, P_b = L L^T and the SVD L^-1 R = U diag(s) Z^T, the
+    columns of V = L U diagonalize both inputs: P_a = V diag(s^2) V^T and
+    P_b = V V^T.  a and b are the variances of P_a and P_b along those
+    directions, the squared column norms of R Z and L U.  Taking them from
+    singular vectors, rather than as s^2 times a norm, keeps both accurate
+    when the ratios s^2 span more decades than float64 resolves.  Both
+    inputs must be SPD.
+    """
+    low_a, low_b = np.linalg.cholesky(p_a), np.linalg.cholesky(p_b)
+    u, _, zt = np.linalg.svd(np.linalg.solve(low_b, low_a))
+    return np.sum((low_a @ zt.T) ** 2, axis=0), np.sum((low_b @ u) ** 2, axis=0)
+
+
+def optimize_ci_omega(p_a: np.ndarray | GaussianEstimate, p_b: np.ndarray | GaussianEstimate,
+                      tol: float = OMEGA_TOL) -> float:
     """Weight minimizing the trace of the intersected covariance.
 
-    The objective trace((w*P_a^-1 + (1-w)*P_b^-1)^-1) is convex on [0, 1],
-    so a golden-section search suffices.  Exact ties (e.g. P_a == P_b)
-    resolve to 0.5; minima within tol of an endpoint snap onto it.
+    ``p_a`` and ``p_b`` are covariance matrices, checked here, or
+    GaussianEstimate values, whose covariances were checked when built.
+    Two Cholesky factors and one SVD diagonalize both inputs at once, which
+    turns the objective f(w) = trace((w*P_a^-1 + (1-w)*P_b^-1)^-1) into a
+    scalar sum (Niehsen, FUSION 2002; Reinhardt, Noack & Hanebeck, FUSION
+    2012).  f is convex on [0, 1], so its minimum is an endpoint where f'
+    does not change sign, else the root of f', found by Newton steps
+    safeguarded by bisection.  Exact ties (e.g. P_a == P_b) resolve to
+    0.5; minima within tol of an endpoint snap onto it.
     """
-    ia = np.linalg.inv(check_spd(p_a, name="P_a"))
-    ib = np.linalg.inv(check_spd(p_b, name="P_b"))
+    covs = [x.covariance if isinstance(x, GaussianEstimate) else check_spd(x, name=name)
+            for x, name in ((p_a, "P_a"), (p_b, "P_b"))]
+    a, b = _trace_terms(*covs)
+    ab, gap = a * b, b - a
 
     def f(w: float) -> float:
-        return float(np.trace(np.linalg.inv(w * ia + (1.0 - w) * ib)))
+        return float(np.sum(ab / (a + w * gap)))
 
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    lo, hi = 0.0, 1.0
-    c = hi - invphi * (hi - lo)
-    d = lo + invphi * (hi - lo)
-    fc, fd = f(c), f(d)
-    while hi - lo > tol:
-        if fc < fd:
-            hi, d, fd = d, c, fc
-            c = hi - invphi * (hi - lo)
-            fc = f(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + invphi * (hi - lo)
-            fd = f(d)
-    w = 0.5 * (lo + hi)
+    def derivatives(w: float) -> tuple[float, float]:
+        den = a + w * gap
+        t = ab * gap / den ** 2
+        return -float(np.sum(t)), 2.0 * float(np.sum(t * gap / den))
+
+    if derivatives(0.0)[0] >= 0.0:
+        w = 0.0
+    elif derivatives(1.0)[0] <= 0.0:
+        w = 1.0
+    else:
+        # f' is increasing and changes sign inside [lo, hi]
+        lo, hi, w = 0.0, 1.0, 0.5
+        while hi - lo > tol:
+            g, h = derivatives(w)
+            step = g / h
+            if abs(step) < tol:
+                w -= step
+                break
+            lo, hi = (lo, w) if g > 0.0 else (w, hi)
+            w = w - step if lo < w - step < hi else 0.5 * (lo + hi)
     fw = f(w)
     scale = max(abs(fw), 1.0)
     if abs(f(0.5) - fw) <= _TIE_RTOL * scale:
@@ -84,12 +115,12 @@ def ci_fuse(a: GaussianEstimate, b: GaussianEstimate,
     With weight w the fused information is w*P_a^-1 + (1-w)*P_b^-1, which
     is conservative for every admissible correlation between the inputs.
     ``omega=None`` picks the trace-optimal weight.  At w = 0 (or 1) the
-    result is exactly estimate b (or a); no inversion is attempted there.
+    result is exactly estimate b (or a); no solve is attempted there.
     """
     _check_same_labels(a, b)
     source = "given"
     if omega is None:
-        omega = optimize_ci_omega(a.covariance, b.covariance)
+        omega = optimize_ci_omega(a, b)
         source = "optimized"
     w = float(omega)
     if not (0.0 <= w <= 1.0):
@@ -101,13 +132,15 @@ def ci_fuse(a: GaussianEstimate, b: GaussianEstimate,
     elif w == 1.0:
         ga, bound, mean = eye.copy(), np.array(a.covariance), np.array(a.mean)
     else:
-        ia = np.linalg.inv(a.covariance)
-        ib = np.linalg.inv(b.covariance)
-        bound = symmetrize(np.linalg.inv(w * ia + (1.0 - w) * ib))
-        ga = w * bound @ ia
-        mean = ga @ a.mean + (bound @ ((1.0 - w) * ib)) @ b.mean
-    return FusionResult(
-        gain_a=ga, gain_b=eye - ga, fused_mean=mean, bound=bound,
+        # with S = w*P_b + (1-w)*P_a, the intersected covariance is
+        # P_b S^-1 P_a and the gain of a is w * P_b S^-1
+        pb_sinv = np.linalg.solve(w * b.covariance + (1.0 - w) * a.covariance,
+                                  b.covariance).T
+        bound = symmetrize(pb_sinv @ a.covariance)
+        ga = w * pb_sinv
+        mean = b.mean + ga @ (a.mean - b.mean)
+    return _derived(
+        FusionResult, gain_a=ga, gain_b=eye - ga, fused_mean=mean, bound=bound,
         method=FusionMethod.CI, omega=np.array([w]),
         diagnostics={"omega_source": source, "trace": float(np.trace(bound))})
 
@@ -132,38 +165,37 @@ def nmci_fuse(a: GaussianEstimate, b: GaussianEstimate, partition: BlockPartitio
     for blk in partition.blocks:
         off[np.ix_(blk, blk)] = False
 
-    def _project(est: GaussianEstimate, which: str) -> tuple[GaussianEstimate, float]:
+    def _dropped(est: GaussianEstimate, which: str) -> float:
         mass = float(np.linalg.norm(est.covariance[off]))
         rel = mass / max(float(np.linalg.norm(est.covariance)), 1e-300)
         if rel <= tol:
-            return est, 0.0
+            return 0.0
         if strict:
             raise DimensionError(
                 f"covariance {which} couples different partition blocks "
                 f"(relative off-block mass {rel:.2e} > {tol:g}); "
                 "use lenient mode to drop the coupling")
-        cov = np.array(est.covariance)
-        cov[off] = 0.0
-        return GaussianEstimate(est.mean, cov, est.labels), rel
+        return rel
 
-    pa, dropped_a = _project(a, "A")
-    pb, dropped_b = _project(b, "B")
+    dropped_a = _dropped(a, "A")
+    dropped_b = _dropped(b, "B")
 
+    # dropping the off-block entries leaves every block marginal as it is
     d = a.dim
     gain_a = np.zeros((d, d))
     bound = np.zeros((d, d))
     mean = np.zeros(d)
     omegas = np.zeros(partition.n_blocks)
     for k, blk in enumerate(partition.blocks):
-        sub = ci_fuse(pa.marginal(blk), pb.marginal(blk))
+        sub = ci_fuse(a.marginal(blk), b.marginal(blk))
         ix = np.ix_(blk, blk)
         gain_a[ix] = sub.gain_a
         bound[ix] = sub.bound
         mean[list(blk)] = sub.fused_mean
         omegas[k] = float(sub.omega[0])
-    return FusionResult(
-        gain_a=gain_a, gain_b=np.eye(d) - gain_a, fused_mean=mean, bound=bound,
-        method=FusionMethod.NMCI, omega=omegas,
+    return _derived(
+        FusionResult, gain_a=gain_a, gain_b=np.eye(d) - gain_a, fused_mean=mean,
+        bound=bound, method=FusionMethod.NMCI, omega=omegas,
         diagnostics={"strict": strict, "dropped_mass_a": dropped_a,
                      "dropped_mass_b": dropped_b, "trace": float(np.trace(bound))})
 

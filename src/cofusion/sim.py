@@ -28,6 +28,7 @@ from .core import (
     DimensionError,
     FusionError,
     GaussianEstimate,
+    _derived,
     check_spd,
     make_substream,
     make_substream_seed,
@@ -375,7 +376,6 @@ class FilterModel:
     q: np.ndarray
     h: np.ndarray
     r: np.ndarray
-    r_chol: np.ndarray
     meas_order: tuple      # ((agent_id, target_id or "landmark"), ...)
 
 
@@ -419,8 +419,7 @@ def agent_filter_model(agent: AgentConfig, layout: StateLayout,
     h[row + 1, bi[1]] = 1.0
     r[row:row + 2, row:row + 2] = agent.meas_noise_landmark
     order.append((agent.id, "landmark"))
-    return FilterModel(f=f, q=qn, h=h, r=r, r_chol=np.linalg.cholesky(r),
-                       meas_order=tuple(order))
+    return FilterModel(f=f, q=qn, h=h, r=r, meas_order=tuple(order))
 
 
 def stack_measurements(model: FilterModel,
@@ -550,7 +549,11 @@ def fusion_round(beliefs: list[AgentBelief], edges, method: str, step: int, *,
         except FusionError as exc:
             raise FusionError(
                 f"fusion failed on edge ({i}, {j}) at step {step}: {exc}") from exc
-        fused = GaussianEstimate(res.fused_mean, res.bound, a.estimate.labels)
+        # every rule's bound is SPD by construction: an inverse of a positive
+        # information combination (CI, nmCI) or the leading block of LMIs
+        # whose Cholesky factorization succeeded (SDP)
+        fused = _derived(GaussianEstimate, mean=res.fused_mean, covariance=res.bound,
+                         labels=a.estimate.labels)
         out[i] = AgentBelief(fused, a.partition)
         out[j] = AgentBelief(fused, b.partition)
         if res.omega is None:
@@ -609,8 +612,7 @@ def centralized_model(scenario: ScenarioConfig, agents: list[AgentConfig]) -> Fi
         order += list(m.meas_order)
         at += k
     f, qn = global_transition(layout, scenario.dt, scenario.q)
-    return FilterModel(f=f, q=qn, h=h, r=r, r_chol=np.linalg.cholesky(r),
-                       meas_order=tuple(order))
+    return FilterModel(f=f, q=qn, h=h, r=r, meas_order=tuple(order))
 
 
 def simulate_run(scenario: ScenarioConfig, run_idx: int,

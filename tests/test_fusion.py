@@ -13,6 +13,7 @@ from cofusion.core import (
     is_conservative,
 )
 from cofusion.fusion import (
+    _trace_terms,
     ci_fuse,
     exact_fuse,
     nmci_fuse,
@@ -75,6 +76,73 @@ def test_optimize_omega_objective_is_minimal_on_grid():
         w = optimize_ci_omega(pa, pb)
         best = min(f(v) for v in np.linspace(0.0, 1.0, 201))
         assert f(w) <= best + 1e-6 * abs(best)
+
+
+def inverse_form_objective(pa, pb):
+    ia, ib = np.linalg.inv(pa), np.linalg.inv(pb)
+    return lambda w: float(np.trace(np.linalg.inv(w * ia + (1 - w) * ib)))
+
+
+@pytest.mark.parametrize("d", [2, 8, 24, 112])
+def test_closed_form_objective_matches_inverse_form(d):
+    rng = np.random.default_rng(100 + d)
+    for _ in range(3):
+        pa, pb = rand_spd(rng, d), rand_spd(rng, d, scale=rng.uniform(0.1, 10.0))
+        a, b = _trace_terms(pa, pb)
+        f = inverse_form_objective(pa, pb)
+        for w in (0.0, 0.1, 0.5, 0.93, 1.0):
+            closed = float(np.sum(a * b / (w * b + (1 - w) * a)))
+            assert closed == pytest.approx(f(w), rel=1e-10)
+
+
+@pytest.mark.parametrize("d", [24, 112])
+def test_optimize_omega_objective_is_minimal_on_grid_at_tracking_sizes(d):
+    rng = np.random.default_rng(200 + d)
+    for _ in range(3):
+        pa, pb = rand_spd(rng, d), rand_spd(rng, d, scale=rng.uniform(0.5, 2.0))
+        f = inverse_form_objective(pa, pb)
+        w = optimize_ci_omega(pa, pb)
+        best = min(f(v) for v in np.linspace(0.0, 1.0, 201))
+        assert f(w) <= best * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("d", [3, 8, 30])
+def test_optimize_omega_stays_optimal_on_ill_conditioned_pairs(d):
+    # condition numbers of 1e11 each, so the generalized eigenvalues span
+    # ~22 decades; taken from one eigh, the smallest are lost, and with
+    # them the weight (it snaps to 0 at d = 3 and 8)
+    rng = np.random.default_rng(300 + d)
+    spectrum = np.diag(np.logspace(0.0, 11.0, d))
+    pa, pb = [q @ spectrum @ q.T for q in
+              (np.linalg.qr(rng.standard_normal((d, d)))[0] for _ in range(2))]
+    pa, pb = 0.5 * (pa + pa.T), 0.5 * (pb + pb.T)
+
+    def f(w):
+        # trace(P_b S^-1 P_a) with S = w*P_b + (1-w)*P_a
+        return float(np.trace(np.linalg.solve(w * pb + (1 - w) * pa, pb).T @ pa))
+
+    w = optimize_ci_omega(pa, pb)
+    best = min(f(v) for v in np.linspace(0.0, 1.0, 201))
+    assert f(w) <= best * (1 + 1e-9)
+
+
+def test_public_entry_points_still_reject_non_spd():
+    indefinite = np.array([[1.0, 2.0], [2.0, 1.0]])
+    with pytest.raises(NotPositiveDefiniteError):
+        optimize_ci_omega(indefinite, np.eye(2))
+    with pytest.raises(NotPositiveDefiniteError):
+        optimize_ci_omega(np.eye(2), indefinite)
+    with pytest.raises(NotPositiveDefiniteError):
+        GaussianEstimate(np.zeros(2), indefinite)
+    with pytest.raises(NotPositiveDefiniteError):
+        ci_fuse(est(np.zeros(2), indefinite), est(np.zeros(2), np.eye(2)))
+
+
+def test_optimize_omega_takes_estimates_like_their_covariances():
+    rng = np.random.default_rng(15)
+    pa, pb = rand_spd(rng, 5), rand_spd(rng, 5)
+    assert optimize_ci_omega(est(np.zeros(5), pa), est(np.zeros(5), pb)) \
+        == optimize_ci_omega(pa, pb)
 
 
 # ---------------------------------------------------------------------------
