@@ -15,8 +15,15 @@ The embedded solver is a primal log-det barrier method with damped
 Newton centering and a geometric schedule on the path parameter.
 Problem sizes here are tiny (blocks of side 3d with d <= ~8, up to a few
 thousand samples), so this is both adequate and keeps the package free
-of solver dependencies; per-iteration cost is linear in the number of
-samples because the blocks are never stacked into one big matrix.
+of solver dependencies.  Each block G_i is handled through its d x d
+slack C_i = Pbar - K J_i K^T, the Schur complement of the constant
+J_i^{-1} block: G_i is PD exactly when C_i is, logdet G_i =
+logdet C_i - logdet J_i, and S_i = G_i^{-1} has blocks C_i^{-1},
+-C_i^{-1} K J_i and J_i + J_i K^T C_i^{-1} K J_i (Boyd & Vandenberghe,
+section A.5.5).  So a feasibility test is one batched d x d Cholesky.
+The barrier Hessian sum_i tr(S_i A_k S_i A_l) is read off the Gram
+matrix V^T V of the stacked vec(S_i), a single matrix product, and its
+contraction with the basis A_k does not depend on the number of samples.
 
 Certification: every Newton step dx at path parameter t, taken where
 the barrier Hessian solves without regularization and the decrement
@@ -40,7 +47,6 @@ float64's reach: the solve ends there with ``max_iterations``.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
 
@@ -56,7 +62,6 @@ from .core import (
     check_spd,
     make_substream_seed,
     symmetrize,
-    _jsonable,
 )
 from .fusion import _check_same_labels
 from .sampler import DEFAULT_MAX_ATTEMPTS, CrossSparsityPattern, sample_cross, sample_set
@@ -72,7 +77,6 @@ T_GROWTH = 5.0
 # and takes its place
 _NEWTON_EPS = 1e-9
 _ROUNDOFF = float(np.finfo(float).eps)
-_CHUNK_ELEMS = 4_000_000    # bound on chunk * m * (3d)^2 in the Hessian accumulation
 
 
 class SolveStatus(str, Enum):
@@ -83,12 +87,18 @@ class SolveStatus(str, Enum):
 
 @dataclass(frozen=True, eq=False)
 class SampledFusionProblem:
-    """Marginals, sampled joints, and their inverses, ready to solve."""
+    """Marginals, sampled joints, and their inverses, ready to solve.
+
+    ``joints`` stacks the joint covariances J_i, ``joint_inverses`` their
+    inverses, and ``joint_logdet`` is sum_i logdet J_i.
+    """
 
     p_a: np.ndarray
     p_b: np.ndarray
     samples: tuple[np.ndarray, ...]
+    joints: np.ndarray
     joint_inverses: np.ndarray
+    joint_logdet: float
     d: int
 
     @property
@@ -145,13 +155,15 @@ def build_problem(p_a, p_b, samples) -> SampledFusionProblem:
     q = linv.transpose(0, 2, 1) @ linv
     q = 0.5 * (q + q.transpose(0, 2, 1))
     q.flags.writeable = False
+    joints.flags.writeable = False
+    logdet = 2.0 * float(np.sum(np.log(pivots)))
     frozen = []
     for s in arrs:
         c = s.copy()
         c.flags.writeable = False
         frozen.append(c)
-    return SampledFusionProblem(p_a=p_a, p_b=p_b, samples=tuple(frozen),
-                                joint_inverses=q, d=d)
+    return SampledFusionProblem(p_a=p_a, p_b=p_b, samples=tuple(frozen), joints=joints,
+                                joint_inverses=q, joint_logdet=logdet, d=d)
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,18 +176,6 @@ class SdpSolution:
     gap: float
     newton_iterations: int
     min_lmi_eig: float
-
-    def to_dict(self) -> dict:
-        return {
-            "gain_a": self.gain_a.tolist(),
-            "gain_b": self.gain_b.tolist(),
-            "bound": self.bound.tolist(),
-            "objective": self.objective,
-            "status": self.status.value,
-            "gap": self.gap,
-            "newton_iterations": self.newton_iterations,
-            "min_lmi_eig": self.min_lmi_eig,
-        }
 
 
 class _Workspace:
@@ -201,11 +201,11 @@ class _Workspace:
                 a[k, 2 * d + c, r] = -1.0
         cvec = np.zeros(m)
         cvec[np.flatnonzero(iu_r == iu_c)] = 1.0
-        base = np.zeros((n, p3, p3))
-        base[:, d:, d:] = problem.joint_inverses
         self.d, self.n, self.p3, self.npv, self.m = d, n, p3, npv, m
         self.iu = (iu_r, iu_c)
-        self.a, self.cvec, self.base = a, cvec, base
+        self.basis = a.reshape(m, p3 * p3)     # row k is vec(A_k)
+        self.cvec = cvec
+        self.problem = problem
         self.eye = np.eye(d)
 
     def pack(self, pbar: np.ndarray, ka: np.ndarray) -> np.ndarray:
@@ -218,9 +218,11 @@ class _Workspace:
         return pbar, x[self.npv:].reshape(self.d, self.d)
 
     def lmis(self, x: np.ndarray) -> np.ndarray:
+        """The full 3d x 3d LMI blocks G_i at x."""
         d = self.d
         pbar, ka = self.unpack(x)
-        g = self.base.copy()
+        g = np.empty((self.n, self.p3, self.p3))
+        g[:, d:, d:] = self.problem.joint_inverses
         g[:, :d, :d] = pbar
         g[:, :d, d:2 * d] = ka
         g[:, d:2 * d, :d] = ka.T
@@ -230,28 +232,40 @@ class _Workspace:
         return g
 
     def chol_logdet(self, x: np.ndarray):
-        """(G, logdet) when x is strictly feasible, else (None, -inf)."""
-        g = self.lmis(x)
-        if not np.all(np.isfinite(g)):
+        """(factors, sum_i logdet G_i) when x is strictly feasible, else (None, -inf).
+
+        G_i is PD exactly when its slack C_i = Pbar - K J_i K^T is, so only
+        the d x d slacks are factored.  ``factors`` is (chol(C_i), K J_i),
+        what ``barrier_grad_hess`` needs.
+        """
+        pbar, ka = self.unpack(x)
+        k = np.concatenate([ka, self.eye - ka], axis=1)
+        kj = k @ self.problem.joints
+        slack = pbar - (kj.reshape(-1, 2 * self.d) @ k.T).reshape(self.n, self.d, self.d)
+        if not np.all(np.isfinite(slack)):
             return None, -np.inf
         try:
-            chol = np.linalg.cholesky(g)
+            chol = np.linalg.cholesky(slack)
         except np.linalg.LinAlgError:
             return None, -np.inf
         logdet = 2.0 * float(np.sum(np.log(np.diagonal(chol, axis1=1, axis2=2))))
-        return g, logdet
+        return (chol, kj), logdet - self.problem.joint_logdet
 
-    def barrier_grad_hess(self, g: np.ndarray):
-        s = np.linalg.inv(g)
-        s = 0.5 * (s + s.transpose(0, 2, 1))
-        grad = -np.einsum('pq,kpq->k', s.sum(axis=0), self.a)
-        m, p3 = self.m, self.p3
-        hess = np.zeros((m, m))
-        step = max(1, int(_CHUNK_ELEMS // max(m * p3 * p3, 1)))
-        for s0 in range(0, self.n, step):
-            sc = s[s0:s0 + step]
-            u = np.einsum('ipq,kqr->ikpr', sc, self.a, optimize=True)
-            hess += np.einsum('ikpq,ilqp->kl', u, u, optimize=True)
+    def barrier_grad_hess(self, factors):
+        """Gradient and Hessian of -sum_i logdet G_i at the point ``factors`` came from."""
+        chol, kj = factors
+        d, p3 = self.d, self.p3
+        # with N = L^-1 [I, -K J] and C = L L^T, S_i = N^T N + blockdiag(0, J_i)
+        linv = np.linalg.inv(chol)
+        nmat = np.concatenate([linv, -(linv @ kj)], axis=2)
+        s = np.ascontiguousarray(nmat.transpose(0, 2, 1)) @ nmat
+        s[:, d:, d:] += self.problem.joints
+        v = s.reshape(self.n, p3 * p3)
+        grad = -(self.basis @ v.sum(axis=0))
+        # gram[(a,b),(c,e)] = sum_i S_i[a,b] S_i[c,e], and
+        # H_kl = sum gram[(a,b),(c,e)] A_k[b,c] A_l[e,a]
+        gram = (v.T @ v).reshape(p3, p3, p3, p3).transpose(1, 2, 3, 0)
+        hess = self.basis @ gram.reshape(p3 * p3, p3 * p3) @ self.basis.T
         return grad, 0.5 * (hess + hess.T)
 
 
@@ -261,15 +275,16 @@ def _initial_point(ws: _Workspace, problem: SampledFusionProblem):
     K_a = I/2 with Pbar = 2 (P_a + P_b) satisfies every LMI strictly
     because the realized covariance under any PD joint never exceeds
     P_a + P_b for those gains; doubling Pbar is the fallback in case
-    conditioning eats the margin.
+    conditioning eats the margin.  Returns (x, factors, logdet) as
+    ``chol_logdet`` gives them, or None.
     """
     ka = 0.5 * ws.eye
     pbar = 2.0 * symmetrize(problem.p_a + problem.p_b)
     for _ in range(64):
         x = ws.pack(pbar, ka)
-        g, logdet = ws.chol_logdet(x)
-        if g is not None:
-            return x
+        factors, logdet = ws.chol_logdet(x)
+        if factors is not None:
+            return x, factors, logdet
         pbar = 2.0 * pbar
     return None
 
@@ -297,14 +312,16 @@ def solve(problem: SampledFusionProblem, tol: float = DEFAULT_TOL,
     ws = _Workspace(problem)
     nu = float(3 * problem.d * problem.n)
 
-    x = _initial_point(ws, problem)
-    if x is None:
-        zero = np.zeros((problem.d, problem.d))
+    start = _initial_point(ws, problem)
+    if start is None:
         return SdpSolution(gain_a=0.5 * np.eye(problem.d), gain_b=0.5 * np.eye(problem.d),
                            bound=2.0 * symmetrize(problem.p_a + problem.p_b),
                            objective=float(np.trace(2.0 * (problem.p_a + problem.p_b))),
                            status=SolveStatus.INFEASIBLE_NUMERICS, gap=np.inf,
                            newton_iterations=0, min_lmi_eig=-np.inf)
+    # the barrier derivatives depend on x alone, so they are kept until x moves
+    x, factors, logdet = start
+    derivs = None
 
     obj = float(ws.cvec @ x)
     t = nu / max(obj, 1e-12)
@@ -318,17 +335,15 @@ def solve(problem: SampledFusionProblem, tol: float = DEFAULT_TOL,
         stage_lower = lower
         stalled = False
         while used < max_iters:
-            g, logdet = ws.chol_logdet(x)
-            if g is None:
-                broke_down = True
-                break
-            try:
-                grad_phi, hess = ws.barrier_grad_hess(g)
-            except np.linalg.LinAlgError:
-                # an LMI block is singular to working precision: the point
-                # cannot move on, like a line search that finds no step
-                stalled = True
-                break
+            if derivs is None:
+                try:
+                    derivs = ws.barrier_grad_hess(factors)
+                except np.linalg.LinAlgError:
+                    # an LMI block is singular to working precision: the point
+                    # cannot move on, like a line search that finds no step
+                    stalled = True
+                    break
+            grad_phi, hess = derivs
             grad = t * ws.cvec + grad_phi
             dx = None
             scale = max(float(np.max(np.abs(np.diag(hess)))), 1.0)
@@ -359,8 +374,8 @@ def solve(problem: SampledFusionProblem, tol: float = DEFAULT_TOL,
             moved = False
             while step > 1e-14:
                 trial = x + step * dx
-                gt, ldt = ws.chol_logdet(trial)
-                if gt is not None:
+                ft, ldt = ws.chol_logdet(trial)
+                if ft is not None:
                     psit = t * float(ws.cvec @ trial) - ldt
                     if psit <= psi + 1e-2 * step * gdx:
                         moved = True
@@ -373,7 +388,7 @@ def solve(problem: SampledFusionProblem, tol: float = DEFAULT_TOL,
                 # a decrease lost in the roundoff of psi is no progress:
                 # the point is as centered as float64 can tell
                 break
-            x = trial
+            x, factors, logdet, derivs = trial, ft, ldt, None
         obj = float(ws.cvec @ x)
         gap = (obj - lower) / max(abs(obj), 1e-300)
         if broke_down:
@@ -389,8 +404,7 @@ def solve(problem: SampledFusionProblem, tol: float = DEFAULT_TOL,
         t *= T_GROWTH
 
     pbar, ka = ws.unpack(x)
-    g_final = ws.lmis(x)
-    min_eig = float(np.min(np.linalg.eigvalsh(g_final)))
+    min_eig = float(np.min(np.linalg.eigvalsh(ws.lmis(x))))
     if status is SolveStatus.OPTIMAL and min_eig < -1e-7:
         status = SolveStatus.MAX_ITERATIONS
     return SdpSolution(gain_a=ka, gain_b=ws.eye - ka, bound=symmetrize(pbar),
@@ -451,44 +465,3 @@ def robust_fuse(a: GaussianEstimate, b: GaussianEstimate, pattern: CrossSparsity
                      "newton_iterations": sol.newton_iterations,
                      "min_lmi_eig": sol.min_lmi_eig, "redraws": redraws,
                      "trace": float(np.trace(sol.bound))})
-
-
-# ---------------------------------------------------------------------------
-# dump format for offline cross-checking against other solvers
-
-def problem_to_dict(problem: SampledFusionProblem) -> dict:
-    return {
-        "schema": "cofusion-sdp-problem-v1",
-        "d": problem.d,
-        "p_a": problem.p_a.tolist(),
-        "p_b": problem.p_b.tolist(),
-        "cross_samples": [s.tolist() for s in problem.samples],
-    }
-
-
-def problem_from_dict(d: dict) -> SampledFusionProblem:
-    from .core import ConfigError
-    if d.get("schema") != "cofusion-sdp-problem-v1":
-        raise ConfigError(f"unsupported problem schema {d.get('schema')!r}")
-    return build_problem(np.asarray(d["p_a"], dtype=float),
-                         np.asarray(d["p_b"], dtype=float),
-                         [np.asarray(s, dtype=float) for s in d["cross_samples"]])
-
-
-def save_problem(path, problem: SampledFusionProblem) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(_jsonable(problem_to_dict(problem)), fh, indent=2)
-        fh.write("\n")
-
-
-def load_problem(path) -> SampledFusionProblem:
-    with open(path, "r", encoding="utf-8") as fh:
-        return problem_from_dict(json.load(fh))
-
-
-def save_solution(path, solution: SdpSolution) -> None:
-    payload = {"schema": "cofusion-sdp-solution-v1"}
-    payload.update(solution.to_dict())
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(_jsonable(payload), fh, indent=2)
-        fh.write("\n")

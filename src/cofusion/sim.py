@@ -379,14 +379,23 @@ class FilterModel:
     meas_order: tuple      # ((agent_id, target_id or "landmark"), ...)
 
 
+def noise_factors(agent: AgentConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Cholesky factors of an agent's target and landmark noise, for ``measure``."""
+    return (np.linalg.cholesky(agent.meas_noise_target),
+            np.linalg.cholesky(agent.meas_noise_landmark))
+
+
 def measure(agent: AgentConfig, truth, layout: StateLayout,
-            rng: np.random.Generator) -> AgentMeasurements:
-    """Biased position measurement of each assigned target plus a landmark."""
+            rng: np.random.Generator, factors) -> AgentMeasurements:
+    """Biased position measurement of each assigned target plus a landmark.
+
+    ``factors`` is ``noise_factors(agent)``; the noise is fixed per agent,
+    so callers factor it once.
+    """
     if not agent.assigned_targets:
         raise ConfigError(f"agent {agent.id} has no assigned targets")
     truth = np.asarray(truth, dtype=float)
-    la, lb = np.linalg.cholesky(agent.meas_noise_target), \
-        np.linalg.cholesky(agent.meas_noise_landmark)
+    la, lb = factors
     z = {}
     for t in agent.assigned_targets:
         ti = layout.target_indices(t)
@@ -653,6 +662,7 @@ def simulate_run(scenario: ScenarioConfig, run_idx: int,
     # method replays the exact same realizations
     truth = np.empty((steps, d))
     meas: list[dict[int, AgentMeasurements]] = []
+    factors = [noise_factors(a) for a in agents]
     xk = x
     for k in range(steps):
         nxt = xk.copy()
@@ -661,7 +671,8 @@ def simulate_run(scenario: ScenarioConfig, run_idx: int,
             nxt[ti] = propagate_truth(xk[ti], scenario.dt, scenario.q, rng_truth)
         xk = nxt
         truth[k] = xk
-        meas.append({a.id: measure(a, xk, layout, rng_meas) for a in agents})
+        meas.append({a.id: measure(a, xk, layout, rng_meas, f)
+                     for a, f in zip(agents, factors)})
 
     p0 = _prior_covariance(scenario)
     l0 = np.linalg.cholesky(p0)

@@ -15,13 +15,11 @@ from cofusion.fusion import exact_fuse, realized_cov
 from cofusion.sampler import sample_set
 from cofusion.sdp import (
     SolveStatus,
+    _initial_point,
+    _Workspace,
     build_problem,
     feasibility_margin,
-    load_problem,
-    problem_from_dict,
-    problem_to_dict,
     robust_fuse,
-    save_problem,
     solve,
 )
 
@@ -45,10 +43,14 @@ def test_build_problem_shapes_and_inverses():
                sample_set(pa, pb, CrossSparsityPattern.unconstrained(2, 2), 5, seed=3)]
     prob = build_problem(pa, pb, samples)
     assert prob.n == 5 and prob.d == 2
+    logdet = 0.0
     for i, s in enumerate(samples):
         joint = np.block([[pa, s], [s.T, pb]])
+        np.testing.assert_array_equal(prob.joints[i], joint)
         np.testing.assert_allclose(prob.joint_inverses[i] @ joint, np.eye(4),
                                    atol=1e-9)
+        logdet += np.linalg.slogdet(joint)[1]
+    assert prob.joint_logdet == pytest.approx(logdet, rel=1e-12)
 
 
 def test_build_problem_validation():
@@ -232,19 +234,122 @@ def test_robust_fuse_bound_conservative_on_fresh_samples():
 
 
 # ---------------------------------------------------------------------------
-# problem round trip
+# the slack route against the full 3d x 3d LMI blocks
 
-def test_problem_serialization_round_trip(tmp_path):
-    rng = np.random.default_rng(8)
-    pa, pb = rand_spd(rng, 2), rand_spd(rng, 2)
-    samples = [s.p_ab for s in
-               sample_set(pa, pb, CrossSparsityPattern.unconstrained(2, 2), 3, seed=8)]
-    prob = build_problem(pa, pb, samples)
-    d = problem_to_dict(prob)
-    again = problem_from_dict(d)
-    np.testing.assert_allclose(again.p_a, prob.p_a)
-    assert again.n == prob.n
-    path = tmp_path / "problem.json"
-    save_problem(path, prob)
-    loaded = load_problem(path)
-    np.testing.assert_allclose(loaded.joint_inverses, prob.joint_inverses)
+def _random_problem(rng, d, n):
+    # cross blocks S = L_a X L_b^T with ||X||_2 < 1 keep every joint PD
+    # without the sampler, which is slow at d = 8
+    pa, pb = rand_spd(rng, d), rand_spd(rng, d)
+    la, lb = np.linalg.cholesky(pa), np.linalg.cholesky(pb)
+    samples = []
+    for _ in range(n):
+        x = rng.standard_normal((d, d))
+        x *= rng.uniform(0.0, 0.9) / np.linalg.norm(x, 2)
+        samples.append(la @ x @ lb.T)
+    return build_problem(pa, pb, samples)
+
+
+def _points(ws, prob):
+    # the start point, and an iterate a few Newton steps along the path
+    x0 = _initial_point(ws, prob)[0]
+    sol = solve(prob, tol=1e-12, max_iters=6)
+    return [x0, ws.pack(sol.bound, sol.gain_a)]
+
+
+def _full_block_logdet(ws, x):
+    g = ws.lmis(x)
+    try:
+        chol = np.linalg.cholesky(g)
+    except np.linalg.LinAlgError:
+        return None
+    return 2.0 * float(np.sum(np.log(np.diagonal(chol, axis1=1, axis2=2))))
+
+
+def test_lmis_are_the_full_blocks():
+    rng = np.random.default_rng(20)
+    prob = _random_problem(rng, 2, 4)
+    ws = _Workspace(prob)
+    pbar, ka = rand_spd(rng, 2), rng.standard_normal((2, 2))
+    g = ws.lmis(ws.pack(pbar, ka))
+    k = np.hstack([ka, np.eye(2) - ka])
+    for i, s in enumerate(prob.samples):
+        jinv = np.linalg.inv(np.block([[prob.p_a, s], [s.T, prob.p_b]]))
+        np.testing.assert_allclose(g[i], np.block([[pbar, k], [k.T, jinv]]),
+                                   rtol=1e-12, atol=1e-12)
+
+
+def test_chol_logdet_matches_full_block_cholesky():
+    rng = np.random.default_rng(21)
+    for d in (1, 2, 3, 8):
+        for n in (1, 7, 300):
+            prob = _random_problem(rng, d, n)
+            ws = _Workspace(prob)
+            for x in _points(ws, prob):
+                factors, logdet = ws.chol_logdet(x)
+                ref = _full_block_logdet(ws, x)
+                assert factors is not None and ref is not None
+                assert logdet == pytest.approx(ref, rel=1e-10, abs=1e-10)
+
+
+def test_chol_logdet_infeasible_exactly_when_a_full_block_is_not_pd():
+    # zero cross blocks realize (P_a + P_b) / 4 = I / 2 at K_a = I / 2; the
+    # single sample with cross 0.9 I realizes 0.95 I
+    samples = [np.zeros((2, 2))] * 5 + [0.9 * np.eye(2)] + [np.zeros((2, 2))] * 3
+    prob = build_problem(np.eye(2), np.eye(2), samples)
+    ws = _Workspace(prob)
+    ka = 0.5 * np.eye(2)
+    for scale, feasible in ((1.0, True), (0.7, False), (0.4, False)):
+        x = ws.pack(scale * np.eye(2), ka)
+        factors, logdet = ws.chol_logdet(x)
+        bad = np.flatnonzero(np.linalg.eigvalsh(ws.lmis(x))[:, 0] <= 0.0)
+        assert (factors is not None) == feasible == (len(bad) == 0)
+        if not feasible:
+            assert logdet == -np.inf
+    # at Pbar = 0.7 I only the one sample's slack is indefinite
+    x = ws.pack(0.7 * np.eye(2), ka)
+    assert list(np.flatnonzero(np.linalg.eigvalsh(ws.lmis(x))[:, 0] <= 0.0)) == [5]
+    # random points: feasible exactly when every full block is PD
+    rng = np.random.default_rng(22)
+    prob = _random_problem(rng, 3, 40)
+    ws = _Workspace(prob)
+    x0 = _initial_point(ws, prob)[0]
+    outcomes = set()
+    for _ in range(200):
+        x = x0 * rng.uniform(0.05, 1.0) + 0.5 * rng.standard_normal(x0.shape)
+        feasible = ws.chol_logdet(x)[0] is not None
+        assert feasible == (_full_block_logdet(ws, x) is not None)
+        outcomes.add(feasible)
+    assert outcomes == {True, False}
+
+
+def test_barrier_derivatives_match_full_block_reference():
+    # grad_k = -sum_i tr(S_i A_k) and H_kl = sum_i tr(S_i A_k S_i A_l) with
+    # S_i the inverse of the full block, one sample at a time
+    rng = np.random.default_rng(23)
+    for d in (1, 2, 3, 8):
+        for n in (1, 7, 300):
+            prob = _random_problem(rng, d, n)
+            ws = _Workspace(prob)
+            a = ws.basis.reshape(ws.m, ws.p3, ws.p3)
+            for x in _points(ws, prob):
+                grad, hess = ws.barrier_grad_hess(ws.chol_logdet(x)[0])
+                grad_ref = np.zeros(ws.m)
+                hess_ref = np.zeros((ws.m, ws.m))
+                for g in ws.lmis(x):
+                    s = np.linalg.inv(g)
+                    u = (s @ a).reshape(ws.m, -1)
+                    grad_ref -= np.einsum('pq,kqp->k', s, a)
+                    hess_ref += u @ (a @ s).reshape(ws.m, -1).T
+                np.testing.assert_allclose(
+                    grad, grad_ref, rtol=1e-9, atol=1e-9 * np.abs(grad_ref).max())
+                np.testing.assert_allclose(
+                    hess, hess_ref, rtol=1e-9, atol=1e-9 * np.abs(hess_ref).max())
+
+
+def test_min_lmi_eig_is_taken_on_the_full_blocks():
+    prob = _certified_instance()
+    ws = _Workspace(prob)
+    for tol, max_iters in ((1e-7, 200), (1e-10, 3)):
+        sol = solve(prob, tol=tol, max_iters=max_iters)
+        x = ws.pack(sol.bound, sol.gain_a)
+        assert sol.min_lmi_eig == float(np.min(np.linalg.eigvalsh(ws.lmis(x))))

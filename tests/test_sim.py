@@ -22,6 +22,7 @@ from cofusion.sim import (
     global_transition,
     local_filter_step,
     measure,
+    noise_factors,
     omega_rows,
     partition_is_exact,
     propagate_truth,
@@ -149,7 +150,7 @@ def test_measure_contains_bias_and_assigned_targets():
 
     agents = _make_agents(scn, np.array([[1.0, -1.0], [0.0, 0.5]]))
     truth = rng.standard_normal(lay.dim)
-    m = measure(agents[0], truth, lay, np.random.default_rng(2))
+    m = measure(agents[0], truth, lay, np.random.default_rng(2), noise_factors(agents[0]))
     assert set(m.z_targets) == {0, 1}
     assert m.landmark.shape == (2,)
     # with a zeroed noise draw the measurement is position + bias; with
@@ -193,7 +194,7 @@ def test_stack_measurements_order_matches_model():
     model = agent_filter_model(agents[1], lay, scn.dt, scn.q)
     rng = np.random.default_rng(4)
     truth = rng.standard_normal(lay.dim)
-    per_agent = {a.id: measure(a, truth, lay, rng) for a in agents}
+    per_agent = {a.id: measure(a, truth, lay, rng, noise_factors(a)) for a in agents}
     z = stack_measurements(model, per_agent)
     m1 = per_agent[1]
     np.testing.assert_array_equal(z[:2], m1.z_targets[0])
