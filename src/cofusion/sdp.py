@@ -339,8 +339,8 @@ def solve(problem: SampledFusionProblem, tol: float = DEFAULT_TOL,
                 try:
                     derivs = ws.barrier_grad_hess(factors)
                 except np.linalg.LinAlgError:
-                    # an LMI block is singular to working precision: the point
-                    # cannot move on, like a line search that finds no step
+                    # a slack factor that cannot be inverted: the point cannot
+                    # move on, like a line search that finds no step
                     stalled = True
                     break
             grad_phi, hess = derivs
