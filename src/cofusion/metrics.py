@@ -268,10 +268,6 @@ def _sweep_run(p_a, p_b, pattern: CrossSparsityPattern, n_values, seed: int,
     return dev_row, eig_row, eig_nm, rows
 
 
-def _sweep_run_star(args):
-    return _sweep_run(*args)
-
-
 def conservativeness_sweep(p_a, p_b, pattern: CrossSparsityPattern,
                            n_values, mc_runs: int, seed: int, *,
                            solver_tol: float = 1e-6,
@@ -306,7 +302,7 @@ def conservativeness_sweep(p_a, p_b, pattern: CrossSparsityPattern,
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=min(jobs, mc_runs)) as pool:
-            results = list(pool.map(_sweep_run_star, args))
+            results = list(pool.map(_sweep_run, *zip(*args)))
     else:
         results = [_sweep_run(*a) for a in args]
     for r, (dev_row, eig_row, e_nm, run_rows) in enumerate(results):

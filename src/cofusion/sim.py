@@ -269,12 +269,6 @@ class ScenarioConfig:
     def layout(self) -> StateLayout:
         return StateLayout(self.n_targets, self.n_agents)
 
-    def group_of_agent(self, a: int) -> int:
-        for gi, g in enumerate(self.groups):
-            if a in g.agents:
-                return gi
-        raise ConfigError(f"agent {a} belongs to no group")
-
     def to_dict(self) -> dict:
         d = {"schema": SCENARIO_SCHEMA}
         for f in dc_fields(self):
@@ -344,12 +338,11 @@ class ScenarioConfig:
 
 @dataclass(frozen=True)
 class AgentConfig:
-    """One realized agent: identity, bias truth, sensing, and neighbors."""
+    """One realized agent: identity, bias truth and sensing."""
 
     id: int
     bias: np.ndarray
     assigned_targets: tuple[int, ...]
-    neighbors: tuple[int, ...]
     meas_noise_target: np.ndarray
     meas_noise_landmark: np.ndarray
 
@@ -588,10 +581,6 @@ def _prior_covariance(scenario: ScenarioConfig) -> np.ndarray:
 
 
 def _make_agents(scenario: ScenarioConfig, biases: np.ndarray) -> list[AgentConfig]:
-    nbrs: dict[int, list[int]] = {a: [] for a in range(scenario.n_agents)}
-    for i, j in scenario.edges:
-        nbrs[i].append(j)
-        nbrs[j].append(i)
     rl = np.asarray(scenario.r_landmark, dtype=float)
 
     def rt(a: int) -> np.ndarray:
@@ -601,7 +590,6 @@ def _make_agents(scenario: ScenarioConfig, biases: np.ndarray) -> list[AgentConf
 
     return [AgentConfig(id=a, bias=biases[a].copy(),
                         assigned_targets=scenario.assignments[a],
-                        neighbors=tuple(sorted(nbrs[a])),
                         meas_noise_target=rt(a), meas_noise_landmark=rl)
             for a in range(scenario.n_agents)]
 

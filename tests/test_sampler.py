@@ -6,14 +6,16 @@ import pytest
 from cofusion.core import (
     CrossSparsityPattern,
     DimensionError,
-    GaussianEstimate,
     JointCovariance,
     SamplingError,
+    cov_to_corr,
 )
 from cofusion.sampler import (
+    _FIRST_BATCH,
+    _MAX_BATCH,
+    PD_MARGIN,
     UncertaintySample,
     sample_cross,
-    sample_for_estimates,
     sample_set,
 )
 
@@ -99,20 +101,158 @@ def test_sample_set_validation():
         sample_set(np.eye(3), np.eye(2), pat, 5, seed=1)
 
 
-def test_sample_for_estimates_wraps_covariances():
-    rng = np.random.default_rng(4)
-    pa, pb = rand_spd(rng, 2), rand_spd(rng, 2)
-    a = GaussianEstimate(np.zeros(2), pa)
-    b = GaussianEstimate(np.zeros(2), pb)
-    pat = CrossSparsityPattern.unconstrained(2, 2)
-    via_est = sample_for_estimates(a, b, pat, 5, seed=9)
-    direct = sample_set(pa, pb, pat, 5, seed=9)
-    for x, y in zip(via_est, direct):
-        np.testing.assert_array_equal(x.p_ab, y.p_ab)
-
-
 def test_uncertainty_sample_is_frozen():
     s = UncertaintySample(np.zeros((2, 2)), 3)
     assert not s.p_ab.flags.writeable
     with pytest.raises(DimensionError):
         UncertaintySample(np.zeros((2, 2)), 0)
+
+
+# ---------------------------------------------------------------------------
+# batched proposals against one proposal at a time
+
+def sequential_reference(p_a, p_b, pattern, n, seed, max_attempts=1_000_000):
+    """The sampler as a loop of one proposal and one eigvalsh per attempt.
+
+    Returns [(p_ab, attempts)] for n draws from one seeded stream; raises
+    SamplingError when a draw exhausts max_attempts.
+    """
+    corr_a, std_a = cov_to_corr(p_a)
+    corr_b, std_b = cov_to_corr(p_b)
+    da, db = pattern.dim_a, pattern.dim_b
+    joint = np.zeros((da + db, da + db))
+    joint[:da, :da] = corr_a
+    joint[da:, da:] = corr_b
+    free = pattern.free_indices()
+    rows = np.array([i for i, _ in free], dtype=int)
+    cols = np.array([j for _, j in free], dtype=int)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    out = []
+    for _ in range(n):
+        if not free:
+            out.append((np.zeros((da, db)), 1))
+            continue
+        for attempt in range(1, max_attempts + 1):
+            c = rng.uniform(-1.0, 1.0, size=len(free))
+            joint[rows, da + cols] = c
+            joint[da + cols, rows] = c
+            if np.linalg.eigvalsh(joint)[0] > PD_MARGIN:
+                c_ab = np.zeros((da, db))
+                c_ab[rows, cols] = c
+                out.append((c_ab * np.outer(std_a, std_b), attempt))
+                break
+        else:
+            raise SamplingError(f"no sample in {max_attempts} attempts")
+    return out
+
+
+def assert_same_stream(samples, reference):
+    assert len(samples) == len(reference)
+    for s, (p_ab, attempts) in zip(samples, reference):
+        assert s.attempts == attempts
+        assert s.p_ab.tobytes() == p_ab.tobytes()
+
+
+def hard_pair_3d():
+    # rotated spectra (1, 3, 9): a few hundred proposals per accepted draw
+    rng = np.random.default_rng(7)
+    qa, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    qb, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    spectrum = np.diag([1.0, 3.0, 9.0])
+    return qa @ spectrum @ qa.T, qb @ spectrum @ qb.T
+
+
+@pytest.fixture
+def batch_sizes(monkeypatch):
+    """Sizes of the stacked eigvalsh calls made while the test runs."""
+    sizes = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def spy(a, *args, **kwargs):
+        if np.ndim(a) == 3:
+            sizes.append(np.shape(a)[0])
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    return sizes
+
+
+def test_batched_stream_matches_sequential_on_random_patterns():
+    rng = np.random.default_rng(12)
+    for _ in range(40):
+        da, db = (int(v) for v in rng.integers(1, 4, size=2))
+        zero = frozenset((i, j) for i in range(da) for j in range(db)
+                         if rng.random() < 0.4)
+        pat = CrossSparsityPattern(da, db, zero)
+        pa, pb = rand_spd(rng, da), rand_spd(rng, db)
+        n, seed = int(rng.integers(1, 40)), int(rng.integers(1 << 30))
+        assert_same_stream(sample_set(pa, pb, pat, n, seed),
+                           sequential_reference(pa, pb, pat, n, seed))
+        assert_same_stream([sample_cross(pa, pb, pat, seed)],
+                           sequential_reference(pa, pb, pat, 1, seed))
+
+
+def test_batched_stream_matches_sequential_on_all_zero_pattern(batch_sizes):
+    pat = CrossSparsityPattern.all_zero(2, 3)
+    rng = np.random.default_rng(13)
+    pa, pb = rand_spd(rng, 2), rand_spd(rng, 3)
+    assert_same_stream(sample_set(pa, pb, pat, 5, seed=3),
+                       sequential_reference(pa, pb, pat, 5, seed=3))
+    assert batch_sizes == []
+
+
+def test_batched_stream_matches_sequential_across_cap_sized_batches(batch_sizes):
+    pa, pb = hard_pair_3d()
+    pat = CrossSparsityPattern.unconstrained(3, 3)
+    samples = sample_set(pa, pb, pat, 40, seed=5)
+    assert_same_stream(samples, sequential_reference(pa, pb, pat, 40, seed=5))
+    assert batch_sizes[0] == _FIRST_BATCH
+    assert batch_sizes.count(_MAX_BATCH) >= 3
+    assert max(batch_sizes) == _MAX_BATCH
+
+
+def test_attempt_budget_is_exact_across_batches(batch_sizes):
+    pa, pb = hard_pair_3d()
+    pat = CrossSparsityPattern.unconstrained(3, 3)
+    need = sequential_reference(pa, pb, pat, 1, seed=2)[0][1]
+    assert need > 2 * _FIRST_BATCH   # the budget ends inside a later batch
+    s = sample_cross(pa, pb, pat, seed=2, max_attempts=need)
+    assert_same_stream([s], sequential_reference(pa, pb, pat, 1, seed=2))
+    with pytest.raises(SamplingError):
+        sequential_reference(pa, pb, pat, 1, seed=2, max_attempts=need - 1)
+    with pytest.raises(SamplingError):
+        sample_cross(pa, pb, pat, seed=2, max_attempts=need - 1)
+    # no proposal past the budget is ever tested
+    assert sum(batch_sizes) == 2 * need - 1
+
+
+def test_attempt_budget_is_exact_for_buffered_proposals():
+    # a draw that starts inside a batch may not accept past its own budget
+    pa, pb = hard_pair_3d()
+    pat = CrossSparsityPattern.unconstrained(3, 3)
+    ref = sequential_reference(pa, pb, pat, 40, seed=5)
+    attempts = [a for _, a in ref]
+    records = [j for j in range(1, 40) if attempts[j] > max(attempts[:j])]
+    assert records
+    for j in records:
+        budget = attempts[j] - 1
+        assert_same_stream(
+            sample_set(pa, pb, pat, j, seed=5, max_attempts=budget), ref[:j])
+        with pytest.raises(SamplingError):
+            sample_set(pa, pb, pat, j + 1, seed=5, max_attempts=budget)
+
+
+def test_prefixes_hold_when_the_buffer_refills_mid_set(batch_sizes):
+    rng = np.random.default_rng(14)
+    pa, pb = rand_spd(rng, 2), rand_spd(rng, 2)
+    pat = CrossSparsityPattern.unconstrained(2, 2)
+    long = sample_set(pa, pb, pat, 30, seed=21)
+    assert len(batch_sizes) > 1
+    assert_same_stream(long, sequential_reference(pa, pb, pat, 30, seed=21))
+    first = batch_sizes[0]
+    # the draw that straddles the end of the first batch
+    k = next(i for i in range(1, 31)
+             if sum(s.attempts for s in long[:i]) > first)
+    for m in (k - 1, k, k + 1):
+        short = sample_set(pa, pb, pat, m, seed=21)
+        assert_same_stream(short, [(s.p_ab, s.attempts) for s in long[:m]])
