@@ -31,7 +31,7 @@ def main():
           f"{scenario.n_targets} targets, {scenario.layout().dim}-d state, "
           f"{args.mc} runs")
     data = run_scenario(scenario, mc_runs=args.mc)
-    row = summarize(data).rows[0]
+    row = summarize(data).summary
 
     lo, hi = row["band"]
     print(f"95% band for the average normalized error: "

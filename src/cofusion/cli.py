@@ -240,9 +240,8 @@ def _cmd_track(args) -> int:
     if est:
         write_csv(out_dir / "estimates.csv", ESTIMATE_CSV_COLUMNS, est)
         outputs.append("estimates.csv")
-    stats = summarize(data)
     with open(out_dir / "summary.json", "w", encoding="utf-8") as fh:
-        json.dump(stats.rows[0], fh, indent=2)
+        json.dump(summarize(data).summary, fh, indent=2)
         fh.write("\n")
     outputs.append("summary.json")
     manifest.outputs = outputs
@@ -314,8 +313,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="override the number of Monte-Carlo runs")
     track.add_argument("--seed", type=int, default=None)
     track.add_argument("--jobs", type=int, default=1,
-                       help="dispatch Monte-Carlo runs across this many "
-                            "processes")
+                       help="accepted and ignored: track runs serially, "
+                            "stepping all Monte-Carlo runs in lockstep")
     track.add_argument("--out", default="runs",
                        help="parent directory for the output directory")
     track.set_defaults(run=_cmd_track)

@@ -9,7 +9,7 @@ block-wise intersection bound against the sampled-program optimum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -210,25 +210,15 @@ def avg_two_sigma(position_variances: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Monte-Carlo aggregation containers
+# bound-convergence sweep
 
-@dataclass
-class McStatistics:
-    """Aggregated Monte-Carlo statistics for sweeps and tracking runs.
+@dataclass(frozen=True)
+class SweepStatistics:
+    """Result of ``conservativeness_sweep``: curves over n, plus per-solve rows."""
 
-    Sweep results fill ``conservativeness``/``deviation``/``rows``;
-    tracking summaries fill the NEES/RMSE/omega fields.  Unused fields
-    stay None.
-    """
-
-    nees_series: dict | None = None          # method -> (steps,) average NEES
-    chi2_bounds: tuple[float, float] | None = None
-    rmse_mean: dict | None = None            # method -> mean over runs
-    sigma2_mean: dict | None = None          # method -> mean average 2-sigma
-    omega_log: list | None = None            # records of per-edge weights
-    conservativeness: dict | None = None     # method -> {"n", "median", "min", "max"}
-    deviation: dict | None = None            # {"n", "median", "min", "max"}
-    rows: list = field(default_factory=list)
+    deviation: dict            # {"n", "median", "min", "max"}
+    conservativeness: dict     # method -> {"n", "median", "min", "max"}
+    rows: list                 # one SWEEP_CSV_COLUMNS row per (run, n, method)
 
 
 def _sweep_run(p_a, p_b, pattern: CrossSparsityPattern, n_values, seed: int,
@@ -272,7 +262,7 @@ def conservativeness_sweep(p_a, p_b, pattern: CrossSparsityPattern,
                            n_values, mc_runs: int, seed: int, *,
                            solver_tol: float = 1e-6,
                            solver_max_iters: int = 200,
-                           jobs: int = 1) -> McStatistics:
+                           jobs: int = 1) -> SweepStatistics:
     """Bound-convergence and conservativeness study over sample-set sizes.
 
     Per run: draw one "true" cross-covariance and a nested stream of
@@ -311,7 +301,7 @@ def conservativeness_sweep(p_a, p_b, pattern: CrossSparsityPattern,
         eig_nm[r] = e_nm
         rows += run_rows
 
-    stats = McStatistics(
+    return SweepStatistics(
         deviation={"n": n_values,
                    "median": np.median(dev, axis=0).tolist(),
                    "min": dev.min(axis=0).tolist(),
@@ -326,7 +316,6 @@ def conservativeness_sweep(p_a, p_b, pattern: CrossSparsityPattern,
                      "min": [float(eig_nm.min())] * len(n_values),
                      "max": [float(eig_nm.max())] * len(n_values)}},
         rows=rows)
-    return stats
 
 
 # ---------------------------------------------------------------------------

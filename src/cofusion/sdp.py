@@ -412,14 +412,6 @@ def solve(problem: SampledFusionProblem, tol: float = DEFAULT_TOL,
                        newton_iterations=used, min_lmi_eig=min_eig)
 
 
-def feasibility_margin(problem: SampledFusionProblem, gain_a: np.ndarray,
-                       bound: np.ndarray) -> float:
-    """Smallest LMI eigenvalue at (gain_a, bound); >= 0 means feasible."""
-    ws = _Workspace(problem)
-    x = ws.pack(symmetrize(bound), np.asarray(gain_a, dtype=float))
-    return float(np.min(np.linalg.eigvalsh(ws.lmis(x))))
-
-
 def robust_fuse(a: GaussianEstimate, b: GaussianEstimate, pattern: CrossSparsityPattern,
                 n: int, seed: int, tol: float = DEFAULT_TOL, *,
                 max_iters: int = DEFAULT_MAX_ITERS,

@@ -13,12 +13,22 @@ Dynamics and noise levels are deliberately open degrees of freedom, so
 they are explicit scenario parameters with documented defaults.
 All randomness descends from one master seed through named substreams,
 so different fusion methods see identical truths and measurements.
+
+Covariances, Kalman gains, intersection weights and fusion gains never
+depend on the data: the Riccati recursion runs the same in every
+Monte-Carlo run.  So each method steps all runs in lockstep.  One
+covariance pass per scenario does one filter update per agent and one
+fusion per edge, and applies their gains to a (runs, agents, d) array of
+means; NEES solves every run against one factorization per step and
+agent.  The sampled-program method draws its samples from per-run
+seeds, so its covariances differ between runs and it steps a batch of
+one run at a time through the same code.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields as dc_fields, replace
+from dataclasses import dataclass, fields as dc_fields, replace
 
 import numpy as np
 
@@ -434,6 +444,19 @@ def stack_measurements(model: FilterModel,
     return np.concatenate(parts)
 
 
+def _covariance_step(cov: np.ndarray, model: FilterModel) -> tuple[np.ndarray, np.ndarray]:
+    """Covariance half of ``local_filter_step``: (updated covariance, Kalman gain).
+
+    Neither depends on the mean or the measurement, so one call serves
+    every run that shares the covariance.
+    """
+    cov = symmetrize(model.f @ cov @ model.f.T + model.q)
+    s = model.h @ cov @ model.h.T + model.r
+    k = np.linalg.solve(s.T, (cov @ model.h.T).T).T
+    ikh = np.eye(cov.shape[0]) - k @ model.h
+    return symmetrize(ikh @ cov @ ikh.T + k @ model.r @ k.T), k
+
+
 def local_filter_step(belief: GaussianEstimate, model: FilterModel,
                       z: np.ndarray) -> GaussianEstimate:
     """Linear predict + measurement update (Joseph form) on the global state.
@@ -442,14 +465,9 @@ def local_filter_step(belief: GaussianEstimate, model: FilterModel,
     covariance that comes out non-SPD fails construction, which signals
     a misconfigured scenario rather than being patched over.
     """
+    cov, k = _covariance_step(belief.covariance, model)
     mean = model.f @ belief.mean
-    cov = symmetrize(model.f @ belief.covariance @ model.f.T + model.q)
-    if z is not None and model.h.shape[0] > 0:
-        s = model.h @ cov @ model.h.T + model.r
-        k = np.linalg.solve(s.T, (cov @ model.h.T).T).T
-        mean = mean + k @ (z - model.h @ mean)
-        ikh = np.eye(belief.dim) - k @ model.h
-        cov = symmetrize(ikh @ cov @ ikh.T + k @ model.r @ k.T)
+    mean = mean + k @ (z - model.h @ mean)
     return GaussianEstimate(mean, cov, belief.labels)
 
 
@@ -520,24 +538,15 @@ def partition_is_exact(scenario: ScenarioConfig, scheme: str | None = None) -> b
 # ---------------------------------------------------------------------------
 # fusion round
 
-def fusion_round(beliefs: list[AgentBelief], edges, method: str, step: int, *,
-                 strict: bool = False, seed: int = 0, sdp_samples: int = 100,
-                 sdp_tol: float = 1e-6) -> tuple[list[AgentBelief], list[dict]]:
-    """Fuse along every edge in order; both endpoints adopt the result.
+def _fuse_edges(beliefs: list[AgentBelief], edges, method: str, step: int, *,
+                strict: bool, seed: int, sdp_samples: int, sdp_tol: float):
+    """Fuse along every edge in order, replacing both endpoints in ``beliefs``.
 
-    Edges are processed sequentially in the given order, so later edges
-    see the outcome of earlier ones within the same round.  Weight
-    values are returned as one record per edge (per block for the
-    block-wise method).  A failure on an edge aborts with the edge id.
+    Yields (i, j, result) after each edge, so a caller can apply the
+    gains to means it keeps elsewhere.
     """
-    if method == "none":
-        return list(beliefs), []
-    if method not in ("CI", "nmCI", "SDP"):
-        raise ConfigError(f"fusion_round cannot run method {method!r}")
-    out = list(beliefs)
-    records: list[dict] = []
     for i, j in edges:
-        a, b = out[i], out[j]
+        a, b = beliefs[i], beliefs[j]
         try:
             if method == "CI":
                 res = ci_fuse(a.estimate, b.estimate)
@@ -556,20 +565,45 @@ def fusion_round(beliefs: list[AgentBelief], edges, method: str, step: int, *,
         # whose Cholesky factorization succeeded (SDP)
         fused = _derived(GaussianEstimate, mean=res.fused_mean, covariance=res.bound,
                          labels=a.estimate.labels)
-        out[i] = AgentBelief(fused, a.partition)
-        out[j] = AgentBelief(fused, b.partition)
-        if res.omega is None:
-            records.append({"step": step, "edge": f"{i}-{j}", "block": -1,
-                            "omega": float("nan"), "method": method})
-        else:
-            for blk, w in enumerate(res.omega):
-                records.append({"step": step, "edge": f"{i}-{j}", "block": blk,
-                                "omega": float(w), "method": method})
+        beliefs[i] = AgentBelief(fused, a.partition)
+        beliefs[j] = AgentBelief(fused, b.partition)
+        yield i, j, res
+
+
+def _weight_records(res, method: str, step: int, i: int, j: int) -> list[dict]:
+    """One weight record per edge, or per block for the block-wise method."""
+    if res.omega is None:
+        return [{"step": step, "edge": f"{i}-{j}", "block": -1,
+                 "omega": float("nan"), "method": method}]
+    return [{"step": step, "edge": f"{i}-{j}", "block": blk,
+             "omega": float(w), "method": method}
+            for blk, w in enumerate(res.omega)]
+
+
+def fusion_round(beliefs: list[AgentBelief], edges, method: str, step: int, *,
+                 strict: bool = False, seed: int = 0, sdp_samples: int = 100,
+                 sdp_tol: float = 1e-6) -> tuple[list[AgentBelief], list[dict]]:
+    """Fuse along every edge in order; both endpoints adopt the result.
+
+    Edges are processed sequentially in the given order, so later edges
+    see the outcome of earlier ones within the same round.  Weight
+    values are returned as one record per edge (per block for the
+    block-wise method).  A failure on an edge aborts with the edge id.
+    """
+    if method == "none":
+        return list(beliefs), []
+    if method not in ("CI", "nmCI", "SDP"):
+        raise ConfigError(f"fusion_round cannot run method {method!r}")
+    out = list(beliefs)
+    records: list[dict] = []
+    for i, j, res in _fuse_edges(out, edges, method, step, strict=strict, seed=seed,
+                                 sdp_samples=sdp_samples, sdp_tol=sdp_tol):
+        records += _weight_records(res, method, step, i, j)
     return out, records
 
 
 # ---------------------------------------------------------------------------
-# one Monte-Carlo run
+# Monte-Carlo runs
 
 def _prior_covariance(scenario: ScenarioConfig) -> np.ndarray:
     layout = scenario.layout()
@@ -612,22 +646,26 @@ def centralized_model(scenario: ScenarioConfig, agents: list[AgentConfig]) -> Fi
     return FilterModel(f=f, q=qn, h=h, r=r, meas_order=tuple(order))
 
 
-def simulate_run(scenario: ScenarioConfig, run_idx: int,
-                 methods: tuple[str, ...] | None = None) -> dict:
-    """Simulate one Monte-Carlo run for every requested method.
+@dataclass(frozen=True)
+class RunDraws:
+    """Everything random in one Monte-Carlo run; every method replays it."""
 
-    Truth, measurements, and prior perturbations are drawn once from
-    run-specific substreams and replayed identically for each method.
-    Returns per-method arrays of shape (steps, agents) for NEES,
-    position error, 2-sigma summary, and covariance trace, plus
-    recorded estimate trajectories and weight logs.
+    agents: list[AgentConfig]      # carries the run's bias truths
+    truth: np.ndarray              # (steps, d) true state after each step
+    meas: list[dict[int, AgentMeasurements]]   # per step, keyed by agent id
+    prior_mean: np.ndarray         # (d,) shared prior mean of every filter
+
+
+def draw_run(scenario: ScenarioConfig, run_idx: int) -> RunDraws:
+    """Draw one run's truth, measurements and prior from its substreams.
+
+    Biases, initial target states and the truth steps come from the
+    run's "truth" substream, measurements from "meas" and the prior
+    perturbation from "prior", so every method sees the same run.
     """
-    methods = tuple(methods or scenario.methods)
     layout = scenario.layout()
     d = layout.dim
-    labels = layout.labels()
     n_a, n_t, steps = scenario.n_agents, scenario.n_targets, scenario.n_steps
-    pos_idx = layout.position_indices()
 
     rng_truth = make_substream(scenario.seed, "truth", run_idx)
     rng_meas = make_substream(scenario.seed, "meas", run_idx)
@@ -646,8 +684,6 @@ def simulate_run(scenario: ScenarioConfig, run_idx: int,
     for a in range(n_a):
         x[layout.bias_indices(a)] = biases[a]
 
-    # roll the whole truth and measurement record up front so every
-    # method replays the exact same realizations
     truth = np.empty((steps, d))
     meas: list[dict[int, AgentMeasurements]] = []
     factors = [noise_factors(a) for a in agents]
@@ -662,90 +698,152 @@ def simulate_run(scenario: ScenarioConfig, run_idx: int,
         meas.append({a.id: measure(a, xk, layout, rng_meas, f)
                      for a, f in zip(agents, factors)})
 
-    p0 = _prior_covariance(scenario)
-    l0 = np.linalg.cholesky(p0)
     # every agent and the centralized baseline start from one shared
     # prior belief; a common prior keeps fusion of untouched states a
     # no-op instead of an uncredited averaging of independent errors
+    l0 = np.linalg.cholesky(_prior_covariance(scenario))
     prior_mean = x + l0 @ rng_prior.standard_normal(d)
+    return RunDraws(agents=agents, truth=truth, meas=meas, prior_mean=prior_mean)
 
+
+def _per_run(m: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """m @ x[r] for every row r of x, one matrix-vector product per run.
+
+    Each product is the one ``local_filter_step`` or a fusion rule
+    computes for a single mean, so the batched means are bitwise those
+    of one run at a time.
+    """
+    return (m @ x[:, :, None])[:, :, 0]
+
+
+def _lockstep(scenario: ScenarioConfig, method: str, draws: list[RunDraws],
+              fusion_seed: int = 0) -> list[dict]:
+    """Step one method through a batch of runs that share every covariance.
+
+    Per step: one covariance and gain update per filter and one fusion
+    per edge, whose gains then move the (runs, filters, d) means; NEES
+    solves all runs against one factorization per filter.  Returns one
+    record per run; the covariance-only entries (``avg2sig``,
+    ``cov_trace``, ``est_std``, ``omega``) are shared between them.
+    """
+    layout = scenario.layout()
+    d, labels, steps = layout.dim, layout.labels(), scenario.n_steps
+    pos_idx = layout.position_indices()
     partition = build_partition(scenario)
     strict = partition_is_exact(scenario)
-    models = [agent_filter_model(a, layout, scenario.dt, scenario.q) for a in agents]
-    if scenario.record_estimates == "all":
-        rec_agents = list(range(n_a))
-    elif scenario.record_estimates == "report":
-        rec_agents = [scenario.report_agent]
+    # the bias, the only per-run field of an agent, does not enter a model
+    agents = draws[0].agents
+    if method == "centralized":
+        models = [centralized_model(scenario, agents)]
+        rec_ids = [-1] if scenario.record_estimates != "none" else []
+        rec_cols = [0] * len(rec_ids)
     else:
-        rec_agents = []
+        models = [agent_filter_model(a, layout, scenario.dt, scenario.q) for a in agents]
+        rec_ids = {"all": list(range(scenario.n_agents)),
+                   "report": [scenario.report_agent],
+                   "none": []}[scenario.record_estimates]
+        rec_cols = rec_ids
+    fuses = method not in ("centralized", "none")
+    n_runs, cols = len(draws), len(models)
 
+    truth = np.stack([dr.truth for dr in draws])                       # (runs, steps, d)
+    z = [np.array([[stack_measurements(m, dr.meas[k]) for k in range(steps)]
+                   for dr in draws]) for m in models]                   # (runs, steps, rows)
+    means = np.repeat(np.stack([dr.prior_mean for dr in draws])[:, None, :], cols, axis=1)
+    zero = np.zeros(d)
+    # the beliefs carry the shared covariances; their means stay zero
+    prior = AgentBelief(GaussianEstimate(zero, _prior_covariance(scenario), labels),
+                        partition)
+    beliefs = [prior] * cols
+
+    nees = np.empty((n_runs, steps, cols))
+    pos_err = np.empty((n_runs, steps, cols))
+    avg2sig = np.empty((steps, cols))
+    cov_trace = np.empty((steps, cols))
+    est_mean = np.empty((n_runs, steps, len(rec_cols), d)) if rec_cols else None
+    est_std = np.empty((steps, len(rec_cols), d)) if rec_cols else None
+    records: list[dict] = []
+
+    for k in range(steps):
+        for c, model in enumerate(models):
+            cov, gain = _covariance_step(beliefs[c].estimate.covariance, model)
+            beliefs[c] = AgentBelief(GaussianEstimate(zero, cov, labels), partition)
+            pred = _per_run(model.f, means[:, c])
+            means[:, c] = pred + _per_run(gain, z[c][:, k] - _per_run(model.h, pred))
+        if fuses and (k + 1) > scenario.fusion_start \
+                and (k + 1 - scenario.fusion_start) % scenario.fusion_every == 0:
+            for i, j, res in _fuse_edges(beliefs, scenario.edges, method, k,
+                                         strict=strict, seed=fusion_seed,
+                                         sdp_samples=scenario.sdp_samples,
+                                         sdp_tol=scenario.sdp_tol):
+                fused = means[:, j] + _per_run(res.gain_a, means[:, i] - means[:, j])
+                # where b gets no weight the rules return a's mean as it is
+                kept = ~res.gain_b.any(axis=1)
+                fused[:, kept] = means[:, i, kept]
+                means[:, i] = fused
+                means[:, j] = fused
+                records += _weight_records(res, method, k, i, j)
+        err = means - truth[:, k, None, :]
+        pos_err[:, k] = np.linalg.norm(err[:, :, pos_idx], axis=2)
+        for c in range(cols):
+            cov = beliefs[c].estimate.covariance
+            # one factorization of the covariance serves every run
+            e = err[:, c].T
+            nees[:, k, c] = np.sum(e * np.linalg.solve(cov, e), axis=0)
+            pv = np.diag(cov)[pos_idx]
+            avg2sig[k, c] = 2.0 * float(np.sqrt(np.mean(pv)))
+            cov_trace[k, c] = float(np.trace(cov))
+        if rec_cols:
+            est_mean[:, k] = means[:, rec_cols]
+            for ri, c in enumerate(rec_cols):
+                est_std[k, ri] = np.sqrt(np.diag(beliefs[c].estimate.covariance))
+
+    return [{"nees": nees[r], "pos_err": pos_err[r], "avg2sig": avg2sig,
+             "cov_trace": cov_trace, "omega": records,
+             "est_mean": None if est_mean is None else est_mean[r],
+             "est_std": est_std, "est_agents": rec_ids}
+            for r in range(n_runs)]
+
+
+def _simulate(scenario: ScenarioConfig, run_ids, methods) -> list[dict]:
+    """Records of the given runs, every method stepping them in lockstep."""
+    for m in methods:
+        if m not in METHODS:
+            raise ConfigError(f"unknown method {m!r}")
+    d = scenario.layout().dim
     if "SDP" in methods and d > SDP_MAX_DIM:
         raise ConfigError(
             f"SDP fusion is limited to global states of dimension <= {SDP_MAX_DIM} "
             f"(this scenario has {d})")
-
-    out: dict = {"truth": truth, "run": run_idx, "methods": {}}
+    draws = [draw_run(scenario, r) for r in run_ids]
+    out = [{"truth": dr.truth, "run": r, "methods": {}} for r, dr in zip(run_ids, draws)]
     for method in methods:
-        central = method == "centralized"
-        cols = 1 if central else n_a
-        rec = {
-            "nees": np.empty((steps, cols)),
-            "pos_err": np.empty((steps, cols)),
-            "avg2sig": np.empty((steps, cols)),
-            "cov_trace": np.empty((steps, cols)),
-            "omega": [],
-            "est_mean": None,
-            "est_std": None,
-        }
-        if central:
-            rec_ids = [-1] if scenario.record_estimates != "none" else []
+        if method == "SDP":
+            # sample seeds are per run, so each run has its own covariances
+            recs = [_lockstep(scenario, method, [dr],
+                              make_substream_seed(scenario.seed, "fusion", r))[0]
+                    for r, dr in zip(run_ids, draws)]
         else:
-            rec_ids = rec_agents
-        if rec_ids:
-            rec["est_mean"] = np.empty((steps, len(rec_ids), d))
-            rec["est_std"] = np.empty((steps, len(rec_ids), d))
-        rec["est_agents"] = rec_ids
-
-        if central:
-            model_c = centralized_model(scenario, agents)
-            beliefs = [GaussianEstimate(prior_mean, p0, labels)]
-        else:
-            beliefs = [GaussianEstimate(prior_mean, p0, labels) for a in range(n_a)]
-        wrapped = [AgentBelief(b, partition) for b in beliefs]
-
-        for k in range(steps):
-            if central:
-                z = stack_measurements(model_c, meas[k])
-                wrapped = [AgentBelief(local_filter_step(wrapped[0].estimate, model_c, z),
-                                       partition)]
-            else:
-                stepped = []
-                for a in range(n_a):
-                    z = stack_measurements(models[a], meas[k])
-                    stepped.append(AgentBelief(
-                        local_filter_step(wrapped[a].estimate, models[a], z), partition))
-                wrapped = stepped
-                if method != "none" and (k + 1) > scenario.fusion_start \
-                        and (k + 1 - scenario.fusion_start) % scenario.fusion_every == 0:
-                    wrapped, recs = fusion_round(
-                        wrapped, scenario.edges, method, k, strict=strict,
-                        seed=make_substream_seed(scenario.seed, "fusion", run_idx),
-                        sdp_samples=scenario.sdp_samples, sdp_tol=scenario.sdp_tol)
-                    rec["omega"] += recs
-            for c in range(cols):
-                est = wrapped[c].estimate
-                rec["nees"][k, c] = _metrics.nees(est, truth[k])
-                err = est.mean[pos_idx] - truth[k][pos_idx]
-                rec["pos_err"][k, c] = float(np.linalg.norm(err))
-                pv = np.diag(est.covariance)[pos_idx]
-                rec["avg2sig"][k, c] = 2.0 * float(np.sqrt(np.mean(pv)))
-                rec["cov_trace"][k, c] = float(np.trace(est.covariance))
-            for ri, aid in enumerate(rec_ids):
-                est = wrapped[0 if central else aid].estimate
-                rec["est_mean"][k, ri] = est.mean
-                rec["est_std"][k, ri] = np.sqrt(np.diag(est.covariance))
-        out["methods"][method] = rec
+            recs = _lockstep(scenario, method, draws)
+        for o, rec in zip(out, recs):
+            o["methods"][method] = rec
     return out
+
+
+def simulate_run(scenario: ScenarioConfig, run_idx: int,
+                 methods: tuple[str, ...] | None = None) -> dict:
+    """Simulate one Monte-Carlo run for every requested method.
+
+    Truth, measurements, and prior perturbations come from ``draw_run``
+    and are replayed identically for each method.  This is
+    ``run_scenario``'s lockstep with a batch of one run; its record is
+    the one ``run_scenario`` gives the same run, bitwise apart from
+    roundoff in NEES.
+    Returns per-method arrays of shape (steps, agents) for NEES,
+    position error, 2-sigma summary, and covariance trace, plus
+    recorded estimate trajectories and weight logs.
+    """
+    return _simulate(scenario, [run_idx], tuple(methods or scenario.methods))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -759,42 +857,36 @@ class TrackData:
     runs: list[dict]
 
 
-def _run_worker(args):
-    scenario_dict, run_idx, methods = args
-    scn = ScenarioConfig.from_dict(scenario_dict)
-    return simulate_run(scn, run_idx, methods)
-
-
 def run_scenario(scenario: ScenarioConfig, *, methods=None, mc_runs: int | None = None,
                  seed: int | None = None, jobs: int = 1) -> TrackData:
-    """Run the Monte-Carlo experiment, optionally across processes.
+    """Run the Monte-Carlo experiment, every method stepping all runs in lockstep.
 
     ``methods``/``mc_runs``/``seed`` override the scenario fields.  Runs
-    are dispatched by index with disjoint substreams, so the result does
-    not depend on ``jobs``; records are collected in run order.
+    draw from disjoint substreams by index, and a run's record does not
+    depend on the run count (NEES up to roundoff); records come in run
+    order.
+    ``jobs`` is accepted and changes nothing: the runs share one
+    covariance pass, which worker processes would each repeat.
     """
     if seed is not None or mc_runs is not None:
         scenario = replace(scenario,
                            seed=scenario.seed if seed is None else int(seed),
                            mc_runs=scenario.mc_runs if mc_runs is None else int(mc_runs))
     methods = tuple(methods or scenario.methods)
-    for m in methods:
-        if m not in METHODS:
-            raise ConfigError(f"unknown method {m!r}")
-    runs: list[dict]
-    if jobs > 1 and scenario.mc_runs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        args = [(scenario.to_dict(), r, methods) for r in range(scenario.mc_runs)]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            runs = list(pool.map(_run_worker, args))
-    else:
-        runs = [simulate_run(scenario, r, methods) for r in range(scenario.mc_runs)]
     return TrackData(scenario=scenario, methods=methods,
-                     state_dim=scenario.layout().dim, runs=runs)
+                     state_dim=scenario.layout().dim,
+                     runs=_simulate(scenario, range(scenario.mc_runs), methods))
 
 
-def summarize(data: TrackData, level: float = 0.95) -> _metrics.McStatistics:
+@dataclass(frozen=True)
+class TrackSummary:
+    """What ``summarize`` reports about a tracking experiment."""
+
+    summary: dict        # the mapping written to summary.json
+    nees_series: dict    # method -> (steps,) report-agent NEES averaged over runs
+
+
+def summarize(data: TrackData, level: float = 0.95) -> TrackSummary:
     """Aggregate a tracking experiment into Monte-Carlo statistics.
 
     The NEES series averages the report agent across runs; the band is
@@ -809,9 +901,6 @@ def summarize(data: TrackData, level: float = 0.95) -> _metrics.McStatistics:
     tail = max(1, steps // 4)
     band = _metrics.chi2_band(data.state_dim, n_runs, level)
     nees_series: dict = {}
-    rmse_mean: dict = {}
-    sigma_mean: dict = {}
-    omega_log: list = []
     summary: dict = {"state_dim": data.state_dim, "mc_runs": n_runs,
                      "steps": steps, "level": level,
                      "report_agent": scn.report_agent,
@@ -823,27 +912,17 @@ def summarize(data: TrackData, level: float = 0.95) -> _metrics.McStatistics:
         nees_series[method] = series
         pe = np.stack([r["methods"][method]["pos_err"] for r in data.runs])
         rmse_runs = np.sqrt(np.mean(pe ** 2, axis=1))      # (runs, agents)
-        rmse_mean[method] = float(np.mean(rmse_runs))
         s2 = np.stack([r["methods"][method]["avg2sig"] for r in data.runs])
-        sigma_mean[method] = float(np.mean(s2))
         tr = np.stack([r["methods"][method]["cov_trace"] for r in data.runs])
         in_band = float(np.mean((series >= band[0]) & (series <= band[1])))
-        for r in data.runs:
-            for recm in r["methods"][method]["omega"]:
-                omega_log.append({"run": r["run"], "method": method, **recm})
         summary["methods"][method] = {
-            "rmse_mean": rmse_mean[method],
-            "sigma2_mean": sigma_mean[method],
+            "rmse_mean": float(np.mean(rmse_runs)),
+            "sigma2_mean": float(np.mean(s2)),
             "nees_in_band_fraction": in_band,
             "nees_steady": float(series[-tail:].mean()),
             "cov_trace_steady": float(tr[:, -tail:, :].mean()),
         }
-    stats = _metrics.McStatistics(
-        nees_series={m: s.tolist() for m, s in nees_series.items()},
-        chi2_bounds=band, rmse_mean=rmse_mean, sigma2_mean=sigma_mean,
-        omega_log=omega_log)
-    stats.rows = [summary]
-    return stats
+    return TrackSummary(summary=summary, nees_series=nees_series)
 
 
 # ---------------------------------------------------------------------------

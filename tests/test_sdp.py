@@ -18,7 +18,6 @@ from cofusion.sdp import (
     _initial_point,
     _Workspace,
     build_problem,
-    feasibility_margin,
     robust_fuse,
     solve,
 )
@@ -112,7 +111,15 @@ def test_solution_feasible_and_certified():
     for s in samples:
         actual = realized_cov(sol.gain_a, sol.gain_b, JointCovariance(pa, pb, s))
         assert is_conservative(sol.bound, actual, tol=1e-6)
-    assert feasibility_margin(prob, sol.gain_a, sol.bound) >= -1e-7
+    # every full LMI block [[bound, K], [K^T, J_i^-1]] with K = [gain_a, gain_b]
+    # is positive semidefinite
+    k = np.hstack([sol.gain_a, sol.gain_b])
+    g = np.empty((prob.n, 6, 6))
+    g[:, :2, :2] = sol.bound
+    g[:, :2, 2:] = k
+    g[:, 2:, :2] = k.T
+    g[:, 2:, 2:] = prob.joint_inverses
+    assert np.linalg.eigvalsh(g).min() >= -1e-7
 
 
 def _certified_instance():
