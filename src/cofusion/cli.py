@@ -10,7 +10,11 @@ from __future__ import annotations
 import argparse
 import datetime as _dt
 import json
+import os
+import platform
 import sys
+import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
@@ -23,16 +27,28 @@ from .core import (BlockPartition, ConfigError, CrossSparsityPattern,
 from .fusion import ci_fuse, exact_fuse, nmci_fuse
 from .sdp import robust_fuse
 from .metrics import (OMEGA_CSV_COLUMNS, SWEEP_CSV_COLUMNS, TRACK_CSV_COLUMNS,
-                      TRUTH_CSV_COLUMNS, conservativeness_sweep, write_csv)
+                      TRUTH_CSV_COLUMNS, conservativeness_sweep, sweep_blocks,
+                      write_csv)
 from .sim import (ESTIMATE_CSV_COLUMNS, METHODS, ScenarioConfig,
-                  estimate_rows, omega_rows, run_scenario, summarize,
-                  track_rows, truth_rows)
+                  estimate_blocks, omega_blocks, run_scenario, summarize,
+                  track_blocks, truth_blocks)
 
 COMPARISON_SCHEMA = "cofusion-comparison-v1"
 
 _CONFIG_EXIT = 2
 _NUMERIC_EXIT = 3
 _IO_EXIT = 4
+
+
+def _environment() -> dict:
+    """The interpreter, numpy and BLAS builds and CPU count a run used."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):   # an older numpy has no mode="dicts"
+        blas = {}
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "blas": {k: blas.get(k) for k in ("name", "version")},
+            "cpu_count": os.cpu_count()}
 
 
 @dataclass
@@ -46,12 +62,25 @@ class RunManifest:
     started: str = ""
     finished: str = ""
     outputs: list = field(default_factory=list)
+    timings: dict = field(default_factory=dict)    # phase -> wall seconds
+    environment: dict = field(default_factory=_environment)
+
+    @contextmanager
+    def timed(self, phase: str):
+        """Record the wall time of the enclosed block under ``phase``."""
+        t0 = time.perf_counter()
+        yield
+        self.timings[phase] = time.perf_counter() - t0
 
     def write(self, directory: Path) -> None:
         self.finished = _utc_now()
-        with open(directory / "manifest.json", "w", encoding="utf-8") as fh:
-            json.dump(asdict(self), fh, indent=2)
-            fh.write("\n")
+        _write_json(directory / "manifest.json", asdict(self))
+
+
+def _write_json(path, obj) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=2)
+        fh.write("\n")
 
 
 def _utc_now() -> str:
@@ -199,18 +228,18 @@ def _cmd_compare(args) -> int:
     out_dir = _make_output_dir(args.out, cfg["name"])
     manifest = RunManifest(command="compare", config=origin,
                            seed=cfg["seed"], started=_utc_now())
-    stats = conservativeness_sweep(
-        cfg["p_a"], cfg["p_b"], cfg["pattern"], cfg["n_values"],
-        cfg["mc_runs"], cfg["seed"], solver_tol=cfg["solver_tol"],
-        solver_max_iters=cfg["solver_max_iters"], jobs=args.jobs)
-    write_csv(out_dir / "sweep.csv", SWEEP_CSV_COLUMNS, stats.rows)
-    summary = {"name": cfg["name"], "seed": cfg["seed"],
-               "mc_runs": cfg["mc_runs"], "n_values": cfg["n_values"],
-               "deviation": stats.deviation,
-               "conservativeness": stats.conservativeness}
-    with open(out_dir / "summary.json", "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2)
-        fh.write("\n")
+    with manifest.timed("run"):
+        stats = conservativeness_sweep(
+            cfg["p_a"], cfg["p_b"], cfg["pattern"], cfg["n_values"],
+            cfg["mc_runs"], cfg["seed"], solver_tol=cfg["solver_tol"],
+            solver_max_iters=cfg["solver_max_iters"], jobs=args.jobs)
+    with manifest.timed("write"):
+        write_csv(out_dir / "sweep.csv", SWEEP_CSV_COLUMNS, sweep_blocks(stats.rows))
+        summary = {"name": cfg["name"], "seed": cfg["seed"],
+                   "mc_runs": cfg["mc_runs"], "n_values": cfg["n_values"],
+                   "deviation": stats.deviation,
+                   "conservativeness": stats.conservativeness}
+        _write_json(out_dir / "summary.json", summary)
     manifest.outputs = ["sweep.csv", "summary.json"]
     manifest.write(out_dir)
     print(out_dir)
@@ -230,21 +259,19 @@ def _cmd_track(args) -> int:
     seed = scenario.seed if args.seed is None else args.seed
     manifest = RunManifest(command="track", config=origin,
                            seed=seed, started=_utc_now())
-    data = run_scenario(scenario, methods=methods, mc_runs=args.mc,
-                        seed=args.seed, jobs=args.jobs)
-    write_csv(out_dir / "track.csv", TRACK_CSV_COLUMNS, track_rows(data))
-    write_csv(out_dir / "omega.csv", OMEGA_CSV_COLUMNS, omega_rows(data))
-    write_csv(out_dir / "truth.csv", TRUTH_CSV_COLUMNS, truth_rows(data))
-    outputs = ["track.csv", "omega.csv", "truth.csv"]
-    est = list(estimate_rows(data))
-    if est:
-        write_csv(out_dir / "estimates.csv", ESTIMATE_CSV_COLUMNS, est)
-        outputs.append("estimates.csv")
-    with open(out_dir / "summary.json", "w", encoding="utf-8") as fh:
-        json.dump(summarize(data).summary, fh, indent=2)
-        fh.write("\n")
-    outputs.append("summary.json")
-    manifest.outputs = outputs
+    with manifest.timed("run"):
+        data = run_scenario(scenario, methods=methods, mc_runs=args.mc,
+                            seed=args.seed, jobs=args.jobs)
+    files = [("track.csv", TRACK_CSV_COLUMNS, track_blocks),
+             ("omega.csv", OMEGA_CSV_COLUMNS, omega_blocks),
+             ("truth.csv", TRUTH_CSV_COLUMNS, truth_blocks)]
+    if any(rec["est_mean"] is not None for r in data.runs for rec in r["methods"].values()):
+        files.append(("estimates.csv", ESTIMATE_CSV_COLUMNS, estimate_blocks))
+    with manifest.timed("write"):
+        for name, columns, blocks in files:
+            write_csv(out_dir / name, columns, blocks(data))
+        _write_json(out_dir / "summary.json", summarize(data).summary)
+    manifest.outputs = [f[0] for f in files] + ["summary.json"]
     manifest.write(out_dir)
     print(out_dir)
     return 0

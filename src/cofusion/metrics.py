@@ -328,17 +328,22 @@ TRACK_CSV_COLUMNS = ["run", "step", "method", "agent", "nees", "pos_error_norm",
 OMEGA_CSV_COLUMNS = ["run", "step", "method", "edge", "block", "omega"]
 TRUTH_CSV_COLUMNS = ["run", "step", "label", "value"]
 
-def _fmt(v) -> str:
-    if isinstance(v, float):
-        return f"{v:.12g}"
-    return str(v)
+def lead_lines(lead, tails) -> str:
+    """One template of ``tails``, the rest of each CSV line after its first
+    field (placeholders and CRLF included), with ``lead`` as that field."""
+    lead = f"{lead},"
+    return lead + lead.join(tails) if tails else ""
+
+def sweep_blocks(rows):
+    """The sweep's dict rows as one ``write_csv`` block."""
+    yield ("%d,%d,%s,%.12g,%.12g,%.12g,%s,%.12g\r\n" * len(rows),
+           tuple(row[c] for row in rows for c in SWEEP_CSV_COLUMNS))
 
 def write_csv(path, columns, rows) -> None:
-    """Write dict rows with fixed numeric formatting (bit-reproducible)."""
-    import csv
-
+    """Write the header, then each block of ``rows``, a (template, values)
+    pair, with one ``template % values`` call.  Floats go out as ``%.12g``
+    and lines end in CRLF: the bytes ``csv.writer`` writes for the cells."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(columns)
-        for row in rows:
-            w.writerow([_fmt(row[c]) for c in columns])
+        fh.write(",".join(columns) + "\r\n")
+        for template, values in rows:
+            fh.write(template % values)

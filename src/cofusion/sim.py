@@ -926,55 +926,51 @@ def summarize(data: TrackData, level: float = 0.95) -> TrackSummary:
 
 
 # ---------------------------------------------------------------------------
-# CSV row generators (column contracts in metrics)
-
-def track_rows(data: TrackData):
-    for r in data.runs:
-        for method in data.methods:
-            rec = r["methods"][method]
-            cols = rec["nees"].shape[1]
-            for k in range(rec["nees"].shape[0]):
-                for c in range(cols):
-                    agent = -1 if method == "centralized" else c
-                    yield {"run": r["run"], "step": k, "method": method,
-                           "agent": agent, "nees": float(rec["nees"][k, c]),
-                           "pos_error_norm": float(rec["pos_err"][k, c]),
-                           "avg_two_sigma": float(rec["avg2sig"][k, c]),
-                           "cov_trace": float(rec["cov_trace"][k, c])}
-
-
-def omega_rows(data: TrackData):
-    for r in data.runs:
-        for method in data.methods:
-            for rec in r["methods"][method]["omega"]:
-                yield {"run": r["run"], "step": rec["step"], "method": method,
-                       "edge": rec["edge"], "block": rec["block"],
-                       "omega": rec["omega"]}
-
-
-def truth_rows(data: TrackData):
-    labels = data.scenario.layout().labels()
-    for r in data.runs:
-        t = r["truth"]
-        for k in range(t.shape[0]):
-            for i, lab in enumerate(labels):
-                yield {"run": r["run"], "step": k, "label": lab,
-                       "value": float(t[k, i])}
-
+# CSV blocks for ``metrics.write_csv`` (columns in metrics): one template per
+# (run, method), or per run for the truth, filled from the record arrays
 
 ESTIMATE_CSV_COLUMNS = ["run", "step", "method", "agent", "label", "mean", "std"]
 
-def estimate_rows(data: TrackData):
-    labels = data.scenario.layout().labels()
+def track_blocks(data: TrackData):
+    agents = {m: [-1] if m == "centralized" else range(data.scenario.n_agents)
+              for m in data.methods}
+    tails = {m: [f"{k},{m},{a},%.12g,%.12g,%.12g,%.12g\r\n"
+                 for k in range(data.scenario.n_steps) for a in agents[m]]
+             for m in data.methods}
     for r in data.runs:
-        for method in data.methods:
-            rec = r["methods"][method]
+        for m in data.methods:
+            rec = r["methods"][m]
+            cells = np.stack([rec["nees"], rec["pos_err"], rec["avg2sig"],
+                              rec["cov_trace"]], axis=2)
+            yield _metrics.lead_lines(r["run"], tails[m]), tuple(cells.ravel().tolist())
+
+
+def omega_blocks(data: TrackData):
+    for r in data.runs:
+        for m in data.methods:
+            recs = r["methods"][m]["omega"]
+            tails = [f"{w['step']},{m},{w['edge']},{w['block']},%.12g\r\n" for w in recs]
+            yield _metrics.lead_lines(r["run"], tails), tuple(w["omega"] for w in recs)
+
+
+def truth_blocks(data: TrackData):
+    labels = data.scenario.layout().labels()
+    tails = [f"{k},{lab},%.12g\r\n" for k in range(data.scenario.n_steps) for lab in labels]
+    for r in data.runs:
+        yield _metrics.lead_lines(r["run"], tails), tuple(r["truth"].ravel().tolist())
+
+
+def estimate_blocks(data: TrackData):
+    labels = data.scenario.layout().labels()
+    steps = range(data.scenario.n_steps)
+    tails = {}
+    for r in data.runs:
+        for m in data.methods:
+            rec = r["methods"][m]
             if rec["est_mean"] is None:
                 continue
-            for k in range(rec["est_mean"].shape[0]):
-                for ri, aid in enumerate(rec["est_agents"]):
-                    for i, lab in enumerate(labels):
-                        yield {"run": r["run"], "step": k, "method": method,
-                               "agent": aid, "label": lab,
-                               "mean": float(rec["est_mean"][k, ri, i]),
-                               "std": float(rec["est_std"][k, ri, i])}
+            if m not in tails:
+                tails[m] = [f"{k},{m},{aid},{lab},%.12g,%.12g\r\n"
+                            for k in steps for aid in rec["est_agents"] for lab in labels]
+            cells = np.stack([rec["est_mean"], rec["est_std"]], axis=3)
+            yield _metrics.lead_lines(r["run"], tails[m]), tuple(cells.ravel().tolist())

@@ -147,6 +147,13 @@ def test_fuse_unparseable_estimate_is_config_error(capsys, est_files,
     assert "not valid JSON" in err
 
 
+def _assert_timings_and_environment(manifest):
+    # keys only: the values depend on the machine
+    assert set(manifest["timings"]) == {"run", "write"}
+    assert set(manifest["environment"]) == {"python", "numpy", "blas", "cpu_count"}
+    assert set(manifest["environment"]["blas"]) == {"name", "version"}
+
+
 # ---------------------------------------------------------------------------
 # compare
 
@@ -179,6 +186,7 @@ def test_compare_writes_sweep_summary_manifest(capsys, tmp_path):
     assert set(manifest["outputs"]) == {"sweep.csv", "summary.json"}
     for key in ("seed", "version", "started", "finished"):
         assert manifest[key] not in (None, "")
+    _assert_timings_and_environment(manifest)
 
 
 def test_compare_overrides_and_preset(capsys, tmp_path):
@@ -237,6 +245,7 @@ def test_track_custom_scenario_outputs(capsys, tmp_path):
     assert summary["state_dim"] == 12 and summary["steps"] == 4
     manifest = json.loads((out_dir / "manifest.json").read_text())
     assert manifest["command"] == "track" and manifest["seed"] == 5
+    _assert_timings_and_environment(manifest)
 
 
 def test_track_method_none_skips_fusion_records(capsys, tmp_path):

@@ -1,6 +1,7 @@
 """Chi-square machinery, point metrics, and the bound-convergence sweep."""
 
 import csv
+import io
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from cofusion.metrics import (
     conservativeness_sweep,
     nees,
     rmse,
+    sweep_blocks,
     write_csv,
 )
 
@@ -196,14 +198,29 @@ def test_sweep_validation():
 
 def test_write_csv_format(tmp_path):
     path = tmp_path / "out.csv"
-    rows = [{"a": 1, "b": 0.1234567890123456, "c": "x"},
-            {"a": 2, "b": 1e-300, "c": ""}]
-    write_csv(path, ["a", "b", "c"], rows)
+    block = ("%d,%.12g,%s\r\n" * 2, (1, 0.1234567890123456, "x", 2, 1e-300, ""))
+    write_csv(path, ["a", "b", "c"], [block])
     text = path.read_text()
     lines = text.strip().split("\n")
     assert lines[0] == "a,b,c"
     # floats carry 12 significant digits
     assert lines[1] == "1,0.123456789012,x"
     assert lines[2] == "2,1e-300,"
-    parsed = list(csv.DictReader(text.splitlines()))
+    with open(path, newline="", encoding="utf-8") as fh:
+        parsed = list(csv.DictReader(fh))
     assert parsed[0]["a"] == "1"
+    assert parsed[1] == {"a": "2", "b": "1e-300", "c": ""}
+    # line ends are CRLF, as csv.writer writes them
+    assert path.read_bytes().count(b"\r\n") == 3
+
+
+def test_sweep_blocks_write_the_dict_row_bytes(small_sweep, tmp_path):
+    path = tmp_path / "sweep.csv"
+    write_csv(path, SWEEP_CSV_COLUMNS, sweep_blocks(small_sweep.rows))
+    buf = io.StringIO(newline="")
+    w = csv.writer(buf)
+    w.writerow(SWEEP_CSV_COLUMNS)
+    for row in small_sweep.rows:
+        w.writerow([f"{row[c]:.12g}" if isinstance(row[c], float) else str(row[c])
+                    for c in SWEEP_CSV_COLUMNS])
+    assert path.read_bytes() == buf.getvalue().encode("utf-8")

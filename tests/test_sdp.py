@@ -11,7 +11,7 @@ from cofusion.core import (
     NotPositiveDefiniteError,
     is_conservative,
 )
-from cofusion.fusion import exact_fuse, realized_cov
+from cofusion.fusion import ci_fuse, exact_fuse, realized_cov
 from cofusion.sampler import sample_set
 from cofusion.sdp import (
     SolveStatus,
@@ -199,6 +199,24 @@ def test_more_samples_never_shrink_the_optimum():
         sol = solve(build_problem(pa, pb, draws[:n]), tol=1e-8)
         obj = float(np.trace(sol.bound))
         assert obj >= prev - 1e-6 * max(abs(obj), 1.0)
+        prev = obj
+
+
+def test_free_pattern_optimum_rises_to_ci_from_below():
+    # with a fully free cross-covariance the trace-optimal bound over the
+    # whole admissible set is CI's (Reinhardt, Noack & Hanebeck, 2015), so
+    # the sampled optimum stays at or below it and rises toward it with n
+    pa, pb = np.diag([3.0, 1.0]), np.diag([1.0, 4.0])   # comparison_2d
+    ci_trace = float(np.trace(ci_fuse(est([0, 0], pa), est([0, 0], pb)).bound))
+    draws = [s.p_ab for s in
+             sample_set(pa, pb, CrossSparsityPattern.unconstrained(2, 2), 1000, seed=7)]
+    prev = -np.inf
+    for n in (10, 100, 1000):
+        sol = solve(build_problem(pa, pb, draws[:n]), tol=1e-6)
+        assert sol.status is SolveStatus.OPTIMAL
+        obj = float(np.trace(sol.bound))
+        assert obj <= ci_trace * (1 + 1e-6)
+        assert obj >= prev * (1 - 1e-6)
         prev = obj
 
 

@@ -1,5 +1,8 @@
 """Multi-agent tracking simulator: config, filters, fusion rounds, rollups."""
 
+import csv
+import io
+
 import numpy as np
 import pytest
 
@@ -9,6 +12,7 @@ from cofusion.metrics import (
     TRACK_CSV_COLUMNS,
     TRUTH_CSV_COLUMNS,
     nees,
+    write_csv,
 )
 from cofusion.sim import (
     ESTIMATE_CSV_COLUMNS,
@@ -20,21 +24,21 @@ from cofusion.sim import (
     build_partition,
     centralized_model,
     draw_run,
-    estimate_rows,
+    estimate_blocks,
     fusion_round,
     global_transition,
     local_filter_step,
     measure,
     noise_factors,
-    omega_rows,
+    omega_blocks,
     partition_is_exact,
     propagate_truth,
     run_scenario,
     simulate_run,
     stack_measurements,
     summarize,
-    track_rows,
-    truth_rows,
+    track_blocks,
+    truth_blocks,
 )
 
 
@@ -487,34 +491,113 @@ def test_summarize_shape_and_band():
 
 
 # ---------------------------------------------------------------------------
-# row generators
+# CSV blocks
 
-def test_row_generators_match_csv_contracts():
+def _written_rows(tmp_path, name, columns, blocks):
+    path = tmp_path / name
+    write_csv(path, columns, blocks)
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.DictReader(fh))
+
+
+def test_row_generators_match_csv_contracts(tmp_path):
     scn = tiny_scenario(record_estimates="report")
     data = run_scenario(scn, mc_runs=1)
-    tr = list(track_rows(data))
+    tr = _written_rows(tmp_path, "track.csv", TRACK_CSV_COLUMNS, track_blocks(data))
     assert set(tr[0]) == set(TRACK_CSV_COLUMNS)
     # centralized rows use agent -1, distributed rows 0..n-1
-    agents = {r["agent"] for r in tr if r["method"] == "centralized"}
+    agents = {int(r["agent"]) for r in tr if r["method"] == "centralized"}
     assert agents == {-1}
-    assert {r["agent"] for r in tr if r["method"] == "CI"} == {0, 1}
+    assert {int(r["agent"]) for r in tr if r["method"] == "CI"} == {0, 1}
     assert len(tr) == scn.n_steps * (1 + 2 + 2)
 
-    om = list(omega_rows(data))
+    om = _written_rows(tmp_path, "omega.csv", OMEGA_CSV_COLUMNS, omega_blocks(data))
     assert set(om[0]) == set(OMEGA_CSV_COLUMNS)
     assert {r["method"] for r in om} <= {"CI", "nmCI"}
 
-    th = list(truth_rows(data))
+    th = _written_rows(tmp_path, "truth.csv", TRUTH_CSV_COLUMNS, truth_blocks(data))
     assert set(th[0]) == set(TRUTH_CSV_COLUMNS)
     assert len(th) == scn.n_steps * scn.layout().dim
 
-    er = list(estimate_rows(data))
+    er = _written_rows(tmp_path, "estimates.csv", ESTIMATE_CSV_COLUMNS,
+                       estimate_blocks(data))
     assert set(er[0]) == set(ESTIMATE_CSV_COLUMNS)
     # report agent only, for three methods (centralized reports agent -1)
-    assert {r["agent"] for r in er} == {-1, scn.report_agent}
+    assert {int(r["agent"]) for r in er} == {-1, scn.report_agent}
 
 
 def test_record_estimates_none_suppresses_estimate_rows():
     scn = tiny_scenario(record_estimates="none")
     data = run_scenario(scn, mc_runs=1)
-    assert list(estimate_rows(data)) == []
+    assert list(estimate_blocks(data)) == []
+
+
+def _reference_csv(columns, rows) -> bytes:
+    """What the dict-row writer wrote: csv.writer, floats to 12 digits."""
+    def fmt(v):
+        return f"{v:.12g}" if isinstance(v, float) else str(v)
+    buf = io.StringIO(newline="")
+    w = csv.writer(buf)
+    w.writerow(columns)
+    for row in rows:
+        w.writerow([fmt(row[c]) for c in columns])
+    return buf.getvalue().encode("utf-8")
+
+
+def _reference_rows(data) -> dict:
+    """Every track CSV's dict rows, in the order the files list them."""
+    labels = data.scenario.layout().labels()
+    rows = {"track.csv": [], "omega.csv": [], "truth.csv": [], "estimates.csv": []}
+    for r in data.runs:
+        for method in data.methods:
+            rec = r["methods"][method]
+            for k in range(rec["nees"].shape[0]):
+                for c in range(rec["nees"].shape[1]):
+                    rows["track.csv"].append(
+                        {"run": r["run"], "step": k, "method": method,
+                         "agent": -1 if method == "centralized" else c,
+                         "nees": float(rec["nees"][k, c]),
+                         "pos_error_norm": float(rec["pos_err"][k, c]),
+                         "avg_two_sigma": float(rec["avg2sig"][k, c]),
+                         "cov_trace": float(rec["cov_trace"][k, c])})
+    for r in data.runs:
+        for method in data.methods:
+            rows["omega.csv"] += [{"run": r["run"], "step": w["step"], "method": method,
+                                   "edge": w["edge"], "block": w["block"],
+                                   "omega": w["omega"]}
+                                  for w in r["methods"][method]["omega"]]
+    for r in data.runs:
+        for k in range(r["truth"].shape[0]):
+            for i, lab in enumerate(labels):
+                rows["truth.csv"].append({"run": r["run"], "step": k, "label": lab,
+                                          "value": float(r["truth"][k, i])})
+    for r in data.runs:
+        for method in data.methods:
+            rec = r["methods"][method]
+            if rec["est_mean"] is None:
+                continue
+            for k in range(rec["est_mean"].shape[0]):
+                for ri, aid in enumerate(rec["est_agents"]):
+                    for i, lab in enumerate(labels):
+                        rows["estimates.csv"].append(
+                            {"run": r["run"], "step": k, "method": method,
+                             "agent": aid, "label": lab,
+                             "mean": float(rec["est_mean"][k, ri, i]),
+                             "std": float(rec["est_std"][k, ri, i])})
+    return rows
+
+
+@pytest.mark.parametrize("record", ["all", "report", "none"])
+def test_blocks_write_the_dict_row_bytes(tmp_path, record):
+    # two runs, centralized rows with agent -1, per-block nmCI weights
+    data = run_scenario(tiny_scenario(record_estimates=record))
+    files = {"track.csv": (TRACK_CSV_COLUMNS, track_blocks),
+             "omega.csv": (OMEGA_CSV_COLUMNS, omega_blocks),
+             "truth.csv": (TRUTH_CSV_COLUMNS, truth_blocks),
+             "estimates.csv": (ESTIMATE_CSV_COLUMNS, estimate_blocks)}
+    reference = _reference_rows(data)
+    assert (reference["estimates.csv"] == []) == (record == "none")
+    for name, (columns, blocks) in files.items():
+        write_csv(tmp_path / name, columns, blocks(data))
+        want = _reference_csv(columns, reference[name])
+        assert (tmp_path / name).read_bytes() == want, name
