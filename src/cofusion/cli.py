@@ -261,7 +261,7 @@ def _cmd_track(args) -> int:
                            seed=seed, started=_utc_now())
     with manifest.timed("run"):
         data = run_scenario(scenario, methods=methods, mc_runs=args.mc,
-                            seed=args.seed, jobs=args.jobs)
+                            seed=args.seed)
     files = [("track.csv", TRACK_CSV_COLUMNS, track_blocks),
              ("omega.csv", OMEGA_CSV_COLUMNS, omega_blocks),
              ("truth.csv", TRUTH_CSV_COLUMNS, truth_blocks)]

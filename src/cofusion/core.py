@@ -241,15 +241,6 @@ class BlockPartition:
     def n_blocks(self) -> int:
         return len(self.blocks)
 
-    @classmethod
-    def contiguous(cls, sizes: Sequence[int]) -> "BlockPartition":
-        """Partition into consecutive blocks of the given sizes."""
-        blocks, start = [], 0
-        for s in sizes:
-            blocks.append(tuple(range(start, start + int(s))))
-            start += int(s)
-        return cls(tuple(blocks))
-
     def to_dict(self) -> dict:
         return {"blocks": [list(b) for b in self.blocks]}
 
@@ -283,10 +274,6 @@ class CrossSparsityPattern:
                 raise DimensionError(f"zero index ({i}, {j}) outside {self.dim_a}x{self.dim_b}")
         object.__setattr__(self, "zero_indices", zi)
 
-    @property
-    def n_free(self) -> int:
-        return self.dim_a * self.dim_b - len(self.zero_indices)
-
     def free_indices(self) -> list[tuple[int, int]]:
         """Free (row, col) pairs in row-major order."""
         return [(i, j) for i in range(self.dim_a) for j in range(self.dim_b)
@@ -302,11 +289,6 @@ class CrossSparsityPattern:
     @classmethod
     def unconstrained(cls, dim_a: int, dim_b: int) -> "CrossSparsityPattern":
         return cls(dim_a, dim_b)
-
-    @classmethod
-    def all_zero(cls, dim_a: int, dim_b: int) -> "CrossSparsityPattern":
-        return cls(dim_a, dim_b,
-                   frozenset((i, j) for i in range(dim_a) for j in range(dim_b)))
 
     def to_dict(self) -> dict:
         return {"dim_a": self.dim_a, "dim_b": self.dim_b,

@@ -5,9 +5,10 @@ each agent measures its group's targets through a constant personal
 position bias, plus a landmark observation of the bias itself.  Every
 agent runs a Kalman filter over the full global state (all targets, all
 biases) and exchanges estimates with its neighbors once per step using
-the configured fusion rule (CI, block-wise CI, the sampled
-semidefinite bound, or no fusion at all); a centralized filter over all
-measurements serves as the consistency baseline.
+the configured fusion rule (CI, block-wise CI, or no fusion at all); a
+centralized filter over all measurements serves as the consistency
+baseline.  The sampled semidefinite bound is for single fusions
+(``cofusion fuse``, ``cofusion compare``), not for the tracker.
 
 Dynamics and noise levels are deliberately open degrees of freedom, so
 they are explicit scenario parameters with documented defaults.
@@ -20,9 +21,7 @@ Monte-Carlo run.  So each method steps all runs in lockstep.  One
 covariance pass per scenario does one filter update per agent and one
 fusion per edge, and applies their gains to a (runs, agents, d) array of
 means; NEES solves every run against one factorization per step and
-agent.  The sampled-program method draws its samples from per-run
-seeds, so its covariances differ between runs and it steps a batch of
-one run at a time through the same code.
+agent.
 """
 
 from __future__ import annotations
@@ -41,19 +40,15 @@ from .core import (
     _derived,
     check_spd,
     make_substream,
-    make_substream_seed,
-    partition_to_sparsity,
     symmetrize,
 )
 from .fusion import ci_fuse, nmci_fuse
-from .sdp import robust_fuse
+from .sdp import robust_fuse  # noqa: F401  (perfbench/tracing.py wraps sim.robust_fuse)
 from . import metrics as _metrics
 
 SCENARIO_SCHEMA = "cofusion-scenario-v1"
-METHODS = ("centralized", "CI", "nmCI", "SDP", "none")
+METHODS = ("centralized", "CI", "nmCI", "none")
 PARTITION_SCHEMES = ("group_target_bias", "group_axes", "per_target_bias")
-# the sampled-program fusion path is restricted to small global states
-SDP_MAX_DIM = 8
 
 
 # ---------------------------------------------------------------------------
@@ -180,8 +175,6 @@ class ScenarioConfig:
     fusion_every: int = 1
     fusion_start: int = 0
     record_estimates: str = "all"
-    sdp_samples: int = 100
-    sdp_tol: float = 1e-6
 
     def __post_init__(self):
         groups = tuple(GroupSpec(tuple(int(a) for a in g.agents),
@@ -366,12 +359,6 @@ class AgentMeasurements:
 
 
 @dataclass(frozen=True)
-class AgentBelief:
-    estimate: GaussianEstimate
-    partition: BlockPartition
-
-
-@dataclass(frozen=True)
 class FilterModel:
     """Precomputed matrices for one filter: dynamics and observation."""
 
@@ -521,7 +508,9 @@ def build_partition(scenario: ScenarioConfig, scheme: str | None = None) -> Bloc
 def partition_is_exact(scenario: ScenarioConfig, scheme: str | None = None) -> bool:
     """Whether belief covariances are exactly block-diagonal under the scheme.
 
-    True for ``group_axes`` with diagonal noise matrices: nothing in the
+    True for ``group_axes`` when every noise matrix an agent measures
+    with is diagonal: its own target noise (``agent_r_target[a]`` when
+    set, else ``r_target``) and ``r_landmark``.  Nothing in the
     linear-Gaussian pipeline then couples x- and y-axis states, so the
     off-block entries are zero to the last bit and strict block-wise
     fusion applies.
@@ -529,17 +518,16 @@ def partition_is_exact(scenario: ScenarioConfig, scheme: str | None = None) -> b
     scheme = scheme or scenario.partition_scheme
     if scheme != "group_axes":
         return False
-    rt = np.asarray(scenario.r_target)
-    rl = np.asarray(scenario.r_landmark)
-    return bool(np.allclose(rt, np.diag(np.diag(rt)), atol=0.0)
-                and np.allclose(rl, np.diag(np.diag(rl)), atol=0.0))
+    targets = scenario.agent_r_target or (scenario.r_target,)
+    return all(m[0][1] == 0.0 and m[1][0] == 0.0
+               for m in (*targets, scenario.r_landmark))
 
 
 # ---------------------------------------------------------------------------
 # fusion round
 
-def _fuse_edges(beliefs: list[AgentBelief], edges, method: str, step: int, *,
-                strict: bool, seed: int, sdp_samples: int, sdp_tol: float):
+def _fuse_edges(beliefs: list[GaussianEstimate], edges, method: str, step: int,
+                partition: BlockPartition, *, strict: bool):
     """Fuse along every edge in order, replacing both endpoints in ``beliefs``.
 
     Yields (i, j, result) after each edge, so a caller can apply the
@@ -549,55 +537,47 @@ def _fuse_edges(beliefs: list[AgentBelief], edges, method: str, step: int, *,
         a, b = beliefs[i], beliefs[j]
         try:
             if method == "CI":
-                res = ci_fuse(a.estimate, b.estimate)
-            elif method == "nmCI":
-                res = nmci_fuse(a.estimate, b.estimate, a.partition, strict=strict)
+                res = ci_fuse(a, b)
             else:
-                pattern = partition_to_sparsity(a.partition)
-                res = robust_fuse(a.estimate, b.estimate, pattern, sdp_samples,
-                                  make_substream_seed(seed, "edge", step, i, j),
-                                  tol=sdp_tol)
+                res = nmci_fuse(a, b, partition, strict=strict)
         except FusionError as exc:
             raise FusionError(
                 f"fusion failed on edge ({i}, {j}) at step {step}: {exc}") from exc
-        # every rule's bound is SPD by construction: an inverse of a positive
-        # information combination (CI, nmCI) or the leading block of LMIs
-        # whose Cholesky factorization succeeded (SDP)
+        # both rules' bounds are SPD by construction: the inverse of a
+        # positive information combination
         fused = _derived(GaussianEstimate, mean=res.fused_mean, covariance=res.bound,
-                         labels=a.estimate.labels)
-        beliefs[i] = AgentBelief(fused, a.partition)
-        beliefs[j] = AgentBelief(fused, b.partition)
+                         labels=a.labels)
+        beliefs[i] = fused
+        beliefs[j] = fused
         yield i, j, res
 
 
 def _weight_records(res, method: str, step: int, i: int, j: int) -> list[dict]:
     """One weight record per edge, or per block for the block-wise method."""
-    if res.omega is None:
-        return [{"step": step, "edge": f"{i}-{j}", "block": -1,
-                 "omega": float("nan"), "method": method}]
     return [{"step": step, "edge": f"{i}-{j}", "block": blk,
              "omega": float(w), "method": method}
             for blk, w in enumerate(res.omega)]
 
 
-def fusion_round(beliefs: list[AgentBelief], edges, method: str, step: int, *,
-                 strict: bool = False, seed: int = 0, sdp_samples: int = 100,
-                 sdp_tol: float = 1e-6) -> tuple[list[AgentBelief], list[dict]]:
+def fusion_round(beliefs: list[GaussianEstimate], edges, method: str, step: int,
+                 partition: BlockPartition, *,
+                 strict: bool = False) -> tuple[list[GaussianEstimate], list[dict]]:
     """Fuse along every edge in order; both endpoints adopt the result.
 
     Edges are processed sequentially in the given order, so later edges
-    see the outcome of earlier ones within the same round.  Weight
-    values are returned as one record per edge (per block for the
-    block-wise method).  A failure on an edge aborts with the edge id.
+    see the outcome of earlier ones within the same round.  ``partition``
+    is the block structure every agent shares; only the block-wise
+    method reads it.  Weight values are returned as one record per edge
+    (per block for the block-wise method).  A failure on an edge aborts
+    with the edge id.
     """
     if method == "none":
         return list(beliefs), []
-    if method not in ("CI", "nmCI", "SDP"):
+    if method not in ("CI", "nmCI"):
         raise ConfigError(f"fusion_round cannot run method {method!r}")
     out = list(beliefs)
     records: list[dict] = []
-    for i, j, res in _fuse_edges(out, edges, method, step, strict=strict, seed=seed,
-                                 sdp_samples=sdp_samples, sdp_tol=sdp_tol):
+    for i, j, res in _fuse_edges(out, edges, method, step, partition, strict=strict):
         records += _weight_records(res, method, step, i, j)
     return out, records
 
@@ -716,15 +696,16 @@ def _per_run(m: np.ndarray, x: np.ndarray) -> np.ndarray:
     return (m @ x[:, :, None])[:, :, 0]
 
 
-def _lockstep(scenario: ScenarioConfig, method: str, draws: list[RunDraws],
-              fusion_seed: int = 0) -> list[dict]:
-    """Step one method through a batch of runs that share every covariance.
+def _lockstep(scenario: ScenarioConfig, method: str, draws: list[RunDraws]) -> list[dict]:
+    """Step one method through a batch of runs; every method takes this path.
 
-    Per step: one covariance and gain update per filter and one fusion
-    per edge, whose gains then move the (runs, filters, d) means; NEES
-    solves all runs against one factorization per filter.  Returns one
-    record per run; the covariance-only entries (``avg2sig``,
-    ``cov_trace``, ``est_std``, ``omega``) are shared between them.
+    The runs share every covariance, since no fusion rule of the tracker
+    draws anything at random.  Per step: one covariance and gain update
+    per filter and one fusion per edge, whose gains then move the
+    (runs, filters, d) means; NEES solves all runs against one
+    factorization per filter.  Returns one record per run; the
+    covariance-only entries (``avg2sig``, ``cov_trace``, ``est_std``,
+    ``omega``) are shared between them.
     """
     layout = scenario.layout()
     d, labels, steps = layout.dim, layout.labels(), scenario.n_steps
@@ -752,9 +733,7 @@ def _lockstep(scenario: ScenarioConfig, method: str, draws: list[RunDraws],
     means = np.repeat(np.stack([dr.prior_mean for dr in draws])[:, None, :], cols, axis=1)
     zero = np.zeros(d)
     # the beliefs carry the shared covariances; their means stay zero
-    prior = AgentBelief(GaussianEstimate(zero, _prior_covariance(scenario), labels),
-                        partition)
-    beliefs = [prior] * cols
+    beliefs = [GaussianEstimate(zero, _prior_covariance(scenario), labels)] * cols
 
     nees = np.empty((n_runs, steps, cols))
     pos_err = np.empty((n_runs, steps, cols))
@@ -766,16 +745,14 @@ def _lockstep(scenario: ScenarioConfig, method: str, draws: list[RunDraws],
 
     for k in range(steps):
         for c, model in enumerate(models):
-            cov, gain = _covariance_step(beliefs[c].estimate.covariance, model)
-            beliefs[c] = AgentBelief(GaussianEstimate(zero, cov, labels), partition)
+            cov, gain = _covariance_step(beliefs[c].covariance, model)
+            beliefs[c] = GaussianEstimate(zero, cov, labels)
             pred = _per_run(model.f, means[:, c])
             means[:, c] = pred + _per_run(gain, z[c][:, k] - _per_run(model.h, pred))
         if fuses and (k + 1) > scenario.fusion_start \
                 and (k + 1 - scenario.fusion_start) % scenario.fusion_every == 0:
             for i, j, res in _fuse_edges(beliefs, scenario.edges, method, k,
-                                         strict=strict, seed=fusion_seed,
-                                         sdp_samples=scenario.sdp_samples,
-                                         sdp_tol=scenario.sdp_tol):
+                                         partition, strict=strict):
                 fused = means[:, j] + _per_run(res.gain_a, means[:, i] - means[:, j])
                 # where b gets no weight the rules return a's mean as it is
                 kept = ~res.gain_b.any(axis=1)
@@ -786,7 +763,7 @@ def _lockstep(scenario: ScenarioConfig, method: str, draws: list[RunDraws],
         err = means - truth[:, k, None, :]
         pos_err[:, k] = np.linalg.norm(err[:, :, pos_idx], axis=2)
         for c in range(cols):
-            cov = beliefs[c].estimate.covariance
+            cov = beliefs[c].covariance
             # one factorization of the covariance serves every run
             e = err[:, c].T
             nees[:, k, c] = np.sum(e * np.linalg.solve(cov, e), axis=0)
@@ -796,7 +773,7 @@ def _lockstep(scenario: ScenarioConfig, method: str, draws: list[RunDraws],
         if rec_cols:
             est_mean[:, k] = means[:, rec_cols]
             for ri, c in enumerate(rec_cols):
-                est_std[k, ri] = np.sqrt(np.diag(beliefs[c].estimate.covariance))
+                est_std[k, ri] = np.sqrt(np.diag(beliefs[c].covariance))
 
     return [{"nees": nees[r], "pos_err": pos_err[r], "avg2sig": avg2sig,
              "cov_trace": cov_trace, "omega": records,
@@ -810,22 +787,10 @@ def _simulate(scenario: ScenarioConfig, run_ids, methods) -> list[dict]:
     for m in methods:
         if m not in METHODS:
             raise ConfigError(f"unknown method {m!r}")
-    d = scenario.layout().dim
-    if "SDP" in methods and d > SDP_MAX_DIM:
-        raise ConfigError(
-            f"SDP fusion is limited to global states of dimension <= {SDP_MAX_DIM} "
-            f"(this scenario has {d})")
     draws = [draw_run(scenario, r) for r in run_ids]
     out = [{"truth": dr.truth, "run": r, "methods": {}} for r, dr in zip(run_ids, draws)]
     for method in methods:
-        if method == "SDP":
-            # sample seeds are per run, so each run has its own covariances
-            recs = [_lockstep(scenario, method, [dr],
-                              make_substream_seed(scenario.seed, "fusion", r))[0]
-                    for r, dr in zip(run_ids, draws)]
-        else:
-            recs = _lockstep(scenario, method, draws)
-        for o, rec in zip(out, recs):
+        for o, rec in zip(out, _lockstep(scenario, method, draws)):
             o["methods"][method] = rec
     return out
 
@@ -858,15 +823,13 @@ class TrackData:
 
 
 def run_scenario(scenario: ScenarioConfig, *, methods=None, mc_runs: int | None = None,
-                 seed: int | None = None, jobs: int = 1) -> TrackData:
+                 seed: int | None = None) -> TrackData:
     """Run the Monte-Carlo experiment, every method stepping all runs in lockstep.
 
     ``methods``/``mc_runs``/``seed`` override the scenario fields.  Runs
     draw from disjoint substreams by index, and a run's record does not
     depend on the run count (NEES up to roundoff); records come in run
     order.
-    ``jobs`` is accepted and changes nothing: the runs share one
-    covariance pass, which worker processes would each repeat.
     """
     if seed is not None or mc_runs is not None:
         scenario = replace(scenario,

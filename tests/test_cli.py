@@ -250,8 +250,9 @@ def test_track_custom_scenario_outputs(capsys, tmp_path):
 
 def test_track_method_none_skips_fusion_records(capsys, tmp_path):
     scn = _scenario_file(tmp_path)
+    # --jobs is accepted and ignored: the runs step in lockstep
     rc, out, _ = _run(capsys, ["track", "--config", str(scn),
-                               "--method", "none",
+                               "--method", "none", "--jobs", "2",
                                "--out", str(tmp_path / "runs")])
     assert rc == 0
     out_dir = tmp_path / "runs" / out.strip().rsplit("/", 1)[-1]
@@ -272,10 +273,11 @@ def test_track_suppressed_estimates_stay_out_of_manifest(capsys, tmp_path):
     assert "estimates.csv" not in manifest["outputs"]
 
 
-def test_track_unknown_method_is_config_error(capsys, tmp_path):
+@pytest.mark.parametrize("method", ["bogus", "SDP"])
+def test_track_unknown_method_is_config_error(capsys, tmp_path, method):
     scn = _scenario_file(tmp_path)
     rc, _, err = _run(capsys, ["track", "--config", str(scn),
-                               "--method", "bogus",
+                               "--method", method,
                                "--out", str(tmp_path / "runs")])
     assert rc == 2
     assert "unknown method" in err

@@ -211,7 +211,7 @@ def test_estimate_load_rejects_bad_files(tmp_path):
 # partitions and sparsity patterns
 
 def test_partition_contiguous():
-    p = BlockPartition.contiguous([2, 3, 1])
+    p = BlockPartition(((0, 1), (2, 3, 4), (5,)))
     assert p.blocks == ((0, 1), (2, 3, 4), (5,))
     assert p.dim == 6
     assert p.n_blocks == 3
@@ -237,7 +237,7 @@ def test_partition_round_trip():
 
 def test_pattern_validation_and_helpers():
     pat = CrossSparsityPattern(2, 3, frozenset({(0, 0), (1, 2)}))
-    assert pat.n_free == 4
+    assert len(pat.free_indices()) == 4
     assert (0, 0) not in pat.free_indices()
     mask = pat.zero_mask()
     assert mask[0, 0] and mask[1, 2] and mask.sum() == 2
@@ -248,9 +248,9 @@ def test_pattern_validation_and_helpers():
 
 
 def test_pattern_constructors():
-    assert CrossSparsityPattern.unconstrained(2, 2).n_free == 4
-    az = CrossSparsityPattern.all_zero(2, 3)
-    assert az.n_free == 0
+    assert len(CrossSparsityPattern.unconstrained(2, 2).free_indices()) == 4
+    az = CrossSparsityPattern(2, 3, frozenset(np.ndindex(2, 3)))
+    assert az.free_indices() == []
     assert az.zero_mask().all()
 
 

@@ -222,7 +222,7 @@ def test_nmci_reference_pair():
 
 def test_nmci_never_above_monolithic_trace():
     rng = np.random.default_rng(10)
-    part = BlockPartition.contiguous([2, 2])
+    part = BlockPartition(((0, 1), (2, 3)))
     for _ in range(10):
         ca = np.zeros((4, 4))
         cb = np.zeros((4, 4))

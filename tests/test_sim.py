@@ -16,7 +16,6 @@ from cofusion.metrics import (
 )
 from cofusion.sim import (
     ESTIMATE_CSV_COLUMNS,
-    AgentBelief,
     GroupSpec,
     ScenarioConfig,
     StateLayout,
@@ -71,6 +70,7 @@ def test_scenario_defaults_derive_assignments():
     {"assignments": ((), (0,))},
     {"r_target": ((1.0, 0.0), (0.0, -1.0))},
     {"methods": ("teleport",)},
+    {"methods": ("SDP",)},
     {"methods": ()},
     {"partition_scheme": "bogus"},
     {"report_agent": 9},
@@ -101,8 +101,10 @@ def test_scenario_round_trip_and_schema():
     assert ScenarioConfig.from_dict(d) == scn
     with pytest.raises(ConfigError):
         ScenarioConfig.from_dict({**d, "schema": "other"})
-    with pytest.raises(ConfigError, match="unknown"):
-        ScenarioConfig.from_dict({**d, "warp_speed": 9})
+    # the tracker has no sampled-program method, so its old knobs are unknown too
+    for key, value in (("warp_speed", 9), ("sdp_samples", 100), ("sdp_tol", 1e-6)):
+        with pytest.raises(ConfigError, match="unknown"):
+            ScenarioConfig.from_dict({**d, key: value})
 
 
 def test_scenario_load_rejects_bad_json(tmp_path):
@@ -245,6 +247,24 @@ def test_partition_is_exact_only_for_axes_with_diagonal_noise():
     skew = tiny_scenario(partition_scheme="group_axes",
                          r_target=((1.0, 0.3), (0.3, 1.0)))
     assert not partition_is_exact(skew)
+    # with agent_r_target set, each agent measures with its own matrix and
+    # r_target goes unused
+    skew_agent = tiny_scenario(partition_scheme="group_axes",
+                               agent_r_target=(((1.0, 0.3), (0.3, 1.0)),
+                                               ((1.0, 0.0), (0.0, 1.0))))
+    assert not partition_is_exact(skew_agent)
+    diag_agents = tiny_scenario(partition_scheme="group_axes",
+                                r_target=((1.0, 0.3), (0.3, 1.0)),
+                                agent_r_target=(((1.0, 0.0), (0.0, 1.0)),
+                                                ((2.0, 0.0), (0.0, 0.5))))
+    assert partition_is_exact(diag_agents)
+    skew_landmark = tiny_scenario(partition_scheme="group_axes",
+                                  r_landmark=((0.25, 0.1), (0.1, 0.25)))
+    assert not partition_is_exact(skew_landmark)
+    # lenient block-wise fusion runs where strict fusion would reject the
+    # coupling the skewed agent's noise creates
+    data = run_scenario(skew_agent, methods=("nmCI",), mc_runs=1)
+    assert np.all(np.isfinite(data.runs[0]["methods"]["nmCI"]["nees"]))
 
 
 # ---------------------------------------------------------------------------
@@ -256,26 +276,23 @@ def _beliefs_for(scn, seed=0):
 
     rng = np.random.default_rng(seed)
     p0 = _prior_covariance(scn)
-    part = build_partition(scn)
-    return [AgentBelief(GaussianEstimate(rng.standard_normal(lay.dim), p0,
-                                         lay.labels()), part)
+    return [GaussianEstimate(rng.standard_normal(lay.dim), p0, lay.labels())
             for _ in range(scn.n_agents)]
 
 
 def test_fusion_round_none_is_identity():
     scn = tiny_scenario()
     beliefs = _beliefs_for(scn)
-    out, recs = fusion_round(beliefs, scn.edges, "none", step=0)
+    out, recs = fusion_round(beliefs, scn.edges, "none", 0, build_partition(scn))
     assert out == beliefs and recs == []
 
 
 def test_fusion_round_endpoints_share_result():
     scn = tiny_scenario()
     beliefs = _beliefs_for(scn)
-    out, recs = fusion_round(beliefs, scn.edges, "CI", step=4)
-    np.testing.assert_array_equal(out[0].estimate.mean, out[1].estimate.mean)
-    np.testing.assert_array_equal(out[0].estimate.covariance,
-                                  out[1].estimate.covariance)
+    out, recs = fusion_round(beliefs, scn.edges, "CI", 4, build_partition(scn))
+    np.testing.assert_array_equal(out[0].mean, out[1].mean)
+    np.testing.assert_array_equal(out[0].covariance, out[1].covariance)
     assert len(recs) == 1
     assert recs[0]["edge"] == "0-1" and recs[0]["step"] == 4
     assert 0.0 <= recs[0]["omega"] <= 1.0
@@ -284,8 +301,8 @@ def test_fusion_round_endpoints_share_result():
 def test_fusion_round_block_weights_per_edge():
     scn = tiny_scenario()
     beliefs = _beliefs_for(scn)
-    out, recs = fusion_round(beliefs, scn.edges, "nmCI", step=0)
     part = build_partition(scn)
+    out, recs = fusion_round(beliefs, scn.edges, "nmCI", 0, part)
     assert len(recs) == part.n_blocks
     assert [r["block"] for r in recs] == list(range(part.n_blocks))
 
@@ -293,7 +310,7 @@ def test_fusion_round_block_weights_per_edge():
 def test_fusion_round_rejects_unknown_method():
     scn = tiny_scenario()
     with pytest.raises(ConfigError):
-        fusion_round(_beliefs_for(scn), scn.edges, "centralized", step=0)
+        fusion_round(_beliefs_for(scn), scn.edges, "centralized", 0, build_partition(scn))
 
 
 # ---------------------------------------------------------------------------
@@ -320,17 +337,6 @@ def test_methods_replay_identical_truth():
     assert np.all(np.isfinite(rec["methods"]["nmCI"]["nees"]))
 
 
-def test_run_scenario_jobs_do_not_change_results():
-    scn = tiny_scenario()
-    one = run_scenario(scn, jobs=1)
-    two = run_scenario(scn, jobs=2)
-    for r1, r2 in zip(one.runs, two.runs):
-        np.testing.assert_array_equal(r1["truth"], r2["truth"])
-        for m in scn.methods:
-            np.testing.assert_array_equal(r1["methods"][m]["nees"],
-                                          r2["methods"][m]["nees"])
-
-
 def test_run_scenario_overrides():
     scn = tiny_scenario()
     data = run_scenario(scn, methods=("none",), mc_runs=1, seed=99)
@@ -339,18 +345,6 @@ def test_run_scenario_overrides():
     assert data.scenario.seed == 99
     with pytest.raises(ConfigError):
         run_scenario(scn, methods=("warp",))
-
-
-def test_sdp_method_guard_on_large_states():
-    scn = tiny_scenario(methods=("SDP",))
-    from cofusion.sim import SDP_MAX_DIM
-
-    if scn.layout().dim > SDP_MAX_DIM:
-        with pytest.raises(ConfigError):
-            simulate_run(scn, 0)
-    else:
-        rec = simulate_run(scn, 0, methods=("SDP",))
-        assert np.all(np.isfinite(rec["methods"]["SDP"]["nees"]))
 
 
 # ---------------------------------------------------------------------------
@@ -372,8 +366,8 @@ def _reference_run(scn, run_idx, method):
         models = [centralized_model(scn, draws.agents)]
     else:
         models = [agent_filter_model(a, lay, scn.dt, scn.q) for a in draws.agents]
-    prior = GaussianEstimate(draws.prior_mean, _prior_covariance(scn), lay.labels())
-    beliefs = [AgentBelief(prior, part) for _ in models]
+    beliefs = [GaussianEstimate(draws.prior_mean, _prior_covariance(scn), lay.labels())
+               for _ in models]
     pos = lay.position_indices()
     shape = (scn.n_steps, len(models))
     out = {key: np.empty(shape) for key in ("nees", "pos_err", "avg2sig", "cov_trace")}
@@ -381,15 +375,13 @@ def _reference_run(scn, run_idx, method):
     out["est_std"] = np.empty(shape + (lay.dim,))
     omega = []
     for k in range(scn.n_steps):
-        beliefs = [AgentBelief(local_filter_step(b.estimate, m,
-                                                 stack_measurements(m, draws.meas[k])), part)
+        beliefs = [local_filter_step(b, m, stack_measurements(m, draws.meas[k]))
                    for b, m in zip(beliefs, models)]
         if method in ("CI", "nmCI"):
-            beliefs, recs = fusion_round(beliefs, scn.edges, method, k,
+            beliefs, recs = fusion_round(beliefs, scn.edges, method, k, part,
                                          strict=partition_is_exact(scn))
             omega += recs
-        for c, b in enumerate(beliefs):
-            est = b.estimate
+        for c, est in enumerate(beliefs):
             out["nees"][k, c] = nees(est, draws.truth[k])
             out["pos_err"][k, c] = np.linalg.norm(est.mean[pos] - draws.truth[k][pos])
             out["avg2sig"][k, c] = 2.0 * np.sqrt(np.mean(np.diag(est.covariance)[pos]))
@@ -445,32 +437,6 @@ def test_lockstep_covariance_outputs_equal_across_runs():
             assert run["methods"][method]["omega"] == first[method]["omega"]
             assert not np.array_equal(run["methods"][method]["nees"],
                                       first[method]["nees"])
-
-
-def test_sdp_runs_keep_their_own_covariances(monkeypatch):
-    # the sampler cannot serve the 4x4 free blocks of an 8-d scenario, so a
-    # stand-in rule picks its CI weight from the sample seed it is given
-    from cofusion import sim
-    from cofusion.fusion import ci_fuse
-
-    seeds = []
-
-    def seeded_ci(a, b, pattern, n, seed, tol):
-        seeds.append(seed)
-        return ci_fuse(a, b, omega=0.25 + 0.5 * (seed % 1000) / 1000)
-
-    monkeypatch.setattr(sim, "robust_fuse", seeded_ci)
-    scn = tiny_scenario(groups=(GroupSpec((0, 1), (0,)),), methods=("SDP",))
-    assert scn.layout().dim <= sim.SDP_MAX_DIM
-    data = run_scenario(scn, mc_runs=2)
-    assert len(set(seeds)) == len(seeds) == 2 * scn.n_steps
-    for r, run in enumerate(data.runs):
-        alone = simulate_run(scn, r)["methods"]["SDP"]
-        for key in RUN_ARRAYS:
-            np.testing.assert_array_equal(run["methods"]["SDP"][key], alone[key])
-        assert run["methods"]["SDP"]["omega"] == alone["omega"]
-    assert not np.array_equal(data.runs[0]["methods"]["SDP"]["cov_trace"],
-                              data.runs[1]["methods"]["SDP"]["cov_trace"])
 
 
 def test_summarize_shape_and_band():
