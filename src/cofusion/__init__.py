@@ -21,7 +21,6 @@ from .core import (
     SamplingError,
     SolverError,
     cov_to_corr,
-    corr_to_cov,
     is_conservative,
     partition_from_sparsity,
     partition_to_sparsity,
@@ -29,7 +28,7 @@ from .core import (
 from .fusion import ci_fuse, exact_fuse, nmci_fuse, optimize_ci_omega, realized_cov
 from .sampler import UncertaintySample, sample_cross, sample_set
 from .sdp import SampledFusionProblem, SdpSolution, SolveStatus, build_problem, robust_fuse, solve
-from .metrics import avg_two_sigma, chi2_band, chi2_quantile, conservativeness_sweep, nees, rmse
+from .metrics import chi2_band, chi2_quantile, conservativeness_sweep, nees
 
 __version__ = "0.1.0"
 
@@ -51,13 +50,11 @@ __all__ = [
     "SdpSolution",
     "SolveStatus",
     "UncertaintySample",
-    "avg_two_sigma",
     "build_problem",
     "chi2_band",
     "chi2_quantile",
     "ci_fuse",
     "conservativeness_sweep",
-    "corr_to_cov",
     "cov_to_corr",
     "exact_fuse",
     "is_conservative",
@@ -67,7 +64,6 @@ __all__ = [
     "partition_from_sparsity",
     "partition_to_sparsity",
     "realized_cov",
-    "rmse",
     "robust_fuse",
     "sample_cross",
     "sample_set",

@@ -112,17 +112,6 @@ def cov_to_corr(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return symmetrize(corr), s
 
 
-def corr_to_cov(corr: np.ndarray, stds: np.ndarray) -> np.ndarray:
-    """Rebuild a covariance from a correlation matrix and std-dev vector."""
-    corr = check_symmetric(corr, name="correlation")
-    stds = np.asarray(stds, dtype=float)
-    if stds.ndim != 1 or stds.shape[0] != corr.shape[0]:
-        raise DimensionError("stds must be a vector matching the correlation size")
-    if np.any(stds <= 0):
-        raise NotPositiveDefiniteError("stds must be strictly positive")
-    return symmetrize(corr * np.outer(stds, stds))
-
-
 def _as_readonly(a: np.ndarray) -> np.ndarray:
     out = np.array(a, dtype=float)
     out.flags.writeable = False
@@ -381,9 +370,6 @@ class JointCovariance:
     def assembled(self) -> np.ndarray:
         """The full (dim_a + dim_b) joint matrix."""
         return np.block([[self.p_a, self.p_ab], [self.p_ab.T, self.p_b]])
-
-    def min_eig(self) -> float:
-        return min_eigenvalue(self.assembled())
 
     def is_positive_definite(self, rtol: float = PD_RTOL) -> bool:
         w = np.linalg.eigvalsh(self.assembled())

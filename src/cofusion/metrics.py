@@ -2,8 +2,8 @@
 
 NEES, average-NEES chi-square bands (quantiles computed here from the
 regularized incomplete gamma function, so no statistics dependency),
-RMSE, the 2-sigma summary, and the bound-convergence sweep that pits the
-block-wise intersection bound against the sampled-program optimum.
+and the bound-convergence sweep that pits the block-wise intersection
+bound against the sampled-program optimum.
 """
 
 from __future__ import annotations
@@ -179,34 +179,6 @@ def nees(estimate: GaussianEstimate, truth) -> float:
         return float(e @ np.linalg.solve(estimate.covariance, e))
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefiniteError("covariance is singular") from exc
-
-def rmse(estimates: np.ndarray, truths: np.ndarray) -> float:
-    """Root of the time-averaged squared error norm over a trajectory.
-
-    Both arguments are (steps, dim) arrays; pass position components to
-    get a position RMSE.
-    """
-    est = np.atleast_2d(np.asarray(estimates, dtype=float))
-    tru = np.atleast_2d(np.asarray(truths, dtype=float))
-    if est.shape != tru.shape:
-        raise DimensionError("trajectories must have the same shape")
-    if est.shape[0] == 0:
-        raise DimensionError("trajectories must be non-empty")
-    return float(np.sqrt(np.mean(np.sum((est - tru) ** 2, axis=1))))
-
-def avg_two_sigma(position_variances: np.ndarray) -> float:
-    """Time mean of 2*sqrt(average position-coordinate variance).
-
-    One documented interpretation of the "mean average 2-sigma" summary:
-    per step, average the position variances across coordinates, take
-    2*sqrt, then average over steps (and the caller averages over runs).
-    """
-    v = np.atleast_2d(np.asarray(position_variances, dtype=float))
-    if v.size == 0:
-        raise DimensionError("variance trajectory must be non-empty")
-    if np.any(v < 0):
-        raise NotPositiveDefiniteError("variances must be nonnegative")
-    return float(np.mean(2.0 * np.sqrt(np.mean(v, axis=1))))
 
 
 # ---------------------------------------------------------------------------

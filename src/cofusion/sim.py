@@ -14,6 +14,10 @@ Dynamics and noise levels are deliberately open degrees of freedom, so
 they are explicit scenario parameters with documented defaults.
 All randomness descends from one master seed through named substreams,
 so different fusion methods see identical truths and measurements.
+A run's measurements are one (steps, rows) array in the centralized
+filter's row order: agents in id order, each agent's block in the row
+order of its own filter's H.  The centralized filter reads every row,
+and each agent's filter reads its own contiguous block.
 
 Covariances, Kalman gains, intersection weights and fusion gains never
 depend on the data: the Riccati recursion runs the same in every
@@ -34,7 +38,6 @@ import numpy as np
 from .core import (
     BlockPartition,
     ConfigError,
-    DimensionError,
     FusionError,
     GaussianEstimate,
     _derived,
@@ -48,7 +51,7 @@ from . import metrics as _metrics
 
 SCENARIO_SCHEMA = "cofusion-scenario-v1"
 METHODS = ("centralized", "CI", "nmCI", "none")
-PARTITION_SCHEMES = ("group_target_bias", "group_axes", "per_target_bias")
+PARTITION_SCHEMES = ("group_target_bias", "group_axes")
 
 
 # ---------------------------------------------------------------------------
@@ -210,13 +213,11 @@ class ScenarioConfig:
             if len(self.assignments) != n_agents:
                 raise ConfigError("assignments must list targets for every agent")
             assigned = tuple(tuple(int(t) for t in ts) for ts in self.assignments)
-            for a, ts in enumerate(assigned):
-                if not ts:
-                    raise ConfigError(f"agent {a} needs at least one assigned target")
-                allowed = set(groups[group_of[a]].targets)
-                if not set(ts) <= allowed:
-                    raise ConfigError(
-                        f"agent {a} may only be assigned its own group's targets")
+        for a, ts in enumerate(assigned):
+            if not ts:
+                raise ConfigError(f"agent {a} needs at least one assigned target")
+            if not set(ts) <= set(groups[group_of[a]].targets):
+                raise ConfigError(f"agent {a} may only be assigned its own group's targets")
         for m in (check_spd(np.asarray(self.r_target, dtype=float), name="r_target"),
                   check_spd(np.asarray(self.r_landmark, dtype=float), name="r_landmark")):
             if m.shape != (2, 2):
@@ -351,14 +352,6 @@ class AgentConfig:
 
 
 @dataclass(frozen=True)
-class AgentMeasurements:
-    """Measurements one agent collects in one step."""
-
-    z_targets: dict        # target id -> biased position measurement (2,)
-    landmark: np.ndarray   # direct bias observation (2,)
-
-
-@dataclass(frozen=True)
 class FilterModel:
     """Precomputed matrices for one filter: dynamics and observation."""
 
@@ -366,7 +359,6 @@ class FilterModel:
     q: np.ndarray
     h: np.ndarray
     r: np.ndarray
-    meas_order: tuple      # ((agent_id, target_id or "landmark"), ...)
 
 
 def noise_factors(agent: AgentConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -376,23 +368,21 @@ def noise_factors(agent: AgentConfig) -> tuple[np.ndarray, np.ndarray]:
 
 
 def measure(agent: AgentConfig, truth, layout: StateLayout,
-            rng: np.random.Generator, factors) -> AgentMeasurements:
-    """Biased position measurement of each assigned target plus a landmark.
+            rng: np.random.Generator, factors) -> np.ndarray:
+    """Biased position measurement of each assigned target, then a landmark.
 
-    ``factors`` is ``noise_factors(agent)``; the noise is fixed per agent,
-    so callers factor it once.
+    The vector is in the row order of the agent's ``agent_filter_model``
+    H.  ``factors`` is ``noise_factors(agent)``; the noise is fixed per
+    agent, so callers factor it once.
     """
-    if not agent.assigned_targets:
-        raise ConfigError(f"agent {agent.id} has no assigned targets")
     truth = np.asarray(truth, dtype=float)
     la, lb = factors
-    z = {}
+    z = []
     for t in agent.assigned_targets:
         ti = layout.target_indices(t)
-        pos = truth[[ti[0], ti[2]]]
-        z[t] = pos + agent.bias + la @ rng.standard_normal(2)
-    m = agent.bias + lb @ rng.standard_normal(2)
-    return AgentMeasurements(z_targets=z, landmark=m)
+        z.append(truth[[ti[0], ti[2]]] + agent.bias + la @ rng.standard_normal(2))
+    z.append(agent.bias + lb @ rng.standard_normal(2))
+    return np.concatenate(z)
 
 
 def agent_filter_model(agent: AgentConfig, layout: StateLayout,
@@ -402,7 +392,6 @@ def agent_filter_model(agent: AgentConfig, layout: StateLayout,
     rows = 2 * (len(agent.assigned_targets) + 1)
     h = np.zeros((rows, layout.dim))
     r = np.zeros((rows, rows))
-    order = []
     row = 0
     bi = layout.bias_indices(agent.id)
     for t in agent.assigned_targets:
@@ -412,23 +401,11 @@ def agent_filter_model(agent: AgentConfig, layout: StateLayout,
         h[row + 1, ti[2]] = 1.0
         h[row + 1, bi[1]] = 1.0
         r[row:row + 2, row:row + 2] = agent.meas_noise_target
-        order.append((agent.id, t))
         row += 2
     h[row, bi[0]] = 1.0
     h[row + 1, bi[1]] = 1.0
     r[row:row + 2, row:row + 2] = agent.meas_noise_landmark
-    order.append((agent.id, "landmark"))
-    return FilterModel(f=f, q=qn, h=h, r=r, meas_order=tuple(order))
-
-
-def stack_measurements(model: FilterModel,
-                       per_agent: dict[int, AgentMeasurements]) -> np.ndarray:
-    """Measurement vector in the row order the model's H was built with."""
-    parts = []
-    for agent_id, what in model.meas_order:
-        m = per_agent[agent_id]
-        parts.append(m.landmark if what == "landmark" else m.z_targets[what])
-    return np.concatenate(parts)
+    return FilterModel(f=f, q=qn, h=h, r=r)
 
 
 def _covariance_step(cov: np.ndarray, model: FilterModel) -> tuple[np.ndarray, np.ndarray]:
@@ -470,10 +447,7 @@ def build_partition(scenario: ScenarioConfig, scheme: str | None = None) -> Bloc
     runs block-wise fusion in lenient mode).  ``group_axes`` groups each
     agent-group's x-axis states and y-axis states; with diagonal noise
     matrices those blocks stay exactly uncorrelated, so no coupling is
-    ever dropped.  ``per_target_bias`` is the finest partition: one
-    block per target and one per agent bias, which lets block-wise
-    fusion pick an independent weight wherever exactly one agent holds
-    fresh information (also lenient).
+    ever dropped.
     """
     scheme = scheme or scenario.partition_scheme
     layout = scenario.layout()
@@ -483,11 +457,6 @@ def build_partition(scenario: ScenarioConfig, scheme: str | None = None) -> Bloc
             tblk = [i for t in g.targets for i in layout.target_indices(t)]
             bblk = [i for a in g.agents for i in layout.bias_indices(a)]
             blocks += [tuple(tblk), tuple(bblk)]
-    elif scheme == "per_target_bias":
-        for t in range(layout.n_targets):
-            blocks.append(tuple(layout.target_indices(t)))
-        for a in range(layout.n_agents):
-            blocks.append(tuple(layout.bias_indices(a)))
     elif scheme == "group_axes":
         for g in scenario.groups:
             xblk, yblk = [], []
@@ -608,22 +577,23 @@ def _make_agents(scenario: ScenarioConfig, biases: np.ndarray) -> list[AgentConf
             for a in range(scenario.n_agents)]
 
 
-def centralized_model(scenario: ScenarioConfig, agents: list[AgentConfig]) -> FilterModel:
-    """One filter consuming every agent's measurements each step."""
-    layout = scenario.layout()
-    models = [agent_filter_model(a, layout, scenario.dt, scenario.q) for a in agents]
+def _row_blocks(models: list[FilterModel]) -> list[slice]:
+    """Each agent model's rows within the centralized model's, in agent id order."""
+    ends = np.cumsum([m.h.shape[0] for m in models]).tolist()
+    return [slice(e - m.h.shape[0], e) for m, e in zip(models, ends)]
+
+
+def centralized_model(models: list[FilterModel]) -> FilterModel:
+    """One filter consuming every agent's measurements each step.
+
+    ``models`` are the agents' own, in id order; their rows stack into
+    one H with a block-diagonal R.
+    """
     h = np.vstack([m.h for m in models])
-    rows = h.shape[0]
-    r = np.zeros((rows, rows))
-    at = 0
-    order = []
-    for m in models:
-        k = m.r.shape[0]
-        r[at:at + k, at:at + k] = m.r
-        order += list(m.meas_order)
-        at += k
-    f, qn = global_transition(layout, scenario.dt, scenario.q)
-    return FilterModel(f=f, q=qn, h=h, r=r, meas_order=tuple(order))
+    r = np.zeros((h.shape[0], h.shape[0]))
+    for m, rows in zip(models, _row_blocks(models)):
+        r[rows, rows] = m.r
+    return FilterModel(f=models[0].f, q=models[0].q, h=h, r=r)
 
 
 @dataclass(frozen=True)
@@ -632,7 +602,7 @@ class RunDraws:
 
     agents: list[AgentConfig]      # carries the run's bias truths
     truth: np.ndarray              # (steps, d) true state after each step
-    meas: list[dict[int, AgentMeasurements]]   # per step, keyed by agent id
+    meas: np.ndarray               # (steps, rows) centralized row order
     prior_mean: np.ndarray         # (d,) shared prior mean of every filter
 
 
@@ -665,7 +635,7 @@ def draw_run(scenario: ScenarioConfig, run_idx: int) -> RunDraws:
         x[layout.bias_indices(a)] = biases[a]
 
     truth = np.empty((steps, d))
-    meas: list[dict[int, AgentMeasurements]] = []
+    meas = []
     factors = [noise_factors(a) for a in agents]
     xk = x
     for k in range(steps):
@@ -675,15 +645,15 @@ def draw_run(scenario: ScenarioConfig, run_idx: int) -> RunDraws:
             nxt[ti] = propagate_truth(xk[ti], scenario.dt, scenario.q, rng_truth)
         xk = nxt
         truth[k] = xk
-        meas.append({a.id: measure(a, xk, layout, rng_meas, f)
-                     for a, f in zip(agents, factors)})
+        meas.append(np.concatenate([measure(a, xk, layout, rng_meas, f)
+                                    for a, f in zip(agents, factors)]))
 
     # every agent and the centralized baseline start from one shared
     # prior belief; a common prior keeps fusion of untouched states a
     # no-op instead of an uncredited averaging of independent errors
     l0 = np.linalg.cholesky(_prior_covariance(scenario))
     prior_mean = x + l0 @ rng_prior.standard_normal(d)
-    return RunDraws(agents=agents, truth=truth, meas=meas, prior_mean=prior_mean)
+    return RunDraws(agents=agents, truth=truth, meas=np.stack(meas), prior_mean=prior_mean)
 
 
 def _per_run(m: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -696,41 +666,39 @@ def _per_run(m: np.ndarray, x: np.ndarray) -> np.ndarray:
     return (m @ x[:, :, None])[:, :, 0]
 
 
-def _lockstep(scenario: ScenarioConfig, method: str, draws: list[RunDraws]) -> list[dict]:
+def _lockstep(scenario: ScenarioConfig, method: str, models: list[FilterModel],
+              meas: np.ndarray, truth: np.ndarray, prior_mean: np.ndarray,
+              partition: BlockPartition, strict: bool) -> list[dict]:
     """Step one method through a batch of runs; every method takes this path.
 
-    The runs share every covariance, since no fusion rule of the tracker
-    draws anything at random.  Per step: one covariance and gain update
-    per filter and one fusion per edge, whose gains then move the
-    (runs, filters, d) means; NEES solves all runs against one
-    factorization per filter.  Returns one record per run; the
-    covariance-only entries (``avg2sig``, ``cov_trace``, ``est_std``,
-    ``omega``) are shared between them.
+    ``models`` are the method's filters: the centralized one, or one per
+    agent.  ``meas`` (runs, steps, rows), ``truth`` (runs, steps, d) and
+    ``prior_mean`` (runs, d) stack the runs' draws.  The runs share every
+    covariance, since no fusion rule of the tracker draws anything at
+    random.  Per step: one covariance and gain update per filter and one
+    fusion per edge, whose gains then move the (runs, filters, d) means;
+    NEES solves all runs against one factorization per filter.  Returns
+    one record per run; the covariance-only entries (``avg2sig``,
+    ``cov_trace``, ``est_std``, ``omega``) are shared between them.
     """
     layout = scenario.layout()
     d, labels, steps = layout.dim, layout.labels(), scenario.n_steps
     pos_idx = layout.position_indices()
-    partition = build_partition(scenario)
-    strict = partition_is_exact(scenario)
-    # the bias, the only per-run field of an agent, does not enter a model
-    agents = draws[0].agents
     if method == "centralized":
-        models = [centralized_model(scenario, agents)]
+        z = [meas]
         rec_ids = [-1] if scenario.record_estimates != "none" else []
         rec_cols = [0] * len(rec_ids)
     else:
-        models = [agent_filter_model(a, layout, scenario.dt, scenario.q) for a in agents]
+        # agent a's filter reads its own block of the centralized rows
+        z = [meas[:, :, rows] for rows in _row_blocks(models)]
         rec_ids = {"all": list(range(scenario.n_agents)),
                    "report": [scenario.report_agent],
                    "none": []}[scenario.record_estimates]
         rec_cols = rec_ids
     fuses = method not in ("centralized", "none")
-    n_runs, cols = len(draws), len(models)
+    n_runs, cols = len(truth), len(models)
 
-    truth = np.stack([dr.truth for dr in draws])                       # (runs, steps, d)
-    z = [np.array([[stack_measurements(m, dr.meas[k]) for k in range(steps)]
-                   for dr in draws]) for m in models]                   # (runs, steps, rows)
-    means = np.repeat(np.stack([dr.prior_mean for dr in draws])[:, None, :], cols, axis=1)
+    means = np.repeat(prior_mean[:, None, :], cols, axis=1)
     zero = np.zeros(d)
     # the beliefs carry the shared covariances; their means stay zero
     beliefs = [GaussianEstimate(zero, _prior_covariance(scenario), labels)] * cols
@@ -787,10 +755,20 @@ def _simulate(scenario: ScenarioConfig, run_ids, methods) -> list[dict]:
     for m in methods:
         if m not in METHODS:
             raise ConfigError(f"unknown method {m!r}")
+    layout = scenario.layout()
     draws = [draw_run(scenario, r) for r in run_ids]
+    # the bias, the only per-run field of an agent, does not enter a model
+    agent_models = [agent_filter_model(a, layout, scenario.dt, scenario.q)
+                    for a in draws[0].agents]
+    central = centralized_model(agent_models)
+    shared = dict(meas=np.stack([dr.meas for dr in draws]),
+                  truth=np.stack([dr.truth for dr in draws]),
+                  prior_mean=np.stack([dr.prior_mean for dr in draws]),
+                  partition=build_partition(scenario), strict=partition_is_exact(scenario))
     out = [{"truth": dr.truth, "run": r, "methods": {}} for r, dr in zip(run_ids, draws)]
     for method in methods:
-        for o, rec in zip(out, _lockstep(scenario, method, draws)):
+        models = [central] if method == "centralized" else agent_models
+        for o, rec in zip(out, _lockstep(scenario, method, models, **shared)):
             o["methods"][method] = rec
     return out
 

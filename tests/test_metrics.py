@@ -10,17 +10,14 @@ from cofusion.core import (
     CrossSparsityPattern,
     DimensionError,
     GaussianEstimate,
-    NotPositiveDefiniteError,
 )
 from cofusion.metrics import (
     SWEEP_CSV_COLUMNS,
-    avg_two_sigma,
     chi2_band,
     chi2_cdf,
     chi2_quantile,
     conservativeness_sweep,
     nees,
-    rmse,
     sweep_blocks,
     write_csv,
 )
@@ -109,24 +106,6 @@ def test_nees_hand_value():
     assert nees(e, e.mean) == 0.0
     with pytest.raises(DimensionError):
         nees(e, np.zeros(3))
-
-
-def test_rmse_hand_value():
-    est = np.array([[1.0, 0.0], [0.0, 1.0]])
-    tru = np.zeros((2, 2))
-    # per-step squared norms are 1 and 1
-    assert rmse(est, tru) == pytest.approx(1.0)
-    assert rmse(np.array([[3.0, 4.0]]), np.zeros((1, 2))) == pytest.approx(5.0)
-    with pytest.raises(DimensionError):
-        rmse(est, np.zeros((3, 2)))
-
-
-def test_avg_two_sigma_hand_value():
-    v = np.array([[4.0, 4.0], [1.0, 1.0]])
-    # per-step 2*sqrt(mean) = 4 and 2, mean 3
-    assert avg_two_sigma(v) == pytest.approx(3.0)
-    with pytest.raises(NotPositiveDefiniteError):
-        avg_two_sigma(np.array([[-1.0]]))
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,6 @@ from cofusion.sim import (
     propagate_truth,
     run_scenario,
     simulate_run,
-    stack_measurements,
     summarize,
     track_blocks,
     truth_blocks,
@@ -80,6 +79,9 @@ def test_scenario_defaults_derive_assignments():
     {"fusion_start": -1},
     {"prior_bias_var": 0.0},
     {"agent_r_target": (((1.0, 0.0), (0.0, 1.0)),)},
+    # a group without targets leaves its agents nothing to measure
+    {"groups": (GroupSpec((0,), (0,)), GroupSpec((1,), ()))},
+    {"partition_scheme": "per_target_bias"},
 ])
 def test_scenario_rejects_bad_configs(overrides):
     with pytest.raises(FusionError):
@@ -160,13 +162,14 @@ def test_measure_contains_bias_and_assigned_targets():
     agents = _make_agents(scn, np.array([[1.0, -1.0], [0.0, 0.5]]))
     truth = rng.standard_normal(lay.dim)
     m = measure(agents[0], truth, lay, np.random.default_rng(2), noise_factors(agents[0]))
-    assert set(m.z_targets) == {0, 1}
-    assert m.landmark.shape == (2,)
+    # rows: target 0, target 1, then the landmark
+    assert m.shape == (2 * 2 + 2,)
+    assert m[4:].shape == (2,)
     # with a zeroed noise draw the measurement is position + bias; with
     # real noise it stays within a few sigmas
     t0 = lay.target_indices(0)
     expected = truth[[t0[0], t0[2]]] + agents[0].bias
-    assert np.all(np.abs(m.z_targets[0] - expected) < 6.0)
+    assert np.all(np.abs(m[:2] - expected) < 6.0)
 
 
 def test_local_filter_step_matches_manual_kalman():
@@ -194,21 +197,35 @@ def test_local_filter_step_matches_manual_kalman():
                                rtol=1e-8, atol=1e-9)
 
 
-def test_stack_measurements_order_matches_model():
-    scn = tiny_scenario()
+@pytest.mark.parametrize("assignments", [None, ((1, 0), (1,))])
+def test_measurement_rows_follow_the_models(assignments):
+    scn = tiny_scenario(assignments=assignments)
     lay = scn.layout()
     from cofusion.sim import _make_agents
 
-    agents = _make_agents(scn, np.zeros((2, 2)))
-    model = agent_filter_model(agents[1], lay, scn.dt, scn.q)
-    rng = np.random.default_rng(4)
-    truth = rng.standard_normal(lay.dim)
-    per_agent = {a.id: measure(a, truth, lay, rng, noise_factors(a)) for a in agents}
-    z = stack_measurements(model, per_agent)
-    m1 = per_agent[1]
-    np.testing.assert_array_equal(z[:2], m1.z_targets[0])
-    np.testing.assert_array_equal(z[2:4], m1.z_targets[1])
-    np.testing.assert_array_equal(z[4:], m1.landmark)
+    agents = _make_agents(scn, np.array([[1.0, -1.0], [0.0, 0.5]]))
+    models = [agent_filter_model(a, lay, scn.dt, scn.q) for a in agents]
+    truth = np.random.default_rng(4).standard_normal(lay.dim)
+    for a in agents:
+        truth[lay.bias_indices(a.id)] = a.bias
+    # without noise an agent measures exactly H x, row for row
+    zero = (np.zeros((2, 2)), np.zeros((2, 2)))
+    z = [measure(a, truth, lay, np.random.default_rng(5), zero) for a in agents]
+    for zi, m in zip(z, models):
+        np.testing.assert_array_equal(zi, m.h @ truth)
+    # the agents' row blocks tile the centralized rows in id order
+    central = centralized_model(models)
+    r = np.zeros_like(central.r)
+    at = 0
+    for m in models:
+        rows = slice(at, at + m.h.shape[0])
+        np.testing.assert_array_equal(central.h[rows], m.h)
+        r[rows, rows] = m.r
+        at = rows.stop
+    assert at == central.h.shape[0]
+    np.testing.assert_array_equal(central.r, r)
+    np.testing.assert_array_equal(np.concatenate(z), central.h @ truth)
+    assert draw_run(scn, 0).meas.shape == (scn.n_steps, at)
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +233,7 @@ def test_stack_measurements_order_matches_model():
 
 def test_build_partition_schemes_cover_state():
     scn = tiny_scenario()
-    for scheme in ("group_target_bias", "group_axes", "per_target_bias"):
+    for scheme in ("group_target_bias", "group_axes"):
         part = build_partition(scn, scheme)
         assert part.dim == scn.layout().dim
 
@@ -225,12 +242,6 @@ def test_group_target_bias_blocks():
     scn = tiny_scenario()
     part = build_partition(scn, "group_target_bias")
     assert part.blocks == ((0, 1, 2, 3, 4, 5, 6, 7), (8, 9, 10, 11))
-
-
-def test_per_target_bias_blocks():
-    scn = tiny_scenario()
-    part = build_partition(scn, "per_target_bias")
-    assert part.blocks == ((0, 1, 2, 3), (4, 5, 6, 7), (8, 9), (10, 11))
 
 
 def test_group_axes_blocks_split_by_axis():
@@ -362,10 +373,14 @@ def _reference_run(scn, run_idx, method):
     lay = scn.layout()
     draws = draw_run(scn, run_idx)
     part = build_partition(scn)
+    agent_models = [agent_filter_model(a, lay, scn.dt, scn.q) for a in draws.agents]
     if method == "centralized":
-        models = [centralized_model(scn, draws.agents)]
+        models, rows = [centralized_model(agent_models)], [slice(None)]
     else:
-        models = [agent_filter_model(a, lay, scn.dt, scn.q) for a in draws.agents]
+        # each agent's rows follow the previous agent's
+        ends = np.cumsum([m.h.shape[0] for m in agent_models])
+        models = agent_models
+        rows = [slice(e - m.h.shape[0], e) for m, e in zip(models, ends)]
     beliefs = [GaussianEstimate(draws.prior_mean, _prior_covariance(scn), lay.labels())
                for _ in models]
     pos = lay.position_indices()
@@ -375,8 +390,8 @@ def _reference_run(scn, run_idx, method):
     out["est_std"] = np.empty(shape + (lay.dim,))
     omega = []
     for k in range(scn.n_steps):
-        beliefs = [local_filter_step(b, m, stack_measurements(m, draws.meas[k]))
-                   for b, m in zip(beliefs, models)]
+        beliefs = [local_filter_step(b, m, draws.meas[k, rs])
+                   for b, m, rs in zip(beliefs, models, rows)]
         if method in ("CI", "nmCI"):
             beliefs, recs = fusion_round(beliefs, scn.edges, method, k, part,
                                          strict=partition_is_exact(scn))
