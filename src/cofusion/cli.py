@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from .core import (BlockPartition, ConfigError, CrossSparsityPattern,
                    FusionError, GaussianEstimate, NotPositiveDefiniteError,
-                   SamplingError, SolverError, partition_from_sparsity)
+                   SamplingError, SolverError, parsing, partition_from_sparsity)
 from .fusion import ci_fuse, exact_fuse, nmci_fuse
 from .sdp import robust_fuse
 from .metrics import (OMEGA_CSV_COLUMNS, SWEEP_CSV_COLUMNS, TRACK_CSV_COLUMNS,
@@ -88,7 +88,11 @@ def _utc_now() -> str:
 
 
 def _make_output_dir(base, name: str) -> Path:
-    """Create a fresh timestamped directory; never reuse an existing one."""
+    """Create a fresh timestamped directory; never reuse an existing one.
+
+    Commands call this once their run has succeeded, so a failed command
+    leaves no empty directory behind.
+    """
     stamp = _dt.datetime.now(_dt.timezone.utc).strftime("%Y%m%d-%H%M%S")
     root = Path(base)
     root.mkdir(parents=True, exist_ok=True)
@@ -145,26 +149,27 @@ def _load_comparison_config(d: dict) -> dict:
     unknown = set(d) - required - optional
     if unknown:
         raise ConfigError(f"unknown comparison keys: {sorted(unknown)}")
-    cfg = {"name": d.get("name", "comparison"),
-           "p_a": np.asarray(d["p_a"], dtype=float),
-           "p_b": np.asarray(d["p_b"], dtype=float),
-           "n_values": [int(n) for n in d["n_values"]],
-           "mc_runs": int(d["mc_runs"]),
-           "seed": int(d["seed"]),
-           "solver_tol": float(d.get("solver_tol", 1e-6)),
-           "solver_max_iters": int(d.get("solver_max_iters", 200))}
-    if cfg["p_a"].ndim != 2 or cfg["p_a"].shape[0] != cfg["p_a"].shape[1]:
-        raise ConfigError("p_a must be a square matrix")
-    if cfg["p_b"].ndim != 2 or cfg["p_b"].shape[0] != cfg["p_b"].shape[1]:
-        raise ConfigError("p_b must be a square matrix")
-    zeros = []
-    for pair in d["zero_indices"]:
-        if (not isinstance(pair, (list, tuple)) or len(pair) != 2):
-            raise ConfigError("zero_indices entries must be [row, col] pairs")
-        zeros.append((int(pair[0]), int(pair[1])))
-    cfg["pattern"] = CrossSparsityPattern(cfg["p_a"].shape[0],
-                                          cfg["p_b"].shape[0],
-                                          frozenset(zeros))
+    with parsing("comparison config"):
+        cfg = {"name": d.get("name", "comparison"),
+               "p_a": np.asarray(d["p_a"], dtype=float),
+               "p_b": np.asarray(d["p_b"], dtype=float),
+               "n_values": [int(n) for n in d["n_values"]],
+               "mc_runs": int(d["mc_runs"]),
+               "seed": int(d["seed"]),
+               "solver_tol": float(d.get("solver_tol", 1e-6)),
+               "solver_max_iters": int(d.get("solver_max_iters", 200))}
+        if cfg["p_a"].ndim != 2 or cfg["p_a"].shape[0] != cfg["p_a"].shape[1]:
+            raise ConfigError("p_a must be a square matrix")
+        if cfg["p_b"].ndim != 2 or cfg["p_b"].shape[0] != cfg["p_b"].shape[1]:
+            raise ConfigError("p_b must be a square matrix")
+        zeros = []
+        for pair in d["zero_indices"]:
+            if (not isinstance(pair, (list, tuple)) or len(pair) != 2):
+                raise ConfigError("zero_indices entries must be [row, col] pairs")
+            zeros.append((int(pair[0]), int(pair[1])))
+        cfg["pattern"] = CrossSparsityPattern(cfg["p_a"].shape[0],
+                                              cfg["p_b"].shape[0],
+                                              frozenset(zeros))
     return cfg
 
 
@@ -175,7 +180,8 @@ def _load_cross_matrix(path) -> np.ndarray:
             raise ConfigError(f"{path}: cross-covariance object needs a "
                               f"'matrix' key")
         d = d["matrix"]
-    arr = np.asarray(d, dtype=float)
+    with parsing(f"cross-covariance in {path}"):
+        arr = np.asarray(d, dtype=float)
     if arr.ndim != 2:
         raise ConfigError(f"{path}: cross-covariance must be a 2-d matrix")
     return arr
@@ -225,7 +231,6 @@ def _cmd_compare(args) -> int:
         cfg["mc_runs"] = args.mc
     if args.n is not None:
         cfg["n_values"] = [args.n]
-    out_dir = _make_output_dir(args.out, cfg["name"])
     manifest = RunManifest(command="compare", config=origin,
                            seed=cfg["seed"], started=_utc_now())
     with manifest.timed("run"):
@@ -233,6 +238,7 @@ def _cmd_compare(args) -> int:
             cfg["p_a"], cfg["p_b"], cfg["pattern"], cfg["n_values"],
             cfg["mc_runs"], cfg["seed"], solver_tol=cfg["solver_tol"],
             solver_max_iters=cfg["solver_max_iters"], jobs=args.jobs)
+    out_dir = _make_output_dir(args.out, cfg["name"])
     with manifest.timed("write"):
         write_csv(out_dir / "sweep.csv", SWEEP_CSV_COLUMNS, sweep_blocks(stats.rows))
         summary = {"name": cfg["name"], "seed": cfg["seed"],
@@ -255,7 +261,6 @@ def _cmd_track(args) -> int:
             raise ConfigError(f"unknown method {args.method!r}; "
                               f"choose from {list(METHODS)}")
         methods = (args.method,)
-    out_dir = _make_output_dir(args.out, scenario.name)
     seed = scenario.seed if args.seed is None else args.seed
     manifest = RunManifest(command="track", config=origin,
                            seed=seed, started=_utc_now())
@@ -267,6 +272,7 @@ def _cmd_track(args) -> int:
              ("truth.csv", TRUTH_CSV_COLUMNS, truth_blocks)]
     if any(rec["est_mean"] is not None for r in data.runs for rec in r["methods"].values()):
         files.append(("estimates.csv", ESTIMATE_CSV_COLUMNS, estimate_blocks))
+    out_dir = _make_output_dir(args.out, scenario.name)
     with manifest.timed("write"):
         for name, columns, blocks in files:
             write_csv(out_dir / name, columns, blocks(data))

@@ -10,7 +10,8 @@ here so the rest of the package can assume clean inputs.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
+from contextlib import contextmanager
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Sequence
 
@@ -49,6 +50,22 @@ class SamplingError(FusionError, RuntimeError):
 
 class SolverError(FusionError, RuntimeError):
     """The semidefinite solver could not produce a usable iterate."""
+
+
+@contextmanager
+def parsing(what: str):
+    """Raise a KeyError, TypeError or ValueError from reading ``what`` as ConfigError.
+
+    The package's own errors pass through as they are.
+    """
+    try:
+        yield
+    except FusionError:
+        raise
+    except KeyError as exc:
+        raise ConfigError(f"{what} is missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed {what}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -134,12 +151,8 @@ class GaussianEstimate:
     labels: tuple[str, ...] = ()
 
     def __post_init__(self):
-        self._validate(check_eigenvalues=True)
-
-    def _validate(self, check_eigenvalues: bool) -> None:
         mean = np.asarray(self.mean, dtype=float).reshape(-1)
-        check = check_spd if check_eigenvalues else check_symmetric
-        cov = check(self.covariance, name="covariance")
+        cov = check_spd(self.covariance, name="covariance")
         if cov.shape[0] != mean.shape[0]:
             raise DimensionError(
                 f"mean has {mean.shape[0]} entries but covariance is {cov.shape[0]}x{cov.shape[0]}")
@@ -161,9 +174,8 @@ class GaussianEstimate:
     def marginal(self, indices: Sequence[int]) -> "GaussianEstimate":
         """Sub-estimate over the given state indices, in the given order."""
         idx = list(indices)
-        return _derived(GaussianEstimate, mean=self.mean[idx],
-                        covariance=self.covariance[np.ix_(idx, idx)],
-                        labels=tuple(self.labels[i] for i in idx))
+        return GaussianEstimate(self.mean[idx], self.covariance[np.ix_(idx, idx)],
+                                tuple(self.labels[i] for i in idx))
 
     def reindex(self, labels: Sequence[str]) -> "GaussianEstimate":
         """Reorder the state entries to match another estimate's labels."""
@@ -180,12 +192,10 @@ class GaussianEstimate:
 
     @classmethod
     def from_dict(cls, d: dict) -> "GaussianEstimate":
-        try:
+        with parsing("estimate mapping"):
             return cls(np.asarray(d["mean"], dtype=float),
                        np.asarray(d["covariance"], dtype=float),
                        tuple(d.get("labels") or ()))
-        except KeyError as exc:
-            raise ConfigError(f"estimate mapping is missing key {exc}") from exc
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -235,10 +245,8 @@ class BlockPartition:
 
     @classmethod
     def from_dict(cls, d: dict) -> "BlockPartition":
-        try:
+        with parsing("partition mapping"):
             return cls(tuple(tuple(b) for b in d["blocks"]))
-        except KeyError as exc:
-            raise ConfigError(f"partition mapping is missing key {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -285,11 +293,9 @@ class CrossSparsityPattern:
 
     @classmethod
     def from_dict(cls, d: dict) -> "CrossSparsityPattern":
-        try:
+        with parsing("pattern mapping"):
             return cls(int(d["dim_a"]), int(d["dim_b"]),
                        frozenset((int(i), int(j)) for i, j in d.get("zero_indices", [])))
-        except KeyError as exc:
-            raise ConfigError(f"pattern mapping is missing key {exc}") from exc
 
 
 def partition_to_sparsity(partition: BlockPartition) -> CrossSparsityPattern:
@@ -428,9 +434,6 @@ class FusionResult:
     diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self._validate(check_eigenvalues=True)
-
-    def _validate(self, check_eigenvalues: bool) -> None:
         ga = np.asarray(self.gain_a, dtype=float)
         gb = np.asarray(self.gain_b, dtype=float)
         if ga.shape != gb.shape or ga.ndim != 2 or ga.shape[0] != ga.shape[1]:
@@ -441,8 +444,7 @@ class FusionResult:
         bound = check_symmetric(self.bound, name="bound")
         if bound.shape[0] != d:
             raise DimensionError("bound size does not match the gains")
-        if check_eigenvalues and \
-                min_eigenvalue(bound) < -PD_RTOL * max(float(np.linalg.norm(bound, 2)), 1.0):
+        if min_eigenvalue(bound) < -PD_RTOL * max(float(np.linalg.norm(bound, 2)), 1.0):
             raise NotPositiveDefiniteError("bound must be positive semidefinite")
         mean = np.asarray(self.fused_mean, dtype=float).reshape(-1)
         if mean.shape[0] != d:
@@ -472,21 +474,6 @@ class FusionResult:
             "omega": None if self.omega is None else self.omega.tolist(),
             "diagnostics": _jsonable(self.diagnostics),
         }
-
-
-def _derived(cls, **values):
-    """Build a GaussianEstimate or FusionResult from values the package derived.
-
-    Runs every check of the public constructor except the eigenvalue test of
-    the covariance or bound, which values derived from validated estimates
-    pass by construction: a principal submatrix of an SPD matrix is SPD,
-    and so is the inverse of a positive combination of SPD informations.
-    """
-    obj = object.__new__(cls)
-    for f in fields(cls):
-        object.__setattr__(obj, f.name, values[f.name])
-    obj._validate(check_eigenvalues=False)
-    return obj
 
 
 def _jsonable(obj):

@@ -4,6 +4,10 @@ Covariance intersection with a trace-optimal weight, its block-wise
 variant for estimates whose unknown correlation cannot couple different
 state blocks, and the minimum-variance rule for the (rare) case where
 the cross-covariance is actually known.
+
+``ci_fuse``, ``nmci_fuse`` and ``optimize_ci_omega`` check their inputs
+and wrap a private core on covariance arrays (``_omega``, ``_ci``,
+``_nmci``), which the tracker calls directly on its filters' covariances.
 """
 
 from __future__ import annotations
@@ -18,13 +22,14 @@ from .core import (
     GaussianEstimate,
     JointCovariance,
     NotPositiveDefiniteError,
-    _derived,
     check_spd,
     min_eigenvalue,
     symmetrize,
 )
 
 OMEGA_TOL = 1e-8
+# relative off-block Frobenius mass block-wise fusion tolerates as zero
+OFF_BLOCK_TOL = 1e-9
 # relative objective difference below which two weights count as tied
 _TIE_RTOL = 1e-12
 
@@ -55,23 +60,9 @@ def _trace_terms(p_a: np.ndarray, p_b: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return np.sum((low_a @ zt.T) ** 2, axis=0), np.sum((low_b @ u) ** 2, axis=0)
 
 
-def optimize_ci_omega(p_a: np.ndarray | GaussianEstimate, p_b: np.ndarray | GaussianEstimate,
-                      tol: float = OMEGA_TOL) -> float:
-    """Weight minimizing the trace of the intersected covariance.
-
-    ``p_a`` and ``p_b`` are covariance matrices, checked here, or
-    GaussianEstimate values, whose covariances were checked when built.
-    Two Cholesky factors and one SVD diagonalize both inputs at once, which
-    turns the objective f(w) = trace((w*P_a^-1 + (1-w)*P_b^-1)^-1) into a
-    scalar sum (Niehsen, FUSION 2002; Reinhardt, Noack & Hanebeck, FUSION
-    2012).  f is convex on [0, 1], so its minimum is an endpoint where f'
-    does not change sign, else the root of f', found by Newton steps
-    safeguarded by bisection.  Exact ties (e.g. P_a == P_b) resolve to
-    0.5; minima within tol of an endpoint snap onto it.
-    """
-    covs = [x.covariance if isinstance(x, GaussianEstimate) else check_spd(x, name=name)
-            for x, name in ((p_a, "P_a"), (p_b, "P_b"))]
-    a, b = _trace_terms(*covs)
+def _omega(p_a: np.ndarray, p_b: np.ndarray, tol: float = OMEGA_TOL) -> float:
+    """``optimize_ci_omega`` on covariances known to be SPD, without checking them."""
+    a, b = _trace_terms(p_a, p_b)
     ab, gap = a * b, b - a
 
     def f(w: float) -> float:
@@ -108,6 +99,84 @@ def optimize_ci_omega(p_a: np.ndarray | GaussianEstimate, p_b: np.ndarray | Gaus
     return w
 
 
+def _ci(p_a: np.ndarray, p_b: np.ndarray, w: float) -> tuple[np.ndarray, np.ndarray]:
+    """(gain of a, intersected covariance) of SPD covariances at weight w.
+
+    At w = 0 (or 1) the bound is P_b (or P_a) itself; no solve is attempted.
+    """
+    d = p_a.shape[0]
+    if w == 0.0:
+        return np.zeros((d, d)), p_b
+    if w == 1.0:
+        return np.eye(d), p_a
+    # with S = w*P_b + (1-w)*P_a, the intersected covariance is
+    # P_b S^-1 P_a and the gain of a is w * P_b S^-1
+    pb_sinv = np.linalg.solve(w * p_b + (1.0 - w) * p_a, p_b).T
+    return w * pb_sinv, symmetrize(pb_sinv @ p_a)
+
+
+def _nmci(p_a: np.ndarray, p_b: np.ndarray, partition: BlockPartition, strict: bool,
+          tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[float, float]]:
+    """Block-wise intersection of SPD covariances over a partition of their states.
+
+    Returns (per-block weights, gain of a, bound, relative off-block mass
+    dropped from P_a and P_b).  Off-block mass above tol (relative
+    Frobenius) is an error in strict mode and dropped in lenient mode;
+    dropping it leaves every block marginal as it is.
+    """
+    d = p_a.shape[0]
+    off = np.ones((d, d), dtype=bool)
+    for blk in partition.blocks:
+        off[np.ix_(blk, blk)] = False
+    dropped = []
+    for p, which in ((p_a, "A"), (p_b, "B")):
+        rel = float(np.linalg.norm(p[off])) / max(float(np.linalg.norm(p)), 1e-300)
+        if rel <= tol:
+            rel = 0.0
+        elif strict:
+            raise DimensionError(
+                f"covariance {which} couples different partition blocks "
+                f"(relative off-block mass {rel:.2e} > {tol:g}); "
+                "use lenient mode to drop the coupling")
+        dropped.append(rel)
+    gain_a = np.zeros((d, d))
+    bound = np.zeros((d, d))
+    omegas = np.zeros(partition.n_blocks)
+    for k, blk in enumerate(partition.blocks):
+        ix = np.ix_(blk, blk)
+        sub_a, sub_b = p_a[ix], p_b[ix]
+        omegas[k] = _omega(sub_a, sub_b)
+        gain_a[ix], bound[ix] = _ci(sub_a, sub_b, omegas[k])
+    return omegas, gain_a, bound, tuple(dropped)
+
+
+def _fused_mean(gain_a: np.ndarray, mean_a: np.ndarray, mean_b: np.ndarray) -> np.ndarray:
+    """b's mean moved toward a's by gain_a, for (..., d) stacks of means.
+
+    Rows where b gets no weight (gain_a's row is the identity's) keep a's
+    mean as it is, so a weight of 1 returns a's mean exactly.
+    """
+    fused = mean_b + (gain_a @ (mean_a - mean_b)[..., None])[..., 0]
+    kept = np.all(gain_a == np.eye(gain_a.shape[0]), axis=1)
+    fused[..., kept] = mean_a[..., kept]
+    return fused
+
+
+def optimize_ci_omega(p_a: np.ndarray, p_b: np.ndarray, tol: float = OMEGA_TOL) -> float:
+    """Weight minimizing the trace of the intersected covariance.
+
+    ``p_a`` and ``p_b`` are covariance matrices; both must be SPD.  Two
+    Cholesky factors and one SVD diagonalize both inputs at once, which
+    turns the objective f(w) = trace((w*P_a^-1 + (1-w)*P_b^-1)^-1) into a
+    scalar sum (Niehsen, FUSION 2002; Reinhardt, Noack & Hanebeck, FUSION
+    2012).  f is convex on [0, 1], so its minimum is an endpoint where f'
+    does not change sign, else the root of f', found by Newton steps
+    safeguarded by bisection.  Exact ties (e.g. P_a == P_b) resolve to
+    0.5; minima within tol of an endpoint snap onto it.
+    """
+    return _omega(check_spd(p_a, name="P_a"), check_spd(p_b, name="P_b"), tol)
+
+
 def ci_fuse(a: GaussianEstimate, b: GaussianEstimate,
             omega: float | None = None) -> FusionResult:
     """Covariance intersection of two same-state estimates.
@@ -120,33 +189,20 @@ def ci_fuse(a: GaussianEstimate, b: GaussianEstimate,
     _check_same_labels(a, b)
     source = "given"
     if omega is None:
-        omega = optimize_ci_omega(a, b)
+        omega = _omega(a.covariance, b.covariance)
         source = "optimized"
     w = float(omega)
     if not (0.0 <= w <= 1.0):
         raise DimensionError(f"omega must lie in [0, 1], got {w}")
-    d = a.dim
-    eye = np.eye(d)
-    if w == 0.0:
-        ga, bound, mean = np.zeros((d, d)), np.array(b.covariance), np.array(b.mean)
-    elif w == 1.0:
-        ga, bound, mean = eye.copy(), np.array(a.covariance), np.array(a.mean)
-    else:
-        # with S = w*P_b + (1-w)*P_a, the intersected covariance is
-        # P_b S^-1 P_a and the gain of a is w * P_b S^-1
-        pb_sinv = np.linalg.solve(w * b.covariance + (1.0 - w) * a.covariance,
-                                  b.covariance).T
-        bound = symmetrize(pb_sinv @ a.covariance)
-        ga = w * pb_sinv
-        mean = b.mean + ga @ (a.mean - b.mean)
-    return _derived(
-        FusionResult, gain_a=ga, gain_b=eye - ga, fused_mean=mean, bound=bound,
-        method=FusionMethod.CI, omega=np.array([w]),
+    ga, bound = _ci(a.covariance, b.covariance, w)
+    return FusionResult(
+        gain_a=ga, gain_b=np.eye(a.dim) - ga, fused_mean=_fused_mean(ga, a.mean, b.mean),
+        bound=bound, method=FusionMethod.CI, omega=np.array([w]),
         diagnostics={"omega_source": source, "trace": float(np.trace(bound))})
 
 
 def nmci_fuse(a: GaussianEstimate, b: GaussianEstimate, partition: BlockPartition,
-              *, strict: bool = True, tol: float = 1e-9) -> FusionResult:
+              *, strict: bool = True, tol: float = OFF_BLOCK_TOL) -> FusionResult:
     """Block-wise covariance intersection with an independent weight per block.
 
     Valid when each input covariance is block-diagonal over ``partition``
@@ -160,41 +216,10 @@ def nmci_fuse(a: GaussianEstimate, b: GaussianEstimate, partition: BlockPartitio
     if partition.dim != a.dim:
         raise DimensionError(
             f"partition covers {partition.dim} states but estimates have {a.dim}")
-
-    off = np.ones((a.dim, a.dim), dtype=bool)
-    for blk in partition.blocks:
-        off[np.ix_(blk, blk)] = False
-
-    def _dropped(est: GaussianEstimate, which: str) -> float:
-        mass = float(np.linalg.norm(est.covariance[off]))
-        rel = mass / max(float(np.linalg.norm(est.covariance)), 1e-300)
-        if rel <= tol:
-            return 0.0
-        if strict:
-            raise DimensionError(
-                f"covariance {which} couples different partition blocks "
-                f"(relative off-block mass {rel:.2e} > {tol:g}); "
-                "use lenient mode to drop the coupling")
-        return rel
-
-    dropped_a = _dropped(a, "A")
-    dropped_b = _dropped(b, "B")
-
-    # dropping the off-block entries leaves every block marginal as it is
-    d = a.dim
-    gain_a = np.zeros((d, d))
-    bound = np.zeros((d, d))
-    mean = np.zeros(d)
-    omegas = np.zeros(partition.n_blocks)
-    for k, blk in enumerate(partition.blocks):
-        sub = ci_fuse(a.marginal(blk), b.marginal(blk))
-        ix = np.ix_(blk, blk)
-        gain_a[ix] = sub.gain_a
-        bound[ix] = sub.bound
-        mean[list(blk)] = sub.fused_mean
-        omegas[k] = float(sub.omega[0])
-    return _derived(
-        FusionResult, gain_a=gain_a, gain_b=np.eye(d) - gain_a, fused_mean=mean,
+    omegas, ga, bound, (dropped_a, dropped_b) = _nmci(
+        a.covariance, b.covariance, partition, strict, tol)
+    return FusionResult(
+        gain_a=ga, gain_b=np.eye(a.dim) - ga, fused_mean=_fused_mean(ga, a.mean, b.mean),
         bound=bound, method=FusionMethod.NMCI, omega=omegas,
         diagnostics={"strict": strict, "dropped_mass_a": dropped_a,
                      "dropped_mass_b": dropped_b, "trace": float(np.trace(bound))})

@@ -22,10 +22,11 @@ and each agent's filter reads its own contiguous block.
 Covariances, Kalman gains, intersection weights and fusion gains never
 depend on the data: the Riccati recursion runs the same in every
 Monte-Carlo run.  So each method steps all runs in lockstep.  One
-covariance pass per scenario does one filter update per agent and one
-fusion per edge, and applies their gains to a (runs, agents, d) array of
-means; NEES solves every run against one factorization per step and
-agent.
+covariance pass per scenario carries each filter's covariance as a plain
+array, does one filter update per agent and one fusion per edge through
+the array core behind ``ci_fuse``/``nmci_fuse``, and applies their gains
+to a (runs, agents, d) array of means; NEES solves every run against one
+factorization per step and agent.
 """
 
 from __future__ import annotations
@@ -40,12 +41,12 @@ from .core import (
     ConfigError,
     FusionError,
     GaussianEstimate,
-    _derived,
     check_spd,
     make_substream,
+    parsing,
     symmetrize,
 )
-from .fusion import ci_fuse, nmci_fuse
+from .fusion import OFF_BLOCK_TOL, _ci, _fused_mean, _nmci, _omega, ci_fuse, nmci_fuse
 from .sdp import robust_fuse  # noqa: F401  (perfbench/tracing.py wraps sim.robust_fuse)
 from . import metrics as _metrics
 
@@ -122,18 +123,6 @@ def global_transition(layout: StateLayout, dt: float, q: float) -> tuple[np.ndar
         f[ix] = phi
         qn[ix] = q4
     return f, qn
-
-
-def propagate_truth(state, dt: float, q: float, rng: np.random.Generator) -> np.ndarray:
-    """One nearly-constant-velocity step of a single 4-dim target state."""
-    state = np.asarray(state, dtype=float).reshape(4)
-    if dt <= 0:
-        raise ConfigError("dt must be positive")
-    phi, qn = target_transition(dt, q)
-    out = phi @ state
-    if q > 0:
-        out = out + np.linalg.cholesky(qn) @ rng.standard_normal(4)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -304,23 +293,21 @@ class ScenarioConfig:
         if unknown:
             raise ConfigError(f"unknown scenario keys: {sorted(unknown)}")
         kw = {k: v for k, v in d.items() if k != "schema"}
-        if "groups" in kw:
-            parsed = []
-            for g in kw["groups"]:
-                if not isinstance(g, dict) or set(g) != {"agents", "targets"}:
-                    raise ConfigError("each group needs exactly the keys agents, targets")
-                parsed.append(GroupSpec(tuple(g["agents"]), tuple(g["targets"])))
-            kw["groups"] = tuple(parsed)
-        if "edges" in kw:
-            kw["edges"] = tuple(tuple(e) for e in kw["edges"])
-        if kw.get("assignments") is not None:
-            kw["assignments"] = tuple(tuple(t) for t in kw["assignments"])
-        if "methods" in kw:
-            kw["methods"] = tuple(kw["methods"])
-        try:
+        with parsing("scenario config"):
+            if "groups" in kw:
+                parsed = []
+                for g in kw["groups"]:
+                    if not isinstance(g, dict) or set(g) != {"agents", "targets"}:
+                        raise ConfigError("each group needs exactly the keys agents, targets")
+                    parsed.append(GroupSpec(tuple(g["agents"]), tuple(g["targets"])))
+                kw["groups"] = tuple(parsed)
+            if "edges" in kw:
+                kw["edges"] = tuple(tuple(e) for e in kw["edges"])
+            if kw.get("assignments") is not None:
+                kw["assignments"] = tuple(tuple(t) for t in kw["assignments"])
+            if "methods" in kw:
+                kw["methods"] = tuple(kw["methods"])
             return cls(**kw)
-        except TypeError as exc:
-            raise ConfigError(str(exc)) from exc
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -495,37 +482,15 @@ def partition_is_exact(scenario: ScenarioConfig, scheme: str | None = None) -> b
 # ---------------------------------------------------------------------------
 # fusion round
 
-def _fuse_edges(beliefs: list[GaussianEstimate], edges, method: str, step: int,
-                partition: BlockPartition, *, strict: bool):
-    """Fuse along every edge in order, replacing both endpoints in ``beliefs``.
-
-    Yields (i, j, result) after each edge, so a caller can apply the
-    gains to means it keeps elsewhere.
-    """
-    for i, j in edges:
-        a, b = beliefs[i], beliefs[j]
-        try:
-            if method == "CI":
-                res = ci_fuse(a, b)
-            else:
-                res = nmci_fuse(a, b, partition, strict=strict)
-        except FusionError as exc:
-            raise FusionError(
-                f"fusion failed on edge ({i}, {j}) at step {step}: {exc}") from exc
-        # both rules' bounds are SPD by construction: the inverse of a
-        # positive information combination
-        fused = _derived(GaussianEstimate, mean=res.fused_mean, covariance=res.bound,
-                         labels=a.labels)
-        beliefs[i] = fused
-        beliefs[j] = fused
-        yield i, j, res
-
-
-def _weight_records(res, method: str, step: int, i: int, j: int) -> list[dict]:
+def _weight_records(omegas, method: str, step: int, i: int, j: int) -> list[dict]:
     """One weight record per edge, or per block for the block-wise method."""
     return [{"step": step, "edge": f"{i}-{j}", "block": blk,
              "omega": float(w), "method": method}
-            for blk, w in enumerate(res.omega)]
+            for blk, w in enumerate(omegas)]
+
+
+def _edge_failure(exc: FusionError, i: int, j: int, step: int) -> FusionError:
+    return FusionError(f"fusion failed on edge ({i}, {j}) at step {step}: {exc}")
 
 
 def fusion_round(beliefs: list[GaussianEstimate], edges, method: str, step: int,
@@ -546,8 +511,16 @@ def fusion_round(beliefs: list[GaussianEstimate], edges, method: str, step: int,
         raise ConfigError(f"fusion_round cannot run method {method!r}")
     out = list(beliefs)
     records: list[dict] = []
-    for i, j, res in _fuse_edges(out, edges, method, step, partition, strict=strict):
-        records += _weight_records(res, method, step, i, j)
+    for i, j in edges:
+        try:
+            if method == "CI":
+                res = ci_fuse(out[i], out[j])
+            else:
+                res = nmci_fuse(out[i], out[j], partition, strict=strict)
+        except FusionError as exc:
+            raise _edge_failure(exc, i, j, step) from exc
+        out[i] = out[j] = GaussianEstimate(res.fused_mean, res.bound, out[i].labels)
+        records += _weight_records(res.omega, method, step, i, j)
     return out, records
 
 
@@ -637,12 +610,16 @@ def draw_run(scenario: ScenarioConfig, run_idx: int) -> RunDraws:
     truth = np.empty((steps, d))
     meas = []
     factors = [noise_factors(a) for a in agents]
+    phi, qn = target_transition(scenario.dt, scenario.q)
+    lq = np.linalg.cholesky(qn) if scenario.q > 0 else None
     xk = x
     for k in range(steps):
         nxt = xk.copy()
         for t in range(n_t):
             ti = layout.target_indices(t)
-            nxt[ti] = propagate_truth(xk[ti], scenario.dt, scenario.q, rng_truth)
+            nxt[ti] = phi @ xk[ti]
+            if lq is not None:
+                nxt[ti] += lq @ rng_truth.standard_normal(4)
         xk = nxt
         truth[k] = xk
         meas.append(np.concatenate([measure(a, xk, layout, rng_meas, f)
@@ -682,7 +659,7 @@ def _lockstep(scenario: ScenarioConfig, method: str, models: list[FilterModel],
     ``cov_trace``, ``est_std``, ``omega``) are shared between them.
     """
     layout = scenario.layout()
-    d, labels, steps = layout.dim, layout.labels(), scenario.n_steps
+    d, steps = layout.dim, scenario.n_steps
     pos_idx = layout.position_indices()
     if method == "centralized":
         z = [meas]
@@ -699,9 +676,7 @@ def _lockstep(scenario: ScenarioConfig, method: str, models: list[FilterModel],
     n_runs, cols = len(truth), len(models)
 
     means = np.repeat(prior_mean[:, None, :], cols, axis=1)
-    zero = np.zeros(d)
-    # the beliefs carry the shared covariances; their means stay zero
-    beliefs = [GaussianEstimate(zero, _prior_covariance(scenario), labels)] * cols
+    covs = [_prior_covariance(scenario)] * cols
 
     nees = np.empty((n_runs, steps, cols))
     pos_err = np.empty((n_runs, steps, cols))
@@ -713,25 +688,31 @@ def _lockstep(scenario: ScenarioConfig, method: str, models: list[FilterModel],
 
     for k in range(steps):
         for c, model in enumerate(models):
-            cov, gain = _covariance_step(beliefs[c].covariance, model)
-            beliefs[c] = GaussianEstimate(zero, cov, labels)
+            cov, gain = _covariance_step(covs[c], model)
+            # an estimate runs this check when built; a filter that loses
+            # definiteness signals a misconfigured scenario
+            covs[c] = check_spd(cov, name="covariance")
             pred = _per_run(model.f, means[:, c])
             means[:, c] = pred + _per_run(gain, z[c][:, k] - _per_run(model.h, pred))
         if fuses and (k + 1) > scenario.fusion_start \
                 and (k + 1 - scenario.fusion_start) % scenario.fusion_every == 0:
-            for i, j, res in _fuse_edges(beliefs, scenario.edges, method, k,
-                                         partition, strict=strict):
-                fused = means[:, j] + _per_run(res.gain_a, means[:, i] - means[:, j])
-                # where b gets no weight the rules return a's mean as it is
-                kept = ~res.gain_b.any(axis=1)
-                fused[:, kept] = means[:, i, kept]
-                means[:, i] = fused
-                means[:, j] = fused
-                records += _weight_records(res, method, k, i, j)
+            for i, j in scenario.edges:
+                p_a, p_b = covs[i], covs[j]
+                try:
+                    if method == "CI":
+                        omegas = [_omega(p_a, p_b)]
+                        gain_a, bound = _ci(p_a, p_b, omegas[0])
+                    else:
+                        omegas, gain_a, bound, _ = _nmci(p_a, p_b, partition, strict,
+                                                         OFF_BLOCK_TOL)
+                except FusionError as exc:
+                    raise _edge_failure(exc, i, j, k) from exc
+                means[:, i] = means[:, j] = _fused_mean(gain_a, means[:, i], means[:, j])
+                covs[i] = covs[j] = bound
+                records += _weight_records(omegas, method, k, i, j)
         err = means - truth[:, k, None, :]
         pos_err[:, k] = np.linalg.norm(err[:, :, pos_idx], axis=2)
-        for c in range(cols):
-            cov = beliefs[c].covariance
+        for c, cov in enumerate(covs):
             # one factorization of the covariance serves every run
             e = err[:, c].T
             nees[:, k, c] = np.sum(e * np.linalg.solve(cov, e), axis=0)
@@ -741,7 +722,7 @@ def _lockstep(scenario: ScenarioConfig, method: str, models: list[FilterModel],
         if rec_cols:
             est_mean[:, k] = means[:, rec_cols]
             for ri, c in enumerate(rec_cols):
-                est_std[k, ri] = np.sqrt(np.diag(beliefs[c].covariance))
+                est_std[k, ri] = np.sqrt(np.diag(covs[c]))
 
     return [{"nees": nees[r], "pos_err": pos_err[r], "avg2sig": avg2sig,
              "cov_trace": cov_trace, "omega": records,

@@ -305,3 +305,69 @@ def test_repeated_runs_never_reuse_an_output_directory(capsys, tmp_path):
         assert rc == 0
         dirs.append(out.strip())
     assert dirs[0] != dirs[1]
+
+
+# ---------------------------------------------------------------------------
+# malformed inputs and failed runs
+
+def _malformed_argv(tmp_path, kind, key, value):
+    """argv of a command reading a ``kind`` file whose ``key`` is set to ``value``."""
+    a = tmp_path / "a.json"
+    GaussianEstimate([0.0, 0.0], np.eye(2)).save(a)
+    runs = ["--out", str(tmp_path / "runs")]
+    if kind == "scenario":
+        path = _scenario_file(tmp_path)
+        argv = ["track", "--config", str(path), *runs]
+    elif kind == "comparison":
+        path = _comparison_config(tmp_path)
+        argv = ["compare", "--config", str(path), *runs]
+    elif kind == "estimate":
+        path = tmp_path / "b.json"
+        GaussianEstimate([0.0, 0.0], np.eye(2)).save(path)
+        argv = ["fuse", str(path), str(a)]
+    else:
+        path = tmp_path / f"{kind}.json"
+        path.write_text(json.dumps({"partition": {"blocks": [[0], [1]]},
+                                    "pattern": {"dim_a": 2, "dim_b": 2},
+                                    "cross": {"matrix": [[0.0, 0.0], [0.0, 0.0]]}}[kind]))
+        structure = {"partition": ["--method", "nmCI", "--partition"],
+                     "pattern": ["--method", "nmCI", "--pattern"],
+                     "cross": ["--method", "exact", "--cross"]}[kind]
+        argv = ["fuse", str(a), str(a), *structure, str(path)]
+    d = json.loads(path.read_text())
+    d[key] = value
+    path.write_text(json.dumps(d))
+    return argv
+
+
+@pytest.mark.parametrize("kind, key, value", [
+    ("scenario", "groups", 5),
+    ("scenario", "edges", [[0]]),
+    ("scenario", "r_target", "x"),
+    ("scenario", "assignments", [0, 1, 2, 3]),
+    ("scenario", "report_agent", "a"),
+    ("comparison", "mc_runs", "a"),
+    ("comparison", "p_a", "x"),
+    ("comparison", "zero_indices", 3),
+    ("comparison", "n_values", 5),
+    ("estimate", "mean", ["x", 0]),
+    ("estimate", "covariance", [[1.0, 0.0], [0.0]]),
+    ("partition", "blocks", 3),
+    ("pattern", "zero_indices", [[0]]),
+    ("cross", "matrix", [[0.0, 0.0], [0.0]]),
+])
+def test_malformed_input_files_are_config_errors(capsys, tmp_path, kind, key, value):
+    rc, _, err = _run(capsys, _malformed_argv(tmp_path, kind, key, value))
+    assert rc == 2
+    assert "error:" in err
+
+
+@pytest.mark.parametrize("argv", [["track", "--mc", "0"], ["compare", "--n", "0"],
+                                  ["compare", "--mc", "0"]])
+def test_failed_command_leaves_no_output_directory(capsys, tmp_path, argv):
+    out = tmp_path / "runs"
+    out.mkdir()
+    rc, _, err = _run(capsys, argv + ["--out", str(out)])
+    assert rc == 2
+    assert "error:" in err
+    assert list(out.iterdir()) == []

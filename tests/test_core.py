@@ -16,7 +16,6 @@ from cofusion.core import (
     JointCovariance,
     NotPositiveDefiniteError,
     NotSymmetricError,
-    _derived,
     check_spd,
     check_symmetric,
     cov_to_corr,
@@ -112,6 +111,12 @@ def test_estimate_rejects_bad_inputs():
     with pytest.raises(DimensionError):
         GaussianEstimate(np.array([np.inf, 0.0]), np.eye(2))
     with pytest.raises(DimensionError):
+        GaussianEstimate(np.array([np.nan, 0.0]), np.eye(2))
+    with pytest.raises(NotSymmetricError):
+        GaussianEstimate(np.zeros(2), np.array([[1.0, 0.5], [0.0, 1.0]]))
+    with pytest.raises(NotSymmetricError):
+        GaussianEstimate(np.zeros(2), np.array([[1.0, np.inf], [np.inf, 1.0]]))
+    with pytest.raises(DimensionError):
         GaussianEstimate(np.zeros(2), np.eye(2), labels=("a",))
     with pytest.raises(DimensionError):
         GaussianEstimate(np.zeros(2), np.eye(2), labels=("a", "a"))
@@ -136,30 +141,6 @@ def test_marginal_of_validated_estimate_is_bitwise_the_checked_one():
     np.testing.assert_array_equal(sub.covariance, checked.covariance)
     np.testing.assert_array_equal(sub.mean, checked.mean)
     assert not sub.covariance.flags.writeable
-
-
-def test_derived_values_skip_only_the_eigenvalue_test():
-    indefinite = np.diag([1.0, -1.0])
-    est = _derived(GaussianEstimate, mean=np.zeros(2), covariance=indefinite,
-                   labels=("a", "b"))
-    assert est.labels == ("a", "b") and not est.covariance.flags.writeable
-    res = _derived(FusionResult, gain_a=0.5 * np.eye(2), gain_b=0.5 * np.eye(2),
-                   fused_mean=np.zeros(2), bound=indefinite,
-                   method=FusionMethod.CI, omega=None, diagnostics={})
-    assert res.method is FusionMethod.CI
-    good = {"mean": np.zeros(2), "covariance": np.eye(2), "labels": ("a", "b")}
-    for bad, err in ((dict(mean=np.zeros(3)), DimensionError),
-                     (dict(mean=np.array([np.nan, 0.0])), DimensionError),
-                     (dict(covariance=np.array([[1.0, 0.5], [0.0, 1.0]])), NotSymmetricError),
-                     (dict(covariance=np.array([[1.0, np.inf], [np.inf, 1.0]])),
-                      NotSymmetricError),
-                     (dict(labels=("a", "a")), DimensionError)):
-        with pytest.raises(err):
-            _derived(GaussianEstimate, **{**good, **bad})
-    with pytest.raises(DimensionError):
-        _derived(FusionResult, gain_a=np.eye(2), gain_b=np.eye(2),
-                 fused_mean=np.zeros(2), bound=np.eye(2),
-                 method=FusionMethod.CI, omega=None, diagnostics={})
 
 
 def test_estimate_reindex_round_trip():

@@ -13,6 +13,8 @@ from cofusion.core import (
     is_conservative,
 )
 from cofusion.fusion import (
+    OFF_BLOCK_TOL,
+    _nmci,
     _trace_terms,
     ci_fuse,
     exact_fuse,
@@ -138,13 +140,6 @@ def test_public_entry_points_still_reject_non_spd():
         ci_fuse(est(np.zeros(2), indefinite), est(np.zeros(2), np.eye(2)))
 
 
-def test_optimize_omega_takes_estimates_like_their_covariances():
-    rng = np.random.default_rng(15)
-    pa, pb = rand_spd(rng, 5), rand_spd(rng, 5)
-    assert optimize_ci_omega(est(np.zeros(5), pa), est(np.zeros(5), pb)) \
-        == optimize_ci_omega(pa, pb)
-
-
 # ---------------------------------------------------------------------------
 # monolithic intersection
 
@@ -249,6 +244,36 @@ def test_nmci_block_means_match_per_block_ci():
         sub = ci_fuse(a.marginal(blk), b.marginal(blk))
         np.testing.assert_allclose(r.fused_mean[list(blk)], sub.fused_mean, rtol=1e-10)
         np.testing.assert_allclose(r.bound[np.ix_(blk, blk)], sub.bound, rtol=1e-10)
+
+
+@pytest.mark.parametrize("strict", [True, False])
+def test_nmci_core_equals_the_public_rule_bitwise(strict):
+    rng = np.random.default_rng(16)
+    part = BlockPartition(((0, 3), (1,), (2, 4, 5)))
+    covs = []
+    for _ in range(2):
+        c = np.zeros((6, 6))
+        for blk in part.blocks:
+            c[np.ix_(blk, blk)] = rand_spd(rng, len(blk))
+        covs.append(c)
+    if not strict:
+        covs[0] = covs[0] + 0.2 * rand_spd(rng, 6)     # couples the blocks
+    a, b = est(rng.standard_normal(6), covs[0]), est(rng.standard_normal(6), covs[1])
+    omegas, gain_a, bound, dropped = _nmci(a.covariance, b.covariance, part, strict,
+                                           OFF_BLOCK_TOL)
+    r = nmci_fuse(a, b, part, strict=strict)
+    np.testing.assert_array_equal(omegas, r.omega)
+    np.testing.assert_array_equal(gain_a, r.gain_a)
+    np.testing.assert_array_equal(np.eye(6) - gain_a, r.gain_b)
+    np.testing.assert_array_equal(bound, r.bound)
+    assert dropped == (r.diagnostics["dropped_mass_a"], r.diagnostics["dropped_mass_b"])
+    assert (dropped[0] > 0.0) is not strict
+    # each block is the monolithic rule on that block's marginals
+    for k, blk in enumerate(part.blocks):
+        sub = ci_fuse(a.marginal(blk), b.marginal(blk))
+        assert omegas[k] == sub.omega[0]
+        np.testing.assert_array_equal(bound[np.ix_(blk, blk)], sub.bound)
+        np.testing.assert_array_equal(gain_a[np.ix_(blk, blk)], sub.gain_a)
 
 
 def test_nmci_strict_rejects_coupling_lenient_drops_it():

@@ -31,7 +31,6 @@ from cofusion.sim import (
     noise_factors,
     omega_blocks,
     partition_is_exact,
-    propagate_truth,
     run_scenario,
     simulate_run,
     summarize,
@@ -143,11 +142,13 @@ def test_global_transition_block_structure():
     assert w[0] >= 0.0 and w[-1] > 0.0
 
 
-def test_propagate_truth_moves_with_velocity():
-    rng = np.random.default_rng(0)
-    state = np.array([0.0, 2.0, 1.0, -1.0])
-    out = propagate_truth(state, dt=1.0, q=0.0, rng=rng)
-    np.testing.assert_allclose(out, [2.0, 2.0, 0.0, -1.0])
+def test_truth_without_process_noise_moves_with_velocity():
+    scn = tiny_scenario(q=0.0, dt=0.5)
+    f, _ = global_transition(scn.layout(), scn.dt, scn.q)
+    truth = draw_run(scn, 0).truth
+    for k in range(1, scn.n_steps):
+        np.testing.assert_array_equal(truth[k], f @ truth[k - 1])
+    assert not np.array_equal(truth[1], truth[0])
 
 
 # ---------------------------------------------------------------------------
