@@ -158,6 +158,10 @@ def _load_comparison_config(d: dict) -> dict:
                "seed": int(d["seed"]),
                "solver_tol": float(d.get("solver_tol", 1e-6)),
                "solver_max_iters": int(d.get("solver_max_iters", 200))}
+        if not (np.isfinite(cfg["solver_tol"]) and cfg["solver_tol"] > 0):
+            raise ConfigError("solver_tol must be finite and positive")
+        if cfg["solver_max_iters"] < 1:
+            raise ConfigError("solver_max_iters must be at least 1")
         if cfg["p_a"].ndim != 2 or cfg["p_a"].shape[0] != cfg["p_a"].shape[1]:
             raise ConfigError("p_a must be a square matrix")
         if cfg["p_b"].ndim != 2 or cfg["p_b"].shape[0] != cfg["p_b"].shape[1]:

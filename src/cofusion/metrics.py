@@ -24,7 +24,7 @@ from .core import (
 )
 from .fusion import nmci_fuse, realized_cov
 from .sampler import sample_cross, sample_set
-from .sdp import build_problem, solve, SolveStatus
+from .sdp import _check_solver_args, build_problem, solve, SolveStatus
 
 _EPS = 1e-15
 _MAX_SERIES_ITERS = 10_000
@@ -252,6 +252,7 @@ def conservativeness_sweep(p_a, p_b, pattern: CrossSparsityPattern,
         raise DimensionError("n_values must be a non-empty list of positive sizes")
     if mc_runs < 1:
         raise DimensionError("mc_runs must be at least 1")
+    _check_solver_args(solver_tol, solver_max_iters)
     p_a = np.asarray(p_a, dtype=float)
     p_b = np.asarray(p_b, dtype=float)
 

@@ -7,14 +7,28 @@ sparsity pattern marks as zero are never drawn, so they are exactly zero
 in every sample.
 
 Proposals are drawn and tested in batches: one ``uniform`` call fills k
-proposals at once and one stacked ``eigvalsh`` decides them all.  The
-generator yields the same doubles in the same order whatever the batch
-size, and the stacked call runs the same LAPACK routine on each matrix,
-so every proposal and every accept/reject decision is the one a loop of
-one proposal at a time would make.  Proposals left over after a draw
-serve the next draw of the same stream, and a draw's attempt count
-starts at its first proposal; samples, attempt counts and the point at
-which ``max_attempts`` gives up are therefore those of that loop.
+proposals at once and ``_accept`` decides them all.  A proposal is
+accepted when ``eigvalsh`` puts the joint's smallest eigenvalue above
+``PD_MARGIN``.  ``_accept`` settles nearly every proposal without an
+eigensolve: one LDL^T elimination, with the batch on the last axis,
+factors M - c I at the two shifts c = PD_MARGIN +- _BAND.  All pivots
+positive at the upper shift proves the smallest eigenvalue above
+PD_MARGIN; a nonpositive pivot at the lower shift proves it below (by
+interlacing, a leading block that is not positive definite bounds it).
+The joints are correlation matrices, so their norm is at most their
+order, and the rounding of both the elimination and ``eigvalsh`` stays
+near 1e-14, far inside _BAND.  Only the proposals between the shifts
+go to ``eigvalsh``, and it runs the same LAPACK routine on each matrix
+as a one-at-a-time loop would.  Batches too small for the elimination
+to pay off go to ``eigvalsh`` whole.
+
+The generator yields the same doubles in the same order whatever the
+batch size, so every proposal and every accept/reject decision is the
+one a loop of one proposal and one ``eigvalsh`` at a time would make.
+Proposals left over after a draw serve the next draw of the same
+stream, and a draw's attempt count starts at its first proposal;
+samples, attempt counts and the point at which ``max_attempts`` gives
+up are therefore those of that loop.
 """
 
 from __future__ import annotations
@@ -40,6 +54,12 @@ PD_MARGIN = 1e-9
 # 4096 raised peak memory by 4 MB against 0.8 MB at 512, and ran no faster
 _FIRST_BATCH = 16
 _MAX_BATCH = 512
+# half-width of the band around PD_MARGIN that _accept leaves to eigvalsh
+_BAND = 1e-10
+_SHIFTS = np.array([[PD_MARGIN + _BAND], [PD_MARGIN - _BAND]])
+# smaller batches go straight to eigvalsh: the elimination's few dozen
+# numpy calls cost more than that many small eigensolves
+_MIN_ELIMINATION_BATCH = 32
 
 
 @dataclass(frozen=True)
@@ -55,6 +75,43 @@ class UncertaintySample:
         object.__setattr__(self, "p_ab", p)
         if self.attempts < 1:
             raise DimensionError("attempts must be at least 1")
+
+
+def _accept(stack: np.ndarray) -> np.ndarray:
+    """``eigvalsh(stack)[:, 0] > PD_MARGIN`` for a (k, m, m) stack of joints.
+
+    Factors M - c I at both shifts without pivoting, all 2k matrices at
+    once with the batch on the last axis, and reads the decision off the
+    pivots; see the module docstring.
+    """
+    k, m, _ = stack.shape
+    if k < _MIN_ELIMINATION_BATCH:
+        return np.linalg.eigvalsh(stack)[:, 0] > PD_MARGIN
+    a = np.empty((m, m, 2, k))
+    a[...] = stack.transpose(1, 2, 0)[:, :, None]
+    piv = a.reshape(m * m, 2, k)[::m + 1]     # the diagonal, a view
+    piv -= _SHIFTS
+    a = a.reshape(m, m, 2 * k)
+    # the lower triangle, one row at a time: updating whole trailing blocks
+    # at once made temporaries large enough (200 KB at k = 512, m = 6) to
+    # cost fresh page faults on every call, and ran up to twice as slow.
+    # A pivot that is not positive spoils the steps after it with inf or
+    # nan, but only in matrices whose decision it has already settled
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for j in range(m - 1):
+            ratio = a[j + 1:, j] / a[j, j]
+            for i in range(j + 1, m):
+                row = a[i, j + 1:i + 1]
+                row -= ratio[i - j - 1] * a[j + 1:i + 1, j]
+    # an overflowed pivot proves nothing, so acceptance wants finite ones;
+    # a nan pivot makes every later one nan, so any pivot <= 0 at the lower
+    # shift follows positive ones only
+    ok = ((piv[:, 0] > 0) & (piv[:, 0] < np.inf)).all(axis=0)
+    # settled by neither test, or (never seen) by both
+    band = np.flatnonzero(ok == (piv[:, 1] <= 0).any(axis=0))
+    if band.size:
+        ok[band] = np.linalg.eigvalsh(stack[band])[:, 0] > PD_MARGIN
+    return ok
 
 
 class _ProposalStream:
@@ -88,7 +145,7 @@ class _ProposalStream:
         stack[:, self._rows, da + self._cols] = props
         stack[:, da + self._cols, self._rows] = props
         self._props = props
-        self._ok = np.linalg.eigvalsh(stack)[:, 0] > PD_MARGIN
+        self._ok = _accept(stack)
         self._next = 0
         if not self._ok.any():
             self._batch = min(2 * self._batch, _MAX_BATCH)

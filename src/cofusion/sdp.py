@@ -119,18 +119,26 @@ def build_problem(p_a, p_b, samples) -> SampledFusionProblem:
     d = p_a.shape[0]
     if p_b.shape[0] != d:
         raise DimensionError("marginals must have equal dimension")
-    arrs = [np.asarray(s, dtype=float) for s in samples]
-    if not arrs:
+    if not len(samples):
         raise DimensionError("at least one sample is required")
-    for i, s in enumerate(arrs):
-        if s.shape != (d, d):
-            raise DimensionError(f"sample {i} has shape {s.shape}, expected ({d}, {d})")
-    joints = np.empty((len(arrs), 2 * d, 2 * d))
+    try:
+        stack = np.array(samples, dtype=float)
+    except ValueError:   # ragged, or not numbers
+        stack = None
+    if stack is None or stack.shape[1:] != (d, d):
+        # name the first sample of the wrong shape; with none, the samples
+        # are not numbers and the conversion raises again
+        for i, s in enumerate(samples):
+            if np.shape(s) != (d, d):
+                raise DimensionError(f"sample {i} has shape {np.shape(s)}, "
+                                     f"expected ({d}, {d})")
+        stack = np.array(samples, dtype=float)
+    n = len(stack)
+    joints = np.empty((n, 2 * d, 2 * d))
     joints[:, :d, :d] = p_a
     joints[:, d:, d:] = p_b
-    for i, s in enumerate(arrs):
-        joints[i, :d, d:] = s
-        joints[i, d:, :d] = s.T
+    joints[:, :d, d:] = stack
+    joints[:, d:, :d] = stack.transpose(0, 2, 1)
     try:
         chol = np.linalg.cholesky(joints)
         pivots = np.diagonal(chol, axis1=1, axis2=2)
@@ -139,7 +147,7 @@ def build_problem(p_a, p_b, samples) -> SampledFusionProblem:
         bad = None
     if bad is None or len(bad):
         # identify the first offender for the caller
-        for i in range(len(arrs)):
+        for i in range(n):
             try:
                 piv = np.diagonal(np.linalg.cholesky(joints[i]))
                 ok = bool(np.min(piv) >= MIN_PIVOT)
@@ -157,12 +165,8 @@ def build_problem(p_a, p_b, samples) -> SampledFusionProblem:
     q.flags.writeable = False
     joints.flags.writeable = False
     logdet = 2.0 * float(np.sum(np.log(pivots)))
-    frozen = []
-    for s in arrs:
-        c = s.copy()
-        c.flags.writeable = False
-        frozen.append(c)
-    return SampledFusionProblem(p_a=p_a, p_b=p_b, samples=tuple(frozen), joints=joints,
+    stack.flags.writeable = False
+    return SampledFusionProblem(p_a=p_a, p_b=p_b, samples=tuple(stack), joints=joints,
                                 joint_inverses=q, joint_logdet=logdet, d=d)
 
 
@@ -289,6 +293,13 @@ def _initial_point(ws: _Workspace, problem: SampledFusionProblem):
     return None
 
 
+def _check_solver_args(tol: float, max_iters: int) -> None:
+    if not (np.isfinite(tol) and tol > 0):
+        raise DimensionError("tol must be finite and positive")
+    if max_iters < 1:
+        raise DimensionError("max_iters must be at least 1")
+
+
 def solve(problem: SampledFusionProblem, tol: float = DEFAULT_TOL,
           max_iters: int = DEFAULT_MAX_ITERS) -> SdpSolution:
     """Minimize trace(Pbar) over the sampled LMIs by barrier path-following.
@@ -303,12 +314,10 @@ def solve(problem: SampledFusionProblem, tol: float = DEFAULT_TOL,
     to the roundoff of the barrier objective) returns the last iterate with
     status ``max_iterations``, well before the budget in the last two
     cases.  A start point or Newton-system breakdown returns
-    ``infeasible_numerics``.
+    ``infeasible_numerics``.  A ``tol`` that is not finite and positive,
+    or ``max_iters`` below 1, raises DimensionError.
     """
-    if tol <= 0:
-        raise DimensionError("tol must be positive")
-    if max_iters < 1:
-        raise DimensionError("max_iters must be at least 1")
+    _check_solver_args(tol, max_iters)
     ws = _Workspace(problem)
     nu = float(3 * problem.d * problem.n)
 
@@ -420,13 +429,16 @@ def robust_fuse(a: GaussianEstimate, b: GaussianEstimate, pattern: CrossSparsity
 
     Composes the rejection sampler, problem assembly, and the barrier
     solver.  Samples rejected by the conditioning gate at build time are
-    redrawn from a dedicated substream (at most 100 redraws).  Raises
-    SolverError when the solver reports a numerical breakdown; a budget
-    exhaustion is returned with its status in the diagnostics.
+    redrawn from a dedicated substream (at most 100 redraws).  A ``tol``
+    or ``max_iters`` that ``solve`` would refuse is refused before any
+    sample is drawn.  Raises SolverError when the solver reports a
+    numerical breakdown; a budget exhaustion is returned with its status
+    in the diagnostics.
     """
     _check_same_labels(a, b)
     if n < 1:
         raise DimensionError("n must be at least 1")
+    _check_solver_args(tol, max_iters)
     drawn = sample_set(a.covariance, b.covariance, pattern, n, seed,
                        max_attempts=max_attempts)
     arrs = [s.p_ab for s in drawn]

@@ -1,11 +1,15 @@
 """End-to-end command line tests driven through ``cli.main`` in process."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cofusion import cli
+from cofusion import cli, metrics, sdp
 from cofusion.core import GaussianEstimate
 from cofusion.fusion import exact_fuse
 from cofusion.metrics import SWEEP_CSV_COLUMNS, TRACK_CSV_COLUMNS
@@ -107,6 +111,21 @@ def test_fuse_sdp_deterministic_outputs(est_files, tmp_path, capsys):
     np.testing.assert_allclose(np.add(d["gain_a"], d["gain_b"]), np.eye(2),
                                atol=1e-9)
     assert d["diagnostics"]["status"] == "optimal"
+
+
+def _no_sampling(*args, **kwargs):
+    raise AssertionError("the sampler ran")
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+def test_fuse_sdp_rejects_bad_tol_before_sampling(capsys, est_files, monkeypatch, tol):
+    monkeypatch.setattr(sdp, "sample_set", _no_sampling)
+    pa, pb, pattern = est_files
+    rc, out, err = _run(capsys, ["fuse", str(pa), str(pb), "--method", "SDP",
+                                 "--pattern", str(pattern), "--tol", tol])
+    assert rc == 2
+    assert "error:" in err and "tol" in err
+    assert out == ""
 
 
 def test_fuse_exact_uses_supplied_cross(capsys, est_files, tmp_path):
@@ -214,6 +233,22 @@ def test_compare_rejects_unknown_config_keys(capsys, tmp_path):
                                "--out", str(tmp_path / "runs")])
     assert rc == 2
     assert "unknown comparison keys" in err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("solver_tol", 0), ("solver_tol", -1e-6), ("solver_tol", float("nan")),
+    ("solver_max_iters", 0),
+])
+def test_compare_rejects_bad_solver_settings_before_running(capsys, tmp_path,
+                                                            monkeypatch, key, value):
+    monkeypatch.setattr(metrics, "sample_set", _no_sampling)
+    monkeypatch.setattr(metrics, "nmci_fuse", _no_sampling)
+    cfg = _comparison_config(tmp_path, **{key: value})
+    rc, _, err = _run(capsys, ["compare", "--config", str(cfg),
+                               "--out", str(tmp_path / "runs")])
+    assert rc == 2
+    assert "error:" in err and key in err
+    assert not (tmp_path / "runs").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -371,3 +406,13 @@ def test_failed_command_leaves_no_output_directory(capsys, tmp_path, argv):
     assert rc == 2
     assert "error:" in err
     assert list(out.iterdir()) == []
+
+
+def test_python_dash_m_runs_the_command_line():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "cofusion", "--help"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: cofusion")

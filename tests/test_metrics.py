@@ -6,6 +6,7 @@ import io
 import numpy as np
 import pytest
 
+from cofusion import metrics
 from cofusion.core import (
     CrossSparsityPattern,
     DimensionError,
@@ -170,6 +171,19 @@ def test_sweep_validation():
         conservativeness_sweep(np.eye(2), np.eye(2), pattern, [], 3, 0)
     with pytest.raises(DimensionError):
         conservativeness_sweep(np.eye(2), np.eye(2), pattern, [5], 0, 0)
+
+
+@pytest.mark.parametrize("solver", [{"solver_tol": float("nan")}, {"solver_tol": 0.0},
+                                    {"solver_max_iters": 0}])
+def test_sweep_rejects_bad_solver_settings_before_sampling(monkeypatch, solver):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("the sampler ran")
+
+    monkeypatch.setattr(metrics, "sample_cross", no_sampling)
+    monkeypatch.setattr(metrics, "sample_set", no_sampling)
+    pattern = CrossSparsityPattern(2, 2, frozenset({(0, 1), (1, 0)}))
+    with pytest.raises(DimensionError):
+        conservativeness_sweep(np.eye(2), np.eye(2), pattern, [5], 1, 0, **solver)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from cofusion import sampler
 from cofusion.core import (
     CrossSparsityPattern,
     DimensionError,
@@ -13,6 +14,7 @@ from cofusion.core import (
 from cofusion.sampler import (
     _FIRST_BATCH,
     _MAX_BATCH,
+    _accept,
     PD_MARGIN,
     UncertaintySample,
     sample_cross,
@@ -165,16 +167,15 @@ def hard_pair_3d():
 
 @pytest.fixture
 def batch_sizes(monkeypatch):
-    """Sizes of the stacked eigvalsh calls made while the test runs."""
+    """Sizes of the batches the sampler decided while the test runs."""
     sizes = []
-    eigvalsh = np.linalg.eigvalsh
+    accept = sampler._accept
 
-    def spy(a, *args, **kwargs):
-        if np.ndim(a) == 3:
-            sizes.append(np.shape(a)[0])
-        return eigvalsh(a, *args, **kwargs)
+    def spy(stack):
+        sizes.append(len(stack))
+        return accept(stack)
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    monkeypatch.setattr(sampler, "_accept", spy)
     return sizes
 
 
@@ -257,3 +258,64 @@ def test_prefixes_hold_when_the_buffer_refills_mid_set(batch_sizes):
     for m in (k - 1, k, k + 1):
         short = sample_set(pa, pb, pat, m, seed=21)
         assert_same_stream(short, [(s.p_ab, s.attempts) for s in long[:m]])
+
+
+# ---------------------------------------------------------------------------
+# the pivot test against eigvalsh
+
+def proposal_stack(rng, k, da, db, cond):
+    """k joint correlations as the sampler builds them, marginals of condition up to cond."""
+    def corr(d):
+        q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        return cov_to_corr(q @ np.diag(np.geomspace(1.0, cond, d)) @ q.T)[0]
+
+    m = da + db
+    joint = np.zeros((m, m))
+    joint[:da, :da] = corr(da)
+    joint[da:, da:] = corr(db)
+    stack = np.repeat(joint[None], k, axis=0)
+    cross = rng.uniform(-1.0, 1.0, size=(k, da, db))
+    stack[:, :da, da:] = cross
+    stack[:, da:, :da] = cross.transpose(0, 2, 1)
+    return stack
+
+
+def with_smallest_eigenvalue(rng, m, lam):
+    q, _ = np.linalg.qr(rng.standard_normal((m, m)))
+    spectrum = np.concatenate([[lam], rng.uniform(0.1, 2.0, m - 1)])
+    return (q * spectrum) @ q.T
+
+
+def test_accept_matches_eigvalsh_on_long_random_stacks():
+    rng = np.random.default_rng(30)
+    for da in range(1, 5):
+        for db in range(1, 5):
+            for cond in (1.0, 1e3, 1e6):
+                stack = proposal_stack(rng, 4000, da, db, cond)
+                want = np.linalg.eigvalsh(stack)[:, 0] > PD_MARGIN
+                np.testing.assert_array_equal(_accept(stack), want)
+
+
+def test_only_knife_edge_matrices_reach_eigvalsh(monkeypatch):
+    rng = np.random.default_rng(32)
+    m, k = 6, 200
+    edge = rng.random(k) < 0.25
+    # knife-edge: within 1e-12 of the margin, well inside the band of
+    # half-width 1e-10; the rest at least 1e-6 away
+    offsets = np.where(edge, rng.uniform(-1e-12, 1e-12, k),
+                       rng.choice([-1.0, 1.0], k) * 10.0 ** rng.uniform(-6, 0, k))
+    stack = np.stack([with_smallest_eigenvalue(rng, m, PD_MARGIN + o) for o in offsets])
+    want = np.linalg.eigvalsh(stack)[:, 0] > PD_MARGIN
+    assert 0 < want[edge].sum() < edge.sum()    # the band holds both decisions
+    seen = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def spy(a, *args, **kwargs):
+        seen.append(np.array(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    got = _accept(stack)
+    assert len(seen) == 1
+    np.testing.assert_array_equal(seen[0], stack[edge])
+    np.testing.assert_array_equal(got, want)

@@ -49,7 +49,13 @@ def test_build_problem_shapes_and_inverses():
         np.testing.assert_allclose(prob.joint_inverses[i] @ joint, np.eye(4),
                                    atol=1e-9)
         logdet += np.linalg.slogdet(joint)[1]
+        assert prob.samples[i].tobytes() == s.tobytes()
+        assert not prob.samples[i].flags.writeable
     assert prob.joint_logdet == pytest.approx(logdet, rel=1e-12)
+    own = [np.array(s) for s in samples]
+    kept = build_problem(pa, pb, own).samples
+    own[0][0, 0] += 1.0     # the problem keeps its own copy
+    assert kept[0].tobytes() == samples[0].tobytes()
 
 
 def test_build_problem_validation():
@@ -59,6 +65,9 @@ def test_build_problem_validation():
         build_problem(np.eye(2), np.eye(2), [])
     with pytest.raises(DimensionError):
         build_problem(np.eye(2), np.eye(2), [np.zeros((3, 3))])
+    with pytest.raises(DimensionError, match="sample 2 has shape"):
+        build_problem(np.eye(2), np.eye(2),
+                      [np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((2, 3))])
 
 
 def test_build_problem_rejects_degenerate_sample_with_index():
