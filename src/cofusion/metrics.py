@@ -24,7 +24,7 @@ from .core import (
 )
 from .fusion import nmci_fuse, realized_cov
 from .sampler import sample_cross, sample_set
-from .sdp import _check_solver_args, build_problem, solve, SolveStatus
+from .sdp import _check_solver_args, _subset, build_problem, solve, SolveStatus
 
 _EPS = 1e-15
 _MAX_SERIES_ITERS = 10_000
@@ -208,11 +208,11 @@ def _sweep_run(p_a, p_b, pattern: CrossSparsityPattern, n_values, seed: int,
     eig_nm = float(np.linalg.eigvalsh(nm.bound - realized_nm)[0])
     draws = sample_set(p_a, p_b, pattern, max(n_values),
                        make_substream_seed(seed, "samples", r))
-    arrs = [s.p_ab for s in draws]
+    # the sample sets are nested, so each n's program is a prefix of one
+    problem = build_problem(p_a, p_b, [s.p_ab for s in draws])
     dev_row, eig_row, rows = [], [], []
     for n in n_values:
-        problem = build_problem(p_a, p_b, arrs[:n])
-        sol = solve(problem, tol=solver_tol, max_iters=solver_max_iters)
+        sol = solve(_subset(problem, slice(n)), tol=solver_tol, max_iters=solver_max_iters)
         dev_row.append(float(np.linalg.norm(nm.bound - sol.bound, 2)))
         realized = realized_cov(sol.gain_a, sol.gain_b, joint_true)
         eig_row.append(float(np.linalg.eigvalsh(sol.bound - realized)[0]))

@@ -82,7 +82,8 @@ def _accept(stack: np.ndarray) -> np.ndarray:
 
     Factors M - c I at both shifts without pivoting, all 2k matrices at
     once with the batch on the last axis, and reads the decision off the
-    pivots; see the module docstring.
+    pivots; see the module docstring.  The copy into that layout is
+    contiguous when ``stack`` is a view of a batch-last array.
     """
     k, m, _ = stack.shape
     if k < _MIN_ELIMINATION_BATCH:
@@ -140,12 +141,15 @@ class _ProposalStream:
 
     def _refill(self, k: int) -> None:
         props = self._rng.uniform(-1.0, 1.0, size=(k, self._rows.size))
-        stack = np.repeat(self._joint[None], k, axis=0)
+        # built batch-last, the layout _accept eliminates in; it and
+        # eigvalsh read the (k, m, m) view
+        stack = np.empty(self._joint.shape + (k,))
+        stack[...] = self._joint[:, :, None]
         da = self._scale.shape[0]
-        stack[:, self._rows, da + self._cols] = props
-        stack[:, da + self._cols, self._rows] = props
+        stack[self._rows, da + self._cols] = props.T
+        stack[da + self._cols, self._rows] = props.T
         self._props = props
-        self._ok = _accept(stack)
+        self._ok = _accept(stack.transpose(2, 0, 1))
         self._next = 0
         if not self._ok.any():
             self._batch = min(2 * self._batch, _MAX_BATCH)

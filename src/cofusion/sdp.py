@@ -36,6 +36,25 @@ exact centering.  The reported ``gap`` is (objective - best such lower
 bound) / |objective|, a guaranteed relative optimality gap of the
 returned point, and ``inf`` when no step was ever certified.
 
+Active set: at most m = d*d + d(d+1)/2 sampled LMIs (the number of
+unknowns) support the optimum (Calafiore & Campi, IEEE TAC 51(5), 2006),
+so ``solve`` runs the barrier method on the first ACTIVE_FACTOR * m
+samples only and tests every slack at the point it returns with one
+batched d x d ``eigvalsh``.  Each new active set is first solved to the
+relative gap _SCREEN_TOL.  If that point violates samples, they join the
+set together with the _NEAR * m samples nearest to violation, and the
+next round starts afresh; if it violates none, the same path goes on to
+``tol`` and the slacks are tested again.  The solve ends when all n
+slacks are positive definite at a point certified to ``tol``.  A problem
+of at most ACTIVE_FACTOR * m samples is solved whole, in one round.  The
+program on a subset of the samples is a relaxation of the full one, so
+each round's certified lower bound also bounds the full optimum, and
+``gap`` is taken against the best of them.  When the Newton budget runs
+out with violated samples left, the subset point (Pbar, K) is repaired
+to (Pbar + delta I, K), with delta just above the worst slack
+violation: every one of the n LMIs then holds strictly, and the
+objective pays d * delta.
+
 Roundoff: the barrier objective psi = t * trace(Pbar) - logdet grows with
 t, and near the end its float64 roundoff swamps any absolute stopping
 rule.  Centering therefore also ends when lambda^2 / 2 falls below the
@@ -77,6 +96,18 @@ T_GROWTH = 5.0
 # and takes its place
 _NEWTON_EPS = 1e-9
 _ROUNDOFF = float(np.finfo(float).eps)
+# the first active set holds ACTIVE_FACTOR * m samples, m the number of
+# unknowns; chosen from timings of whole against active-set solves at
+# d = 1..3, n = 50..2000 (CHANGES.md)
+ACTIVE_FACTOR = 16
+# each new active set is first solved to this relative gap, where the
+# samples it misses already show, at about 60% of the Newton steps to 1e-7
+_SCREEN_TOL = 1e-2
+# a round adds the violated samples and the _NEAR * m nearest to violation;
+# without these, a last round often re-solved the path for one or two samples
+_NEAR = 2
+# a repaired point clears the worst slack violation by this relative margin
+_REPAIR_MARGIN = 1e-9
 
 
 class SolveStatus(str, Enum):
@@ -90,7 +121,8 @@ class SampledFusionProblem:
     """Marginals, sampled joints, and their inverses, ready to solve.
 
     ``joints`` stacks the joint covariances J_i, ``joint_inverses`` their
-    inverses, and ``joint_logdet`` is sum_i logdet J_i.
+    inverses, ``log_pivots`` the logs of each J_i's Cholesky pivots, and
+    ``joint_logdet`` is sum_i logdet J_i, twice their sum.
     """
 
     p_a: np.ndarray
@@ -99,6 +131,7 @@ class SampledFusionProblem:
     joints: np.ndarray
     joint_inverses: np.ndarray
     joint_logdet: float
+    log_pivots: np.ndarray
     d: int
 
     @property
@@ -164,10 +197,28 @@ def build_problem(p_a, p_b, samples) -> SampledFusionProblem:
     q = 0.5 * (q + q.transpose(0, 2, 1))
     q.flags.writeable = False
     joints.flags.writeable = False
-    logdet = 2.0 * float(np.sum(np.log(pivots)))
+    log_pivots = np.log(pivots)
+    log_pivots.flags.writeable = False
     stack.flags.writeable = False
     return SampledFusionProblem(p_a=p_a, p_b=p_b, samples=tuple(stack), joints=joints,
-                                joint_inverses=q, joint_logdet=logdet, d=d)
+                                joint_inverses=q,
+                                joint_logdet=2.0 * float(np.sum(log_pivots)),
+                                log_pivots=log_pivots, d=d)
+
+
+def _subset(problem: SampledFusionProblem, idx) -> SampledFusionProblem:
+    """The program on the samples ``idx`` (an index array or a slice) selects.
+
+    Equal to ``build_problem`` on those samples, without factoring or
+    inverting a joint again.
+    """
+    log_pivots = problem.log_pivots[idx]
+    return SampledFusionProblem(
+        p_a=problem.p_a, p_b=problem.p_b,
+        samples=tuple(problem.samples[i] for i in np.arange(problem.n)[idx]),
+        joints=problem.joints[idx], joint_inverses=problem.joint_inverses[idx],
+        joint_logdet=2.0 * float(np.sum(log_pivots)), log_pivots=log_pivots,
+        d=problem.d)
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,6 +231,7 @@ class SdpSolution:
     gap: float
     newton_iterations: int
     min_lmi_eig: float
+    active_samples: int
 
 
 class _Workspace:
@@ -235,6 +287,13 @@ class _Workspace:
         g[:, 2 * d:, :d] = kb.T
         return g
 
+    def slacks(self, x: np.ndarray):
+        """(C_i, K J_i) at x, with C_i = Pbar - K J_i K^T the d x d slacks."""
+        pbar, ka = self.unpack(x)
+        k = np.concatenate([ka, self.eye - ka], axis=1)
+        kj = k @ self.problem.joints
+        return pbar - (kj.reshape(-1, 2 * self.d) @ k.T).reshape(self.n, self.d, self.d), kj
+
     def chol_logdet(self, x: np.ndarray):
         """(factors, sum_i logdet G_i) when x is strictly feasible, else (None, -inf).
 
@@ -242,10 +301,7 @@ class _Workspace:
         the d x d slacks are factored.  ``factors`` is (chol(C_i), K J_i),
         what ``barrier_grad_hess`` needs.
         """
-        pbar, ka = self.unpack(x)
-        k = np.concatenate([ka, self.eye - ka], axis=1)
-        kj = k @ self.problem.joints
-        slack = pbar - (kj.reshape(-1, 2 * self.d) @ k.T).reshape(self.n, self.d, self.d)
+        slack, kj = self.slacks(x)
         if not np.all(np.isfinite(slack)):
             return None, -np.inf
         try:
@@ -304,36 +360,104 @@ def solve(problem: SampledFusionProblem, tol: float = DEFAULT_TOL,
           max_iters: int = DEFAULT_MAX_ITERS) -> SdpSolution:
     """Minimize trace(Pbar) over the sampled LMIs by barrier path-following.
 
-    ``max_iters`` caps the total Newton steps across all path stages.
-    ``gap`` is the best relative gap certified so far by a dual point (see
-    the module docstring), ``inf`` if none was.  Status is ``optimal``
-    only when that gap reached tol and every LMI holds within 1e-7.  An
-    exhausted budget, a stalled line search (or an iterate whose LMI block
-    is singular to working precision), or a tolerance that float64 cannot
-    reach (a path stage that certifies nothing new, once centering is down
-    to the roundoff of the barrier objective) returns the last iterate with
-    status ``max_iterations``, well before the budget in the last two
-    cases.  A start point or Newton-system breakdown returns
-    ``infeasible_numerics``.  A ``tol`` that is not finite and positive,
-    or ``max_iters`` below 1, raises DimensionError.
+    The barrier method runs on an active subset of the samples, grown by
+    the violated ones until every LMI holds (see the module docstring).
+    ``max_iters`` caps the total Newton steps across all path stages of
+    all rounds, and ``newton_iterations`` is that total.  ``gap`` is the
+    best relative gap certified so far by a dual point, ``inf`` if none
+    was.  Status is ``optimal`` only when that gap reached tol and every
+    one of the n LMIs holds within 1e-7.  An exhausted budget, a stalled
+    line search (or an iterate whose LMI block is singular to working
+    precision), or a tolerance that float64 cannot reach (a path stage
+    that certifies nothing new, once centering is down to the roundoff of
+    the barrier objective) returns the last iterate with status
+    ``max_iterations``, well before the budget in the last two cases.  A
+    start point or Newton-system breakdown returns ``infeasible_numerics``.
+    Whatever the status, the returned point satisfies all n LMIs strictly,
+    unless no strictly feasible start point was found.  A ``tol`` that is
+    not finite and positive, or ``max_iters`` below 1, raises
+    DimensionError.
     """
     _check_solver_args(tol, max_iters)
+    d = problem.d
+    m = d * d + d * (d + 1) // 2
+    if problem.n <= ACTIVE_FACTOR * m:
+        return _barrier(problem, tol, max_iters)[0]
+    ws = _Workspace(problem)
+    active = np.arange(ACTIVE_FACTOR * m)
+    sub = _subset(problem, active)
+    used, lower, resume = 0, -np.inf, None
+    while True:
+        # rounds go through _barrier, never the module attribute ``solve``,
+        # so one public call is one call whatever wraps that name
+        screening = resume is None and tol < _SCREEN_TOL
+        sol, sub_lower, resume = _barrier(sub, _SCREEN_TOL if screening else tol,
+                                          max_iters - used, resume)
+        used += sol.newton_iterations
+        lower = max(lower, sub_lower)
+        x = ws.pack(sol.bound, sol.gain_a)
+        worst = np.linalg.eigvalsh(ws.slacks(x)[0])[:, 0]
+        outside = np.setdiff1d(np.arange(problem.n), active)
+        violated = outside[worst[outside] <= 0.0]
+        if used >= max_iters or sol.status is SolveStatus.INFEASIBLE_NUMERICS:
+            break
+        if violated.size:
+            nearest = outside[np.argsort(worst[outside], kind="stable")]
+            active = np.union1d(active, nearest[:violated.size + _NEAR * m])
+            sub, resume = _subset(problem, active), None
+        elif not (screening and sol.status is SolveStatus.OPTIMAL):
+            break
+    if violated.size:
+        # out of budget (or broken down) with samples the subset point
+        # violates: lift Pbar just past the worst violation
+        delta = -float(worst.min())
+        delta += max(_REPAIR_MARGIN * delta, _REPAIR_MARGIN * float(np.trace(sol.bound)) / d)
+        x = ws.pack(sol.bound + delta * ws.eye, sol.gain_a)
+    pbar, ka = ws.unpack(x)
+    obj = float(ws.cvec @ x)
+    gap = (obj - lower) / max(abs(obj), 1e-300)
+    min_eig = float(np.min(np.linalg.eigvalsh(ws.lmis(x))))
+    status = sol.status
+    if status is SolveStatus.OPTIMAL and (gap > tol or min_eig < -1e-7):
+        status = SolveStatus.MAX_ITERATIONS
+    return SdpSolution(gain_a=ka, gain_b=ws.eye - ka, bound=symmetrize(pbar),
+                       objective=obj, status=status, gap=float(gap),
+                       newton_iterations=used, min_lmi_eig=min_eig,
+                       active_samples=len(active))
+
+
+def _barrier(problem: SampledFusionProblem, tol: float, budget: int, resume=None):
+    """Barrier path-following on all of ``problem``'s samples.
+
+    Starts at the central start point, or, given ``resume``, at the
+    (x, t) an earlier run on the same problem ended its last stage
+    centered at.  Returns (solution, best certified lower bound on the
+    optimum, that (x, t) of this run); the solution's statuses and
+    ``min_lmi_eig`` are those ``solve`` documents, taken on this
+    problem's samples, with at most ``budget`` Newton steps.
+    """
     ws = _Workspace(problem)
     nu = float(3 * problem.d * problem.n)
 
-    start = _initial_point(ws, problem)
+    if resume is None:
+        start, t = _initial_point(ws, problem), None
+    else:
+        x, t = resume
+        start = (x, *ws.chol_logdet(x))
     if start is None:
         return SdpSolution(gain_a=0.5 * np.eye(problem.d), gain_b=0.5 * np.eye(problem.d),
                            bound=2.0 * symmetrize(problem.p_a + problem.p_b),
                            objective=float(np.trace(2.0 * (problem.p_a + problem.p_b))),
                            status=SolveStatus.INFEASIBLE_NUMERICS, gap=np.inf,
-                           newton_iterations=0, min_lmi_eig=-np.inf)
+                           newton_iterations=0, min_lmi_eig=-np.inf,
+                           active_samples=problem.n), -np.inf, None
     # the barrier derivatives depend on x alone, so they are kept until x moves
     x, factors, logdet = start
     derivs = None
 
     obj = float(ws.cvec @ x)
-    t = nu / max(obj, 1e-12)
+    if t is None:
+        t = nu / max(obj, 1e-12)
     used = 0
     status = SolveStatus.MAX_ITERATIONS
     lower = -np.inf     # best certified lower bound on the optimum
@@ -343,7 +467,7 @@ def solve(problem: SampledFusionProblem, tol: float = DEFAULT_TOL,
         # Newton centering at the current path parameter
         stage_lower = lower
         stalled = False
-        while used < max_iters:
+        while used < budget:
             if derivs is None:
                 try:
                     derivs = ws.barrier_grad_hess(factors)
@@ -407,7 +531,7 @@ def solve(problem: SampledFusionProblem, tol: float = DEFAULT_TOL,
             status = SolveStatus.OPTIMAL
             break
         # a stage that certifies nothing new means t has outrun float64
-        if used >= max_iters or stalled or lower <= stage_lower:
+        if used >= budget or stalled or lower <= stage_lower:
             status = SolveStatus.MAX_ITERATIONS
             break
         t *= T_GROWTH
@@ -418,7 +542,8 @@ def solve(problem: SampledFusionProblem, tol: float = DEFAULT_TOL,
         status = SolveStatus.MAX_ITERATIONS
     return SdpSolution(gain_a=ka, gain_b=ws.eye - ka, bound=symmetrize(pbar),
                        objective=obj, status=status, gap=float(gap),
-                       newton_iterations=used, min_lmi_eig=min_eig)
+                       newton_iterations=used, min_lmi_eig=min_eig,
+                       active_samples=problem.n), lower, (x, t)
 
 
 def robust_fuse(a: GaussianEstimate, b: GaussianEstimate, pattern: CrossSparsityPattern,
@@ -467,5 +592,6 @@ def robust_fuse(a: GaussianEstimate, b: GaussianEstimate, pattern: CrossSparsity
         diagnostics={"n_samples": n, "seed": int(seed), "status": sol.status.value,
                      "gap": sol.gap, "objective": sol.objective,
                      "newton_iterations": sol.newton_iterations,
-                     "min_lmi_eig": sol.min_lmi_eig, "redraws": redraws,
+                     "min_lmi_eig": sol.min_lmi_eig,
+                     "active_samples": sol.active_samples, "redraws": redraws,
                      "trace": float(np.trace(sol.bound))})

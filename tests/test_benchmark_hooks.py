@@ -35,3 +35,36 @@ def test_wrapped_function_names_resolve(module, attr, span):
 @pytest.mark.parametrize("cls, attr, span", tracing.WRAPPED_METHODS)
 def test_wrapped_methods_are_defined_on_their_class(cls, attr, span):
     assert attr in vars(getattr(cofusion.core, cls)), f"cofusion.core.{cls}.{attr} ({span})"
+
+
+def test_one_public_solve_is_one_traced_solve_whatever_its_rounds(monkeypatch):
+    # the tracer counts sdp.solve_calls and newton_steps_per_solve through
+    # the module attribute ``sdp.solve``; active-set rounds must not enter it
+    import numpy as np
+
+    from cofusion import sdp
+    from cofusion.core import CrossSparsityPattern
+    from cofusion.sampler import sample_set
+
+    pa, pb = np.diag([3.0, 1.0]), np.diag([1.0, 4.0])
+    draws = sample_set(pa, pb, CrossSparsityPattern.unconstrained(2, 2), 600, seed=7)
+    problem = sdp.build_problem(pa, pb, [s.p_ab for s in draws])
+    assert problem.n > sdp.ACTIVE_FACTOR * 7
+    rounds = []
+    barrier = sdp._barrier
+
+    def spy(*args):
+        rounds.append(args[0].n)
+        return barrier(*args)
+
+    monkeypatch.setattr(sdp, "_barrier", spy)
+    tracer = tracing.Tracer()
+    uninstall = tracing.install(tracer, cofusion)
+    try:
+        sol = cofusion.sdp.solve(problem)
+    finally:
+        uninstall()
+    assert len(rounds) >= 2
+    layers = tracing.layer_metrics(tracer)
+    assert layers["sdp.solve_calls"] == 1
+    assert layers["sdp.newton_steps"] == sol.newton_iterations

@@ -13,9 +13,13 @@ from cofusion.core import (
 )
 from cofusion.fusion import ci_fuse, exact_fuse, realized_cov
 from cofusion.sampler import sample_set
+from cofusion import sdp
 from cofusion.sdp import (
+    ACTIVE_FACTOR,
     SolveStatus,
+    _barrier,
     _initial_point,
+    _subset,
     _Workspace,
     build_problem,
     robust_fuse,
@@ -387,3 +391,130 @@ def test_min_lmi_eig_is_taken_on_the_full_blocks():
         sol = solve(prob, tol=tol, max_iters=max_iters)
         x = ws.pack(sol.bound, sol.gain_a)
         assert sol.min_lmi_eig == float(np.min(np.linalg.eigvalsh(ws.lmis(x))))
+
+
+# ---------------------------------------------------------------------------
+# the active set: rounds of the barrier method on growing subsets
+
+def _first_set(d):
+    return ACTIVE_FACTOR * (d * d + d * (d + 1) // 2)
+
+
+def _free_2d_problem(n, seed):
+    # comparison_2d's marginals with every cross entry free
+    pa, pb = np.diag([3.0, 1.0]), np.diag([1.0, 4.0])
+    draws = sample_set(pa, pb, CrossSparsityPattern.unconstrained(2, 2), n, seed=seed)
+    return build_problem(pa, pb, [s.p_ab for s in draws])
+
+
+@pytest.fixture
+def rounds(monkeypatch):
+    """(subset problem, solution) of every barrier round while the test runs."""
+    seen = []
+    barrier = sdp._barrier
+
+    def spy(problem, *args):
+        out = barrier(problem, *args)
+        seen.append((problem, out[0]))
+        return out
+
+    monkeypatch.setattr(sdp, "_barrier", spy)
+    return seen
+
+
+def _slack_eigs(problem, bound, gain_a):
+    ws = _Workspace(problem)
+    return np.linalg.eigvalsh(ws.slacks(ws.pack(bound, gain_a))[0])[:, 0]
+
+
+def test_subset_equals_build_problem_on_its_samples():
+    prob = _random_problem(np.random.default_rng(24), 2, 50)
+    for idx in (slice(30), np.array([0, 3, 4, 17, 49])):
+        sub = _subset(prob, idx)
+        ref = build_problem(prob.p_a, prob.p_b, [prob.samples[i] for i in np.arange(50)[idx]])
+        assert sub.n == ref.n and sub.d == ref.d
+        for name in ("joints", "joint_inverses", "log_pivots"):
+            np.testing.assert_array_equal(getattr(sub, name), getattr(ref, name))
+        assert sub.joint_logdet == ref.joint_logdet
+        assert [a.tobytes() for a in sub.samples] == [a.tobytes() for a in ref.samples]
+
+
+def test_active_set_solve_matches_the_whole_barrier(rounds):
+    tol = 1e-7
+    for seed in (7, 8):
+        prob = _free_2d_problem(600, seed)
+        assert prob.n > _first_set(2)
+        sol = solve(prob, tol=tol)
+        assert len(rounds) >= 2
+        rounds.clear()
+        whole = _barrier(prob, tol, 200)[0]
+        assert sol.status is whole.status is SolveStatus.OPTIMAL
+        assert sol.active_samples < prob.n and whole.active_samples == prob.n
+        assert sol.min_lmi_eig > 0.0
+        assert abs(sol.objective - whole.objective) <= tol * whole.objective
+        np.testing.assert_allclose(sol.bound, whole.bound, rtol=0, atol=1e-5)
+
+
+def test_binding_sample_after_the_first_set_joins_the_active_set(rounds):
+    # near-zero crosses fill the first set; the one extreme cross comes last
+    # and alone forces the bound up from I / 2 to 0.975 I
+    rng = np.random.default_rng(25)
+    first = _first_set(2)
+    extreme = 0.95 * np.eye(2)
+    samples = [0.01 * rng.uniform(-1.0, 1.0, (2, 2)) for _ in range(2 * first)] + [extreme]
+    prob = build_problem(np.eye(2), np.eye(2), samples)
+    sol = solve(prob, tol=1e-7)
+    assert sol.status is SolveStatus.OPTIMAL
+    assert first < sol.active_samples < prob.n
+    last = rounds[-1][0]
+    assert last.n == sol.active_samples
+    assert any(s.tobytes() == extreme.tobytes() for s in last.samples)
+    actual = realized_cov(sol.gain_a, sol.gain_b, JointCovariance(np.eye(2), np.eye(2), extreme))
+    assert is_conservative(sol.bound, actual, tol=1e-9)
+    assert float(np.trace(sol.bound)) == pytest.approx(1.95, rel=1e-6)
+
+
+def test_max_iters_caps_newton_steps_summed_over_rounds(rounds):
+    prob = _free_2d_problem(600, 7)
+    full = solve(prob, tol=1e-7)
+    steps = [s.newton_iterations for _, s in rounds]
+    assert len(steps) >= 2 and full.newton_iterations == sum(steps)
+    cap = steps[0] + 10     # the second round gets 10 steps
+    rounds.clear()
+    sol = solve(prob, tol=1e-7, max_iters=cap)
+    assert sol.newton_iterations == sum(s.newton_iterations for _, s in rounds) == cap
+    assert sol.status is SolveStatus.MAX_ITERATIONS
+    assert sol.min_lmi_eig > 0.0
+
+
+def test_budget_exhausted_solve_returns_a_point_feasible_for_every_sample(rounds):
+    # the last round ends on the budget at a point that violates samples
+    # outside its subset; the returned point lifts its bound past them
+    prob = _random_problem(np.random.default_rng(26), 3, 2000)
+    sol = solve(prob, tol=1e-7, max_iters=60)
+    sub, last = rounds[-1]
+    assert sub.n < prob.n
+    assert _slack_eigs(prob, last.bound, last.gain_a).min() < 0.0
+    assert sol.status is SolveStatus.MAX_ITERATIONS
+    assert sol.newton_iterations == 60
+    np.testing.assert_array_equal(sol.gain_a, last.gain_a)
+    lift = sol.bound - last.bound
+    delta = lift[0, 0]
+    assert delta > 0.0
+    np.testing.assert_allclose(lift, delta * np.eye(3), rtol=0, atol=1e-14 * delta)
+    assert sol.objective == pytest.approx(last.objective + 3 * delta, rel=1e-14)
+    assert _slack_eigs(prob, sol.bound, sol.gain_a).min() > 0.0
+    assert sol.min_lmi_eig > 0.0
+    # the gap is certified against a relaxation, so it stays honest
+    assert np.isfinite(sol.gap) and sol.gap > 0.0
+
+
+def test_robust_fuse_reports_the_active_set():
+    rng = np.random.default_rng(27)
+    pa, pb = rand_spd(rng, 2), rand_spd(rng, 2)
+    a, b = est(np.zeros(2), pa), est(np.zeros(2), pb)
+    pat = CrossSparsityPattern.unconstrained(2, 2)
+    small = robust_fuse(a, b, pat, n=50, seed=13)
+    assert small.diagnostics["active_samples"] == 50
+    large = robust_fuse(a, b, pat, n=400, seed=13)
+    assert _first_set(2) <= large.diagnostics["active_samples"] < 400
