@@ -23,7 +23,8 @@ import numpy as np
 from . import __version__
 from .core import (BlockPartition, ConfigError, CrossSparsityPattern,
                    FusionError, GaussianEstimate, NotPositiveDefiniteError,
-                   SamplingError, SolverError, parsing, partition_from_sparsity)
+                   SamplingError, SolverError, as_int, parsing,
+                   partition_from_sparsity)
 from .fusion import ci_fuse, exact_fuse, nmci_fuse
 from .sdp import robust_fuse
 from .metrics import (OMEGA_CSV_COLUMNS, SWEEP_CSV_COLUMNS, TRACK_CSV_COLUMNS,
@@ -153,11 +154,12 @@ def _load_comparison_config(d: dict) -> dict:
         cfg = {"name": d.get("name", "comparison"),
                "p_a": np.asarray(d["p_a"], dtype=float),
                "p_b": np.asarray(d["p_b"], dtype=float),
-               "n_values": [int(n) for n in d["n_values"]],
-               "mc_runs": int(d["mc_runs"]),
-               "seed": int(d["seed"]),
+               "n_values": [as_int(n, "n_values entry") for n in d["n_values"]],
+               "mc_runs": as_int(d["mc_runs"], "mc_runs"),
+               "seed": as_int(d["seed"], "seed"),
                "solver_tol": float(d.get("solver_tol", 1e-6)),
-               "solver_max_iters": int(d.get("solver_max_iters", 200))}
+               "solver_max_iters": as_int(d.get("solver_max_iters", 200),
+                                          "solver_max_iters")}
         if not (np.isfinite(cfg["solver_tol"]) and cfg["solver_tol"] > 0):
             raise ConfigError("solver_tol must be finite and positive")
         if cfg["solver_max_iters"] < 1:
@@ -170,7 +172,7 @@ def _load_comparison_config(d: dict) -> dict:
         for pair in d["zero_indices"]:
             if (not isinstance(pair, (list, tuple)) or len(pair) != 2):
                 raise ConfigError("zero_indices entries must be [row, col] pairs")
-            zeros.append((int(pair[0]), int(pair[1])))
+            zeros.append((as_int(pair[0], "zero index"), as_int(pair[1], "zero index")))
         cfg["pattern"] = CrossSparsityPattern(cfg["p_a"].shape[0],
                                               cfg["p_b"].shape[0],
                                               frozenset(zeros))

@@ -10,6 +10,7 @@ here so the rest of the package can assume clean inputs.
 from __future__ import annotations
 
 import json
+import numbers
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
@@ -66,6 +67,13 @@ def parsing(what: str):
         raise ConfigError(f"{what} is missing key {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"malformed {what}: {exc}") from exc
+
+
+def as_int(value, name: str) -> int:
+    """``value`` as an int, or ConfigError if it is not an integer (a bool is not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 # ---------------------------------------------------------------------------

@@ -127,7 +127,6 @@ class SampledFusionProblem:
 
     p_a: np.ndarray
     p_b: np.ndarray
-    samples: tuple[np.ndarray, ...]
     joints: np.ndarray
     joint_inverses: np.ndarray
     joint_logdet: float
@@ -136,7 +135,14 @@ class SampledFusionProblem:
 
     @property
     def n(self) -> int:
-        return len(self.samples)
+        return len(self.joints)
+
+    @property
+    def samples(self) -> np.ndarray:
+        """The (n, d, d) cross-covariance samples, a read-only view of ``joints``."""
+        view = self.joints[:, :self.d, self.d:]
+        view.flags.writeable = False
+        return view
 
 
 def build_problem(p_a, p_b, samples) -> SampledFusionProblem:
@@ -199,8 +205,7 @@ def build_problem(p_a, p_b, samples) -> SampledFusionProblem:
     joints.flags.writeable = False
     log_pivots = np.log(pivots)
     log_pivots.flags.writeable = False
-    stack.flags.writeable = False
-    return SampledFusionProblem(p_a=p_a, p_b=p_b, samples=tuple(stack), joints=joints,
+    return SampledFusionProblem(p_a=p_a, p_b=p_b, joints=joints,
                                 joint_inverses=q,
                                 joint_logdet=2.0 * float(np.sum(log_pivots)),
                                 log_pivots=log_pivots, d=d)
@@ -215,7 +220,6 @@ def _subset(problem: SampledFusionProblem, idx) -> SampledFusionProblem:
     log_pivots = problem.log_pivots[idx]
     return SampledFusionProblem(
         p_a=problem.p_a, p_b=problem.p_b,
-        samples=tuple(problem.samples[i] for i in np.arange(problem.n)[idx]),
         joints=problem.joints[idx], joint_inverses=problem.joint_inverses[idx],
         joint_logdet=2.0 * float(np.sum(log_pivots)), log_pivots=log_pivots,
         d=problem.d)

@@ -14,10 +14,13 @@ Dynamics and noise levels are deliberately open degrees of freedom, so
 they are explicit scenario parameters with documented defaults.
 All randomness descends from one master seed through named substreams,
 so different fusion methods see identical truths and measurements.
-A run's measurements are one (steps, rows) array in the centralized
-filter's row order: agents in id order, each agent's block in the row
-order of its own filter's H.  The centralized filter reads every row,
-and each agent's filter reads its own contiguous block.
+``agent_filter_model`` is the only sensor model: a run's measurements
+are the centralized filter's H times the true state plus chol(R) times
+standard normals drawn in one call per run.  They form one (steps, rows)
+array in the centralized filter's row order: agents in id order, each
+agent's block in the row order of its own filter's H.  The centralized
+filter reads every row, and each agent's filter reads its own contiguous
+block.
 
 Covariances, Kalman gains, intersection weights and fusion gains never
 depend on the data: the Riccati recursion runs the same in every
@@ -32,6 +35,8 @@ factorization per step and agent.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import dataclass, fields as dc_fields, replace
 
 import numpy as np
@@ -41,6 +46,7 @@ from .core import (
     ConfigError,
     FusionError,
     GaussianEstimate,
+    as_int,
     check_spd,
     make_substream,
     parsing,
@@ -53,6 +59,9 @@ from . import metrics as _metrics
 SCENARIO_SCHEMA = "cofusion-scenario-v1"
 METHODS = ("centralized", "CI", "nmCI", "none")
 PARTITION_SCHEMES = ("group_target_bias", "group_axes")
+_INT_FIELDS = ("seed", "n_steps", "mc_runs", "report_agent", "fusion_every", "fusion_start")
+_REAL_FIELDS = ("dt", "q", "bias_range", "prior_position_var", "prior_velocity_var",
+               "prior_bias_var", "init_position_spread", "init_velocity_std")
 
 
 # ---------------------------------------------------------------------------
@@ -169,8 +178,14 @@ class ScenarioConfig:
     record_estimates: str = "all"
 
     def __post_init__(self):
-        groups = tuple(GroupSpec(tuple(int(a) for a in g.agents),
-                                 tuple(int(t) for t in g.targets))
+        for name in _INT_FIELDS:
+            object.__setattr__(self, name, as_int(getattr(self, name), name))
+        for name in _REAL_FIELDS:
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v):
+                raise ConfigError(f"{name} must be a finite number, got {v!r}")
+        groups = tuple(GroupSpec(tuple(as_int(a, "group agent id") for a in g.agents),
+                                 tuple(as_int(t, "group target id") for t in g.targets))
                        for g in self.groups)
         if not groups:
             raise ConfigError("at least one group is required")
@@ -183,7 +198,7 @@ class ScenarioConfig:
         if not targets:
             raise ConfigError("at least one target is required")
         n_agents = len(agents)
-        edges = tuple((int(i), int(j)) for i, j in self.edges)
+        edges = tuple((as_int(i, "edge end"), as_int(j, "edge end")) for i, j in self.edges)
         seen = set()
         for i, j in edges:
             if i == j or not (0 <= i < n_agents and 0 <= j < n_agents):
@@ -201,7 +216,8 @@ class ScenarioConfig:
         else:
             if len(self.assignments) != n_agents:
                 raise ConfigError("assignments must list targets for every agent")
-            assigned = tuple(tuple(int(t) for t in ts) for ts in self.assignments)
+            assigned = tuple(tuple(as_int(t, "assigned target") for t in ts)
+                             for ts in self.assignments)
         for a, ts in enumerate(assigned):
             if not ts:
                 raise ConfigError(f"agent {a} needs at least one assigned target")
@@ -225,7 +241,7 @@ class ScenarioConfig:
                 raise ConfigError(f"unknown method {m!r} (choose from {METHODS})")
         if self.partition_scheme not in PARTITION_SCHEMES:
             raise ConfigError(f"unknown partition scheme {self.partition_scheme!r}")
-        if not (0 <= int(self.report_agent) < n_agents):
+        if not (0 <= self.report_agent < n_agents):
             raise ConfigError("report_agent out of range")
         if self.record_estimates not in ("all", "report", "none"):
             raise ConfigError("record_estimates must be all, report, or none")
@@ -236,11 +252,12 @@ class ScenarioConfig:
                               "bias_range >= 0, fusion_start >= 0 required")
         if min(self.prior_position_var, self.prior_velocity_var, self.prior_bias_var) <= 0:
             raise ConfigError("prior variances must be positive")
+        if self.init_position_spread < 0 or self.init_velocity_std < 0:
+            raise ConfigError("init_position_spread and init_velocity_std must be >= 0")
         object.__setattr__(self, "groups", groups)
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "assignments", assigned)
         object.__setattr__(self, "methods", tuple(self.methods))
-        object.__setattr__(self, "report_agent", int(self.report_agent))
         object.__setattr__(self, "r_target",
                            tuple(tuple(float(v) for v in row) for row in self.r_target))
         object.__setattr__(self, "r_landmark",
@@ -325,18 +342,7 @@ class ScenarioConfig:
 
 
 # ---------------------------------------------------------------------------
-# runtime agent records
-
-@dataclass(frozen=True)
-class AgentConfig:
-    """One realized agent: identity, bias truth and sensing."""
-
-    id: int
-    bias: np.ndarray
-    assigned_targets: tuple[int, ...]
-    meas_noise_target: np.ndarray
-    meas_noise_landmark: np.ndarray
-
+# filter models: the one sensor model
 
 @dataclass(frozen=True)
 class FilterModel:
@@ -348,50 +354,37 @@ class FilterModel:
     r: np.ndarray
 
 
-def noise_factors(agent: AgentConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Cholesky factors of an agent's target and landmark noise, for ``measure``."""
-    return (np.linalg.cholesky(agent.meas_noise_target),
-            np.linalg.cholesky(agent.meas_noise_landmark))
+def agent_filter_model(scenario: ScenarioConfig, a: int,
+                       dynamics: tuple[np.ndarray, np.ndarray]) -> FilterModel:
+    """Observation and dynamics matrices for agent ``a``'s local filter.
 
-
-def measure(agent: AgentConfig, truth, layout: StateLayout,
-            rng: np.random.Generator, factors) -> np.ndarray:
-    """Biased position measurement of each assigned target, then a landmark.
-
-    The vector is in the row order of the agent's ``agent_filter_model``
-    H.  ``factors`` is ``noise_factors(agent)``; the noise is fixed per
-    agent, so callers factor it once.
+    Agent ``a`` measures the position of each assigned target through its
+    bias, in assignment order with noise ``agent_r_target[a]`` (else
+    ``r_target``), then observes the bias itself on a landmark with noise
+    ``r_landmark``.  ``draw_run`` generates measurements through these H
+    and R, so this is the simulator's only sensor model.  ``dynamics`` is
+    the scenario's ``global_transition``, one F and Q that every agent's
+    model shares.
     """
-    truth = np.asarray(truth, dtype=float)
-    la, lb = factors
-    z = []
-    for t in agent.assigned_targets:
-        ti = layout.target_indices(t)
-        z.append(truth[[ti[0], ti[2]]] + agent.bias + la @ rng.standard_normal(2))
-    z.append(agent.bias + lb @ rng.standard_normal(2))
-    return np.concatenate(z)
-
-
-def agent_filter_model(agent: AgentConfig, layout: StateLayout,
-                       dt: float, q: float) -> FilterModel:
-    """Observation and dynamics matrices for one agent's local filter."""
-    f, qn = global_transition(layout, dt, q)
-    rows = 2 * (len(agent.assigned_targets) + 1)
+    layout = scenario.layout()
+    f, qn = dynamics
+    targets = scenario.assignments[a]
+    r_target = scenario.r_target if scenario.agent_r_target is None \
+        else scenario.agent_r_target[a]
+    rows = 2 * (len(targets) + 1)
     h = np.zeros((rows, layout.dim))
     r = np.zeros((rows, rows))
+    bi = layout.bias_indices(a)
     row = 0
-    bi = layout.bias_indices(agent.id)
-    for t in agent.assigned_targets:
+    for t in targets:
         ti = layout.target_indices(t)
-        h[row, ti[0]] = 1.0
-        h[row, bi[0]] = 1.0
-        h[row + 1, ti[2]] = 1.0
-        h[row + 1, bi[1]] = 1.0
-        r[row:row + 2, row:row + 2] = agent.meas_noise_target
+        h[row, [ti[0], bi[0]]] = 1.0
+        h[row + 1, [ti[2], bi[1]]] = 1.0
+        r[row:row + 2, row:row + 2] = r_target
         row += 2
     h[row, bi[0]] = 1.0
     h[row + 1, bi[1]] = 1.0
-    r[row:row + 2, row:row + 2] = agent.meas_noise_landmark
+    r[row:, row:] = scenario.r_landmark
     return FilterModel(f=f, q=qn, h=h, r=r)
 
 
@@ -536,20 +529,6 @@ def _prior_covariance(scenario: ScenarioConfig) -> np.ndarray:
     return np.diag(np.array(diag))
 
 
-def _make_agents(scenario: ScenarioConfig, biases: np.ndarray) -> list[AgentConfig]:
-    rl = np.asarray(scenario.r_landmark, dtype=float)
-
-    def rt(a: int) -> np.ndarray:
-        if scenario.agent_r_target is not None:
-            return np.asarray(scenario.agent_r_target[a], dtype=float)
-        return np.asarray(scenario.r_target, dtype=float)
-
-    return [AgentConfig(id=a, bias=biases[a].copy(),
-                        assigned_targets=scenario.assignments[a],
-                        meas_noise_target=rt(a), meas_noise_landmark=rl)
-            for a in range(scenario.n_agents)]
-
-
 def _row_blocks(models: list[FilterModel]) -> list[slice]:
     """Each agent model's rows within the centralized model's, in agent id order."""
     ends = np.cumsum([m.h.shape[0] for m in models]).tolist()
@@ -573,18 +552,20 @@ def centralized_model(models: list[FilterModel]) -> FilterModel:
 class RunDraws:
     """Everything random in one Monte-Carlo run; every method replays it."""
 
-    agents: list[AgentConfig]      # carries the run's bias truths
     truth: np.ndarray              # (steps, d) true state after each step
     meas: np.ndarray               # (steps, rows) centralized row order
     prior_mean: np.ndarray         # (d,) shared prior mean of every filter
 
 
-def draw_run(scenario: ScenarioConfig, run_idx: int) -> RunDraws:
+def draw_run(scenario: ScenarioConfig, run_idx: int, model: FilterModel) -> RunDraws:
     """Draw one run's truth, measurements and prior from its substreams.
 
     Biases, initial target states and the truth steps come from the
     run's "truth" substream, measurements from "meas" and the prior
     perturbation from "prior", so every method sees the same run.
+    ``model`` is the scenario's ``centralized_model``: each step's
+    measurement is its H times the true state plus noise with covariance
+    R, the standard normals drawn in one call, in row order step by step.
     """
     layout = scenario.layout()
     d = layout.dim
@@ -595,8 +576,6 @@ def draw_run(scenario: ScenarioConfig, run_idx: int) -> RunDraws:
     rng_prior = make_substream(scenario.seed, "prior", run_idx)
 
     biases = rng_truth.uniform(-scenario.bias_range, scenario.bias_range, size=(n_a, 2))
-    agents = _make_agents(scenario, biases)
-
     x = np.zeros(d)
     for t in range(n_t):
         ti = layout.target_indices(t)
@@ -608,8 +587,6 @@ def draw_run(scenario: ScenarioConfig, run_idx: int) -> RunDraws:
         x[layout.bias_indices(a)] = biases[a]
 
     truth = np.empty((steps, d))
-    meas = []
-    factors = [noise_factors(a) for a in agents]
     phi, qn = target_transition(scenario.dt, scenario.q)
     lq = np.linalg.cholesky(qn) if scenario.q > 0 else None
     xk = x
@@ -622,15 +599,15 @@ def draw_run(scenario: ScenarioConfig, run_idx: int) -> RunDraws:
                 nxt[ti] += lq @ rng_truth.standard_normal(4)
         xk = nxt
         truth[k] = xk
-        meas.append(np.concatenate([measure(a, xk, layout, rng_meas, f)
-                                    for a, f in zip(agents, factors)]))
+    w = rng_meas.standard_normal((steps, model.h.shape[0]))
+    meas = truth @ model.h.T + w @ np.linalg.cholesky(model.r).T
 
     # every agent and the centralized baseline start from one shared
     # prior belief; a common prior keeps fusion of untouched states a
     # no-op instead of an uncredited averaging of independent errors
     l0 = np.linalg.cholesky(_prior_covariance(scenario))
     prior_mean = x + l0 @ rng_prior.standard_normal(d)
-    return RunDraws(agents=agents, truth=truth, meas=np.stack(meas), prior_mean=prior_mean)
+    return RunDraws(truth=truth, meas=meas, prior_mean=prior_mean)
 
 
 def _per_run(m: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -736,12 +713,11 @@ def _simulate(scenario: ScenarioConfig, run_ids, methods) -> list[dict]:
     for m in methods:
         if m not in METHODS:
             raise ConfigError(f"unknown method {m!r}")
-    layout = scenario.layout()
-    draws = [draw_run(scenario, r) for r in run_ids]
-    # the bias, the only per-run field of an agent, does not enter a model
-    agent_models = [agent_filter_model(a, layout, scenario.dt, scenario.q)
-                    for a in draws[0].agents]
+    dynamics = global_transition(scenario.layout(), scenario.dt, scenario.q)
+    agent_models = [agent_filter_model(scenario, a, dynamics)
+                    for a in range(scenario.n_agents)]
     central = centralized_model(agent_models)
+    draws = [draw_run(scenario, r, central) for r in run_ids]
     shared = dict(meas=np.stack([dr.meas for dr in draws]),
                   truth=np.stack([dr.truth for dr in draws]),
                   prior_mean=np.stack([dr.prior_mean for dr in draws]),
@@ -792,8 +768,8 @@ def run_scenario(scenario: ScenarioConfig, *, methods=None, mc_runs: int | None 
     """
     if seed is not None or mc_runs is not None:
         scenario = replace(scenario,
-                           seed=scenario.seed if seed is None else int(seed),
-                           mc_runs=scenario.mc_runs if mc_runs is None else int(mc_runs))
+                           seed=scenario.seed if seed is None else seed,
+                           mc_runs=scenario.mc_runs if mc_runs is None else mc_runs)
     methods = tuple(methods or scenario.methods)
     return TrackData(scenario=scenario, methods=methods,
                      state_dim=scenario.layout().dim,

@@ -390,6 +390,21 @@ def _malformed_argv(tmp_path, kind, key, value):
     ("partition", "blocks", 3),
     ("pattern", "zero_indices", [[0]]),
     ("cross", "matrix", [[0.0, 0.0], [0.0]]),
+    # a non-integer count, seed or iteration budget is an error, not truncated
+    ("comparison", "n_values", [10.5, 50]),
+    ("comparison", "mc_runs", 2.7),
+    ("comparison", "seed", 7.9),
+    ("comparison", "solver_max_iters", 150.5),
+    ("comparison", "zero_indices", [[0, 1.5]]),
+    ("scenario", "n_steps", 2.5),
+    ("scenario", "mc_runs", 1.5),
+    ("scenario", "seed", "abc"),
+    ("scenario", "seed", 1.5),
+    ("scenario", "fusion_every", 1.5),
+    ("scenario", "report_agent", 0.5),
+    ("scenario", "bias_range", float("nan")),
+    ("scenario", "init_position_spread", -1),
+    ("scenario", "init_velocity_std", -1),
 ])
 def test_malformed_input_files_are_config_errors(capsys, tmp_path, kind, key, value):
     rc, _, err = _run(capsys, _malformed_argv(tmp_path, kind, key, value))

@@ -6,7 +6,7 @@ import io
 import numpy as np
 import pytest
 
-from cofusion.core import ConfigError, FusionError, GaussianEstimate
+from cofusion.core import ConfigError, FusionError, GaussianEstimate, make_substream
 from cofusion.metrics import (
     OMEGA_CSV_COLUMNS,
     TRACK_CSV_COLUMNS,
@@ -27,8 +27,6 @@ from cofusion.sim import (
     fusion_round,
     global_transition,
     local_filter_step,
-    measure,
-    noise_factors,
     omega_blocks,
     partition_is_exact,
     run_scenario,
@@ -46,6 +44,15 @@ def tiny_scenario(**overrides):
                 methods=("centralized", "CI", "nmCI"))
     base.update(overrides)
     return ScenarioConfig(**base)
+
+
+def agent_models(scn):
+    dynamics = global_transition(scn.layout(), scn.dt, scn.q)
+    return [agent_filter_model(scn, a, dynamics) for a in range(scn.n_agents)]
+
+
+def central_model(scn):
+    return centralized_model(agent_models(scn))
 
 
 # ---------------------------------------------------------------------------
@@ -81,10 +88,32 @@ def test_scenario_defaults_derive_assignments():
     # a group without targets leaves its agents nothing to measure
     {"groups": (GroupSpec((0,), (0,)), GroupSpec((1,), ()))},
     {"partition_scheme": "per_target_bias"},
+    # integer fields take integers only, real fields finite numbers only
+    {"n_steps": 2.5},
+    {"mc_runs": 1.5},
+    {"seed": "abc"},
+    {"seed": 1.5},
+    {"fusion_every": 1.5},
+    {"report_agent": 0.5},
+    {"n_steps": True},
+    {"bias_range": float("nan")},
+    {"dt": float("inf")},
+    {"q": "0.01"},
+    {"init_position_spread": -1.0},
+    {"init_velocity_std": -1.0},
+    {"edges": ((0, 1.5),)},
 ])
 def test_scenario_rejects_bad_configs(overrides):
     with pytest.raises(FusionError):
         tiny_scenario(**overrides)
+
+
+def test_scenario_keeps_integer_values_as_ints():
+    scn = tiny_scenario(seed=np.int64(4), n_steps=np.int32(3))
+    assert type(scn.seed) is int and type(scn.n_steps) is int
+    assert scn.seed == 4 and scn.n_steps == 3
+    with pytest.raises(ConfigError, match="seed"):
+        run_scenario(scn, seed=2.5)
 
 
 def test_scenario_assignment_must_stay_in_group():
@@ -145,7 +174,7 @@ def test_global_transition_block_structure():
 def test_truth_without_process_noise_moves_with_velocity():
     scn = tiny_scenario(q=0.0, dt=0.5)
     f, _ = global_transition(scn.layout(), scn.dt, scn.q)
-    truth = draw_run(scn, 0).truth
+    truth = draw_run(scn, 0, central_model(scn)).truth
     for k in range(1, scn.n_steps):
         np.testing.assert_array_equal(truth[k], f @ truth[k - 1])
     assert not np.array_equal(truth[1], truth[0])
@@ -155,31 +184,31 @@ def test_truth_without_process_noise_moves_with_velocity():
 # measurements and local filtering
 
 def test_measure_contains_bias_and_assigned_targets():
-    scn = tiny_scenario()
+    scn = tiny_scenario(agent_r_target=(((2.0, 0.0), (0.0, 1.0)),
+                                        ((1.0, 0.0), (0.0, 1.0))))
     lay = scn.layout()
-    rng = np.random.default_rng(1)
-    from cofusion.sim import _make_agents
-
-    agents = _make_agents(scn, np.array([[1.0, -1.0], [0.0, 0.5]]))
-    truth = rng.standard_normal(lay.dim)
-    m = measure(agents[0], truth, lay, np.random.default_rng(2), noise_factors(agents[0]))
+    model = agent_models(scn)[0]
+    truth = np.random.default_rng(1).standard_normal(lay.dim)
     # rows: target 0, target 1, then the landmark
-    assert m.shape == (2 * 2 + 2,)
-    assert m[4:].shape == (2,)
-    # with a zeroed noise draw the measurement is position + bias; with
-    # real noise it stays within a few sigmas
-    t0 = lay.target_indices(0)
-    expected = truth[[t0[0], t0[2]]] + agents[0].bias
-    assert np.all(np.abs(m[:2] - expected) < 6.0)
+    assert model.h.shape == (2 * 2 + 2, lay.dim)
+    bias = truth[lay.bias_indices(0)]
+    for rows, t in ((slice(0, 2), 0), (slice(2, 4), 1)):
+        t0 = lay.target_indices(t)
+        np.testing.assert_array_equal(model.h[rows] @ truth, truth[[t0[0], t0[2]]] + bias)
+        np.testing.assert_array_equal(model.r[rows, rows], scn.agent_r_target[0])
+    np.testing.assert_array_equal(model.h[4:] @ truth, bias)
+    np.testing.assert_array_equal(model.r[4:, 4:], scn.r_landmark)
+    # with real noise the measurement stays within a few sigmas of H x
+    draws = draw_run(scn, 0, central_model(scn))
+    assert np.all(np.abs(draws.meas[:, :6] - draws.truth @ model.h.T) < 6.0)
 
 
 def test_local_filter_step_matches_manual_kalman():
     scn = tiny_scenario()
     lay = scn.layout()
-    from cofusion.sim import _make_agents, _prior_covariance
+    from cofusion.sim import _prior_covariance
 
-    agents = _make_agents(scn, np.zeros((2, 2)))
-    model = agent_filter_model(agents[0], lay, scn.dt, scn.q)
+    model = agent_models(scn)[0]
     p0 = _prior_covariance(scn)
     rng = np.random.default_rng(3)
     belief = GaussianEstimate(rng.standard_normal(lay.dim), p0, lay.labels())
@@ -201,19 +230,7 @@ def test_local_filter_step_matches_manual_kalman():
 @pytest.mark.parametrize("assignments", [None, ((1, 0), (1,))])
 def test_measurement_rows_follow_the_models(assignments):
     scn = tiny_scenario(assignments=assignments)
-    lay = scn.layout()
-    from cofusion.sim import _make_agents
-
-    agents = _make_agents(scn, np.array([[1.0, -1.0], [0.0, 0.5]]))
-    models = [agent_filter_model(a, lay, scn.dt, scn.q) for a in agents]
-    truth = np.random.default_rng(4).standard_normal(lay.dim)
-    for a in agents:
-        truth[lay.bias_indices(a.id)] = a.bias
-    # without noise an agent measures exactly H x, row for row
-    zero = (np.zeros((2, 2)), np.zeros((2, 2)))
-    z = [measure(a, truth, lay, np.random.default_rng(5), zero) for a in agents]
-    for zi, m in zip(z, models):
-        np.testing.assert_array_equal(zi, m.h @ truth)
+    models = agent_models(scn)
     # the agents' row blocks tile the centralized rows in id order
     central = centralized_model(models)
     r = np.zeros_like(central.r)
@@ -225,8 +242,65 @@ def test_measurement_rows_follow_the_models(assignments):
         at = rows.stop
     assert at == central.h.shape[0]
     np.testing.assert_array_equal(central.r, r)
-    np.testing.assert_array_equal(np.concatenate(z), central.h @ truth)
-    assert draw_run(scn, 0).meas.shape == (scn.n_steps, at)
+    draws = draw_run(scn, 0, central)
+    assert draws.meas.shape == (scn.n_steps, at)
+    # every row scatters around H x with noise of its own
+    noise = draws.meas - draws.truth @ central.h.T
+    assert np.all(np.abs(noise) < 6.0) and np.all(noise != 0.0)
+
+
+def _measure_per_agent(scn, run_idx, truth):
+    """Measurements drawn the way the per-agent sensor loop drew them.
+
+    Agent by agent in id order, each assigned target's biased position
+    and then the landmark, two standard normals at a time, scaled by the
+    Cholesky factor of that pair's noise.
+    """
+    lay = scn.layout()
+    rng = make_substream(scn.seed, "meas", run_idx)
+    lb = np.linalg.cholesky(np.asarray(scn.r_landmark))
+    out = []
+    for xk in truth:
+        z = []
+        for a in range(scn.n_agents):
+            rt = scn.r_target if scn.agent_r_target is None else scn.agent_r_target[a]
+            la = np.linalg.cholesky(np.asarray(rt))
+            bias = xk[lay.bias_indices(a)]
+            for t in scn.assignments[a]:
+                ti = lay.target_indices(t)
+                z.append(xk[[ti[0], ti[2]]] + bias + la @ rng.standard_normal(2))
+            z.append(bias + lb @ rng.standard_normal(2))
+        out.append(np.concatenate(z))
+    return np.stack(out)
+
+
+@pytest.mark.parametrize("overrides", [
+    {},
+    {"assignments": ((1, 0), (1,))},
+    {"agent_r_target": (((2.0, 0.0), (0.0, 0.5)), ((1.0, 0.0), (0.0, 1.0)))},
+])
+def test_draw_run_matches_per_agent_measurements_bitwise(overrides):
+    scn = tiny_scenario(**overrides)
+    for run_idx in (0, 1):
+        draws = draw_run(scn, run_idx, central_model(scn))
+        want = _measure_per_agent(scn, run_idx, draws.truth)
+        np.testing.assert_array_equal(draws.meas, want)
+
+
+@pytest.mark.parametrize("overrides", [
+    {"r_target": ((1.0, 0.3), (0.3, 0.8)), "r_landmark": ((0.25, 0.1), (0.1, 0.3))},
+    {"agent_r_target": (((2.0, -0.5), (-0.5, 0.5)), ((1.0, 0.2), (0.2, 1.0)))},
+])
+def test_draw_run_matches_per_agent_measurements_with_correlated_noise(overrides):
+    scn = tiny_scenario(**overrides)
+    model = central_model(scn)
+    draws = draw_run(scn, 0, model)
+    want = _measure_per_agent(scn, 0, draws.truth)
+    noise = want - draws.truth @ model.h.T
+    # a Cholesky factor or a product summed in another order moves the
+    # noise term by a few ulp, and the sum by at most one more
+    tol = 4 * np.spacing(np.abs(noise)) + np.spacing(np.abs(want))
+    assert np.all(np.abs(draws.meas - want) <= tol)
 
 
 # ---------------------------------------------------------------------------
@@ -372,15 +446,15 @@ def _reference_run(scn, run_idx, method):
     from cofusion.sim import _prior_covariance
 
     lay = scn.layout()
-    draws = draw_run(scn, run_idx)
     part = build_partition(scn)
-    agent_models = [agent_filter_model(a, lay, scn.dt, scn.q) for a in draws.agents]
+    models = agent_models(scn)
+    central = centralized_model(models)
+    draws = draw_run(scn, run_idx, central)
     if method == "centralized":
-        models, rows = [centralized_model(agent_models)], [slice(None)]
+        models, rows = [central], [slice(None)]
     else:
         # each agent's rows follow the previous agent's
-        ends = np.cumsum([m.h.shape[0] for m in agent_models])
-        models = agent_models
+        ends = np.cumsum([m.h.shape[0] for m in models])
         rows = [slice(e - m.h.shape[0], e) for m, e in zip(models, ends)]
     beliefs = [GaussianEstimate(draws.prior_mean, _prior_covariance(scn), lay.labels())
                for _ in models]
