@@ -273,6 +273,7 @@ def _cmd_track(args) -> int:
     with manifest.timed("run"):
         data = run_scenario(scenario, methods=methods, mc_runs=args.mc,
                             seed=args.seed)
+    manifest.timings.update(data.timings)
     files = [("track.csv", TRACK_CSV_COLUMNS, track_blocks),
              ("omega.csv", OMEGA_CSV_COLUMNS, omega_blocks),
              ("truth.csv", TRUTH_CSV_COLUMNS, truth_blocks)]

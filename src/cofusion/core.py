@@ -80,9 +80,9 @@ def as_int(value, name: str) -> int:
 # matrix checks
 
 def symmetrize(m: np.ndarray) -> np.ndarray:
-    """Return the symmetric part (m + m.T) / 2."""
+    """Return the symmetric part (m + m.T) / 2, of each matrix of a (..., n, n) stack."""
     m = np.asarray(m, dtype=float)
-    return 0.5 * (m + m.T)
+    return 0.5 * (m + np.swapaxes(m, -1, -2))
 
 
 def check_symmetric(m, *, rtol: float = SYMMETRY_RTOL, name: str = "matrix") -> np.ndarray:
@@ -101,11 +101,36 @@ def check_symmetric(m, *, rtol: float = SYMMETRY_RTOL, name: str = "matrix") -> 
 def check_spd(m, *, rtol: float = PD_RTOL, name: str = "matrix") -> np.ndarray:
     """Validate symmetric positive definiteness; returns the symmetrized copy."""
     m = check_symmetric(m, name=name)
-    w = np.linalg.eigvalsh(m)
-    if w[0] <= rtol * max(w[-1], 0.0) or w[-1] <= 0.0:
-        raise NotPositiveDefiniteError(
-            f"{name} is not positive definite (eig range [{w[0]:.3e}, {w[-1]:.3e}])")
+    check_spd_stacks((m,), rtol=rtol, name=name)
     return m
+
+
+def check_spd_stacks(stacks, *, rtol: float = PD_RTOL, name: str = "matrix") -> None:
+    """``check_spd``'s definiteness test on block-diagonal matrices stored as stacks.
+
+    Each stack is a (..., n, n) array of diagonal blocks, one stack per
+    block size; the matrices are indexed by the leading axes that every
+    stack shares, and a trailing block axis (if any) runs over one
+    matrix's blocks of that size.  A matrix's spectrum is the union of its
+    blocks' spectra, so it fails when its smallest block eigenvalue is at
+    most rtol times its largest, or its largest is not positive.  Stacks
+    of one (n, n) block hold one matrix.  Non-finite entries fail too.
+    """
+    lo = hi = None
+    for s in stacks:
+        if not np.all(np.isfinite(s)):
+            raise NotSymmetricError(f"{name} contains non-finite entries")
+        w = np.linalg.eigvalsh(s)
+        s_lo, s_hi = w[..., 0], w[..., -1]
+        if s.ndim > 2:
+            s_lo, s_hi = s_lo.min(axis=-1), s_hi.max(axis=-1)
+        lo = s_lo if lo is None else np.minimum(lo, s_lo)
+        hi = s_hi if hi is None else np.maximum(hi, s_hi)
+    bad = (lo <= rtol * np.maximum(hi, 0.0)) | (hi <= 0.0)
+    if np.any(bad):
+        at = np.unravel_index(np.argmax(bad), np.shape(bad))
+        raise NotPositiveDefiniteError(
+            f"{name} is not positive definite (eig range [{lo[at]:.3e}, {hi[at]:.3e}])")
 
 
 def min_eigenvalue(m: np.ndarray) -> float:
@@ -329,7 +354,11 @@ def partition_from_sparsity(pattern: CrossSparsityPattern) -> BlockPartition:
     """
     if pattern.dim_a != pattern.dim_b:
         raise DimensionError("partition recovery needs a square pattern")
-    d = pattern.dim_a
+    return BlockPartition(_components(pattern.dim_a, pattern.free_indices()))
+
+
+def _components(d: int, pairs: Iterable[tuple[int, int]]) -> tuple[tuple[int, ...], ...]:
+    """Connected components of 0..d-1 linked by ``pairs``, ascending, by smallest index."""
     parent = list(range(d))
 
     def find(i):
@@ -338,15 +367,59 @@ def partition_from_sparsity(pattern: CrossSparsityPattern) -> BlockPartition:
             i = parent[i]
         return i
 
-    for i, j in pattern.free_indices():
-        ri, rj = find(i), find(j)
+    for i, j in pairs:
+        ri, rj = find(int(i)), find(int(j))
         if ri != rj:
             parent[max(ri, rj)] = min(ri, rj)
     groups: dict[int, list[int]] = {}
     for i in range(d):
         groups.setdefault(find(i), []).append(i)
-    blocks = tuple(tuple(groups[r]) for r in sorted(groups))
-    return BlockPartition(blocks)
+    return tuple(tuple(groups[r]) for r in sorted(groups))
+
+
+class StackLayout:
+    """Block-diagonal storage of covariances: stacks of equal-size diagonal blocks.
+
+    ``groups`` holds one (k, n) index array per block size, in the order
+    the sizes first occur among the blocks sorted by smallest state; row
+    b lists block b's states in ascending order.  A covariance is a tuple
+    of (..., k, n, n) arrays, one per group, so one batched numpy call
+    handles every block of a size.  Vectors live in permuted coordinates:
+    entry i of a permuted vector is state ``perm[i]``, and each group's
+    states form one contiguous (..., k, n) slice (see ``views``).
+    ``position[s]`` is state s's entry in permuted coordinates.  One
+    block of every state stores a dense covariance as it is.
+    """
+
+    def __init__(self, blocks):
+        by_size: dict[int, list[list[int]]] = {}
+        for blk in sorted((sorted(int(i) for i in b) for b in blocks), key=lambda b: b[0]):
+            by_size.setdefault(len(blk), []).append(blk)
+        self.groups = tuple(np.array(v, dtype=np.intp) for v in by_size.values())
+        self.perm = np.concatenate([g.ravel() for g in self.groups])
+        if not np.array_equal(np.sort(self.perm), np.arange(self.perm.size)):
+            raise DimensionError("blocks must disjointly cover 0..dim-1")
+        self.position = np.argsort(self.perm)
+        ends = np.cumsum([g.size for g in self.groups]).tolist()
+        self._slices = [slice(e - g.size, e) for g, e in zip(self.groups, ends)]
+
+    @classmethod
+    def from_pattern(cls, pattern: np.ndarray) -> "StackLayout":
+        """Finest layout whose blocks hold every nonzero of a square pattern."""
+        return cls(_components(pattern.shape[0], zip(*np.nonzero(pattern))))
+
+    @property
+    def dim(self) -> int:
+        return self.perm.size
+
+    def split(self, m: np.ndarray) -> tuple[np.ndarray, ...]:
+        """The diagonal blocks of a (d, d) matrix, as one (k, n, n) stack per group."""
+        return tuple(m[g[:, :, None], g[:, None, :]] for g in self.groups)
+
+    def views(self, x: np.ndarray) -> list[np.ndarray]:
+        """Per group, the (..., k, n) view of (..., d) vectors in permuted coordinates."""
+        return [x[..., s].reshape(x.shape[:-1] + g.shape)
+                for s, g in zip(self._slices, self.groups)]
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,11 @@ state blocks, and the minimum-variance rule for the (rare) case where
 the cross-covariance is actually known.
 
 ``ci_fuse``, ``nmci_fuse`` and ``optimize_ci_omega`` check their inputs
-and wrap a private core on covariance arrays (``_omega``, ``_ci``,
-``_nmci``), which the tracker calls directly on its filters' covariances.
+and wrap a private core (``_omega``, ``_ci``, ``_nmci``) on block-diagonal
+covariances stored as stacks of their diagonal blocks (see
+``core.StackLayout``).  The tracker calls the core directly on its
+filters' stacks; the public rules pass a dense covariance as a stack of
+one block.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from .core import (
     GaussianEstimate,
     JointCovariance,
     NotPositiveDefiniteError,
+    StackLayout,
     check_spd,
     min_eigenvalue,
     symmetrize,
@@ -53,84 +57,176 @@ def _trace_terms(p_a: np.ndarray, p_b: np.ndarray) -> tuple[np.ndarray, np.ndarr
     directions, the squared column norms of R Z and L U.  Taking them from
     singular vectors, rather than as s^2 times a norm, keeps both accurate
     when the ratios s^2 span more decades than float64 resolves.  Both
-    inputs must be SPD.
+    inputs must be SPD.  For (..., n, n) stacks, one batched call per
+    step gives each matrix's (..., n) terms.
     """
     low_a, low_b = np.linalg.cholesky(p_a), np.linalg.cholesky(p_b)
     u, _, zt = np.linalg.svd(np.linalg.solve(low_b, low_a))
-    return np.sum((low_a @ zt.T) ** 2, axis=0), np.sum((low_b @ u) ** 2, axis=0)
+    return (np.sum((low_a @ np.swapaxes(zt, -1, -2)) ** 2, axis=-2),
+            np.sum((low_b @ u) ** 2, axis=-2))
 
 
-def _omega(p_a: np.ndarray, p_b: np.ndarray, tol: float = OMEGA_TOL) -> float:
-    """``optimize_ci_omega`` on covariances known to be SPD, without checking them."""
-    a, b = _trace_terms(p_a, p_b)
-    ab, gap = a * b, b - a
+def _weights(a: np.ndarray, b: np.ndarray, seg: np.ndarray, starts: np.ndarray,
+             tol: float = OMEGA_TOL) -> list[float]:
+    """Trace-optimal weight of each segment of the terms, every segment searched at once.
 
-    def f(w: float) -> float:
-        return float(np.sum(ab / (a + w * gap)))
-
-    def derivatives(w: float) -> tuple[float, float]:
-        den = a + w * gap
-        t = ab * gap / den ** 2
-        return -float(np.sum(t)), 2.0 * float(np.sum(t * gap / den))
-
-    if derivatives(0.0)[0] >= 0.0:
-        w = 0.0
-    elif derivatives(1.0)[0] <= 0.0:
-        w = 1.0
-    else:
-        # f' is increasing and changes sign inside [lo, hi]
-        lo, hi, w = 0.0, 1.0, 0.5
-        while hi - lo > tol:
-            g, h = derivatives(w)
-            step = g / h
-            if abs(step) < tol:
-                w -= step
-                break
-            lo, hi = (lo, w) if g > 0.0 else (w, hi)
-            w = w - step if lo < w - step < hi else 0.5 * (lo + hi)
-    fw = f(w)
-    scale = max(abs(fw), 1.0)
-    if abs(f(0.5) - fw) <= _TIE_RTOL * scale:
-        return 0.5
-    if f(0.0) <= fw + _TIE_RTOL * scale or w < tol:
-        return 0.0
-    if f(1.0) <= fw + _TIE_RTOL * scale or w > 1.0 - tol:
-        return 1.0
-    return w
-
-
-def _ci(p_a: np.ndarray, p_b: np.ndarray, w: float) -> tuple[np.ndarray, np.ndarray]:
-    """(gain of a, intersected covariance) of SPD covariances at weight w.
-
-    At w = 0 (or 1) the bound is P_b (or P_a) itself; no solve is attempted.
+    Term i belongs to segment seg[i]; segments are contiguous and start
+    at ``starts``.  Segment s's objective is sum(a*b / (a + w*(b - a)))
+    over its terms.  Objective sums come from one batched evaluation for
+    all segments, and each segment's search takes the steps a search of
+    its own would take: every operation is elementwise or a sum within
+    one segment.
     """
-    d = p_a.shape[0]
-    if w == 0.0:
-        return np.zeros((d, d)), p_b
-    if w == 1.0:
-        return np.eye(d), p_a
+    ab, gap = a * b, b - a
+    abgap = ab * gap
+
+    def sums(x):
+        return np.add.reduceat(x, starts, axis=-1)
+
+    def derivatives(w):
+        den = a + np.asarray(w)[..., seg] * gap
+        t = abgap / den ** 2
+        return (-sums(t)).tolist(), (2.0 * sums(t * gap / den)).tolist()
+
+    n = starts.size
+    (g0, g1), _ = derivatives([[0.0] * n, [1.0] * n])
+    w = [0.0 if d0 >= 0.0 else 1.0 if d1 <= 0.0 else 0.5 for d0, d1 in zip(g0, g1)]
+    # f' is increasing and changes sign inside [lo, hi] of each active segment
+    active = [s for s in range(n) if not (g0[s] >= 0.0 or g1[s] <= 0.0)]
+    lo, hi = [0.0] * n, [1.0] * n
+    while True:
+        active = [s for s in active if hi[s] - lo[s] > tol]
+        if not active:
+            break
+        g, h = derivatives(w)
+        searching = []
+        for s in active:
+            step = g[s] / h[s]
+            if abs(step) < tol:
+                w[s] -= step
+                continue
+            lo[s], hi[s] = (lo[s], w[s]) if g[s] > 0.0 else (w[s], hi[s])
+            w[s] = w[s] - step if lo[s] < w[s] - step < hi[s] else 0.5 * (lo[s] + hi[s])
+            searching.append(s)
+        active = searching
+    den = a + np.array([w, [0.5] * n, [0.0] * n, [1.0] * n])[:, seg] * gap
+    fw, f_half, f_zero, f_one = sums(ab / den).tolist()
+    out = []
+    for s in range(n):
+        slack = _TIE_RTOL * max(abs(fw[s]), 1.0)
+        if abs(f_half[s] - fw[s]) <= slack:
+            out.append(0.5)
+        elif f_zero[s] <= fw[s] + slack or w[s] < tol:
+            out.append(0.0)
+        elif f_one[s] <= fw[s] + slack or w[s] > 1.0 - tol:
+            out.append(1.0)
+        else:
+            out.append(w[s])
+    return out
+
+
+_ONE_SEGMENT = np.zeros(1, dtype=np.intp)
+
+
+def _stacked_terms(p_a, p_b) -> tuple[np.ndarray, np.ndarray]:
+    """``_trace_terms`` of every matrix of paired stacks, concatenated stack by stack."""
+    terms = [_trace_terms(sa, sb) for sa, sb in zip(p_a, p_b)]
+    return (np.concatenate([t[0].ravel() for t in terms]),
+            np.concatenate([t[1].ravel() for t in terms]))
+
+
+def _omega(p_a, p_b, tol: float = OMEGA_TOL) -> float:
+    """``optimize_ci_omega`` on covariances known to be SPD, without checking them.
+
+    ``p_a`` and ``p_b`` are block-diagonal covariances stored as stacks
+    (sequences of (..., n, n) arrays, see ``core.StackLayout``); a dense
+    matrix is a sequence of one.  The trace of a block-diagonal bound is a
+    sum over its blocks, so the terms of every block enter one search.
+    """
+    a, b = _stacked_terms(p_a, p_b)
+    return _weights(a, b, np.zeros(a.size, dtype=np.intp), _ONE_SEGMENT, tol)[0]
+
+
+def _ci(p_a: np.ndarray, p_b: np.ndarray, w) -> tuple[np.ndarray, np.ndarray]:
+    """(gain of a, intersected covariance) of SPD (..., n, n) stacks at weight w.
+
+    ``w`` is one weight, or one per matrix of the stack.  Where it is 0
+    (or 1) the bound is P_b (or P_a) itself and the gain exactly 0 (or I).
+    """
+    w = np.asarray(w, dtype=float)[..., None, None]
     # with S = w*P_b + (1-w)*P_a, the intersected covariance is
     # P_b S^-1 P_a and the gain of a is w * P_b S^-1
-    pb_sinv = np.linalg.solve(w * p_b + (1.0 - w) * p_a, p_b).T
-    return w * pb_sinv, symmetrize(pb_sinv @ p_a)
+    pb_sinv = np.swapaxes(np.linalg.solve(w * p_b + (1.0 - w) * p_a, p_b), -1, -2)
+    gain, bound = w * pb_sinv, symmetrize(pb_sinv @ p_a)
+    if np.any((w == 0.0) | (w == 1.0)):
+        gain = np.where(w == 0.0, 0.0, np.where(w == 1.0, np.eye(p_a.shape[-1]), gain))
+        bound = np.where(w == 0.0, p_b, np.where(w == 1.0, p_a, bound))
+    return gain, bound
 
 
-def _nmci(p_a: np.ndarray, p_b: np.ndarray, partition: BlockPartition, strict: bool,
-          tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[float, float]]:
-    """Block-wise intersection of SPD covariances over a partition of their states.
+class _Pieces:
+    """Where a partition's blocks lie in stacked covariances of one layout, for ``_nmci``.
 
-    Returns (per-block weights, gain of a, bound, relative off-block mass
-    dropped from P_a and P_b).  Off-block mass above tol (relative
-    Frobenius) is an error in strict mode and dropped in lenient mode;
-    dropping it leaves every block marginal as it is.
+    A piece is one stack block intersected with one partition block.
+    ``groups`` holds (stack group, index, part) per stack group and piece
+    size: ``index`` gathers those pieces from the group's (k, n, n) stack
+    into a (u, m, m) one, and ``part`` names each piece's partition block.
+    Their trace terms, concatenated group by group and taken in ``order``,
+    run partition block by partition block (``seg``) from ``starts``.
+    ``off`` lists, per stack group, the flat entries of its blocks outside
+    every piece.
     """
-    d = p_a.shape[0]
-    off = np.ones((d, d), dtype=bool)
-    for blk in partition.blocks:
-        off[np.ix_(blk, blk)] = False
+
+    def __init__(self, layout: StackLayout, partition: BlockPartition):
+        part_of = np.empty(layout.dim, dtype=np.intp)
+        for p, blk in enumerate(partition.blocks):
+            part_of[list(blk)] = p
+        pieces: dict[tuple[int, int], list] = {}
+        self.off = []
+        for g, states in enumerate(layout.groups):
+            parts = part_of[states]
+            self.off.append(np.flatnonzero(parts[:, :, None] != parts[:, None, :]))
+            for blk, row in enumerate(parts.tolist()):
+                by_part: dict[int, list[int]] = {}
+                for i, p in enumerate(row):
+                    by_part.setdefault(p, []).append(i)
+                for p, pos in sorted(by_part.items()):
+                    pieces.setdefault((g, len(pos)), []).append((blk, pos, p))
+        self.groups = []
+        for (g, _m), items in pieces.items():
+            blk, pos, part = (np.array(column) for column in zip(*items))
+            index = (blk[:, None, None], pos[:, :, None], pos[:, None, :])
+            self.groups.append((g, index, part))
+        term_part = np.concatenate([np.repeat(part, ix[1].shape[1])
+                                    for _, ix, part in self.groups])
+        self.order = np.argsort(term_part, kind="stable")
+        self.seg = term_part[self.order]
+        self.starts = np.searchsorted(self.seg, np.arange(partition.n_blocks))
+
+
+def _off_mass(p, off) -> float:
+    """Relative Frobenius mass of the entries ``off`` lists, over a stacked covariance."""
+    if not any(ix.size for ix in off):
+        return 0.0
+    part = sum(float(x @ x) for x in (s.ravel()[ix] for s, ix in zip(p, off)))
+    whole = sum(float(x @ x) for x in (s.ravel() for s in p))
+    return float(np.sqrt(part)) / max(float(np.sqrt(whole)), 1e-300)
+
+
+def _nmci(p_a, p_b, pieces: _Pieces, strict: bool, tol: float):
+    """Block-wise intersection of SPD stacked covariances over a partition of their states.
+
+    ``p_a`` and ``p_b`` are sequences of (k, n, n) stacks of the layout
+    ``pieces`` was built on.  Returns (per-block weights, gain of a, bound,
+    relative off-block mass dropped from P_a and P_b), the gain and bound
+    as stacks.  Off-block mass above tol (relative Frobenius) is an error
+    in strict mode and dropped in lenient mode; dropping it leaves every
+    block marginal as it is.  One batched call per piece group gives the
+    trace terms, and one search finds every partition block's weight.
+    """
     dropped = []
     for p, which in ((p_a, "A"), (p_b, "B")):
-        rel = float(np.linalg.norm(p[off])) / max(float(np.linalg.norm(p)), 1e-300)
+        rel = _off_mass(p, pieces.off)
         if rel <= tol:
             rel = 0.0
         elif strict:
@@ -139,27 +235,26 @@ def _nmci(p_a: np.ndarray, p_b: np.ndarray, partition: BlockPartition, strict: b
                 f"(relative off-block mass {rel:.2e} > {tol:g}); "
                 "use lenient mode to drop the coupling")
         dropped.append(rel)
-    gain_a = np.zeros((d, d))
-    bound = np.zeros((d, d))
-    omegas = np.zeros(partition.n_blocks)
-    for k, blk in enumerate(partition.blocks):
-        ix = np.ix_(blk, blk)
-        sub_a, sub_b = p_a[ix], p_b[ix]
-        omegas[k] = _omega(sub_a, sub_b)
-        gain_a[ix], bound[ix] = _ci(sub_a, sub_b, omegas[k])
+    sub_a = [p_a[g][ix] for g, ix, _ in pieces.groups]
+    sub_b = [p_b[g][ix] for g, ix, _ in pieces.groups]
+    a, b = _stacked_terms(sub_a, sub_b)
+    omegas = np.array(_weights(a[pieces.order], b[pieces.order], pieces.seg, pieces.starts))
+    gain_a = [np.zeros_like(s) for s in p_a]
+    bound = [np.zeros_like(s) for s in p_a]
+    for (g, ix, part), sa, sb in zip(pieces.groups, sub_a, sub_b):
+        gain_a[g][ix], bound[g][ix] = _ci(sa, sb, omegas[part])
     return omegas, gain_a, bound, tuple(dropped)
 
 
 def _fused_mean(gain_a: np.ndarray, mean_a: np.ndarray, mean_b: np.ndarray) -> np.ndarray:
-    """b's mean moved toward a's by gain_a, for (..., d) stacks of means.
+    """b's mean moved toward a's by gain_a, for (..., n) means and (n, n) or (k, n, n) gains.
 
     Rows where b gets no weight (gain_a's row is the identity's) keep a's
     mean as it is, so a weight of 1 returns a's mean exactly.
     """
     fused = mean_b + (gain_a @ (mean_a - mean_b)[..., None])[..., 0]
-    kept = np.all(gain_a == np.eye(gain_a.shape[0]), axis=1)
-    fused[..., kept] = mean_a[..., kept]
-    return fused
+    kept = np.all(gain_a == np.eye(gain_a.shape[-1]), axis=-1)
+    return np.where(kept, mean_a, fused)
 
 
 def optimize_ci_omega(p_a: np.ndarray, p_b: np.ndarray, tol: float = OMEGA_TOL) -> float:
@@ -174,7 +269,7 @@ def optimize_ci_omega(p_a: np.ndarray, p_b: np.ndarray, tol: float = OMEGA_TOL) 
     safeguarded by bisection.  Exact ties (e.g. P_a == P_b) resolve to
     0.5; minima within tol of an endpoint snap onto it.
     """
-    return _omega(check_spd(p_a, name="P_a"), check_spd(p_b, name="P_b"), tol)
+    return _omega((check_spd(p_a, name="P_a"),), (check_spd(p_b, name="P_b"),), tol)
 
 
 def ci_fuse(a: GaussianEstimate, b: GaussianEstimate,
@@ -189,7 +284,7 @@ def ci_fuse(a: GaussianEstimate, b: GaussianEstimate,
     _check_same_labels(a, b)
     source = "given"
     if omega is None:
-        omega = _omega(a.covariance, b.covariance)
+        omega = _omega((a.covariance,), (b.covariance,))
         source = "optimized"
     w = float(omega)
     if not (0.0 <= w <= 1.0):
@@ -216,8 +311,10 @@ def nmci_fuse(a: GaussianEstimate, b: GaussianEstimate, partition: BlockPartitio
     if partition.dim != a.dim:
         raise DimensionError(
             f"partition covers {partition.dim} states but estimates have {a.dim}")
-    omegas, ga, bound, (dropped_a, dropped_b) = _nmci(
-        a.covariance, b.covariance, partition, strict, tol)
+    omegas, (ga,), (bound,), (dropped_a, dropped_b) = _nmci(
+        (a.covariance[None],), (b.covariance[None],),
+        _Pieces(StackLayout([range(a.dim)]), partition), strict, tol)
+    ga, bound = ga[0], bound[0]
     return FusionResult(
         gain_a=ga, gain_b=np.eye(a.dim) - ga, fused_mean=_fused_mean(ga, a.mean, b.mean),
         bound=bound, method=FusionMethod.NMCI, omega=omegas,

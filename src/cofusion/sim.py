@@ -25,11 +25,24 @@ block.
 Covariances, Kalman gains, intersection weights and fusion gains never
 depend on the data: the Riccati recursion runs the same in every
 Monte-Carlo run.  So each method steps all runs in lockstep.  One
-covariance pass per scenario carries each filter's covariance as a plain
-array, does one filter update per agent and one fusion per edge through
-the array core behind ``ci_fuse``/``nmci_fuse``, and applies their gains
-to a (runs, agents, d) array of means; NEES solves every run against one
-factorization per step and agent.
+covariance pass per scenario does the filter steps and one fusion per
+edge through the array core behind ``ci_fuse``/``nmci_fuse``, and
+applies their gains to a (runs, filters, d) array of means; NEES solves
+every run against one factorization per step and block.
+
+That pass exploits the scenario's independence structure.  The
+connected components of the union sparsity pattern of P0, F, Q and each
+filter's H^T|R|H are blocks that no filter step, CI or block-wise CI
+ever couples, so every covariance is exactly block-diagonal over them.
+Each filter's covariance is carried as stacks of its diagonal blocks,
+one (k, n, n) stack per block size (``core.StackLayout``), and means,
+truth and errors live in the matching permuted coordinates; records
+return to state-label order.  On both presets the blocks are the
+(group, axis) pairs.  Every numpy call covers all blocks of a size, for
+all filters in the filter step.  A scenario whose structure couples
+every state runs as one block through the same code, and
+``local_filter_step``, ``ci_fuse`` and ``nmci_fuse`` treat a dense
+covariance as a stack of one block.
 """
 
 from __future__ import annotations
@@ -37,7 +50,8 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass, fields as dc_fields, replace
+import time
+from dataclasses import dataclass, field, fields as dc_fields, replace
 
 import numpy as np
 
@@ -46,13 +60,24 @@ from .core import (
     ConfigError,
     FusionError,
     GaussianEstimate,
+    StackLayout,
     as_int,
     check_spd,
+    check_spd_stacks,
     make_substream,
     parsing,
     symmetrize,
 )
-from .fusion import OFF_BLOCK_TOL, _ci, _fused_mean, _nmci, _omega, ci_fuse, nmci_fuse
+from .fusion import (
+    OFF_BLOCK_TOL,
+    _ci,
+    _fused_mean,
+    _nmci,
+    _omega,
+    _Pieces,
+    ci_fuse,
+    nmci_fuse,
+)
 from .sdp import robust_fuse  # noqa: F401  (perfbench/tracing.py wraps sim.robust_fuse)
 from . import metrics as _metrics
 
@@ -106,6 +131,7 @@ def _phi2(dt: float) -> np.ndarray:
 
 
 def _q2(dt: float, q: float) -> np.ndarray:
+    dt = np.float64(dt)     # a huge dt overflows to inf instead of raising
     return q * np.array([[dt ** 3 / 3.0, dt ** 2 / 2.0], [dt ** 2 / 2.0, dt]])
 
 
@@ -250,6 +276,10 @@ class ScenarioConfig:
                 or self.fusion_start < 0:
             raise ConfigError("dt > 0, q >= 0, n_steps/mc_runs/fusion_every >= 1, "
                               "bias_range >= 0, fusion_start >= 0 required")
+        with np.errstate(over="ignore", invalid="ignore"):
+            if not all(np.all(np.isfinite(m)) for m in target_transition(self.dt, self.q)):
+                raise ConfigError(f"dt = {self.dt!r} and q = {self.q!r} give a transition "
+                                  "or process noise with non-finite entries")
         if min(self.prior_position_var, self.prior_velocity_var, self.prior_bias_var) <= 0:
             raise ConfigError("prior variances must be positive")
         if self.init_position_spread < 0 or self.init_velocity_std < 0:
@@ -388,17 +418,103 @@ def agent_filter_model(scenario: ScenarioConfig, a: int,
     return FilterModel(f=f, q=qn, h=h, r=r)
 
 
-def _covariance_step(cov: np.ndarray, model: FilterModel) -> tuple[np.ndarray, np.ndarray]:
-    """Covariance half of ``local_filter_step``: (updated covariance, Kalman gain).
+@dataclass(frozen=True, eq=False)
+class _Update:
+    """Measurement update of the (filter, block) pairs sharing a block size and row count."""
 
-    Neither depends on the mean or the measurement, so one call serves
-    every run that shares the covariance.
+    group: int               # the blocks' size group in the layout
+    filters: np.ndarray      # (u,) filter of each pair
+    blocks: np.ndarray       # (u,) block within the group
+    rows: np.ndarray         # (u, m) the pair's entries of the measurement vector
+    h: np.ndarray            # (u, m, n) observation rows on the block's states
+    r: np.ndarray            # (u, m, m) their noise covariance
+
+
+@dataclass(frozen=True, eq=False)
+class _FilterPlan:
+    """Filters sharing F, Q and a stack layout, prepared for ``_covariance_step``."""
+
+    layout: StackLayout
+    f: tuple                 # per size group, (k, n, n) blocks of F
+    q: tuple                 # and of Q
+    updates: tuple
+    n_filters: int
+
+
+def _filter_plan(layout: StackLayout, models: list[FilterModel], offsets) -> _FilterPlan:
+    """Split each model's update over the layout's blocks, grouped by size and row count.
+
+    A measurement row belongs to the block of the states it observes;
+    the layout must keep every row, and every noise coupling between
+    rows, within one block.  ``offsets[c]`` is where filter c's rows start
+    in the measurement vector ``_mean_step`` reads.
     """
-    cov = symmetrize(model.f @ cov @ model.f.T + model.q)
-    s = model.h @ cov @ model.h.T + model.r
-    k = np.linalg.solve(s.T, (cov @ model.h.T).T).T
-    ikh = np.eye(cov.shape[0]) - k @ model.h
-    return symmetrize(ikh @ cov @ ikh.T + k @ model.r @ k.T), k
+    group_of = np.empty(layout.dim, dtype=np.intp)
+    block_of = np.empty(layout.dim, dtype=np.intp)
+    for g, states in enumerate(layout.groups):
+        group_of[states] = g
+        block_of[states] = np.arange(states.shape[0])[:, None]
+    pairs: dict[tuple[int, int], list] = {}
+    for c, (model, offset) in enumerate(zip(models, offsets)):
+        first = np.argmax(model.h != 0.0, axis=1)
+        keys = list(zip(group_of[first].tolist(), block_of[first].tolist()))
+        for g, blk in dict.fromkeys(keys):
+            rows = np.flatnonzero([k == (g, blk) for k in keys])
+            states = layout.groups[g][blk]
+            pairs.setdefault((g, rows.size), []).append(
+                (c, blk, rows + offset, model.h[np.ix_(rows, states)],
+                 model.r[np.ix_(rows, rows)]))
+    updates = tuple(_Update(g, *(np.array(column) for column in zip(*ps)))
+                    for (g, _m), ps in pairs.items())
+    return _FilterPlan(layout=layout, f=layout.split(models[0].f),
+                       q=layout.split(models[0].q), updates=updates, n_filters=len(models))
+
+
+def _t(m: np.ndarray) -> np.ndarray:
+    return np.swapaxes(m, -1, -2)
+
+
+def _covariance_step(covs: list[np.ndarray], plan: _FilterPlan) -> list[np.ndarray]:
+    """Covariance half of ``local_filter_step`` for every filter of a plan at once.
+
+    ``covs`` holds, per size group, the filters' (filters, k, n, n) block
+    stacks, and is updated in place: they are predicted in one batched
+    call per group, and only the blocks a filter's H observes are updated,
+    in one batched call per update group.  Returns the Kalman gain of each
+    update group, (u, n, m).
+    Neither depends on the mean or the measurement, so one call serves
+    every run that shares the covariances.
+    """
+    for g, (f, q) in enumerate(zip(plan.f, plan.q)):
+        covs[g] = symmetrize(f @ covs[g] @ _t(f) + q)
+    gains = []
+    for up in plan.updates:
+        cov = covs[up.group][up.filters, up.blocks]
+        s = up.h @ cov @ _t(up.h) + up.r
+        k = _t(np.linalg.solve(_t(s), _t(cov @ _t(up.h))))
+        ikh = np.eye(cov.shape[-1]) - k @ up.h
+        covs[up.group][up.filters, up.blocks] = symmetrize(ikh @ cov @ _t(ikh)
+                                                           + k @ up.r @ _t(k))
+        gains.append(k)
+    return gains
+
+
+def _mean_step(means: np.ndarray, plan: _FilterPlan, gains: list[np.ndarray],
+               z: np.ndarray) -> None:
+    """Mean half of the filter step, in place on (runs, filters, d) permuted means.
+
+    ``z`` is (runs, rows), the measurement vector the plan's rows index.
+    Every product is one matrix-vector product per run and block, so a
+    run's means do not depend on how many runs share the call.
+    """
+    views = plan.layout.views(means)
+    for view, f in zip(views, plan.f):
+        view[...] = (f @ view[..., None])[..., 0]
+    for up, k in zip(plan.updates, gains):
+        view = views[up.group]
+        x = view[:, up.filters, up.blocks]
+        innov = z[:, up.rows] - (up.h @ x[..., None])[..., 0]
+        view[:, up.filters, up.blocks] = x + (k @ innov[..., None])[..., 0]
 
 
 def local_filter_step(belief: GaussianEstimate, model: FilterModel,
@@ -407,12 +523,15 @@ def local_filter_step(belief: GaussianEstimate, model: FilterModel,
 
     States the observation matrix does not touch are only predicted.  A
     covariance that comes out non-SPD fails construction, which signals
-    a misconfigured scenario rather than being patched over.
+    a misconfigured scenario rather than being patched over.  The
+    covariance is one dense block of the tracker's stacked filter step.
     """
-    cov, k = _covariance_step(belief.covariance, model)
-    mean = model.f @ belief.mean
-    mean = mean + k @ (z - model.h @ mean)
-    return GaussianEstimate(mean, cov, belief.labels)
+    plan = _filter_plan(StackLayout([range(belief.dim)]), [model], [0])
+    covs = [belief.covariance[None, None]]
+    gains = _covariance_step(covs, plan)
+    means = belief.mean[None, None].copy()
+    _mean_step(means, plan, gains, np.asarray(z, dtype=float)[None])
+    return GaussianEstimate(means[0, 0], covs[0][0, 0], belief.labels)
 
 
 # ---------------------------------------------------------------------------
@@ -610,50 +729,60 @@ def draw_run(scenario: ScenarioConfig, run_idx: int, model: FilterModel) -> RunD
     return RunDraws(truth=truth, meas=meas, prior_mean=prior_mean)
 
 
-def _per_run(m: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """m @ x[r] for every row r of x, one matrix-vector product per run.
+def _stack_layout(p0: np.ndarray, models: list[FilterModel]) -> StackLayout:
+    """The finest blocks no step of the tracker couples: components of P0, F, Q, H^T|R|H.
 
-    Each product is the one ``local_filter_step`` or a fusion rule
-    computes for a single mean, so the batched means are bitwise those
-    of one run at a time.
+    The Kalman update keeps a block-diagonal covariance block-diagonal
+    when every measurement row, and every noise coupling between rows,
+    stays within one block; CI and block-wise CI act block by block.  A
+    scenario whose structure couples every state gets one block.
     """
-    return (m @ x[:, :, None])[:, :, 0]
+    f, q = models[0].f, models[0].q
+    pattern = (p0 != 0.0) | (f != 0.0) | (f.T != 0.0) | (q != 0.0)
+    for m in models:
+        h = np.abs(m.h)
+        pattern |= (h.T @ np.abs(m.r) @ h) != 0.0
+    return StackLayout.from_pattern(pattern)
 
 
-def _lockstep(scenario: ScenarioConfig, method: str, models: list[FilterModel],
+def _lockstep(scenario: ScenarioConfig, method: str, plan: _FilterPlan, pieces: _Pieces,
               meas: np.ndarray, truth: np.ndarray, prior_mean: np.ndarray,
-              partition: BlockPartition, strict: bool) -> list[dict]:
+              prior_cov: np.ndarray, strict: bool, timings: dict) -> list[dict]:
     """Step one method through a batch of runs; every method takes this path.
 
-    ``models`` are the method's filters: the centralized one, or one per
+    ``plan`` holds the method's filters: the centralized one, or one per
     agent.  ``meas`` (runs, steps, rows), ``truth`` (runs, steps, d) and
     ``prior_mean`` (runs, d) stack the runs' draws.  The runs share every
     covariance, since no fusion rule of the tracker draws anything at
-    random.  Per step: one covariance and gain update per filter and one
-    fusion per edge, whose gains then move the (runs, filters, d) means;
-    NEES solves all runs against one factorization per filter.  Returns
-    one record per run; the covariance-only entries (``avg2sig``,
-    ``cov_trace``, ``est_std``, ``omega``) are shared between them.
+    random.  Covariances are stacks of the plan layout's diagonal blocks,
+    and means, truth and errors live in its permuted coordinates.  Per
+    step: one batched filter step for all filters and one fusion per edge,
+    whose gains then move the (runs, filters, d) means; NEES solves all
+    runs against one factorization per block.  The wall time of the
+    filter steps, fusions and metrics is added to ``timings``.  Returns
+    one record per run, in state-label order; the covariance-only entries
+    (``avg2sig``, ``cov_trace``, ``est_std``, ``omega``) are shared
+    between them.
     """
-    layout = scenario.layout()
+    layout = plan.layout
     d, steps = layout.dim, scenario.n_steps
-    pos_idx = layout.position_indices()
+    pos_idx = scenario.layout().position_indices()
+    pos = layout.position[pos_idx]
     if method == "centralized":
-        z = [meas]
         rec_ids = [-1] if scenario.record_estimates != "none" else []
         rec_cols = [0] * len(rec_ids)
     else:
-        # agent a's filter reads its own block of the centralized rows
-        z = [meas[:, :, rows] for rows in _row_blocks(models)]
         rec_ids = {"all": list(range(scenario.n_agents)),
                    "report": [scenario.report_agent],
                    "none": []}[scenario.record_estimates]
         rec_cols = rec_ids
     fuses = method not in ("centralized", "none")
-    n_runs, cols = len(truth), len(models)
+    n_runs, cols = len(truth), plan.n_filters
 
-    means = np.repeat(prior_mean[:, None, :], cols, axis=1)
-    covs = [_prior_covariance(scenario)] * cols
+    truth = truth[..., layout.perm]
+    means = np.repeat(prior_mean[:, None, layout.perm], cols, axis=1)
+    views = layout.views(means)
+    covs = [np.repeat(s[None], cols, axis=0) for s in layout.split(prior_cov)]
 
     nees = np.empty((n_runs, steps, cols))
     pos_err = np.empty((n_runs, steps, cols))
@@ -664,42 +793,48 @@ def _lockstep(scenario: ScenarioConfig, method: str, models: list[FilterModel],
     records: list[dict] = []
 
     for k in range(steps):
-        for c, model in enumerate(models):
-            cov, gain = _covariance_step(covs[c], model)
-            # an estimate runs this check when built; a filter that loses
-            # definiteness signals a misconfigured scenario
-            covs[c] = check_spd(cov, name="covariance")
-            pred = _per_run(model.f, means[:, c])
-            means[:, c] = pred + _per_run(gain, z[c][:, k] - _per_run(model.h, pred))
+        t0 = time.perf_counter()
+        gains = _covariance_step(covs, plan)
+        # an estimate runs this check when built; a filter that loses
+        # definiteness signals a misconfigured scenario
+        check_spd_stacks(covs, name="covariance")
+        _mean_step(means, plan, gains, meas[:, k])
+        t1 = time.perf_counter()
         if fuses and (k + 1) > scenario.fusion_start \
                 and (k + 1 - scenario.fusion_start) % scenario.fusion_every == 0:
             for i, j in scenario.edges:
-                p_a, p_b = covs[i], covs[j]
+                p_a, p_b = [c[i] for c in covs], [c[j] for c in covs]
                 try:
                     if method == "CI":
                         omegas = [_omega(p_a, p_b)]
-                        gain_a, bound = _ci(p_a, p_b, omegas[0])
+                        gains_a, bounds = zip(*(_ci(sa, sb, omegas[0])
+                                                for sa, sb in zip(p_a, p_b)))
                     else:
-                        omegas, gain_a, bound, _ = _nmci(p_a, p_b, partition, strict,
-                                                         OFF_BLOCK_TOL)
+                        omegas, gains_a, bounds, _ = _nmci(p_a, p_b, pieces, strict,
+                                                           OFF_BLOCK_TOL)
                 except FusionError as exc:
                     raise _edge_failure(exc, i, j, k) from exc
-                means[:, i] = means[:, j] = _fused_mean(gain_a, means[:, i], means[:, j])
-                covs[i] = covs[j] = bound
+                for view, c, gain_a, bound in zip(views, covs, gains_a, bounds):
+                    view[:, i] = view[:, j] = _fused_mean(gain_a, view[:, i], view[:, j])
+                    c[i] = c[j] = bound
                 records += _weight_records(omegas, method, k, i, j)
+        t2 = time.perf_counter()
         err = means - truth[:, k, None, :]
-        pos_err[:, k] = np.linalg.norm(err[:, :, pos_idx], axis=2)
-        for c, cov in enumerate(covs):
-            # one factorization of the covariance serves every run
-            e = err[:, c].T
-            nees[:, k, c] = np.sum(e * np.linalg.solve(cov, e), axis=0)
-            pv = np.diag(cov)[pos_idx]
-            avg2sig[k, c] = 2.0 * float(np.sqrt(np.mean(pv)))
-            cov_trace[k, c] = float(np.trace(cov))
+        pos_err[:, k] = np.linalg.norm(err[:, :, pos], axis=2)
+        # one factorization of each block serves every run
+        errs = (np.moveaxis(e, 0, -1) for e in layout.views(err))
+        nees[:, k] = sum(np.sum(e * np.linalg.solve(c, e), axis=(1, 2))
+                         for c, e in zip(covs, errs)).T
+        var = np.concatenate([np.diagonal(c, axis1=-2, axis2=-1).reshape(cols, -1)
+                              for c in covs], axis=1)[:, layout.position]
+        avg2sig[k] = 2.0 * np.sqrt(np.mean(var[:, pos_idx], axis=1))
+        cov_trace[k] = np.sum(var, axis=1)
         if rec_cols:
-            est_mean[:, k] = means[:, rec_cols]
-            for ri, c in enumerate(rec_cols):
-                est_std[k, ri] = np.sqrt(np.diag(covs[c]))
+            est_mean[:, k] = means[:, rec_cols][..., layout.position]
+            est_std[k] = np.sqrt(var[rec_cols])
+        timings["filter"] += t1 - t0
+        timings["fuse"] += t2 - t1
+        timings["metrics"] += time.perf_counter() - t2
 
     return [{"nees": nees[r], "pos_err": pos_err[r], "avg2sig": avg2sig,
              "cov_trace": cov_trace, "omega": records,
@@ -708,26 +843,39 @@ def _lockstep(scenario: ScenarioConfig, method: str, models: list[FilterModel],
             for r in range(n_runs)]
 
 
-def _simulate(scenario: ScenarioConfig, run_ids, methods) -> list[dict]:
-    """Records of the given runs, every method stepping them in lockstep."""
+def _simulate(scenario: ScenarioConfig, run_ids, methods) -> tuple[list[dict], dict]:
+    """Records of the given runs, every method stepping them in lockstep.
+
+    Also returns the wall seconds spent drawing the runs and, summed over
+    methods, in filter steps, fusions and metrics.
+    """
     for m in methods:
         if m not in METHODS:
             raise ConfigError(f"unknown method {m!r}")
+    timings = dict.fromkeys(("draw", "filter", "fuse", "metrics"), 0.0)
+    t0 = time.perf_counter()
     dynamics = global_transition(scenario.layout(), scenario.dt, scenario.q)
     agent_models = [agent_filter_model(scenario, a, dynamics)
                     for a in range(scenario.n_agents)]
     central = centralized_model(agent_models)
     draws = [draw_run(scenario, r, central) for r in run_ids]
+    timings["draw"] = time.perf_counter() - t0
+    prior_cov = _prior_covariance(scenario)
+    layout = _stack_layout(prior_cov, [central, *agent_models])
+    plans = {"central": _filter_plan(layout, [central], [0]),
+             "agents": _filter_plan(layout, agent_models,
+                                    [rows.start for rows in _row_blocks(agent_models)])}
     shared = dict(meas=np.stack([dr.meas for dr in draws]),
                   truth=np.stack([dr.truth for dr in draws]),
                   prior_mean=np.stack([dr.prior_mean for dr in draws]),
-                  partition=build_partition(scenario), strict=partition_is_exact(scenario))
+                  prior_cov=prior_cov, pieces=_Pieces(layout, build_partition(scenario)),
+                  strict=partition_is_exact(scenario), timings=timings)
     out = [{"truth": dr.truth, "run": r, "methods": {}} for r, dr in zip(run_ids, draws)]
     for method in methods:
-        models = [central] if method == "centralized" else agent_models
-        for o, rec in zip(out, _lockstep(scenario, method, models, **shared)):
+        plan = plans["central" if method == "centralized" else "agents"]
+        for o, rec in zip(out, _lockstep(scenario, method, plan, **shared)):
             o["methods"][method] = rec
-    return out
+    return out, timings
 
 
 def simulate_run(scenario: ScenarioConfig, run_idx: int,
@@ -743,7 +891,7 @@ def simulate_run(scenario: ScenarioConfig, run_idx: int,
     position error, 2-sigma summary, and covariance trace, plus
     recorded estimate trajectories and weight logs.
     """
-    return _simulate(scenario, [run_idx], tuple(methods or scenario.methods))[0]
+    return _simulate(scenario, [run_idx], tuple(methods or scenario.methods))[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -755,6 +903,7 @@ class TrackData:
     methods: tuple[str, ...]
     state_dim: int
     runs: list[dict]
+    timings: dict = field(default_factory=dict)   # phase -> wall seconds
 
 
 def run_scenario(scenario: ScenarioConfig, *, methods=None, mc_runs: int | None = None,
@@ -771,9 +920,9 @@ def run_scenario(scenario: ScenarioConfig, *, methods=None, mc_runs: int | None 
                            seed=scenario.seed if seed is None else seed,
                            mc_runs=scenario.mc_runs if mc_runs is None else mc_runs)
     methods = tuple(methods or scenario.methods)
-    return TrackData(scenario=scenario, methods=methods,
-                     state_dim=scenario.layout().dim,
-                     runs=_simulate(scenario, range(scenario.mc_runs), methods))
+    runs, timings = _simulate(scenario, range(scenario.mc_runs), methods)
+    return TrackData(scenario=scenario, methods=methods, state_dim=scenario.layout().dim,
+                     runs=runs, timings=timings)
 
 
 @dataclass(frozen=True)

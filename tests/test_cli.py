@@ -166,9 +166,11 @@ def test_fuse_unparseable_estimate_is_config_error(capsys, est_files,
     assert "not valid JSON" in err
 
 
-def _assert_timings_and_environment(manifest):
-    # keys only: the values depend on the machine
-    assert set(manifest["timings"]) == {"run", "write"}
+def _assert_timings_and_environment(manifest, parts=()):
+    # keys only: the values depend on the machine; parts split the run
+    timings = manifest["timings"]
+    assert set(timings) == {"run", "write", *parts}
+    assert sum(timings[p] for p in parts) <= timings["run"]
     assert set(manifest["environment"]) == {"python", "numpy", "blas", "cpu_count"}
     assert set(manifest["environment"]["blas"]) == {"name", "version"}
 
@@ -280,7 +282,7 @@ def test_track_custom_scenario_outputs(capsys, tmp_path):
     assert summary["state_dim"] == 12 and summary["steps"] == 4
     manifest = json.loads((out_dir / "manifest.json").read_text())
     assert manifest["command"] == "track" and manifest["seed"] == 5
-    _assert_timings_and_environment(manifest)
+    _assert_timings_and_environment(manifest, parts=("draw", "filter", "fuse", "metrics"))
 
 
 def test_track_method_none_skips_fusion_records(capsys, tmp_path):
@@ -405,6 +407,7 @@ def _malformed_argv(tmp_path, kind, key, value):
     ("scenario", "bias_range", float("nan")),
     ("scenario", "init_position_spread", -1),
     ("scenario", "init_velocity_std", -1),
+    ("scenario", "dt", 1e300),
 ])
 def test_malformed_input_files_are_config_errors(capsys, tmp_path, kind, key, value):
     rc, _, err = _run(capsys, _malformed_argv(tmp_path, kind, key, value))

@@ -16,7 +16,9 @@ from cofusion.core import (
     JointCovariance,
     NotPositiveDefiniteError,
     NotSymmetricError,
+    StackLayout,
     check_spd,
+    check_spd_stacks,
     check_symmetric,
     cov_to_corr,
     is_conservative,
@@ -62,6 +64,68 @@ def test_check_spd_rejects_indefinite():
         check_spd(np.diag([1.0, -0.5]))
     with pytest.raises(NotPositiveDefiniteError):
         check_spd(np.zeros((2, 2)))
+
+
+def _filter_stacks(rng):
+    """Two matrices stored as stacks: three 4x4 and two 2x2 SPD blocks each."""
+    return [np.stack([np.stack([rand_spd(rng, n) for _ in range(k)]) for _ in range(2)])
+            for k, n in ((3, 4), (2, 2))]
+
+
+def test_check_spd_stacks_fails_when_exactly_one_block_is_indefinite():
+    rng = np.random.default_rng(40)
+    stacks = _filter_stacks(rng)
+    check_spd_stacks(stacks)
+    stacks[1][1, 0] = np.diag([1.0, -0.5])
+    with pytest.raises(NotPositiveDefiniteError, match="covariance"):
+        check_spd_stacks(stacks, name="covariance")
+    # a stack of one matrix's blocks, and one dense matrix, are checked alike
+    with pytest.raises(NotPositiveDefiniteError):
+        check_spd_stacks([stacks[0][1], stacks[1][1]])
+    check_spd_stacks([stacks[0][0], stacks[1][0]])
+    with pytest.raises(NotPositiveDefiniteError):
+        check_spd_stacks([np.diag([1.0, -0.5])])
+
+
+def test_check_spd_stacks_compares_eigenvalues_across_blocks():
+    # each block alone is perfectly conditioned; together they are not
+    blocks = np.stack([np.eye(2), 1e-13 * np.eye(2)])
+    for one in (blocks[0], blocks[1]):
+        check_spd(one)
+    with pytest.raises(NotPositiveDefiniteError):
+        check_spd_stacks([blocks])
+    with pytest.raises(NotPositiveDefiniteError):
+        check_spd(np.diag([1.0, 1.0, 1e-13, 1e-13]))
+
+
+def test_check_spd_stacks_rejects_non_finite_entries():
+    stacks = _filter_stacks(np.random.default_rng(41))
+    stacks[0][0, 2, 1, 1] = np.nan
+    with pytest.raises(NotSymmetricError):
+        check_spd_stacks(stacks)
+
+
+def test_stack_layout_groups_blocks_by_size():
+    pattern = np.eye(7, dtype=bool)
+    for i, j in ((0, 4), (4, 6), (1, 5), (2, 3)):
+        pattern[i, j] = pattern[j, i] = True
+    layout = StackLayout.from_pattern(pattern)
+    assert layout.dim == 7
+    assert [g.tolist() for g in layout.groups] == [[[0, 4, 6]], [[1, 5], [2, 3]]]
+    np.testing.assert_array_equal(layout.perm, [0, 4, 6, 1, 5, 2, 3])
+    np.testing.assert_array_equal(layout.perm[layout.position], np.arange(7))
+    m = np.arange(49.0).reshape(7, 7)
+    big, small = layout.split(m)
+    np.testing.assert_array_equal(big[0], m[np.ix_([0, 4, 6], [0, 4, 6])])
+    np.testing.assert_array_equal(small[1], m[np.ix_([2, 3], [2, 3])])
+    # views of permuted vectors write through
+    x = np.arange(7.0)[layout.perm][None].repeat(2, axis=0)
+    v_big, v_small = layout.views(x)
+    assert v_big.shape == (2, 1, 3) and v_small.shape == (2, 2, 2)
+    v_small[:, 1] = -1.0
+    np.testing.assert_array_equal(x[0, layout.position], [0, 1, -1, -1, 4, 5, 6])
+    with pytest.raises(DimensionError):
+        StackLayout([(0, 1), (1, 2)])
 
 
 def test_min_eigenvalue_matches_numpy():

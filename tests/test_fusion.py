@@ -10,11 +10,15 @@ from cofusion.core import (
     GaussianEstimate,
     JointCovariance,
     NotPositiveDefiniteError,
+    StackLayout,
     is_conservative,
 )
 from cofusion.fusion import (
     OFF_BLOCK_TOL,
+    _ci,
     _nmci,
+    _omega,
+    _Pieces,
     _trace_terms,
     ci_fuse,
     exact_fuse,
@@ -259,8 +263,11 @@ def test_nmci_core_equals_the_public_rule_bitwise(strict):
     if not strict:
         covs[0] = covs[0] + 0.2 * rand_spd(rng, 6)     # couples the blocks
     a, b = est(rng.standard_normal(6), covs[0]), est(rng.standard_normal(6), covs[1])
-    omegas, gain_a, bound, dropped = _nmci(a.covariance, b.covariance, part, strict,
-                                           OFF_BLOCK_TOL)
+    # a dense covariance is a stack of one block
+    omegas, (gain_a,), (bound,), dropped = _nmci(
+        (a.covariance[None],), (b.covariance[None],), _Pieces(StackLayout([range(6)]), part),
+        strict, OFF_BLOCK_TOL)
+    gain_a, bound = gain_a[0], bound[0]
     r = nmci_fuse(a, b, part, strict=strict)
     np.testing.assert_array_equal(omegas, r.omega)
     np.testing.assert_array_equal(gain_a, r.gain_a)
@@ -274,6 +281,64 @@ def test_nmci_core_equals_the_public_rule_bitwise(strict):
         assert omegas[k] == sub.omega[0]
         np.testing.assert_array_equal(bound[np.ix_(blk, blk)], sub.bound)
         np.testing.assert_array_equal(gain_a[np.ix_(blk, blk)], sub.gain_a)
+
+
+# ---------------------------------------------------------------------------
+# stacked covariances against the assembled matrices
+
+STACKED = StackLayout([(0, 5, 9, 12), (1, 2, 3, 4), (6, 7, 8, 10), (11, 13), (14, 15)])
+
+
+def _block_diagonal(rng, layout):
+    m = np.zeros((layout.dim, layout.dim))
+    for group in layout.groups:
+        for states in group:
+            m[np.ix_(states, states)] = rand_spd(rng, states.size, scale=rng.uniform(0.3, 3.0))
+    return m
+
+
+def _assembled(layout, stacks):
+    m = np.zeros((layout.dim, layout.dim))
+    for group, stack in zip(layout.groups, stacks):
+        m[group[:, :, None], group[:, None, :]] = stack
+    return m
+
+
+def _assert_close_relative(got, want, rtol):
+    assert np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want))
+
+
+def test_stacked_omega_and_ci_match_the_assembled_matrix():
+    rng = np.random.default_rng(17)
+    for _ in range(10):
+        pa, pb = _block_diagonal(rng, STACKED), _block_diagonal(rng, STACKED)
+        sa, sb = STACKED.split(pa), STACKED.split(pb)
+        w = _omega(sa, sb)
+        assert abs(w - _omega((pa,), (pb,))) <= 1e-12
+        assert 0.0 < w < 1.0
+        gain, bound = zip(*(_ci(xa, xb, w) for xa, xb in zip(sa, sb)))
+        want_gain, want_bound = _ci(pa, pb, w)
+        _assert_close_relative(_assembled(STACKED, bound), want_bound, 1e-12)
+        _assert_close_relative(_assembled(STACKED, gain), want_gain, 1e-12)
+
+
+def test_stacked_nmci_matches_the_assembled_matrix():
+    # partition blocks that span stack blocks and split them: 8 pieces of 2
+    part = BlockPartition(((0, 5, 1, 2), (9, 12, 3, 4, 6, 7), (8, 10, 11, 13, 14, 15)))
+    pieces = _Pieces(STACKED, part)
+    rng = np.random.default_rng(18)
+    for _ in range(5):
+        pa, pb = _block_diagonal(rng, STACKED), _block_diagonal(rng, STACKED)
+        omegas, gain, bound, dropped = _nmci(STACKED.split(pa), STACKED.split(pb), pieces,
+                                             False, OFF_BLOCK_TOL)
+        want = nmci_fuse(est(np.zeros(16), pa), est(np.zeros(16), pb), part, strict=False)
+        np.testing.assert_allclose(omegas, want.omega, rtol=0.0, atol=1e-12)
+        _assert_close_relative(_assembled(STACKED, bound), want.bound, 1e-12)
+        _assert_close_relative(_assembled(STACKED, gain), want.gain_a, 1e-12)
+        np.testing.assert_allclose(dropped, (want.diagnostics["dropped_mass_a"],
+                                             want.diagnostics["dropped_mass_b"]), rtol=1e-12)
+        with pytest.raises(DimensionError, match="lenient"):
+            _nmci(STACKED.split(pa), STACKED.split(pb), pieces, True, OFF_BLOCK_TOL)
 
 
 def test_nmci_strict_rejects_coupling_lenient_drops_it():

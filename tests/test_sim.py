@@ -2,6 +2,8 @@
 
 import csv
 import io
+from dataclasses import replace
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -35,6 +37,7 @@ from cofusion.sim import (
     track_blocks,
     truth_blocks,
 )
+from cofusion.sim import _prior_covariance, _stack_layout
 
 
 def tiny_scenario(**overrides):
@@ -102,6 +105,9 @@ def test_scenario_defaults_derive_assignments():
     {"init_position_spread": -1.0},
     {"init_velocity_std": -1.0},
     {"edges": ((0, 1.5),)},
+    # finite inputs whose dynamics are not: dt ** 3 and q * dt ** 3 overflow
+    {"dt": 1e300},
+    {"dt": 1e3, "q": 1e300},
 ])
 def test_scenario_rejects_bad_configs(overrides):
     with pytest.raises(FusionError):
@@ -527,6 +533,81 @@ def test_lockstep_covariance_outputs_equal_across_runs():
             assert run["methods"][method]["omega"] == first[method]["omega"]
             assert not np.array_equal(run["methods"][method]["nees"],
                                       first[method]["nees"])
+
+
+# ---------------------------------------------------------------------------
+# stacked covariances: the layout and the lockstep on its variants
+
+def preset(name, **overrides):
+    path = resources.files("cofusion") / "presets" / f"{name}.json"
+    return replace(ScenarioConfig.load(path), **overrides)
+
+
+def stack_layout(scn):
+    models = agent_models(scn)
+    return _stack_layout(_prior_covariance(scn), [centralized_model(models), *models])
+
+
+# correlated target noise for one agent of each desk group couples its axes
+CORRELATED_DESK = dict(agent_r_target=(((1.0, 0.3), (0.3, 0.8)), ((1.0, 0.0), (0.0, 1.0)),
+                                       ((1.0, 0.0), (0.0, 1.0)), ((0.5, -0.2), (-0.2, 0.5))))
+UNEQUAL_GROUPS = dict(groups=(GroupSpec((0, 1), (0, 1)), GroupSpec((2,), (2,))),
+                      edges=((0, 1), (1, 2)))
+
+
+@pytest.mark.parametrize("name, shapes", [("tracking_desk", [(4, 6)]),
+                                          ("tracking_full", [(8, 14)])])
+def test_presets_stack_one_block_per_group_and_axis(name, shapes):
+    scn = preset(name)
+    layout = stack_layout(scn)
+    assert [g.shape for g in layout.groups] == shapes
+    # each block holds one group's states of one axis: its targets' position
+    # and velocity and its agents' bias
+    labels = scn.layout().labels()
+    for states in layout.groups[0]:
+        axes = {labels[i].split(":")[1][-1] for i in states}
+        assert len(axes) == 1
+
+
+def test_correlated_noise_merges_the_axes_of_each_group():
+    assert [g.shape for g in stack_layout(preset("tracking_desk", **CORRELATED_DESK)).groups] \
+        == [(2, 12)]
+
+
+def test_groups_of_unequal_size_give_blocks_of_several_sizes():
+    layout = stack_layout(tiny_scenario(**UNEQUAL_GROUPS))
+    assert [g.shape for g in layout.groups] == [(2, 6), (2, 3)]
+    np.testing.assert_array_equal(np.sort(layout.perm), np.arange(18))
+    np.testing.assert_array_equal(layout.perm[layout.position], np.arange(18))
+
+
+def _assert_lockstep_matches_reference(scn):
+    # the reference fuses dense covariances, the lockstep stacks of blocks;
+    # over 20 steps their outputs differed by at most 1.1e-12 relative and
+    # their weights by 2.2e-15
+    data = run_scenario(scn, mc_runs=2)
+    for r, run in enumerate(data.runs):
+        for method in LOCKSTEP_METHODS:
+            truth, want, omega = _reference_run(scn, r, method)
+            rec = run["methods"][method]
+            np.testing.assert_array_equal(run["truth"], truth)
+            for key in RUN_ARRAYS:
+                np.testing.assert_allclose(rec[key], want[key], rtol=1e-11, atol=0.0,
+                                           err_msg=f"run {r} {method} {key}")
+            assert [(w["step"], w["edge"], w["block"]) for w in rec["omega"]] \
+                == [(w["step"], w["edge"], w["block"]) for w in omega]
+            np.testing.assert_allclose([w["omega"] for w in rec["omega"]],
+                                       [w["omega"] for w in omega], rtol=0.0, atol=1e-12)
+
+
+def test_lockstep_matches_per_run_reference_with_coupled_axes():
+    _assert_lockstep_matches_reference(
+        preset("tracking_desk", n_steps=20, methods=LOCKSTEP_METHODS, **CORRELATED_DESK))
+
+
+def test_lockstep_matches_per_run_reference_with_blocks_of_several_sizes():
+    _assert_lockstep_matches_reference(
+        tiny_scenario(n_steps=20, methods=LOCKSTEP_METHODS, **UNEQUAL_GROUPS))
 
 
 def test_summarize_shape_and_band():
