@@ -172,7 +172,7 @@ def _load_comparison_config(d: dict) -> dict:
         for pair in d["zero_indices"]:
             if (not isinstance(pair, (list, tuple)) or len(pair) != 2):
                 raise ConfigError("zero_indices entries must be [row, col] pairs")
-            zeros.append((as_int(pair[0], "zero index"), as_int(pair[1], "zero index")))
+            zeros.append(tuple(pair))
         cfg["pattern"] = CrossSparsityPattern(cfg["p_a"].shape[0],
                                               cfg["p_b"].shape[0],
                                               frozenset(zeros))

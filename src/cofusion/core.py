@@ -257,7 +257,7 @@ class BlockPartition:
     blocks: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        blocks = tuple(tuple(int(i) for i in b) for b in self.blocks)
+        blocks = tuple(tuple(as_int(i, "partition index") for i in b) for b in self.blocks)
         if not blocks or any(len(b) == 0 for b in blocks):
             raise DimensionError("partition needs at least one non-empty block")
         flat = [i for b in blocks for i in b]
@@ -296,9 +296,12 @@ class CrossSparsityPattern:
     zero_indices: frozenset[tuple[int, int]] = frozenset()
 
     def __post_init__(self):
+        object.__setattr__(self, "dim_a", as_int(self.dim_a, "dim_a"))
+        object.__setattr__(self, "dim_b", as_int(self.dim_b, "dim_b"))
         if self.dim_a < 1 or self.dim_b < 1:
             raise DimensionError("pattern dimensions must be positive")
-        zi = frozenset((int(i), int(j)) for i, j in self.zero_indices)
+        zi = frozenset((as_int(i, "zero index"), as_int(j, "zero index"))
+                       for i, j in self.zero_indices)
         for i, j in zi:
             if not (0 <= i < self.dim_a and 0 <= j < self.dim_b):
                 raise DimensionError(f"zero index ({i}, {j}) outside {self.dim_a}x{self.dim_b}")
@@ -327,8 +330,8 @@ class CrossSparsityPattern:
     @classmethod
     def from_dict(cls, d: dict) -> "CrossSparsityPattern":
         with parsing("pattern mapping"):
-            return cls(int(d["dim_a"]), int(d["dim_b"]),
-                       frozenset((int(i), int(j)) for i, j in d.get("zero_indices", [])))
+            return cls(d["dim_a"], d["dim_b"],
+                       frozenset(tuple(p) for p in d.get("zero_indices", [])))
 
 
 def partition_to_sparsity(partition: BlockPartition) -> CrossSparsityPattern:

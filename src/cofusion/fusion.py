@@ -5,12 +5,13 @@ variant for estimates whose unknown correlation cannot couple different
 state blocks, and the minimum-variance rule for the (rare) case where
 the cross-covariance is actually known.
 
-``ci_fuse``, ``nmci_fuse`` and ``optimize_ci_omega`` check their inputs
-and wrap a private core (``_omega``, ``_ci``, ``_nmci``) on block-diagonal
-covariances stored as stacks of their diagonal blocks (see
-``core.StackLayout``).  The tracker calls the core directly on its
-filters' stacks; the public rules pass a dense covariance as a stack of
-one block.
+Monolithic intersection is block-wise intersection over a partition of
+one block (Julier & Uhlmann, ACC 1997), so one private core, ``_nmci``,
+serves both rules.  It works on block-diagonal covariances stored as
+stacks of their diagonal blocks (see ``core.StackLayout``) and fuses
+each piece with ``_ci``.  The tracker calls it directly on its filters'
+stacks; ``ci_fuse`` and ``nmci_fuse`` check their inputs and pass a
+dense covariance as a stack of one block.
 """
 
 from __future__ import annotations
@@ -125,28 +126,6 @@ def _weights(a: np.ndarray, b: np.ndarray, seg: np.ndarray, starts: np.ndarray,
     return out
 
 
-_ONE_SEGMENT = np.zeros(1, dtype=np.intp)
-
-
-def _stacked_terms(p_a, p_b) -> tuple[np.ndarray, np.ndarray]:
-    """``_trace_terms`` of every matrix of paired stacks, concatenated stack by stack."""
-    terms = [_trace_terms(sa, sb) for sa, sb in zip(p_a, p_b)]
-    return (np.concatenate([t[0].ravel() for t in terms]),
-            np.concatenate([t[1].ravel() for t in terms]))
-
-
-def _omega(p_a, p_b, tol: float = OMEGA_TOL) -> float:
-    """``optimize_ci_omega`` on covariances known to be SPD, without checking them.
-
-    ``p_a`` and ``p_b`` are block-diagonal covariances stored as stacks
-    (sequences of (..., n, n) arrays, see ``core.StackLayout``); a dense
-    matrix is a sequence of one.  The trace of a block-diagonal bound is a
-    sum over its blocks, so the terms of every block enter one search.
-    """
-    a, b = _stacked_terms(p_a, p_b)
-    return _weights(a, b, np.zeros(a.size, dtype=np.intp), _ONE_SEGMENT, tol)[0]
-
-
 def _ci(p_a: np.ndarray, p_b: np.ndarray, w) -> tuple[np.ndarray, np.ndarray]:
     """(gain of a, intersected covariance) of SPD (..., n, n) stacks at weight w.
 
@@ -171,6 +150,9 @@ class _Pieces:
     ``groups`` holds (stack group, index, part) per stack group and piece
     size: ``index`` gathers those pieces from the group's (k, n, n) stack
     into a (u, m, m) one, and ``part`` names each piece's partition block.
+    Where the pieces are exactly the group's blocks, whole and in order
+    (every block of CI's one-block partition, or of a partition made of
+    stack blocks), ``index`` is ``...``: the stack is read as it is.
     Their trace terms, concatenated group by group and taken in ``order``,
     run partition block by partition block (``seg``) from ``starts``.
     ``off`` lists, per stack group, the flat entries of its blocks outside
@@ -192,13 +174,14 @@ class _Pieces:
                     by_part.setdefault(p, []).append(i)
                 for p, pos in sorted(by_part.items()):
                     pieces.setdefault((g, len(pos)), []).append((blk, pos, p))
-        self.groups = []
-        for (g, _m), items in pieces.items():
+        self.groups, term_part = [], []
+        for (g, m), items in pieces.items():
             blk, pos, part = (np.array(column) for column in zip(*items))
-            index = (blk[:, None, None], pos[:, :, None], pos[:, None, :])
+            index = ... if (blk.size, m) == layout.groups[g].shape \
+                else (blk[:, None, None], pos[:, :, None], pos[:, None, :])
             self.groups.append((g, index, part))
-        term_part = np.concatenate([np.repeat(part, ix[1].shape[1])
-                                    for _, ix, part in self.groups])
+            term_part.append(np.repeat(part, m))
+        term_part = np.concatenate(term_part)
         self.order = np.argsort(term_part, kind="stable")
         self.seg = term_part[self.order]
         self.starts = np.searchsorted(self.seg, np.arange(partition.n_blocks))
@@ -237,11 +220,16 @@ def _nmci(p_a, p_b, pieces: _Pieces, strict: bool, tol: float):
         dropped.append(rel)
     sub_a = [p_a[g][ix] for g, ix, _ in pieces.groups]
     sub_b = [p_b[g][ix] for g, ix, _ in pieces.groups]
-    a, b = _stacked_terms(sub_a, sub_b)
-    omegas = np.array(_weights(a[pieces.order], b[pieces.order], pieces.seg, pieces.starts))
-    gain_a = [np.zeros_like(s) for s in p_a]
-    bound = [np.zeros_like(s) for s in p_a]
+    terms = [_trace_terms(sa, sb) for sa, sb in zip(sub_a, sub_b)]
+    a, b = (np.concatenate([t[i].ravel() for t in terms])[pieces.order] for i in (0, 1))
+    omegas = np.array(_weights(a, b, pieces.seg, pieces.starts))
+    gain_a, bound = [None] * len(p_a), [None] * len(p_a)
     for (g, ix, part), sa, sb in zip(pieces.groups, sub_a, sub_b):
+        if ix is ...:   # bind: a copy would change the layout, so the roundoff, of products
+            gain_a[g], bound[g] = _ci(sa, sb, omegas[part])
+            continue
+        if gain_a[g] is None:
+            gain_a[g], bound[g] = np.zeros_like(p_a[g]), np.zeros_like(p_a[g])
         gain_a[g][ix], bound[g][ix] = _ci(sa, sb, omegas[part])
     return omegas, gain_a, bound, tuple(dropped)
 
@@ -269,7 +257,17 @@ def optimize_ci_omega(p_a: np.ndarray, p_b: np.ndarray, tol: float = OMEGA_TOL) 
     safeguarded by bisection.  Exact ties (e.g. P_a == P_b) resolve to
     0.5; minima within tol of an endpoint snap onto it.
     """
-    return _omega((check_spd(p_a, name="P_a"),), (check_spd(p_b, name="P_b"),), tol)
+    a, b = _trace_terms(check_spd(p_a, name="P_a"), check_spd(p_b, name="P_b"))
+    return _weights(a, b, np.zeros(a.size, dtype=np.intp), np.zeros(1, dtype=np.intp), tol)[0]
+
+
+def _dense_nmci(a: GaussianEstimate, b: GaussianEstimate, partition: BlockPartition,
+                strict: bool = True, tol: float = OFF_BLOCK_TOL):
+    """``_nmci`` on two estimates' covariances as stacks of one block, gain and bound (d, d)."""
+    omegas, (ga,), (bound,), dropped = _nmci(
+        (a.covariance[None],), (b.covariance[None],),
+        _Pieces(StackLayout([range(a.dim)]), partition), strict, tol)
+    return omegas, ga[0], bound[0], dropped
 
 
 def ci_fuse(a: GaussianEstimate, b: GaussianEstimate,
@@ -282,14 +280,14 @@ def ci_fuse(a: GaussianEstimate, b: GaussianEstimate,
     result is exactly estimate b (or a); no solve is attempted there.
     """
     _check_same_labels(a, b)
-    source = "given"
     if omega is None:
-        omega = _omega((a.covariance,), (b.covariance,))
+        (w,), ga, bound, _ = _dense_nmci(a, b, BlockPartition((tuple(range(a.dim)),)))
         source = "optimized"
-    w = float(omega)
-    if not (0.0 <= w <= 1.0):
-        raise DimensionError(f"omega must lie in [0, 1], got {w}")
-    ga, bound = _ci(a.covariance, b.covariance, w)
+    else:
+        w, source = float(omega), "given"
+        if not (0.0 <= w <= 1.0):
+            raise DimensionError(f"omega must lie in [0, 1], got {w}")
+        ga, bound = _ci(a.covariance, b.covariance, w)
     return FusionResult(
         gain_a=ga, gain_b=np.eye(a.dim) - ga, fused_mean=_fused_mean(ga, a.mean, b.mean),
         bound=bound, method=FusionMethod.CI, omega=np.array([w]),
@@ -311,10 +309,7 @@ def nmci_fuse(a: GaussianEstimate, b: GaussianEstimate, partition: BlockPartitio
     if partition.dim != a.dim:
         raise DimensionError(
             f"partition covers {partition.dim} states but estimates have {a.dim}")
-    omegas, (ga,), (bound,), (dropped_a, dropped_b) = _nmci(
-        (a.covariance[None],), (b.covariance[None],),
-        _Pieces(StackLayout([range(a.dim)]), partition), strict, tol)
-    ga, bound = ga[0], bound[0]
+    omegas, ga, bound, (dropped_a, dropped_b) = _dense_nmci(a, b, partition, strict, tol)
     return FusionResult(
         gain_a=ga, gain_b=np.eye(a.dim) - ga, fused_mean=_fused_mean(ga, a.mean, b.mean),
         bound=bound, method=FusionMethod.NMCI, omega=omegas,

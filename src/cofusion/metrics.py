@@ -252,6 +252,8 @@ def conservativeness_sweep(p_a, p_b, pattern: CrossSparsityPattern,
         raise DimensionError("n_values must be a non-empty list of positive sizes")
     if mc_runs < 1:
         raise DimensionError("mc_runs must be at least 1")
+    if jobs < 1:
+        raise DimensionError(f"jobs must be at least 1, got {jobs}")
     _check_solver_args(solver_tol, solver_max_iters)
     p_a = np.asarray(p_a, dtype=float)
     p_b = np.asarray(p_b, dtype=float)

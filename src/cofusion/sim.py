@@ -26,9 +26,10 @@ Covariances, Kalman gains, intersection weights and fusion gains never
 depend on the data: the Riccati recursion runs the same in every
 Monte-Carlo run.  So each method steps all runs in lockstep.  One
 covariance pass per scenario does the filter steps and one fusion per
-edge through the array core behind ``ci_fuse``/``nmci_fuse``, and
-applies their gains to a (runs, filters, d) array of means; NEES solves
-every run against one factorization per step and block.
+edge through ``fusion._nmci``, the block-wise core behind
+``ci_fuse``/``nmci_fuse`` (CI is its one-block case), and applies their
+gains to a (runs, filters, d) array of means; NEES solves every run
+against one factorization per step and block.
 
 That pass exploits the scenario's independence structure.  The
 connected components of the union sparsity pattern of P0, F, Q and each
@@ -68,16 +69,7 @@ from .core import (
     parsing,
     symmetrize,
 )
-from .fusion import (
-    OFF_BLOCK_TOL,
-    _ci,
-    _fused_mean,
-    _nmci,
-    _omega,
-    _Pieces,
-    ci_fuse,
-    nmci_fuse,
-)
+from .fusion import OFF_BLOCK_TOL, _fused_mean, _nmci, _Pieces, ci_fuse, nmci_fuse
 from .sdp import robust_fuse  # noqa: F401  (perfbench/tracing.py wraps sim.robust_fuse)
 from . import metrics as _metrics
 
@@ -595,7 +587,7 @@ def partition_is_exact(scenario: ScenarioConfig, scheme: str | None = None) -> b
 # fusion round
 
 def _weight_records(omegas, method: str, step: int, i: int, j: int) -> list[dict]:
-    """One weight record per edge, or per block for the block-wise method."""
+    """One weight record per partition block of an edge; CI has one block."""
     return [{"step": step, "edge": f"{i}-{j}", "block": blk,
              "omega": float(w), "method": method}
             for blk, w in enumerate(omegas)]
@@ -745,24 +737,27 @@ def _stack_layout(p0: np.ndarray, models: list[FilterModel]) -> StackLayout:
     return StackLayout.from_pattern(pattern)
 
 
-def _lockstep(scenario: ScenarioConfig, method: str, plan: _FilterPlan, pieces: _Pieces,
-              meas: np.ndarray, truth: np.ndarray, prior_mean: np.ndarray,
-              prior_cov: np.ndarray, strict: bool, timings: dict) -> list[dict]:
+def _lockstep(scenario: ScenarioConfig, method: str, plan: _FilterPlan,
+              pieces: _Pieces | None, meas: np.ndarray, truth: np.ndarray,
+              prior_mean: np.ndarray, prior_cov: np.ndarray, strict: bool,
+              timings: dict) -> list[dict]:
     """Step one method through a batch of runs; every method takes this path.
 
     ``plan`` holds the method's filters: the centralized one, or one per
-    agent.  ``meas`` (runs, steps, rows), ``truth`` (runs, steps, d) and
+    agent.  ``pieces`` places the method's fusion partition on the plan's
+    layout (one block for CI), or is None for a method that never fuses.
+    ``meas`` (runs, steps, rows), ``truth`` (runs, steps, d) and
     ``prior_mean`` (runs, d) stack the runs' draws.  The runs share every
     covariance, since no fusion rule of the tracker draws anything at
     random.  Covariances are stacks of the plan layout's diagonal blocks,
     and means, truth and errors live in its permuted coordinates.  Per
-    step: one batched filter step for all filters and one fusion per edge,
-    whose gains then move the (runs, filters, d) means; NEES solves all
-    runs against one factorization per block.  The wall time of the
-    filter steps, fusions and metrics is added to ``timings``.  Returns
-    one record per run, in state-label order; the covariance-only entries
-    (``avg2sig``, ``cov_trace``, ``est_std``, ``omega``) are shared
-    between them.
+    step: one batched filter step for all filters and one block-wise
+    intersection per edge, whose gains then move the (runs, filters, d)
+    means; NEES solves all runs against one factorization per block.  The
+    wall time of the filter steps, fusions and metrics is added to
+    ``timings``.  Returns one record per run, in state-label order; the
+    covariance-only entries (``avg2sig``, ``cov_trace``, ``est_std``,
+    ``omega``) are shared between them.
     """
     layout = plan.layout
     d, steps = layout.dim, scenario.n_steps
@@ -776,7 +771,6 @@ def _lockstep(scenario: ScenarioConfig, method: str, plan: _FilterPlan, pieces: 
                    "report": [scenario.report_agent],
                    "none": []}[scenario.record_estimates]
         rec_cols = rec_ids
-    fuses = method not in ("centralized", "none")
     n_runs, cols = len(truth), plan.n_filters
 
     truth = truth[..., layout.perm]
@@ -800,18 +794,12 @@ def _lockstep(scenario: ScenarioConfig, method: str, plan: _FilterPlan, pieces: 
         check_spd_stacks(covs, name="covariance")
         _mean_step(means, plan, gains, meas[:, k])
         t1 = time.perf_counter()
-        if fuses and (k + 1) > scenario.fusion_start \
+        if pieces is not None and (k + 1) > scenario.fusion_start \
                 and (k + 1 - scenario.fusion_start) % scenario.fusion_every == 0:
             for i, j in scenario.edges:
                 p_a, p_b = [c[i] for c in covs], [c[j] for c in covs]
                 try:
-                    if method == "CI":
-                        omegas = [_omega(p_a, p_b)]
-                        gains_a, bounds = zip(*(_ci(sa, sb, omegas[0])
-                                                for sa, sb in zip(p_a, p_b)))
-                    else:
-                        omegas, gains_a, bounds, _ = _nmci(p_a, p_b, pieces, strict,
-                                                           OFF_BLOCK_TOL)
+                    omegas, gains_a, bounds, _ = _nmci(p_a, p_b, pieces, strict, OFF_BLOCK_TOL)
                 except FusionError as exc:
                     raise _edge_failure(exc, i, j, k) from exc
                 for view, c, gain_a, bound in zip(views, covs, gains_a, bounds):
@@ -868,12 +856,15 @@ def _simulate(scenario: ScenarioConfig, run_ids, methods) -> tuple[list[dict], d
     shared = dict(meas=np.stack([dr.meas for dr in draws]),
                   truth=np.stack([dr.truth for dr in draws]),
                   prior_mean=np.stack([dr.prior_mean for dr in draws]),
-                  prior_cov=prior_cov, pieces=_Pieces(layout, build_partition(scenario)),
-                  strict=partition_is_exact(scenario), timings=timings)
+                  prior_cov=prior_cov, strict=partition_is_exact(scenario), timings=timings)
+    # CI is block-wise CI over one block of every state
+    partitions = {"CI": BlockPartition((tuple(range(layout.dim)),)),
+                  "nmCI": build_partition(scenario)}
     out = [{"truth": dr.truth, "run": r, "methods": {}} for r, dr in zip(run_ids, draws)]
     for method in methods:
         plan = plans["central" if method == "centralized" else "agents"]
-        for o, rec in zip(out, _lockstep(scenario, method, plan, **shared)):
+        pieces = _Pieces(layout, partitions[method]) if method in partitions else None
+        for o, rec in zip(out, _lockstep(scenario, method, plan, pieces, **shared)):
             o["methods"][method] = rec
     return out, timings
 

@@ -128,6 +128,15 @@ def test_fuse_sdp_rejects_bad_tol_before_sampling(capsys, est_files, monkeypatch
     assert out == ""
 
 
+def test_fuse_sdp_rejects_negative_seed_before_sampling(capsys, est_files):
+    pa, pb, pattern = est_files
+    rc, out, err = _run(capsys, ["fuse", str(pa), str(pb), "--method", "SDP",
+                                 "--pattern", str(pattern), "--seed", "-1"])
+    assert rc == 2
+    assert "error:" in err and "seed" in err
+    assert out == ""
+
+
 def test_fuse_exact_uses_supplied_cross(capsys, est_files, tmp_path):
     pa, pb, _ = est_files
     cross = tmp_path / "cross.json"
@@ -408,6 +417,10 @@ def _malformed_argv(tmp_path, kind, key, value):
     ("scenario", "init_position_spread", -1),
     ("scenario", "init_velocity_std", -1),
     ("scenario", "dt", 1e300),
+    ("partition", "blocks", [[0], [1.7]]),
+    ("partition", "blocks", [[0], [True]]),
+    ("pattern", "dim_a", 2.9),
+    ("pattern", "zero_indices", [[0, 1.5]]),
 ])
 def test_malformed_input_files_are_config_errors(capsys, tmp_path, kind, key, value):
     rc, _, err = _run(capsys, _malformed_argv(tmp_path, kind, key, value))
@@ -416,7 +429,8 @@ def test_malformed_input_files_are_config_errors(capsys, tmp_path, kind, key, va
 
 
 @pytest.mark.parametrize("argv", [["track", "--mc", "0"], ["compare", "--n", "0"],
-                                  ["compare", "--mc", "0"]])
+                                  ["compare", "--mc", "0"], ["compare", "--jobs", "0"],
+                                  ["compare", "--jobs", "-2"]])
 def test_failed_command_leaves_no_output_directory(capsys, tmp_path, argv):
     out = tmp_path / "runs"
     out.mkdir()
@@ -434,3 +448,19 @@ def test_python_dash_m_runs_the_command_line():
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("usage: cofusion")
+
+
+def test_importing_the_command_line_loads_only_stdlib_and_numpy():
+    # the runtime is numpy-only; modules loaded before the import (a site
+    # hook may preload packages) do not count
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys; before = set(sys.modules); import cofusion.cli; "
+            "print(*sorted({m.split('.')[0] for m in set(sys.modules) - before}))")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert {"cofusion", "numpy"} <= loaded
+    assert loaded - set(sys.stdlib_module_names) - {"cofusion", "numpy"} == set()

@@ -17,7 +17,6 @@ from cofusion.fusion import (
     OFF_BLOCK_TOL,
     _ci,
     _nmci,
-    _omega,
     _Pieces,
     _trace_terms,
     ci_fuse,
@@ -308,23 +307,78 @@ def _assert_close_relative(got, want, rtol):
     assert np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want))
 
 
+# monolithic intersection is block-wise intersection over one block
+ONE_BLOCK = BlockPartition((tuple(range(STACKED.dim)),))
+DENSE = StackLayout([range(STACKED.dim)])
+
+
 def test_stacked_omega_and_ci_match_the_assembled_matrix():
+    stacked, dense = _Pieces(STACKED, ONE_BLOCK), _Pieces(DENSE, ONE_BLOCK)
     rng = np.random.default_rng(17)
     for _ in range(10):
         pa, pb = _block_diagonal(rng, STACKED), _block_diagonal(rng, STACKED)
-        sa, sb = STACKED.split(pa), STACKED.split(pb)
-        w = _omega(sa, sb)
-        assert abs(w - _omega((pa,), (pb,))) <= 1e-12
+        (w,), gain, bound, _ = _nmci(STACKED.split(pa), STACKED.split(pb), stacked,
+                                     True, OFF_BLOCK_TOL)
+        (w_dense,), _, _, _ = _nmci((pa[None],), (pb[None],), dense, True, OFF_BLOCK_TOL)
+        assert abs(w - w_dense) <= 1e-12
         assert 0.0 < w < 1.0
-        gain, bound = zip(*(_ci(xa, xb, w) for xa, xb in zip(sa, sb)))
         want_gain, want_bound = _ci(pa, pb, w)
         _assert_close_relative(_assembled(STACKED, bound), want_bound, 1e-12)
         _assert_close_relative(_assembled(STACKED, gain), want_gain, 1e-12)
 
 
+def test_one_block_nmci_is_ci_bitwise():
+    rng = np.random.default_rng(19)
+    for _ in range(5):
+        pa, pb = _block_diagonal(rng, STACKED), _block_diagonal(rng, STACKED)
+        # a dense covariance as a stack of one block: the public weight search
+        (w,), (gain,), (bound,), dropped = _nmci((pa[None],), (pb[None],),
+                                                 _Pieces(DENSE, ONE_BLOCK), True, OFF_BLOCK_TOL)
+        assert w == optimize_ci_omega(pa, pb)
+        want_gain, want_bound = _ci(pa, pb, w)
+        np.testing.assert_array_equal(gain[0], want_gain)
+        np.testing.assert_array_equal(bound[0], want_bound)
+        assert dropped == (0.0, 0.0)
+        # on block stacks every stack is read and returned whole
+        sa, sb = STACKED.split(pa), STACKED.split(pb)
+        (w,), gain, bound, _ = _nmci(sa, sb, _Pieces(STACKED, ONE_BLOCK), True, OFF_BLOCK_TOL)
+        for xa, xb, g, bd in zip(sa, sb, gain, bound):
+            want_gain, want_bound = _ci(xa, xb, w)
+            np.testing.assert_array_equal(g, want_gain)
+            np.testing.assert_array_equal(bd, want_bound)
+
+
+def test_partition_of_stack_blocks_gives_per_block_ci():
+    # every stack block is one partition block, listed in reverse order
+    blocks = [tuple(states) for group in STACKED.groups for states in group.tolist()]
+    part = BlockPartition(tuple(reversed(blocks)))
+    pieces = _Pieces(STACKED, part)
+    assert all(ix is ... for _, ix, _ in pieces.groups)
+    rng = np.random.default_rng(20)
+    for _ in range(5):
+        pa, pb = _block_diagonal(rng, STACKED), _block_diagonal(rng, STACKED)
+        omegas, gain, bound, _ = _nmci(STACKED.split(pa), STACKED.split(pb), pieces,
+                                       True, OFF_BLOCK_TOL)
+        assert omegas.size == len(blocks)
+        gain, bound = _assembled(STACKED, gain), _assembled(STACKED, bound)
+        for k, blk in enumerate(part.blocks):
+            ix = np.ix_(blk, blk)
+            want = ci_fuse(est(np.zeros(len(blk)), pa[ix]), est(np.zeros(len(blk)), pb[ix]))
+            assert omegas[k] == want.omega[0]
+            np.testing.assert_array_equal(bound[ix], want.bound)
+            np.testing.assert_array_equal(gain[ix], want.gain_a)
+
+
 def test_stacked_nmci_matches_the_assembled_matrix():
     # partition blocks that span stack blocks and split them: 8 pieces of 2
-    part = BlockPartition(((0, 5, 1, 2), (9, 12, 3, 4, 6, 7), (8, 10, 11, 13, 14, 15)))
+    _check_stacked_nmci(BlockPartition(((0, 5, 1, 2), (9, 12, 3, 4, 6, 7),
+                                        (8, 10, 11, 13, 14, 15))))
+    # whole stack blocks beside split ones of the same size
+    _check_stacked_nmci(BlockPartition(((0, 5, 9, 12), (1, 2, 6, 7, 8, 10),
+                                        (3, 4, 11, 13, 14), (15,))))
+
+
+def _check_stacked_nmci(part):
     pieces = _Pieces(STACKED, part)
     rng = np.random.default_rng(18)
     for _ in range(5):

@@ -5,6 +5,7 @@ import pytest
 
 from cofusion import sampler
 from cofusion.core import (
+    ConfigError,
     CrossSparsityPattern,
     DimensionError,
     JointCovariance,
@@ -102,6 +103,25 @@ def test_sample_set_validation():
         sample_set(np.eye(2), np.eye(2), pat, 0, seed=1)
     with pytest.raises(DimensionError):
         sample_set(np.eye(3), np.eye(2), pat, 5, seed=1)
+
+
+@pytest.mark.parametrize("seed", [-1, -(1 << 70), 1.5, True, "3"])
+def test_seed_must_be_a_non_negative_integer(seed):
+    pat = CrossSparsityPattern.unconstrained(2, 2)
+    with pytest.raises(ConfigError, match="seed"):
+        sample_cross(np.eye(2), np.eye(2), pat, seed)
+    with pytest.raises(ConfigError, match="seed"):
+        sample_set(np.eye(2), np.eye(2), pat, 3, seed)
+
+
+def test_numpy_integer_seed_draws_the_int_seed_stream():
+    pat = CrossSparsityPattern.unconstrained(2, 2)
+    for seed in (0, 11, (1 << 64) - 1):
+        want = sample_set(np.eye(2), np.eye(2), pat, 5, seed)
+        got = sample_set(np.eye(2), np.eye(2), pat, 5, np.uint64(seed))
+        assert [s.attempts for s in got] == [s.attempts for s in want]
+        for x, y in zip(got, want):
+            np.testing.assert_array_equal(x.p_ab, y.p_ab)
 
 
 def test_uncertainty_sample_is_frozen():
