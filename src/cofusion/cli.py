@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from .core import (BlockPartition, ConfigError, CrossSparsityPattern,
                    FusionError, GaussianEstimate, NotPositiveDefiniteError,
-                   SamplingError, SolverError, as_int, parsing,
+                   SamplingError, SolverError, as_int, as_seed, parsing,
                    partition_from_sparsity)
 from .fusion import ci_fuse, exact_fuse, nmci_fuse
 from .sdp import robust_fuse
@@ -156,7 +156,7 @@ def _load_comparison_config(d: dict) -> dict:
                "p_b": np.asarray(d["p_b"], dtype=float),
                "n_values": [as_int(n, "n_values entry") for n in d["n_values"]],
                "mc_runs": as_int(d["mc_runs"], "mc_runs"),
-               "seed": as_int(d["seed"], "seed"),
+               "seed": as_seed(d["seed"]),
                "solver_tol": float(d.get("solver_tol", 1e-6)),
                "solver_max_iters": as_int(d.get("solver_max_iters", 200),
                                           "solver_max_iters")}
@@ -232,7 +232,7 @@ def _cmd_compare(args) -> int:
     raw, origin = _resolve_config(args.config, "comparison")
     cfg = _load_comparison_config(raw)
     if args.seed is not None:
-        cfg["seed"] = args.seed
+        cfg["seed"] = as_seed(args.seed)
     if args.mc is not None:
         cfg["mc_runs"] = args.mc
     if args.n is not None:

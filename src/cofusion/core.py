@@ -76,6 +76,18 @@ def as_int(value, name: str) -> int:
     return int(value)
 
 
+def as_seed(value, name: str = "seed") -> int:
+    """``value`` as a non-negative int, or ConfigError.
+
+    Substream seeds take the master seed modulo 2**64, so a negative seed
+    would silently run the streams of seed + 2**64.
+    """
+    seed = as_int(value, name)
+    if seed < 0:
+        raise ConfigError(f"{name} must be a non-negative integer, got {value!r}")
+    return seed
+
+
 # ---------------------------------------------------------------------------
 # matrix checks
 

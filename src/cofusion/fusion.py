@@ -9,9 +9,12 @@ Monolithic intersection is block-wise intersection over a partition of
 one block (Julier & Uhlmann, ACC 1997), so one private core, ``_nmci``,
 serves both rules.  It works on block-diagonal covariances stored as
 stacks of their diagonal blocks (see ``core.StackLayout``) and fuses
-each piece with ``_ci``.  The tracker calls it directly on its filters'
-stacks; ``ci_fuse`` and ``nmci_fuse`` check their inputs and pass a
-dense covariance as a stack of one block.
+each piece with ``_ci``.  Stacks may carry leading batch axes, and
+every batch entry is fused on its own, with the weights, gains and
+bounds a call of its own would give.  The tracker calls it directly on
+its filters' stacks, one batch entry per edge of a wave of edges that
+share no agent; ``ci_fuse`` and ``nmci_fuse`` check their inputs and
+pass a dense covariance, unbatched, as a stack of one block.
 """
 
 from __future__ import annotations
@@ -138,8 +141,12 @@ def _ci(p_a: np.ndarray, p_b: np.ndarray, w) -> tuple[np.ndarray, np.ndarray]:
     pb_sinv = np.swapaxes(np.linalg.solve(w * p_b + (1.0 - w) * p_a, p_b), -1, -2)
     gain, bound = w * pb_sinv, symmetrize(pb_sinv @ p_a)
     if np.any((w == 0.0) | (w == 1.0)):
-        gain = np.where(w == 0.0, 0.0, np.where(w == 1.0, np.eye(p_a.shape[-1]), gain))
-        bound = np.where(w == 0.0, p_b, np.where(w == 1.0, p_a, bound))
+        # in place: the other gains keep their memory layout, so products
+        # with them round as they would without these ends in the stack
+        np.copyto(gain, 0.0, where=w == 0.0)
+        np.copyto(gain, np.eye(p_a.shape[-1]), where=w == 1.0)
+        np.copyto(bound, p_b, where=w == 0.0)
+        np.copyto(bound, p_a, where=w == 1.0)
     return gain, bound
 
 
@@ -148,15 +155,15 @@ class _Pieces:
 
     A piece is one stack block intersected with one partition block.
     ``groups`` holds (stack group, index, part) per stack group and piece
-    size: ``index`` gathers those pieces from the group's (k, n, n) stack
-    into a (u, m, m) one, and ``part`` names each piece's partition block.
-    Where the pieces are exactly the group's blocks, whole and in order
-    (every block of CI's one-block partition, or of a partition made of
-    stack blocks), ``index`` is ``...``: the stack is read as it is.
-    Their trace terms, concatenated group by group and taken in ``order``,
-    run partition block by partition block (``seg``) from ``starts``.
-    ``off`` lists, per stack group, the flat entries of its blocks outside
-    every piece.
+    size: ``index`` gathers those pieces from the group's (..., k, n, n)
+    stack into a (..., u, m, m) one, and ``part`` names each piece's
+    partition block.  Where the pieces are exactly the group's blocks,
+    whole and in order (every block of CI's one-block partition, or of a
+    partition made of stack blocks), ``index`` is ``...``: the stack is
+    read as it is.  Their trace terms, concatenated group by group and
+    taken in ``order``, run partition block by partition block (``seg``)
+    from ``starts``.  ``off`` lists, per stack group, the flat entries of
+    its (k, n, n) blocks outside every piece.
     """
 
     def __init__(self, layout: StackLayout, partition: BlockPartition):
@@ -178,7 +185,7 @@ class _Pieces:
         for (g, m), items in pieces.items():
             blk, pos, part = (np.array(column) for column in zip(*items))
             index = ... if (blk.size, m) == layout.groups[g].shape \
-                else (blk[:, None, None], pos[:, :, None], pos[:, None, :])
+                else (..., blk[:, None, None], pos[:, :, None], pos[:, None, :])
             self.groups.append((g, index, part))
             term_part.append(np.repeat(part, m))
         term_part = np.concatenate(term_part)
@@ -187,58 +194,75 @@ class _Pieces:
         self.starts = np.searchsorted(self.seg, np.arange(partition.n_blocks))
 
 
-def _off_mass(p, off) -> float:
-    """Relative Frobenius mass of the entries ``off`` lists, over a stacked covariance."""
+def _off_mass(p, off) -> np.ndarray:
+    """Relative Frobenius mass of the entries ``off`` lists, per batch entry of stacks ``p``."""
+    flat = [s.reshape(s.shape[:-3] + (-1,)) for s in p]
     if not any(ix.size for ix in off):
-        return 0.0
-    part = sum(float(x @ x) for x in (s.ravel()[ix] for s, ix in zip(p, off)))
-    whole = sum(float(x @ x) for x in (s.ravel() for s in p))
-    return float(np.sqrt(part)) / max(float(np.sqrt(whole)), 1e-300)
+        return np.zeros(flat[0].shape[:-1])
+    part = sum(np.sum(x[..., ix] ** 2, axis=-1) for x, ix in zip(flat, off))
+    whole = sum(np.sum(x ** 2, axis=-1) for x in flat)
+    return np.sqrt(part) / np.maximum(np.sqrt(whole), 1e-300)
 
 
 def _nmci(p_a, p_b, pieces: _Pieces, strict: bool, tol: float):
     """Block-wise intersection of SPD stacked covariances over a partition of their states.
 
-    ``p_a`` and ``p_b`` are sequences of (k, n, n) stacks of the layout
-    ``pieces`` was built on.  Returns (per-block weights, gain of a, bound,
-    relative off-block mass dropped from P_a and P_b), the gain and bound
-    as stacks.  Off-block mass above tol (relative Frobenius) is an error
-    in strict mode and dropped in lenient mode; dropping it leaves every
-    block marginal as it is.  One batched call per piece group gives the
-    trace terms, and one search finds every partition block's weight.
+    ``p_a`` and ``p_b`` are sequences of (..., k, n, n) stacks of the
+    layout ``pieces`` was built on; all share one leading batch shape, and
+    each batch entry is one intersection.  Returns (per-block weights,
+    gain of a, bound, relative off-block mass dropped from P_a and P_b):
+    the weights (..., blocks), the gain and bound as stacks, and each
+    dropped mass a float, or a nested list over the batch.  Off-block
+    mass above tol (relative Frobenius) is an error in strict mode and
+    dropped in lenient mode; dropping it leaves every block marginal as
+    it is.  A strict-mode error names, in its ``entry`` attribute, the
+    flat index of the first batch entry that fails.  One batched call per
+    piece group gives the trace terms of every batch entry, and one
+    search finds every weight: each batch entry's partition blocks are
+    segments of their own, searched as an unbatched call searches them.
     """
-    dropped = []
-    for p, which in ((p_a, "A"), (p_b, "B")):
-        rel = _off_mass(p, pieces.off)
-        if rel <= tol:
-            rel = 0.0
-        elif strict:
-            raise DimensionError(
-                f"covariance {which} couples different partition blocks "
-                f"(relative off-block mass {rel:.2e} > {tol:g}); "
-                "use lenient mode to drop the coupling")
-        dropped.append(rel)
+    rel = np.array([_off_mass(p, pieces.off) for p in (p_a, p_b)])
+    rel[rel <= tol] = 0.0
+    if strict and np.any(rel):
+        per_entry = rel.reshape(2, -1)
+        entry = int(np.argmax(np.any(per_entry, axis=0)))
+        side = int(per_entry[0, entry] == 0.0)
+        exc = DimensionError(
+            f"covariance {'AB'[side]} couples different partition blocks "
+            f"(relative off-block mass {per_entry[side, entry]:.2e} > {tol:g}); "
+            "use lenient mode to drop the coupling")
+        exc.entry = entry
+        raise exc
     sub_a = [p_a[g][ix] for g, ix, _ in pieces.groups]
     sub_b = [p_b[g][ix] for g, ix, _ in pieces.groups]
     terms = [_trace_terms(sa, sb) for sa, sb in zip(sub_a, sub_b)]
-    a, b = (np.concatenate([t[i].ravel() for t in terms])[pieces.order] for i in (0, 1))
-    omegas = np.array(_weights(a, b, pieces.seg, pieces.starts))
+    batch = rel.shape[1:]
+    a, b = (np.concatenate([t[i].reshape(batch + (-1,)) for t in terms], axis=-1)
+            [..., pieces.order] for i in (0, 1))
+    n_terms, n_blocks = a.shape[-1], pieces.starts.size
+    entries = np.arange(a.size // n_terms)[:, None]     # flat batch index
+    omegas = np.reshape(_weights(a.ravel(), b.ravel(), (entries * n_blocks + pieces.seg).ravel(),
+                                 (entries * n_terms + pieces.starts).ravel()),
+                        batch + (n_blocks,))
     gain_a, bound = [None] * len(p_a), [None] * len(p_a)
     for (g, ix, part), sa, sb in zip(pieces.groups, sub_a, sub_b):
         if ix is ...:   # bind: a copy would change the layout, so the roundoff, of products
-            gain_a[g], bound[g] = _ci(sa, sb, omegas[part])
+            gain_a[g], bound[g] = _ci(sa, sb, omegas[..., part])
             continue
         if gain_a[g] is None:
             gain_a[g], bound[g] = np.zeros_like(p_a[g]), np.zeros_like(p_a[g])
-        gain_a[g][ix], bound[g][ix] = _ci(sa, sb, omegas[part])
-    return omegas, gain_a, bound, tuple(dropped)
+        gain_a[g][ix], bound[g][ix] = _ci(sa, sb, omegas[..., part])
+    return omegas, gain_a, bound, tuple(rel.tolist())
 
 
 def _fused_mean(gain_a: np.ndarray, mean_a: np.ndarray, mean_b: np.ndarray) -> np.ndarray:
-    """b's mean moved toward a's by gain_a, for (..., n) means and (n, n) or (k, n, n) gains.
+    """b's mean moved toward a's by gain_a, for (..., n) means and (..., n, n) gains.
 
-    Rows where b gets no weight (gain_a's row is the identity's) keep a's
-    mean as it is, so a weight of 1 returns a's mean exactly.
+    The gains' leading axes broadcast against the means': a (k, n, n)
+    stack moves (runs, k, n) means, an (edges, k, n, n) one (runs, edges,
+    k, n) means.  Rows where b gets no weight (gain_a's row is the
+    identity's) keep a's mean as it is, so a weight of 1 returns a's mean
+    exactly.
     """
     fused = mean_b + (gain_a @ (mean_a - mean_b)[..., None])[..., 0]
     kept = np.all(gain_a == np.eye(gain_a.shape[-1]), axis=-1)

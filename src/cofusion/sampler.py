@@ -38,11 +38,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    ConfigError,
     CrossSparsityPattern,
     DimensionError,
     SamplingError,
-    as_int,
+    as_seed,
     cov_to_corr,
 )
 
@@ -121,8 +120,7 @@ class _ProposalStream:
     """Admissible cross-covariances from one seeded stream of proposals."""
 
     def __init__(self, p_a, p_b, pattern: CrossSparsityPattern, seed: int):
-        if as_int(seed, "seed") < 0:    # PCG64 would raise a bare ValueError
-            raise ConfigError(f"seed must be a non-negative integer, got {seed}")
+        as_seed(seed)     # PCG64 would raise a bare ValueError
         corr_a, std_a = cov_to_corr(p_a)
         corr_b, std_b = cov_to_corr(p_b)
         if (pattern.dim_a, pattern.dim_b) != (corr_a.shape[0], corr_b.shape[0]):

@@ -25,11 +25,14 @@ block.
 Covariances, Kalman gains, intersection weights and fusion gains never
 depend on the data: the Riccati recursion runs the same in every
 Monte-Carlo run.  So each method steps all runs in lockstep.  One
-covariance pass per scenario does the filter steps and one fusion per
-edge through ``fusion._nmci``, the block-wise core behind
+covariance pass per scenario does the filter steps and the fusions
+through ``fusion._nmci``, the block-wise core behind
 ``ci_fuse``/``nmci_fuse`` (CI is its one-block case), and applies their
 gains to a (runs, filters, d) array of means; NEES solves every run
-against one factorization per step and block.
+against one factorization per step and block.  A round's edges go in
+waves: each wave is one ``_nmci`` call over edges that share no agent,
+and each edge waits only for the earlier edges that share one of its
+agents, so every agent sees the inputs it would see edge by edge.
 
 That pass exploits the scenario's independence structure.  The
 connected components of the union sparsity pattern of P0, F, Q and each
@@ -63,6 +66,7 @@ from .core import (
     GaussianEstimate,
     StackLayout,
     as_int,
+    as_seed,
     check_spd,
     check_spd_stacks,
     make_substream,
@@ -76,7 +80,7 @@ from . import metrics as _metrics
 SCENARIO_SCHEMA = "cofusion-scenario-v1"
 METHODS = ("centralized", "CI", "nmCI", "none")
 PARTITION_SCHEMES = ("group_target_bias", "group_axes")
-_INT_FIELDS = ("seed", "n_steps", "mc_runs", "report_agent", "fusion_every", "fusion_start")
+_INT_FIELDS = ("n_steps", "mc_runs", "report_agent", "fusion_every", "fusion_start")
 _REAL_FIELDS = ("dt", "q", "bias_range", "prior_position_var", "prior_velocity_var",
                "prior_bias_var", "init_position_spread", "init_velocity_std")
 
@@ -196,6 +200,7 @@ class ScenarioConfig:
     record_estimates: str = "all"
 
     def __post_init__(self):
+        object.__setattr__(self, "seed", as_seed(self.seed))
         for name in _INT_FIELDS:
             object.__setattr__(self, name, as_int(getattr(self, name), name))
         for name in _REAL_FIELDS:
@@ -603,11 +608,13 @@ def fusion_round(beliefs: list[GaussianEstimate], edges, method: str, step: int,
     """Fuse along every edge in order; both endpoints adopt the result.
 
     Edges are processed sequentially in the given order, so later edges
-    see the outcome of earlier ones within the same round.  ``partition``
-    is the block structure every agent shares; only the block-wise
-    method reads it.  Weight values are returned as one record per edge
-    (per block for the block-wise method).  A failure on an edge aborts
-    with the edge id.
+    see the outcome of earlier ones within the same round.  This is the
+    per-estimate reference of the tracker's round, which fuses edges that
+    share no agent with any pending earlier edge together and gets the
+    same results (see ``_fuse_round``).  ``partition`` is the block
+    structure every agent shares; only the block-wise method reads it.
+    Weight values are returned as one record per edge (per block for the
+    block-wise method).  A failure on an edge aborts with the edge id.
     """
     if method == "none":
         return list(beliefs), []
@@ -737,27 +744,91 @@ def _stack_layout(p0: np.ndarray, models: list[FilterModel]) -> StackLayout:
     return StackLayout.from_pattern(pattern)
 
 
+def _fusion_waves(edges) -> list[np.ndarray]:
+    """The edges of a fusion round as waves: arrays of edge positions, in order.
+
+    Each edge goes one wave after the latest earlier edge that shares one
+    of its agents, so no wave holds two edges with a common agent, and
+    every edge's inputs are final once the waves before its own are
+    fused: fusing wave by wave gives each agent the inputs the configured
+    order does.
+    """
+    last: dict[int, int] = {}     # agent -> wave of its latest edge so far
+    waves: list[list[int]] = []
+    for e, (i, j) in enumerate(edges):
+        w = 1 + max(last.get(i, -1), last.get(j, -1))
+        if w == len(waves):
+            waves.append([])
+        waves[w].append(e)
+        last[i] = last[j] = w
+    return [np.array(wave, dtype=np.intp) for wave in waves]
+
+
+def _fuse_round(covs: list[np.ndarray], views: list[np.ndarray], edges: np.ndarray,
+                waves: list[np.ndarray], pieces: _Pieces, strict: bool, step: int) -> list:
+    """Fuse one round's (edges, 2) agent pairs wave by wave, in place; weights in edge order.
+
+    ``covs`` holds per size group the (filters, k, n, n) stacks and
+    ``views`` the (runs, filters, k, n) means.  Each wave is one
+    ``_nmci`` call over its edges.  An edge fails on its own inputs
+    alone, so after a failure the fusion goes on with only the edges
+    before it in configured order, and the error raised names the edge
+    that fails first when the edges are fused one by one.
+    """
+    omegas: list = [None] * len(edges)
+
+    def fuse(wave):
+        if not wave.size:
+            return
+        ii, jj = edges[wave, 0], edges[wave, 1]
+        ws, gains_a, bounds, _ = _nmci([c[ii] for c in covs], [c[jj] for c in covs],
+                                       pieces, strict, OFF_BLOCK_TOL)
+        for view, c, gain_a, bound in zip(views, covs, gains_a, bounds):
+            view[:, ii] = view[:, jj] = _fused_mean(gain_a, view[:, ii], view[:, jj])
+            c[ii] = c[jj] = bound
+        for e, w in zip(wave.tolist(), ws):
+            omegas[e] = w
+
+    failed = None       # (position, error) of the first edge found failing
+    for wave in waves:
+        if failed is not None:
+            wave = wave[wave < failed[0]]
+        try:
+            fuse(wave)
+        except FusionError as exc:
+            failed = (int(wave[exc.entry]), exc)
+            fuse(wave[wave < failed[0]])
+    if failed is not None:
+        (i, j), exc = edges[failed[0]].tolist(), failed[1]
+        raise _edge_failure(exc, i, j, step) from exc
+    return omegas
+
+
 def _lockstep(scenario: ScenarioConfig, method: str, plan: _FilterPlan,
-              pieces: _Pieces | None, meas: np.ndarray, truth: np.ndarray,
-              prior_mean: np.ndarray, prior_cov: np.ndarray, strict: bool,
-              timings: dict) -> list[dict]:
+              pieces: _Pieces | None, waves: list[np.ndarray], meas: np.ndarray,
+              truth: np.ndarray, prior_mean: np.ndarray, prior_cov: np.ndarray,
+              strict: bool, timings: dict) -> list[dict]:
     """Step one method through a batch of runs; every method takes this path.
 
     ``plan`` holds the method's filters: the centralized one, or one per
     agent.  ``pieces`` places the method's fusion partition on the plan's
     layout (one block for CI), or is None for a method that never fuses.
-    ``meas`` (runs, steps, rows), ``truth`` (runs, steps, d) and
-    ``prior_mean`` (runs, d) stack the runs' draws.  The runs share every
-    covariance, since no fusion rule of the tracker draws anything at
-    random.  Covariances are stacks of the plan layout's diagonal blocks,
-    and means, truth and errors live in its permuted coordinates.  Per
-    step: one batched filter step for all filters and one block-wise
-    intersection per edge, whose gains then move the (runs, filters, d)
-    means; NEES solves all runs against one factorization per block.  The
-    wall time of the filter steps, fusions and metrics is added to
-    ``timings``.  Returns one record per run, in state-label order; the
-    covariance-only entries (``avg2sig``, ``cov_trace``, ``est_std``,
-    ``omega``) are shared between them.
+    ``waves`` is ``_fusion_waves`` of the scenario's edges.  ``meas``
+    (runs, steps, rows), ``truth`` (runs, steps, d) and ``prior_mean``
+    (runs, d) stack the runs' draws.  The runs share every covariance,
+    since no fusion rule of the tracker draws anything at random.
+    Covariances are stacks of the plan layout's diagonal blocks, and
+    means, truth and errors live in its permuted coordinates.  Per step:
+    one batched filter step for all filters, then one block-wise
+    intersection per wave, batched over its edges, whose gains move the
+    (runs, filters, d) means; NEES solves all runs against one
+    factorization per block.  Fusing wave by wave gives the results,
+    weights and failures of fusing edge by edge in configured order (see
+    ``_fuse_round``), and weights are recorded in that order.  The wall
+    time of the filter steps, fusions and metrics is added to ``timings``.
+    Returns one record per run, in state-label order; the covariance-only
+    entries (``avg2sig``, ``cov_trace``, ``est_std``, ``omega``) are
+    shared between them.
     """
     layout = plan.layout
     d, steps = layout.dim, scenario.n_steps
@@ -772,6 +843,7 @@ def _lockstep(scenario: ScenarioConfig, method: str, plan: _FilterPlan,
                    "none": []}[scenario.record_estimates]
         rec_cols = rec_ids
     n_runs, cols = len(truth), plan.n_filters
+    edges = np.array(scenario.edges, dtype=np.intp).reshape(-1, 2)
 
     truth = truth[..., layout.perm]
     means = np.repeat(prior_mean[:, None, layout.perm], cols, axis=1)
@@ -796,16 +868,9 @@ def _lockstep(scenario: ScenarioConfig, method: str, plan: _FilterPlan,
         t1 = time.perf_counter()
         if pieces is not None and (k + 1) > scenario.fusion_start \
                 and (k + 1 - scenario.fusion_start) % scenario.fusion_every == 0:
-            for i, j in scenario.edges:
-                p_a, p_b = [c[i] for c in covs], [c[j] for c in covs]
-                try:
-                    omegas, gains_a, bounds, _ = _nmci(p_a, p_b, pieces, strict, OFF_BLOCK_TOL)
-                except FusionError as exc:
-                    raise _edge_failure(exc, i, j, k) from exc
-                for view, c, gain_a, bound in zip(views, covs, gains_a, bounds):
-                    view[:, i] = view[:, j] = _fused_mean(gain_a, view[:, i], view[:, j])
-                    c[i] = c[j] = bound
-                records += _weight_records(omegas, method, k, i, j)
+            omegas = _fuse_round(covs, views, edges, waves, pieces, strict, k)
+            for (i, j), w in zip(scenario.edges, omegas):
+                records += _weight_records(w, method, k, i, j)
         t2 = time.perf_counter()
         err = means - truth[:, k, None, :]
         pos_err[:, k] = np.linalg.norm(err[:, :, pos], axis=2)
@@ -857,6 +922,7 @@ def _simulate(scenario: ScenarioConfig, run_ids, methods) -> tuple[list[dict], d
                   truth=np.stack([dr.truth for dr in draws]),
                   prior_mean=np.stack([dr.prior_mean for dr in draws]),
                   prior_cov=prior_cov, strict=partition_is_exact(scenario), timings=timings)
+    shared["waves"] = _fusion_waves(scenario.edges)
     # CI is block-wise CI over one block of every state
     partitions = {"CI": BlockPartition((tuple(range(layout.dim)),)),
                   "nmCI": build_partition(scenario)}

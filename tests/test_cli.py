@@ -421,6 +421,9 @@ def _malformed_argv(tmp_path, kind, key, value):
     ("partition", "blocks", [[0], [True]]),
     ("pattern", "dim_a", 2.9),
     ("pattern", "zero_indices", [[0, 1.5]]),
+    # substream seeds wrap modulo 2**64, so -1 would run seed 2**64 - 1
+    ("scenario", "seed", -1),
+    ("comparison", "seed", -1),
 ])
 def test_malformed_input_files_are_config_errors(capsys, tmp_path, kind, key, value):
     rc, _, err = _run(capsys, _malformed_argv(tmp_path, kind, key, value))
@@ -430,7 +433,8 @@ def test_malformed_input_files_are_config_errors(capsys, tmp_path, kind, key, va
 
 @pytest.mark.parametrize("argv", [["track", "--mc", "0"], ["compare", "--n", "0"],
                                   ["compare", "--mc", "0"], ["compare", "--jobs", "0"],
-                                  ["compare", "--jobs", "-2"]])
+                                  ["compare", "--jobs", "-2"], ["track", "--seed", "-1"],
+                                  ["compare", "--seed", "-1"]])
 def test_failed_command_leaves_no_output_directory(capsys, tmp_path, argv):
     out = tmp_path / "runs"
     out.mkdir()

@@ -395,6 +395,49 @@ def _check_stacked_nmci(part):
             _nmci(STACKED.split(pa), STACKED.split(pb), pieces, True, OFF_BLOCK_TOL)
 
 
+@pytest.mark.parametrize("part", [
+    ONE_BLOCK,
+    BlockPartition(((0, 5, 1, 2), (9, 12, 3, 4, 6, 7), (8, 10, 11, 13, 14, 15))),
+    BlockPartition(((0, 5, 9, 12), (1, 2, 6, 7, 8, 10), (3, 4, 11, 13, 14), (15,))),
+], ids=["one-block", "split", "mixed"])
+def test_batched_nmci_equals_separate_calls_bitwise(part):
+    pieces = _Pieces(STACKED, part)
+    rng = np.random.default_rng(21)
+    pairs = [(_block_diagonal(rng, STACKED), _block_diagonal(rng, STACKED)) for _ in range(4)]
+    pairs += [(pairs[0][0], pairs[0][0]), (1e-6 * pairs[1][1], pairs[1][1])]   # 0.5 and 1
+    stacks = [[np.stack([STACKED.split(p[side])[g] for p in pairs]).reshape((2, 3) + shape)
+               for g, shape in enumerate(x.shape for x in STACKED.split(pairs[0][0]))]
+              for side in (0, 1)]
+    omegas, gain, bound, dropped = _nmci(*stacks, pieces, False, OFF_BLOCK_TOL)
+    assert omegas.shape == (2, 3, part.n_blocks)
+    assert np.all(omegas[1, 1] == 0.5) and np.all(omegas[1, 2] == 1.0)
+    for e in np.ndindex(2, 3):
+        w, g, b, d = _nmci(*([x[e] for x in side] for side in stacks), pieces, False,
+                           OFF_BLOCK_TOL)
+        np.testing.assert_array_equal(omegas[e], w)
+        for got, want in zip(gain + bound, g + b):
+            np.testing.assert_array_equal(got[e], want)
+        # a batched sum of squares may add in another order
+        np.testing.assert_allclose(np.array(dropped)[(slice(None), *e)], d, rtol=1e-14)
+
+
+def test_strict_batch_error_names_the_first_failing_entry():
+    part = BlockPartition(((0,), (1,)))
+    coupled = np.array([[2.0, 0.8], [0.8, 2.0]])
+    pieces = _Pieces(StackLayout([range(2)]), part)
+    p_a = (np.stack([np.eye(2), coupled, np.eye(2)])[:, None],)
+    p_b = (np.stack([np.eye(2), np.eye(2), coupled])[:, None],)
+    with pytest.raises(DimensionError, match="covariance A couples") as info:
+        _nmci(p_a, p_b, pieces, True, OFF_BLOCK_TOL)
+    assert info.value.entry == 1
+    with pytest.raises(DimensionError, match="covariance B couples") as info:
+        _nmci([x[::2] for x in p_a], [x[::2] for x in p_b], pieces, True, OFF_BLOCK_TOL)
+    assert info.value.entry == 1
+    _, _, _, dropped = _nmci(p_a, p_b, pieces, False, OFF_BLOCK_TOL)
+    assert [m > 0.0 for m in dropped[0]] == [False, True, False]
+    assert [m > 0.0 for m in dropped[1]] == [False, False, True]
+
+
 def test_nmci_strict_rejects_coupling_lenient_drops_it():
     part = BlockPartition(((0,), (1,)))
     coupled = np.array([[2.0, 0.8], [0.8, 2.0]])

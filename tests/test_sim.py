@@ -37,7 +37,9 @@ from cofusion.sim import (
     track_blocks,
     truth_blocks,
 )
-from cofusion.sim import _prior_covariance, _stack_layout
+from cofusion import sim
+from cofusion.fusion import OFF_BLOCK_TOL, _nmci
+from cofusion.sim import _fusion_waves, _prior_covariance, _stack_layout
 
 
 def tiny_scenario(**overrides):
@@ -608,6 +610,139 @@ def test_lockstep_matches_per_run_reference_with_coupled_axes():
 def test_lockstep_matches_per_run_reference_with_blocks_of_several_sizes():
     _assert_lockstep_matches_reference(
         tiny_scenario(n_steps=20, methods=LOCKSTEP_METHODS, **UNEQUAL_GROUPS))
+
+
+# ---------------------------------------------------------------------------
+# fusion waves: each round's edges fused in batches of edges with no common agent
+
+# three groups of two agents: a chain across the groups and independent edges
+THREE_GROUPS = dict(groups=(GroupSpec((0, 1), (0,)), GroupSpec((2, 3), (1,)),
+                            GroupSpec((4, 5), (2,))),
+                    edges=((0, 1), (2, 3), (1, 2), (4, 5), (3, 4), (5, 0)))
+SKEW = ((1.0, 0.3), (0.3, 0.8))
+PLAIN = ((1.0, 0.0), (0.0, 1.0))
+
+
+def test_fusion_waves_of_the_presets():
+    assert [w.tolist() for w in _fusion_waves(preset("tracking_desk").edges)] == [[0, 1]]
+    assert [w.size for w in _fusion_waves(preset("tracking_full").edges)] == [4, 4, 4, 5, 2]
+    assert [w.tolist() for w in _fusion_waves(THREE_GROUPS["edges"])] \
+        == [[0, 1, 3], [2, 4, 5]]
+    assert _fusion_waves(()) == []
+
+
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_a_chain_of_edges_gives_one_wave_per_edge(k):
+    assert [w.tolist() for w in _fusion_waves([(e, e + 1) for e in range(k)])] \
+        == [[e] for e in range(k)]
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_waves_keep_the_order_of_edges_that_share_an_agent(seed):
+    rng = np.random.default_rng(seed)
+    edges = [tuple(rng.choice(8, size=2, replace=False).tolist()) for _ in range(20)]
+    waves = _fusion_waves(edges)
+    assert sorted(np.concatenate(waves).tolist()) == list(range(len(edges)))
+    wave_of = {e: w for w, wave in enumerate(waves) for e in wave.tolist()}
+    for wave in waves:
+        assert wave.tolist() == sorted(wave.tolist())
+        agents = [a for e in wave.tolist() for a in edges[e]]
+        assert len(agents) == len(set(agents))
+    # an edge goes one wave after the latest earlier edge that shares an agent
+    for f in range(len(edges)):
+        deps = [wave_of[e] for e in range(f) if set(edges[e]) & set(edges[f])]
+        assert wave_of[f] == 1 + max(deps, default=-1)
+
+
+def test_lockstep_matches_per_run_reference_with_waves():
+    scn = tiny_scenario(n_steps=10, methods=LOCKSTEP_METHODS, **THREE_GROUPS)
+    _assert_lockstep_matches_reference(scn)
+    data = run_scenario(scn, mc_runs=1)
+    for method in ("CI", "nmCI"):
+        _, _, omega = _reference_run(scn, 0, method)
+        recs = data.runs[0]["methods"][method]["omega"]
+        assert recs == omega
+
+
+def _one_edge_per_wave(edges):
+    return [np.array([e]) for e in range(len(edges))]
+
+
+@pytest.mark.parametrize("scn", [
+    tiny_scenario(n_steps=8, methods=("CI", "nmCI"), **THREE_GROUPS),
+    preset("tracking_full", n_steps=3, methods=("CI", "nmCI")),
+], ids=["three-groups", "tracking_full"])
+def test_waves_fuse_as_the_configured_order_does_bitwise(monkeypatch, scn):
+    waves = run_scenario(scn, mc_runs=2)
+    monkeypatch.setattr(sim, "_fusion_waves", _one_edge_per_wave)
+    one_by_one = run_scenario(scn, mc_runs=2)
+    for run, want in zip(waves.runs, one_by_one.runs):
+        for method in scn.methods:
+            rec, ref = run["methods"][method], want["methods"][method]
+            for key in RUN_ARRAYS:
+                np.testing.assert_array_equal(rec[key], ref[key], err_msg=f"{method} {key}")
+            assert rec["omega"] == ref["omega"]
+
+
+def test_wave_of_desk_stacks_fuses_each_edge_as_alone(monkeypatch):
+    calls = []
+
+    def spy(p_a, p_b, pieces, strict, tol):
+        calls.append((p_a, p_b, pieces, strict))
+        return _nmci(p_a, p_b, pieces, strict, tol)
+
+    monkeypatch.setattr(sim, "_nmci", spy)
+    run_scenario(preset("tracking_desk", n_steps=3, methods=("CI", "nmCI")), mc_runs=1)
+    assert len(calls) == 6 and all(p_a[0].shape[0] == 2 for p_a, *_ in calls)
+    interior = 0
+    for p_a, p_b, pieces, strict in calls:
+        # two extra entries share the batch, one at a tie (0.5) and one at an
+        # end point (1.0); no entry may change what another gets
+        for extra_a, extra_b, end in ((p_a, p_a, 0.5), ([1e-6 * x for x in p_b], p_b, 1.0)):
+            sa = [np.concatenate([x, y]) for x, y in zip(p_a, extra_a)]
+            sb = [np.concatenate([x, y]) for x, y in zip(p_b, extra_b)]
+            for shape in ((4,), (2, 2)):
+                xa = [x.reshape(shape + x.shape[1:]) for x in sa]
+                xb = [x.reshape(shape + x.shape[1:]) for x in sb]
+                omegas, gains, bounds, dropped = _nmci(xa, xb, pieces, strict, OFF_BLOCK_TOL)
+                assert omegas.shape == shape + (pieces.starts.size,)
+                for e in np.ndindex(shape):
+                    w, g, b, d = _nmci([x[e] for x in xa], [x[e] for x in xb], pieces,
+                                       strict, OFF_BLOCK_TOL)
+                    np.testing.assert_array_equal(omegas[e], w)
+                    for got, want in zip(gains + bounds, g + b):
+                        np.testing.assert_array_equal(got[e], want)
+                    np.testing.assert_allclose(np.array(dropped)[(slice(None), *e)], d,
+                                               rtol=1e-14)
+                ws = omegas.reshape(4, -1)
+                assert np.all(ws[2:] == end)
+                interior += np.count_nonzero((0.0 < ws[:2]) & (ws[:2] < 1.0))
+    assert interior > 0
+
+
+def _strict_scenario(**overrides):
+    return tiny_scenario(n_steps=2, methods=("nmCI",), partition_scheme="group_axes",
+                         **overrides)
+
+
+def test_strict_failure_names_the_failing_edge_of_a_wave(monkeypatch):
+    # agent 2's correlated noise couples its axes; agents 0, 1 and 3 stay exact
+    scn = _strict_scenario(groups=(GroupSpec((0, 1), (0,)), GroupSpec((2, 3), (1,))),
+                           edges=((0, 1), (2, 3)), agent_r_target=(PLAIN, PLAIN, SKEW, PLAIN))
+    assert [w.tolist() for w in _fusion_waves(scn.edges)] == [[0, 1]]
+    monkeypatch.setattr(sim, "partition_is_exact", lambda *_: True)
+    with pytest.raises(FusionError, match=r"edge \(2, 3\) at step 0: covariance A couples"):
+        run_scenario(scn, mc_runs=1)
+
+
+def test_strict_failure_names_the_first_failing_edge_in_configured_order(monkeypatch):
+    # (4, 5) fails in the first wave, but (1, 2) fails before it in order
+    scn = _strict_scenario(groups=THREE_GROUPS["groups"], edges=((0, 1), (1, 2), (4, 5)),
+                           agent_r_target=(PLAIN, PLAIN, SKEW, PLAIN, PLAIN, SKEW))
+    assert [w.tolist() for w in _fusion_waves(scn.edges)] == [[0, 2], [1]]
+    monkeypatch.setattr(sim, "partition_is_exact", lambda *_: True)
+    with pytest.raises(FusionError, match=r"edge \(1, 2\) at step 0: covariance B couples"):
+        run_scenario(scn, mc_runs=1)
 
 
 def test_summarize_shape_and_band():
