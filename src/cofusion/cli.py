@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from .core import (BlockPartition, ConfigError, CrossSparsityPattern,
                    FusionError, GaussianEstimate, NotPositiveDefiniteError,
-                   SamplingError, SolverError, as_int, as_seed, parsing,
+                   SamplingError, SolverError, as_int, as_real, as_seed, parsing,
                    partition_from_sparsity)
 from .fusion import ci_fuse, exact_fuse, nmci_fuse
 from .sdp import robust_fuse
@@ -157,11 +157,11 @@ def _load_comparison_config(d: dict) -> dict:
                "n_values": [as_int(n, "n_values entry") for n in d["n_values"]],
                "mc_runs": as_int(d["mc_runs"], "mc_runs"),
                "seed": as_seed(d["seed"]),
-               "solver_tol": float(d.get("solver_tol", 1e-6)),
+               "solver_tol": as_real(d.get("solver_tol", 1e-6), "solver_tol"),
                "solver_max_iters": as_int(d.get("solver_max_iters", 200),
                                           "solver_max_iters")}
-        if not (np.isfinite(cfg["solver_tol"]) and cfg["solver_tol"] > 0):
-            raise ConfigError("solver_tol must be finite and positive")
+        if cfg["solver_tol"] <= 0:
+            raise ConfigError("solver_tol must be positive")
         if cfg["solver_max_iters"] < 1:
             raise ConfigError("solver_max_iters must be at least 1")
         if cfg["p_a"].ndim != 2 or cfg["p_a"].shape[0] != cfg["p_a"].shape[1]:

@@ -10,6 +10,7 @@ here so the rest of the package can assume clean inputs.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -76,15 +77,28 @@ def as_int(value, name: str) -> int:
     return int(value)
 
 
-def as_seed(value, name: str = "seed") -> int:
-    """``value`` as a non-negative int, or ConfigError.
+def as_real(value, name: str) -> float:
+    """``value`` as a finite float, or ConfigError if it is not a finite real (a bool is not)."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            real = float(value)
+        except OverflowError:       # an int beyond the float range
+            real = math.inf
+        if math.isfinite(real):
+            return real
+    raise ConfigError(f"{name} must be a finite number, got {value!r}")
 
-    Substream seeds take the master seed modulo 2**64, so a negative seed
-    would silently run the streams of seed + 2**64.
+
+def as_seed(value, name: str = "seed") -> int:
+    """``value`` as an int in [0, 2**64), or ConfigError.
+
+    Substream seeds take the master seed modulo 2**64, so any other seed
+    would silently run the streams of another one: -1 those of
+    2**64 - 1, and 2**64 those of 0.
     """
     seed = as_int(value, name)
-    if seed < 0:
-        raise ConfigError(f"{name} must be a non-negative integer, got {value!r}")
+    if not 0 <= seed < 1 << 64:
+        raise ConfigError(f"{name} must be an integer in [0, 2**64), got {value!r}")
     return seed
 
 

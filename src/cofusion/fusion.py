@@ -11,10 +11,15 @@ serves both rules.  It works on block-diagonal covariances stored as
 stacks of their diagonal blocks (see ``core.StackLayout``) and fuses
 each piece with ``_ci``.  Stacks may carry leading batch axes, and
 every batch entry is fused on its own, with the weights, gains and
-bounds a call of its own would give.  The tracker calls it directly on
-its filters' stacks, one batch entry per edge of a wave of edges that
-share no agent; ``ci_fuse`` and ``nmci_fuse`` check their inputs and
-pass a dense covariance, unbatched, as a stack of one block.
+bounds a call of its own would give.  The core fuses only the entries
+inside the pieces where stack blocks meet partition blocks and reads no
+other entry, so it has no strict or lenient mode.  The tracker calls it
+directly on its filters' stacks, one batch entry per edge of a wave of
+edges that share no agent; its layout decides once per scenario which
+entries lie outside the pieces (``_Pieces.off``).  ``ci_fuse`` and
+``nmci_fuse`` check their inputs and pass a dense covariance, unbatched,
+as a stack of one block; ``nmci_fuse`` alone measures the off-block mass
+of its inputs, and rejects it in strict mode.
 """
 
 from __future__ import annotations
@@ -70,8 +75,7 @@ def _trace_terms(p_a: np.ndarray, p_b: np.ndarray) -> tuple[np.ndarray, np.ndarr
             np.sum((low_b @ u) ** 2, axis=-2))
 
 
-def _weights(a: np.ndarray, b: np.ndarray, seg: np.ndarray, starts: np.ndarray,
-             tol: float = OMEGA_TOL) -> list[float]:
+def _weights(a: np.ndarray, b: np.ndarray, seg: np.ndarray, starts: np.ndarray) -> list[float]:
     """Trace-optimal weight of each segment of the terms, every segment searched at once.
 
     Term i belongs to segment seg[i]; segments are contiguous and start
@@ -99,14 +103,14 @@ def _weights(a: np.ndarray, b: np.ndarray, seg: np.ndarray, starts: np.ndarray,
     active = [s for s in range(n) if not (g0[s] >= 0.0 or g1[s] <= 0.0)]
     lo, hi = [0.0] * n, [1.0] * n
     while True:
-        active = [s for s in active if hi[s] - lo[s] > tol]
+        active = [s for s in active if hi[s] - lo[s] > OMEGA_TOL]
         if not active:
             break
         g, h = derivatives(w)
         searching = []
         for s in active:
             step = g[s] / h[s]
-            if abs(step) < tol:
+            if abs(step) < OMEGA_TOL:
                 w[s] -= step
                 continue
             lo[s], hi[s] = (lo[s], w[s]) if g[s] > 0.0 else (w[s], hi[s])
@@ -120,9 +124,9 @@ def _weights(a: np.ndarray, b: np.ndarray, seg: np.ndarray, starts: np.ndarray,
         slack = _TIE_RTOL * max(abs(fw[s]), 1.0)
         if abs(f_half[s] - fw[s]) <= slack:
             out.append(0.5)
-        elif f_zero[s] <= fw[s] + slack or w[s] < tol:
+        elif f_zero[s] <= fw[s] + slack or w[s] < OMEGA_TOL:
             out.append(0.0)
-        elif f_one[s] <= fw[s] + slack or w[s] > 1.0 - tol:
+        elif f_one[s] <= fw[s] + slack or w[s] > 1.0 - OMEGA_TOL:
             out.append(1.0)
         else:
             out.append(w[s])
@@ -197,46 +201,29 @@ class _Pieces:
 def _off_mass(p, off) -> np.ndarray:
     """Relative Frobenius mass of the entries ``off`` lists, per batch entry of stacks ``p``."""
     flat = [s.reshape(s.shape[:-3] + (-1,)) for s in p]
-    if not any(ix.size for ix in off):
-        return np.zeros(flat[0].shape[:-1])
     part = sum(np.sum(x[..., ix] ** 2, axis=-1) for x, ix in zip(flat, off))
     whole = sum(np.sum(x ** 2, axis=-1) for x in flat)
     return np.sqrt(part) / np.maximum(np.sqrt(whole), 1e-300)
 
 
-def _nmci(p_a, p_b, pieces: _Pieces, strict: bool, tol: float):
+def _nmci(p_a, p_b, pieces: _Pieces):
     """Block-wise intersection of SPD stacked covariances over a partition of their states.
 
     ``p_a`` and ``p_b`` are sequences of (..., k, n, n) stacks of the
     layout ``pieces`` was built on; all share one leading batch shape, and
     each batch entry is one intersection.  Returns (per-block weights,
-    gain of a, bound, relative off-block mass dropped from P_a and P_b):
-    the weights (..., blocks), the gain and bound as stacks, and each
-    dropped mass a float, or a nested list over the batch.  Off-block
-    mass above tol (relative Frobenius) is an error in strict mode and
-    dropped in lenient mode; dropping it leaves every block marginal as
-    it is.  A strict-mode error names, in its ``entry`` attribute, the
-    flat index of the first batch entry that fails.  One batched call per
-    piece group gives the trace terms of every batch entry, and one
-    search finds every weight: each batch entry's partition blocks are
-    segments of their own, searched as an unbatched call searches them.
+    gain of a, bound): the weights (..., blocks), the gain and bound as
+    stacks.  Only the entries inside the pieces are read: those
+    ``pieces.off`` lists are neither checked nor fused, and are zero in
+    the gain and bound.  One batched call per piece group gives the trace
+    terms of every batch entry, and one search finds every weight: each
+    batch entry's partition blocks are segments of their own, searched as
+    an unbatched call searches them.
     """
-    rel = np.array([_off_mass(p, pieces.off) for p in (p_a, p_b)])
-    rel[rel <= tol] = 0.0
-    if strict and np.any(rel):
-        per_entry = rel.reshape(2, -1)
-        entry = int(np.argmax(np.any(per_entry, axis=0)))
-        side = int(per_entry[0, entry] == 0.0)
-        exc = DimensionError(
-            f"covariance {'AB'[side]} couples different partition blocks "
-            f"(relative off-block mass {per_entry[side, entry]:.2e} > {tol:g}); "
-            "use lenient mode to drop the coupling")
-        exc.entry = entry
-        raise exc
     sub_a = [p_a[g][ix] for g, ix, _ in pieces.groups]
     sub_b = [p_b[g][ix] for g, ix, _ in pieces.groups]
     terms = [_trace_terms(sa, sb) for sa, sb in zip(sub_a, sub_b)]
-    batch = rel.shape[1:]
+    batch = p_a[0].shape[:-3]
     a, b = (np.concatenate([t[i].reshape(batch + (-1,)) for t in terms], axis=-1)
             [..., pieces.order] for i in (0, 1))
     n_terms, n_blocks = a.shape[-1], pieces.starts.size
@@ -252,7 +239,7 @@ def _nmci(p_a, p_b, pieces: _Pieces, strict: bool, tol: float):
         if gain_a[g] is None:
             gain_a[g], bound[g] = np.zeros_like(p_a[g]), np.zeros_like(p_a[g])
         gain_a[g][ix], bound[g][ix] = _ci(sa, sb, omegas[..., part])
-    return omegas, gain_a, bound, tuple(rel.tolist())
+    return omegas, gain_a, bound
 
 
 def _fused_mean(gain_a: np.ndarray, mean_a: np.ndarray, mean_b: np.ndarray) -> np.ndarray:
@@ -269,7 +256,7 @@ def _fused_mean(gain_a: np.ndarray, mean_a: np.ndarray, mean_b: np.ndarray) -> n
     return np.where(kept, mean_a, fused)
 
 
-def optimize_ci_omega(p_a: np.ndarray, p_b: np.ndarray, tol: float = OMEGA_TOL) -> float:
+def optimize_ci_omega(p_a: np.ndarray, p_b: np.ndarray) -> float:
     """Weight minimizing the trace of the intersected covariance.
 
     ``p_a`` and ``p_b`` are covariance matrices; both must be SPD.  Two
@@ -279,19 +266,16 @@ def optimize_ci_omega(p_a: np.ndarray, p_b: np.ndarray, tol: float = OMEGA_TOL) 
     2012).  f is convex on [0, 1], so its minimum is an endpoint where f'
     does not change sign, else the root of f', found by Newton steps
     safeguarded by bisection.  Exact ties (e.g. P_a == P_b) resolve to
-    0.5; minima within tol of an endpoint snap onto it.
+    0.5; minima within ``OMEGA_TOL`` of an endpoint snap onto it.
     """
     a, b = _trace_terms(check_spd(p_a, name="P_a"), check_spd(p_b, name="P_b"))
-    return _weights(a, b, np.zeros(a.size, dtype=np.intp), np.zeros(1, dtype=np.intp), tol)[0]
+    return _weights(a, b, np.zeros(a.size, dtype=np.intp), np.zeros(1, dtype=np.intp))[0]
 
 
-def _dense_nmci(a: GaussianEstimate, b: GaussianEstimate, partition: BlockPartition,
-                strict: bool = True, tol: float = OFF_BLOCK_TOL):
+def _dense_nmci(a: GaussianEstimate, b: GaussianEstimate, pieces: _Pieces):
     """``_nmci`` on two estimates' covariances as stacks of one block, gain and bound (d, d)."""
-    omegas, (ga,), (bound,), dropped = _nmci(
-        (a.covariance[None],), (b.covariance[None],),
-        _Pieces(StackLayout([range(a.dim)]), partition), strict, tol)
-    return omegas, ga[0], bound[0], dropped
+    omegas, (ga,), (bound,) = _nmci((a.covariance[None],), (b.covariance[None],), pieces)
+    return omegas, ga[0], bound[0]
 
 
 def ci_fuse(a: GaussianEstimate, b: GaussianEstimate,
@@ -305,7 +289,8 @@ def ci_fuse(a: GaussianEstimate, b: GaussianEstimate,
     """
     _check_same_labels(a, b)
     if omega is None:
-        (w,), ga, bound, _ = _dense_nmci(a, b, BlockPartition((tuple(range(a.dim)),)))
+        pieces = _Pieces(StackLayout([range(a.dim)]), BlockPartition((tuple(range(a.dim)),)))
+        (w,), ga, bound = _dense_nmci(a, b, pieces)
         source = "optimized"
     else:
         w, source = float(omega), "given"
@@ -319,21 +304,30 @@ def ci_fuse(a: GaussianEstimate, b: GaussianEstimate,
 
 
 def nmci_fuse(a: GaussianEstimate, b: GaussianEstimate, partition: BlockPartition,
-              *, strict: bool = True, tol: float = OFF_BLOCK_TOL) -> FusionResult:
+              *, strict: bool = True) -> FusionResult:
     """Block-wise covariance intersection with an independent weight per block.
 
     Valid when each input covariance is block-diagonal over ``partition``
     and the unknown cross-correlation cannot couple different blocks; the
     result then never has a larger trace than monolithic intersection.
-    In strict mode a covariance with off-block mass above tol (relative
-    Frobenius) is an error; in lenient mode the off-block entries are
-    dropped first and the dropped mass is reported in the diagnostics.
+    In strict mode a covariance with off-block mass above
+    ``OFF_BLOCK_TOL`` (relative Frobenius) is an error; in lenient mode
+    the off-block entries are dropped and the dropped mass is reported in
+    the diagnostics; dropping them leaves every block marginal as it is.
     """
     _check_same_labels(a, b)
     if partition.dim != a.dim:
         raise DimensionError(
             f"partition covers {partition.dim} states but estimates have {a.dim}")
-    omegas, ga, bound, (dropped_a, dropped_b) = _dense_nmci(a, b, partition, strict, tol)
+    pieces = _Pieces(StackLayout([range(a.dim)]), partition)
+    dropped = [float(_off_mass((x.covariance[None],), pieces.off)) for x in (a, b)]
+    dropped_a, dropped_b = (m if m > OFF_BLOCK_TOL else 0.0 for m in dropped)
+    for side, mass in zip("AB", (dropped_a, dropped_b)):
+        if strict and mass:
+            raise DimensionError(
+                f"covariance {side} couples different partition blocks (relative off-block mass "
+                f"{mass:.2e} > {OFF_BLOCK_TOL:g}); use lenient mode to drop the coupling")
+    omegas, ga, bound = _dense_nmci(a, b, pieces)
     return FusionResult(
         gain_a=ga, gain_b=np.eye(a.dim) - ga, fused_mean=_fused_mean(ga, a.mean, b.mean),
         bound=bound, method=FusionMethod.NMCI, omega=omegas,
@@ -341,21 +335,20 @@ def nmci_fuse(a: GaussianEstimate, b: GaussianEstimate, partition: BlockPartitio
                      "dropped_mass_b": dropped_b, "trace": float(np.trace(bound))})
 
 
-def exact_fuse(a: GaussianEstimate, b: GaussianEstimate, p_ab: np.ndarray,
-               tol: float = 1e-9) -> FusionResult:
+def exact_fuse(a: GaussianEstimate, b: GaussianEstimate, p_ab: np.ndarray) -> FusionResult:
     """Minimum-variance fusion when the cross-covariance is known.
 
     Gains follow from minimizing the fused covariance subject to the
     gains summing to identity; the innovation-like term
     S = P_a + P_b - P_ab - P_ab^T is inverted by pseudo-inverse so that
     degenerate joints (e.g. two copies of the same estimate) still fuse.
-    The joint covariance must be positive semidefinite within tol.
+    The joint covariance must be positive semidefinite within 1e-9 relative.
     """
     _check_same_labels(a, b)
     joint = JointCovariance(a.covariance, b.covariance, p_ab)
     g = joint.assembled()
     scale = max(float(np.linalg.norm(g, 2)), 1.0)
-    if min_eigenvalue(g) < -tol * scale:
+    if min_eigenvalue(g) < -1e-9 * scale:
         raise NotPositiveDefiniteError(
             "joint covariance is indefinite; the stated cross-covariance "
             "is inconsistent with the marginals")

@@ -19,6 +19,7 @@ from .core import (
     GaussianEstimate,
     JointCovariance,
     NotPositiveDefiniteError,
+    as_seed,
     make_substream_seed,
     partition_from_sparsity,
 )
@@ -255,6 +256,7 @@ def conservativeness_sweep(p_a, p_b, pattern: CrossSparsityPattern,
     if jobs < 1:
         raise DimensionError(f"jobs must be at least 1, got {jobs}")
     _check_solver_args(solver_tol, solver_max_iters)
+    seed = as_seed(seed)
     p_a = np.asarray(p_a, dtype=float)
     p_b = np.asarray(p_b, dtype=float)
 

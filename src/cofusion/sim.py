@@ -33,6 +33,14 @@ against one factorization per step and block.  A round's edges go in
 waves: each wave is one ``_nmci`` call over edges that share no agent,
 and each edge waits only for the earlier edges that share one of its
 agents, so every agent sees the inputs it would see edge by edge.
+``_nmci`` fuses the pieces where stack blocks meet partition blocks and
+reads nothing else, so the tracker has no strict mode and no failure
+path: a covariance holds entries only inside its stack blocks, and
+whether the partition leaves some of them outside every piece
+(``_Pieces.off``) is a fact about the scenario's layout, not about the
+numbers.  With ``group_axes`` and diagonal noise there are none; with
+``group_target_bias`` the target-bias coupling is left out, as lenient
+``nmci_fuse`` drops it.
 
 That pass exploits the scenario's independence structure.  The
 connected components of the union sparsity pattern of P0, F, Q and each
@@ -52,8 +60,6 @@ covariance as a stack of one block.
 from __future__ import annotations
 
 import json
-import math
-import numbers
 import time
 from dataclasses import dataclass, field, fields as dc_fields, replace
 
@@ -66,6 +72,7 @@ from .core import (
     GaussianEstimate,
     StackLayout,
     as_int,
+    as_real,
     as_seed,
     check_spd,
     check_spd_stacks,
@@ -73,7 +80,7 @@ from .core import (
     parsing,
     symmetrize,
 )
-from .fusion import OFF_BLOCK_TOL, _fused_mean, _nmci, _Pieces, ci_fuse, nmci_fuse
+from .fusion import _fused_mean, _nmci, _Pieces, ci_fuse, nmci_fuse
 from .sdp import robust_fuse  # noqa: F401  (perfbench/tracing.py wraps sim.robust_fuse)
 from . import metrics as _metrics
 
@@ -204,9 +211,7 @@ class ScenarioConfig:
         for name in _INT_FIELDS:
             object.__setattr__(self, name, as_int(getattr(self, name), name))
         for name in _REAL_FIELDS:
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v):
-                raise ConfigError(f"{name} must be a finite number, got {v!r}")
+            object.__setattr__(self, name, as_real(getattr(self, name), name))
         groups = tuple(GroupSpec(tuple(as_int(a, "group agent id") for a in g.agents),
                                  tuple(as_int(t, "group target id") for t in g.targets))
                        for g in self.groups)
@@ -539,11 +544,10 @@ def build_partition(scenario: ScenarioConfig, scheme: str | None = None) -> Bloc
 
     ``group_target_bias`` groups each agent-group's target states and,
     separately, its agents' biases (the coupling an agent's measurements
-    create between the two is dropped at fusion time, so this scheme
-    runs block-wise fusion in lenient mode).  ``group_axes`` groups each
-    agent-group's x-axis states and y-axis states; with diagonal noise
-    matrices those blocks stay exactly uncorrelated, so no coupling is
-    ever dropped.
+    create between the two lies outside every block, and block-wise
+    fusion leaves it out).  ``group_axes`` groups each agent-group's
+    x-axis states and y-axis states; with diagonal noise matrices those
+    blocks stay exactly uncorrelated, so no coupling is ever left out.
     """
     scheme = scheme or scenario.partition_scheme
     layout = scenario.layout()
@@ -570,24 +574,6 @@ def build_partition(scenario: ScenarioConfig, scheme: str | None = None) -> Bloc
     return BlockPartition(tuple(blocks))
 
 
-def partition_is_exact(scenario: ScenarioConfig, scheme: str | None = None) -> bool:
-    """Whether belief covariances are exactly block-diagonal under the scheme.
-
-    True for ``group_axes`` when every noise matrix an agent measures
-    with is diagonal: its own target noise (``agent_r_target[a]`` when
-    set, else ``r_target``) and ``r_landmark``.  Nothing in the
-    linear-Gaussian pipeline then couples x- and y-axis states, so the
-    off-block entries are zero to the last bit and strict block-wise
-    fusion applies.
-    """
-    scheme = scheme or scenario.partition_scheme
-    if scheme != "group_axes":
-        return False
-    targets = scenario.agent_r_target or (scenario.r_target,)
-    return all(m[0][1] == 0.0 and m[1][0] == 0.0
-               for m in (*targets, scenario.r_landmark))
-
-
 # ---------------------------------------------------------------------------
 # fusion round
 
@@ -598,13 +584,8 @@ def _weight_records(omegas, method: str, step: int, i: int, j: int) -> list[dict
             for blk, w in enumerate(omegas)]
 
 
-def _edge_failure(exc: FusionError, i: int, j: int, step: int) -> FusionError:
-    return FusionError(f"fusion failed on edge ({i}, {j}) at step {step}: {exc}")
-
-
 def fusion_round(beliefs: list[GaussianEstimate], edges, method: str, step: int,
-                 partition: BlockPartition, *,
-                 strict: bool = False) -> tuple[list[GaussianEstimate], list[dict]]:
+                 partition: BlockPartition) -> tuple[list[GaussianEstimate], list[dict]]:
     """Fuse along every edge in order; both endpoints adopt the result.
 
     Edges are processed sequentially in the given order, so later edges
@@ -612,9 +593,11 @@ def fusion_round(beliefs: list[GaussianEstimate], edges, method: str, step: int,
     per-estimate reference of the tracker's round, which fuses edges that
     share no agent with any pending earlier edge together and gets the
     same results (see ``_fuse_round``).  ``partition`` is the block
-    structure every agent shares; only the block-wise method reads it.
-    Weight values are returned as one record per edge (per block for the
-    block-wise method).  A failure on an edge aborts with the edge id.
+    structure every agent shares; only the block-wise method reads it,
+    through lenient ``nmci_fuse``, since the tracker's core leaves the
+    entries outside the blocks out.  Weight values are returned as one
+    record per edge (per block for the block-wise method).  A failure on
+    an edge aborts with the edge id.
     """
     if method == "none":
         return list(beliefs), []
@@ -627,9 +610,9 @@ def fusion_round(beliefs: list[GaussianEstimate], edges, method: str, step: int,
             if method == "CI":
                 res = ci_fuse(out[i], out[j])
             else:
-                res = nmci_fuse(out[i], out[j], partition, strict=strict)
+                res = nmci_fuse(out[i], out[j], partition, strict=False)
         except FusionError as exc:
-            raise _edge_failure(exc, i, j, step) from exc
+            raise FusionError(f"fusion failed on edge ({i}, {j}) at step {step}: {exc}") from exc
         out[i] = out[j] = GaussianEstimate(res.fused_mean, res.bound, out[i].labels)
         records += _weight_records(res.omega, method, step, i, j)
     return out, records
@@ -765,49 +748,28 @@ def _fusion_waves(edges) -> list[np.ndarray]:
 
 
 def _fuse_round(covs: list[np.ndarray], views: list[np.ndarray], edges: np.ndarray,
-                waves: list[np.ndarray], pieces: _Pieces, strict: bool, step: int) -> list:
-    """Fuse one round's (edges, 2) agent pairs wave by wave, in place; weights in edge order.
+                waves: list[np.ndarray], pieces: _Pieces) -> np.ndarray:
+    """Fuse one round's (edges, 2) agent pairs wave by wave, in place; (edges, blocks) weights.
 
     ``covs`` holds per size group the (filters, k, n, n) stacks and
     ``views`` the (runs, filters, k, n) means.  Each wave is one
-    ``_nmci`` call over its edges.  An edge fails on its own inputs
-    alone, so after a failure the fusion goes on with only the edges
-    before it in configured order, and the error raised names the edge
-    that fails first when the edges are fused one by one.
+    ``_nmci`` call over its edges.
     """
-    omegas: list = [None] * len(edges)
-
-    def fuse(wave):
-        if not wave.size:
-            return
+    omegas = np.empty((len(edges), pieces.starts.size))
+    for wave in waves:
         ii, jj = edges[wave, 0], edges[wave, 1]
-        ws, gains_a, bounds, _ = _nmci([c[ii] for c in covs], [c[jj] for c in covs],
-                                       pieces, strict, OFF_BLOCK_TOL)
+        ws, gains_a, bounds = _nmci([c[ii] for c in covs], [c[jj] for c in covs], pieces)
         for view, c, gain_a, bound in zip(views, covs, gains_a, bounds):
             view[:, ii] = view[:, jj] = _fused_mean(gain_a, view[:, ii], view[:, jj])
             c[ii] = c[jj] = bound
-        for e, w in zip(wave.tolist(), ws):
-            omegas[e] = w
-
-    failed = None       # (position, error) of the first edge found failing
-    for wave in waves:
-        if failed is not None:
-            wave = wave[wave < failed[0]]
-        try:
-            fuse(wave)
-        except FusionError as exc:
-            failed = (int(wave[exc.entry]), exc)
-            fuse(wave[wave < failed[0]])
-    if failed is not None:
-        (i, j), exc = edges[failed[0]].tolist(), failed[1]
-        raise _edge_failure(exc, i, j, step) from exc
+        omegas[wave] = ws
     return omegas
 
 
 def _lockstep(scenario: ScenarioConfig, method: str, plan: _FilterPlan,
               pieces: _Pieces | None, waves: list[np.ndarray], meas: np.ndarray,
               truth: np.ndarray, prior_mean: np.ndarray, prior_cov: np.ndarray,
-              strict: bool, timings: dict) -> list[dict]:
+              timings: dict) -> list[dict]:
     """Step one method through a batch of runs; every method takes this path.
 
     ``plan`` holds the method's filters: the centralized one, or one per
@@ -822,9 +784,11 @@ def _lockstep(scenario: ScenarioConfig, method: str, plan: _FilterPlan,
     one batched filter step for all filters, then one block-wise
     intersection per wave, batched over its edges, whose gains move the
     (runs, filters, d) means; NEES solves all runs against one
-    factorization per block.  Fusing wave by wave gives the results,
-    weights and failures of fusing edge by edge in configured order (see
-    ``_fuse_round``), and weights are recorded in that order.  The wall
+    factorization per block.  Fusing wave by wave gives the results and
+    weights of fusing edge by edge in configured order (see
+    ``_fuse_round``), and weights are recorded in that order.  There is
+    no strict mode: ``_nmci`` fuses the pieces and leaves the entries
+    outside them (``pieces.off``, empty for an exact partition) out.  The wall
     time of the filter steps, fusions and metrics is added to ``timings``.
     Returns one record per run, in state-label order; the covariance-only
     entries (``avg2sig``, ``cov_trace``, ``est_std``, ``omega``) are
@@ -868,7 +832,7 @@ def _lockstep(scenario: ScenarioConfig, method: str, plan: _FilterPlan,
         t1 = time.perf_counter()
         if pieces is not None and (k + 1) > scenario.fusion_start \
                 and (k + 1 - scenario.fusion_start) % scenario.fusion_every == 0:
-            omegas = _fuse_round(covs, views, edges, waves, pieces, strict, k)
+            omegas = _fuse_round(covs, views, edges, waves, pieces)
             for (i, j), w in zip(scenario.edges, omegas):
                 records += _weight_records(w, method, k, i, j)
         t2 = time.perf_counter()
@@ -921,8 +885,7 @@ def _simulate(scenario: ScenarioConfig, run_ids, methods) -> tuple[list[dict], d
     shared = dict(meas=np.stack([dr.meas for dr in draws]),
                   truth=np.stack([dr.truth for dr in draws]),
                   prior_mean=np.stack([dr.prior_mean for dr in draws]),
-                  prior_cov=prior_cov, strict=partition_is_exact(scenario), timings=timings)
-    shared["waves"] = _fusion_waves(scenario.edges)
+                  prior_cov=prior_cov, waves=_fusion_waves(scenario.edges), timings=timings)
     # CI is block-wise CI over one block of every state
     partitions = {"CI": BlockPartition((tuple(range(layout.dim)),)),
                   "nmCI": build_partition(scenario)}

@@ -424,6 +424,12 @@ def _malformed_argv(tmp_path, kind, key, value):
     # substream seeds wrap modulo 2**64, so -1 would run seed 2**64 - 1
     ("scenario", "seed", -1),
     ("comparison", "seed", -1),
+    # a bool or a string is not a real, though float() would take both
+    ("comparison", "solver_tol", True),
+    ("comparison", "solver_tol", "1e-6"),
+    # an int beyond the float range is not a finite number either
+    pytest.param("scenario", "dt", 10 ** 400, id="scenario-dt-10**400"),
+    pytest.param("comparison", "solver_tol", 10 ** 400, id="comparison-solver_tol-10**400"),
 ])
 def test_malformed_input_files_are_config_errors(capsys, tmp_path, kind, key, value):
     rc, _, err = _run(capsys, _malformed_argv(tmp_path, kind, key, value))
@@ -434,7 +440,10 @@ def test_malformed_input_files_are_config_errors(capsys, tmp_path, kind, key, va
 @pytest.mark.parametrize("argv", [["track", "--mc", "0"], ["compare", "--n", "0"],
                                   ["compare", "--mc", "0"], ["compare", "--jobs", "0"],
                                   ["compare", "--jobs", "-2"], ["track", "--seed", "-1"],
-                                  ["compare", "--seed", "-1"]])
+                                  ["compare", "--seed", "-1"],
+                                  # 2**64 would run the streams of seed 0
+                                  ["track", "--seed", "18446744073709551616"],
+                                  ["compare", "--seed", "18446744073709551616"]])
 def test_failed_command_leaves_no_output_directory(capsys, tmp_path, argv):
     out = tmp_path / "runs"
     out.mkdir()

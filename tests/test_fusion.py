@@ -17,6 +17,7 @@ from cofusion.fusion import (
     OFF_BLOCK_TOL,
     _ci,
     _nmci,
+    _off_mass,
     _Pieces,
     _trace_terms,
     ci_fuse,
@@ -262,18 +263,18 @@ def test_nmci_core_equals_the_public_rule_bitwise(strict):
     if not strict:
         covs[0] = covs[0] + 0.2 * rand_spd(rng, 6)     # couples the blocks
     a, b = est(rng.standard_normal(6), covs[0]), est(rng.standard_normal(6), covs[1])
-    # a dense covariance is a stack of one block
-    omegas, (gain_a,), (bound,), dropped = _nmci(
-        (a.covariance[None],), (b.covariance[None],), _Pieces(StackLayout([range(6)]), part),
-        strict, OFF_BLOCK_TOL)
+    # a dense covariance is a stack of one block; the core reads only the
+    # entries inside the partition blocks, so a coupling changes nothing
+    omegas, (gain_a,), (bound,) = _nmci(
+        (a.covariance[None],), (b.covariance[None],), _Pieces(StackLayout([range(6)]), part))
     gain_a, bound = gain_a[0], bound[0]
     r = nmci_fuse(a, b, part, strict=strict)
     np.testing.assert_array_equal(omegas, r.omega)
     np.testing.assert_array_equal(gain_a, r.gain_a)
     np.testing.assert_array_equal(np.eye(6) - gain_a, r.gain_b)
     np.testing.assert_array_equal(bound, r.bound)
-    assert dropped == (r.diagnostics["dropped_mass_a"], r.diagnostics["dropped_mass_b"])
-    assert (dropped[0] > 0.0) is not strict
+    assert (r.diagnostics["dropped_mass_a"] > 0.0) is not strict
+    assert r.diagnostics["dropped_mass_b"] == 0.0
     # each block is the monolithic rule on that block's marginals
     for k, blk in enumerate(part.blocks):
         sub = ci_fuse(a.marginal(blk), b.marginal(blk))
@@ -317,9 +318,8 @@ def test_stacked_omega_and_ci_match_the_assembled_matrix():
     rng = np.random.default_rng(17)
     for _ in range(10):
         pa, pb = _block_diagonal(rng, STACKED), _block_diagonal(rng, STACKED)
-        (w,), gain, bound, _ = _nmci(STACKED.split(pa), STACKED.split(pb), stacked,
-                                     True, OFF_BLOCK_TOL)
-        (w_dense,), _, _, _ = _nmci((pa[None],), (pb[None],), dense, True, OFF_BLOCK_TOL)
+        (w,), gain, bound = _nmci(STACKED.split(pa), STACKED.split(pb), stacked)
+        (w_dense,), _, _ = _nmci((pa[None],), (pb[None],), dense)
         assert abs(w - w_dense) <= 1e-12
         assert 0.0 < w < 1.0
         want_gain, want_bound = _ci(pa, pb, w)
@@ -332,16 +332,14 @@ def test_one_block_nmci_is_ci_bitwise():
     for _ in range(5):
         pa, pb = _block_diagonal(rng, STACKED), _block_diagonal(rng, STACKED)
         # a dense covariance as a stack of one block: the public weight search
-        (w,), (gain,), (bound,), dropped = _nmci((pa[None],), (pb[None],),
-                                                 _Pieces(DENSE, ONE_BLOCK), True, OFF_BLOCK_TOL)
+        (w,), (gain,), (bound,) = _nmci((pa[None],), (pb[None],), _Pieces(DENSE, ONE_BLOCK))
         assert w == optimize_ci_omega(pa, pb)
         want_gain, want_bound = _ci(pa, pb, w)
         np.testing.assert_array_equal(gain[0], want_gain)
         np.testing.assert_array_equal(bound[0], want_bound)
-        assert dropped == (0.0, 0.0)
         # on block stacks every stack is read and returned whole
         sa, sb = STACKED.split(pa), STACKED.split(pb)
-        (w,), gain, bound, _ = _nmci(sa, sb, _Pieces(STACKED, ONE_BLOCK), True, OFF_BLOCK_TOL)
+        (w,), gain, bound = _nmci(sa, sb, _Pieces(STACKED, ONE_BLOCK))
         for xa, xb, g, bd in zip(sa, sb, gain, bound):
             want_gain, want_bound = _ci(xa, xb, w)
             np.testing.assert_array_equal(g, want_gain)
@@ -357,8 +355,7 @@ def test_partition_of_stack_blocks_gives_per_block_ci():
     rng = np.random.default_rng(20)
     for _ in range(5):
         pa, pb = _block_diagonal(rng, STACKED), _block_diagonal(rng, STACKED)
-        omegas, gain, bound, _ = _nmci(STACKED.split(pa), STACKED.split(pb), pieces,
-                                       True, OFF_BLOCK_TOL)
+        omegas, gain, bound = _nmci(STACKED.split(pa), STACKED.split(pb), pieces)
         assert omegas.size == len(blocks)
         gain, bound = _assembled(STACKED, gain), _assembled(STACKED, bound)
         for k, blk in enumerate(part.blocks):
@@ -383,16 +380,15 @@ def _check_stacked_nmci(part):
     rng = np.random.default_rng(18)
     for _ in range(5):
         pa, pb = _block_diagonal(rng, STACKED), _block_diagonal(rng, STACKED)
-        omegas, gain, bound, dropped = _nmci(STACKED.split(pa), STACKED.split(pb), pieces,
-                                             False, OFF_BLOCK_TOL)
+        omegas, gain, bound = _nmci(STACKED.split(pa), STACKED.split(pb), pieces)
         want = nmci_fuse(est(np.zeros(16), pa), est(np.zeros(16), pb), part, strict=False)
         np.testing.assert_allclose(omegas, want.omega, rtol=0.0, atol=1e-12)
         _assert_close_relative(_assembled(STACKED, bound), want.bound, 1e-12)
         _assert_close_relative(_assembled(STACKED, gain), want.gain_a, 1e-12)
+        # the entries the stacks leave out are the ones lenient mode drops
+        dropped = [_off_mass(STACKED.split(p), pieces.off) for p in (pa, pb)]
         np.testing.assert_allclose(dropped, (want.diagnostics["dropped_mass_a"],
                                              want.diagnostics["dropped_mass_b"]), rtol=1e-12)
-        with pytest.raises(DimensionError, match="lenient"):
-            _nmci(STACKED.split(pa), STACKED.split(pb), pieces, True, OFF_BLOCK_TOL)
 
 
 @pytest.mark.parametrize("part", [
@@ -408,48 +404,40 @@ def test_batched_nmci_equals_separate_calls_bitwise(part):
     stacks = [[np.stack([STACKED.split(p[side])[g] for p in pairs]).reshape((2, 3) + shape)
                for g, shape in enumerate(x.shape for x in STACKED.split(pairs[0][0]))]
               for side in (0, 1)]
-    omegas, gain, bound, dropped = _nmci(*stacks, pieces, False, OFF_BLOCK_TOL)
+    omegas, gain, bound = _nmci(*stacks, pieces)
     assert omegas.shape == (2, 3, part.n_blocks)
     assert np.all(omegas[1, 1] == 0.5) and np.all(omegas[1, 2] == 1.0)
+    dropped = [_off_mass(side, pieces.off) for side in stacks]
     for e in np.ndindex(2, 3):
-        w, g, b, d = _nmci(*([x[e] for x in side] for side in stacks), pieces, False,
-                           OFF_BLOCK_TOL)
+        w, g, b = _nmci(*([x[e] for x in side] for side in stacks), pieces)
         np.testing.assert_array_equal(omegas[e], w)
         for got, want in zip(gain + bound, g + b):
             np.testing.assert_array_equal(got[e], want)
         # a batched sum of squares may add in another order
-        np.testing.assert_allclose(np.array(dropped)[(slice(None), *e)], d, rtol=1e-14)
-
-
-def test_strict_batch_error_names_the_first_failing_entry():
-    part = BlockPartition(((0,), (1,)))
-    coupled = np.array([[2.0, 0.8], [0.8, 2.0]])
-    pieces = _Pieces(StackLayout([range(2)]), part)
-    p_a = (np.stack([np.eye(2), coupled, np.eye(2)])[:, None],)
-    p_b = (np.stack([np.eye(2), np.eye(2), coupled])[:, None],)
-    with pytest.raises(DimensionError, match="covariance A couples") as info:
-        _nmci(p_a, p_b, pieces, True, OFF_BLOCK_TOL)
-    assert info.value.entry == 1
-    with pytest.raises(DimensionError, match="covariance B couples") as info:
-        _nmci([x[::2] for x in p_a], [x[::2] for x in p_b], pieces, True, OFF_BLOCK_TOL)
-    assert info.value.entry == 1
-    _, _, _, dropped = _nmci(p_a, p_b, pieces, False, OFF_BLOCK_TOL)
-    assert [m > 0.0 for m in dropped[0]] == [False, True, False]
-    assert [m > 0.0 for m in dropped[1]] == [False, False, True]
+        np.testing.assert_allclose([m[e] for m in dropped],
+                                   [_off_mass([x[e] for x in side], pieces.off)
+                                    for side in stacks], rtol=1e-14)
 
 
 def test_nmci_strict_rejects_coupling_lenient_drops_it():
     part = BlockPartition(((0,), (1,)))
-    coupled = np.array([[2.0, 0.8], [0.8, 2.0]])
-    a = est([0.0, 0.0], coupled)
-    b = est([0.0, 0.0], np.eye(2))
-    with pytest.raises(DimensionError, match="lenient"):
-        nmci_fuse(a, b, part, strict=True)
-    r = nmci_fuse(a, b, part, strict=False)
-    assert r.diagnostics["dropped_mass_a"] > 0.0
-    assert r.diagnostics["dropped_mass_b"] == 0.0
-    # off-block entries of the bound are zero after the projection
-    assert r.bound[0, 1] == 0.0
+    coupled = est([0.0, 0.0], np.array([[2.0, 0.8], [0.8, 2.0]]))
+    plain = est([0.0, 0.0], np.eye(2))
+    # A is checked before B, and only the coupled side reports dropped mass
+    for a, b, side in ((coupled, plain, "A"), (plain, coupled, "B"), (coupled, coupled, "A")):
+        with pytest.raises(DimensionError, match=f"covariance {side} couples.*lenient"):
+            nmci_fuse(a, b, part, strict=True)
+        r = nmci_fuse(a, b, part, strict=False)
+        assert (r.diagnostics["dropped_mass_a"] > 0.0) is (a is coupled)
+        assert (r.diagnostics["dropped_mass_b"] > 0.0) is (b is coupled)
+        # off-block entries of the bound are zero after the projection
+        assert r.bound[0, 1] == 0.0
+    # a coupling within the tolerance passes strict mode and counts as none
+    tiny = est([0.0, 0.0], np.array([[2.0, 1e-11], [1e-11, 2.0]]))
+    assert _off_mass((tiny.covariance[None],), _Pieces(StackLayout([range(2)]), part).off) \
+        < OFF_BLOCK_TOL
+    r = nmci_fuse(tiny, plain, part, strict=True)
+    assert r.diagnostics["dropped_mass_a"] == r.diagnostics["dropped_mass_b"] == 0.0
 
 
 def test_nmci_partition_must_cover_state():

@@ -8,6 +8,7 @@ import pytest
 
 from cofusion import metrics
 from cofusion.core import (
+    ConfigError,
     CrossSparsityPattern,
     DimensionError,
     GaussianEstimate,
@@ -184,6 +185,19 @@ def test_sweep_rejects_bad_solver_settings_before_sampling(monkeypatch, solver):
     pattern = CrossSparsityPattern(2, 2, frozenset({(0, 1), (1, 0)}))
     with pytest.raises(DimensionError):
         conservativeness_sweep(np.eye(2), np.eye(2), pattern, [5], 1, 0, **solver)
+
+
+@pytest.mark.parametrize("seed", [-1, 1 << 64, 1.5])
+def test_sweep_rejects_a_seed_the_substreams_would_alias(monkeypatch, seed):
+    # substream seeds take the master seed modulo 2**64
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("the sampler ran")
+
+    monkeypatch.setattr(metrics, "sample_cross", no_sampling)
+    monkeypatch.setattr(metrics, "sample_set", no_sampling)
+    pattern = CrossSparsityPattern(2, 2, frozenset({(0, 1), (1, 0)}))
+    with pytest.raises(ConfigError, match="seed"):
+        conservativeness_sweep(np.eye(2), np.eye(2), pattern, [5], 1, seed)
 
 
 # ---------------------------------------------------------------------------

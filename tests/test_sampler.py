@@ -105,7 +105,7 @@ def test_sample_set_validation():
         sample_set(np.eye(3), np.eye(2), pat, 5, seed=1)
 
 
-@pytest.mark.parametrize("seed", [-1, -(1 << 70), 1.5, True, "3"])
+@pytest.mark.parametrize("seed", [-1, -(1 << 70), 1.5, True, "3", 1 << 64])
 def test_seed_must_be_a_non_negative_integer(seed):
     pat = CrossSparsityPattern.unconstrained(2, 2)
     with pytest.raises(ConfigError, match="seed"):

@@ -30,7 +30,6 @@ from cofusion.sim import (
     global_transition,
     local_filter_step,
     omega_blocks,
-    partition_is_exact,
     run_scenario,
     simulate_run,
     summarize,
@@ -38,7 +37,7 @@ from cofusion.sim import (
     truth_blocks,
 )
 from cofusion import sim
-from cofusion.fusion import OFF_BLOCK_TOL, _nmci
+from cofusion.fusion import _nmci, _Pieces
 from cofusion.sim import _fusion_waves, _prior_covariance, _stack_layout
 
 
@@ -335,32 +334,6 @@ def test_group_axes_blocks_split_by_axis():
     assert set(y) == {2, 3, 6, 7, 9, 11}
 
 
-def test_partition_is_exact_only_for_axes_with_diagonal_noise():
-    assert partition_is_exact(tiny_scenario(partition_scheme="group_axes"))
-    assert not partition_is_exact(tiny_scenario())
-    skew = tiny_scenario(partition_scheme="group_axes",
-                         r_target=((1.0, 0.3), (0.3, 1.0)))
-    assert not partition_is_exact(skew)
-    # with agent_r_target set, each agent measures with its own matrix and
-    # r_target goes unused
-    skew_agent = tiny_scenario(partition_scheme="group_axes",
-                               agent_r_target=(((1.0, 0.3), (0.3, 1.0)),
-                                               ((1.0, 0.0), (0.0, 1.0))))
-    assert not partition_is_exact(skew_agent)
-    diag_agents = tiny_scenario(partition_scheme="group_axes",
-                                r_target=((1.0, 0.3), (0.3, 1.0)),
-                                agent_r_target=(((1.0, 0.0), (0.0, 1.0)),
-                                                ((2.0, 0.0), (0.0, 0.5))))
-    assert partition_is_exact(diag_agents)
-    skew_landmark = tiny_scenario(partition_scheme="group_axes",
-                                  r_landmark=((0.25, 0.1), (0.1, 0.25)))
-    assert not partition_is_exact(skew_landmark)
-    # lenient block-wise fusion runs where strict fusion would reject the
-    # coupling the skewed agent's noise creates
-    data = run_scenario(skew_agent, methods=("nmCI",), mc_runs=1)
-    assert np.all(np.isfinite(data.runs[0]["methods"]["nmCI"]["nees"]))
-
-
 # ---------------------------------------------------------------------------
 # fusion rounds
 
@@ -476,8 +449,7 @@ def _reference_run(scn, run_idx, method):
         beliefs = [local_filter_step(b, m, draws.meas[k, rs])
                    for b, m, rs in zip(beliefs, models, rows)]
         if method in ("CI", "nmCI"):
-            beliefs, recs = fusion_round(beliefs, scn.edges, method, k, part,
-                                         strict=partition_is_exact(scn))
+            beliefs, recs = fusion_round(beliefs, scn.edges, method, k, part)
             omega += recs
         for c, est in enumerate(beliefs):
             out["nees"][k, c] = nees(est, draws.truth[k])
@@ -583,6 +555,40 @@ def test_groups_of_unequal_size_give_blocks_of_several_sizes():
     np.testing.assert_array_equal(layout.perm[layout.position], np.arange(18))
 
 
+SKEW_AGENT = dict(partition_scheme="group_axes",
+                  agent_r_target=(((1.0, 0.3), (0.3, 1.0)), ((1.0, 0.0), (0.0, 1.0))))
+
+
+@pytest.mark.parametrize("scn, exact", [
+    (tiny_scenario(partition_scheme="group_axes"), True),
+    (tiny_scenario(), False),
+    (tiny_scenario(partition_scheme="group_axes", r_target=((1.0, 0.3), (0.3, 1.0))), False),
+    # with agent_r_target set, each agent measures with its own matrix and
+    # r_target goes unused
+    (tiny_scenario(**SKEW_AGENT), False),
+    (tiny_scenario(partition_scheme="group_axes", r_target=((1.0, 0.3), (0.3, 1.0)),
+                   agent_r_target=(((1.0, 0.0), (0.0, 1.0)), ((2.0, 0.0), (0.0, 0.5)))), True),
+    (tiny_scenario(partition_scheme="group_axes", r_landmark=((0.25, 0.1), (0.1, 0.25))), False),
+    (preset("tracking_desk", partition_scheme="group_axes"), True),
+    (preset("tracking_desk", partition_scheme="group_target_bias"), False),
+    (preset("tracking_full", partition_scheme="group_axes"), True),
+    (preset("tracking_full", partition_scheme="group_target_bias"), False),
+], ids=["axes", "target-bias", "skew", "skew-agent", "diagonal-agents", "skew-landmark",
+        "desk-axes", "desk-target-bias", "full-axes", "full-target-bias"])
+def test_tracker_pieces_leave_entries_out_only_for_inexact_partitions(scn, exact):
+    # a stack holds entries only inside its blocks, and a piece is a stack
+    # block within a partition block: the pieces leave out nothing exactly
+    # where the partition is exact, so the tracker needs no strict mode
+    pieces = _Pieces(stack_layout(scn), build_partition(scn))
+    assert (not any(ix.size for ix in pieces.off)) is exact
+
+
+def test_lenient_nmci_runs_where_the_partition_leaves_coupling_out():
+    # the skewed agent's noise couples the axes each group_axes block splits
+    data = run_scenario(tiny_scenario(**SKEW_AGENT), methods=("nmCI",), mc_runs=1)
+    assert np.all(np.isfinite(data.runs[0]["methods"]["nmCI"]["nees"]))
+
+
 def _assert_lockstep_matches_reference(scn):
     # the reference fuses dense covariances, the lockstep stacks of blocks;
     # over 20 steps their outputs differed by at most 1.1e-12 relative and
@@ -619,8 +625,6 @@ def test_lockstep_matches_per_run_reference_with_blocks_of_several_sizes():
 THREE_GROUPS = dict(groups=(GroupSpec((0, 1), (0,)), GroupSpec((2, 3), (1,)),
                             GroupSpec((4, 5), (2,))),
                     edges=((0, 1), (2, 3), (1, 2), (4, 5), (3, 4), (5, 0)))
-SKEW = ((1.0, 0.3), (0.3, 0.8))
-PLAIN = ((1.0, 0.0), (0.0, 1.0))
 
 
 def test_fusion_waves_of_the_presets():
@@ -687,15 +691,15 @@ def test_waves_fuse_as_the_configured_order_does_bitwise(monkeypatch, scn):
 def test_wave_of_desk_stacks_fuses_each_edge_as_alone(monkeypatch):
     calls = []
 
-    def spy(p_a, p_b, pieces, strict, tol):
-        calls.append((p_a, p_b, pieces, strict))
-        return _nmci(p_a, p_b, pieces, strict, tol)
+    def spy(p_a, p_b, pieces):
+        calls.append((p_a, p_b, pieces))
+        return _nmci(p_a, p_b, pieces)
 
     monkeypatch.setattr(sim, "_nmci", spy)
     run_scenario(preset("tracking_desk", n_steps=3, methods=("CI", "nmCI")), mc_runs=1)
     assert len(calls) == 6 and all(p_a[0].shape[0] == 2 for p_a, *_ in calls)
     interior = 0
-    for p_a, p_b, pieces, strict in calls:
+    for p_a, p_b, pieces in calls:
         # two extra entries share the batch, one at a tie (0.5) and one at an
         # end point (1.0); no entry may change what another gets
         for extra_a, extra_b, end in ((p_a, p_a, 0.5), ([1e-6 * x for x in p_b], p_b, 1.0)):
@@ -704,45 +708,17 @@ def test_wave_of_desk_stacks_fuses_each_edge_as_alone(monkeypatch):
             for shape in ((4,), (2, 2)):
                 xa = [x.reshape(shape + x.shape[1:]) for x in sa]
                 xb = [x.reshape(shape + x.shape[1:]) for x in sb]
-                omegas, gains, bounds, dropped = _nmci(xa, xb, pieces, strict, OFF_BLOCK_TOL)
+                omegas, gains, bounds = _nmci(xa, xb, pieces)
                 assert omegas.shape == shape + (pieces.starts.size,)
                 for e in np.ndindex(shape):
-                    w, g, b, d = _nmci([x[e] for x in xa], [x[e] for x in xb], pieces,
-                                       strict, OFF_BLOCK_TOL)
+                    w, g, b = _nmci([x[e] for x in xa], [x[e] for x in xb], pieces)
                     np.testing.assert_array_equal(omegas[e], w)
                     for got, want in zip(gains + bounds, g + b):
                         np.testing.assert_array_equal(got[e], want)
-                    np.testing.assert_allclose(np.array(dropped)[(slice(None), *e)], d,
-                                               rtol=1e-14)
                 ws = omegas.reshape(4, -1)
                 assert np.all(ws[2:] == end)
                 interior += np.count_nonzero((0.0 < ws[:2]) & (ws[:2] < 1.0))
     assert interior > 0
-
-
-def _strict_scenario(**overrides):
-    return tiny_scenario(n_steps=2, methods=("nmCI",), partition_scheme="group_axes",
-                         **overrides)
-
-
-def test_strict_failure_names_the_failing_edge_of_a_wave(monkeypatch):
-    # agent 2's correlated noise couples its axes; agents 0, 1 and 3 stay exact
-    scn = _strict_scenario(groups=(GroupSpec((0, 1), (0,)), GroupSpec((2, 3), (1,))),
-                           edges=((0, 1), (2, 3)), agent_r_target=(PLAIN, PLAIN, SKEW, PLAIN))
-    assert [w.tolist() for w in _fusion_waves(scn.edges)] == [[0, 1]]
-    monkeypatch.setattr(sim, "partition_is_exact", lambda *_: True)
-    with pytest.raises(FusionError, match=r"edge \(2, 3\) at step 0: covariance A couples"):
-        run_scenario(scn, mc_runs=1)
-
-
-def test_strict_failure_names_the_first_failing_edge_in_configured_order(monkeypatch):
-    # (4, 5) fails in the first wave, but (1, 2) fails before it in order
-    scn = _strict_scenario(groups=THREE_GROUPS["groups"], edges=((0, 1), (1, 2), (4, 5)),
-                           agent_r_target=(PLAIN, PLAIN, SKEW, PLAIN, PLAIN, SKEW))
-    assert [w.tolist() for w in _fusion_waves(scn.edges)] == [[0, 2], [1]]
-    monkeypatch.setattr(sim, "partition_is_exact", lambda *_: True)
-    with pytest.raises(FusionError, match=r"edge \(1, 2\) at step 0: covariance B couples"):
-        run_scenario(scn, mc_runs=1)
 
 
 def test_summarize_shape_and_band():
