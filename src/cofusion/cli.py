@@ -22,9 +22,8 @@ import numpy as np
 
 from . import __version__
 from .core import (BlockPartition, ConfigError, CrossSparsityPattern,
-                   FusionError, GaussianEstimate, NotPositiveDefiniteError,
-                   SamplingError, SolverError, as_int, as_real, as_seed, parsing,
-                   partition_from_sparsity)
+                   FusionError, GaussianEstimate, SamplingError, SolverError,
+                   as_int, as_name, as_real, as_seed, parsing, partition_from_sparsity)
 from .fusion import ci_fuse, exact_fuse, nmci_fuse
 from .sdp import robust_fuse
 from .metrics import (OMEGA_CSV_COLUMNS, SWEEP_CSV_COLUMNS, TRACK_CSV_COLUMNS,
@@ -151,7 +150,7 @@ def _load_comparison_config(d: dict) -> dict:
     if unknown:
         raise ConfigError(f"unknown comparison keys: {sorted(unknown)}")
     with parsing("comparison config"):
-        cfg = {"name": d.get("name", "comparison"),
+        cfg = {"name": as_name(d.get("name", "comparison")),
                "p_a": np.asarray(d["p_a"], dtype=float),
                "p_b": np.asarray(d["p_b"], dtype=float),
                "n_values": [as_int(n, "n_values entry") for n in d["n_values"]],

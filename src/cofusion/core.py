@@ -89,6 +89,20 @@ def as_real(value, name: str) -> float:
     raise ConfigError(f"{name} must be a finite number, got {value!r}")
 
 
+def as_name(value, name: str = "name") -> str:
+    """``value`` as a run name, or ConfigError.
+
+    Output directories are named after it, so it must be a non-empty
+    string that names one directory entry: no ``/`` or ``\\``, and not
+    ``.`` or ``..``.
+    """
+    if (not isinstance(value, str) or not value or "/" in value or "\\" in value
+            or value in (".", "..")):
+        raise ConfigError(f"{name} must be a non-empty string without '/' or '\\' "
+                          f"and not '.' or '..', got {value!r}")
+    return value
+
+
 def as_seed(value, name: str = "seed") -> int:
     """``value`` as an int in [0, 2**64), or ConfigError.
 
@@ -111,7 +125,7 @@ def symmetrize(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + np.swapaxes(m, -1, -2))
 
 
-def check_symmetric(m, *, rtol: float = SYMMETRY_RTOL, name: str = "matrix") -> np.ndarray:
+def check_symmetric(m, *, name: str = "matrix") -> np.ndarray:
     """Validate symmetry and return the symmetrized float copy."""
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -119,19 +133,19 @@ def check_symmetric(m, *, rtol: float = SYMMETRY_RTOL, name: str = "matrix") -> 
     if not np.all(np.isfinite(m)):
         raise NotSymmetricError(f"{name} contains non-finite entries")
     scale = max(float(np.linalg.norm(m)), 1e-300)
-    if float(np.linalg.norm(m - m.T)) > rtol * scale:
-        raise NotSymmetricError(f"{name} is not symmetric within rtol={rtol:g}")
+    if float(np.linalg.norm(m - m.T)) > SYMMETRY_RTOL * scale:
+        raise NotSymmetricError(f"{name} is not symmetric within rtol={SYMMETRY_RTOL:g}")
     return symmetrize(m)
 
 
-def check_spd(m, *, rtol: float = PD_RTOL, name: str = "matrix") -> np.ndarray:
+def check_spd(m, *, name: str = "matrix") -> np.ndarray:
     """Validate symmetric positive definiteness; returns the symmetrized copy."""
     m = check_symmetric(m, name=name)
-    check_spd_stacks((m,), rtol=rtol, name=name)
+    check_spd_stacks((m,), name=name)
     return m
 
 
-def check_spd_stacks(stacks, *, rtol: float = PD_RTOL, name: str = "matrix") -> None:
+def check_spd_stacks(stacks, *, name: str = "matrix") -> None:
     """``check_spd``'s definiteness test on block-diagonal matrices stored as stacks.
 
     Each stack is a (..., n, n) array of diagonal blocks, one stack per
@@ -139,7 +153,7 @@ def check_spd_stacks(stacks, *, rtol: float = PD_RTOL, name: str = "matrix") -> 
     stack shares, and a trailing block axis (if any) runs over one
     matrix's blocks of that size.  A matrix's spectrum is the union of its
     blocks' spectra, so it fails when its smallest block eigenvalue is at
-    most rtol times its largest, or its largest is not positive.  Stacks
+    most PD_RTOL times its largest, or its largest is not positive.  Stacks
     of one (n, n) block hold one matrix.  Non-finite entries fail too.
     """
     lo = hi = None
@@ -152,7 +166,7 @@ def check_spd_stacks(stacks, *, rtol: float = PD_RTOL, name: str = "matrix") -> 
             s_lo, s_hi = s_lo.min(axis=-1), s_hi.max(axis=-1)
         lo = s_lo if lo is None else np.minimum(lo, s_lo)
         hi = s_hi if hi is None else np.maximum(hi, s_hi)
-    bad = (lo <= rtol * np.maximum(hi, 0.0)) | (hi <= 0.0)
+    bad = (lo <= PD_RTOL * np.maximum(hi, 0.0)) | (hi <= 0.0)
     if np.any(bad):
         at = np.unravel_index(np.argmax(bad), np.shape(bad))
         raise NotPositiveDefiniteError(
@@ -217,7 +231,11 @@ class GaussianEstimate:
                 f"mean has {mean.shape[0]} entries but covariance is {cov.shape[0]}x{cov.shape[0]}")
         if not np.all(np.isfinite(mean)):
             raise DimensionError("mean contains non-finite entries")
+        if isinstance(self.labels, str):
+            raise DimensionError(f"labels must be a list of strings, got the string {self.labels!r}")
         labels = tuple(self.labels) if self.labels else tuple(f"x{i}" for i in range(mean.shape[0]))
+        if not all(isinstance(lab, str) for lab in labels):
+            raise DimensionError(f"labels must be strings, got {list(labels)!r}")
         if len(labels) != mean.shape[0]:
             raise DimensionError(f"{len(labels)} labels for a {mean.shape[0]}-dim estimate")
         if len(set(labels)) != len(labels):
@@ -254,7 +272,7 @@ class GaussianEstimate:
         with parsing("estimate mapping"):
             return cls(np.asarray(d["mean"], dtype=float),
                        np.asarray(d["covariance"], dtype=float),
-                       tuple(d.get("labels") or ()))
+                       d.get("labels", ()))
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -487,9 +505,9 @@ class JointCovariance:
         """The full (dim_a + dim_b) joint matrix."""
         return np.block([[self.p_a, self.p_ab], [self.p_ab.T, self.p_b]])
 
-    def is_positive_definite(self, rtol: float = PD_RTOL) -> bool:
+    def is_positive_definite(self) -> bool:
         w = np.linalg.eigvalsh(self.assembled())
-        return bool(w[0] > rtol * max(w[-1], 0.0) and w[-1] > 0.0)
+        return bool(w[0] > PD_RTOL * max(w[-1], 0.0) and w[-1] > 0.0)
 
     def respects(self, pattern: CrossSparsityPattern, atol: float = 0.0) -> bool:
         """True when every structurally-zero cross entry is zero within atol."""

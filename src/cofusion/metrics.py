@@ -25,7 +25,7 @@ from .core import (
 )
 from .fusion import nmci_fuse, realized_cov
 from .sampler import sample_cross, sample_set
-from .sdp import _check_solver_args, _subset, build_problem, solve, SolveStatus
+from .sdp import _check_solver_args, _subset, build_problem, solve
 
 _EPS = 1e-15
 _MAX_SERIES_ITERS = 10_000

@@ -38,22 +38,25 @@ returned point, and ``inf`` when no step was ever certified.
 
 Active set: at most m = d*d + d(d+1)/2 sampled LMIs (the number of
 unknowns) support the optimum (Calafiore & Campi, IEEE TAC 51(5), 2006),
-so ``solve`` runs the barrier method on the first ACTIVE_FACTOR * m
-samples only and tests every slack at the point it returns with one
-batched d x d ``eigvalsh``.  Each new active set is first solved to the
-relative gap _SCREEN_TOL.  If that point violates samples, they join the
-set together with the _NEAR * m samples nearest to violation, and the
-next round starts afresh; if it violates none, the same path goes on to
-``tol`` and the slacks are tested again.  The solve ends when all n
-slacks are positive definite at a point certified to ``tol``.  A problem
-of at most ACTIVE_FACTOR * m samples is solved whole, in one round.  The
-program on a subset of the samples is a relaxation of the full one, so
-each round's certified lower bound also bounds the full optimum, and
-``gap`` is taken against the best of them.  When the Newton budget runs
-out with violated samples left, the subset point (Pbar, K) is repaired
-to (Pbar + delta I, K), with delta just above the worst slack
-violation: every one of the n LMIs then holds strictly, and the
-objective pays d * delta.
+so ``solve`` is one loop of barrier rounds on an active subset of the
+samples, starting with the first min(n, ACTIVE_FACTOR * m).  A round
+(``_barrier``) returns only its iterate, status, Newton steps and
+certified lower bound; ``solve`` tests every slack at that iterate with
+one batched d x d ``eigvalsh``.  A set that holds every sample from the
+start is one round straight to ``tol``.  Otherwise each new active set is
+first solved to the relative gap _SCREEN_TOL.  If that point violates
+samples, they join the set together with the _NEAR * m samples nearest
+to violation, and the next round starts afresh; if it violates none, the
+same path goes on to ``tol`` and the slacks are tested again.  The loop
+ends when all n slacks are positive definite at a point certified to
+``tol``, or when the budget runs out.  The program on a subset of the
+samples is a relaxation of the full one, so each round's certified lower
+bound also bounds the full optimum, and ``gap`` is taken against the
+best of them.  When the Newton budget runs out with violated samples
+left, the subset point (Pbar, K) is repaired to (Pbar + delta I, K),
+with delta just above the worst slack violation: every one of the n LMIs
+then holds strictly, and the objective pays d * delta.  Only then does
+``solve`` build its one ``SdpSolution``, with one status rule.
 
 Roundoff: the barrier objective psi = t * trace(Pbar) - logdet grows with
 t, and near the end its float64 roundoff swamps any absolute stopping
@@ -364,64 +367,67 @@ def solve(problem: SampledFusionProblem, tol: float = DEFAULT_TOL,
           max_iters: int = DEFAULT_MAX_ITERS) -> SdpSolution:
     """Minimize trace(Pbar) over the sampled LMIs by barrier path-following.
 
-    The barrier method runs on an active subset of the samples, grown by
-    the violated ones until every LMI holds (see the module docstring).
-    ``max_iters`` caps the total Newton steps across all path stages of
-    all rounds, and ``newton_iterations`` is that total.  ``gap`` is the
-    best relative gap certified so far by a dual point, ``inf`` if none
-    was.  Status is ``optimal`` only when that gap reached tol and every
-    one of the n LMIs holds within 1e-7.  An exhausted budget, a stalled
-    line search (or an iterate whose LMI block is singular to working
+    One loop of barrier rounds on an active subset of the samples, grown
+    by the violated ones until every LMI holds (see the module docstring);
+    a problem of at most ACTIVE_FACTOR * m samples is one round on all of
+    them.  Each round returns only an iterate; the solution is built here,
+    once, from the last one.  ``max_iters`` caps the total Newton steps
+    across all path stages of all rounds, and ``newton_iterations`` is
+    that total.  ``gap`` is the best relative gap certified so far by a
+    dual point, ``inf`` if none was.  Status is ``optimal`` only when the
+    last round reached its tolerance, that gap reached tol and every one
+    of the n LMIs holds within 1e-7.  An exhausted budget, a stalled line
+    search (or an iterate whose LMI block is singular to working
     precision), or a tolerance that float64 cannot reach (a path stage
     that certifies nothing new, once centering is down to the roundoff of
     the barrier objective) returns the last iterate with status
     ``max_iterations``, well before the budget in the last two cases.  A
     start point or Newton-system breakdown returns ``infeasible_numerics``.
     Whatever the status, the returned point satisfies all n LMIs strictly,
-    unless no strictly feasible start point was found.  A ``tol`` that is
-    not finite and positive, or ``max_iters`` below 1, raises
-    DimensionError.
+    unless no strictly feasible start point was found; then it is the
+    central point K_a = I/2, Pbar = 2 (P_a + P_b), and ``min_lmi_eig``
+    says how far it misses.  A ``tol`` that is not finite and positive, or
+    ``max_iters`` below 1, raises DimensionError.
     """
     _check_solver_args(tol, max_iters)
     d = problem.d
     m = d * d + d * (d + 1) // 2
-    if problem.n <= ACTIVE_FACTOR * m:
-        return _barrier(problem, tol, max_iters)[0]
+    first = ACTIVE_FACTOR * m
     ws = _Workspace(problem)
-    active = np.arange(ACTIVE_FACTOR * m)
+    active = np.arange(min(problem.n, first))
     sub = _subset(problem, active)
     used, lower, resume = 0, -np.inf, None
     while True:
         # rounds go through _barrier, never the module attribute ``solve``,
         # so one public call is one call whatever wraps that name
-        screening = resume is None and tol < _SCREEN_TOL
-        sol, sub_lower, resume = _barrier(sub, _SCREEN_TOL if screening else tol,
-                                          max_iters - used, resume)
-        used += sol.newton_iterations
+        screening = resume is None and tol < _SCREEN_TOL and problem.n > first
+        resume, status, steps, sub_lower = _barrier(
+            sub, _SCREEN_TOL if screening else tol, max_iters - used, resume)
+        used += steps
         lower = max(lower, sub_lower)
-        x = ws.pack(sol.bound, sol.gain_a)
+        x = resume[0]
         worst = np.linalg.eigvalsh(ws.slacks(x)[0])[:, 0]
         outside = np.setdiff1d(np.arange(problem.n), active)
         violated = outside[worst[outside] <= 0.0]
-        if used >= max_iters or sol.status is SolveStatus.INFEASIBLE_NUMERICS:
+        if used >= max_iters or status is SolveStatus.INFEASIBLE_NUMERICS:
             break
         if violated.size:
             nearest = outside[np.argsort(worst[outside], kind="stable")]
             active = np.union1d(active, nearest[:violated.size + _NEAR * m])
             sub, resume = _subset(problem, active), None
-        elif not (screening and sol.status is SolveStatus.OPTIMAL):
+        elif not (screening and status is SolveStatus.OPTIMAL):
             break
+    pbar, ka = ws.unpack(x)
     if violated.size:
         # out of budget (or broken down) with samples the subset point
         # violates: lift Pbar just past the worst violation
         delta = -float(worst.min())
-        delta += max(_REPAIR_MARGIN * delta, _REPAIR_MARGIN * float(np.trace(sol.bound)) / d)
-        x = ws.pack(sol.bound + delta * ws.eye, sol.gain_a)
-    pbar, ka = ws.unpack(x)
+        delta += max(_REPAIR_MARGIN * delta, _REPAIR_MARGIN * float(np.trace(pbar)) / d)
+        pbar = pbar + delta * ws.eye
+        x = ws.pack(pbar, ka)
     obj = float(ws.cvec @ x)
     gap = (obj - lower) / max(abs(obj), 1e-300)
     min_eig = float(np.min(np.linalg.eigvalsh(ws.lmis(x))))
-    status = sol.status
     if status is SolveStatus.OPTIMAL and (gap > tol or min_eig < -1e-7):
         status = SolveStatus.MAX_ITERATIONS
     return SdpSolution(gain_a=ka, gain_b=ws.eye - ka, bound=symmetrize(pbar),
@@ -435,10 +441,13 @@ def _barrier(problem: SampledFusionProblem, tol: float, budget: int, resume=None
 
     Starts at the central start point, or, given ``resume``, at the
     (x, t) an earlier run on the same problem ended its last stage
-    centered at.  Returns (solution, best certified lower bound on the
-    optimum, that (x, t) of this run); the solution's statuses and
-    ``min_lmi_eig`` are those ``solve`` documents, taken on this
-    problem's samples, with at most ``budget`` Newton steps.
+    centered at.  Spends at most ``budget`` Newton steps and returns
+    ((x, t), status, Newton steps taken, best certified lower bound on
+    the optimum): the iterate and path parameter this run ended its last
+    stage at, and the status ``solve`` documents, before its checks on
+    the full sample set.  Without a strictly feasible start the iterate
+    is the central point, the status ``infeasible_numerics`` and the
+    lower bound -inf.
     """
     ws = _Workspace(problem)
     nu = float(3 * problem.d * problem.n)
@@ -449,12 +458,8 @@ def _barrier(problem: SampledFusionProblem, tol: float, budget: int, resume=None
         x, t = resume
         start = (x, *ws.chol_logdet(x))
     if start is None:
-        return SdpSolution(gain_a=0.5 * np.eye(problem.d), gain_b=0.5 * np.eye(problem.d),
-                           bound=2.0 * symmetrize(problem.p_a + problem.p_b),
-                           objective=float(np.trace(2.0 * (problem.p_a + problem.p_b))),
-                           status=SolveStatus.INFEASIBLE_NUMERICS, gap=np.inf,
-                           newton_iterations=0, min_lmi_eig=-np.inf,
-                           active_samples=problem.n), -np.inf, None
+        x = ws.pack(2.0 * symmetrize(problem.p_a + problem.p_b), 0.5 * ws.eye)
+        return (x, None), SolveStatus.INFEASIBLE_NUMERICS, 0, -np.inf
     # the barrier derivatives depend on x alone, so they are kept until x moves
     x, factors, logdet = start
     derivs = None
@@ -540,14 +545,7 @@ def _barrier(problem: SampledFusionProblem, tol: float, budget: int, resume=None
             break
         t *= T_GROWTH
 
-    pbar, ka = ws.unpack(x)
-    min_eig = float(np.min(np.linalg.eigvalsh(ws.lmis(x))))
-    if status is SolveStatus.OPTIMAL and min_eig < -1e-7:
-        status = SolveStatus.MAX_ITERATIONS
-    return SdpSolution(gain_a=ka, gain_b=ws.eye - ka, bound=symmetrize(pbar),
-                       objective=obj, status=status, gap=float(gap),
-                       newton_iterations=used, min_lmi_eig=min_eig,
-                       active_samples=problem.n), lower, (x, t)
+    return (x, t), status, used, lower
 
 
 def robust_fuse(a: GaussianEstimate, b: GaussianEstimate, pattern: CrossSparsityPattern,

@@ -72,6 +72,7 @@ from .core import (
     GaussianEstimate,
     StackLayout,
     as_int,
+    as_name,
     as_real,
     as_seed,
     check_spd,
@@ -207,6 +208,7 @@ class ScenarioConfig:
     record_estimates: str = "all"
 
     def __post_init__(self):
+        object.__setattr__(self, "name", as_name(self.name))
         object.__setattr__(self, "seed", as_seed(self.seed))
         for name in _INT_FIELDS:
             object.__setattr__(self, name, as_int(getattr(self, name), name))

@@ -370,7 +370,8 @@ def _malformed_argv(tmp_path, kind, key, value):
     elif kind == "estimate":
         path = tmp_path / "b.json"
         GaussianEstimate([0.0, 0.0], np.eye(2)).save(path)
-        argv = ["fuse", str(path), str(a)]
+        # fused with itself, so a field is only ever wrong in its own right
+        argv = ["fuse", str(path), str(path)]
     else:
         path = tmp_path / f"{kind}.json"
         path.write_text(json.dumps({"partition": {"blocks": [[0], [1]]},
@@ -430,6 +431,21 @@ def _malformed_argv(tmp_path, kind, key, value):
     # an int beyond the float range is not a finite number either
     pytest.param("scenario", "dt", 10 ** 400, id="scenario-dt-10**400"),
     pytest.param("comparison", "solver_tol", 10 ** 400, id="comparison-solver_tol-10**400"),
+    # the output directory is named after the run, so a name must be one
+    # directory entry: no path separator, not . or .., and a string
+    ("scenario", "name", "sub/dir"),
+    ("scenario", "name", "../escaped"),
+    ("scenario", "name", "back\\slash"),
+    ("scenario", "name", ".."),
+    ("scenario", "name", ""),
+    ("scenario", "name", 7),
+    ("comparison", "name", "sub/dir"),
+    ("comparison", "name", "../escaped"),
+    ("comparison", "name", "."),
+    ("comparison", "name", ["x"]),
+    # labels are a list of strings; a string is not split into letters
+    ("estimate", "labels", "xy"),
+    ("estimate", "labels", [1, 2]),
 ])
 def test_malformed_input_files_are_config_errors(capsys, tmp_path, kind, key, value):
     rc, _, err = _run(capsys, _malformed_argv(tmp_path, kind, key, value))
@@ -443,14 +459,23 @@ def test_malformed_input_files_are_config_errors(capsys, tmp_path, kind, key, va
                                   ["compare", "--seed", "-1"],
                                   # 2**64 would run the streams of seed 0
                                   ["track", "--seed", "18446744073709551616"],
-                                  ["compare", "--seed", "18446744073709551616"]])
+                                  ["compare", "--seed", "18446744073709551616"],
+                                  # a config file whose run name is a path
+                                  ("scenario", "name", "sub/dir"),
+                                  ("scenario", "name", "../escaped"),
+                                  ("comparison", "name", "sub/dir"),
+                                  ("comparison", "name", "../escaped")])
 def test_failed_command_leaves_no_output_directory(capsys, tmp_path, argv):
+    if isinstance(argv, tuple):
+        argv = _malformed_argv(tmp_path, *argv)
     out = tmp_path / "runs"
     out.mkdir()
+    before = set(tmp_path.iterdir())
     rc, _, err = _run(capsys, argv + ["--out", str(out)])
     assert rc == 2
     assert "error:" in err
     assert list(out.iterdir()) == []
+    assert set(tmp_path.iterdir()) == before
 
 
 def test_python_dash_m_runs_the_command_line():

@@ -184,6 +184,11 @@ def test_estimate_rejects_bad_inputs():
         GaussianEstimate(np.zeros(2), np.eye(2), labels=("a",))
     with pytest.raises(DimensionError):
         GaussianEstimate(np.zeros(2), np.eye(2), labels=("a", "a"))
+    # a string is not split into one-letter labels, and labels are strings
+    with pytest.raises(DimensionError):
+        GaussianEstimate(np.zeros(2), np.eye(2), labels="xy")
+    with pytest.raises(DimensionError):
+        GaussianEstimate(np.zeros(2), np.eye(2), labels=(1, 2))
 
 
 def test_estimate_marginal_picks_indices():
@@ -242,6 +247,12 @@ def test_estimate_load_rejects_bad_files(tmp_path):
     missing.write_text(json.dumps({"mean": [0.0]}))
     with pytest.raises(ConfigError):
         GaussianEstimate.load(missing)
+    for labels in ("xy", [1, 2]):
+        spelled = tmp_path / "labels.json"
+        spelled.write_text(json.dumps({"mean": [0.0, 0.0], "covariance": [[1.0, 0.0], [0.0, 1.0]],
+                                       "labels": labels}))
+        with pytest.raises(DimensionError):
+            GaussianEstimate.load(spelled)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Sampled conservative-fusion program and the embedded barrier solver."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from cofusion.core import (
     JointCovariance,
     NotPositiveDefiniteError,
     is_conservative,
+    symmetrize,
 )
 from cofusion.fusion import ci_fuse, exact_fuse, realized_cov
 from cofusion.sampler import sample_set
@@ -407,15 +410,23 @@ def _free_2d_problem(n, seed):
     return build_problem(pa, pb, [s.p_ab for s in draws])
 
 
+def _round(problem, iterate, status, steps, lower):
+    """A barrier round's result read as the fields ``solve`` reports."""
+    ws = _Workspace(problem)
+    bound, gain_a = ws.unpack(iterate[0])
+    return SimpleNamespace(bound=bound, gain_a=gain_a, objective=float(ws.cvec @ iterate[0]),
+                           status=status, newton_iterations=steps, active_samples=problem.n)
+
+
 @pytest.fixture
 def rounds(monkeypatch):
-    """(subset problem, solution) of every barrier round while the test runs."""
+    """(subset problem, round) of every barrier round while the test runs."""
     seen = []
     barrier = sdp._barrier
 
     def spy(problem, *args):
         out = barrier(problem, *args)
-        seen.append((problem, out[0]))
+        seen.append((problem, _round(problem, *out)))
         return out
 
     monkeypatch.setattr(sdp, "_barrier", spy)
@@ -447,7 +458,7 @@ def test_active_set_solve_matches_the_whole_barrier(rounds):
         sol = solve(prob, tol=tol)
         assert len(rounds) >= 2
         rounds.clear()
-        whole = _barrier(prob, tol, 200)[0]
+        whole = _round(prob, *_barrier(prob, tol, 200))
         assert sol.status is whole.status is SolveStatus.OPTIMAL
         assert sol.active_samples < prob.n and whole.active_samples == prob.n
         assert sol.min_lmi_eig > 0.0
@@ -518,3 +529,26 @@ def test_robust_fuse_reports_the_active_set():
     assert small.diagnostics["active_samples"] == 50
     large = robust_fuse(a, b, pat, n=400, seed=13)
     assert _first_set(2) <= large.diagnostics["active_samples"] < 400
+
+
+def test_failed_start_reports_the_central_point_on_either_path(monkeypatch):
+    # no strictly feasible start: a whole solve and an active-set solve
+    # report the same central point with its real LMI eigenvalue
+    monkeypatch.setattr(sdp, "_initial_point", lambda ws, problem: None)
+    big = _free_2d_problem(400, 9)
+    small = build_problem(big.p_a, big.p_b, list(big.samples[:50]))
+    assert small.n <= _first_set(2) < big.n
+    central = 2.0 * symmetrize(big.p_a + big.p_b)
+    sols = []
+    for prob in (small, big):
+        sol = solve(prob, tol=1e-7)
+        ws = _Workspace(prob)
+        lmi_eig = np.linalg.eigvalsh(ws.lmis(ws.pack(central, 0.5 * np.eye(2)))).min()
+        assert sol.status is SolveStatus.INFEASIBLE_NUMERICS
+        assert sol.gap == np.inf and sol.newton_iterations == 0
+        np.testing.assert_array_equal(sol.bound, central)
+        np.testing.assert_array_equal(sol.gain_a, 0.5 * np.eye(2))
+        assert sol.min_lmi_eig == lmi_eig > 0.0
+        sols.append(sol)
+    assert sols[0].objective == sols[1].objective
+    assert (sols[0].active_samples, sols[1].active_samples) == (50, _first_set(2))

@@ -109,6 +109,12 @@ def test_scenario_defaults_derive_assignments():
     # finite inputs whose dynamics are not: dt ** 3 and q * dt ** 3 overflow
     {"dt": 1e300},
     {"dt": 1e3, "q": 1e300},
+    # the run name names the output directory: one entry, and a string
+    {"name": "sub/dir"},
+    {"name": "../escaped"},
+    {"name": "."},
+    {"name": ""},
+    {"name": None},
 ])
 def test_scenario_rejects_bad_configs(overrides):
     with pytest.raises(FusionError):
