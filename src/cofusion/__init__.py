@@ -27,7 +27,8 @@ from .core import (
 )
 from .fusion import ci_fuse, exact_fuse, nmci_fuse, optimize_ci_omega, realized_cov
 from .sampler import UncertaintySample, sample_cross, sample_set
-from .sdp import SampledFusionProblem, SdpSolution, SolveStatus, build_problem, robust_fuse, solve
+from .sdp import (SampledFusionProblem, SdpSolution, SolveStatus, build_problem, robust_fuse,
+                  solve, solve_prefixes)
 from .metrics import chi2_band, chi2_quantile, conservativeness_sweep, nees
 
 __version__ = "0.1.0"
@@ -68,5 +69,6 @@ __all__ = [
     "sample_cross",
     "sample_set",
     "solve",
+    "solve_prefixes",
     "__version__",
 ]

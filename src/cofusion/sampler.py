@@ -25,10 +25,11 @@ to pay off go to ``eigvalsh`` whole.
 The generator yields the same doubles in the same order whatever the
 batch size, so every proposal and every accept/reject decision is the
 one a loop of one proposal and one ``eigvalsh`` at a time would make.
-Proposals left over after a draw serve the next draw of the same
-stream, and a draw's attempt count starts at its first proposal;
-samples, attempt counts and the point at which ``max_attempts`` gives
-up are therefore those of that loop.
+A sample set takes every accepted proposal of a batch at once, and
+proposals left over after one sample serve the next; a sample's attempt
+count starts at the proposal after the previous sample's.  Samples,
+attempt counts and the point at which ``max_attempts`` gives up are
+therefore those of that loop.
 """
 
 from __future__ import annotations
@@ -156,30 +157,45 @@ class _ProposalStream:
         if not self._ok.any():
             self._batch = min(2 * self._batch, _MAX_BATCH)
 
-    def draw(self, max_attempts: int) -> UncertaintySample:
-        c_ab = np.zeros(self._scale.shape)
+    def draw(self, n: int, max_attempts: int) -> list[UncertaintySample]:
+        """The stream's next n samples, each within ``max_attempts`` attempts.
+
+        Every accepted proposal a batch holds is taken at once; a sample's
+        attempt count is the distance from the proposal after the previous
+        sample, which may sit in an earlier batch.
+        """
         if not self._rows.size:
             # nothing to draw; the block-diagonal joint is PD by construction
-            return UncertaintySample(c_ab, 1)
-        attempts = 0
-        while attempts < max_attempts:
+            return [UncertaintySample(np.zeros(self._scale.shape), 1) for _ in range(n)]
+        picks, counts = [], []
+        left = n
+        attempts = 0     # spent on the sample being drawn
+        while left:
             if self._next == self._ok.size:
+                if attempts >= max_attempts:
+                    raise SamplingError(
+                        f"no admissible cross-covariance found in {max_attempts} "
+                        "attempts; the marginals may be near-singular or the "
+                        "pattern leaves too many free entries for this dimension")
                 self._refill(min(self._batch, max_attempts - attempts))
             # no batch outgrows the budget left when it was drawn, so the
-            # proposals a draw finds buffered never outrun its own budget
-            window = self._ok[self._next:]
-            hit = int(np.argmax(window))
-            if window[hit]:
-                attempts += hit + 1
-                self._next += hit + 1
-                c_ab[self._rows, self._cols] = self._props[self._next - 1]
-                return UncertaintySample(c_ab * self._scale, attempts)
-            attempts += window.size
-            self._next = self._ok.size
-        raise SamplingError(
-            f"no admissible cross-covariance found in {max_attempts} attempts; "
-            "the marginals may be near-singular or the pattern leaves too many "
-            "free entries for this dimension")
+            # proposals a sample finds buffered never outrun its own budget
+            hits = np.flatnonzero(self._ok[self._next:])[:left] + self._next
+            if hits.size:
+                gaps = np.diff(hits, prepend=self._next - 1)
+                gaps[0] += attempts
+                picks.append(self._props[hits])
+                counts.extend(gaps.tolist())
+                left -= hits.size
+                attempts = 0
+                self._next = int(hits[-1]) + 1
+            if left:
+                attempts += self._ok.size - self._next
+                self._next = self._ok.size
+        c_ab = np.zeros((n,) + self._scale.shape)
+        c_ab[:, self._rows, self._cols] = np.concatenate(picks)
+        c_ab *= self._scale
+        return [UncertaintySample(c, a) for c, a in zip(c_ab, counts)]
 
 
 def sample_cross(p_a: np.ndarray, p_b: np.ndarray, pattern: CrossSparsityPattern,
@@ -189,7 +205,7 @@ def sample_cross(p_a: np.ndarray, p_b: np.ndarray, pattern: CrossSparsityPattern
     Identical (p_a, p_b, pattern, seed) always reproduce the same sample,
     on any platform.
     """
-    return _ProposalStream(p_a, p_b, pattern, seed).draw(max_attempts)
+    return _ProposalStream(p_a, p_b, pattern, seed).draw(1, max_attempts)[0]
 
 
 def sample_set(p_a: np.ndarray, p_b: np.ndarray, pattern: CrossSparsityPattern,
@@ -203,5 +219,4 @@ def sample_set(p_a: np.ndarray, p_b: np.ndarray, pattern: CrossSparsityPattern,
     """
     if n < 1:
         raise DimensionError("n must be at least 1")
-    stream = _ProposalStream(p_a, p_b, pattern, seed)
-    return [stream.draw(max_attempts) for _ in range(n)]
+    return _ProposalStream(p_a, p_b, pattern, seed).draw(n, max_attempts)

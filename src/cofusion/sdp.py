@@ -38,10 +38,10 @@ returned point, and ``inf`` when no step was ever certified.
 
 Active set: at most m = d*d + d(d+1)/2 sampled LMIs (the number of
 unknowns) support the optimum (Calafiore & Campi, IEEE TAC 51(5), 2006),
-so ``solve`` is one loop of barrier rounds on an active subset of the
-samples, starting with the first min(n, ACTIVE_FACTOR * m).  A round
-(``_barrier``) returns only its iterate, status, Newton steps and
-certified lower bound; ``solve`` tests every slack at that iterate with
+so a solve is one loop of barrier rounds (``_rounds``) on an active
+subset of the samples, starting with the first min(n, ACTIVE_FACTOR * m).
+A round (``_barrier``) returns only its iterate, status, Newton steps and
+certified lower bound; the loop tests every slack at that iterate with
 one batched d x d ``eigvalsh``.  A set that holds every sample from the
 start is one round straight to ``tol``.  Otherwise each new active set is
 first solved to the relative gap _SCREEN_TOL.  If that point violates
@@ -55,8 +55,22 @@ bound also bounds the full optimum, and ``gap`` is taken against the
 best of them.  When the Newton budget runs out with violated samples
 left, the subset point (Pbar, K) is repaired to (Pbar + delta I, K),
 with delta just above the worst slack violation: every one of the n LMIs
-then holds strictly, and the objective pays d * delta.  Only then does
-``solve`` build its one ``SdpSolution``, with one status rule.
+then holds strictly, and the objective pays d * delta.
+
+Nested prefixes: ``solve_prefixes`` solves the program on the first
+n_1, n_2, ... samples in one pass, and ``solve`` is its one-prefix case.
+When two or more prefixes are longer than _SHARED_FACTOR * m samples,
+each of them starts its loop on the first _SHARED_FACTOR * m samples.
+That first round has the same samples, tolerance and budget in all of
+them, so it gives the same result and runs once per call; everything
+after it runs per prefix, and each prefix's status rule is taken over
+its own samples.  No prefix's cost depends on another prefix's samples,
+so a pass varies little in cost from seed to seed.  The shared first
+set is larger than a lone solve's because it is paid for once, while
+each prefix pays for its own second round: at 24 * m, 16 of the 288
+prefixes of n >= 200 in ``compare --mc 3`` at seeds 0..31 needed one,
+against 51 at 16 * m.  ``solve_prefixes`` builds each ``SdpSolution``
+in one place, with one status rule.
 
 Roundoff: the barrier objective psi = t * trace(Pbar) - logdet grows with
 t, and near the end its float64 roundoff swamps any absolute stopping
@@ -103,6 +117,9 @@ _ROUNDOFF = float(np.finfo(float).eps)
 # unknowns; chosen from timings of whole against active-set solves at
 # d = 1..3, n = 50..2000 (CHANGES.md)
 ACTIVE_FACTOR = 16
+# nested prefixes that share their first round start it on _SHARED_FACTOR * m
+# samples (see "Nested prefixes" above)
+_SHARED_FACTOR = 24
 # each new active set is first solved to this relative gap, where the
 # samples it misses already show, at about 60% of the Newton steps to 1e-7
 _SCREEN_TOL = 1e-2
@@ -367,33 +384,95 @@ def solve(problem: SampledFusionProblem, tol: float = DEFAULT_TOL,
           max_iters: int = DEFAULT_MAX_ITERS) -> SdpSolution:
     """Minimize trace(Pbar) over the sampled LMIs by barrier path-following.
 
-    One loop of barrier rounds on an active subset of the samples, grown
-    by the violated ones until every LMI holds (see the module docstring);
-    a problem of at most ACTIVE_FACTOR * m samples is one round on all of
-    them.  Each round returns only an iterate; the solution is built here,
-    once, from the last one.  ``max_iters`` caps the total Newton steps
-    across all path stages of all rounds, and ``newton_iterations`` is
-    that total.  ``gap`` is the best relative gap certified so far by a
-    dual point, ``inf`` if none was.  Status is ``optimal`` only when the
-    last round reached its tolerance, that gap reached tol and every one
-    of the n LMIs holds within 1e-7.  An exhausted budget, a stalled line
-    search (or an iterate whose LMI block is singular to working
-    precision), or a tolerance that float64 cannot reach (a path stage
-    that certifies nothing new, once centering is down to the roundoff of
-    the barrier objective) returns the last iterate with status
-    ``max_iterations``, well before the budget in the last two cases.  A
-    start point or Newton-system breakdown returns ``infeasible_numerics``.
-    Whatever the status, the returned point satisfies all n LMIs strictly,
-    unless no strictly feasible start point was found; then it is the
-    central point K_a = I/2, Pbar = 2 (P_a + P_b), and ``min_lmi_eig``
-    says how far it misses.  A ``tol`` that is not finite and positive, or
-    ``max_iters`` below 1, raises DimensionError.
+    ``solve_prefixes`` on the one prefix that holds every sample: one loop
+    of barrier rounds on an active subset of the samples, grown by the
+    violated ones until every LMI holds (see the module docstring); a
+    problem of at most ACTIVE_FACTOR * m samples is one round on all of
+    them.  Each round returns only an iterate; the solution is built once,
+    from the last one.  ``max_iters`` caps the total Newton steps across
+    all path stages of all rounds, and ``newton_iterations`` is that
+    total.  ``gap`` is the best relative gap certified so far by a dual
+    point, ``inf`` if none was.  Status is ``optimal`` only when the last
+    round reached its tolerance, that gap reached tol and every one of the
+    n LMIs holds within 1e-7.  An exhausted budget, a stalled line search
+    (or an iterate whose LMI block is singular to working precision), or a
+    tolerance that float64 cannot reach (a path stage that certifies
+    nothing new, once centering is down to the roundoff of the barrier
+    objective) returns the last iterate with status ``max_iterations``,
+    well before the budget in the last two cases.  A start point or
+    Newton-system breakdown returns ``infeasible_numerics``.  Whatever the
+    status, the returned point satisfies all n LMIs strictly, unless no
+    strictly feasible start point was found; then it is the central point
+    K_a = I/2, Pbar = 2 (P_a + P_b), and ``min_lmi_eig`` says how far it
+    misses.  A ``tol`` that is not finite and positive, or ``max_iters``
+    below 1, raises DimensionError.
+    """
+    return solve_prefixes(problem, [problem.n], tol, max_iters)[0]
+
+
+def solve_prefixes(problem: SampledFusionProblem, sizes, tol: float = DEFAULT_TOL,
+                   max_iters: int = DEFAULT_MAX_ITERS) -> list[SdpSolution]:
+    """Solve the program on the first ``size`` samples, for each of ``sizes``.
+
+    The prefixes are taken in the order given, and each is certified to
+    ``tol`` on its own samples with a budget of ``max_iters`` of its own.
+    A prefix of at most _SHARED_FACTOR * m samples, or the only prefix
+    longer than that, is solved as ``solve`` solves the program on those
+    samples alone.  When two or more prefixes are longer, each of them
+    starts its active-set loop on the first _SHARED_FACTOR * m samples.
+    That first round is the same in all of them, so it runs once, and
+    every one of them counts its Newton steps in ``newton_iterations``.
+    Sizes outside 1..n, or none, raise DimensionError, as do the ``tol``
+    and ``max_iters`` ``solve`` refuses.
     """
     _check_solver_args(tol, max_iters)
+    sizes = list(sizes)
+    if not sizes or min(sizes) < 1 or max(sizes) > problem.n:
+        raise DimensionError(f"prefix sizes must lie in 1..{problem.n}, got {sizes}")
     d = problem.d
     m = d * d + d * (d + 1) // 2
-    first = ACTIVE_FACTOR * m
-    ws = _Workspace(problem)
+    shared = _SHARED_FACTOR * m
+    # the first round of the prefixes longer than ``shared``, once it has run
+    opening = {} if sum(size > shared for size in sizes) > 1 else None
+    out = []
+    for size in sizes:
+        prefix = _subset(problem, slice(size))
+        ws = _Workspace(prefix)
+        if opening is not None and size > shared:
+            first, share = shared, opening
+        else:
+            first, share = ACTIVE_FACTOR * m, None
+        x, status, used, lower, active = _rounds(prefix, ws, tol, max_iters, first, share)
+        pbar, ka = ws.unpack(x)
+        obj = float(ws.cvec @ x)
+        gap = (obj - lower) / max(abs(obj), 1e-300)
+        min_eig = float(np.min(np.linalg.eigvalsh(ws.lmis(x))))
+        if status is SolveStatus.OPTIMAL and (gap > tol or min_eig < -1e-7):
+            status = SolveStatus.MAX_ITERATIONS
+        # ka views x, and prefixes that end on the shared first round share x
+        out.append(SdpSolution(gain_a=ka.copy(), gain_b=ws.eye - ka,
+                               bound=symmetrize(pbar), objective=obj, status=status,
+                               gap=float(gap), newton_iterations=used,
+                               min_lmi_eig=min_eig, active_samples=active))
+    return out
+
+
+def _rounds(problem: SampledFusionProblem, ws: _Workspace, tol: float, max_iters: int,
+            first: int, opening: dict | None = None):
+    """The active-set loop of barrier rounds on all of ``problem``'s samples.
+
+    The first active set is the first min(n, ``first``) samples.  Given
+    ``opening`` (and n > ``first``), the first round is taken from it, or
+    run and stored there: that round depends only on those samples,
+    ``tol`` and ``max_iters``, so it is the same for every prefix longer
+    than ``first`` of one problem.  Returns (x, status, Newton steps, best
+    certified lower bound, active samples): the last round's iterate,
+    repaired when samples outside its set are still violated, and that
+    round's status, before the checks ``solve_prefixes`` makes on the full
+    sample set.
+    """
+    d = problem.d
+    m = d * d + d * (d + 1) // 2
     active = np.arange(min(problem.n, first))
     sub = _subset(problem, active)
     used, lower, resume = 0, -np.inf, None
@@ -401,8 +480,15 @@ def solve(problem: SampledFusionProblem, tol: float = DEFAULT_TOL,
         # rounds go through _barrier, never the module attribute ``solve``,
         # so one public call is one call whatever wraps that name
         screening = resume is None and tol < _SCREEN_TOL and problem.n > first
-        resume, status, steps, sub_lower = _barrier(
-            sub, _SCREEN_TOL if screening else tol, max_iters - used, resume)
+        round_tol = _SCREEN_TOL if screening else tol
+        if opening is None:
+            result = _barrier(sub, round_tol, max_iters - used, resume)
+        else:
+            # the first round: no step used yet, nothing to resume
+            if "round" not in opening:
+                opening["round"] = _barrier(sub, round_tol, max_iters, None)
+            result, opening = opening["round"], None
+        resume, status, steps, sub_lower = result
         used += steps
         lower = max(lower, sub_lower)
         x = resume[0]
@@ -417,23 +503,14 @@ def solve(problem: SampledFusionProblem, tol: float = DEFAULT_TOL,
             sub, resume = _subset(problem, active), None
         elif not (screening and status is SolveStatus.OPTIMAL):
             break
-    pbar, ka = ws.unpack(x)
     if violated.size:
         # out of budget (or broken down) with samples the subset point
         # violates: lift Pbar just past the worst violation
+        pbar, ka = ws.unpack(x)
         delta = -float(worst.min())
         delta += max(_REPAIR_MARGIN * delta, _REPAIR_MARGIN * float(np.trace(pbar)) / d)
-        pbar = pbar + delta * ws.eye
-        x = ws.pack(pbar, ka)
-    obj = float(ws.cvec @ x)
-    gap = (obj - lower) / max(abs(obj), 1e-300)
-    min_eig = float(np.min(np.linalg.eigvalsh(ws.lmis(x))))
-    if status is SolveStatus.OPTIMAL and (gap > tol or min_eig < -1e-7):
-        status = SolveStatus.MAX_ITERATIONS
-    return SdpSolution(gain_a=ka, gain_b=ws.eye - ka, bound=symmetrize(pbar),
-                       objective=obj, status=status, gap=float(gap),
-                       newton_iterations=used, min_lmi_eig=min_eig,
-                       active_samples=len(active))
+        x = ws.pack(pbar + delta * ws.eye, ka)
+    return x, status, used, lower, len(active)
 
 
 def _barrier(problem: SampledFusionProblem, tol: float, budget: int, resume=None):

@@ -65,6 +65,30 @@ def test_fuse_omega_outside_unit_interval_is_usage_error(est_files):
     assert exc.value.code == 2
 
 
+def test_main_calls_share_one_parser(capsys, est_files, monkeypatch):
+    built = []
+    build = cli.build_parser
+
+    def spy():
+        built.append(build())
+        return built[-1]
+
+    monkeypatch.setattr(cli, "build_parser", spy)
+    cli._parser.cache_clear()
+    try:
+        pa, pb, _ = est_files
+        assert _run(capsys, ["fuse", str(pa), str(pb)])[0] == 0
+        assert _run(capsys, ["fuse", str(pa), str(pb), "--omega", "1"])[0] == 0
+        assert len(built) == 1
+        # a shared parser still refuses a weight outside [0, 1]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["fuse", str(pa), str(pb), "--omega", "2"])
+        assert exc.value.code == 2
+        assert len(built) == 1
+    finally:
+        cli._parser.cache_clear()
+
+
 def test_fuse_nmci_from_pattern(capsys, est_files):
     pa, pb, pattern = est_files
     rc, out, _ = _run(capsys, ["fuse", str(pa), str(pb), "--method", "nmCI",

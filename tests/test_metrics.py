@@ -132,6 +132,10 @@ def test_sweep_row_contract(small_sweep):
         if r["method"] == "nmCI":
             assert r["deviation_2norm"] == 0.0
             assert r["solver_status"] == ""
+            assert r["newton_iterations"] == r["active_samples"] == ""
+        else:
+            assert isinstance(r["newton_iterations"], int)
+            assert 1 <= r["active_samples"] <= r["n"]
 
 
 def test_sweep_statistics_shape(small_sweep):
@@ -164,6 +168,19 @@ def test_sweep_per_run_deviation_nonincreasing(small_sweep):
         pairs.sort()
         devs = [d for _, d in pairs]
         assert devs[1] <= devs[0] + 1e-6
+
+
+def test_sweep_sizes_out_of_order_match_per_n_fresh_solves():
+    # a prefix after a longer one never takes that one's point: each row
+    # equals the row of a sweep over that n alone
+    p_a = np.diag([3.0, 1.0])
+    p_b = np.diag([1.0, 4.0])
+    pattern = CrossSparsityPattern(2, 2, frozenset({(0, 1), (1, 0)}))
+    both = conservativeness_sweep(p_a, p_b, pattern, [10, 5], mc_runs=3, seed=7).rows
+    for n in (10, 5):
+        alone = conservativeness_sweep(p_a, p_b, pattern, [n], mc_runs=3, seed=7).rows
+        assert [r for r in both if r["n"] == n] == alone
+    assert all(r["newton_iterations"] > 0 for r in both if r["method"] == "SDP")
 
 
 def test_sweep_validation():

@@ -1,5 +1,6 @@
 """Sampled conservative-fusion program and the embedded barrier solver."""
 
+from dataclasses import fields
 from types import SimpleNamespace
 
 import numpy as np
@@ -19,14 +20,17 @@ from cofusion.sampler import sample_set
 from cofusion import sdp
 from cofusion.sdp import (
     ACTIVE_FACTOR,
+    _SHARED_FACTOR,
     SolveStatus,
     _barrier,
     _initial_point,
     _subset,
     _Workspace,
     build_problem,
+    SdpSolution,
     robust_fuse,
     solve,
+    solve_prefixes,
 )
 
 
@@ -552,3 +556,109 @@ def test_failed_start_reports_the_central_point_on_either_path(monkeypatch):
         sols.append(sol)
     assert sols[0].objective == sols[1].objective
     assert (sols[0].active_samples, sols[1].active_samples) == (50, _first_set(2))
+
+
+# ---------------------------------------------------------------------------
+# nested prefixes solved in one pass
+
+PREFIXES = [1, 10, 50, 200, 1000, 2000]
+
+
+def _prefix_problem(zeros, n, seed):
+    pa, pb = np.diag([3.0, 1.0]), np.diag([1.0, 4.0])
+    draws = sample_set(pa, pb, CrossSparsityPattern(2, 2, frozenset(zeros)), n, seed=seed)
+    return build_problem(pa, pb, [s.p_ab for s in draws])
+
+
+def _same(a, b):
+    """Field for field, bitwise."""
+    for f in fields(SdpSolution):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(x, np.ndarray):
+            if x.shape != y.shape or x.tobytes() != y.tobytes():
+                return False
+        elif x != y:
+            return False
+    return True
+
+
+def _shared_set(d):
+    return _SHARED_FACTOR * (d * d + d * (d + 1) // 2)
+
+
+@pytest.fixture
+def fresh_rounds(monkeypatch):
+    """Sample count of every barrier round that starts afresh while the test runs."""
+    seen = []
+    barrier = sdp._barrier
+
+    def spy(problem, tol, budget, resume=None):
+        if resume is None:
+            seen.append(problem.n)
+        return barrier(problem, tol, budget, resume)
+
+    monkeypatch.setattr(sdp, "_barrier", spy)
+    return seen
+
+
+@pytest.mark.parametrize("zeros, seed", [({(0, 1), (1, 0)}, 2), ((), 6)],
+                         ids=["comparison_2d", "fully_free"])
+def test_prefixes_past_the_shared_set_run_their_first_round_once(zeros, seed, fresh_rounds):
+    prob = _prefix_problem(zeros, PREFIXES[-1], seed)
+    shared = _shared_set(2)
+    assert PREFIXES[2] < shared < PREFIXES[3]
+    sols = solve_prefixes(prob, PREFIXES, tol=1e-6)
+    assert fresh_rounds.count(shared) == 1
+    assert len(sols) == len(PREFIXES)
+    for n, sol in zip(PREFIXES, sols):
+        assert sol.status is SolveStatus.OPTIMAL and sol.min_lmi_eig > 0.0
+        alone = solve(_subset(prob, slice(n)), tol=1e-6)
+        if n <= shared:
+            assert _same(sol, alone)
+            continue
+        # the same solve as when this prefix runs the first round itself,
+        # certified to tol like the lone solve, which starts on fewer samples
+        assert _same(sol, solve_prefixes(prob, [n, n], tol=1e-6)[0])
+        assert sol.objective == pytest.approx(alone.objective, rel=1.1e-6)
+        assert sol.active_samples >= shared
+
+
+def test_a_lone_prefix_past_the_shared_set_is_solved_as_solve_solves_it(fresh_rounds):
+    prob = _prefix_problem({(0, 1), (1, 0)}, 1000, 2)
+    sols = solve_prefixes(prob, [50, 1000], tol=1e-6)
+    assert _shared_set(2) not in fresh_rounds
+    assert _same(sols[0], solve(_subset(prob, slice(50)), tol=1e-6))
+    assert _same(sols[1], solve(prob, tol=1e-6))
+
+
+def test_a_prefix_solution_does_not_depend_on_the_order_of_sizes():
+    prob = _prefix_problem({(0, 1), (1, 0)}, 1000, 2)
+    mixed = solve_prefixes(prob, [1000, 50, 200], tol=1e-6)
+    ordered = solve_prefixes(prob, [50, 200, 1000], tol=1e-6)
+    assert _same(mixed[1], solve(_subset(prob, slice(50)), tol=1e-6))
+    for a, b in ((mixed[0], ordered[2]), (mixed[1], ordered[0]), (mixed[2], ordered[1])):
+        assert _same(a, b)
+
+
+def test_each_prefix_spends_its_own_budget_on_the_shared_round(fresh_rounds):
+    prob = _prefix_problem((), 2000, 3)
+    sols = solve_prefixes(prob, [1000, 2000], tol=1e-6, max_iters=5)
+    assert fresh_rounds == [_shared_set(2)]
+    for n, sol in zip((1000, 2000), sols):
+        # the budget ran out in the shared round; the point still satisfies
+        # every LMI of its own prefix
+        assert sol.status is SolveStatus.MAX_ITERATIONS
+        assert sol.newton_iterations == 5
+        assert sol.min_lmi_eig > 0.0
+        assert _same(sol, solve_prefixes(prob, [n, n], tol=1e-6, max_iters=5)[0])
+
+
+def test_solve_prefixes_validation():
+    prob = _prefix_problem((), 20, 4)
+    for sizes in ([], [0], [prob.n + 1], [5, 0, 10]):
+        with pytest.raises(DimensionError):
+            solve_prefixes(prob, sizes)
+    with pytest.raises(DimensionError):
+        solve_prefixes(prob, [5], tol=0.0)
+    with pytest.raises(DimensionError):
+        solve_prefixes(prob, [5], max_iters=0)
