@@ -65,6 +65,7 @@ class RunManifest:
     outputs: list = field(default_factory=list)
     timings: dict = field(default_factory=dict)    # phase -> wall seconds
     environment: dict = field(default_factory=_environment)
+    work: dict | None = None    # track: method -> matrices computed and stood for
 
     @contextmanager
     def timed(self, phase: str):
@@ -75,7 +76,8 @@ class RunManifest:
 
     def write(self, directory: Path) -> None:
         self.finished = _utc_now()
-        _write_json(directory / "manifest.json", asdict(self))
+        _write_json(directory / "manifest.json",
+                    {k: v for k, v in asdict(self).items() if v is not None})
 
 
 def _write_json(path, obj) -> None:
@@ -259,6 +261,8 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_track(args) -> int:
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
     raw, origin = _resolve_config(args.config, "scenario")
     scenario = ScenarioConfig.from_dict(raw)
     methods = None
@@ -274,6 +278,7 @@ def _cmd_track(args) -> int:
         data = run_scenario(scenario, methods=methods, mc_runs=args.mc,
                             seed=args.seed)
     manifest.timings.update(data.timings)
+    manifest.work = data.work
     files = [("track.csv", TRACK_CSV_COLUMNS, track_blocks),
              ("omega.csv", OMEGA_CSV_COLUMNS, omega_blocks),
              ("truth.csv", TRUTH_CSV_COLUMNS, truth_blocks)]
@@ -353,8 +358,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="override the number of Monte-Carlo runs")
     track.add_argument("--seed", type=int, default=None)
     track.add_argument("--jobs", type=int, default=1,
-                       help="accepted and ignored: track runs serially, "
-                            "stepping all Monte-Carlo runs in lockstep")
+                       help="at least 1, and otherwise ignored: track runs "
+                            "serially, stepping all Monte-Carlo runs in lockstep")
     track.add_argument("--out", default="runs",
                        help="parent directory for the output directory")
     track.set_defaults(run=_cmd_track)

@@ -145,7 +145,7 @@ def check_spd(m, *, name: str = "matrix") -> np.ndarray:
     return m
 
 
-def check_spd_stacks(stacks, *, name: str = "matrix") -> None:
+def check_spd_stacks(stacks, *, name: str = "matrix", members=None) -> None:
     """``check_spd``'s definiteness test on block-diagonal matrices stored as stacks.
 
     Each stack is a (..., n, n) array of diagonal blocks, one stack per
@@ -155,13 +155,18 @@ def check_spd_stacks(stacks, *, name: str = "matrix") -> None:
     blocks' spectra, so it fails when its smallest block eigenvalue is at
     most PD_RTOL times its largest, or its largest is not positive.  Stacks
     of one (n, n) block hold one matrix.  Non-finite entries fail too.
+    ``members``, if given, holds per stack an (..., k) index into its
+    (r, n, n) blocks: each matrix's k blocks of that size, so a block that
+    several matrices share is decomposed once.
     """
     lo = hi = None
-    for s in stacks:
+    for i, s in enumerate(stacks):
         if not np.all(np.isfinite(s)):
             raise NotSymmetricError(f"{name} contains non-finite entries")
         w = np.linalg.eigvalsh(s)
         s_lo, s_hi = w[..., 0], w[..., -1]
+        if members is not None:
+            s_lo, s_hi = s_lo[members[i]], s_hi[members[i]]
         if s.ndim > 2:
             s_lo, s_hi = s_lo.min(axis=-1), s_hi.max(axis=-1)
         lo = s_lo if lo is None else np.minimum(lo, s_lo)

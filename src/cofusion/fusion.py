@@ -16,13 +16,17 @@ inside the pieces where stack blocks meet partition blocks and reads no
 other entry, so it has no strict or lenient mode.  The tracker calls it
 directly on its filters' stacks, one batch entry per edge of a wave of
 edges that share no agent; its layout decides once per scenario which
-entries lie outside the pieces (``_Pieces.off``).  ``ci_fuse`` and
-``nmci_fuse`` check their inputs and pass a dense covariance, unbatched,
-as a stack of one block; ``nmci_fuse`` alone measures the off-block mass
-of its inputs, and rejects it in strict mode.
+entries lie outside the pieces (``_Pieces.off``), and its ``_Fold`` which
+(edge, piece) pairs are equal, so that each distinct one is intersected
+once.  ``ci_fuse`` and ``nmci_fuse`` check their inputs and pass a dense
+covariance, unbatched, as a stack of one block, every piece its own
+class; ``nmci_fuse`` alone measures the off-block mass of its inputs,
+and rejects it in strict mode.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -164,10 +168,15 @@ class _Pieces:
     partition block.  Where the pieces are exactly the group's blocks,
     whole and in order (every block of CI's one-block partition, or of a
     partition made of stack blocks), ``index`` is ``...``: the stack is
-    read as it is.  Their trace terms, concatenated group by group and
+    read as it is.  ``places`` holds, per piece group, each piece's block
+    and (u, m) positions within it, and ``pos_ids`` numbers the distinct
+    position lists.  Their trace terms, concatenated group by group and
     taken in ``order``, run partition block by partition block (``seg``)
-    from ``starts``.  ``off`` lists, per stack group, the flat entries of
-    its (k, n, n) blocks outside every piece.
+    from ``starts``.  Numbering the pieces the same way, ``by_part`` lists
+    each partition block's pieces in that order and ``by_block`` each
+    stack group's blocks' pieces, padded with -1.  ``off`` lists, per
+    stack group, the flat entries of its (k, n, n) blocks outside every
+    piece.
     """
 
     def __init__(self, layout: StackLayout, partition: BlockPartition):
@@ -185,17 +194,123 @@ class _Pieces:
                     by_part.setdefault(p, []).append(i)
                 for p, pos in sorted(by_part.items()):
                     pieces.setdefault((g, len(pos)), []).append((blk, pos, p))
-        self.groups, term_part = [], []
+        self.groups, self.places, self.pos_ids, term_part = [], [], [], []
+        of_block = [[[] for _ in states] for states in layout.groups]
+        first = 0
         for (g, m), items in pieces.items():
             blk, pos, part = (np.array(column) for column in zip(*items))
             index = ... if (blk.size, m) == layout.groups[g].shape \
                 else (..., blk[:, None, None], pos[:, :, None], pos[:, None, :])
             self.groups.append((g, index, part))
+            self.places.append((blk, pos))
+            self.pos_ids.append(np.unique(pos, axis=0, return_inverse=True)[1].ravel())
             term_part.append(np.repeat(part, m))
+            for u, b in enumerate(blk.tolist()):
+                of_block[g][b].append(first + u)
+            first += blk.size
+        piece_part = np.concatenate([part for _, _, part in self.groups])
+        self.by_part = _padded([np.flatnonzero(piece_part == p).tolist()
+                                for p in range(partition.n_blocks)])
+        self.by_block = [_padded(blocks) for blocks in of_block]
         term_part = np.concatenate(term_part)
         self.order = np.argsort(term_part, kind="stable")
         self.seg = term_part[self.order]
         self.starts = np.searchsorted(self.seg, np.arange(partition.n_blocks))
+
+
+def _padded(rows: list[list[int]]) -> np.ndarray:
+    """Lists of indices as the rows of one array, padded with -1."""
+    out = np.full((len(rows), max(map(len, rows))), -1, dtype=np.intp)
+    for i, row in enumerate(rows):
+        out[i, :len(row)] = row
+    return out
+
+
+def _classes(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bitwise equal rows of a (rows, c) array as classes: (class of each row, first row of each).
+
+    Classes are numbered in the order of their first rows.
+    """
+    keys = np.ascontiguousarray(keys)
+    rows = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).ravel().tolist()
+    ids: dict = {}
+    first, inverse = [], []
+    for i, row in enumerate(rows):
+        c = ids.setdefault(row, len(first))
+        if c == len(first):
+            first.append(i)
+        inverse.append(c)
+    return np.array(inverse, dtype=np.intp), np.array(first, dtype=np.intp)
+
+
+@dataclass(frozen=True, eq=False)
+class _Fold:
+    """Which (batch entry, piece) pairs of one ``_nmci`` call are equal, so each is computed once.
+
+    Per piece group, ``terms`` holds (entry, piece, inverse): the batch
+    entry and piece of one representative of each class of equal input
+    pairs, whose trace terms are computed, and the class of every (batch
+    entry, piece), flattened.  ``fused`` holds (pair, weight, inverse)
+    for the classes of equal intersections: each one's input pair class
+    and flat index into the (batch, partition blocks) weights, whose gain
+    and bound are computed, and the class of every (batch entry, piece).
+    """
+
+    terms: list
+    fused: list
+
+    @classmethod
+    def identity(cls, pieces: _Pieces, n_entries: int) -> "_Fold":
+        """Every (batch entry, piece) its own class."""
+        terms, fused = [], []
+        for _, _, part in pieces.groups:
+            every = np.arange(n_entries * part.size)
+            entry, piece = np.divmod(every, part.size)
+            terms.append((entry, piece, every))
+            fused.append((every, entry * pieces.starts.size + part[piece], every))
+        return cls(terms=terms, fused=fused)
+
+    @classmethod
+    def of(cls, pieces: _Pieces, a, b) -> tuple["_Fold", list[np.ndarray]]:
+        """The fold of a batch whose blocks have classes ``a`` and ``b``, and its bounds' classes.
+
+        ``a`` and ``b`` hold per stack group an (entries, k) array: blocks
+        of one class are equal, on either side.  An input pair's class is
+        its two blocks' classes and the piece's positions in them.  A
+        weight's is the sequence of input pair classes of its partition
+        block's pieces, which fixes its search; an intersection's is its
+        input pair's and its weight's.  A bound block's class, returned per
+        stack group as an (entries, k) array, is its pieces'
+        intersection classes.  Order matters: (a, b) and (b, a) differ.
+        """
+        n_entries = a[0].shape[0]
+        terms, pair_ids, first = [], [], 0
+        for (g, _, _), (blk, _), pos_id in zip(pieces.groups, pieces.places, pieces.pos_ids):
+            keys = np.stack(np.broadcast_arrays(pos_id, a[g][:, blk], b[g][:, blk]), axis=-1)
+            inverse, reps = _classes(keys.reshape(-1, 3))
+            terms.append((*np.divmod(reps, blk.size), inverse))
+            pair_ids.append(first + inverse.reshape(n_entries, -1))
+            first += reps.size
+        weight, _ = _classes(_pick(np.concatenate(pair_ids, axis=1), pieces.by_part))
+        weight = weight.reshape(n_entries, -1)
+        fused, fused_ids, first = [], [], 0
+        for (_, _, part), (_, _, pair) in zip(pieces.groups, terms):
+            keys = np.stack([pair.reshape(n_entries, -1), weight[:, part]], axis=-1)
+            inverse, reps = _classes(keys.reshape(-1, 2))
+            entry, piece = np.divmod(reps, part.size)
+            fused.append((pair[reps], entry * pieces.starts.size + part[piece], inverse))
+            fused_ids.append(first + inverse.reshape(n_entries, -1))
+            first += reps.size
+        fused_ids = np.concatenate(fused_ids, axis=1)
+        out = [_classes(_pick(fused_ids, blocks))[0].reshape(n_entries, -1)
+               for blocks in pieces.by_block]
+        return cls(terms=terms, fused=fused), out
+
+
+def _pick(ids: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """(entries, rows * c) keys: per entry, ``ids`` at each row of a -1 padded (rows, c) index."""
+    padded = np.concatenate([ids, np.full((ids.shape[0], 1), -1, dtype=ids.dtype)], axis=1)
+    return padded[:, index].reshape(-1, index.shape[1])
 
 
 def _off_mass(p, off) -> np.ndarray:
@@ -206,7 +321,7 @@ def _off_mass(p, off) -> np.ndarray:
     return np.sqrt(part) / np.maximum(np.sqrt(whole), 1e-300)
 
 
-def _nmci(p_a, p_b, pieces: _Pieces):
+def _nmci(p_a, p_b, pieces: _Pieces, fold: _Fold | None = None):
     """Block-wise intersection of SPD stacked covariances over a partition of their states.
 
     ``p_a`` and ``p_b`` are sequences of (..., k, n, n) stacks of the
@@ -215,31 +330,48 @@ def _nmci(p_a, p_b, pieces: _Pieces):
     gain of a, bound): the weights (..., blocks), the gain and bound as
     stacks.  Only the entries inside the pieces are read: those
     ``pieces.off`` lists are neither checked nor fused, and are zero in
-    the gain and bound.  One batched call per piece group gives the trace
-    terms of every batch entry, and one search finds every weight: each
-    batch entry's partition blocks are segments of their own, searched as
-    an unbatched call searches them.
+    the gain and bound.  ``fold`` names the (batch entry, piece) pairs
+    that are equal (every pair its own by default): trace terms, gains
+    and bounds are computed once per class, in one batched call per piece
+    group, and gathered to every pair of the class.  One search over the
+    gathered terms finds every weight: each batch entry's partition blocks
+    are segments of their own, searched as an unbatched call searches
+    them.
     """
-    sub_a = [p_a[g][ix] for g, ix, _ in pieces.groups]
-    sub_b = [p_b[g][ix] for g, ix, _ in pieces.groups]
-    terms = [_trace_terms(sa, sb) for sa, sb in zip(sub_a, sub_b)]
     batch = p_a[0].shape[:-3]
-    a, b = (np.concatenate([t[i].reshape(batch + (-1,)) for t in terms], axis=-1)
-            [..., pieces.order] for i in (0, 1))
+    n_entries = int(np.prod(batch))
+    fold = fold or _Fold.identity(pieces, n_entries)
+    subs, term_a, term_b = [], [], []
+    for (g, ix, _), (blk, pos), (entry, piece, inverse) in zip(pieces.groups, pieces.places,
+                                                                fold.terms):
+        if ix is ...:
+            sa, sb = (p[g].reshape((-1,) + p[g].shape[-2:])[entry * blk.size + piece]
+                      for p in (p_a, p_b))
+        else:
+            at = (entry[:, None, None], blk[piece][:, None, None],
+                  pos[piece][:, :, None], pos[piece][:, None, :])
+            sa, sb = (p[g].reshape((-1,) + p[g].shape[-3:])[at] for p in (p_a, p_b))
+        subs.append((sa, sb))
+        ta, tb = _trace_terms(sa, sb)
+        term_a.append(ta[inverse].reshape(n_entries, -1))
+        term_b.append(tb[inverse].reshape(n_entries, -1))
+    a, b = (np.concatenate(t, axis=-1)[:, pieces.order] for t in (term_a, term_b))
     n_terms, n_blocks = a.shape[-1], pieces.starts.size
-    entries = np.arange(a.size // n_terms)[:, None]     # flat batch index
-    omegas = np.reshape(_weights(a.ravel(), b.ravel(), (entries * n_blocks + pieces.seg).ravel(),
-                                 (entries * n_terms + pieces.starts).ravel()),
-                        batch + (n_blocks,))
+    entries = np.arange(n_entries)[:, None]
+    omegas = np.array(_weights(a.ravel(), b.ravel(), (entries * n_blocks + pieces.seg).ravel(),
+                               (entries * n_terms + pieces.starts).ravel()))
     gain_a, bound = [None] * len(p_a), [None] * len(p_a)
-    for (g, ix, part), sa, sb in zip(pieces.groups, sub_a, sub_b):
-        if ix is ...:   # bind: a copy would change the layout, so the roundoff, of products
-            gain_a[g], bound[g] = _ci(sa, sb, omegas[..., part])
+    for (g, ix, _), (sa, sb), (pair, weight, inverse) in zip(pieces.groups, subs, fold.fused):
+        gain, fused = _ci(sa[pair], sb[pair], omegas[weight])
+        # a gather keeps each gain's memory layout, so the roundoff, of products
+        gain, fused = (x[inverse].reshape(batch + (-1,) + x.shape[-2:]) for x in (gain, fused))
+        if ix is ...:
+            gain_a[g], bound[g] = gain, fused
             continue
         if gain_a[g] is None:
             gain_a[g], bound[g] = np.zeros_like(p_a[g]), np.zeros_like(p_a[g])
-        gain_a[g][ix], bound[g][ix] = _ci(sa, sb, omegas[..., part])
-    return omegas, gain_a, bound
+        gain_a[g][ix], bound[g][ix] = gain, fused
+    return omegas.reshape(batch + (n_blocks,)), gain_a, bound
 
 
 def _fused_mean(gain_a: np.ndarray, mean_a: np.ndarray, mean_b: np.ndarray) -> np.ndarray:

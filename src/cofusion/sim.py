@@ -55,6 +55,22 @@ all filters in the filter step.  A scenario whose structure couples
 every state runs as one block through the same code, and
 ``local_filter_step``, ``ci_fuse`` and ``nmci_fuse`` treat a dense
 covariance as a stack of one block.
+
+The pass also computes each distinct covariance once.  Which (filter,
+block) covariances are equal follows from the structure alone: a class
+is a history (the prior block; each filter step's model on the block,
+its F and Q and the filter's H and R there; each fusion's two input
+blocks and the inputs its weight was searched over), and equal histories
+give bitwise equal matrices, since every batched numpy call treats its
+matrices one by one.  ``_class_schedule`` derives the classes once per
+scenario and method, without reading a covariance.  The filter step,
+its definiteness check and the trace terms and intersections of each
+wave run on one representative per class, and their results are
+gathered to every (filter, block); each weight search still sums every
+block's terms.  Means, the gains applied to them, NEES and the recorded
+covariance figures stay per filter.  On both presets the x- and y-axis
+blocks of a group are one class, and both agents of an edge adopt one
+bound.
 """
 
 from __future__ import annotations
@@ -81,7 +97,7 @@ from .core import (
     parsing,
     symmetrize,
 )
-from .fusion import _fused_mean, _nmci, _Pieces, ci_fuse, nmci_fuse
+from .fusion import _classes, _Fold, _fused_mean, _nmci, _Pieces, ci_fuse, nmci_fuse
 from .sdp import robust_fuse  # noqa: F401  (perfbench/tracing.py wraps sim.robust_fuse)
 from . import metrics as _metrics
 
@@ -478,28 +494,75 @@ def _t(m: np.ndarray) -> np.ndarray:
     return np.swapaxes(m, -1, -2)
 
 
-def _covariance_step(covs: list[np.ndarray], plan: _FilterPlan) -> list[np.ndarray]:
+@dataclass(frozen=True, eq=False)
+class _StepFold:
+    """The classes of equal (filter, block) covariances one ``_covariance_step`` computes.
+
+    Per size group, ``rows`` holds the flat (filter, block) index of each
+    class's representative, ``f`` and ``q`` its block's F and Q, and
+    ``inverse`` the (filters, k) class of every (filter, block).  Per
+    update group of the plan, ``updates`` holds (classes, h, r, inverse):
+    the classes it updates with their H and R, and the class of each of
+    its pairs among them.
+    """
+
+    rows: tuple
+    f: tuple
+    q: tuple
+    inverse: tuple
+    updates: tuple
+
+    @classmethod
+    def of(cls, plan: _FilterPlan, inverse: list[np.ndarray], rows) -> "_StepFold":
+        """The fold of classes ``inverse`` (filters, k) per group, with representatives ``rows``."""
+        blocks = [r % f.shape[0] for r, f in zip(rows, plan.f)]
+        updates = []
+        for up in plan.updates:
+            classes, pair, pairs = np.unique(inverse[up.group][up.filters, up.blocks],
+                                             return_index=True, return_inverse=True)
+            updates.append((classes, up.h[pair], up.r[pair], pairs))
+        return cls(rows=tuple(rows), f=tuple(f[b] for f, b in zip(plan.f, blocks)),
+                   q=tuple(q[b] for q, b in zip(plan.q, blocks)), inverse=tuple(inverse),
+                   updates=tuple(updates))
+
+    @classmethod
+    def identity(cls, plan: _FilterPlan) -> "_StepFold":
+        """Every (filter, block) its own class."""
+        every = [np.arange(plan.n_filters * f.shape[0]) for f in plan.f]
+        return cls.of(plan, [e.reshape(plan.n_filters, -1) for e in every], every)
+
+
+def _covariance_step(covs: list[np.ndarray], plan: _FilterPlan,
+                     fold: _StepFold | None = None) -> list[np.ndarray]:
     """Covariance half of ``local_filter_step`` for every filter of a plan at once.
 
     ``covs`` holds, per size group, the filters' (filters, k, n, n) block
-    stacks, and is updated in place: they are predicted in one batched
-    call per group, and only the blocks a filter's H observes are updated,
-    in one batched call per update group.  Returns the Kalman gain of each
-    update group, (u, n, m).
+    stacks, and is updated in place.  ``fold`` names the (filter, block)
+    covariances that come out equal (every one its own by default): one
+    representative of each is predicted, in one batched call per group,
+    and updated if its filter's H observes its block, in one batched call
+    per update group; the results are checked for definiteness and
+    gathered to every (filter, block).  Returns the Kalman gain of each
+    update group's pairs, (u, n, m).
     Neither depends on the mean or the measurement, so one call serves
     every run that shares the covariances.
     """
-    for g, (f, q) in enumerate(zip(plan.f, plan.q)):
-        covs[g] = symmetrize(f @ covs[g] @ _t(f) + q)
+    fold = fold or _StepFold.identity(plan)
+    reps = [symmetrize(f @ c.reshape((-1,) + c.shape[-2:])[rows] @ _t(f) + q)
+            for c, rows, f, q in zip(covs, fold.rows, fold.f, fold.q)]
     gains = []
-    for up in plan.updates:
-        cov = covs[up.group][up.filters, up.blocks]
-        s = up.h @ cov @ _t(up.h) + up.r
-        k = _t(np.linalg.solve(_t(s), _t(cov @ _t(up.h))))
-        ikh = np.eye(cov.shape[-1]) - k @ up.h
-        covs[up.group][up.filters, up.blocks] = symmetrize(ikh @ cov @ _t(ikh)
-                                                           + k @ up.r @ _t(k))
-        gains.append(k)
+    for up, (classes, h, r, inverse) in zip(plan.updates, fold.updates):
+        cov = reps[up.group][classes]
+        s = h @ cov @ _t(h) + r
+        k = _t(np.linalg.solve(_t(s), _t(cov @ _t(h))))
+        ikh = np.eye(cov.shape[-1]) - k @ h
+        reps[up.group][classes] = symmetrize(ikh @ cov @ _t(ikh) + k @ r @ _t(k))
+        gains.append(k[inverse])    # a gather keeps the gains' memory layout
+    # an estimate runs this check when built; a filter that loses
+    # definiteness signals a misconfigured scenario
+    check_spd_stacks(reps, name="covariance", members=fold.inverse)
+    for g, (rep, inverse) in enumerate(zip(reps, fold.inverse)):
+        covs[g] = rep[inverse]
     return gains
 
 
@@ -749,18 +812,84 @@ def _fusion_waves(edges) -> list[np.ndarray]:
     return [np.array(wave, dtype=np.intp) for wave in waves]
 
 
+def _class_schedule(plan: _FilterPlan, pieces: _Pieces | None, waves: list[np.ndarray],
+                    edges: np.ndarray, prior: tuple, fusing: list[bool]) -> list[tuple]:
+    """Per step, the filter step's ``_StepFold`` and, on a fusing step, each wave's ``_Fold``.
+
+    The covariances never depend on the data, so which of them are equal
+    follows from the scenario's structure alone.  A (filter, block)
+    covariance's class is its history: the prior block; then the class
+    it was stepped from and its model, the block's F and Q and the
+    filter's H and R on it; then, where it was fused, the class of the
+    bound its edge adopted (``_Fold.of``).  Equal histories give bitwise
+    equal matrices, since every batched numpy call treats its matrices
+    one by one.  The folds depend only on the classes before them, so
+    each distinct one is built once.  ``prior`` is the prior covariance
+    as the layout's stacks, ``fusing`` says which steps fuse.
+    """
+    n = plan.n_filters
+    state = [np.tile(_classes(p.reshape(p.shape[0], -1))[0], (n, 1)) for p in prior]
+    model = []
+    for f, q in zip(plan.f, plan.q):
+        m = np.full((n, f.shape[0], 3), -1, dtype=np.intp)
+        m[..., 0] = _classes(np.concatenate([f.reshape(f.shape[0], -1),
+                                             q.reshape(q.shape[0], -1)], axis=1))[0]
+        model.append(m)
+    for u, up in enumerate(plan.updates):
+        hr = np.concatenate([up.h.reshape(up.h.shape[0], -1), up.r.reshape(up.r.shape[0], -1)],
+                            axis=1)
+        model[up.group][up.filters, up.blocks, 1:] = np.stack(
+            [np.full(up.filters.size, u), _classes(hr)[0]], axis=1)
+
+    def step(state):
+        keys = [np.concatenate([s[..., None], m], axis=-1).reshape(-1, 4)
+                for s, m in zip(state, model)]
+        inverse, rows = zip(*map(_classes, keys))
+        after = [i.reshape(s.shape) for i, s in zip(inverse, state)]
+        return _StepFold.of(plan, after, rows), after
+
+    def wave(state, w):
+        ii, jj = edges[waves[w], 0], edges[waves[w], 1]
+        fold, out = _Fold.of(pieces, [s[ii] for s in state], [s[jj] for s in state])
+        after = [s.copy() for s in state]
+        for s, o in zip(after, out):
+            # fresh labels; the next filter step numbers the classes anew
+            s[ii] = s[jj] = s.max() + 1 + o
+        return fold, after
+
+    built: dict = {}
+
+    def folded(kind, state, *args):
+        key = (kind, *args, *(s.tobytes() for s in state))
+        if key not in built:
+            built[key] = kind(state, *args)
+        return built[key]
+
+    schedule = []
+    for fuse in fusing:
+        step_fold, state = folded(step, state)
+        wave_folds = None
+        if fuse:
+            wave_folds = []
+            for w in range(len(waves)):
+                fold, state = folded(wave, state, w)
+                wave_folds.append(fold)
+        schedule.append((step_fold, wave_folds))
+    return schedule
+
+
 def _fuse_round(covs: list[np.ndarray], views: list[np.ndarray], edges: np.ndarray,
-                waves: list[np.ndarray], pieces: _Pieces) -> np.ndarray:
+                waves: list[np.ndarray], pieces: _Pieces, folds: list) -> np.ndarray:
     """Fuse one round's (edges, 2) agent pairs wave by wave, in place; (edges, blocks) weights.
 
     ``covs`` holds per size group the (filters, k, n, n) stacks and
     ``views`` the (runs, filters, k, n) means.  Each wave is one
-    ``_nmci`` call over its edges.
+    ``_nmci`` call over its edges, folded by its ``_Fold``.
     """
     omegas = np.empty((len(edges), pieces.starts.size))
-    for wave in waves:
+    for wave, fold in zip(waves, folds):
         ii, jj = edges[wave, 0], edges[wave, 1]
-        ws, gains_a, bounds = _nmci([c[ii] for c in covs], [c[jj] for c in covs], pieces)
+        ws, gains_a, bounds = _nmci([c[ii] for c in covs], [c[jj] for c in covs], pieces, fold)
         for view, c, gain_a, bound in zip(views, covs, gains_a, bounds):
             view[:, ii] = view[:, jj] = _fused_mean(gain_a, view[:, ii], view[:, jj])
             c[ii] = c[jj] = bound
@@ -769,15 +898,16 @@ def _fuse_round(covs: list[np.ndarray], views: list[np.ndarray], edges: np.ndarr
 
 
 def _lockstep(scenario: ScenarioConfig, method: str, plan: _FilterPlan,
-              pieces: _Pieces | None, waves: list[np.ndarray], meas: np.ndarray,
-              truth: np.ndarray, prior_mean: np.ndarray, prior_cov: np.ndarray,
-              timings: dict) -> list[dict]:
+              pieces: _Pieces | None, schedule: list, waves: list[np.ndarray],
+              edges: np.ndarray, meas: np.ndarray, truth: np.ndarray,
+              prior_mean: np.ndarray, prior_cov: np.ndarray, timings: dict) -> list[dict]:
     """Step one method through a batch of runs; every method takes this path.
 
     ``plan`` holds the method's filters: the centralized one, or one per
     agent.  ``pieces`` places the method's fusion partition on the plan's
     layout (one block for CI), or is None for a method that never fuses.
-    ``waves`` is ``_fusion_waves`` of the scenario's edges.  ``meas``
+    ``schedule`` is ``_class_schedule``'s, ``waves`` is ``_fusion_waves``
+    of the scenario's (edges, 2) ``edges``.  ``meas``
     (runs, steps, rows), ``truth`` (runs, steps, d) and ``prior_mean``
     (runs, d) stack the runs' draws.  The runs share every covariance,
     since no fusion rule of the tracker draws anything at random.
@@ -785,8 +915,9 @@ def _lockstep(scenario: ScenarioConfig, method: str, plan: _FilterPlan,
     means, truth and errors live in its permuted coordinates.  Per step:
     one batched filter step for all filters, then one block-wise
     intersection per wave, batched over its edges, whose gains move the
-    (runs, filters, d) means; NEES solves all runs against one
-    factorization per block.  Fusing wave by wave gives the results and
+    (runs, filters, d) means; both compute each class of equal
+    covariances once, as the schedule folds them.  NEES solves all runs
+    against one factorization per block.  Fusing wave by wave gives the results and
     weights of fusing edge by edge in configured order (see
     ``_fuse_round``), and weights are recorded in that order.  There is
     no strict mode: ``_nmci`` fuses the pieces and leaves the entries
@@ -809,7 +940,6 @@ def _lockstep(scenario: ScenarioConfig, method: str, plan: _FilterPlan,
                    "none": []}[scenario.record_estimates]
         rec_cols = rec_ids
     n_runs, cols = len(truth), plan.n_filters
-    edges = np.array(scenario.edges, dtype=np.intp).reshape(-1, 2)
 
     truth = truth[..., layout.perm]
     means = np.repeat(prior_mean[:, None, layout.perm], cols, axis=1)
@@ -824,17 +954,13 @@ def _lockstep(scenario: ScenarioConfig, method: str, plan: _FilterPlan,
     est_std = np.empty((steps, len(rec_cols), d)) if rec_cols else None
     records: list[dict] = []
 
-    for k in range(steps):
+    for k, (step_fold, wave_folds) in enumerate(schedule):
         t0 = time.perf_counter()
-        gains = _covariance_step(covs, plan)
-        # an estimate runs this check when built; a filter that loses
-        # definiteness signals a misconfigured scenario
-        check_spd_stacks(covs, name="covariance")
+        gains = _covariance_step(covs, plan, step_fold)
         _mean_step(means, plan, gains, meas[:, k])
         t1 = time.perf_counter()
-        if pieces is not None and (k + 1) > scenario.fusion_start \
-                and (k + 1 - scenario.fusion_start) % scenario.fusion_every == 0:
-            omegas = _fuse_round(covs, views, edges, waves, pieces)
+        if wave_folds is not None:
+            omegas = _fuse_round(covs, views, edges, waves, pieces, wave_folds)
             for (i, j), w in zip(scenario.edges, omegas):
                 records += _weight_records(w, method, k, i, j)
         t2 = time.perf_counter()
@@ -862,11 +988,12 @@ def _lockstep(scenario: ScenarioConfig, method: str, plan: _FilterPlan,
             for r in range(n_runs)]
 
 
-def _simulate(scenario: ScenarioConfig, run_ids, methods) -> tuple[list[dict], dict]:
+def _simulate(scenario: ScenarioConfig, run_ids, methods) -> tuple[list[dict], dict, dict]:
     """Records of the given runs, every method stepping them in lockstep.
 
     Also returns the wall seconds spent drawing the runs and, summed over
-    methods, in filter steps, fusions and metrics.
+    methods, in filter steps, fusions and metrics; and per method the
+    ``_work_counts`` of its class schedule.
     """
     for m in methods:
         if m not in METHODS:
@@ -887,17 +1014,37 @@ def _simulate(scenario: ScenarioConfig, run_ids, methods) -> tuple[list[dict], d
     shared = dict(meas=np.stack([dr.meas for dr in draws]),
                   truth=np.stack([dr.truth for dr in draws]),
                   prior_mean=np.stack([dr.prior_mean for dr in draws]),
-                  prior_cov=prior_cov, waves=_fusion_waves(scenario.edges), timings=timings)
+                  prior_cov=prior_cov, waves=_fusion_waves(scenario.edges),
+                  edges=np.array(scenario.edges, dtype=np.intp).reshape(-1, 2),
+                  timings=timings)
+    fusing = [k + 1 > scenario.fusion_start
+              and (k + 1 - scenario.fusion_start) % scenario.fusion_every == 0
+              for k in range(scenario.n_steps)]
     # CI is block-wise CI over one block of every state
     partitions = {"CI": BlockPartition((tuple(range(layout.dim)),)),
                   "nmCI": build_partition(scenario)}
     out = [{"truth": dr.truth, "run": r, "methods": {}} for r, dr in zip(run_ids, draws)]
+    work = {}
     for method in methods:
         plan = plans["central" if method == "centralized" else "agents"]
         pieces = _Pieces(layout, partitions[method]) if method in partitions else None
-        for o, rec in zip(out, _lockstep(scenario, method, plan, pieces, **shared)):
+        schedule = _class_schedule(plan, pieces, shared["waves"], shared["edges"],
+                                   layout.split(prior_cov),
+                                   [f and pieces is not None for f in fusing])
+        work[method] = _work_counts(schedule)
+        for o, rec in zip(out, _lockstep(scenario, method, plan, pieces, schedule, **shared)):
             o["methods"][method] = rec
-    return out, timings
+    return out, timings, work
+
+
+def _work_counts(schedule: list) -> dict:
+    """How many filter-step blocks and block intersections a schedule computes, and stands for."""
+    steps = [step for step, _ in schedule]
+    fused = [f for _, waves in schedule for fold in waves or () for f in fold.fused]
+    return {"filter_blocks": {"computed": sum(r.size for s in steps for r in s.rows),
+                              "entries": sum(i.size for s in steps for i in s.inverse)},
+            "intersections": {"computed": sum(pair.size for pair, _, _ in fused),
+                              "entries": sum(i.size for _, _, i in fused)}}
 
 
 def simulate_run(scenario: ScenarioConfig, run_idx: int,
@@ -926,6 +1073,7 @@ class TrackData:
     state_dim: int
     runs: list[dict]
     timings: dict = field(default_factory=dict)   # phase -> wall seconds
+    work: dict = field(default_factory=dict)      # method -> _work_counts
 
 
 def run_scenario(scenario: ScenarioConfig, *, methods=None, mc_runs: int | None = None,
@@ -942,9 +1090,9 @@ def run_scenario(scenario: ScenarioConfig, *, methods=None, mc_runs: int | None 
                            seed=scenario.seed if seed is None else seed,
                            mc_runs=scenario.mc_runs if mc_runs is None else mc_runs)
     methods = tuple(methods or scenario.methods)
-    runs, timings = _simulate(scenario, range(scenario.mc_runs), methods)
+    runs, timings, work = _simulate(scenario, range(scenario.mc_runs), methods)
     return TrackData(scenario=scenario, methods=methods, state_dim=scenario.layout().dim,
-                     runs=runs, timings=timings)
+                     runs=runs, timings=timings, work=work)
 
 
 @dataclass(frozen=True)

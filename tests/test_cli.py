@@ -238,6 +238,7 @@ def test_compare_writes_sweep_summary_manifest(capsys, tmp_path):
     assert manifest["command"] == "compare"
     assert manifest["config"] == str(cfg)
     assert set(manifest["outputs"]) == {"sweep.csv", "summary.json"}
+    assert "work" not in manifest
     for key in ("seed", "version", "started", "finished"):
         assert manifest[key] not in (None, "")
     _assert_timings_and_environment(manifest)
@@ -330,6 +331,22 @@ def test_track_method_none_skips_fusion_records(capsys, tmp_path):
     assert len(omega_lines) == 1
     summary = json.loads((out_dir / "summary.json").read_text())
     assert list(summary["methods"]) == ["none"]
+
+
+def test_track_manifest_records_what_each_method_computed(capsys, tmp_path):
+    scn = _scenario_file(tmp_path, methods=("centralized", "CI", "nmCI", "none"))
+    rc, out, _ = _run(capsys, ["track", "--config", str(scn),
+                               "--out", str(tmp_path / "runs")])
+    assert rc == 0
+    out_dir = tmp_path / "runs" / out.strip().rsplit("/", 1)[-1]
+    work = json.loads((out_dir / "manifest.json").read_text())["work"]
+    assert list(work) == ["centralized", "CI", "nmCI", "none"]
+    for method, parts in work.items():
+        assert set(parts) == {"filter_blocks", "intersections"}
+        for counts in parts.values():
+            assert set(counts) == {"computed", "entries"}
+            assert 0 <= counts["computed"] <= counts["entries"]
+        assert (parts["intersections"]["entries"] > 0) is (method in ("CI", "nmCI"))
 
 
 def test_track_suppressed_estimates_stay_out_of_manifest(capsys, tmp_path):
@@ -488,7 +505,8 @@ def test_malformed_input_files_are_config_errors(capsys, tmp_path, kind, key, va
                                   ("scenario", "name", "sub/dir"),
                                   ("scenario", "name", "../escaped"),
                                   ("comparison", "name", "sub/dir"),
-                                  ("comparison", "name", "../escaped")])
+                                  ("comparison", "name", "../escaped"),
+                                  ["track", "--jobs", "0"], ["track", "--jobs", "-3"]])
 def test_failed_command_leaves_no_output_directory(capsys, tmp_path, argv):
     if isinstance(argv, tuple):
         argv = _malformed_argv(tmp_path, *argv)

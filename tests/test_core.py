@@ -98,6 +98,18 @@ def test_check_spd_stacks_compares_eigenvalues_across_blocks():
         check_spd(np.diag([1.0, 1.0, 1e-13, 1e-13]))
 
 
+def test_check_spd_stacks_with_members_checks_each_matrix_of_shared_blocks():
+    # three distinct blocks, laid out as two matrices of two blocks each
+    blocks = np.stack([np.eye(2), 2.0 * np.eye(2), 1e-13 * np.eye(2)])
+    check_spd_stacks([blocks], members=[np.array([[0, 1], [1, 1]])])
+    # a block shared by both matrices is compared with each one's others
+    with pytest.raises(NotPositiveDefiniteError, match="1.000e-13"):
+        check_spd_stacks([blocks], members=[np.array([[0, 1], [1, 2]])])
+    blocks[1] = np.diag([1.0, -0.5])
+    with pytest.raises(NotPositiveDefiniteError):
+        check_spd_stacks([blocks], members=[np.array([[0, 0], [1, 1]])])
+
+
 def test_check_spd_stacks_rejects_non_finite_entries():
     stacks = _filter_stacks(np.random.default_rng(41))
     stacks[0][0, 2, 1, 1] = np.nan

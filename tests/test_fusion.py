@@ -16,6 +16,7 @@ from cofusion.core import (
 from cofusion.fusion import (
     OFF_BLOCK_TOL,
     _ci,
+    _Fold,
     _nmci,
     _off_mass,
     _Pieces,
@@ -511,3 +512,37 @@ def test_realized_cov_shape_checks():
     joint = JointCovariance(np.eye(2), np.eye(3), np.zeros((2, 3)))
     with pytest.raises(DimensionError):
         realized_cov(np.eye(3), np.eye(3), joint)
+
+
+@pytest.mark.parametrize("part", [
+    ONE_BLOCK,
+    BlockPartition(((0, 5, 1, 2), (9, 12, 3, 4, 6, 7), (8, 10, 11, 13, 14, 15))),
+    BlockPartition(((0, 5, 9, 12), (1, 2, 6, 7, 8, 10), (3, 4, 11, 13, 14), (15,))),
+], ids=["one-block", "split", "mixed"])
+def test_a_folded_batch_computes_each_class_once_bitwise(part):
+    # blocks drawn from two or three matrices per size: many (entry, piece)
+    # pairs repeat, some of them under other weights
+    pieces = _Pieces(STACKED, part)
+    rng = np.random.default_rng(22)
+    for _ in range(5):
+        stacks, classes = [[], []], [[], []]
+        for states in STACKED.groups:
+            k, n = states.shape
+            mats = np.stack([rand_spd(rng, n, scale=rng.uniform(0.3, 3.0))
+                             for _ in range(rng.integers(2, 4))])
+            for side in (0, 1):
+                c = rng.integers(0, mats.shape[0], size=(6, k))
+                classes[side].append(c)
+                stacks[side].append(mats[c])
+        fold, out = _Fold.of(pieces, *classes)
+        omegas, gain, bound = _nmci(*stacks, pieces, fold)
+        want = _nmci(*stacks, pieces)
+        np.testing.assert_array_equal(omegas, want[0])
+        for got, ref in zip(gain + bound, want[1] + want[2]):
+            np.testing.assert_array_equal(got, ref)
+        assert sum(p.size for p, _, _ in fold.fused) < sum(i.size for _, _, i in fold.fused)
+        # blocks of one bound class are equal
+        for o, b in zip(out, bound):
+            for cls in np.unique(o):
+                same = b[o == cls]
+                assert np.all(same == same[0])

@@ -36,7 +36,7 @@ from cofusion.sim import (
     track_blocks,
     truth_blocks,
 )
-from cofusion import sim
+from cofusion import fusion, sim
 from cofusion.fusion import _nmci, _Pieces
 from cofusion.sim import _fusion_waves, _prior_covariance, _stack_layout
 
@@ -697,9 +697,9 @@ def test_waves_fuse_as_the_configured_order_does_bitwise(monkeypatch, scn):
 def test_wave_of_desk_stacks_fuses_each_edge_as_alone(monkeypatch):
     calls = []
 
-    def spy(p_a, p_b, pieces):
+    def spy(p_a, p_b, pieces, fold):
         calls.append((p_a, p_b, pieces))
-        return _nmci(p_a, p_b, pieces)
+        return _nmci(p_a, p_b, pieces, fold)
 
     monkeypatch.setattr(sim, "_nmci", spy)
     run_scenario(preset("tracking_desk", n_steps=3, methods=("CI", "nmCI")), mc_runs=1)
@@ -725,6 +725,98 @@ def test_wave_of_desk_stacks_fuses_each_edge_as_alone(monkeypatch):
                 assert np.all(ws[2:] == end)
                 interior += np.count_nonzero((0.0 < ws[:2]) & (ws[:2] < 1.0))
     assert interior > 0
+
+
+# ---------------------------------------------------------------------------
+# classes of equal covariances: each computed once
+
+def _identity_classes(keys):
+    every = np.arange(keys.shape[0])
+    return every, every
+
+
+@pytest.mark.parametrize("scn, twins", [
+    (preset("tracking_desk", methods=LOCKSTEP_METHODS), True),
+    (preset("tracking_full", n_steps=3, methods=LOCKSTEP_METHODS), True),
+    # no axis twins, and no two edges fuse alike blocks
+    (preset("tracking_desk", n_steps=30, methods=LOCKSTEP_METHODS, **CORRELATED_DESK), False),
+    (tiny_scenario(n_steps=20, methods=LOCKSTEP_METHODS, **UNEQUAL_GROUPS), True),
+    (preset("tracking_desk", partition_scheme="group_axes", methods=LOCKSTEP_METHODS), True),
+    # one noisier agent: in a wave, blocks that no end of two edges observes
+    # are alike pairs under two CI weights
+    (tiny_scenario(n_steps=8, methods=LOCKSTEP_METHODS, **THREE_GROUPS,
+                   agent_r_target=(((1.0, 0.0), (0.0, 1.0)),) * 2 + (((3.0, 0.0), (0.0, 3.0)),)
+                   + (((1.0, 0.0), (0.0, 1.0)),) * 3), True),
+], ids=["desk", "full", "correlated-desk", "unequal-groups", "group-axes", "three-groups"])
+def test_classes_fold_as_computing_every_covariance_does_bitwise(monkeypatch, scn, twins):
+    folded = run_scenario(scn, mc_runs=2)
+    monkeypatch.setattr(sim, "_classes", _identity_classes)
+    monkeypatch.setattr(fusion, "_classes", _identity_classes)
+    every = run_scenario(scn, mc_runs=2)
+    for run, want in zip(folded.runs, every.runs):
+        for method in scn.methods:
+            rec, ref = run["methods"][method], want["methods"][method]
+            for key in RUN_ARRAYS:
+                np.testing.assert_array_equal(rec[key], ref[key], err_msg=f"{method} {key}")
+            assert rec["omega"] == ref["omega"]
+    for method in scn.methods:
+        for part in ("filter_blocks", "intersections"):
+            done = every.work[method][part]
+            assert done["computed"] == done["entries"] == folded.work[method][part]["entries"]
+    # blocks an agent never observes stay alike, and so do axis twins
+    for method in ("CI", "nmCI", "none"):
+        assert folded.work[method]["filter_blocks"]["computed"] \
+            < folded.work[method]["filter_blocks"]["entries"]
+    for method in ("CI", "nmCI"):
+        fused = folded.work[method]["intersections"]
+        assert 0 < fused["computed"] <= fused["entries"]
+        assert (fused["computed"] < fused["entries"]) is twins
+
+
+def _step_classes(monkeypatch, scn, method):
+    """Per step, each (filter, block)'s class after the filter step, (filters, k) per group."""
+    schedules, build = [], sim._class_schedule
+
+    def spy(plan, *args):
+        schedule = build(plan, *args)
+        schedules.append([step.inverse for step, _ in schedule])
+        return schedule
+
+    monkeypatch.setattr(sim, "_class_schedule", spy)
+    run_scenario(scn, methods=(method,), mc_runs=1)
+    return schedules[0]
+
+
+@pytest.mark.parametrize("name", ["tracking_desk", "tracking_full"])
+@pytest.mark.parametrize("method", ["CI", "nmCI"])
+def test_axis_twins_share_a_class_at_every_step(monkeypatch, name, method):
+    scn = preset(name, n_steps=12)
+    labels = scn.layout().labels()
+    (states,) = stack_layout(scn).groups
+    axis_of = {tuple(labels[i][:-1] for i in blk): b for b, blk in enumerate(states.tolist())}
+    pairs = [(b, axis_of[tuple(labels[i][:-1] for i in blk)])
+             for b, blk in enumerate(states.tolist()) if labels[blk[0]][-1] == "x"]
+    assert len(pairs) == states.shape[0] // 2
+    for (classes,) in _step_classes(monkeypatch, scn, method):
+        for x, y in pairs:
+            np.testing.assert_array_equal(classes[:, x], classes[:, y])
+
+
+@pytest.mark.parametrize("method", ["none", "CI", "nmCI"])
+def test_agents_with_other_noise_never_share_a_class(monkeypatch, method):
+    # agents 0 and 2 (and 1 and 3) see their groups alike: under one common
+    # noise matrix their own groups' blocks are one class, under the noise
+    # of CORRELATED_DESK they are two at every step
+    common = dict(agent_r_target=(CORRELATED_DESK["agent_r_target"][0],) * 4)
+    for overrides, alike in ((common, True), (CORRELATED_DESK, False)):
+        steps = _step_classes(monkeypatch, preset("tracking_desk", n_steps=12, **overrides),
+                              method)
+        mirrored = [(c[0, 0] == c[2, 1], c[1, 0] == c[3, 1]) for (c,) in steps]
+        if alike:
+            assert mirrored[0] == (True, True)
+            assert method != "none" or all(m == (True, True) for m in mirrored)
+        else:
+            assert not any(a or b for a, b in mirrored)
 
 
 def test_summarize_shape_and_band():
