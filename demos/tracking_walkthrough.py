@@ -8,7 +8,6 @@ method, tracking error, reported uncertainty, and how often the average
 normalized error stays inside its 95 percent band.
 """
 import argparse
-import json
 from importlib import resources
 
 from cofusion.sim import ScenarioConfig, run_scenario, summarize
@@ -25,13 +24,14 @@ def main():
         scenario = ScenarioConfig.load(args.config)
     else:
         ref = resources.files("cofusion") / "presets" / "tracking_desk.json"
-        scenario = ScenarioConfig.from_dict(json.loads(ref.read_text()))
+        with resources.as_file(ref) as path:
+            scenario = ScenarioConfig.load(path)
 
     print(f"scenario {scenario.name}: {scenario.n_agents} agents, "
           f"{scenario.n_targets} targets, {scenario.layout().dim}-d state, "
           f"{args.mc} runs")
     data = run_scenario(scenario, mc_runs=args.mc)
-    row = summarize(data).summary
+    row = summarize(data)
 
     lo, hi = row["band"]
     print(f"95% band for the average normalized error: "

@@ -1,16 +1,16 @@
 """Command line front end: fuse two estimates, run the bound-convergence
 comparison, or run the tracking experiment.
 
-Exit codes: 0 success, 2 configuration problem (bad flags, malformed or
-inconsistent config/input files), 3 numerical failure (solver or sampler
-gave up, matrices lost definiteness mid-computation), 4 I/O failure.
+Exit codes: 0 success, 2 configuration problem (bad flags, malformed,
+non-UTF-8 or inconsistent config/input files), 3 numerical failure
+(solver or sampler gave up, matrices lost definiteness mid-computation),
+4 I/O failure.
 """
 from __future__ import annotations
 
 import argparse
 import datetime as _dt
 import functools
-import json
 import os
 import platform
 import sys
@@ -24,7 +24,8 @@ import numpy as np
 from . import __version__
 from .core import (BlockPartition, ConfigError, CrossSparsityPattern,
                    FusionError, GaussianEstimate, SamplingError, SolverError,
-                   as_int, as_name, as_real, as_seed, parsing, partition_from_sparsity)
+                   as_int, as_name, as_real, as_seed, json_text, parsing,
+                   partition_from_sparsity, read_json, write_json)
 from .fusion import ci_fuse, exact_fuse, nmci_fuse
 from .sdp import robust_fuse
 from .metrics import (OMEGA_CSV_COLUMNS, SWEEP_CSV_COLUMNS, TRACK_CSV_COLUMNS,
@@ -76,14 +77,8 @@ class RunManifest:
 
     def write(self, directory: Path) -> None:
         self.finished = _utc_now()
-        _write_json(directory / "manifest.json",
-                    {k: v for k, v in asdict(self).items() if v is not None})
-
-
-def _write_json(path, obj) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2)
-        fh.write("\n")
+        write_json(directory / "manifest.json",
+                   {k: v for k, v in asdict(self).items() if v is not None})
 
 
 def _utc_now() -> str:
@@ -110,14 +105,6 @@ def _make_output_dir(base, name: str) -> Path:
             candidate = root / f"{name}-{stamp}-{k}"
 
 
-def _load_json(path) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
-
-
 def _resolve_config(name_or_path: str, kind: str) -> tuple[dict, str]:
     """A bare name picks a packaged preset; anything else is a file path."""
     p = Path(name_or_path)
@@ -134,8 +121,8 @@ def _resolve_config(name_or_path: str, kind: str) -> tuple[dict, str]:
             raise ConfigError(f"unknown {kind} preset {name_or_path!r}; "
                               f"packaged presets: {have}")
         with resources.as_file(ref) as real:
-            return _load_json(real), f"preset:{name_or_path}"
-    return _load_json(p), str(p)
+            return read_json(real), f"preset:{name_or_path}"
+    return read_json(p), str(p)
 
 
 def _load_comparison_config(d: dict) -> dict:
@@ -182,7 +169,7 @@ def _load_comparison_config(d: dict) -> dict:
 
 
 def _load_cross_matrix(path) -> np.ndarray:
-    d = _load_json(path)
+    d = read_json(path)
     if isinstance(d, dict):
         if "matrix" not in d:
             raise ConfigError(f"{path}: cross-covariance object needs a "
@@ -205,9 +192,9 @@ def _cmd_fuse(args) -> int:
         result = ci_fuse(a, b, args.omega)
     elif args.method == "nmCI":
         if args.partition:
-            part = BlockPartition.from_dict(_load_json(args.partition))
+            part = BlockPartition.from_dict(read_json(args.partition))
         elif args.pattern:
-            pattern = CrossSparsityPattern.from_dict(_load_json(args.pattern))
+            pattern = CrossSparsityPattern.from_dict(read_json(args.pattern))
             part = partition_from_sparsity(pattern)
         else:
             raise ConfigError("method nmCI needs --partition or --pattern")
@@ -215,18 +202,16 @@ def _cmd_fuse(args) -> int:
     elif args.method == "SDP":
         if not args.pattern:
             raise ConfigError("method SDP needs --pattern")
-        pattern = CrossSparsityPattern.from_dict(_load_json(args.pattern))
+        pattern = CrossSparsityPattern.from_dict(read_json(args.pattern))
         result = robust_fuse(a, b, pattern, args.n, args.seed, args.tol)
     else:  # exact
         if not args.cross:
             raise ConfigError("method exact needs --cross")
         result = exact_fuse(a, b, _load_cross_matrix(args.cross))
-    payload = json.dumps(result.to_dict(), indent=2) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+        write_json(args.out, result.to_dict())
     else:
-        sys.stdout.write(payload)
+        sys.stdout.write(json_text(result.to_dict()))
     return 0
 
 
@@ -253,7 +238,7 @@ def _cmd_compare(args) -> int:
                    "mc_runs": cfg["mc_runs"], "n_values": cfg["n_values"],
                    "deviation": stats.deviation,
                    "conservativeness": stats.conservativeness}
-        _write_json(out_dir / "summary.json", summary)
+        write_json(out_dir / "summary.json", summary)
     manifest.outputs = ["sweep.csv", "summary.json"]
     manifest.write(out_dir)
     print(out_dir)
@@ -288,7 +273,7 @@ def _cmd_track(args) -> int:
     with manifest.timed("write"):
         for name, columns, blocks in files:
             write_csv(out_dir / name, columns, blocks(data))
-        _write_json(out_dir / "summary.json", summarize(data).summary)
+        write_json(out_dir / "summary.json", summarize(data))
     manifest.outputs = [f[0] for f in files] + ["summary.json"]
     manifest.write(out_dir)
     print(out_dir)

@@ -280,17 +280,11 @@ class GaussianEstimate:
                        d.get("labels", ()))
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
-            fh.write("\n")
+        write_json(path, self.to_dict())
 
     @classmethod
     def load(cls, path) -> "GaussianEstimate":
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                d = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
+        d = read_json(path)
         if not isinstance(d, dict):
             raise ConfigError(f"{path}: expected a JSON object")
         return cls.from_dict(d)
@@ -514,18 +508,15 @@ class JointCovariance:
         w = np.linalg.eigvalsh(self.assembled())
         return bool(w[0] > PD_RTOL * max(w[-1], 0.0) and w[-1] > 0.0)
 
-    def respects(self, pattern: CrossSparsityPattern, atol: float = 0.0) -> bool:
-        """True when every structurally-zero cross entry is zero within atol."""
+    def respects(self, pattern: CrossSparsityPattern) -> bool:
+        """True when every structurally-zero cross entry is exactly zero."""
         if (pattern.dim_a, pattern.dim_b) != (self.dim_a, self.dim_b):
             raise DimensionError("pattern size does not match the joint covariance")
-        mask = pattern.zero_mask()
-        if not mask.any():
-            return True
-        return bool(np.max(np.abs(self.p_ab[mask])) <= atol)
+        return not np.any(self.p_ab[pattern.zero_mask()])
 
-    def in_uncertainty_set(self, pattern: CrossSparsityPattern, atol: float = 0.0) -> bool:
+    def in_uncertainty_set(self, pattern: CrossSparsityPattern) -> bool:
         """PD joint whose cross block honors the sparsity pattern."""
-        return self.is_positive_definite() and self.respects(pattern, atol=atol)
+        return self.is_positive_definite() and self.respects(pattern)
 
 
 # ---------------------------------------------------------------------------
@@ -610,7 +601,7 @@ class FusionResult:
 
 
 def _jsonable(obj):
-    """Recursively convert numpy scalars/arrays so json.dump accepts them."""
+    """Recursively convert numpy scalars/arrays and tuples so ``json_text`` accepts them."""
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -620,6 +611,31 @@ def _jsonable(obj):
     if isinstance(obj, (np.floating, np.integer, np.bool_)):
         return obj.item()
     return obj
+
+
+# ---------------------------------------------------------------------------
+# JSON files: the package reads and writes every one through these
+
+def json_text(obj) -> str:
+    """The one JSON text form of every file the package writes: indent 2, trailing newline."""
+    return json.dumps(obj, indent=2) + "\n"
+
+
+def write_json(path, obj) -> None:
+    text = json_text(obj)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
+def read_json(path):
+    """The JSON value in UTF-8 file ``path``; ConfigError naming the file if it is not one."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        # bad JSON, bytes that are not UTF-8, an integer too long to convert,
+        # or nesting deeper than the parser recurses
+        except (ValueError, RecursionError) as exc:
+            raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
 
 
 def make_substream_seed(master_seed: int, *keys) -> int:

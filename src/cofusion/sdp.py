@@ -100,7 +100,7 @@ from .core import (
     symmetrize,
 )
 from .fusion import _check_same_labels
-from .sampler import DEFAULT_MAX_ATTEMPTS, CrossSparsityPattern, sample_cross, sample_set
+from .sampler import CrossSparsityPattern, sample_cross, sample_set
 
 DEFAULT_TOL = 1e-7
 DEFAULT_MAX_ITERS = 200
@@ -626,25 +626,23 @@ def _barrier(problem: SampledFusionProblem, tol: float, budget: int, resume=None
 
 
 def robust_fuse(a: GaussianEstimate, b: GaussianEstimate, pattern: CrossSparsityPattern,
-                n: int, seed: int, tol: float = DEFAULT_TOL, *,
-                max_iters: int = DEFAULT_MAX_ITERS,
-                max_attempts: int = DEFAULT_MAX_ATTEMPTS) -> FusionResult:
+                n: int, seed: int, tol: float = DEFAULT_TOL) -> FusionResult:
     """Sample the admissible cross-covariances and solve for optimal gains.
 
     Composes the rejection sampler, problem assembly, and the barrier
     solver.  Samples rejected by the conditioning gate at build time are
-    redrawn from a dedicated substream (at most 100 redraws).  A ``tol``
-    or ``max_iters`` that ``solve`` would refuse is refused before any
-    sample is drawn.  Raises SolverError when the solver reports a
-    numerical breakdown; a budget exhaustion is returned with its status
-    in the diagnostics.
+    redrawn from a dedicated substream (at most 100 redraws).  Draws have
+    the sampler's default attempt budget, and the solve ``solve``'s
+    default of ``DEFAULT_MAX_ITERS`` Newton steps.  A ``tol`` that
+    ``solve`` would refuse is refused before any sample is drawn.  Raises
+    SolverError when the solver reports a numerical breakdown; a budget
+    exhaustion is returned with its status in the diagnostics.
     """
     _check_same_labels(a, b)
     if n < 1:
         raise DimensionError("n must be at least 1")
-    _check_solver_args(tol, max_iters)
-    drawn = sample_set(a.covariance, b.covariance, pattern, n, seed,
-                       max_attempts=max_attempts)
+    _check_solver_args(tol, DEFAULT_MAX_ITERS)
+    drawn = sample_set(a.covariance, b.covariance, pattern, n, seed)
     arrs = [s.p_ab for s in drawn]
     redraws = 0
     while True:
@@ -658,9 +656,8 @@ def robust_fuse(a: GaussianEstimate, b: GaussianEstimate, pattern: CrossSparsity
             redraws += 1
             arrs[idx] = sample_cross(
                 a.covariance, b.covariance, pattern,
-                make_substream_seed(seed, "redraw", redraws),
-                max_attempts=max_attempts).p_ab
-    sol = solve(problem, tol=tol, max_iters=max_iters)
+                make_substream_seed(seed, "redraw", redraws)).p_ab
+    sol = solve(problem, tol=tol)
     if sol.status is SolveStatus.INFEASIBLE_NUMERICS:
         raise SolverError("semidefinite solve broke down numerically "
                           f"(gap={sol.gap:.3e}); consider rescaling the inputs")

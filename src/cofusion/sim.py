@@ -75,9 +75,8 @@ bound.
 
 from __future__ import annotations
 
-import json
 import time
-from dataclasses import dataclass, field, fields as dc_fields, replace
+from dataclasses import asdict, dataclass, field, fields as dc_fields, replace
 
 import numpy as np
 
@@ -87,6 +86,7 @@ from .core import (
     FusionError,
     GaussianEstimate,
     StackLayout,
+    _jsonable,
     as_int,
     as_name,
     as_real,
@@ -95,6 +95,7 @@ from .core import (
     check_spd_stacks,
     make_substream,
     parsing,
+    read_json,
     symmetrize,
 )
 from .fusion import _classes, _Fold, _fused_mean, _nmci, _Pieces, ci_fuse, nmci_fuse
@@ -104,6 +105,7 @@ from . import metrics as _metrics
 SCENARIO_SCHEMA = "cofusion-scenario-v1"
 METHODS = ("centralized", "CI", "nmCI", "none")
 PARTITION_SCHEMES = ("group_target_bias", "group_axes")
+NEES_BAND_LEVEL = 0.95      # central probability of the NEES band ``summarize`` reports
 _INT_FIELDS = ("n_steps", "mc_runs", "report_agent", "fusion_every", "fusion_start")
 _REAL_FIELDS = ("dt", "q", "bias_range", "prior_position_var", "prior_velocity_var",
                "prior_bias_var", "init_position_spread", "init_velocity_std")
@@ -244,7 +246,8 @@ class ScenarioConfig:
         if not targets:
             raise ConfigError("at least one target is required")
         n_agents = len(agents)
-        edges = tuple((as_int(i, "edge end"), as_int(j, "edge end")) for i, j in self.edges)
+        edges = tuple((as_int(i, "edge end"), as_int(j, "edge end"))
+                      for i, j in map(tuple, self.edges))
         seen = set()
         for i, j in edges:
             if i == j or not (0 <= i < n_agents and 0 <= j < n_agents):
@@ -260,10 +263,10 @@ class ScenarioConfig:
         if self.assignments is None:
             assigned = tuple(tuple(groups[group_of[a]].targets) for a in range(n_agents))
         else:
-            if len(self.assignments) != n_agents:
+            assigned = tuple(map(tuple, self.assignments))
+            if len(assigned) != n_agents:
                 raise ConfigError("assignments must list targets for every agent")
-            assigned = tuple(tuple(as_int(t, "assigned target") for t in ts)
-                             for ts in self.assignments)
+            assigned = tuple(tuple(as_int(t, "assigned target") for t in ts) for ts in assigned)
         for a, ts in enumerate(assigned):
             if not ts:
                 raise ConfigError(f"agent {a} needs at least one assigned target")
@@ -280,9 +283,10 @@ class ScenarioConfig:
                 m = check_spd(np.asarray(m, dtype=float), name=f"agent_r_target[{a}]")
                 if m.shape != (2, 2):
                     raise ConfigError("noise matrices must be 2x2")
-        if not self.methods:
+        methods = tuple(self.methods)
+        if not methods:
             raise ConfigError("methods must be non-empty")
-        for m in self.methods:
+        for m in methods:
             if m not in METHODS:
                 raise ConfigError(f"unknown method {m!r} (choose from {METHODS})")
         if self.partition_scheme not in PARTITION_SCHEMES:
@@ -307,7 +311,7 @@ class ScenarioConfig:
         object.__setattr__(self, "groups", groups)
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "assignments", assigned)
-        object.__setattr__(self, "methods", tuple(self.methods))
+        object.__setattr__(self, "methods", methods)
         object.__setattr__(self, "r_target",
                            tuple(tuple(float(v) for v in row) for row in self.r_target))
         object.__setattr__(self, "r_landmark",
@@ -330,23 +334,7 @@ class ScenarioConfig:
         return StateLayout(self.n_targets, self.n_agents)
 
     def to_dict(self) -> dict:
-        d = {"schema": SCENARIO_SCHEMA}
-        for f in dc_fields(self):
-            v = getattr(self, f.name)
-            if f.name == "groups":
-                v = [{"agents": list(g.agents), "targets": list(g.targets)} for g in v]
-            elif f.name == "edges":
-                v = [list(e) for e in v]
-            elif f.name == "assignments":
-                v = [list(t) for t in v]
-            elif f.name in ("r_target", "r_landmark"):
-                v = [list(row) for row in v]
-            elif f.name == "agent_r_target" and v is not None:
-                v = [[list(row) for row in m] for m in v]
-            elif f.name == "methods":
-                v = list(v)
-            d[f.name] = v
-        return d
+        return {"schema": SCENARIO_SCHEMA, **_jsonable(asdict(self))}
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScenarioConfig":
@@ -368,27 +356,11 @@ class ScenarioConfig:
                         raise ConfigError("each group needs exactly the keys agents, targets")
                     parsed.append(GroupSpec(tuple(g["agents"]), tuple(g["targets"])))
                 kw["groups"] = tuple(parsed)
-            if "edges" in kw:
-                kw["edges"] = tuple(tuple(e) for e in kw["edges"])
-            if kw.get("assignments") is not None:
-                kw["assignments"] = tuple(tuple(t) for t in kw["assignments"])
-            if "methods" in kw:
-                kw["methods"] = tuple(kw["methods"])
             return cls(**kw)
-
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
-            fh.write("\n")
 
     @classmethod
     def load(cls, path) -> "ScenarioConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                d = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
-        return cls.from_dict(d)
+        return cls.from_dict(read_json(path))
 
 
 # ---------------------------------------------------------------------------
@@ -1095,38 +1067,28 @@ def run_scenario(scenario: ScenarioConfig, *, methods=None, mc_runs: int | None 
                      runs=runs, timings=timings, work=work)
 
 
-@dataclass(frozen=True)
-class TrackSummary:
-    """What ``summarize`` reports about a tracking experiment."""
-
-    summary: dict        # the mapping written to summary.json
-    nees_series: dict    # method -> (steps,) report-agent NEES averaged over runs
-
-
-def summarize(data: TrackData, level: float = 0.95) -> TrackSummary:
-    """Aggregate a tracking experiment into Monte-Carlo statistics.
+def summarize(data: TrackData) -> dict:
+    """Aggregate a tracking experiment into Monte-Carlo statistics: the ``summary.json`` mapping.
 
     The NEES series averages the report agent across runs; the band is
-    the scaled chi-square interval for that run count and the global
-    state dimension.  RMSE and the 2-sigma summary are averaged over
-    runs and agents; steady-state figures average the last quarter of
-    the steps.
+    the scaled chi-square interval at ``NEES_BAND_LEVEL`` for that run
+    count and the global state dimension.  RMSE and the 2-sigma summary
+    are averaged over runs and agents; steady-state figures average the
+    last quarter of the steps.
     """
     scn = data.scenario
     n_runs = len(data.runs)
     steps = scn.n_steps
     tail = max(1, steps // 4)
-    band = _metrics.chi2_band(data.state_dim, n_runs, level)
-    nees_series: dict = {}
+    band = _metrics.chi2_band(data.state_dim, n_runs, NEES_BAND_LEVEL)
     summary: dict = {"state_dim": data.state_dim, "mc_runs": n_runs,
-                     "steps": steps, "level": level,
+                     "steps": steps, "level": NEES_BAND_LEVEL,
                      "report_agent": scn.report_agent,
                      "band": [band[0], band[1]], "methods": {}}
     for method in data.methods:
         col = 0 if method == "centralized" else scn.report_agent
         nees_runs = np.stack([r["methods"][method]["nees"][:, col] for r in data.runs])
         series = nees_runs.mean(axis=0)
-        nees_series[method] = series
         pe = np.stack([r["methods"][method]["pos_err"] for r in data.runs])
         rmse_runs = np.sqrt(np.mean(pe ** 2, axis=1))      # (runs, agents)
         s2 = np.stack([r["methods"][method]["avg2sig"] for r in data.runs])
@@ -1139,7 +1101,7 @@ def summarize(data: TrackData, level: float = 0.95) -> TrackSummary:
             "nees_steady": float(series[-tail:].mean()),
             "cov_trace_steady": float(tr[:, -tail:, :].mean()),
         }
-    return TrackSummary(summary=summary, nees_series=nees_series)
+    return summary
 
 
 # ---------------------------------------------------------------------------
@@ -1163,11 +1125,16 @@ def track_blocks(data: TrackData):
 
 
 def omega_blocks(data: TrackData):
+    # the weights never depend on the data: a method's records are one list in every run
+    lines = {}
     for r in data.runs:
         for m in data.methods:
-            recs = r["methods"][m]["omega"]
-            tails = [f"{w['step']},{m},{w['edge']},{w['block']},%.12g\r\n" for w in recs]
-            yield _metrics.lead_lines(r["run"], tails), tuple(w["omega"] for w in recs)
+            if m not in lines:
+                recs = r["methods"][m]["omega"]
+                lines[m] = ([f"{w['step']},{m},{w['edge']},{w['block']},%.12g\r\n"
+                             for w in recs], tuple(w["omega"] for w in recs))
+            tails, values = lines[m]
+            yield _metrics.lead_lines(r["run"], tails), values
 
 
 def truth_blocks(data: TrackData):

@@ -398,7 +398,11 @@ def test_repeated_runs_never_reuse_an_output_directory(capsys, tmp_path):
 # malformed inputs and failed runs
 
 def _malformed_argv(tmp_path, kind, key, value):
-    """argv of a command reading a ``kind`` file whose ``key`` is set to ``value``."""
+    """argv of a command reading a ``kind`` file whose ``key`` is set to ``value``.
+
+    A ``key`` of None keeps the file's content and saves it as ``value``,
+    the name of an encoding.
+    """
     a = tmp_path / "a.json"
     GaussianEstimate([0.0, 0.0], np.eye(2)).save(a)
     runs = ["--out", str(tmp_path / "runs")]
@@ -423,8 +427,11 @@ def _malformed_argv(tmp_path, kind, key, value):
                      "cross": ["--method", "exact", "--cross"]}[kind]
         argv = ["fuse", str(a), str(a), *structure, str(path)]
     d = json.loads(path.read_text())
-    d[key] = value
-    path.write_text(json.dumps(d))
+    if key is None:
+        path.write_bytes(json.dumps(d).encode(value))
+    else:
+        d[key] = value
+        path.write_text(json.dumps(d))
     return argv
 
 
@@ -487,11 +494,18 @@ def _malformed_argv(tmp_path, kind, key, value):
     # labels are a list of strings; a string is not split into letters
     ("estimate", "labels", "xy"),
     ("estimate", "labels", [1, 2]),
+    # inputs are UTF-8; a file a Windows editor saved as UTF-16 is not JSON
+    *(pytest.param(kind, None, "utf-16", id=f"{kind}-utf-16")
+      for kind in ("estimate", "partition", "pattern", "cross", "comparison", "scenario")),
 ])
 def test_malformed_input_files_are_config_errors(capsys, tmp_path, kind, key, value):
-    rc, _, err = _run(capsys, _malformed_argv(tmp_path, kind, key, value))
+    argv = _malformed_argv(tmp_path, kind, key, value)
+    rc, _, err = _run(capsys, argv)
     assert rc == 2
     assert "error:" in err
+    if key is None:
+        path = argv[2] if kind in ("scenario", "comparison") else argv[-1]
+        assert err.startswith(f"error: {path}: not valid JSON ('utf-8' codec can't decode")
 
 
 @pytest.mark.parametrize("argv", [["track", "--mc", "0"], ["compare", "--n", "0"],
@@ -506,7 +520,10 @@ def test_malformed_input_files_are_config_errors(capsys, tmp_path, kind, key, va
                                   ("scenario", "name", "../escaped"),
                                   ("comparison", "name", "sub/dir"),
                                   ("comparison", "name", "../escaped"),
-                                  ["track", "--jobs", "0"], ["track", "--jobs", "-3"]])
+                                  ["track", "--jobs", "0"], ["track", "--jobs", "-3"],
+                                  # an input that is not UTF-8
+                                  ("scenario", None, "utf-16"),
+                                  ("comparison", None, "utf-16")])
 def test_failed_command_leaves_no_output_directory(capsys, tmp_path, argv):
     if isinstance(argv, tuple):
         argv = _malformed_argv(tmp_path, *argv)

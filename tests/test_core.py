@@ -251,6 +251,14 @@ def test_estimate_load_rejects_bad_files(tmp_path):
     bad.write_text("not json at all")
     with pytest.raises(ConfigError):
         GaussianEstimate.load(bad)
+    # text json cannot read: UTF-16 bytes, an integer past the conversion
+    # limit, nesting past the parser's recursion
+    for raw in ('{"mean": [0.0], "covariance": [[1.0]]}'.encode("utf-16"),
+                b'{"mean": [' + b"1" * 5000 + b'], "covariance": [[1.0]]}',
+                b"[" * 100_000 + b"]" * 100_000):
+        bad.write_bytes(raw)
+        with pytest.raises(ConfigError, match=r"bad\.json: not valid JSON \("):
+            GaussianEstimate.load(bad)
     arr = tmp_path / "arr.json"
     arr.write_text("[1, 2, 3]")
     with pytest.raises(ConfigError):

@@ -38,3 +38,38 @@ def test_every_imported_name_is_read():
     assert modules
     unread = [entry for path in modules for entry in _unread_imports(path)]
     assert unread == []
+
+
+_JSON_CALLS = {"load", "loads", "dump", "dumps"}
+_JSON_HELPERS = {("core.py", "json_text"), ("core.py", "read_json")}
+
+
+def _json_calls(path: Path) -> set[tuple[str, str]]:
+    """(module, enclosing function) of every call to json.load(s)/dump(s) in ``path``."""
+    tree = ast.parse(path.read_text())
+    # names bound by ``from json import ...`` are json calls too
+    aliases = {alias.asname or alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module == "json"
+               for alias in node.names if alias.name in _JSON_CALLS}
+    calls = set()
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                f = child.func
+                if (isinstance(f, ast.Attribute) and f.attr in _JSON_CALLS
+                        and isinstance(f.value, ast.Name) and f.value.id == "json") \
+                        or (isinstance(f, ast.Name) and f.id in aliases):
+                    calls.add((path.name, where))
+            visit(child, where)
+
+    visit(tree, "<module>")
+    return calls
+
+
+def test_json_is_read_and_written_only_through_core_helpers():
+    calls = set().union(*(_json_calls(p) for p in _PACKAGE.glob("*.py")))
+    assert calls == _JSON_HELPERS

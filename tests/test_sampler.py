@@ -44,7 +44,7 @@ def test_samples_live_in_uncertainty_set():
     pat = CrossSparsityPattern(2, 3, frozenset({(0, 2)}))
     for s in sample_set(pa, pb, pat, 100, seed=2):
         joint = JointCovariance(pa, pb, s.p_ab)
-        assert joint.in_uncertainty_set(pat, atol=0.0)
+        assert joint.in_uncertainty_set(pat)
 
 
 def test_sample_determinism():

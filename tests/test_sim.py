@@ -150,6 +150,26 @@ def test_scenario_round_trip_and_schema():
             ScenarioConfig.from_dict({**d, key: value})
 
 
+def test_scenario_to_dict_writes_every_field_in_order():
+    scn = tiny_scenario(assignments=[[1], (0, 1)],
+                        agent_r_target=(((2, 0), (0, 2)), ((0.5, 0.1), (0.1, 0.5))))
+    want = {"schema": "cofusion-scenario-v1", "name": "tiny", "seed": 3, "dt": 1.0,
+            "q": 0.01, "n_steps": 6, "mc_runs": 2,
+            "groups": [{"agents": [0, 1], "targets": [0, 1]}], "edges": [[0, 1]],
+            "assignments": [[1], [0, 1]],
+            "r_target": [[1.0, 0.0], [0.0, 1.0]], "r_landmark": [[0.25, 0.0], [0.0, 0.25]],
+            "agent_r_target": [[[2.0, 0.0], [0.0, 2.0]], [[0.5, 0.1], [0.1, 0.5]]],
+            "bias_range": 2.0, "prior_position_var": 100.0, "prior_velocity_var": 25.0,
+            "prior_bias_var": 4.0, "init_position_spread": 50.0, "init_velocity_std": 1.0,
+            "methods": ["centralized", "CI", "nmCI"], "partition_scheme": "group_target_bias",
+            "report_agent": 0, "fusion_every": 1, "fusion_start": 0, "record_estimates": "all"}
+    d = scn.to_dict()
+    assert d == want
+    assert list(d) == list(want)
+    assert [type(v) for row in d["agent_r_target"][0] for v in row] == [float] * 4
+    assert ScenarioConfig.from_dict(d) == scn
+
+
 def test_scenario_load_rejects_bad_json(tmp_path):
     p = tmp_path / "scn.json"
     p.write_text("{nope")
@@ -822,8 +842,7 @@ def test_agents_with_other_noise_never_share_a_class(monkeypatch, method):
 def test_summarize_shape_and_band():
     scn = tiny_scenario()
     data = run_scenario(scn)
-    stats = summarize(data)
-    row = stats.summary
+    row = summarize(data)
     assert row["state_dim"] == 12
     assert row["mc_runs"] == 2
     assert set(row["methods"]) == set(scn.methods)
@@ -833,7 +852,6 @@ def test_summarize_shape_and_band():
         assert v["rmse_mean"] > 0.0
     lo, hi = row["band"]
     assert 0.0 < lo < 12 < hi
-    assert len(stats.nees_series["CI"]) == scn.n_steps
 
 
 # ---------------------------------------------------------------------------
