@@ -203,7 +203,7 @@ def _sweep_run(p_a, p_b, pattern: CrossSparsityPattern, n_values, seed: int,
 
     Draws max(n_values) samples once and solves all their prefixes with one
     ``solve_prefixes`` call, so the sizes past its shared first active set
-    run that first barrier round once.
+    run each barrier round, and its checks, once until their sets grow.
     """
     partition = partition_from_sparsity(pattern)
     zero_mean = np.zeros(partition.dim)

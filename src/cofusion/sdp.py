@@ -61,16 +61,22 @@ Nested prefixes: ``solve_prefixes`` solves the program on the first
 n_1, n_2, ... samples in one pass, and ``solve`` is its one-prefix case.
 When two or more prefixes are longer than _SHARED_FACTOR * m samples,
 each of them starts its loop on the first _SHARED_FACTOR * m samples.
-That first round has the same samples, tolerance and budget in all of
-them, so it gives the same result and runs once per call; everything
-after it runs per prefix, and each prefix's status rule is taken over
-its own samples.  No prefix's cost depends on another prefix's samples,
-so a pass varies little in cost from seed to seed.  The shared first
-set is larger than a lone solve's because it is paid for once, while
-each prefix pays for its own second round: at 24 * m, 16 of the 288
-prefixes of n >= 200 in ``compare --mc 3`` at seeds 0..31 needed one,
-against 51 at 16 * m.  ``solve_prefixes`` builds each ``SdpSolution``
-in one place, with one status rule.
+Until a prefix's active set grows, each of its rounds has the same
+samples, tolerance, steps left and resumed point as in the other
+prefixes, so it gives the same result: it runs once per call (the
+screening round, then the round resumed to ``tol``), and so do the
+checks at its iterate.  The slack eigenvalues are taken once over the
+longest sharing prefix, the LMI block eigenvalues only as far as the
+prefixes that end on that round read them, and each prefix reads its
+own first n.  A prefix that grows its set, or whose point is repaired,
+goes on alone, and each prefix's status rule is taken over its own
+samples.  No prefix's path depends on another prefix's samples.  The
+shared first set is larger than a lone solve's because it is paid for
+once, while each prefix pays for its own growth: at 24 * m, 16 of the
+288 prefixes of n >= 200 in ``compare --mc 3`` at seeds 0..31 grew
+their set, against 51 at 16 * m, which spread the sweep's cost per seed
+further.  ``solve_prefixes`` builds each ``SdpSolution`` in one place,
+with one status rule.
 
 Roundoff: the barrier objective psi = t * trace(Pbar) - logdet grows with
 t, and near the end its float64 roundoff swamps any absolute stopping
@@ -117,8 +123,8 @@ _ROUNDOFF = float(np.finfo(float).eps)
 # unknowns; chosen from timings of whole against active-set solves at
 # d = 1..3, n = 50..2000 (CHANGES.md)
 ACTIVE_FACTOR = 16
-# nested prefixes that share their first round start it on _SHARED_FACTOR * m
-# samples (see "Nested prefixes" above)
+# nested prefixes longer than _SHARED_FACTOR * m samples start on that many and
+# share their rounds until their active sets grow (see "Nested prefixes" above)
 _SHARED_FACTOR = 24
 # each new active set is first solved to this relative gap, where the
 # samples it misses already show, at about 60% of the Newton steps to 1e-7
@@ -420,8 +426,9 @@ def solve_prefixes(problem: SampledFusionProblem, sizes, tol: float = DEFAULT_TO
     longer than that, is solved as ``solve`` solves the program on those
     samples alone.  When two or more prefixes are longer, each of them
     starts its active-set loop on the first _SHARED_FACTOR * m samples.
-    That first round is the same in all of them, so it runs once, and
-    every one of them counts its Newton steps in ``newton_iterations``.
+    Each round before a prefix's active set grows is the same in all of
+    them, so it runs once, with its slack and LMI checks, and every one
+    of them counts its Newton steps in ``newton_iterations``.
     Sizes outside 1..n, or none, raise DimensionError, as do the ``tol``
     and ``max_iters`` ``solve`` refuses.
     """
@@ -432,8 +439,10 @@ def solve_prefixes(problem: SampledFusionProblem, sizes, tol: float = DEFAULT_TO
     d = problem.d
     m = d * d + d * (d + 1) // 2
     shared = _SHARED_FACTOR * m
-    # the first round of the prefixes longer than ``shared``, once it has run
-    opening = {} if sum(size > shared for size in sizes) > 1 else None
+    # the rounds the prefixes longer than ``shared`` share, with their checks
+    opening = None
+    if sum(size > shared for size in sizes) > 1:
+        opening = _RoundLog(_Workspace(_subset(problem, slice(max(sizes)))))
     out = []
     for size in sizes:
         prefix = _subset(problem, slice(size))
@@ -442,14 +451,14 @@ def solve_prefixes(problem: SampledFusionProblem, sizes, tol: float = DEFAULT_TO
             first, share = shared, opening
         else:
             first, share = ACTIVE_FACTOR * m, None
-        x, status, used, lower, active = _rounds(prefix, ws, tol, max_iters, first, share)
+        x, status, used, lower, active, min_eig = _rounds(prefix, ws, tol, max_iters,
+                                                          first, share)
         pbar, ka = ws.unpack(x)
         obj = float(ws.cvec @ x)
         gap = (obj - lower) / max(abs(obj), 1e-300)
-        min_eig = float(np.min(np.linalg.eigvalsh(ws.lmis(x))))
         if status is SolveStatus.OPTIMAL and (gap > tol or min_eig < -1e-7):
             status = SolveStatus.MAX_ITERATIONS
-        # ka views x, and prefixes that end on the shared first round share x
+        # ka views x, and prefixes that end on a shared round share x
         out.append(SdpSolution(gain_a=ka.copy(), gain_b=ws.eye - ka,
                                bound=symmetrize(pbar), objective=obj, status=status,
                                gap=float(gap), newton_iterations=used,
@@ -457,50 +466,82 @@ def solve_prefixes(problem: SampledFusionProblem, sizes, tol: float = DEFAULT_TO
     return out
 
 
+class _RoundLog:
+    """Barrier rounds run from one active set, in order, with their checks.
+
+    ``ws`` is the workspace of the longest prefix the log serves.  Each
+    stored round is [result, least slack eigenvalue of every sample at its
+    x, least eigenvalue of each LMI block at its x], the checks taken over
+    ``ws``'s samples in order, so a prefix of n samples reads their first
+    n entries.  The LMI blocks are taken only as far as a prefix that ends
+    on the round reads them.
+    """
+
+    def __init__(self, ws: _Workspace):
+        self.ws, self.rounds = ws, []
+
+    def round(self, k: int, sub, tol: float, budget: int, resume):
+        """Round ``k``, run on ``sub`` the first time it is asked for."""
+        if k == len(self.rounds):
+            # rounds go through _barrier, never the module attribute ``solve``,
+            # so one public call is one call whatever wraps that name
+            result = _barrier(sub, tol, budget, resume)
+            x = result[0][0]
+            worst = np.linalg.eigvalsh(self.ws.slacks(x)[0])[:, 0]
+            self.rounds.append([result, worst, np.empty(0)])
+        return self.rounds[k]
+
+    def lmi_eigs(self, k: int, n: int) -> np.ndarray:
+        """Least eigenvalue of each of the first n LMI blocks at round ``k``'s x."""
+        result, _, eigs = self.rounds[k]
+        if len(eigs) < n:
+            x = result[0][0]
+            blocks = self.ws.lmis(x)[len(eigs):n]
+            eigs = np.concatenate([eigs, np.linalg.eigvalsh(blocks)[:, 0]])
+            self.rounds[k][2] = eigs
+        return eigs[:n]
+
+
 def _rounds(problem: SampledFusionProblem, ws: _Workspace, tol: float, max_iters: int,
-            first: int, opening: dict | None = None):
+            first: int, log: _RoundLog | None = None):
     """The active-set loop of barrier rounds on all of ``problem``'s samples.
 
     The first active set is the first min(n, ``first``) samples.  Given
-    ``opening`` (and n > ``first``), the first round is taken from it, or
-    run and stored there: that round depends only on those samples,
-    ``tol`` and ``max_iters``, so it is the same for every prefix longer
-    than ``first`` of one problem.  Returns (x, status, Newton steps, best
-    certified lower bound, active samples): the last round's iterate,
+    ``log`` (and n > ``first``), every round before the active set first
+    grows is taken from it, or run and stored there: such a round depends
+    only on those samples, ``tol``, the steps left and the point it
+    resumes, all the same for every prefix longer than ``first`` of one
+    problem until its set grows.  So are the checks at its iterate.  Each
+    later active set starts a log of this prefix's own.  Returns (x,
+    status, Newton steps, best certified lower bound, active samples,
+    least eigenvalue of the n LMI blocks at x): the last round's iterate,
     repaired when samples outside its set are still violated, and that
     round's status, before the checks ``solve_prefixes`` makes on the full
     sample set.
     """
-    d = problem.d
+    d, n = problem.d, problem.n
     m = d * d + d * (d + 1) // 2
-    active = np.arange(min(problem.n, first))
+    active = np.arange(min(n, first))
     sub = _subset(problem, active)
     used, lower, resume = 0, -np.inf, None
+    log, k = log or _RoundLog(ws), 0
     while True:
-        # rounds go through _barrier, never the module attribute ``solve``,
-        # so one public call is one call whatever wraps that name
-        screening = resume is None and tol < _SCREEN_TOL and problem.n > first
+        screening = resume is None and tol < _SCREEN_TOL and n > first
         round_tol = _SCREEN_TOL if screening else tol
-        if opening is None:
-            result = _barrier(sub, round_tol, max_iters - used, resume)
-        else:
-            # the first round: no step used yet, nothing to resume
-            if "round" not in opening:
-                opening["round"] = _barrier(sub, round_tol, max_iters, None)
-            result, opening = opening["round"], None
+        result, worst, _ = log.round(k, sub, round_tol, max_iters - used, resume)
+        worst, k = worst[:n], k + 1
         resume, status, steps, sub_lower = result
         used += steps
         lower = max(lower, sub_lower)
         x = resume[0]
-        worst = np.linalg.eigvalsh(ws.slacks(x)[0])[:, 0]
-        outside = np.setdiff1d(np.arange(problem.n), active)
+        outside = np.setdiff1d(np.arange(n), active)
         violated = outside[worst[outside] <= 0.0]
         if used >= max_iters or status is SolveStatus.INFEASIBLE_NUMERICS:
             break
         if violated.size:
             nearest = outside[np.argsort(worst[outside], kind="stable")]
             active = np.union1d(active, nearest[:violated.size + _NEAR * m])
-            sub, resume = _subset(problem, active), None
+            sub, resume, log, k = _subset(problem, active), None, _RoundLog(ws), 0
         elif not (screening and status is SolveStatus.OPTIMAL):
             break
     if violated.size:
@@ -510,7 +551,10 @@ def _rounds(problem: SampledFusionProblem, ws: _Workspace, tol: float, max_iters
         delta = -float(worst.min())
         delta += max(_REPAIR_MARGIN * delta, _REPAIR_MARGIN * float(np.trace(pbar)) / d)
         x = ws.pack(pbar + delta * ws.eye, ka)
-    return x, status, used, lower, len(active)
+        min_eig = float(np.min(np.linalg.eigvalsh(ws.lmis(x))))
+    else:
+        min_eig = float(np.min(log.lmi_eigs(k - 1, n)))
+    return x, status, used, lower, len(active), min_eig
 
 
 def _barrier(problem: SampledFusionProblem, tol: float, budget: int, resume=None):

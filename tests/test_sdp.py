@@ -13,6 +13,7 @@ from cofusion.core import (
     JointCovariance,
     NotPositiveDefiniteError,
     is_conservative,
+    make_substream_seed,
     symmetrize,
 )
 from cofusion.fusion import ci_fuse, exact_fuse, realized_cov
@@ -20,6 +21,7 @@ from cofusion.sampler import sample_set
 from cofusion import sdp
 from cofusion.sdp import (
     ACTIVE_FACTOR,
+    _SCREEN_TOL,
     _SHARED_FACTOR,
     SolveStatus,
     _barrier,
@@ -651,6 +653,84 @@ def test_each_prefix_spends_its_own_budget_on_the_shared_round(fresh_rounds):
         assert sol.newton_iterations == 5
         assert sol.min_lmi_eig > 0.0
         assert _same(sol, solve_prefixes(prob, [n, n], tol=1e-6, max_iters=5)[0])
+
+
+@pytest.fixture
+def all_rounds(monkeypatch):
+    """(samples, tol, fresh, Newton steps) of every barrier round the test runs."""
+    seen = []
+    barrier = sdp._barrier
+
+    def spy(problem, tol, budget, resume=None):
+        result = barrier(problem, tol, budget, resume)
+        seen.append((problem.n, tol, resume is None, result[2]))
+        return result
+
+    monkeypatch.setattr(sdp, "_barrier", spy)
+    return seen
+
+
+def test_prefixes_share_the_screening_and_the_resumed_round_of_the_shared_set(all_rounds):
+    prob = _prefix_problem({(0, 1), (1, 0)}, PREFIXES[-1], 2)
+    shared = _shared_set(2)
+    sols = solve_prefixes(prob, PREFIXES, tol=1e-6)
+    on_shared = [(tol, fresh) for n, tol, fresh, _ in all_rounds if n == shared]
+    assert on_shared == [(_SCREEN_TOL, True), (1e-6, False)]
+    for n, sol in zip(PREFIXES, sols):
+        assert sol.status is SolveStatus.OPTIMAL
+        if n > shared:
+            assert sol.active_samples == shared
+
+
+@pytest.mark.parametrize("zeros, seed", [({(0, 1), (1, 0)}, 2), ((), 6)],
+                         ids=["comparison_2d", "fully_free"])
+def test_prefix_min_lmi_eig_is_taken_on_its_own_blocks(zeros, seed):
+    prob = _prefix_problem(zeros, PREFIXES[-1], seed)
+    for n, sol in zip(PREFIXES, solve_prefixes(prob, PREFIXES, tol=1e-6)):
+        ws = _Workspace(_subset(prob, slice(n)))
+        own = np.min(np.linalg.eigvalsh(ws.lmis(ws.pack(sol.bound, sol.gain_a))))
+        assert sol.min_lmi_eig == own
+
+
+def test_a_budget_that_runs_out_in_the_second_shared_round(all_rounds):
+    prob = _prefix_problem({(0, 1), (1, 0)}, PREFIXES[-1], 2)
+    shared = _shared_set(2)
+    solve_prefixes(prob, PREFIXES, tol=1e-6)
+    screen, resumed = [steps for n, _, _, steps in all_rounds if n == shared]
+    budget = screen + resumed // 2
+    assert screen < budget < screen + resumed
+    all_rounds.clear()
+    sols = solve_prefixes(prob, PREFIXES, tol=1e-6, max_iters=budget)
+    assert [fresh for n, _, fresh, _ in all_rounds if n == shared] == [True, False]
+    for n, sol in zip(PREFIXES, sols):
+        if n <= shared:
+            continue
+        assert sol.status is SolveStatus.MAX_ITERATIONS
+        assert sol.newton_iterations == budget
+        assert sol.min_lmi_eig > 0.0
+        assert _same(sol, solve_prefixes(prob, [n, n], tol=1e-6, max_iters=budget)[0])
+
+
+@pytest.mark.parametrize("slot", [1, 9, 19, 20, 21, 25, 26, 30])
+def test_a_prefix_that_leaves_the_shared_rounds_is_solved_on_its_own(slot):
+    # compare on comparison_2d at --mc 3 --seed slot: one of its runs holds
+    # prefixes whose active set grows past the shared set
+    pa, pb = np.diag([3.0, 1.0]), np.diag([1.0, 4.0])
+    pattern = CrossSparsityPattern(2, 2, frozenset({(0, 1), (1, 0)}))
+    sizes = [10, 50, 200, 1000, 2000]
+    shared = _shared_set(2)
+    leaving_runs = 0
+    for r in range(3):
+        draws = sample_set(pa, pb, pattern, sizes[-1],
+                           make_substream_seed(slot, "samples", r))
+        prob = build_problem(pa, pb, [s.p_ab for s in draws])
+        left = False
+        for n, sol in zip(sizes, solve_prefixes(prob, sizes, tol=1e-6)):
+            if n > shared and sol.active_samples > shared:
+                left = True
+                assert _same(sol, solve_prefixes(prob, [n, n], tol=1e-6)[0])
+        leaving_runs += left
+    assert leaving_runs == 1
 
 
 def test_solve_prefixes_validation():
