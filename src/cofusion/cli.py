@@ -231,6 +231,7 @@ def _cmd_compare(args) -> int:
             cfg["p_a"], cfg["p_b"], cfg["pattern"], cfg["n_values"],
             cfg["mc_runs"], cfg["seed"], solver_tol=cfg["solver_tol"],
             solver_max_iters=cfg["solver_max_iters"], jobs=args.jobs)
+    manifest.timings.update(stats.timings)
     out_dir = _make_output_dir(args.out, cfg["name"])
     with manifest.timed("write"):
         write_csv(out_dir / "sweep.csv", SWEEP_CSV_COLUMNS, sweep_blocks(stats.rows))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from time import perf_counter
 
 import numpy as np
 
@@ -195,6 +196,10 @@ class SweepStatistics:
     deviation: dict            # {"n", "median", "min", "max"}
     conservativeness: dict     # method -> {"n", "median", "min", "max"}
     rows: list                 # one SWEEP_CSV_COLUMNS row per (run, n, method)
+    timings: dict              # phase -> wall seconds, summed over runs
+
+
+SWEEP_PHASES = ("sample", "build", "solve", "check")
 
 
 def _sweep_run(p_a, p_b, pattern: CrossSparsityPattern, n_values, seed: int,
@@ -204,22 +209,30 @@ def _sweep_run(p_a, p_b, pattern: CrossSparsityPattern, n_values, seed: int,
     Draws max(n_values) samples once and solves all their prefixes with one
     ``solve_prefixes`` call, so the sizes past its shared first active set
     run each barrier round, and its checks, once until their sets grow.
+    Returns the run's curves and rows, and the wall seconds of its four
+    phases: ``sample`` (the true and the sampled cross-covariances),
+    ``build``, ``solve`` and ``check`` (nmCI's bound, the margins under the
+    true cross-covariance and the rows).
     """
+    clock = [perf_counter()]
+    truth = sample_cross(p_a, p_b, pattern,
+                         make_substream_seed(seed, "truth", r)).p_ab
+    draws = sample_set(p_a, p_b, pattern, max(n_values),
+                       make_substream_seed(seed, "samples", r))
+    clock.append(perf_counter())
+    # the sample sets are nested, so each n's program is a prefix of one
+    problem = build_problem(p_a, p_b, [s.p_ab for s in draws])
+    clock.append(perf_counter())
+    sols = solve_prefixes(problem, n_values, solver_tol, solver_max_iters)
+    clock.append(perf_counter())
     partition = partition_from_sparsity(pattern)
     zero_mean = np.zeros(partition.dim)
     a = GaussianEstimate(zero_mean, p_a)
     b = GaussianEstimate(zero_mean, p_b)
     nm = nmci_fuse(a, b, partition)
-    truth = sample_cross(p_a, p_b, pattern,
-                         make_substream_seed(seed, "truth", r)).p_ab
     joint_true = JointCovariance(a.covariance, b.covariance, truth)
     realized_nm = realized_cov(nm.gain_a, nm.gain_b, joint_true)
     eig_nm = float(np.linalg.eigvalsh(nm.bound - realized_nm)[0])
-    draws = sample_set(p_a, p_b, pattern, max(n_values),
-                       make_substream_seed(seed, "samples", r))
-    # the sample sets are nested, so each n's program is a prefix of one
-    problem = build_problem(p_a, p_b, [s.p_ab for s in draws])
-    sols = solve_prefixes(problem, n_values, solver_tol, solver_max_iters)
     dev_row, eig_row, rows = [], [], []
     for n, sol in zip(n_values, sols):
         dev_row.append(float(np.linalg.norm(nm.bound - sol.bound, 2)))
@@ -239,7 +252,8 @@ def _sweep_run(p_a, p_b, pattern: CrossSparsityPattern, n_values, seed: int,
                      "bound_trace": float(np.trace(nm.bound)),
                      "solver_status": "", "solver_gap": 0.0,
                      "newton_iterations": "", "active_samples": ""})
-    return dev_row, eig_row, eig_nm, rows
+    clock.append(perf_counter())
+    return dev_row, eig_row, eig_nm, rows, dict(zip(SWEEP_PHASES, np.diff(clock).tolist()))
 
 
 def conservativeness_sweep(p_a, p_b, pattern: CrossSparsityPattern,
@@ -285,11 +299,14 @@ def conservativeness_sweep(p_a, p_b, pattern: CrossSparsityPattern,
             results = list(pool.map(_sweep_run, *zip(*args)))
     else:
         results = [_sweep_run(*a) for a in args]
-    for r, (dev_row, eig_row, e_nm, run_rows) in enumerate(results):
+    timings = dict.fromkeys(SWEEP_PHASES, 0.0)
+    for r, (dev_row, eig_row, e_nm, run_rows, times) in enumerate(results):
         dev[r] = dev_row
         eig_sdp[r] = eig_row
         eig_nm[r] = e_nm
         rows += run_rows
+        for phase, seconds in times.items():
+            timings[phase] += seconds
 
     return SweepStatistics(
         deviation={"n": n_values,
@@ -305,7 +322,7 @@ def conservativeness_sweep(p_a, p_b, pattern: CrossSparsityPattern,
                      "median": [float(np.median(eig_nm))] * len(n_values),
                      "min": [float(eig_nm.min())] * len(n_values),
                      "max": [float(eig_nm.max())] * len(n_values)}},
-        rows=rows)
+        rows=rows, timings=timings)
 
 
 # ---------------------------------------------------------------------------

@@ -66,7 +66,10 @@ _MIN_ELIMINATION_BATCH = 32
 
 @dataclass(frozen=True)
 class UncertaintySample:
-    """One admissible cross-covariance and the attempts it cost to draw."""
+    """One admissible cross-covariance and the attempts it cost to draw.
+
+    A sample a caller builds holds a read-only copy of ``p_ab``.
+    """
 
     p_ab: np.ndarray
     attempts: int
@@ -77,6 +80,17 @@ class UncertaintySample:
         object.__setattr__(self, "p_ab", p)
         if self.attempts < 1:
             raise DimensionError("attempts must be at least 1")
+
+
+def _held(stack: np.ndarray, counts) -> list[UncertaintySample]:
+    """Samples holding read-only views of the sampler's own (n, d_a, d_b)
+    ``stack`` and their attempt counts, which are at least 1: built without
+    ``__post_init__``'s copy and check."""
+    stack.flags.writeable = False
+    samples = [object.__new__(UncertaintySample) for _ in counts]
+    for sample, p_ab, attempts in zip(samples, stack, counts):
+        sample.__dict__.update(p_ab=p_ab, attempts=attempts)
+    return samples
 
 
 def _accept(stack: np.ndarray) -> np.ndarray:
@@ -162,11 +176,12 @@ class _ProposalStream:
 
         Every accepted proposal a batch holds is taken at once; a sample's
         attempt count is the distance from the proposal after the previous
-        sample, which may sit in an earlier batch.
+        sample, which may sit in an earlier batch.  The samples hold
+        read-only views of one (n, d_a, d_b) stack.
         """
         if not self._rows.size:
             # nothing to draw; the block-diagonal joint is PD by construction
-            return [UncertaintySample(np.zeros(self._scale.shape), 1) for _ in range(n)]
+            return _held(np.zeros((n,) + self._scale.shape), [1] * n)
         picks, counts = [], []
         left = n
         attempts = 0     # spent on the sample being drawn
@@ -195,7 +210,7 @@ class _ProposalStream:
         c_ab = np.zeros((n,) + self._scale.shape)
         c_ab[:, self._rows, self._cols] = np.concatenate(picks)
         c_ab *= self._scale
-        return [UncertaintySample(c, a) for c, a in zip(c_ab, counts)]
+        return _held(c_ab, counts)
 
 
 def sample_cross(p_a: np.ndarray, p_b: np.ndarray, pattern: CrossSparsityPattern,

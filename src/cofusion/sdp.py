@@ -20,10 +20,24 @@ slack C_i = Pbar - K J_i K^T, the Schur complement of the constant
 J_i^{-1} block: G_i is PD exactly when C_i is, logdet G_i =
 logdet C_i - logdet J_i, and S_i = G_i^{-1} has blocks C_i^{-1},
 -C_i^{-1} K J_i and J_i + J_i K^T C_i^{-1} K J_i (Boyd & Vandenberghe,
-section A.5.5).  So a feasibility test is one batched d x d Cholesky.
-The barrier Hessian sum_i tr(S_i A_k S_i A_l) is read off the Gram
-matrix V^T V of the stacked vec(S_i), a single matrix product, and its
-contraction with the basis A_k does not depend on the number of samples.
+section A.5.5).  The samples sit on the last axis: the joints are one
+(2d, 2d, n) array, and a feasibility test factors all n slacks as
+C_i = L_i D_i L_i^T (Cholesky without square roots), by elimination
+unrolled over (n,) vectors, with logdet from the pivots D_i.  Forward
+substitution gives M_i = L_i^-1 [I, -K J_i], and
+S_i = M_i^T D_i^-1 M_i + blockdiag(0, J_i) is one (3d, 3d, n) array V.
+The barrier gradient is one row sum of V, and the Hessian
+sum_i tr(S_i A_k S_i A_l) is read off the Gram matrix V V^T, one matrix
+product whose contraction with the basis A_k does not depend on n.
+
+``min_lmi_eig``: G_i = T_i^T blockdiag(C_i, J_i^-1) T_i with T_i^-1 =
+[[I, 0], [-J_i K^T, I]], so where C_i is PD, lambda_min(G_i) is at least
+min(lambda_min(C_i), 1 / tr J_i) / (1 + ||K J_i||_F)^2.  ``eigvalsh``
+runs on the _SEED_BLOCKS blocks of least slack, then only on the blocks
+whose bound does not clear the least eigenvalue found or whose slack is
+not PD (2 to 248 of 2,000 at the end of twelve comparison_2d solves), so
+the minimum is bitwise that of all n blocks.  A repaired point (below) is
+checked on every block.
 
 Certification: every Newton step dx at path parameter t, taken where
 the barrier Hessian solves without regularization and the decrement
@@ -64,19 +78,17 @@ each of them starts its loop on the first _SHARED_FACTOR * m samples.
 Until a prefix's active set grows, each of its rounds has the same
 samples, tolerance, steps left and resumed point as in the other
 prefixes, so it gives the same result: it runs once per call (the
-screening round, then the round resumed to ``tol``), and so do the
-checks at its iterate.  The slack eigenvalues are taken once over the
-longest sharing prefix, the LMI block eigenvalues only as far as the
-prefixes that end on that round read them, and each prefix reads its
-own first n.  A prefix that grows its set, or whose point is repaired,
-goes on alone, and each prefix's status rule is taken over its own
-samples.  No prefix's path depends on another prefix's samples.  The
-shared first set is larger than a lone solve's because it is paid for
-once, while each prefix pays for its own growth: at 24 * m, 16 of the
-288 prefixes of n >= 200 in ``compare --mc 3`` at seeds 0..31 grew
-their set, against 51 at 16 * m, which spread the sweep's cost per seed
-further.  ``solve_prefixes`` builds each ``SdpSolution`` in one place,
-with one status rule.
+screening round, then the round resumed to ``tol``), and so does the
+slack check at its iterate, taken once over the longest sharing prefix;
+each prefix reads its own first n.  A prefix that grows its set, or
+whose point is repaired, goes on alone, and each prefix's status rule
+and ``min_lmi_eig`` are taken over its own samples.  No prefix's path
+depends on another prefix's samples.  The shared first set is larger
+than a lone solve's because it is paid for once, while each prefix pays
+for its own growth: at 24 * m, 16 of the 288 prefixes of n >= 200 in
+``compare --mc 3`` at seeds 0..31 grew their set, against 51 at 16 * m,
+which spread the sweep's cost per seed further.  ``solve_prefixes``
+builds each ``SdpSolution`` in one place, with one status rule.
 
 Roundoff: the barrier objective psi = t * trace(Pbar) - logdet grows with
 t, and near the end its float64 roundoff swamps any absolute stopping
@@ -134,6 +146,12 @@ _SCREEN_TOL = 1e-2
 _NEAR = 2
 # a repaired point clears the worst slack violation by this relative margin
 _REPAIR_MARGIN = 1e-9
+# min_lmi_eig runs eigvalsh first on this many blocks of least slack, then
+# on the blocks whose lower bound does not clear the least eigenvalue found
+_SEED_BLOCKS = 8
+# the allowance on that bound for the rounding of eigvalsh and of the
+# slacks, relative to a bound on the size of a block's entries
+_LMI_ROUNDOFF = 1e-12
 
 
 class SolveStatus(str, Enum):
@@ -289,26 +307,28 @@ class _Workspace:
         cvec[np.flatnonzero(iu_r == iu_c)] = 1.0
         self.d, self.n, self.p3, self.npv, self.m = d, n, p3, npv, m
         self.iu = (iu_r, iu_c)
+        self.sym = np.empty((d, d), dtype=int)     # where each entry of Pbar sits in x
+        self.sym[iu_r, iu_c] = self.sym[iu_c, iu_r] = np.arange(npv)
         self.basis = a.reshape(m, p3 * p3)     # row k is vec(A_k)
         self.cvec = cvec
         self.problem = problem
+        self.joints = np.ascontiguousarray(problem.joints.transpose(1, 2, 0))   # batch last
+        self.tr_j = float(np.trace(problem.p_a) + np.trace(problem.p_b))   # every J_i's
         self.eye = np.eye(d)
 
     def pack(self, pbar: np.ndarray, ka: np.ndarray) -> np.ndarray:
         return np.concatenate([pbar[self.iu], ka.reshape(-1)])
 
     def unpack(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        pbar = np.zeros((self.d, self.d))
-        pbar[self.iu] = x[:self.npv]
-        pbar[self.iu[1], self.iu[0]] = x[:self.npv]
-        return pbar, x[self.npv:].reshape(self.d, self.d)
+        return x[self.sym], x[self.npv:].reshape(self.d, self.d)
 
-    def lmis(self, x: np.ndarray) -> np.ndarray:
-        """The full 3d x 3d LMI blocks G_i at x."""
+    def lmis(self, x: np.ndarray, idx=slice(None)) -> np.ndarray:
+        """The full 3d x 3d LMI blocks G_i at x, built for the samples ``idx`` selects."""
         d = self.d
         pbar, ka = self.unpack(x)
-        g = np.empty((self.n, self.p3, self.p3))
-        g[:, d:, d:] = self.problem.joint_inverses
+        q = self.problem.joint_inverses[idx]
+        g = np.empty((len(q), self.p3, self.p3))
+        g[:, d:, d:] = q
         g[:, :d, :d] = pbar
         g[:, :d, d:2 * d] = ka
         g[:, d:2 * d, :d] = ka.T
@@ -317,46 +337,103 @@ class _Workspace:
         g[:, 2 * d:, :d] = kb.T
         return g
 
-    def slacks(self, x: np.ndarray):
-        """(C_i, K J_i) at x, with C_i = Pbar - K J_i K^T the d x d slacks."""
+    def _slack_last(self, x: np.ndarray):
+        """(C, K J) at x, batch last: the slacks C_i = Pbar - K J_i K^T as a
+        (d, d, n) array and the K J_i as a (d, 2d, n) one."""
+        d = self.d
         pbar, ka = self.unpack(x)
         k = np.concatenate([ka, self.eye - ka], axis=1)
-        kj = k @ self.problem.joints
-        return pbar - (kj.reshape(-1, 2 * self.d) @ k.T).reshape(self.n, self.d, self.d), kj
+        kj = (k @ self.joints.reshape(2 * d, -1)).reshape(d, 2 * d, self.n)
+        # k @ kj[a] is row a of every K J_i K^T
+        return pbar[:, :, None] - k @ kj, kj
+
+    def slacks(self, x: np.ndarray):
+        """(C_i, K J_i) at x, with C_i = Pbar - K J_i K^T the d x d slacks,
+        as (n, d, d) and (n, d, 2d) views of the batch-last arrays."""
+        return tuple(a.transpose(2, 0, 1) for a in self._slack_last(x))
 
     def chol_logdet(self, x: np.ndarray):
         """(factors, sum_i logdet G_i) when x is strictly feasible, else (None, -inf).
 
-        G_i is PD exactly when its slack C_i = Pbar - K J_i K^T is, so only
-        the d x d slacks are factored.  ``factors`` is (chol(C_i), K J_i),
-        what ``barrier_grad_hess`` needs.
+        Only the slacks are factored, as C = L D L^T by elimination over
+        (n,) vectors as in ``sampler._accept``; x is strictly feasible
+        exactly when every pivot is positive and finite, that is when
+        logdet is finite.  ``factors`` is (the eliminated slacks, K J).
         """
-        slack, kj = self.slacks(x)
-        if not np.all(np.isfinite(slack)):
+        ldl, kj = self._slack_last(x)
+        d = self.d
+        # a pivot that is not positive spoils the steps after it, and logdet,
+        # with inf or nan
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            for j in range(d - 1):
+                ratio = ldl[j + 1:, j] / ldl[j, j]
+                for i in range(j + 1, d):
+                    ldl[i, j + 1:i + 1] -= ratio[i - j - 1] * ldl[j + 1:i + 1, j]
+            logdet = float(np.sum(np.log(ldl.reshape(d * d, self.n)[::d + 1])))
+        if not np.isfinite(logdet):
             return None, -np.inf
-        try:
-            chol = np.linalg.cholesky(slack)
-        except np.linalg.LinAlgError:
-            return None, -np.inf
-        logdet = 2.0 * float(np.sum(np.log(np.diagonal(chol, axis1=1, axis2=2))))
-        return (chol, kj), logdet - self.problem.joint_logdet
+        return (ldl, kj), logdet - self.problem.joint_logdet
 
     def barrier_grad_hess(self, factors):
-        """Gradient and Hessian of -sum_i logdet G_i at the point ``factors`` came from."""
-        chol, kj = factors
-        d, p3 = self.d, self.p3
-        # with N = L^-1 [I, -K J] and C = L L^T, S_i = N^T N + blockdiag(0, J_i)
-        linv = np.linalg.inv(chol)
-        nmat = np.concatenate([linv, -(linv @ kj)], axis=2)
-        s = np.ascontiguousarray(nmat.transpose(0, 2, 1)) @ nmat
-        s[:, d:, d:] += self.problem.joints
-        v = s.reshape(self.n, p3 * p3)
-        grad = -(self.basis @ v.sum(axis=0))
+        """Gradient and Hessian of -sum_i logdet G_i at the point ``factors`` came from.
+
+        S_i = G_i^-1 = M_i^T D_i^-1 M_i + blockdiag(0, J_i), with
+        M_i = L_i^-1 [I, -K J_i] by forward substitution over (n,) vectors,
+        batch last (see the module docstring).
+        """
+        ldl, kj = factors
+        d, p3, n = self.d, self.p3, self.n
+        pivots = ldl.reshape(d * d, n)[::d + 1]
+        nmat = np.empty((d, p3, n))
+        nmat[:, :d] = self.eye[:, :, None]
+        np.negative(kj, out=nmat[:, d:])
+        for j in range(1, d):
+            for i in range(j):
+                # the eliminated ldl[j, i] is L_ji D_i
+                nmat[j] -= (ldl[j, i] / pivots[i]) * nmat[i]
+        s = np.einsum("jan,jbn->abn", nmat / pivots[:, None], nmat)
+        s[d:, d:] += self.joints
+        v = s.reshape(p3 * p3, n)
+        grad = -(self.basis @ v.sum(axis=1))
         # gram[(a,b),(c,e)] = sum_i S_i[a,b] S_i[c,e], and
         # H_kl = sum gram[(a,b),(c,e)] A_k[b,c] A_l[e,a]
-        gram = (v.T @ v).reshape(p3, p3, p3, p3).transpose(1, 2, 3, 0)
+        gram = (v @ v.T).reshape(p3, p3, p3, p3).transpose(1, 2, 3, 0)
         hess = self.basis @ gram.reshape(p3 * p3, p3 * p3) @ self.basis.T
         return grad, 0.5 * (hess + hess.T)
+
+    def lmi_floors(self, x: np.ndarray, slack_eigs: np.ndarray) -> np.ndarray:
+        """Lower bounds on each LMI block's least eigenvalue at x, -inf where
+        C_i is not PD (module docstring); ``slack_eigs`` holds lambda_min(C_i).
+
+        ||T_i^-1||_2 <= 1 + ||K J_i||_F and lambda_max(J_i) <= tr J_i.
+        """
+        kj = self._slack_last(x)[1].reshape(-1, self.n)
+        grow = (1.0 + np.sqrt(np.sum(kj * kj, axis=0))) ** 2
+        floors = np.minimum(slack_eigs, 1.0 / self.tr_j) / grow
+        return np.where(slack_eigs > 0.0, floors, -np.inf)
+
+    def min_lmi_eig(self, x: np.ndarray, slack_eigs: np.ndarray) -> float:
+        """``np.min(eigvalsh(self.lmis(x)))``, bitwise, from the blocks that
+        can hold it; ``slack_eigs`` holds lambda_min(C_i) at x.
+
+        A block joins the _SEED_BLOCKS of least slack when its bound does not
+        clear their minimum by 1e-9 relative plus _LMI_ROUNDOFF of its scale.
+        """
+        first = np.argpartition(slack_eigs, min(self.n, _SEED_BLOCKS) - 1)[:_SEED_BLOCKS]
+        best = np.min(np.linalg.eigvalsh(self.lmis(x, first)))
+        pbar, ka = self.unpack(x)
+        k_norm = np.hypot(np.linalg.norm(ka), np.linalg.norm(self.eye - ka))
+        # bounds the norms of G_i and of the slack it embeds, and with them
+        # the rounding of eigvalsh and of the slacks
+        scale = (np.linalg.norm(pbar) + 2.0 * k_norm + k_norm ** 2 * self.tr_j
+                 + np.trace(self.problem.joint_inverses, axis1=1, axis2=2))
+        limit = best + 1e-9 * abs(best) + _LMI_ROUNDOFF * scale
+        keep = ~(self.lmi_floors(x, slack_eigs) > limit)
+        keep[first] = False
+        rest = np.flatnonzero(keep)
+        if rest.size:
+            best = np.minimum(best, np.min(np.linalg.eigvalsh(self.lmis(x, rest))))
+        return float(best)
 
 
 def _initial_point(ws: _Workspace, problem: SampledFusionProblem):
@@ -400,9 +477,8 @@ def solve(problem: SampledFusionProblem, tol: float = DEFAULT_TOL,
     total.  ``gap`` is the best relative gap certified so far by a dual
     point, ``inf`` if none was.  Status is ``optimal`` only when the last
     round reached its tolerance, that gap reached tol and every one of the
-    n LMIs holds within 1e-7.  An exhausted budget, a stalled line search
-    (or an iterate whose LMI block is singular to working precision), or a
-    tolerance that float64 cannot reach (a path stage that certifies
+    n LMIs holds within 1e-7.  An exhausted budget, a stalled line search,
+    or a tolerance that float64 cannot reach (a path stage that certifies
     nothing new, once centering is down to the roundoff of the barrier
     objective) returns the last iterate with status ``max_iterations``,
     well before the budget in the last two cases.  A start point or
@@ -427,8 +503,8 @@ def solve_prefixes(problem: SampledFusionProblem, sizes, tol: float = DEFAULT_TO
     samples alone.  When two or more prefixes are longer, each of them
     starts its active-set loop on the first _SHARED_FACTOR * m samples.
     Each round before a prefix's active set grows is the same in all of
-    them, so it runs once, with its slack and LMI checks, and every one
-    of them counts its Newton steps in ``newton_iterations``.
+    them, so it runs once, with its slack check, and every one of them
+    counts its Newton steps in ``newton_iterations``.
     Sizes outside 1..n, or none, raise DimensionError, as do the ``tol``
     and ``max_iters`` ``solve`` refuses.
     """
@@ -467,14 +543,12 @@ def solve_prefixes(problem: SampledFusionProblem, sizes, tol: float = DEFAULT_TO
 
 
 class _RoundLog:
-    """Barrier rounds run from one active set, in order, with their checks.
+    """Barrier rounds run from one active set, in order, with their slack checks.
 
     ``ws`` is the workspace of the longest prefix the log serves.  Each
-    stored round is [result, least slack eigenvalue of every sample at its
-    x, least eigenvalue of each LMI block at its x], the checks taken over
-    ``ws``'s samples in order, so a prefix of n samples reads their first
-    n entries.  The LMI blocks are taken only as far as a prefix that ends
-    on the round reads them.
+    stored round is (result, least slack eigenvalue of every sample at its
+    x), the check taken over ``ws``'s samples in order, so a prefix of n
+    samples reads their first n entries.
     """
 
     def __init__(self, ws: _Workspace):
@@ -487,19 +561,8 @@ class _RoundLog:
             # so one public call is one call whatever wraps that name
             result = _barrier(sub, tol, budget, resume)
             x = result[0][0]
-            worst = np.linalg.eigvalsh(self.ws.slacks(x)[0])[:, 0]
-            self.rounds.append([result, worst, np.empty(0)])
+            self.rounds.append((result, np.linalg.eigvalsh(self.ws.slacks(x)[0])[:, 0]))
         return self.rounds[k]
-
-    def lmi_eigs(self, k: int, n: int) -> np.ndarray:
-        """Least eigenvalue of each of the first n LMI blocks at round ``k``'s x."""
-        result, _, eigs = self.rounds[k]
-        if len(eigs) < n:
-            x = result[0][0]
-            blocks = self.ws.lmis(x)[len(eigs):n]
-            eigs = np.concatenate([eigs, np.linalg.eigvalsh(blocks)[:, 0]])
-            self.rounds[k][2] = eigs
-        return eigs[:n]
 
 
 def _rounds(problem: SampledFusionProblem, ws: _Workspace, tol: float, max_iters: int,
@@ -511,13 +574,15 @@ def _rounds(problem: SampledFusionProblem, ws: _Workspace, tol: float, max_iters
     grows is taken from it, or run and stored there: such a round depends
     only on those samples, ``tol``, the steps left and the point it
     resumes, all the same for every prefix longer than ``first`` of one
-    problem until its set grows.  So are the checks at its iterate.  Each
-    later active set starts a log of this prefix's own.  Returns (x,
+    problem until its set grows.  So is the slack check at its iterate.
+    Each later active set starts a log of this prefix's own.  Returns (x,
     status, Newton steps, best certified lower bound, active samples,
     least eigenvalue of the n LMI blocks at x): the last round's iterate,
     repaired when samples outside its set are still violated, and that
     round's status, before the checks ``solve_prefixes`` makes on the full
-    sample set.
+    sample set.  The least eigenvalue comes from ``min_lmi_eig``'s
+    candidate set at a round's iterate, and from every block at a repaired
+    point.
     """
     d, n = problem.d, problem.n
     m = d * d + d * (d + 1) // 2
@@ -528,7 +593,7 @@ def _rounds(problem: SampledFusionProblem, ws: _Workspace, tol: float, max_iters
     while True:
         screening = resume is None and tol < _SCREEN_TOL and n > first
         round_tol = _SCREEN_TOL if screening else tol
-        result, worst, _ = log.round(k, sub, round_tol, max_iters - used, resume)
+        result, worst = log.round(k, sub, round_tol, max_iters - used, resume)
         worst, k = worst[:n], k + 1
         resume, status, steps, sub_lower = result
         used += steps
@@ -553,7 +618,7 @@ def _rounds(problem: SampledFusionProblem, ws: _Workspace, tol: float, max_iters
         x = ws.pack(pbar + delta * ws.eye, ka)
         min_eig = float(np.min(np.linalg.eigvalsh(ws.lmis(x))))
     else:
-        min_eig = float(np.min(log.lmi_eigs(k - 1, n)))
+        min_eig = ws.min_lmi_eig(x, worst)
     return x, status, used, lower, len(active), min_eig
 
 
@@ -599,13 +664,7 @@ def _barrier(problem: SampledFusionProblem, tol: float, budget: int, resume=None
         stalled = False
         while used < budget:
             if derivs is None:
-                try:
-                    derivs = ws.barrier_grad_hess(factors)
-                except np.linalg.LinAlgError:
-                    # a slack factor that cannot be inverted: the point cannot
-                    # move on, like a line search that finds no step
-                    stalled = True
-                    break
+                derivs = ws.barrier_grad_hess(factors)
             grad_phi, hess = derivs
             grad = t * ws.cvec + grad_phi
             dx = None

@@ -68,3 +68,27 @@ def test_one_public_solve_is_one_traced_solve_whatever_its_rounds(monkeypatch):
     layers = tracing.layer_metrics(tracer)
     assert layers["sdp.solve_calls"] == 1
     assert layers["sdp.newton_steps"] == sol.newton_iterations
+
+
+def test_a_traced_sweep_counts_every_draw_and_its_attempts():
+    # the sweep draws through the names the tracer wraps, so sampler.draws
+    # and sampler.attempts count every sample a compare run uses
+    import numpy as np
+
+    from cofusion.core import CrossSparsityPattern, make_substream_seed
+    from cofusion.sampler import sample_cross, sample_set
+
+    pa, pb = np.diag([3.0, 1.0]), np.diag([1.0, 4.0])
+    pattern = CrossSparsityPattern.unconstrained(2, 2)
+    tracer = tracing.Tracer()
+    uninstall = tracing.install(tracer, cofusion)
+    try:
+        cofusion.metrics.conservativeness_sweep(pa, pb, pattern, [10, 50], 1, seed=5)
+    finally:
+        uninstall()
+    layers = tracing.layer_metrics(tracer)
+    truth = sample_cross(pa, pb, pattern, make_substream_seed(5, "truth", 0))
+    draws = sample_set(pa, pb, pattern, 50, make_substream_seed(5, "samples", 0))
+    attempts = truth.attempts + sum(s.attempts for s in draws)
+    assert layers["sampler.draws"] == 51
+    assert layers["sampler.attempts"] == attempts > 51

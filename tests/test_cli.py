@@ -241,7 +241,21 @@ def test_compare_writes_sweep_summary_manifest(capsys, tmp_path):
     assert "work" not in manifest
     for key in ("seed", "version", "started", "finished"):
         assert manifest[key] not in (None, "")
-    _assert_timings_and_environment(manifest)
+    _assert_timings_and_environment(manifest, parts=COMPARE_PHASES)
+
+
+COMPARE_PHASES = ("sample", "build", "solve", "check")
+
+
+def test_compare_manifest_sums_the_phases_of_worker_runs(capsys, tmp_path):
+    # under --jobs the phases are worker seconds summed over runs, which
+    # may exceed the wall time of ``run``; keys only, never the values
+    cfg = _comparison_config(tmp_path, n_values=[3, 6])
+    rc, out, _ = _run(capsys, ["compare", "--config", str(cfg), "--jobs", "2",
+                               "--out", str(tmp_path / "runs")])
+    assert rc == 0
+    manifest = json.loads(Path(out.strip(), "manifest.json").read_text())
+    assert set(manifest["timings"]) == {"run", "write", *COMPARE_PHASES}
 
 
 def test_compare_overrides_and_preset(capsys, tmp_path):

@@ -131,6 +131,27 @@ def test_uncertainty_sample_is_frozen():
         UncertaintySample(np.zeros((2, 2)), 0)
 
 
+def test_a_caller_built_sample_holds_its_own_copy():
+    arr = np.arange(4.0).reshape(2, 2)
+    s = UncertaintySample(arr, 1)
+    arr[0, 0] = 99.0
+    np.testing.assert_array_equal(s.p_ab, [[0.0, 1.0], [2.0, 3.0]])
+    with pytest.raises(DimensionError):
+        UncertaintySample(arr, attempts=0)
+
+
+@pytest.mark.parametrize("zeros", [frozenset(), frozenset(np.ndindex(2, 2))],
+                         ids=["free", "all_zero"])
+def test_drawn_samples_are_read_only(zeros):
+    pat = CrossSparsityPattern(2, 2, zeros)
+    drawn = sample_set(np.eye(2), np.diag([2.0, 3.0]), pat, 40, seed=4)
+    drawn.append(sample_cross(np.eye(2), np.diag([2.0, 3.0]), pat, seed=4))
+    for s in drawn:
+        assert not s.p_ab.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            s.p_ab[0, 0] = 1.0
+
+
 # ---------------------------------------------------------------------------
 # batched proposals against one proposal at a time
 

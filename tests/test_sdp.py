@@ -402,6 +402,64 @@ def test_min_lmi_eig_is_taken_on_the_full_blocks():
         assert sol.min_lmi_eig == float(np.min(np.linalg.eigvalsh(ws.lmis(x))))
 
 
+def _least_slack_eigs(ws, x):
+    return np.linalg.eigvalsh(ws.slacks(x)[0])[:, 0]
+
+
+def _solved(prob):
+    sol = solve(prob, tol=1e-8)
+    return sol.bound, sol.gain_a
+
+
+def test_lmi_floors_never_exceed_a_blocks_least_eigenvalue():
+    rng = np.random.default_rng(28)
+    for d in (1, 2, 3, 8):
+        prob = _random_problem(rng, d, 60)
+        ws = _Workspace(prob)
+        x0, x1 = _initial_point(ws, prob)[0], ws.pack(*_solved(prob))
+        points = _points(ws, prob) + [x1]
+        # random points between the start and the optimum, most of them
+        # feasible for most samples
+        points += [x1 + rng.uniform() * (x0 - x1)
+                   + 0.05 * np.abs(x0 - x1) * rng.standard_normal(x0.shape)
+                   for _ in range(20)]
+        checked = 0
+        for x in points:
+            slack = _least_slack_eigs(ws, x)
+            floors = ws.lmi_floors(x, slack)
+            pd = slack > 0.0
+            assert np.all(floors[pd] <= np.linalg.eigvalsh(ws.lmis(x))[pd, 0])
+            assert np.all(floors[~pd] == -np.inf)
+            checked += int(pd.sum())
+        assert checked > 60 * len(points) // 2
+
+
+@pytest.mark.parametrize("n", [1, 7, 300])
+def test_min_lmi_eig_is_bitwise_the_full_block_minimum(n):
+    # below the seed set (n 1 and 7) every block is taken; at n 300 only
+    # the candidates are
+    rng = np.random.default_rng(29 + n)
+    for d in (1, 2, 3):
+        prob = _random_problem(rng, d, n)
+        ws = _Workspace(prob)
+        for x in _points(ws, prob) + [ws.pack(*_solved(prob))]:
+            full = np.min(np.linalg.eigvalsh(ws.lmis(x)))
+            assert ws.min_lmi_eig(x, _least_slack_eigs(ws, x)) == full
+
+
+def test_min_lmi_eig_at_a_point_where_one_slack_is_indefinite():
+    # as in the chol_logdet test: at Pbar = 0.7 I only sample 5's slack is
+    # indefinite, among more samples than the seed set holds
+    samples = [np.zeros((2, 2))] * 5 + [0.9 * np.eye(2)] + [np.zeros((2, 2))] * 30
+    prob = build_problem(np.eye(2), np.eye(2), samples)
+    ws = _Workspace(prob)
+    x = ws.pack(0.7 * np.eye(2), 0.5 * np.eye(2))
+    slack = _least_slack_eigs(ws, x)
+    assert list(np.flatnonzero(slack <= 0.0)) == [5]
+    full = np.min(np.linalg.eigvalsh(ws.lmis(x)))
+    assert ws.min_lmi_eig(x, slack) == full < 0.0
+
+
 # ---------------------------------------------------------------------------
 # the active set: rounds of the barrier method on growing subsets
 
