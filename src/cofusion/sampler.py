@@ -7,7 +7,10 @@ sparsity pattern marks as zero are never drawn, so they are exactly zero
 in every sample.
 
 Proposals are drawn and tested in batches: one ``uniform`` call fills k
-proposals at once and ``_accept`` decides them all.  A proposal is
+proposals at once and ``_accept`` decides them all.  A batch that accepts
+nothing doubles the next; after one that accepts some, the next holds
+the proposals the samples still needed take at the stream's acceptance
+rate so far (never fewer than before, at most _MAX_BATCH).  A proposal is
 accepted when ``eigvalsh`` puts the joint's smallest eigenvalue above
 ``PD_MARGIN``.  ``_accept`` settles nearly every proposal without an
 eigensolve: one LDL^T elimination, with the batch on the last axis,
@@ -50,10 +53,10 @@ DEFAULT_MAX_ATTEMPTS = 1_000_000
 # a proposal is accepted when the joint correlation's smallest eigenvalue
 # clears this margin, keeping later Cholesky factorizations safe
 PD_MARGIN = 1e-9
-# a stream's first batch holds _FIRST_BATCH proposals, and every batch
-# without an accepted proposal doubles the next, up to _MAX_BATCH.  With
-# every entry free at d = 4 (about 2,700 proposals per sample), a cap of
-# 4096 raised peak memory by 4 MB against 0.8 MB at 512, and ran no faster
+# a stream's first batch holds _FIRST_BATCH proposals, and no batch more
+# than _MAX_BATCH (module docstring).  With every entry free at d = 4 (about
+# 2,700 proposals per sample), a cap of 4096 raised peak memory by 4 MB
+# against 0.8 MB at 512, and ran no faster
 _FIRST_BATCH = 16
 _MAX_BATCH = 512
 # half-width of the band around PD_MARGIN that _accept leaves to eigvalsh
@@ -155,8 +158,16 @@ class _ProposalStream:
         self._props = np.empty((0, len(free)))   # pending proposals
         self._ok = np.empty(0, dtype=bool)       # their accept decisions
         self._next = 0                           # first unused proposal
+        self._seen = self._accepted = 0          # proposals decided, and accepted
 
-    def _refill(self, k: int) -> None:
+    def _refill(self, left: int, budget: int) -> None:
+        """A fresh batch for ``left`` more samples, of at most ``budget`` proposals."""
+        if self._ok.any():
+            want = -(-left * self._seen // self._accepted)     # rounded up
+            self._batch = min(max(self._batch, want), _MAX_BATCH)
+        elif self._ok.size:
+            self._batch = min(2 * self._batch, _MAX_BATCH)
+        k = min(self._batch, budget)
         props = self._rng.uniform(-1.0, 1.0, size=(k, self._rows.size))
         # built batch-last, the layout _accept eliminates in; it and
         # eigvalsh read the (k, m, m) view
@@ -168,8 +179,8 @@ class _ProposalStream:
         self._props = props
         self._ok = _accept(stack.transpose(2, 0, 1))
         self._next = 0
-        if not self._ok.any():
-            self._batch = min(2 * self._batch, _MAX_BATCH)
+        self._seen += k
+        self._accepted += int(np.count_nonzero(self._ok))
 
     def draw(self, n: int, max_attempts: int) -> list[UncertaintySample]:
         """The stream's next n samples, each within ``max_attempts`` attempts.
@@ -192,7 +203,7 @@ class _ProposalStream:
                         f"no admissible cross-covariance found in {max_attempts} "
                         "attempts; the marginals may be near-singular or the "
                         "pattern leaves too many free entries for this dimension")
-                self._refill(min(self._batch, max_attempts - attempts))
+                self._refill(left, max_attempts - attempts)
             # no batch outgrows the budget left when it was drawn, so the
             # proposals a sample finds buffered never outrun its own budget
             hits = np.flatnonzero(self._ok[self._next:])[:left] + self._next

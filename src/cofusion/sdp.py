@@ -23,12 +23,17 @@ logdet C_i - logdet J_i, and S_i = G_i^{-1} has blocks C_i^{-1},
 section A.5.5).  The samples sit on the last axis: the joints are one
 (2d, 2d, n) array, and a feasibility test factors all n slacks as
 C_i = L_i D_i L_i^T (Cholesky without square roots), by elimination
-unrolled over (n,) vectors, with logdet from the pivots D_i.  Forward
-substitution gives M_i = L_i^-1 [I, -K J_i], and
-S_i = M_i^T D_i^-1 M_i + blockdiag(0, J_i) is one (3d, 3d, n) array V.
-The barrier gradient is one row sum of V, and the Hessian
-sum_i tr(S_i A_k S_i A_l) is read off the Gram matrix V V^T, one matrix
-product whose contraction with the basis A_k does not depend on n.
+unrolled over (n,) vectors, with logdet from the pivots D_i.
+
+Derivatives in 2d coordinates: K_b = I - K_a leaves 2d independent
+directions.  With T = [[I, 0, 0], [0, I, -I]] (2d x 3d), each basis
+matrix is A_k = T^T B_k T for a 2d x 2d B_k (``_coords``), so
+tr(S_i A_k S_i A_l) = tr(R_i B_k R_i B_l) with R_i = T S_i T^T =
+N_i^T D_i^-1 N_i + blockdiag(0, E_i), N_i = L_i^-1 [I, -(K J_i[:, :d] -
+K J_i[:, d:])] by forward substitution, and E_i = P_a + P_b - X_i - X_i^T
+for the cross block X_i.  The upper entries of all R_i form one
+(d(2d+1), n) array: the gradient is a row sum of it, and each Hessian
+entry is two entries of its Gram matrix.
 
 ``min_lmi_eig``: G_i = T_i^T blockdiag(C_i, J_i^-1) T_i with T_i^-1 =
 [[I, 0], [-J_i K^T, I]], so where C_i is PD, lambda_min(G_i) is at least
@@ -74,34 +79,29 @@ then holds strictly, and the objective pays d * delta.
 Nested prefixes: ``solve_prefixes`` solves the program on the first
 n_1, n_2, ... samples in one pass, and ``solve`` is its one-prefix case.
 When two or more prefixes are longer than _SHARED_FACTOR * m samples,
-each of them starts its loop on the first _SHARED_FACTOR * m samples.
-Until a prefix's active set grows, each of its rounds has the same
-samples, tolerance, steps left and resumed point as in the other
-prefixes, so it gives the same result: it runs once per call (the
-screening round, then the round resumed to ``tol``), and so does the
-slack check at its iterate, taken once over the longest sharing prefix;
-each prefix reads its own first n.  A prefix that grows its set, or
-whose point is repaired, goes on alone, and each prefix's status rule
-and ``min_lmi_eig`` are taken over its own samples.  No prefix's path
-depends on another prefix's samples.  The shared first set is larger
-than a lone solve's because it is paid for once, while each prefix pays
-for its own growth: at 24 * m, 16 of the 288 prefixes of n >= 200 in
-``compare --mc 3`` at seeds 0..31 grew their set, against 51 at 16 * m,
-which spread the sweep's cost per seed further.  ``solve_prefixes``
-builds each ``SdpSolution`` in one place, with one status rule.
+each starts its loop on the first _SHARED_FACTOR * m.  Until a prefix's
+active set grows, its rounds have the same samples, tolerance, steps
+left and resumed point as the other prefixes', so each such round runs
+once per call, with its slack check taken over the longest sharing
+prefix (each prefix reads its own first n).  A prefix that grows its set,
+or whose point is repaired, goes on alone; no prefix's path depends on
+another's samples, and its status and ``min_lmi_eig`` are its own.
 
-Roundoff: the barrier objective psi = t * trace(Pbar) - logdet grows with
-t, and near the end its float64 roundoff swamps any absolute stopping
-rule.  Centering therefore also ends when lambda^2 / 2 falls below the
-roundoff of psi, or when an accepted step lowers psi by no more than that
-roundoff (no progress, the step is discarded).  A path stage that raises
-the certified lower bound no further means the tolerance is out of
-float64's reach: the solve ends there with ``max_iterations``.
+Centering: a stage centers until lambda^2 / 2 <= _NEWTON_EPS, and a round
+stops at the first Newton step that certifies its tolerance, centered or
+not.  Near the end of the path the float64 roundoff of the barrier
+objective psi = t * trace(Pbar) - logdet swamps any absolute stopping
+rule, so centering also ends when lambda^2 / 2 falls below that roundoff,
+or when an accepted step lowers psi by no more than it (no progress; the
+step is discarded).  A stage that raises the certified lower bound no
+further means the tolerance is out of float64's reach: the solve ends
+there with ``max_iterations``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from enum import Enum
 
 import numpy as np
@@ -126,17 +126,18 @@ DEFAULT_MAX_ITERS = 200
 MIN_PIVOT = 1e-10
 # geometric increase of the path parameter (gap shrinks by 0.2 per stage)
 T_GROWTH = 5.0
-# squared Newton decrement / 2 at which a point counts as centered; near
-# the end of the path the roundoff of psi (about _ROUNDOFF * |psi|) is larger
-# and takes its place
-_NEWTON_EPS = 1e-9
+# lambda^2 / 2 at which a stage counts as centered (lambda <= 0.014; the gap
+# certificate needs only lambda < 1).  Near the end of the path the roundoff
+# of psi (about _ROUNDOFF * |psi|) is larger and takes its place
+_NEWTON_EPS = 1e-4
 _ROUNDOFF = float(np.finfo(float).eps)
 # the first active set holds ACTIVE_FACTOR * m samples, m the number of
 # unknowns; chosen from timings of whole against active-set solves at
 # d = 1..3, n = 50..2000 (CHANGES.md)
 ACTIVE_FACTOR = 16
 # nested prefixes longer than _SHARED_FACTOR * m samples start on that many and
-# share their rounds until their active sets grow (see "Nested prefixes" above)
+# share their rounds until their sets grow ("Nested prefixes" above); each
+# growth is paid per prefix: 16 of 288 prefixes of n >= 200 grew, 51 at 16 * m
 _SHARED_FACTOR = 24
 # each new active set is first solved to this relative gap, where the
 # samples it misses already show, at about 60% of the Newton steps to 1e-7
@@ -282,37 +283,50 @@ class SdpSolution:
     active_samples: int
 
 
+@lru_cache(maxsize=None)
+def _coords(d: int):
+    """(iu, sym, cvec, upper, pair, w, hess_at): the coordinates at d.
+
+    x holds Pbar's upper entries (at ``iu``; ``sym`` maps Pbar to x), then
+    K_a row by row; the objective is cvec . x.  B_k = w_k (e_p e_q^T +
+    e_q e_p^T) with (p, q) the ``pair[k]``-th of the 2d x 2d upper entries
+    (flat indices ``upper``, np.triu_indices order): w_k is 1/2 on Pbar's
+    diagonal, else 1.  With g the Gram matrix of the upper entries of the
+    R_i, H_kl = 2 w_k w_l (g.flat[hess_at[0]] + g.flat[hess_at[1]])[k, l].
+    """
+    iu = np.triu_indices(d)
+    sym = np.empty((d, d), dtype=int)
+    sym[iu] = sym[iu[::-1]] = np.arange(len(iu[0]))
+    cvec = np.concatenate([iu[0] == iu[1], np.zeros(d * d)])
+    ur, uc = np.triu_indices(2 * d)
+    at = np.empty((2 * d, 2 * d), dtype=int)
+    at[ur, uc] = at[uc, ur] = np.arange(len(ur))
+    p = np.concatenate([iu[0], np.arange(d * d) // d])[:, None]
+    q = np.concatenate([iu[1], d + np.arange(d * d) % d])[:, None]
+    # tr(R B_k R B_l) = 2 w_k w_l (R_ps R_qr + R_pr R_qs), (r, s) = pair[l]
+    t = len(ur)
+    hess_at = np.stack([at[p, q.T] * t + at[q, p.T], at[p, p.T] * t + at[q, q.T]])
+    out = (iu, sym, cvec, ur * 2 * d + uc, at[p, q][:, 0], np.where(p == q, 0.5, 1.0)[:, 0],
+           hess_at)
+    for arr in (*iu, *out[1:]):
+        arr.flags.writeable = False
+    return out
+
+
 class _Workspace:
-    """Basis tensors and evaluators for one problem instance."""
+    """Coordinates and evaluators for one problem instance."""
 
     def __init__(self, problem: SampledFusionProblem):
         d, n = problem.d, problem.n
-        p3 = 3 * d
-        iu_r, iu_c = np.triu_indices(d)
-        npv = len(iu_r)
-        m = npv + d * d
-        a = np.zeros((m, p3, p3))
-        for k in range(npv):
-            i, j = int(iu_r[k]), int(iu_c[k])
-            a[k, i, j] = 1.0
-            a[k, j, i] = 1.0
-        for r in range(d):
-            for c in range(d):
-                k = npv + r * d + c
-                a[k, r, d + c] = 1.0
-                a[k, d + c, r] = 1.0
-                a[k, r, 2 * d + c] = -1.0
-                a[k, 2 * d + c, r] = -1.0
-        cvec = np.zeros(m)
-        cvec[np.flatnonzero(iu_r == iu_c)] = 1.0
-        self.d, self.n, self.p3, self.npv, self.m = d, n, p3, npv, m
-        self.iu = (iu_r, iu_c)
-        self.sym = np.empty((d, d), dtype=int)     # where each entry of Pbar sits in x
-        self.sym[iu_r, iu_c] = self.sym[iu_c, iu_r] = np.arange(npv)
-        self.basis = a.reshape(m, p3 * p3)     # row k is vec(A_k)
-        self.cvec = cvec
+        self.iu, self.sym, self.cvec, self.upper, self.pair, w, self.hess_at = _coords(d)
+        self.grad_w, self.hess_w = 2.0 * w, 2.0 * np.outer(w, w)
+        self.d, self.n, self.npv, self.m = d, n, len(self.iu[0]), len(self.cvec)
         self.problem = problem
         self.joints = np.ascontiguousarray(problem.joints.transpose(1, 2, 0))   # batch last
+        # the upper triangle of E_i = P_a + P_b - X_i - X_i^T, X_i the cross block
+        cross = self.joints[:d, d:]
+        self.e_upper = ((problem.p_a + problem.p_b)[:, :, None] - cross
+                        - cross.transpose(1, 0, 2))[self.iu]
         self.tr_j = float(np.trace(problem.p_a) + np.trace(problem.p_b))   # every J_i's
         self.eye = np.eye(d)
 
@@ -327,14 +341,12 @@ class _Workspace:
         d = self.d
         pbar, ka = self.unpack(x)
         q = self.problem.joint_inverses[idx]
-        g = np.empty((len(q), self.p3, self.p3))
+        k = np.concatenate([ka, self.eye - ka], axis=1)
+        g = np.empty((len(q), 3 * d, 3 * d))
         g[:, d:, d:] = q
         g[:, :d, :d] = pbar
-        g[:, :d, d:2 * d] = ka
-        g[:, d:2 * d, :d] = ka.T
-        kb = self.eye - ka
-        g[:, :d, 2 * d:] = kb
-        g[:, 2 * d:, :d] = kb.T
+        g[:, :d, d:] = k
+        g[:, d:, :d] = k.T
         return g
 
     def _slack_last(self, x: np.ndarray):
@@ -375,31 +387,25 @@ class _Workspace:
         return (ldl, kj), logdet - self.problem.joint_logdet
 
     def barrier_grad_hess(self, factors):
-        """Gradient and Hessian of -sum_i logdet G_i at the point ``factors`` came from.
-
-        S_i = G_i^-1 = M_i^T D_i^-1 M_i + blockdiag(0, J_i), with
-        M_i = L_i^-1 [I, -K J_i] by forward substitution over (n,) vectors,
-        batch last (see the module docstring).
-        """
+        """Gradient and Hessian of -sum_i logdet G_i at the point ``factors`` came
+        from, through the upper triangles of R_i = T S_i T^T (module docstring)."""
         ldl, kj = factors
-        d, p3, n = self.d, self.p3, self.n
+        d, n = self.d, self.n
         pivots = ldl.reshape(d * d, n)[::d + 1]
-        nmat = np.empty((d, p3, n))
+        nmat = np.empty((d, 2 * d, n))
         nmat[:, :d] = self.eye[:, :, None]
-        np.negative(kj, out=nmat[:, d:])
+        np.subtract(kj[:, d:], kj[:, :d], out=nmat[:, d:])
         for j in range(1, d):
             for i in range(j):
                 # the eliminated ldl[j, i] is L_ji D_i
                 nmat[j] -= (ldl[j, i] / pivots[i]) * nmat[i]
-        s = np.einsum("jan,jbn->abn", nmat / pivots[:, None], nmat)
-        s[d:, d:] += self.joints
-        v = s.reshape(p3 * p3, n)
-        grad = -(self.basis @ v.sum(axis=1))
-        # gram[(a,b),(c,e)] = sum_i S_i[a,b] S_i[c,e], and
-        # H_kl = sum gram[(a,b),(c,e)] A_k[b,c] A_l[e,a]
-        gram = (v @ v.T).reshape(p3, p3, p3, p3).transpose(1, 2, 3, 0)
-        hess = self.basis @ gram.reshape(p3 * p3, p3 * p3) @ self.basis.T
-        return grad, 0.5 * (hess + hess.T)
+        r = np.einsum("jan,jbn->abn", nmat / pivots[:, None], nmat)
+        r = r.reshape(4 * d * d, n)[self.upper]
+        # E_i's upper triangle is the last rows of R_i's
+        r[len(self.upper) - len(self.e_upper):] += self.e_upper
+        gram = (r @ r.T).reshape(-1)
+        return (-self.grad_w * r.sum(axis=1)[self.pair],
+                self.hess_w * (gram[self.hess_at[0]] + gram[self.hess_at[1]]))
 
     def lmi_floors(self, x: np.ndarray, slack_eigs: np.ndarray) -> np.ndarray:
         """Lower bounds on each LMI block's least eigenvalue at x, -inf where
@@ -468,13 +474,10 @@ def solve(problem: SampledFusionProblem, tol: float = DEFAULT_TOL,
     """Minimize trace(Pbar) over the sampled LMIs by barrier path-following.
 
     ``solve_prefixes`` on the one prefix that holds every sample: one loop
-    of barrier rounds on an active subset of the samples, grown by the
-    violated ones until every LMI holds (see the module docstring); a
-    problem of at most ACTIVE_FACTOR * m samples is one round on all of
-    them.  Each round returns only an iterate; the solution is built once,
-    from the last one.  ``max_iters`` caps the total Newton steps across
-    all path stages of all rounds, and ``newton_iterations`` is that
-    total.  ``gap`` is the best relative gap certified so far by a dual
+    of barrier rounds on a growing active subset of the samples (module
+    docstring).  ``max_iters`` caps the total Newton steps across all
+    path stages of all rounds, and ``newton_iterations`` is that total.
+    ``gap`` is the best relative gap certified so far by a dual
     point, ``inf`` if none was.  Status is ``optimal`` only when the last
     round reached its tolerance, that gap reached tol and every one of the
     n LMIs holds within 1e-7.  An exhausted budget, a stalled line search,
@@ -496,17 +499,13 @@ def solve_prefixes(problem: SampledFusionProblem, sizes, tol: float = DEFAULT_TO
                    max_iters: int = DEFAULT_MAX_ITERS) -> list[SdpSolution]:
     """Solve the program on the first ``size`` samples, for each of ``sizes``.
 
-    The prefixes are taken in the order given, and each is certified to
-    ``tol`` on its own samples with a budget of ``max_iters`` of its own.
-    A prefix of at most _SHARED_FACTOR * m samples, or the only prefix
-    longer than that, is solved as ``solve`` solves the program on those
-    samples alone.  When two or more prefixes are longer, each of them
-    starts its active-set loop on the first _SHARED_FACTOR * m samples.
-    Each round before a prefix's active set grows is the same in all of
-    them, so it runs once, with its slack check, and every one of them
-    counts its Newton steps in ``newton_iterations``.
-    Sizes outside 1..n, or none, raise DimensionError, as do the ``tol``
-    and ``max_iters`` ``solve`` refuses.
+    Each prefix, in the order given, is certified to ``tol`` on its own
+    samples with a budget of ``max_iters`` of its own.  A prefix of at
+    most _SHARED_FACTOR * m samples, or the only longer one, is solved as
+    ``solve`` solves its samples alone; longer ones share their opening
+    rounds ("Nested prefixes" in the module docstring), and each counts
+    those rounds' Newton steps.  Sizes outside 1..n, or none, raise
+    DimensionError, as do the ``tol`` and ``max_iters`` ``solve`` refuses.
     """
     _check_solver_args(tol, max_iters)
     sizes = list(sizes)
@@ -543,13 +542,9 @@ def solve_prefixes(problem: SampledFusionProblem, sizes, tol: float = DEFAULT_TO
 
 
 class _RoundLog:
-    """Barrier rounds run from one active set, in order, with their slack checks.
-
-    ``ws`` is the workspace of the longest prefix the log serves.  Each
-    stored round is (result, least slack eigenvalue of every sample at its
-    x), the check taken over ``ws``'s samples in order, so a prefix of n
-    samples reads their first n entries.
-    """
+    """Barrier rounds run from one active set, in order, each stored with the
+    least slack eigenvalue of every sample of ``ws`` (the longest prefix the
+    log serves) at its x; a prefix of n samples reads the first n."""
 
     def __init__(self, ws: _Workspace):
         self.ws, self.rounds = ws, []
@@ -570,23 +565,19 @@ def _rounds(problem: SampledFusionProblem, ws: _Workspace, tol: float, max_iters
     """The active-set loop of barrier rounds on all of ``problem``'s samples.
 
     The first active set is the first min(n, ``first``) samples.  Given
-    ``log`` (and n > ``first``), every round before the active set first
-    grows is taken from it, or run and stored there: such a round depends
-    only on those samples, ``tol``, the steps left and the point it
-    resumes, all the same for every prefix longer than ``first`` of one
-    problem until its set grows.  So is the slack check at its iterate.
-    Each later active set starts a log of this prefix's own.  Returns (x,
-    status, Newton steps, best certified lower bound, active samples,
+    ``log``, every round (and slack check) before the set first grows is
+    taken from it, or run and stored there ("Nested prefixes" in the
+    module docstring); each later set starts a log of its own.  Returns
+    (x, status, Newton steps, best certified lower bound, active samples,
     least eigenvalue of the n LMI blocks at x): the last round's iterate,
     repaired when samples outside its set are still violated, and that
-    round's status, before the checks ``solve_prefixes`` makes on the full
-    sample set.  The least eigenvalue comes from ``min_lmi_eig``'s
-    candidate set at a round's iterate, and from every block at a repaired
-    point.
+    round's status, before the checks ``solve_prefixes`` makes on the
+    full sample set.
     """
     d, n = problem.d, problem.n
     m = d * d + d * (d + 1) // 2
-    active = np.arange(min(n, first))
+    inside = np.arange(n) < first     # membership of the active set
+    active = np.flatnonzero(inside)
     sub = _subset(problem, active)
     used, lower, resume = 0, -np.inf, None
     log, k = log or _RoundLog(ws), 0
@@ -599,13 +590,14 @@ def _rounds(problem: SampledFusionProblem, ws: _Workspace, tol: float, max_iters
         used += steps
         lower = max(lower, sub_lower)
         x = resume[0]
-        outside = np.setdiff1d(np.arange(n), active)
+        outside = np.flatnonzero(~inside)
         violated = outside[worst[outside] <= 0.0]
         if used >= max_iters or status is SolveStatus.INFEASIBLE_NUMERICS:
             break
         if violated.size:
             nearest = outside[np.argsort(worst[outside], kind="stable")]
-            active = np.union1d(active, nearest[:violated.size + _NEAR * m])
+            inside[nearest[:violated.size + _NEAR * m]] = True
+            active = np.flatnonzero(inside)
             sub, resume, log, k = _subset(problem, active), None, _RoundLog(ws), 0
         elif not (screening and status is SolveStatus.OPTIMAL):
             break
@@ -626,11 +618,11 @@ def _barrier(problem: SampledFusionProblem, tol: float, budget: int, resume=None
     """Barrier path-following on all of ``problem``'s samples.
 
     Starts at the central start point, or, given ``resume``, at the
-    (x, t) an earlier run on the same problem ended its last stage
-    centered at.  Spends at most ``budget`` Newton steps and returns
-    ((x, t), status, Newton steps taken, best certified lower bound on
-    the optimum): the iterate and path parameter this run ended its last
-    stage at, and the status ``solve`` documents, before its checks on
+    (x, t) an earlier run on the same problem ended at.  Spends at most
+    ``budget`` Newton steps, and stops at the first step that certifies
+    ``tol``.  Returns ((x, t), status, Newton steps taken, best certified
+    lower bound on the optimum): the iterate and path parameter this run
+    ended at, and the status ``solve`` documents, before its checks on
     the full sample set.  Without a strictly feasible start the iterate
     is the central point, the status ``infeasible_numerics`` and the
     lower bound -inf.
@@ -649,14 +641,13 @@ def _barrier(problem: SampledFusionProblem, tol: float, budget: int, resume=None
     # the barrier derivatives depend on x alone, so they are kept until x moves
     x, factors, logdet = start
     derivs = None
+    eye = np.eye(ws.m)
 
-    obj = float(ws.cvec @ x)
     if t is None:
-        t = nu / max(obj, 1e-12)
-    used = 0
+        t = nu / max(float(ws.cvec @ x), 1e-12)
+    used, broke_down = 0, False
     status = SolveStatus.MAX_ITERATIONS
     lower = -np.inf     # best certified lower bound on the optimum
-    broke_down = False
 
     for _stage in range(80):
         # Newton centering at the current path parameter
@@ -667,18 +658,16 @@ def _barrier(problem: SampledFusionProblem, tol: float, budget: int, resume=None
                 derivs = ws.barrier_grad_hess(factors)
             grad_phi, hess = derivs
             grad = t * ws.cvec + grad_phi
-            dx = None
             scale = max(float(np.max(np.abs(np.diag(hess)))), 1.0)
             for reg in (0.0, 1e-12, 1e-8, 1e-4):
                 try:
-                    cand = np.linalg.solve(hess + reg * scale * np.eye(ws.m), -grad)
+                    dx = np.linalg.solve(hess + reg * scale * eye, -grad)
                 except np.linalg.LinAlgError:
                     continue
-                lam2 = float(-grad @ cand)
+                lam2 = float(-grad @ dx)
                 if np.isfinite(lam2) and lam2 >= 0.0:
-                    dx = cand
                     break
-            if dx is None:
+            else:
                 broke_down = True
                 break
             obj = float(ws.cvec @ x)
@@ -686,6 +675,8 @@ def _barrier(problem: SampledFusionProblem, tol: float, budget: int, resume=None
                 # the dual point Z_i = (S_i - S_i dF S_i) / t, dF = sum_k dx_k A_k,
                 # is feasible while lambda < 1, with gap (nu + grad_phi . dx) / t
                 lower = max(lower, obj - (nu + float(grad_phi @ dx)) / t)
+                if (obj - lower) / max(abs(obj), 1e-300) <= tol:
+                    break     # certified: centering further buys the round nothing
             psi = t * obj - logdet
             psi_eps = _ROUNDOFF * (abs(t * obj) + abs(logdet))
             if 0.5 * lam2 <= max(_NEWTON_EPS, psi_eps):
@@ -693,17 +684,15 @@ def _barrier(problem: SampledFusionProblem, tol: float, budget: int, resume=None
             used += 1
             gdx = float(grad @ dx)
             step = 1.0
-            moved = False
             while step > 1e-14:
                 trial = x + step * dx
                 ft, ldt = ws.chol_logdet(trial)
                 if ft is not None:
                     psit = t * float(ws.cvec @ trial) - ldt
                     if psit <= psi + 1e-2 * step * gdx:
-                        moved = True
                         break
                 step *= 0.5
-            if not moved:
+            else:
                 stalled = True
                 break
             if psi - psit <= psi_eps:

@@ -301,6 +301,17 @@ def test_prefixes_hold_when_the_buffer_refills_mid_set(batch_sizes):
         assert_same_stream(short, [(s.p_ab, s.attempts) for s in long[:m]])
 
 
+
+def test_batches_grow_to_the_samples_still_needed(batch_sizes):
+    # comparison_2d's marginals and pattern accept every proposal, so after
+    # the first batch the next ones hold what the draw still needs
+    pa, pb = np.diag([3.0, 1.0]), np.diag([1.0, 4.0])
+    pat = CrossSparsityPattern(2, 2, frozenset({(0, 1), (1, 0)}))
+    samples = sample_set(pa, pb, pat, 2001, seed=7)
+    assert len(batch_sizes) <= 6
+    assert batch_sizes[0] == _FIRST_BATCH and max(batch_sizes) == _MAX_BATCH
+    assert_same_stream(samples, sequential_reference(pa, pb, pat, 2001, seed=7))
+
 # ---------------------------------------------------------------------------
 # the pivot test against eigvalsh
 

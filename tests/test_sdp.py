@@ -369,6 +369,18 @@ def test_chol_logdet_infeasible_exactly_when_a_full_block_is_not_pd():
     assert outcomes == {True, False}
 
 
+def _full_block_basis(d):
+    """The A_k of the 3d x 3d LMI blocks: dG_i / dx_k, for x as ``pack`` lays it out."""
+    iu_r, iu_c = np.triu_indices(d)
+    a = np.zeros((len(iu_r) + d * d, 3 * d, 3 * d))
+    for k, (i, j) in enumerate(zip(iu_r, iu_c)):
+        a[k, i, j] = a[k, j, i] = 1.0
+    for k, (r, c) in enumerate(np.ndindex(d, d), start=len(iu_r)):
+        a[k, r, d + c] = a[k, d + c, r] = 1.0
+        a[k, r, 2 * d + c] = a[k, 2 * d + c, r] = -1.0
+    return a
+
+
 def test_barrier_derivatives_match_full_block_reference():
     # grad_k = -sum_i tr(S_i A_k) and H_kl = sum_i tr(S_i A_k S_i A_l) with
     # S_i the inverse of the full block, one sample at a time
@@ -377,7 +389,12 @@ def test_barrier_derivatives_match_full_block_reference():
         for n in (1, 7, 300):
             prob = _random_problem(rng, d, n)
             ws = _Workspace(prob)
-            a = ws.basis.reshape(ws.m, ws.p3, ws.p3)
+            a = _full_block_basis(d)
+            # G_i is affine in x with slopes A_k
+            x = _initial_point(ws, prob)[0]
+            for k, step in enumerate(np.eye(ws.m)):
+                np.testing.assert_allclose(ws.lmis(x + step)[0] - ws.lmis(x)[0], a[k],
+                                           rtol=0, atol=1e-12)
             for x in _points(ws, prob):
                 grad, hess = ws.barrier_grad_hess(ws.chol_logdet(x)[0])
                 grad_ref = np.zeros(ws.m)
@@ -530,6 +547,23 @@ def test_active_set_solve_matches_the_whole_barrier(rounds):
         np.testing.assert_allclose(sol.bound, whole.bound, rtol=0, atol=1e-5)
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_a_round_resumed_after_screening_reaches_the_whole_solves_optimum(d):
+    # the screening round stops at the first step that certifies _SCREEN_TOL,
+    # wherever centering stands; the path resumed from there still ends at
+    # the optimum a fresh solve reaches
+    prob = _random_problem(np.random.default_rng(40 + d), d, 300)
+    ws = _Workspace(prob)
+    tol = 1e-7
+    (x, t), status, _, lower = _barrier(prob, _SCREEN_TOL, 200)
+    obj = float(ws.cvec @ x)
+    assert status is SolveStatus.OPTIMAL and tol < (obj - lower) / obj <= _SCREEN_TOL
+    (x, _), status, _, _ = _barrier(prob, tol, 200, (x, t))
+    (fresh, _), fresh_status, _, _ = _barrier(prob, tol, 200)
+    assert status is fresh_status is SolveStatus.OPTIMAL
+    assert float(ws.cvec @ x) == pytest.approx(float(ws.cvec @ fresh), rel=tol)
+
+
 def test_binding_sample_after_the_first_set_joins_the_active_set(rounds):
     # near-zero crosses fill the first set; the one extreme cross comes last
     # and alone forces the bound up from I / 2 to 0.975 I
@@ -566,12 +600,13 @@ def test_budget_exhausted_solve_returns_a_point_feasible_for_every_sample(rounds
     # the last round ends on the budget at a point that violates samples
     # outside its subset; the returned point lifts its bound past them
     prob = _random_problem(np.random.default_rng(26), 3, 2000)
-    sol = solve(prob, tol=1e-7, max_iters=60)
+    budget = 50     # the first round screens in 54 steps
+    sol = solve(prob, tol=1e-7, max_iters=budget)
     sub, last = rounds[-1]
     assert sub.n < prob.n
     assert _slack_eigs(prob, last.bound, last.gain_a).min() < 0.0
     assert sol.status is SolveStatus.MAX_ITERATIONS
-    assert sol.newton_iterations == 60
+    assert sol.newton_iterations == budget
     np.testing.assert_array_equal(sol.gain_a, last.gain_a)
     lift = sol.bound - last.bound
     delta = lift[0, 0]
