@@ -47,7 +47,7 @@ class ConfigError(FusionError, ValueError):
 
 
 class SamplingError(FusionError, RuntimeError):
-    """The rejection sampler exhausted its attempt budget."""
+    """The rejection sampler exhausted its attempt budget, or no draw can be admissible."""
 
 
 class SolverError(FusionError, RuntimeError):

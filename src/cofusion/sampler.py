@@ -6,33 +6,38 @@ definite, and rescales by the marginal standard deviations.  Entries the
 sparsity pattern marks as zero are never drawn, so they are exactly zero
 in every sample.
 
-Proposals are drawn and tested in batches: one ``uniform`` call fills k
-proposals at once and ``_accept`` decides them all.  A batch that accepts
-nothing doubles the next; after one that accepts some, the next holds
-the proposals the samples still needed take at the stream's acceptance
-rate so far (never fewer than before, at most _MAX_BATCH).  A proposal is
+Proposals come in batches, one ``uniform`` call each.  A batch that
+accepts nothing doubles the next; after one that accepts some, the next
+holds what the samples still needed take at the stream's acceptance rate
+so far (never fewer than before, at most _MAX_BATCH).  A proposal is
 accepted when ``eigvalsh`` puts the joint's smallest eigenvalue above
-``PD_MARGIN``.  ``_accept`` settles nearly every proposal without an
-eigensolve: one LDL^T elimination, with the batch on the last axis,
-factors M - c I at the two shifts c = PD_MARGIN +- _BAND.  All pivots
-positive at the upper shift proves the smallest eigenvalue above
-PD_MARGIN; a nonpositive pivot at the lower shift proves it below (by
-interlacing, a leading block that is not positive definite bounds it).
-The joints are correlation matrices, so their norm is at most their
-order, and the rounding of both the elimination and ``eigvalsh`` stays
-near 1e-14, far inside _BAND.  Only the proposals between the shifts
-go to ``eigvalsh``, and it runs the same LAPACK routine on each matrix
-as a one-at-a-time loop would.  Batches too small for the elimination
-to pay off go to ``eigvalsh`` whole.
+PD_MARGIN.  For M = [[F, C], [C^T, G]], F the marginal correlation a
+stream fixes, M - c I is positive definite exactly when F - c I and
+S_c = (G - c I) - W_c^T W_c are, W_c = L_c^-1 C for L_c the Cholesky
+factor of F - c I.  A stream factors F once, at c = PD_MARGIN +- _BAND.
+A column of W (one matmul at the lower shift) whose squared norm reaches
+G_jj - c gives S_c a nonpositive diagonal entry and rejects; the rest
+are eliminated as LDL^T at both shifts.  All pivots positive at the upper
+shift proves the smallest eigenvalue above PD_MARGIN, a nonpositive one
+at the lower shift proves it below (interlacing).  Only proposals between
+the shifts (every one not rejected, if F does not factor at the upper
+shift) go to ``eigvalsh``, which runs the same LAPACK routine on each
+joint as a one-at-a-time loop would.  A marginal that does not factor at
+the lower shift bounds every joint below PD_MARGIN (interlacing), so the
+stream raises ``SamplingError`` before any proposal.  Rounding: Cholesky
+without pivoting is backward stable on positive definite matrices, and
+on correlation joints it and ``eigvalsh`` round near 1e-14, far inside
+_BAND.  W's rounding grows with |L_c^-1|, and so does S_c (S_c^-1 is a
+block of (M - c I)^-1); the tests match ``eigvalsh`` at condition up to
+1e9 and within 1e-12 of PD_MARGIN.
 
 The generator yields the same doubles in the same order whatever the
-batch size, so every proposal and every accept/reject decision is the
-one a loop of one proposal and one ``eigvalsh`` at a time would make.
-A sample set takes every accepted proposal of a batch at once, and
-proposals left over after one sample serve the next; a sample's attempt
-count starts at the proposal after the previous sample's.  Samples,
-attempt counts and the point at which ``max_attempts`` gives up are
-therefore those of that loop.
+batch size, so every proposal and decision is the one a loop of one
+proposal and one ``eigvalsh`` at a time would make.  A sample set takes
+every accepted proposal of a batch at once and leaves the rest to the
+next samples, counting a sample's attempts from the proposal after the
+previous sample's: samples, attempt counts and where ``max_attempts``
+gives up are that loop's.
 """
 
 from __future__ import annotations
@@ -54,17 +59,14 @@ DEFAULT_MAX_ATTEMPTS = 1_000_000
 # clears this margin, keeping later Cholesky factorizations safe
 PD_MARGIN = 1e-9
 # a stream's first batch holds _FIRST_BATCH proposals, and no batch more
-# than _MAX_BATCH (module docstring).  With every entry free at d = 4 (about
-# 2,700 proposals per sample), a cap of 4096 raised peak memory by 4 MB
-# against 0.8 MB at 512, and ran no faster
+# than _MAX_BATCH: three draws on fully free pairs of condition 9 took 53-75
+# ms at 512 and 28-34 ms at 4096 at d = 3, 93-148 and 60-85 ms at d = 4 (2
+# CPUs, one BLAS thread), for 0.75 MB more peak memory at most (0.25 at 512)
 _FIRST_BATCH = 16
-_MAX_BATCH = 512
-# half-width of the band around PD_MARGIN that _accept leaves to eigvalsh
+_MAX_BATCH = 4096
+# half-width of the band around PD_MARGIN whose proposals go to eigvalsh
 _BAND = 1e-10
-_SHIFTS = np.array([[PD_MARGIN + _BAND], [PD_MARGIN - _BAND]])
-# smaller batches go straight to eigvalsh: the elimination's few dozen
-# numpy calls cost more than that many small eigensolves
-_MIN_ELIMINATION_BATCH = 32
+_SHIFTS = np.array([PD_MARGIN + _BAND, PD_MARGIN - _BAND])
 
 
 @dataclass(frozen=True)
@@ -96,46 +98,12 @@ def _held(stack: np.ndarray, counts) -> list[UncertaintySample]:
     return samples
 
 
-def _accept(stack: np.ndarray) -> np.ndarray:
-    """``eigvalsh(stack)[:, 0] > PD_MARGIN`` for a (k, m, m) stack of joints.
-
-    Factors M - c I at both shifts without pivoting, all 2k matrices at
-    once with the batch on the last axis, and reads the decision off the
-    pivots; see the module docstring.  The copy into that layout is
-    contiguous when ``stack`` is a view of a batch-last array.
-    """
-    k, m, _ = stack.shape
-    if k < _MIN_ELIMINATION_BATCH:
-        return np.linalg.eigvalsh(stack)[:, 0] > PD_MARGIN
-    a = np.empty((m, m, 2, k))
-    a[...] = stack.transpose(1, 2, 0)[:, :, None]
-    piv = a.reshape(m * m, 2, k)[::m + 1]     # the diagonal, a view
-    piv -= _SHIFTS
-    a = a.reshape(m, m, 2 * k)
-    # the lower triangle, one row at a time: updating whole trailing blocks
-    # at once made temporaries large enough (200 KB at k = 512, m = 6) to
-    # cost fresh page faults on every call, and ran up to twice as slow.
-    # A pivot that is not positive spoils the steps after it with inf or
-    # nan, but only in matrices whose decision it has already settled
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for j in range(m - 1):
-            ratio = a[j + 1:, j] / a[j, j]
-            for i in range(j + 1, m):
-                row = a[i, j + 1:i + 1]
-                row -= ratio[i - j - 1] * a[j + 1:i + 1, j]
-    # an overflowed pivot proves nothing, so acceptance wants finite ones;
-    # a nan pivot makes every later one nan, so any pivot <= 0 at the lower
-    # shift follows positive ones only
-    ok = ((piv[:, 0] > 0) & (piv[:, 0] < np.inf)).all(axis=0)
-    # settled by neither test, or (never seen) by both
-    band = np.flatnonzero(ok == (piv[:, 1] <= 0).any(axis=0))
-    if band.size:
-        ok[band] = np.linalg.eigvalsh(stack[band])[:, 0] > PD_MARGIN
-    return ok
-
-
 class _ProposalStream:
-    """Admissible cross-covariances from one seeded stream of proposals."""
+    """Admissible cross-covariances from one seeded stream of proposals.
+
+    F is the larger marginal, so the screen's columns span more of each
+    proposal and the complement is smaller: at (d_a, d_b) = (1, 4), a batch
+    of 4,096 took 0.15 ms with the 4-d block fixed and 2.3 ms otherwise."""
 
     def __init__(self, p_a, p_b, pattern: CrossSparsityPattern, seed: int):
         as_seed(seed)     # PCG64 would raise a bare ValueError
@@ -159,6 +127,67 @@ class _ProposalStream:
         self._ok = np.empty(0, dtype=bool)       # their accept decisions
         self._next = 0                           # first unused proposal
         self._seen = self._accepted = 0          # proposals decided, and accepted
+        if not free:
+            return
+        for name, corr in (("p_a", corr_a), ("p_b", corr_b)):
+            try:
+                np.linalg.cholesky(corr - _SHIFTS[1] * np.eye(len(corr)))
+            except np.linalg.LinAlgError:
+                raise SamplingError(
+                    f"the correlation of {name} has an eigenvalue below PD_MARGIN "
+                    f"= {PD_MARGIN:g}, so no cross-covariance is admissible") from None
+        f, g, fi, gi = ((corr_b, corr_a, self._cols, self._rows) if db > da
+                        else (corr_a, corr_b, self._rows, self._cols))
+        p, q, n = len(f), len(g), len(free)
+        # free entry e puts column fi[e] of L_c^-1 in column gi[e] of W_c
+        maps = np.zeros((2, p, q, n))
+        for s, shift in enumerate(_SHIFTS):
+            try:
+                low = np.linalg.cholesky(f - shift * np.eye(p))
+            except np.linalg.LinAlgError:     # upper shift: no pivot will be > 0
+                maps[s] = np.nan
+                continue
+            inv = np.eye(p)
+            for i in range(p):     # forward substitution of the unit columns
+                inv[i] -= low[i, :i] @ inv[:i]
+                inv[i] /= low[i, i]
+            maps[s][:, gi, np.arange(n)] = inv[:, fi]
+        self._pq = p, q
+        self._maps = maps.reshape(2, p * q, n)
+        self._complement = (g[:, :, None] - np.eye(q)[:, :, None] * _SHIFTS)[..., None]
+        self._screen = np.diag(g)[:, None] - _SHIFTS[1]
+
+    def _decide(self, props: np.ndarray) -> np.ndarray:
+        """``eigvalsh(joint)[0] > PD_MARGIN`` for each of the (k, n_free)
+        ``props``, decided on S_c batch last (module docstring)."""
+        p, q = self._pq
+        k = len(props)
+        low = (self._maps[1] @ props.T).reshape(p, q, k)
+        live = np.flatnonzero((np.einsum("rjk,rjk->jk", low, low) < self._screen).all(axis=0))
+        w = np.empty((p, q, 2, live.size))
+        w[:, :, 0] = (self._maps[0] @ props[live].T).reshape(p, q, -1)
+        w[:, :, 1] = low[:, :, live]
+        a = self._complement - np.einsum("ri...,rj...->ij...", w, w)
+        piv = a.reshape(q * q, 2, -1)[::q + 1]     # the diagonal, a view
+        a = a.reshape(q, q, -1)
+        # a pivot <= 0 spoils later steps only in matrices it has settled
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            for j in range(q - 1):
+                ratio = a[j + 1:, j] / a[j, j]
+                for i in range(j + 1, q):
+                    row = a[i, j + 1:i + 1]
+                    row -= ratio[i - j - 1] * a[j + 1:i + 1, j]
+        ok = np.zeros(k, dtype=bool)
+        # an overflowed pivot proves nothing; after a nan all pivots are nan
+        ok[live] = ((piv[:, 0] > 0) & (piv[:, 0] < np.inf)).all(axis=0)
+        # settled by neither test, or (never seen) by both
+        band = live[ok[live] == (piv[:, 1] <= 0).any(axis=0)]
+        if band.size:
+            rows, cols = self._rows, self._cols + len(self._scale)
+            joints = np.repeat(self._joint[None], band.size, axis=0)
+            joints[:, rows, cols] = joints[:, cols, rows] = props[band]
+            ok[band] = np.linalg.eigvalsh(joints)[:, 0] > PD_MARGIN
+        return ok
 
     def _refill(self, left: int, budget: int) -> None:
         """A fresh batch for ``left`` more samples, of at most ``budget`` proposals."""
@@ -168,28 +197,15 @@ class _ProposalStream:
         elif self._ok.size:
             self._batch = min(2 * self._batch, _MAX_BATCH)
         k = min(self._batch, budget)
-        props = self._rng.uniform(-1.0, 1.0, size=(k, self._rows.size))
-        # built batch-last, the layout _accept eliminates in; it and
-        # eigvalsh read the (k, m, m) view
-        stack = np.empty(self._joint.shape + (k,))
-        stack[...] = self._joint[:, :, None]
-        da = self._scale.shape[0]
-        stack[self._rows, da + self._cols] = props.T
-        stack[da + self._cols, self._rows] = props.T
-        self._props = props
-        self._ok = _accept(stack.transpose(2, 0, 1))
+        self._props = self._rng.uniform(-1.0, 1.0, size=(k, self._rows.size))
+        self._ok = self._decide(self._props)
         self._next = 0
         self._seen += k
         self._accepted += int(np.count_nonzero(self._ok))
 
     def draw(self, n: int, max_attempts: int) -> list[UncertaintySample]:
-        """The stream's next n samples, each within ``max_attempts`` attempts.
-
-        Every accepted proposal a batch holds is taken at once; a sample's
-        attempt count is the distance from the proposal after the previous
-        sample, which may sit in an earlier batch.  The samples hold
-        read-only views of one (n, d_a, d_b) stack.
-        """
+        """The stream's next n samples, each within ``max_attempts`` attempts,
+        as read-only views of one (n, d_a, d_b) stack (module docstring)."""
         if not self._rows.size:
             # nothing to draw; the block-diagonal joint is PD by construction
             return _held(np.zeros((n,) + self._scale.shape), [1] * n)

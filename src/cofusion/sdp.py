@@ -368,7 +368,7 @@ class _Workspace:
         """(factors, sum_i logdet G_i) when x is strictly feasible, else (None, -inf).
 
         Only the slacks are factored, as C = L D L^T by elimination over
-        (n,) vectors as in ``sampler._accept``; x is strictly feasible
+        (n,) vectors as in ``sampler._ProposalStream._decide``; x is strictly feasible
         exactly when every pivot is positive and finite, that is when
         logdet is finite.  ``factors`` is (the eliminated slacks, K J).
         """

@@ -161,6 +161,21 @@ def test_fuse_sdp_rejects_negative_seed_before_sampling(capsys, est_files):
     assert out == ""
 
 
+def test_fuse_sdp_on_a_marginal_below_the_sampling_margin_exits_3(capsys, est_files,
+                                                                  tmp_path):
+    # a valid covariance whose correlation's smallest eigenvalue is 1e-10,
+    # so no cross-covariance clears the sampler's margin
+    _, pb, pattern = est_files
+    near = tmp_path / "near.json"
+    GaussianEstimate([0.0, 0.0], [[1.0, 1.0 - 1e-10], [1.0 - 1e-10, 1.0]],
+                     ("x", "y")).save(near)
+    rc, out, err = _run(capsys, ["fuse", str(near), str(pb), "--method", "SDP",
+                                 "--pattern", str(pattern)])
+    assert rc == 3
+    assert "error:" in err and "p_a" in err
+    assert out == ""
+
+
 def test_fuse_exact_uses_supplied_cross(capsys, est_files, tmp_path):
     pa, pb, _ = est_files
     cross = tmp_path / "cross.json"

@@ -15,7 +15,6 @@ from cofusion.core import (
 from cofusion.sampler import (
     _FIRST_BATCH,
     _MAX_BATCH,
-    _accept,
     PD_MARGIN,
     UncertaintySample,
     sample_cross,
@@ -210,13 +209,13 @@ def hard_pair_3d():
 def batch_sizes(monkeypatch):
     """Sizes of the batches the sampler decided while the test runs."""
     sizes = []
-    accept = sampler._accept
+    decide = sampler._ProposalStream._decide
 
-    def spy(stack):
-        sizes.append(len(stack))
-        return accept(stack)
+    def spy(stream, props):
+        sizes.append(len(props))
+        return decide(stream, props)
 
-    monkeypatch.setattr(sampler, "_accept", spy)
+    monkeypatch.setattr(sampler._ProposalStream, "_decide", spy)
     return sizes
 
 
@@ -247,8 +246,8 @@ def test_batched_stream_matches_sequential_on_all_zero_pattern(batch_sizes):
 def test_batched_stream_matches_sequential_across_cap_sized_batches(batch_sizes):
     pa, pb = hard_pair_3d()
     pat = CrossSparsityPattern.unconstrained(3, 3)
-    samples = sample_set(pa, pb, pat, 40, seed=5)
-    assert_same_stream(samples, sequential_reference(pa, pb, pat, 40, seed=5))
+    samples = sample_set(pa, pb, pat, 60, seed=5)
+    assert_same_stream(samples, sequential_reference(pa, pb, pat, 60, seed=5))
     assert batch_sizes[0] == _FIRST_BATCH
     assert batch_sizes.count(_MAX_BATCH) >= 3
     assert max(batch_sizes) == _MAX_BATCH
@@ -301,64 +300,88 @@ def test_prefixes_hold_when_the_buffer_refills_mid_set(batch_sizes):
         assert_same_stream(short, [(s.p_ab, s.attempts) for s in long[:m]])
 
 
-
 def test_batches_grow_to_the_samples_still_needed(batch_sizes):
     # comparison_2d's marginals and pattern accept every proposal, so after
-    # the first batch the next ones hold what the draw still needs
+    # the first batch the next ones hold what the draw still needs, up to
+    # the cap
     pa, pb = np.diag([3.0, 1.0]), np.diag([1.0, 4.0])
     pat = CrossSparsityPattern(2, 2, frozenset({(0, 1), (1, 0)}))
-    samples = sample_set(pa, pb, pat, 2001, seed=7)
+    samples = sample_set(pa, pb, pat, 10_001, seed=7)
     assert len(batch_sizes) <= 6
     assert batch_sizes[0] == _FIRST_BATCH and max(batch_sizes) == _MAX_BATCH
-    assert_same_stream(samples, sequential_reference(pa, pb, pat, 2001, seed=7))
+    assert_same_stream(samples, sequential_reference(pa, pb, pat, 10_001, seed=7))
 
 # ---------------------------------------------------------------------------
-# the pivot test against eigvalsh
+# the Schur-complement test against eigvalsh
 
-def proposal_stack(rng, k, da, db, cond):
-    """k joint correlations as the sampler builds them, marginals of condition up to cond."""
-    def corr(d):
-        q, _ = np.linalg.qr(rng.standard_normal((d, d)))
-        return cov_to_corr(q @ np.diag(np.geomspace(1.0, cond, d)) @ q.T)[0]
+def corr_with_condition(rng, d, cond):
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    return cov_to_corr(q @ np.diag(np.geomspace(1.0, cond, d)) @ q.T)[0]
 
-    m = da + db
-    joint = np.zeros((m, m))
-    joint[:da, :da] = corr(da)
-    joint[da:, da:] = corr(db)
-    stack = np.repeat(joint[None], k, axis=0)
-    cross = rng.uniform(-1.0, 1.0, size=(k, da, db))
-    stack[:, :da, da:] = cross
-    stack[:, da:, :da] = cross.transpose(0, 2, 1)
+
+def joints_of(corr_a, corr_b, pattern, props):
+    """The (k, m, m) joint correlations of (k, n_free) proposals, as built one at a time."""
+    da, db = pattern.dim_a, pattern.dim_b
+    rows, cols = np.array(pattern.free_indices()).T
+    stack = np.zeros((len(props), da + db, da + db))
+    stack[:, :da, :da] = corr_a
+    stack[:, da:, da:] = corr_b
+    stack[:, rows, da + cols] = props
+    stack[:, da + cols, rows] = props
     return stack
-
-
-def with_smallest_eigenvalue(rng, m, lam):
-    q, _ = np.linalg.qr(rng.standard_normal((m, m)))
-    spectrum = np.concatenate([[lam], rng.uniform(0.1, 2.0, m - 1)])
-    return (q * spectrum) @ q.T
 
 
 def test_accept_matches_eigvalsh_on_long_random_stacks():
     rng = np.random.default_rng(30)
     for da in range(1, 5):
         for db in range(1, 5):
-            for cond in (1.0, 1e3, 1e6):
-                stack = proposal_stack(rng, 4000, da, db, cond)
-                want = np.linalg.eigvalsh(stack)[:, 0] > PD_MARGIN
-                np.testing.assert_array_equal(_accept(stack), want)
+            for cond in (1.0, 1e3, 1e6, 1e9):
+                zero = frozenset((i, j) for i in range(1, da) for j in range(db)
+                                 if rng.random() < 0.3)
+                pat = CrossSparsityPattern(da, db, zero)
+                ca, cb = corr_with_condition(rng, da, cond), corr_with_condition(rng, db, cond)
+                props = rng.uniform(-1.0, 1.0, size=(4000, len(pat.free_indices())))
+                want = np.linalg.eigvalsh(joints_of(ca, cb, pat, props))[:, 0] > PD_MARGIN
+                stream = sampler._ProposalStream(ca, cb, pat, seed=0)
+                np.testing.assert_array_equal(stream._decide(props), want)
+
+
+def scaled_to(corr_a, corr_b, pattern, direction, target):
+    """The proposal s * direction, s >= 0, whose joint's smallest eigenvalue
+    is within 1e-13 of ``target``: that eigenvalue is even and concave in s,
+    so it does not increase for s >= 0 and bisection finds s."""
+    def smallest(s):
+        return np.linalg.eigvalsh(joints_of(corr_a, corr_b, pattern, s * direction[None]))[0, 0]
+
+    lo, hi = 0.0, 1.0
+    assert smallest(lo) > target
+    while smallest(hi) > target:
+        hi *= 2.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        lam = smallest(mid)
+        if abs(lam - target) < 1e-13:
+            return mid * direction
+        lo, hi = (mid, hi) if lam > target else (lo, mid)
+    raise AssertionError(f"no scale within 1e-13 of {target}")
 
 
 def test_only_knife_edge_matrices_reach_eigvalsh(monkeypatch):
     rng = np.random.default_rng(32)
-    m, k = 6, 200
+    k = 200
+    pat = CrossSparsityPattern.unconstrained(3, 3)
+    ca, cb = corr_with_condition(rng, 3, 10.0), corr_with_condition(rng, 3, 10.0)
     edge = rng.random(k) < 0.25
     # knife-edge: within 1e-12 of the margin, well inside the band of
     # half-width 1e-10; the rest at least 1e-6 away
     offsets = np.where(edge, rng.uniform(-1e-12, 1e-12, k),
-                       rng.choice([-1.0, 1.0], k) * 10.0 ** rng.uniform(-6, 0, k))
-    stack = np.stack([with_smallest_eigenvalue(rng, m, PD_MARGIN + o) for o in offsets])
-    want = np.linalg.eigvalsh(stack)[:, 0] > PD_MARGIN
+                       rng.choice([-1.0, 1.0], k) * 10.0 ** rng.uniform(-6, -2, k))
+    props = np.array([scaled_to(ca, cb, pat, rng.uniform(-1.0, 1.0, 9), PD_MARGIN + o)
+                      for o in offsets])
+    joints = joints_of(ca, cb, pat, props)
+    want = np.linalg.eigvalsh(joints)[:, 0] > PD_MARGIN
     assert 0 < want[edge].sum() < edge.sum()    # the band holds both decisions
+    stream = sampler._ProposalStream(ca, cb, pat, seed=0)
     seen = []
     eigvalsh = np.linalg.eigvalsh
 
@@ -367,7 +390,42 @@ def test_only_knife_edge_matrices_reach_eigvalsh(monkeypatch):
         return eigvalsh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", spy)
-    got = _accept(stack)
+    got = stream._decide(props)
     assert len(seen) == 1
-    np.testing.assert_array_equal(seen[0], stack[edge])
+    np.testing.assert_array_equal(seen[0], joints[edge])
     np.testing.assert_array_equal(got, want)
+
+
+def test_a_block_inside_the_band_certifies_no_acceptance():
+    # the fixed block factors below the band but not above it: proposals are
+    # only rejected by the complement, and eigvalsh decides every other one
+    rng = np.random.default_rng(33)
+    pat = CrossSparsityPattern.unconstrained(3, 2)
+    c0 = corr_with_condition(rng, 3, 10.0)
+    lam = np.linalg.eigvalsh(c0)[0]
+    t = PD_MARGIN + 0.5 * sampler._BAND
+    ca = (c0 - (lam - t) * np.eye(3)) / (1.0 - lam + t)    # unit diagonal, smallest eigenvalue t
+    np.fill_diagonal(ca, 1.0)
+    cb = corr_with_condition(rng, 2, 10.0)
+    props = rng.uniform(-1.0, 1.0, size=(400, 6)) * np.geomspace(1e-12, 1.0, 400)[:, None]
+    want = np.linalg.eigvalsh(joints_of(ca, cb, pat, props))[:, 0] > PD_MARGIN
+    assert 0 < want.sum() < want.size
+    stream = sampler._ProposalStream(ca, cb, pat, seed=0)
+    np.testing.assert_array_equal(stream._decide(props), want)
+
+
+def test_a_marginal_below_the_margin_fails_before_any_proposal(batch_sizes):
+    # passes check_spd, but its correlation's smallest eigenvalue is 1e-10,
+    # so by interlacing no joint built on it clears PD_MARGIN
+    near = np.array([[1.0, 1.0 - 1e-10], [1.0 - 1e-10, 1.0]])
+    pat = CrossSparsityPattern.unconstrained(2, 2)
+    for p_a, p_b, name in ((near, np.eye(2), "p_a"), (np.eye(2), near, "p_b")):
+        with pytest.raises(SamplingError, match=name):
+            sample_set(p_a, p_b, pat, 5, seed=1)
+        with pytest.raises(SamplingError, match=name):
+            sample_cross(p_a, p_b, pat, seed=1)
+    assert batch_sizes == []
+    # with no free entry there is nothing to reject
+    all_zero = CrossSparsityPattern(2, 2, frozenset(np.ndindex(2, 2)))
+    for s in sample_set(near, near, all_zero, 3, seed=1):
+        np.testing.assert_array_equal(s.p_ab, np.zeros((2, 2)))
