@@ -183,6 +183,26 @@ def min_eigenvalue(m: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(symmetrize(m))[0])
 
 
+def ldl_pivots(a: np.ndarray) -> np.ndarray:
+    """Factor each matrix of the batch-last (m, m, ...) stack ``a`` in place as
+    L D L^T (Cholesky without square roots or pivoting); returns the (m, ...)
+    pivots D, a view of ``a``'s diagonal.
+
+    Only the lower triangle is read, and below the diagonal it ends holding
+    L_ij D_j.  Each step is one numpy call over the whole batch.  A matrix is
+    positive definite exactly when its pivots are all positive; a pivot that
+    is not spoils only the later steps of its own matrix, with inf or nan.
+    """
+    m = len(a)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for j in range(m - 1):
+            ratio = a[j + 1:, j] / a[j, j]
+            for i in range(j + 1, m):
+                row = a[i, j + 1:i + 1]
+                row -= ratio[i - j - 1] * a[j + 1:i + 1, j]
+    return np.einsum("ii...->i...", a)
+
+
 def is_conservative(bound: np.ndarray, actual: np.ndarray, tol: float = 1e-9) -> bool:
     """True when bound - actual is positive semidefinite within tol.
 

@@ -17,9 +17,10 @@ S_c = (G - c I) - W_c^T W_c are, W_c = L_c^-1 C for L_c the Cholesky
 factor of F - c I.  A stream factors F once, at c = PD_MARGIN +- _BAND.
 A column of W (one matmul at the lower shift) whose squared norm reaches
 G_jj - c gives S_c a nonpositive diagonal entry and rejects; the rest
-are eliminated as LDL^T at both shifts.  All pivots positive at the upper
-shift proves the smallest eigenvalue above PD_MARGIN, a nonpositive one
-at the lower shift proves it below (interlacing).  Only proposals between
+are factored as LDL^T at both shifts by ``core.ldl_pivots``, the kernel
+that also tests the SDP's joints and slacks.  All pivots positive at the
+upper shift proves the smallest eigenvalue above PD_MARGIN, a nonpositive
+one at the lower shift proves it below (interlacing).  Only proposals between
 the shifts (every one not rejected, if F does not factor at the upper
 shift) go to ``eigvalsh``, which runs the same LAPACK routine on each
 joint as a one-at-a-time loop would.  A marginal that does not factor at
@@ -37,12 +38,14 @@ proposal and one ``eigvalsh`` at a time would make.  A sample set takes
 every accepted proposal of a batch at once and leaves the rest to the
 next samples, counting a sample's attempts from the proposal after the
 previous sample's: samples, attempt counts and where ``max_attempts``
-gives up are that loop's.
+gives up are that loop's.  A draw returns its samples as
+``UncertaintySample`` tuples of a read-only view of one (n, d_a, d_b)
+stack and an attempt count.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,6 +55,7 @@ from .core import (
     SamplingError,
     as_seed,
     cov_to_corr,
+    ldl_pivots,
 )
 
 DEFAULT_MAX_ATTEMPTS = 1_000_000
@@ -69,33 +73,11 @@ _BAND = 1e-10
 _SHIFTS = np.array([PD_MARGIN + _BAND, PD_MARGIN - _BAND])
 
 
-@dataclass(frozen=True)
-class UncertaintySample:
-    """One admissible cross-covariance and the attempts it cost to draw.
-
-    A sample a caller builds holds a read-only copy of ``p_ab``.
-    """
+class UncertaintySample(NamedTuple):
+    """One admissible cross-covariance and the attempts it cost to draw."""
 
     p_ab: np.ndarray
     attempts: int
-
-    def __post_init__(self):
-        p = np.array(self.p_ab, dtype=float)
-        p.flags.writeable = False
-        object.__setattr__(self, "p_ab", p)
-        if self.attempts < 1:
-            raise DimensionError("attempts must be at least 1")
-
-
-def _held(stack: np.ndarray, counts) -> list[UncertaintySample]:
-    """Samples holding read-only views of the sampler's own (n, d_a, d_b)
-    ``stack`` and their attempt counts, which are at least 1: built without
-    ``__post_init__``'s copy and check."""
-    stack.flags.writeable = False
-    samples = [object.__new__(UncertaintySample) for _ in counts]
-    for sample, p_ab, attempts in zip(samples, stack, counts):
-        sample.__dict__.update(p_ab=p_ab, attempts=attempts)
-    return samples
 
 
 class _ProposalStream:
@@ -167,16 +149,7 @@ class _ProposalStream:
         w = np.empty((p, q, 2, live.size))
         w[:, :, 0] = (self._maps[0] @ props[live].T).reshape(p, q, -1)
         w[:, :, 1] = low[:, :, live]
-        a = self._complement - np.einsum("ri...,rj...->ij...", w, w)
-        piv = a.reshape(q * q, 2, -1)[::q + 1]     # the diagonal, a view
-        a = a.reshape(q, q, -1)
-        # a pivot <= 0 spoils later steps only in matrices it has settled
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            for j in range(q - 1):
-                ratio = a[j + 1:, j] / a[j, j]
-                for i in range(j + 1, q):
-                    row = a[i, j + 1:i + 1]
-                    row -= ratio[i - j - 1] * a[j + 1:i + 1, j]
+        piv = ldl_pivots(self._complement - np.einsum("ri...,rj...->ij...", w, w))
         ok = np.zeros(k, dtype=bool)
         # an overflowed pivot proves nothing; after a nan all pivots are nan
         ok[live] = ((piv[:, 0] > 0) & (piv[:, 0] < np.inf)).all(axis=0)
@@ -208,7 +181,9 @@ class _ProposalStream:
         as read-only views of one (n, d_a, d_b) stack (module docstring)."""
         if not self._rows.size:
             # nothing to draw; the block-diagonal joint is PD by construction
-            return _held(np.zeros((n,) + self._scale.shape), [1] * n)
+            zeros = np.zeros((n,) + self._scale.shape)
+            zeros.flags.writeable = False
+            return list(map(UncertaintySample, zeros, [1] * n))
         picks, counts = [], []
         left = n
         attempts = 0     # spent on the sample being drawn
@@ -237,7 +212,8 @@ class _ProposalStream:
         c_ab = np.zeros((n,) + self._scale.shape)
         c_ab[:, self._rows, self._cols] = np.concatenate(picks)
         c_ab *= self._scale
-        return _held(c_ab, counts)
+        c_ab.flags.writeable = False
+        return list(map(UncertaintySample, c_ab, counts))
 
 
 def sample_cross(p_a: np.ndarray, p_b: np.ndarray, pattern: CrossSparsityPattern,

@@ -22,8 +22,10 @@ logdet C_i - logdet J_i, and S_i = G_i^{-1} has blocks C_i^{-1},
 -C_i^{-1} K J_i and J_i + J_i K^T C_i^{-1} K J_i (Boyd & Vandenberghe,
 section A.5.5).  The samples sit on the last axis: the joints are one
 (2d, 2d, n) array, and a feasibility test factors all n slacks as
-C_i = L_i D_i L_i^T (Cholesky without square roots), by elimination
-unrolled over (n,) vectors, with logdet from the pivots D_i.
+C_i = L_i D_i L_i^T (Cholesky without square roots) with one
+``core.ldl_pivots`` call, whose elimination is unrolled over (n,)
+vectors, and takes logdet from the pivots D_i.  Assembly gates every
+joint J_i on its pivots from the same kernel, which give log det J_i too.
 
 Derivatives in 2d coordinates: K_b = I - K_a leaves 2d independent
 directions.  With T = [[I, 0, 0], [0, I, -I]] (2d x 3d), each basis
@@ -114,6 +116,7 @@ from .core import (
     NotPositiveDefiniteError,
     SolverError,
     check_spd,
+    ldl_pivots,
     make_substream_seed,
     symmetrize,
 )
@@ -122,7 +125,8 @@ from .sampler import CrossSparsityPattern, sample_cross, sample_set
 
 DEFAULT_TOL = 1e-7
 DEFAULT_MAX_ITERS = 200
-# joint-covariance Cholesky pivots below this reject the sample
+# a joint covariance whose Cholesky pivots are not all at least this (its
+# LDL^T pivots at least MIN_PIVOT**2) rejects the sample
 MIN_PIVOT = 1e-10
 # geometric increase of the path parameter (gap shrinks by 0.2 per stage)
 T_GROWTH = 5.0
@@ -191,12 +195,13 @@ class SampledFusionProblem:
 
 
 def build_problem(p_a, p_b, samples) -> SampledFusionProblem:
-    """Assemble the sampled program; inverts each joint once, by Cholesky.
+    """Assemble the sampled program; gates and inverts each joint once.
 
     Each sample is a d x d cross-covariance; the implied joint
-    [[P_a, S], [S^T, P_b]] must be positive definite with every Cholesky
-    pivot above 1e-10, otherwise the sample is rejected (the raised error
-    carries ``sample_index`` so callers can redraw it).
+    [[P_a, S], [S^T, P_b]] must be positive definite with every LDL^T
+    pivot at least MIN_PIVOT**2 (every Cholesky pivot at least 1e-10),
+    otherwise the sample is rejected (the raised error carries
+    ``sample_index``, the first such sample, so callers can redraw it).
     """
     p_a = check_spd(p_a, name="P_a")
     p_b = check_spd(p_b, name="P_b")
@@ -223,32 +228,19 @@ def build_problem(p_a, p_b, samples) -> SampledFusionProblem:
     joints[:, d:, d:] = p_b
     joints[:, :d, d:] = stack
     joints[:, d:, :d] = stack.transpose(0, 2, 1)
-    try:
-        chol = np.linalg.cholesky(joints)
-        pivots = np.diagonal(chol, axis1=1, axis2=2)
-        bad = np.flatnonzero(np.min(pivots, axis=1) < MIN_PIVOT)
-    except np.linalg.LinAlgError:
-        bad = None
-    if bad is None or len(bad):
-        # identify the first offender for the caller
-        for i in range(n):
-            try:
-                piv = np.diagonal(np.linalg.cholesky(joints[i]))
-                ok = bool(np.min(piv) >= MIN_PIVOT)
-            except np.linalg.LinAlgError:
-                ok = False
-            if not ok:
-                err = NotPositiveDefiniteError(
-                    f"sample {i}: joint covariance fails the conditioning "
-                    f"threshold (Cholesky pivot < {MIN_PIVOT:g})")
-                err.sample_index = i
-                raise err
-    linv = np.linalg.inv(chol)
-    q = linv.transpose(0, 2, 1) @ linv
-    q = 0.5 * (q + q.transpose(0, 2, 1))
+    pivots = ldl_pivots(joints.transpose(1, 2, 0).copy())
+    # a nan pivot (a sample that is not finite) fails too
+    bad = np.flatnonzero(~(pivots.min(axis=0) >= MIN_PIVOT ** 2))
+    if bad.size:
+        err = NotPositiveDefiniteError(
+            f"sample {bad[0]}: joint covariance fails the conditioning "
+            f"threshold (Cholesky pivot < {MIN_PIVOT:g})")
+        err.sample_index = int(bad[0])
+        raise err
+    q = symmetrize(np.linalg.inv(joints))
     q.flags.writeable = False
     joints.flags.writeable = False
-    log_pivots = np.log(pivots)
+    log_pivots = 0.5 * np.log(pivots.T)
     log_pivots.flags.writeable = False
     return SampledFusionProblem(p_a=p_a, p_b=p_b, joints=joints,
                                 joint_inverses=q,
@@ -367,31 +359,25 @@ class _Workspace:
     def chol_logdet(self, x: np.ndarray):
         """(factors, sum_i logdet G_i) when x is strictly feasible, else (None, -inf).
 
-        Only the slacks are factored, as C = L D L^T by elimination over
-        (n,) vectors as in ``sampler._ProposalStream._decide``; x is strictly feasible
-        exactly when every pivot is positive and finite, that is when
-        logdet is finite.  ``factors`` is (the eliminated slacks, K J).
+        Only the slacks are factored, as C = L D L^T by ``core.ldl_pivots``;
+        x is strictly feasible exactly when every pivot is positive and
+        finite, that is when logdet is finite.  ``factors`` is (the
+        eliminated slacks, their pivots, K J).
         """
         ldl, kj = self._slack_last(x)
-        d = self.d
-        # a pivot that is not positive spoils the steps after it, and logdet,
-        # with inf or nan
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            for j in range(d - 1):
-                ratio = ldl[j + 1:, j] / ldl[j, j]
-                for i in range(j + 1, d):
-                    ldl[i, j + 1:i + 1] -= ratio[i - j - 1] * ldl[j + 1:i + 1, j]
-            logdet = float(np.sum(np.log(ldl.reshape(d * d, self.n)[::d + 1])))
+        pivots = ldl_pivots(ldl)
+        # a pivot that is not positive makes logdet nan or -inf
+        with np.errstate(divide="ignore", invalid="ignore"):
+            logdet = float(np.sum(np.log(pivots)))
         if not np.isfinite(logdet):
             return None, -np.inf
-        return (ldl, kj), logdet - self.problem.joint_logdet
+        return (ldl, pivots, kj), logdet - self.problem.joint_logdet
 
     def barrier_grad_hess(self, factors):
         """Gradient and Hessian of -sum_i logdet G_i at the point ``factors`` came
         from, through the upper triangles of R_i = T S_i T^T (module docstring)."""
-        ldl, kj = factors
+        ldl, pivots, kj = factors
         d, n = self.d, self.n
-        pivots = ldl.reshape(d * d, n)[::d + 1]
         nmat = np.empty((d, 2 * d, n))
         nmat[:, :d] = self.eye[:, :, None]
         np.subtract(kj[:, d:], kj[:, :d], out=nmat[:, d:])

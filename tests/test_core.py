@@ -22,6 +22,7 @@ from cofusion.core import (
     check_symmetric,
     cov_to_corr,
     is_conservative,
+    ldl_pivots,
     make_substream,
     make_substream_seed,
     min_eigenvalue,
@@ -144,6 +145,40 @@ def test_min_eigenvalue_matches_numpy():
     rng = np.random.default_rng(0)
     m = rand_spd(rng, 4)
     assert min_eigenvalue(m) == pytest.approx(np.linalg.eigvalsh(m)[0])
+
+
+@pytest.mark.parametrize("batch", [(6,), (2, 6)], ids=["n", "2_n"])
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 8])
+def test_ldl_pivots_are_the_squared_cholesky_diagonal(m, batch):
+    rng = np.random.default_rng(m)
+    mats = np.array([rand_spd(rng, m, scale=10.0 ** rng.uniform(-3, 3))
+                     for _ in range(np.prod(batch))]).reshape(batch + (m, m))
+    a = np.moveaxis(mats, (-2, -1), (0, 1)).copy()
+    piv = ldl_pivots(a)
+    assert piv.shape == (m,) + batch and np.shares_memory(piv, a)
+    want = np.diagonal(np.linalg.cholesky(mats), axis1=-2, axis2=-1) ** 2
+    np.testing.assert_allclose(np.moveaxis(piv, 0, -1), want, rtol=1e-12, atol=0)
+    # below the diagonal, the factored stack holds L_ij D_j
+    low = np.moveaxis(np.tril(np.moveaxis(a, (0, 1), (-2, -1)), -1), (-2, -1), (0, 1))
+    unit = low / piv[None] + np.eye(m).reshape((m, m) + (1,) * len(batch))
+    rebuilt = np.einsum("ik...,k...,jk...->...ij", unit, piv, unit)
+    np.testing.assert_allclose(rebuilt, mats, rtol=1e-12, atol=1e-12 * np.abs(mats).max())
+
+
+def test_ldl_pivots_flag_exactly_the_matrices_that_are_not_positive_definite():
+    rng = np.random.default_rng(3)
+    good = np.array([rand_spd(rng, 4) for _ in range(17)])
+    bad = {3: np.diag([1.0, 2.0, -1.0, 3.0]),     # indefinite
+           9: np.ones((4, 4)),                    # singular
+           14: np.full((4, 4), np.nan)}
+    mats = list(good)
+    for i in sorted(bad):
+        mats.insert(i, bad[i])
+    piv = ldl_pivots(np.array(mats).transpose(1, 2, 0).copy())
+    assert np.flatnonzero(~(piv > 0).all(axis=0)).tolist() == sorted(bad)
+    rest = np.setdiff1d(np.arange(len(mats)), sorted(bad))
+    alone = ldl_pivots(good.transpose(1, 2, 0).copy())
+    assert np.array_equal(piv[:, rest], alone)
 
 
 def test_is_conservative_basic():

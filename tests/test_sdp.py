@@ -84,11 +84,18 @@ def test_build_problem_validation():
 
 
 def test_build_problem_rejects_degenerate_sample_with_index():
-    # a cross block equal to the (identical) marginals makes the joint singular
-    bad = [np.zeros((2, 2)), np.eye(2)]
-    with pytest.raises(NotPositiveDefiniteError) as excinfo:
-        build_problem(np.eye(2), np.eye(2), bad)
-    assert excinfo.value.sample_index == 1
+    ok = np.zeros((2, 2))
+    for bad, at in [
+        # a cross block equal to the (identical) marginals makes the joint singular
+        ([ok, np.eye(2)], 1),
+        ([ok, np.full((2, 2), np.nan)], 1),
+        ([ok, ok, np.diag([0.5, np.inf])], 2),
+        # one indefinite joint among many valid ones
+        ([0.5 * np.eye(2)] * 137 + [np.diag([0.5, 2.0])] + [-0.5 * np.eye(2)] * 162, 137),
+    ]:
+        with pytest.raises(NotPositiveDefiniteError) as excinfo:
+            build_problem(np.eye(2), np.eye(2), bad)
+        assert excinfo.value.sample_index == at
 
 
 # ---------------------------------------------------------------------------
