@@ -214,7 +214,7 @@ def is_conservative(bound: np.ndarray, actual: np.ndarray, tol: float = 1e-9) ->
     actual = check_symmetric(actual, name="actual")
     if bound.shape != actual.shape:
         raise DimensionError("bound and actual must have the same shape")
-    scale = max(float(np.linalg.norm(bound, 2)), 1.0)
+    scale = max(float(np.linalg.norm(bound, 2)), 1e-300)
     return min_eigenvalue(bound - actual) >= -tol * scale
 
 
@@ -588,7 +588,7 @@ class FusionResult:
         bound = check_symmetric(self.bound, name="bound")
         if bound.shape[0] != d:
             raise DimensionError("bound size does not match the gains")
-        if min_eigenvalue(bound) < -PD_RTOL * max(float(np.linalg.norm(bound, 2)), 1.0):
+        if min_eigenvalue(bound) < -PD_RTOL * max(float(np.linalg.norm(bound, 2)), 1e-300):
             raise NotPositiveDefiniteError("bound must be positive semidefinite")
         mean = np.asarray(self.fused_mean, dtype=float).reshape(-1)
         if mean.shape[0] != d:

@@ -479,7 +479,7 @@ def exact_fuse(a: GaussianEstimate, b: GaussianEstimate, p_ab: np.ndarray) -> Fu
     _check_same_labels(a, b)
     joint = JointCovariance(a.covariance, b.covariance, p_ab)
     g = joint.assembled()
-    scale = max(float(np.linalg.norm(g, 2)), 1.0)
+    scale = max(float(np.linalg.norm(g, 2)), 1e-300)
     if min_eigenvalue(g) < -1e-9 * scale:
         raise NotPositiveDefiniteError(
             "joint covariance is indefinite; the stated cross-covariance "

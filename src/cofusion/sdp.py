@@ -37,14 +37,10 @@ for the cross block X_i.  The upper entries of all R_i form one
 (d(2d+1), n) array: the gradient is a row sum of it, and each Hessian
 entry is two entries of its Gram matrix.
 
-``min_lmi_eig``: G_i = T_i^T blockdiag(C_i, J_i^-1) T_i with T_i^-1 =
-[[I, 0], [-J_i K^T, I]], so where C_i is PD, lambda_min(G_i) is at least
-min(lambda_min(C_i), 1 / tr J_i) / (1 + ||K J_i||_F)^2.  ``eigvalsh``
-runs on the _SEED_BLOCKS blocks of least slack, then only on the blocks
-whose bound does not clear the least eigenvalue found or whose slack is
-not PD (2 to 248 of 2,000 at the end of twelve comparison_2d solves), so
-the minimum is bitwise that of all n blocks.  A repaired point (below) is
-checked on every block.
+Feasibility is judged on the slacks alone: ``min_slack_eig`` is the least
+eigenvalue of all n slacks C_i at the returned point, in the units of
+the covariances.  It scales with them, as the objective does, whereas
+the full blocks mix the units of Pbar with those of J_i^{-1}.
 
 Certification: every Newton step dx at path parameter t, taken where
 the barrier Hessian solves without regularization and the decrement
@@ -87,7 +83,7 @@ left and resumed point as the other prefixes', so each such round runs
 once per call, with its slack check taken over the longest sharing
 prefix (each prefix reads its own first n).  A prefix that grows its set,
 or whose point is repaired, goes on alone; no prefix's path depends on
-another's samples, and its status and ``min_lmi_eig`` are its own.
+another's samples, and its status and ``min_slack_eig`` are its own.
 
 Centering: a stage centers until lambda^2 / 2 <= _NEWTON_EPS, and a round
 stops at the first Newton step that certifies its tolerance, centered or
@@ -151,12 +147,6 @@ _SCREEN_TOL = 1e-2
 _NEAR = 2
 # a repaired point clears the worst slack violation by this relative margin
 _REPAIR_MARGIN = 1e-9
-# min_lmi_eig runs eigvalsh first on this many blocks of least slack, then
-# on the blocks whose lower bound does not clear the least eigenvalue found
-_SEED_BLOCKS = 8
-# the allowance on that bound for the rounding of eigvalsh and of the
-# slacks, relative to a bound on the size of a block's entries
-_LMI_ROUNDOFF = 1e-12
 
 
 class SolveStatus(str, Enum):
@@ -167,17 +157,16 @@ class SolveStatus(str, Enum):
 
 @dataclass(frozen=True, eq=False)
 class SampledFusionProblem:
-    """Marginals, sampled joints, and their inverses, ready to solve.
+    """Marginals and sampled joints, ready to solve.
 
-    ``joints`` stacks the joint covariances J_i, ``joint_inverses`` their
-    inverses, ``log_pivots`` the logs of each J_i's Cholesky pivots, and
-    ``joint_logdet`` is sum_i logdet J_i, twice their sum.
+    ``joints`` stacks the joint covariances J_i, ``log_pivots`` the logs
+    of each J_i's Cholesky pivots, and ``joint_logdet`` is
+    sum_i logdet J_i, twice their sum.
     """
 
     p_a: np.ndarray
     p_b: np.ndarray
     joints: np.ndarray
-    joint_inverses: np.ndarray
     joint_logdet: float
     log_pivots: np.ndarray
     d: int
@@ -195,7 +184,7 @@ class SampledFusionProblem:
 
 
 def build_problem(p_a, p_b, samples) -> SampledFusionProblem:
-    """Assemble the sampled program; gates and inverts each joint once.
+    """Assemble the sampled program; gates each joint once.
 
     Each sample is a d x d cross-covariance; the implied joint
     [[P_a, S], [S^T, P_b]] must be positive definite with every LDL^T
@@ -237,13 +226,10 @@ def build_problem(p_a, p_b, samples) -> SampledFusionProblem:
             f"threshold (Cholesky pivot < {MIN_PIVOT:g})")
         err.sample_index = int(bad[0])
         raise err
-    q = symmetrize(np.linalg.inv(joints))
-    q.flags.writeable = False
     joints.flags.writeable = False
     log_pivots = 0.5 * np.log(pivots.T)
     log_pivots.flags.writeable = False
     return SampledFusionProblem(p_a=p_a, p_b=p_b, joints=joints,
-                                joint_inverses=q,
                                 joint_logdet=2.0 * float(np.sum(log_pivots)),
                                 log_pivots=log_pivots, d=d)
 
@@ -251,15 +237,13 @@ def build_problem(p_a, p_b, samples) -> SampledFusionProblem:
 def _subset(problem: SampledFusionProblem, idx) -> SampledFusionProblem:
     """The program on the samples ``idx`` (an index array or a slice) selects.
 
-    Equal to ``build_problem`` on those samples, without factoring or
-    inverting a joint again.
+    Equal to ``build_problem`` on those samples, without factoring a
+    joint again.
     """
     log_pivots = problem.log_pivots[idx]
     return SampledFusionProblem(
-        p_a=problem.p_a, p_b=problem.p_b,
-        joints=problem.joints[idx], joint_inverses=problem.joint_inverses[idx],
-        joint_logdet=2.0 * float(np.sum(log_pivots)), log_pivots=log_pivots,
-        d=problem.d)
+        p_a=problem.p_a, p_b=problem.p_b, joints=problem.joints[idx],
+        joint_logdet=2.0 * float(np.sum(log_pivots)), log_pivots=log_pivots, d=problem.d)
 
 
 @dataclass(frozen=True, eq=False)
@@ -271,7 +255,7 @@ class SdpSolution:
     status: SolveStatus
     gap: float
     newton_iterations: int
-    min_lmi_eig: float
+    min_slack_eig: float
     active_samples: int
 
 
@@ -319,7 +303,6 @@ class _Workspace:
         cross = self.joints[:d, d:]
         self.e_upper = ((problem.p_a + problem.p_b)[:, :, None] - cross
                         - cross.transpose(1, 0, 2))[self.iu]
-        self.tr_j = float(np.trace(problem.p_a) + np.trace(problem.p_b))   # every J_i's
         self.eye = np.eye(d)
 
     def pack(self, pbar: np.ndarray, ka: np.ndarray) -> np.ndarray:
@@ -327,19 +310,6 @@ class _Workspace:
 
     def unpack(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return x[self.sym], x[self.npv:].reshape(self.d, self.d)
-
-    def lmis(self, x: np.ndarray, idx=slice(None)) -> np.ndarray:
-        """The full 3d x 3d LMI blocks G_i at x, built for the samples ``idx`` selects."""
-        d = self.d
-        pbar, ka = self.unpack(x)
-        q = self.problem.joint_inverses[idx]
-        k = np.concatenate([ka, self.eye - ka], axis=1)
-        g = np.empty((len(q), 3 * d, 3 * d))
-        g[:, d:, d:] = q
-        g[:, :d, :d] = pbar
-        g[:, :d, d:] = k
-        g[:, d:, :d] = k.T
-        return g
 
     def _slack_last(self, x: np.ndarray):
         """(C, K J) at x, batch last: the slacks C_i = Pbar - K J_i K^T as a
@@ -393,40 +363,6 @@ class _Workspace:
         return (-self.grad_w * r.sum(axis=1)[self.pair],
                 self.hess_w * (gram[self.hess_at[0]] + gram[self.hess_at[1]]))
 
-    def lmi_floors(self, x: np.ndarray, slack_eigs: np.ndarray) -> np.ndarray:
-        """Lower bounds on each LMI block's least eigenvalue at x, -inf where
-        C_i is not PD (module docstring); ``slack_eigs`` holds lambda_min(C_i).
-
-        ||T_i^-1||_2 <= 1 + ||K J_i||_F and lambda_max(J_i) <= tr J_i.
-        """
-        kj = self._slack_last(x)[1].reshape(-1, self.n)
-        grow = (1.0 + np.sqrt(np.sum(kj * kj, axis=0))) ** 2
-        floors = np.minimum(slack_eigs, 1.0 / self.tr_j) / grow
-        return np.where(slack_eigs > 0.0, floors, -np.inf)
-
-    def min_lmi_eig(self, x: np.ndarray, slack_eigs: np.ndarray) -> float:
-        """``np.min(eigvalsh(self.lmis(x)))``, bitwise, from the blocks that
-        can hold it; ``slack_eigs`` holds lambda_min(C_i) at x.
-
-        A block joins the _SEED_BLOCKS of least slack when its bound does not
-        clear their minimum by 1e-9 relative plus _LMI_ROUNDOFF of its scale.
-        """
-        first = np.argpartition(slack_eigs, min(self.n, _SEED_BLOCKS) - 1)[:_SEED_BLOCKS]
-        best = np.min(np.linalg.eigvalsh(self.lmis(x, first)))
-        pbar, ka = self.unpack(x)
-        k_norm = np.hypot(np.linalg.norm(ka), np.linalg.norm(self.eye - ka))
-        # bounds the norms of G_i and of the slack it embeds, and with them
-        # the rounding of eigvalsh and of the slacks
-        scale = (np.linalg.norm(pbar) + 2.0 * k_norm + k_norm ** 2 * self.tr_j
-                 + np.trace(self.problem.joint_inverses, axis1=1, axis2=2))
-        limit = best + 1e-9 * abs(best) + _LMI_ROUNDOFF * scale
-        keep = ~(self.lmi_floors(x, slack_eigs) > limit)
-        keep[first] = False
-        rest = np.flatnonzero(keep)
-        if rest.size:
-            best = np.minimum(best, np.min(np.linalg.eigvalsh(self.lmis(x, rest))))
-        return float(best)
-
 
 def _initial_point(ws: _Workspace, problem: SampledFusionProblem):
     """Strictly feasible start: central gains and an inflated bound.
@@ -464,9 +400,11 @@ def solve(problem: SampledFusionProblem, tol: float = DEFAULT_TOL,
     docstring).  ``max_iters`` caps the total Newton steps across all
     path stages of all rounds, and ``newton_iterations`` is that total.
     ``gap`` is the best relative gap certified so far by a dual
-    point, ``inf`` if none was.  Status is ``optimal`` only when the last
-    round reached its tolerance, that gap reached tol and every one of the
-    n LMIs holds within 1e-7.  An exhausted budget, a stalled line search,
+    point, ``inf`` if none was.  ``min_slack_eig`` is the least eigenvalue
+    of the n slacks Pbar - K J_i K^T at the returned point.  Status is
+    ``optimal`` only when the last round reached its tolerance, that gap
+    reached tol and ``min_slack_eig`` is at least -1e-7 times the
+    objective.  An exhausted budget, a stalled line search,
     or a tolerance that float64 cannot reach (a path stage that certifies
     nothing new, once centering is down to the roundoff of the barrier
     objective) returns the last iterate with status ``max_iterations``,
@@ -474,7 +412,7 @@ def solve(problem: SampledFusionProblem, tol: float = DEFAULT_TOL,
     Newton-system breakdown returns ``infeasible_numerics``.  Whatever the
     status, the returned point satisfies all n LMIs strictly, unless no
     strictly feasible start point was found; then it is the central point
-    K_a = I/2, Pbar = 2 (P_a + P_b), and ``min_lmi_eig`` says how far it
+    K_a = I/2, Pbar = 2 (P_a + P_b), and ``min_slack_eig`` says how far it
     misses.  A ``tol`` that is not finite and positive, or ``max_iters``
     below 1, raises DimensionError.
     """
@@ -517,13 +455,13 @@ def solve_prefixes(problem: SampledFusionProblem, sizes, tol: float = DEFAULT_TO
         pbar, ka = ws.unpack(x)
         obj = float(ws.cvec @ x)
         gap = (obj - lower) / max(abs(obj), 1e-300)
-        if status is SolveStatus.OPTIMAL and (gap > tol or min_eig < -1e-7):
+        if status is SolveStatus.OPTIMAL and (gap > tol or min_eig < -1e-7 * obj):
             status = SolveStatus.MAX_ITERATIONS
         # ka views x, and prefixes that end on a shared round share x
         out.append(SdpSolution(gain_a=ka.copy(), gain_b=ws.eye - ka,
                                bound=symmetrize(pbar), objective=obj, status=status,
                                gap=float(gap), newton_iterations=used,
-                               min_lmi_eig=min_eig, active_samples=active))
+                               min_slack_eig=min_eig, active_samples=active))
     return out
 
 
@@ -555,7 +493,7 @@ def _rounds(problem: SampledFusionProblem, ws: _Workspace, tol: float, max_iters
     taken from it, or run and stored there ("Nested prefixes" in the
     module docstring); each later set starts a log of its own.  Returns
     (x, status, Newton steps, best certified lower bound, active samples,
-    least eigenvalue of the n LMI blocks at x): the last round's iterate,
+    least eigenvalue of the n slacks at x): the last round's iterate,
     repaired when samples outside its set are still violated, and that
     round's status, before the checks ``solve_prefixes`` makes on the
     full sample set.
@@ -594,10 +532,8 @@ def _rounds(problem: SampledFusionProblem, ws: _Workspace, tol: float, max_iters
         delta = -float(worst.min())
         delta += max(_REPAIR_MARGIN * delta, _REPAIR_MARGIN * float(np.trace(pbar)) / d)
         x = ws.pack(pbar + delta * ws.eye, ka)
-        min_eig = float(np.min(np.linalg.eigvalsh(ws.lmis(x))))
-    else:
-        min_eig = ws.min_lmi_eig(x, worst)
-    return x, status, used, lower, len(active), min_eig
+        worst = np.linalg.eigvalsh(ws.slacks(x)[0])[:, 0]
+    return x, status, used, lower, len(active), float(worst.min())
 
 
 def _barrier(problem: SampledFusionProblem, tol: float, budget: int, resume=None):
@@ -746,6 +682,6 @@ def robust_fuse(a: GaussianEstimate, b: GaussianEstimate, pattern: CrossSparsity
         diagnostics={"n_samples": n, "seed": int(seed), "status": sol.status.value,
                      "gap": sol.gap, "objective": sol.objective,
                      "newton_iterations": sol.newton_iterations,
-                     "min_lmi_eig": sol.min_lmi_eig,
+                     "min_slack_eig": sol.min_slack_eig,
                      "active_samples": sol.active_samples, "redraws": redraws,
                      "trace": float(np.trace(sol.bound))})

@@ -195,6 +195,11 @@ def test_is_conservative_scale_invariant():
     assert is_conservative(bound * 1e-8, actual * 1e-8)
 
 
+@pytest.mark.parametrize("c", [1e-12, 1e-9, 1.0, 1e9])
+def test_is_conservative_refuses_half_the_covariance_in_any_units(c):
+    assert not is_conservative(0.5 * c * np.eye(2), c * np.eye(2))
+
+
 def test_cov_corr_round_trip():
     rng = np.random.default_rng(1)
     p = rand_spd(rng, 3)
@@ -433,6 +438,12 @@ def test_fusion_result_rejects_indefinite_bound():
     with pytest.raises(NotPositiveDefiniteError):
         FusionResult(gain_a=0.5 * np.eye(2), gain_b=0.5 * np.eye(2),
                      fused_mean=np.zeros(2), bound=np.diag([1.0, -1.0]),
+                     method=FusionMethod.CI)
+    # the tolerance scales with the bound, so a bound below unit norm is
+    # held to the same relative test
+    with pytest.raises(NotPositiveDefiniteError):
+        FusionResult(gain_a=0.5 * np.eye(2), gain_b=0.5 * np.eye(2),
+                     fused_mean=np.zeros(2), bound=-1e-13 * np.eye(2),
                      method=FusionMethod.CI)
 
 

@@ -493,6 +493,10 @@ def test_exact_rejects_inconsistent_cross():
     b = est([0.0], [[1.0]])
     with pytest.raises(NotPositiveDefiniteError):
         exact_fuse(a, b, [[2.0]])
+    # the same joint scaled by 1e-12
+    tiny = est([0.0], [[1e-12]])
+    with pytest.raises(NotPositiveDefiniteError):
+        exact_fuse(tiny, tiny, [[2e-12]])
 
 
 # ---------------------------------------------------------------------------
