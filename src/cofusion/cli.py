@@ -216,6 +216,8 @@ def _cmd_fuse(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
     raw, origin = _resolve_config(args.config, "comparison")
     cfg = _load_comparison_config(raw)
     if args.seed is not None:
@@ -230,7 +232,7 @@ def _cmd_compare(args) -> int:
         stats = conservativeness_sweep(
             cfg["p_a"], cfg["p_b"], cfg["pattern"], cfg["n_values"],
             cfg["mc_runs"], cfg["seed"], solver_tol=cfg["solver_tol"],
-            solver_max_iters=cfg["solver_max_iters"], jobs=args.jobs)
+            solver_max_iters=cfg["solver_max_iters"])
     manifest.timings.update(stats.timings)
     out_dir = _make_output_dir(args.out, cfg["name"])
     with manifest.timed("write"):
@@ -327,8 +329,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="run a single sample-set size instead of the "
                               "configured sweep")
     compare.add_argument("--jobs", type=int, default=1,
-                         help="dispatch Monte-Carlo runs across this many "
-                              "processes")
+                         help="at least 1, and otherwise ignored: compare runs "
+                              "serially, solving all Monte-Carlo runs in lockstep")
     compare.add_argument("--out", default="runs",
                          help="parent directory for the output directory")
     compare.set_defaults(run=_cmd_compare)

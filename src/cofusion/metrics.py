@@ -26,9 +26,9 @@ from .core import (
 )
 from .fusion import nmci_fuse, realized_cov
 from .sampler import sample_cross, sample_set
-from .sdp import _check_solver_args, build_problem, solve_prefixes
+from .sdp import _check_solver_args, _solve_batch, build_problem
 # the benchmark's tracer wraps ``metrics.solve`` by name; the sweep solves
-# through ``solve_prefixes``
+# through ``_solve_batch``
 from .sdp import solve  # noqa: F401
 
 _EPS = 1e-15
@@ -196,71 +196,16 @@ class SweepStatistics:
     deviation: dict            # {"n", "median", "min", "max"}
     conservativeness: dict     # method -> {"n", "median", "min", "max"}
     rows: list                 # one SWEEP_CSV_COLUMNS row per (run, n, method)
-    timings: dict              # phase -> wall seconds, summed over runs
+    timings: dict              # stage -> wall seconds
 
 
 SWEEP_PHASES = ("sample", "build", "solve", "check")
 
 
-def _sweep_run(p_a, p_b, pattern: CrossSparsityPattern, n_values, seed: int,
-               solver_tol: float, solver_max_iters: int, r: int):
-    """One Monte-Carlo run of the sweep; separable so runs can fan out.
-
-    Draws max(n_values) samples once and solves all their prefixes with one
-    ``solve_prefixes`` call, so the sizes past its shared first active set
-    run each barrier round, and its checks, once until their sets grow.
-    Returns the run's curves and rows, and the wall seconds of its four
-    phases: ``sample`` (the true and the sampled cross-covariances),
-    ``build``, ``solve`` and ``check`` (nmCI's bound, the margins under the
-    true cross-covariance and the rows).
-    """
-    clock = [perf_counter()]
-    truth = sample_cross(p_a, p_b, pattern,
-                         make_substream_seed(seed, "truth", r)).p_ab
-    draws = sample_set(p_a, p_b, pattern, max(n_values),
-                       make_substream_seed(seed, "samples", r))
-    clock.append(perf_counter())
-    # the sample sets are nested, so each n's program is a prefix of one
-    problem = build_problem(p_a, p_b, [s.p_ab for s in draws])
-    clock.append(perf_counter())
-    sols = solve_prefixes(problem, n_values, solver_tol, solver_max_iters)
-    clock.append(perf_counter())
-    partition = partition_from_sparsity(pattern)
-    zero_mean = np.zeros(partition.dim)
-    a = GaussianEstimate(zero_mean, p_a)
-    b = GaussianEstimate(zero_mean, p_b)
-    nm = nmci_fuse(a, b, partition)
-    joint_true = JointCovariance(a.covariance, b.covariance, truth)
-    realized_nm = realized_cov(nm.gain_a, nm.gain_b, joint_true)
-    eig_nm = float(np.linalg.eigvalsh(nm.bound - realized_nm)[0])
-    dev_row, eig_row, rows = [], [], []
-    for n, sol in zip(n_values, sols):
-        dev_row.append(float(np.linalg.norm(nm.bound - sol.bound, 2)))
-        realized = realized_cov(sol.gain_a, sol.gain_b, joint_true)
-        eig_row.append(float(np.linalg.eigvalsh(sol.bound - realized)[0]))
-        rows.append({"n": n, "run": r, "method": "SDP",
-                     "deviation_2norm": dev_row[-1],
-                     "min_eig_margin": eig_row[-1],
-                     "bound_trace": float(np.trace(sol.bound)),
-                     "solver_status": sol.status.value,
-                     "solver_gap": sol.gap,
-                     "newton_iterations": sol.newton_iterations,
-                     "active_samples": sol.active_samples})
-        rows.append({"n": n, "run": r, "method": "nmCI",
-                     "deviation_2norm": 0.0,
-                     "min_eig_margin": eig_nm,
-                     "bound_trace": float(np.trace(nm.bound)),
-                     "solver_status": "", "solver_gap": 0.0,
-                     "newton_iterations": "", "active_samples": ""})
-    clock.append(perf_counter())
-    return dev_row, eig_row, eig_nm, rows, dict(zip(SWEEP_PHASES, np.diff(clock).tolist()))
-
-
 def conservativeness_sweep(p_a, p_b, pattern: CrossSparsityPattern,
                            n_values, mc_runs: int, seed: int, *,
                            solver_tol: float = 1e-6,
-                           solver_max_iters: int = 200,
-                           jobs: int = 1) -> SweepStatistics:
+                           solver_max_iters: int = 200) -> SweepStatistics:
     """Bound-convergence and conservativeness study over sample-set sizes.
 
     Per run: draw one "true" cross-covariance and a nested stream of
@@ -270,43 +215,77 @@ def conservativeness_sweep(p_a, p_b, pattern: CrossSparsityPattern,
     smallest eigenvalue of (bound - realized covariance) for both
     methods under the true cross-covariance.  Nested sample sets make
     the deviation curve nonincreasing per run up to solver tolerance.
-    The sizes are solved in one ``solve_prefixes`` pass per run; no
-    size's solution depends on the other sizes' samples.
-    Runs are independent given the seed substreams, so ``jobs`` > 1 fans
-    them out across processes without changing any output.
+
+    Three stages: every run is drawn and built (its samples dropped once
+    its program holds them), then all runs' sizes are solved in one
+    lockstep ``sdp._solve_batch`` call, then every run is checked.  Each
+    run's solutions are bitwise those of ``solve_prefixes`` on its own
+    program, so no row depends on the run count or on the other runs.
+    ``timings`` holds the wall seconds of the stages: ``sample`` (the true
+    and the sampled cross-covariances) and ``build`` summed over runs,
+    ``solve``, and ``check`` (nmCI's bound, the margins under the true
+    cross-covariances and the rows).
     """
     n_values = [int(n) for n in n_values]
     if not n_values or min(n_values) < 1:
         raise DimensionError("n_values must be a non-empty list of positive sizes")
     if mc_runs < 1:
         raise DimensionError("mc_runs must be at least 1")
-    if jobs < 1:
-        raise DimensionError(f"jobs must be at least 1, got {jobs}")
     _check_solver_args(solver_tol, solver_max_iters)
     seed = as_seed(seed)
     p_a = np.asarray(p_a, dtype=float)
     p_b = np.asarray(p_b, dtype=float)
 
+    timings = dict.fromkeys(SWEEP_PHASES, 0.0)
+    truths, problems = [], []
+    for r in range(mc_runs):
+        clock = perf_counter()
+        truths.append(sample_cross(p_a, p_b, pattern,
+                                   make_substream_seed(seed, "truth", r)).p_ab)
+        draws = sample_set(p_a, p_b, pattern, max(n_values),
+                           make_substream_seed(seed, "samples", r))
+        built = perf_counter()
+        timings["sample"] += built - clock
+        # the sample sets are nested, so each n's program is a prefix of one
+        problems.append(build_problem(p_a, p_b, [s.p_ab for s in draws]))
+        timings["build"] += perf_counter() - built
+    clock = perf_counter()
+    solutions = _solve_batch(problems, n_values, solver_tol, solver_max_iters)
+    timings["solve"] = perf_counter() - clock
+    clock = perf_counter()
+
+    partition = partition_from_sparsity(pattern)
+    zero_mean = np.zeros(partition.dim)
+    a = GaussianEstimate(zero_mean, p_a)
+    b = GaussianEstimate(zero_mean, p_b)
+    nm = nmci_fuse(a, b, partition)
     dev = np.empty((mc_runs, len(n_values)))
     eig_sdp = np.empty((mc_runs, len(n_values)))
     eig_nm = np.empty(mc_runs)
     rows: list[dict] = []
-    args = [(p_a, p_b, pattern, n_values, seed,
-             solver_tol, solver_max_iters, r) for r in range(mc_runs)]
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=min(jobs, mc_runs)) as pool:
-            results = list(pool.map(_sweep_run, *zip(*args)))
-    else:
-        results = [_sweep_run(*a) for a in args]
-    timings = dict.fromkeys(SWEEP_PHASES, 0.0)
-    for r, (dev_row, eig_row, e_nm, run_rows, times) in enumerate(results):
-        dev[r] = dev_row
-        eig_sdp[r] = eig_row
-        eig_nm[r] = e_nm
-        rows += run_rows
-        for phase, seconds in times.items():
-            timings[phase] += seconds
+    for r, (truth, sols) in enumerate(zip(truths, solutions)):
+        joint_true = JointCovariance(a.covariance, b.covariance, truth)
+        realized_nm = realized_cov(nm.gain_a, nm.gain_b, joint_true)
+        eig_nm[r] = float(np.linalg.eigvalsh(nm.bound - realized_nm)[0])
+        for i, (n, sol) in enumerate(zip(n_values, sols)):
+            dev[r, i] = float(np.linalg.norm(nm.bound - sol.bound, 2))
+            realized = realized_cov(sol.gain_a, sol.gain_b, joint_true)
+            eig_sdp[r, i] = float(np.linalg.eigvalsh(sol.bound - realized)[0])
+            rows.append({"n": n, "run": r, "method": "SDP",
+                         "deviation_2norm": float(dev[r, i]),
+                         "min_eig_margin": float(eig_sdp[r, i]),
+                         "bound_trace": float(np.trace(sol.bound)),
+                         "solver_status": sol.status.value,
+                         "solver_gap": sol.gap,
+                         "newton_iterations": sol.newton_iterations,
+                         "active_samples": sol.active_samples})
+            rows.append({"n": n, "run": r, "method": "nmCI",
+                         "deviation_2norm": 0.0,
+                         "min_eig_margin": float(eig_nm[r]),
+                         "bound_trace": float(np.trace(nm.bound)),
+                         "solver_status": "", "solver_gap": 0.0,
+                         "newton_iterations": "", "active_samples": ""})
+    timings["check"] = perf_counter() - clock
 
     return SweepStatistics(
         deviation={"n": n_values,

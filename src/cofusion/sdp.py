@@ -57,9 +57,9 @@ Active set: at most m = d*d + d(d+1)/2 sampled LMIs (the number of
 unknowns) support the optimum (Calafiore & Campi, IEEE TAC 51(5), 2006),
 so a solve is one loop of barrier rounds (``_rounds``) on an active
 subset of the samples, starting with the first min(n, ACTIVE_FACTOR * m).
-A round (``_barrier``) returns only its iterate, status, Newton steps and
-certified lower bound; the loop tests every slack at that iterate with
-one batched d x d ``eigvalsh``.  A set that holds every sample from the
+A round returns only its iterate, status, Newton steps and certified
+lower bound; the loop tests every slack at that iterate with one batched
+d x d ``eigvalsh``.  A set that holds every sample from the
 start is one round straight to ``tol``.  Otherwise each new active set is
 first solved to the relative gap _SCREEN_TOL.  If that point violates
 samples, they join the set together with the _NEAR * m samples nearest
@@ -85,6 +85,23 @@ prefix (each prefix reads its own first n).  A prefix that grows its set,
 or whose point is repaired, goes on alone; no prefix's path depends on
 another's samples, and its status and ``min_slack_eig`` are its own.
 
+Batches: ``_solve_batch`` runs the rounds of every prefix of every
+problem it is given (all of one d) in one lockstep (``_Lockstep``).  A
+round joins as soon as its prefix asks for it.  Each tick makes one
+evaluation for every round in a line search, with the trial step's
+halving alongside, so a step that backtracks once costs no further tick.
+The per-sample work of a tick (the slacks, ``core.ldl_pivots``, the
+derivatives) is one numpy call over the samples of all rounds laid end
+to end.  Every product with a round's own K, and every sum over a round's
+samples (logdet, the gradient's row sums, the Gram matrix of the
+Hessian), stays per round: one stacked call per group of rounds with the
+same sample count, which makes for each round the BLAS call or reduction
+a lone solve makes.  Sums over the whole batch with zero weights, or
+products padded to a common width, would change the order of the
+additions.  So a round's iterates are bitwise those of a lone solve,
+whatever shares its batch, and no solution depends on which other
+prefixes or problems were solved with it.
+
 Centering: a stage centers until lambda^2 / 2 <= _NEWTON_EPS, and a round
 stops at the first Newton step that certifies its tolerance, centered or
 not.  Near the end of the path the float64 roundoff of the barrier
@@ -98,8 +115,9 @@ there with ``max_iterations``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from enum import Enum
 
 import numpy as np
@@ -290,20 +308,28 @@ def _coords(d: int):
 
 
 class _Workspace:
-    """Coordinates and evaluators for one problem instance."""
+    """Coordinates and slacks of one problem instance."""
 
     def __init__(self, problem: SampledFusionProblem):
         d, n = problem.d, problem.n
-        self.iu, self.sym, self.cvec, self.upper, self.pair, w, self.hess_at = _coords(d)
-        self.grad_w, self.hess_w = 2.0 * w, 2.0 * np.outer(w, w)
+        self.iu, self.sym, self.cvec, *_ = _coords(d)
         self.d, self.n, self.npv, self.m = d, n, len(self.iu[0]), len(self.cvec)
         self.problem = problem
-        self.joints = np.ascontiguousarray(problem.joints.transpose(1, 2, 0))   # batch last
-        # the upper triangle of E_i = P_a + P_b - X_i - X_i^T, X_i the cross block
-        cross = self.joints[:d, d:]
-        self.e_upper = ((problem.p_a + problem.p_b)[:, :, None] - cross
-                        - cross.transpose(1, 0, 2))[self.iu]
         self.eye = np.eye(d)
+
+    @property
+    def joints(self) -> np.ndarray:
+        """The joints batch last, as a (2d, 2d, n) copy (not kept: the
+        sweep holds the workspaces of every run at once)."""
+        return np.ascontiguousarray(self.problem.joints.transpose(1, 2, 0))
+
+    @cached_property
+    def e_upper(self) -> np.ndarray:
+        """The upper triangle of E_i = P_a + P_b - X_i - X_i^T, X_i the cross
+        block, batch last."""
+        d, problem = self.d, self.problem
+        cross = problem.joints[:, :d, d:].transpose(1, 2, 0)
+        return ((problem.p_a + problem.p_b)[:, :, None] - cross - cross.transpose(1, 0, 2))[self.iu]
 
     def pack(self, pbar: np.ndarray, ka: np.ndarray) -> np.ndarray:
         return np.concatenate([pbar[self.iu], ka.reshape(-1)])
@@ -311,77 +337,245 @@ class _Workspace:
     def unpack(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return x[self.sym], x[self.npv:].reshape(self.d, self.d)
 
-    def _slack_last(self, x: np.ndarray):
-        """(C, K J) at x, batch last: the slacks C_i = Pbar - K J_i K^T as a
-        (d, d, n) array and the K J_i as a (d, 2d, n) one."""
+    def slacks(self, x: np.ndarray):
+        """(C_i, K J_i) at x, with C_i = Pbar - K J_i K^T the d x d slacks,
+        as (n, d, d) and (n, d, 2d) arrays."""
         d = self.d
         pbar, ka = self.unpack(x)
         k = np.concatenate([ka, self.eye - ka], axis=1)
         kj = (k @ self.joints.reshape(2 * d, -1)).reshape(d, 2 * d, self.n)
         # k @ kj[a] is row a of every K J_i K^T
-        return pbar[:, :, None] - k @ kj, kj
+        return (pbar[:, :, None] - k @ kj).transpose(2, 0, 1), kj.transpose(2, 0, 1)
 
-    def slacks(self, x: np.ndarray):
-        """(C_i, K J_i) at x, with C_i = Pbar - K J_i K^T the d x d slacks,
-        as (n, d, d) and (n, d, 2d) views of the batch-last arrays."""
-        return tuple(a.transpose(2, 0, 1) for a in self._slack_last(x))
 
-    def chol_logdet(self, x: np.ndarray):
-        """(factors, sum_i logdet G_i) when x is strictly feasible, else (None, -inf).
+def _initial_point(ws: _Workspace) -> np.ndarray:
+    """The central start: K_a = I/2 and Pbar = 2 (P_a + P_b).
+
+    It satisfies every LMI strictly because the realized covariance under
+    any PD joint never exceeds P_a + P_b for those gains; ``_barrier``
+    doubles Pbar in case conditioning eats the margin.
+    """
+    return ws.pack(2.0 * symmetrize(ws.problem.p_a + ws.problem.p_b), 0.5 * ws.eye)
+
+
+class _Batch:
+    """The barrier's evaluators for the programs of one d, on batch-last arrays.
+
+    Each call lays the samples of the programs it serves end to end on the
+    last axis of every (..., N) array, N their total, ordered by sample
+    count, and what is per sample runs as one numpy call over all of them.
+    The programs of one sample count form a group, viewed as (..., k, n):
+    the products with each program's own K and every sum over a program's
+    samples run as one stacked call per group, which makes for each program
+    the BLAS call or reduction a batch of one makes, so its values are
+    bitwise the same whatever else shares its batch.
+    """
+
+    def __init__(self, d: int):
+        iu, self.sym, _, self.upper, self.pair, w, self.hess_at = _coords(d)
+        self.grad_w, self.hess_w = 2.0 * w, 2.0 * np.outer(w, w)
+        self.d, self.npv, self.eye = d, len(iu[0]), np.eye(d)
+        self.ws: list[_Workspace] = []
+        self.ns, self.joint_logdet = np.zeros(0, dtype=int), np.zeros(0)
+        self.joints = []    # each program's joints batch last, (2d, 2d n), once asked for
+        self.layout = None
+        self.factors = None
+
+    def extend(self, workspaces: list[_Workspace]) -> None:
+        """Programs join, numbered on from the last."""
+        self.ws += workspaces
+        self.joints += [None] * len(workspaces)
+        self.ns = np.concatenate([self.ns, [w.n for w in workspaces]])
+        self.joint_logdet = np.concatenate([self.joint_logdet,
+                                            [w.problem.joint_logdet for w in workspaces]])
+
+    def _layout(self, rows: np.ndarray):
+        """How a call on ``rows`` lays out its programs, kept while the same
+        rows ask again: (order, rows in it, their sizes, their first samples
+        and the total, the inverse order, the groups as (first, stop, n, first
+        sample, stop sample), each group's joints as one (k, 2d, 2d n) stack,
+        and E's upper triangles end to end)."""
+        key = rows.tobytes()
+        if self.layout is None or self.layout[0] != key:
+            d = self.d
+            order = np.argsort(self.ns[rows], kind="stable")
+            rows = rows[order]
+            ns = self.ns[rows]
+            offs = np.concatenate([[0], np.cumsum(ns)])
+            cuts = [0, *(np.flatnonzero(np.diff(ns)) + 1), len(rows)]
+            groups = [(g0, g1, ns[g0], offs[g0], offs[g1]) for g0, g1 in zip(cuts[:-1], cuts[1:])]
+            for b in rows:
+                if self.joints[b] is None:
+                    self.joints[b] = self.ws[b].joints.reshape(2 * d, -1)
+            # a group's joints stacked once per program, with how many
+            # consecutive entries each program has (the trials of a line search)
+            stacks = []
+            for g0, g1, *_ in groups:
+                ids = rows[g0:g1]
+                runs = np.flatnonzero(np.diff(ids)) + 1
+                lengths = np.diff([0, *runs, len(ids)])
+                each = int(lengths[0]) if (lengths == lengths[0]).all() else 1
+                stacks.append((each, np.stack([self.joints[b] for b in ids[::each]])))
+            back = np.empty_like(order)
+            back[order] = np.arange(len(order))
+            if (order == np.arange(len(order))).all():
+                order = back = None     # in order already
+            e_upper = np.concatenate([self.ws[b].e_upper for b in rows], axis=1)
+            self.layout = key, (order, rows, ns, offs, back, groups, stacks, e_upper)
+        return self.layout[1]
+
+    def chol_logdet(self, rows: np.ndarray, xs: np.ndarray):
+        """(sum_i logdet G_i, strictly feasible) of each program ``rows[r]`` at
+        ``xs[r]``; the sum is not finite where x is not strictly feasible.
 
         Only the slacks are factored, as C = L D L^T by ``core.ldl_pivots``;
         x is strictly feasible exactly when every pivot is positive and
-        finite, that is when logdet is finite.  ``factors`` is (the
-        eliminated slacks, their pivots, K J).
+        finite, that is when logdet is finite.  The factors stay for
+        ``grad_hess``.
         """
-        ldl, kj = self._slack_last(x)
+        d = self.d
+        order, rows, ns, offs, back, groups, stacks, _ = layout = self._layout(rows)
+        if order is not None:
+            xs = xs[order]
+        ka = xs[:, self.npv:].reshape(-1, d, d)
+        ks = np.concatenate([ka, self.eye - ka], axis=2)
+        pbar = xs[:, self.sym, None]
+        ldl = np.empty((d, d, offs[-1]))
+        kjs = []
+        for (g0, g1, n, o0, o1), (each, joints) in zip(groups, stacks):
+            # entries of one program share its stacked joints
+            kj = ks[g0:g1].reshape(-1, each, d, 2 * d) @ joints[:, None]
+            kjs.append(kj.reshape(g1 - g0, d, 2 * d, n))
+            # ks[b] @ kj[b, a] is row a of every K J_i K^T of program b
+            slack = ldl[:, :, o0:o1].reshape(d, d, g1 - g0, n).transpose(2, 0, 1, 3)
+            np.matmul(ks[g0:g1, None], kjs[-1], out=slack)
+            np.subtract(pbar[g0:g1], slack, out=slack)
         pivots = ldl_pivots(ldl)
+        logdet = np.empty(len(rows))
         # a pivot that is not positive makes logdet nan or -inf
         with np.errstate(divide="ignore", invalid="ignore"):
-            logdet = float(np.sum(np.log(pivots)))
-        if not np.isfinite(logdet):
-            return None, -np.inf
-        return (ldl, pivots, kj), logdet - self.problem.joint_logdet
+            for g0, g1, n, o0, o1 in groups:
+                own = pivots[:, o0:o1].reshape(d, g1 - g0, n).transpose(1, 0, 2)
+                logs = np.log(own, out=np.empty((g1 - g0, d, n)))
+                logdet[g0:g1] = logs.reshape(g1 - g0, -1).sum(axis=1)
+        self.factors = layout, ldl, pivots, kjs
+        ok = np.isfinite(logdet)
+        logdet -= self.joint_logdet[rows]
+        return (logdet, ok) if back is None else (logdet[back], ok[back])
 
-    def barrier_grad_hess(self, factors):
-        """Gradient and Hessian of -sum_i logdet G_i at the point ``factors`` came
-        from, through the upper triangles of R_i = T S_i T^T (module docstring)."""
-        ldl, pivots, kj = factors
-        d, n = self.d, self.n
-        nmat = np.empty((d, 2 * d, n))
+    def grad_hess(self, picked: list[int]):
+        """Gradients (k, m) and Hessians (k, m, m) of -sum_i logdet G_i at the
+        points of the last ``chol_logdet`` call's entries ``picked``
+        (ascending), through the upper triangles of R_i = T S_i T^T (module
+        docstring)."""
+        (order, rows, ns, offs, back, groups, _, e_upper), ldl, pivots, kjs = self.factors
+        d, q, k = self.d, len(self.upper), len(picked)
+        if back is not None:
+            picked = sorted(back[picked].tolist())     # in size order
+        if picked[-1] - picked[0] + 1 == k:
+            # one run of entries, whose samples are one run too
+            run = slice(offs[picked[0]], offs[picked[-1] + 1])
+            ldl, pivots, e_upper = ldl[:, :, run], pivots[:, run], e_upper[:, run]
+        else:
+            keep = np.concatenate([np.arange(offs[e], offs[e + 1]) for e in picked])
+            ldl, pivots, e_upper = (a.take(keep, axis=-1) for a in (ldl, pivots, e_upper))
+        total = pivots.shape[1]
+        nmat = np.empty((d, 2 * d, total))
         nmat[:, :d] = self.eye[:, :, None]
-        np.subtract(kj[:, d:], kj[:, :d], out=nmat[:, d:])
+        runs = []     # (first sample, programs, n) per group, as ``nmat`` holds them
+        at, e = 0, 0
+        for (g0, g1, n, _, _), kj in zip(groups, kjs):
+            mine = []
+            while e < k and picked[e] < g1:
+                mine.append(picked[e] - g0)
+                e += 1
+            if mine:
+                c = len(mine)
+                kj = kj[mine[0]:mine[-1] + 1] if mine[-1] - mine[0] + 1 == c else kj[mine]
+                out = nmat[:, d:, at:at + c * n].reshape(d, d, c, n).transpose(2, 0, 1, 3)
+                np.subtract(kj[:, :, d:], kj[:, :, :d], out=out)
+                runs.append((at, c, n))
+                at += c * n
         for j in range(1, d):
             for i in range(j):
                 # the eliminated ldl[j, i] is L_ji D_i
                 nmat[j] -= (ldl[j, i] / pivots[i]) * nmat[i]
         r = np.einsum("jan,jbn->abn", nmat / pivots[:, None], nmat)
-        r = r.reshape(4 * d * d, n)[self.upper]
+        r = r.reshape(4 * d * d, total)[self.upper]
         # E_i's upper triangle is the last rows of R_i's
-        r[len(self.upper) - len(self.e_upper):] += self.e_upper
-        gram = (r @ r.T).reshape(-1)
-        return (-self.grad_w * r.sum(axis=1)[self.pair],
-                self.hess_w * (gram[self.hess_at[0]] + gram[self.hess_at[1]]))
+        r[q - self.npv:] += e_upper
+        sums, gram = np.empty((k, q)), np.empty((k, q, q))
+        first = 0
+        for at, c, n in runs:
+            own = r[:, at:at + c * n].reshape(q, c, n).transpose(1, 0, 2)
+            own.sum(axis=2, out=sums[first:first + c])
+            np.matmul(own, own.transpose(0, 2, 1), out=gram[first:first + c])
+            first += c
+        if order is not None:   # from size order back to the call's
+            ranks = np.argsort(order[picked])
+            sums, gram = sums[ranks], gram[ranks]
+        gram = gram.reshape(k, -1)
+        return (-self.grad_w * sums[:, self.pair],
+                self.hess_w * (gram[:, self.hess_at[0]] + gram[:, self.hess_at[1]]))
 
 
-def _initial_point(ws: _Workspace, problem: SampledFusionProblem):
-    """Strictly feasible start: central gains and an inflated bound.
+def _rows(ids: list[int]):
+    """An index for the batch-array rows ``ids`` (ascending): a slice when
+    they are consecutive, which numpy serves far faster than a gather."""
+    if ids and ids[-1] - ids[0] + 1 == len(ids):
+        return slice(ids[0], ids[-1] + 1)
+    return np.array(ids, dtype=int)
 
-    K_a = I/2 with Pbar = 2 (P_a + P_b) satisfies every LMI strictly
-    because the realized covariance under any PD joint never exceeds
-    P_a + P_b for those gains; doubling Pbar is the fallback in case
-    conditioning eats the margin.  Returns (x, factors, logdet) as
-    ``chol_logdet`` gives them, or None.
+
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row by row a_r . b_r (b may be one shared vector), each the one BLAS
+    dot product that ``a_r @ b_r`` takes."""
+    return np.matmul(a[:, None, :], b[..., None])[:, 0, 0]
+
+
+def _newton_steps(hess: np.ndarray, grad: np.ndarray, eye: np.ndarray):
+    """(dx, lambda^2, unregularized, broken down) of each Newton system
+    H dx = -g in a batch, the last three as lists.
+
+    Each system takes the first of the regularizations 0, 1e-12, 1e-8 and
+    1e-4 (times max(|diag H|, 1)) under which it solves with a finite
+    lambda^2 = -g . dx >= 0; one that none gives has broken down.  ``eye``
+    is the m x m identity.
     """
-    ka = 0.5 * ws.eye
-    pbar = 2.0 * symmetrize(problem.p_a + problem.p_b)
-    for _ in range(64):
-        x = ws.pack(pbar, ka)
-        factors, logdet = ws.chol_logdet(x)
-        if factors is not None:
-            return x, factors, logdet
-        pbar = 2.0 * pbar
-    return None
+    k, m = grad.shape
+    # max(|diag H|, 1), nan when the diagonal is
+    scale = np.maximum(np.abs(hess.reshape(k, -1)[:, ::m + 1]).max(axis=1), 1.0)
+    rhs = -grad
+    dx = np.empty((k, m))
+    lam2, level, todo = [math.nan] * k, [-1] * k, list(range(k))
+    for at, reg in enumerate((0.0, 1e-12, 1e-8, 1e-4)):
+        mine = slice(None) if len(todo) == k else todo
+        a = hess[mine] + (reg * scale[mine])[:, None, None] * eye
+        try:
+            step = np.linalg.solve(a, rhs[mine, :, None])[..., 0]
+        except np.linalg.LinAlgError:
+            # one singular system fails the whole stack: solve one by one,
+            # with nan for those that fail
+            step = np.full((len(a), m), np.nan)
+            for r in range(len(a)):
+                try:
+                    step[r] = np.linalg.solve(a[r], rhs[mine][r])
+                except np.linalg.LinAlgError:
+                    pass
+        found = _dots(rhs[mine], step).tolist()
+        good = [math.isfinite(l2) and l2 >= 0.0 for l2 in found]
+        if at == 0 and all(good):
+            return step, found, good, [False] * k
+        left = []
+        for r, (b, l2) in enumerate(zip(todo, found)):
+            if good[r]:
+                dx[b], lam2[b], level[b] = step[r], l2, at
+            else:
+                left.append(b)
+        if not left:
+            break
+        todo = left
+    return dx, lam2, [v == 0 for v in level], [v < 0 for v in level]
 
 
 def _check_solver_args(tol: float, max_iters: int) -> None:
@@ -428,41 +622,96 @@ def solve_prefixes(problem: SampledFusionProblem, sizes, tol: float = DEFAULT_TO
     most _SHARED_FACTOR * m samples, or the only longer one, is solved as
     ``solve`` solves its samples alone; longer ones share their opening
     rounds ("Nested prefixes" in the module docstring), and each counts
-    those rounds' Newton steps.  Sizes outside 1..n, or none, raise
-    DimensionError, as do the ``tol`` and ``max_iters`` ``solve`` refuses.
+    those rounds' Newton steps.  The prefixes' rounds run in one lockstep
+    (``_solve_batch``), which changes no prefix's result.  Sizes
+    outside 1..n, or none, raise DimensionError, as do the ``tol`` and
+    ``max_iters`` ``solve`` refuses.
+    """
+    return _solve_batch([problem], sizes, tol, max_iters)[0]
+
+
+def _solve_batch(problems, sizes, tol: float = DEFAULT_TOL,
+                 max_iters: int = DEFAULT_MAX_ITERS) -> list[list[SdpSolution]]:
+    """``solve_prefixes`` of every problem (all of one d), as one list each.
+
+    Every prefix's active-set loop (``_rounds``) asks for one barrier round
+    at a time, and each round joins one ``_Lockstep`` as soon as it is asked
+    for ("Batches" in the module docstring); a round that prefixes share
+    runs once.  When a round ends, its slack check runs and the prefixes
+    waiting on it ask for their next.  Each solution is bitwise the one
+    ``solve_prefixes`` returns for its problem alone.
     """
     _check_solver_args(tol, max_iters)
     sizes = list(sizes)
-    if not sizes or min(sizes) < 1 or max(sizes) > problem.n:
-        raise DimensionError(f"prefix sizes must lie in 1..{problem.n}, got {sizes}")
-    d = problem.d
-    m = d * d + d * (d + 1) // 2
-    shared = _SHARED_FACTOR * m
-    # the rounds the prefixes longer than ``shared`` share, with their checks
-    opening = None
-    if sum(size > shared for size in sizes) > 1:
-        opening = _RoundLog(_Workspace(_subset(problem, slice(max(sizes)))))
-    out = []
-    for size in sizes:
-        prefix = _subset(problem, slice(size))
-        ws = _Workspace(prefix)
-        if opening is not None and size > shared:
-            first, share = shared, opening
+    jobs = []
+    for problem in problems:
+        if not sizes or min(sizes) < 1 or max(sizes) > problem.n:
+            raise DimensionError(f"prefix sizes must lie in 1..{problem.n}, got {sizes}")
+        d = problem.d
+        m = d * d + d * (d + 1) // 2
+        shared = _SHARED_FACTOR * m
+        # the rounds the prefixes longer than ``shared`` share, with their checks
+        opening = None
+        if sum(size > shared for size in sizes) > 1:
+            opening = _RoundLog(_Workspace(_subset(problem, slice(max(sizes)))))
+        for size in sizes:
+            prefix = _subset(problem, slice(size))
+            ws = _Workspace(prefix)
+            if opening is not None and size > shared:
+                first, share = shared, opening
+            else:
+                first, share = ACTIVE_FACTOR * m, None
+            jobs.append((ws, _rounds(prefix, ws, tol, max_iters, first, share)))
+    out: list = [None] * len(jobs)
+    lock = _Lockstep(problems[0].d)
+    owner, waiting = {}, {}    # program -> its log; log -> the jobs that wait on it
+
+    def ask(ready):
+        """Advance the ``ready`` jobs to their next round not run yet; those
+        rounds join the lockstep."""
+        asked = {}
+        for j in ready:
+            ws, loop = jobs[j]
+            try:
+                log, k, request = next(loop)
+                while k < len(log.rounds):     # run already for a prefix that shares it
+                    log, k, request = next(loop)
+            except StopIteration as stop:
+                out[j], jobs[j] = _solution(ws, tol, *stop.value), None
+                continue
+            waiting.setdefault(id(log), []).append(j)
+            asked.setdefault(id(log), (log, request))
+        if asked:
+            logs, requests = zip(*asked.values())
+            owner.update(zip(lock.add(list(requests)), logs))
+
+    ask(range(len(jobs)))
+    while owner:
+        ready = []
+        for b in lock.finished():
+            log, result = owner.pop(b), lock.result(b)
+            log.rounds.append((result, np.linalg.eigvalsh(log.ws.slacks(result[0][0])[0])[:, 0]))
+            ready += waiting.pop(id(log))
+        if ready:
+            ask(ready)
         else:
-            first, share = ACTIVE_FACTOR * m, None
-        x, status, used, lower, active, min_eig = _rounds(prefix, ws, tol, max_iters,
-                                                          first, share)
-        pbar, ka = ws.unpack(x)
-        obj = float(ws.cvec @ x)
-        gap = (obj - lower) / max(abs(obj), 1e-300)
-        if status is SolveStatus.OPTIMAL and (gap > tol or min_eig < -1e-7 * obj):
-            status = SolveStatus.MAX_ITERATIONS
-        # ka views x, and prefixes that end on a shared round share x
-        out.append(SdpSolution(gain_a=ka.copy(), gain_b=ws.eye - ka,
-                               bound=symmetrize(pbar), objective=obj, status=status,
-                               gap=float(gap), newton_iterations=used,
-                               min_slack_eig=min_eig, active_samples=active))
-    return out
+            lock.tick()
+    return [out[i:i + len(sizes)] for i in range(0, len(out), len(sizes))]
+
+
+def _solution(ws: _Workspace, tol: float, x, status, used, lower, active,
+              min_eig) -> SdpSolution:
+    """A prefix's ``SdpSolution`` from its ``_rounds`` outcome, with the checks
+    on its full sample set."""
+    pbar, ka = ws.unpack(x)
+    obj = float(ws.cvec @ x)
+    gap = (obj - lower) / max(abs(obj), 1e-300)
+    if status is SolveStatus.OPTIMAL and (gap > tol or min_eig < -1e-7 * obj):
+        status = SolveStatus.MAX_ITERATIONS
+    # ka views x, and prefixes that end on a shared round share x
+    return SdpSolution(gain_a=ka.copy(), gain_b=ws.eye - ka, bound=symmetrize(pbar),
+                       objective=obj, status=status, gap=float(gap),
+                       newton_iterations=used, min_slack_eig=min_eig, active_samples=active)
 
 
 class _RoundLog:
@@ -473,30 +722,22 @@ class _RoundLog:
     def __init__(self, ws: _Workspace):
         self.ws, self.rounds = ws, []
 
-    def round(self, k: int, sub, tol: float, budget: int, resume):
-        """Round ``k``, run on ``sub`` the first time it is asked for."""
-        if k == len(self.rounds):
-            # rounds go through _barrier, never the module attribute ``solve``,
-            # so one public call is one call whatever wraps that name
-            result = _barrier(sub, tol, budget, resume)
-            x = result[0][0]
-            self.rounds.append((result, np.linalg.eigvalsh(self.ws.slacks(x)[0])[:, 0]))
-        return self.rounds[k]
-
 
 def _rounds(problem: SampledFusionProblem, ws: _Workspace, tol: float, max_iters: int,
             first: int, log: _RoundLog | None = None):
     """The active-set loop of barrier rounds on all of ``problem``'s samples.
 
-    The first active set is the first min(n, ``first``) samples.  Given
-    ``log``, every round (and slack check) before the set first grows is
-    taken from it, or run and stored there ("Nested prefixes" in the
-    module docstring); each later set starts a log of its own.  Returns
-    (x, status, Newton steps, best certified lower bound, active samples,
-    least eigenvalue of the n slacks at x): the last round's iterate,
-    repaired when samples outside its set are still violated, and that
-    round's status, before the checks ``solve_prefixes`` makes on the
-    full sample set.
+    A generator: it yields (log, k, (subset problem, tol, budget, resume))
+    for round ``k`` of ``log`` and, once resumed, reads that round from
+    ``log.rounds[k]``, where ``_solve_batch`` stores it.  The first active
+    set is the first min(n, ``first``) samples.  Given ``log``, every round
+    (and slack check) before the set first grows is taken from it, or run
+    and stored there ("Nested prefixes" in the module docstring); each later
+    set starts a log of its own.  Returns (x, status, Newton steps, best
+    certified lower bound, active samples, least eigenvalue of the n slacks
+    at x): the last round's iterate, repaired when samples outside its set
+    are still violated, and that round's status, before the checks
+    ``_solution`` makes on the full sample set.
     """
     d, n = problem.d, problem.n
     m = d * d + d * (d + 1) // 2
@@ -508,7 +749,8 @@ def _rounds(problem: SampledFusionProblem, ws: _Workspace, tol: float, max_iters
     while True:
         screening = resume is None and tol < _SCREEN_TOL and n > first
         round_tol = _SCREEN_TOL if screening else tol
-        result, worst = log.round(k, sub, round_tol, max_iters - used, resume)
+        yield log, k, (sub, round_tol, max_iters - used, resume)
+        result, worst = log.rounds[k]
         worst, k = worst[:n], k + 1
         resume, status, steps, sub_lower = result
         used += steps
@@ -536,107 +778,253 @@ def _rounds(problem: SampledFusionProblem, ws: _Workspace, tol: float, max_iters
     return x, status, used, lower, len(active), float(worst.min())
 
 
-def _barrier(problem: SampledFusionProblem, tol: float, budget: int, resume=None):
-    """Barrier path-following on all of ``problem``'s samples.
+class _Lockstep:
+    """Barrier path-following for programs of one d, in lockstep.
 
-    Starts at the central start point, or, given ``resume``, at the
-    (x, t) an earlier run on the same problem ended at.  Spends at most
-    ``budget`` Newton steps, and stops at the first step that certifies
-    ``tol``.  Returns ((x, t), status, Newton steps taken, best certified
-    lower bound on the optimum): the iterate and path parameter this run
-    ended at, and the status ``solve`` documents, before its checks on
-    the full sample set.  Without a strictly feasible start the iterate
-    is the central point, the status ``infeasible_numerics`` and the
-    lower bound -inf.
+    Each program runs on all samples of its problem, from the central start
+    point (``_initial_point``, Pbar doubled up to 63 times until it is
+    strictly feasible), or, given ``resume``, from the (x, t) an earlier
+    run on the same problem ended at.  It spends at most ``budget`` Newton
+    steps and stops at the first step that certifies its ``tol``.
+
+    Programs join with ``add`` at any time.  Each ``tick`` makes one
+    evaluation for every program that is starting or in a line search: one
+    ``_Batch`` call serves them all, and each needing derivatives gets them
+    from one more, and its Newton step from one batched solve.  A program's
+    vectors (x, its Newton step, the barrier derivatives) are rows of batch
+    arrays; its scalars (t, path stage, steps, line-search step, bounds and
+    status) are entries of Python lists, and its tests are the lone
+    method's, on Python floats, so each program follows exactly the path it
+    follows alone.
     """
-    ws = _Workspace(problem)
-    nu = float(3 * problem.d * problem.n)
 
-    if resume is None:
-        start, t = _initial_point(ws, problem), None
-    else:
-        x, t = resume
-        start = (x, *ws.chol_logdet(x))
-    if start is None:
-        x = ws.pack(2.0 * symmetrize(problem.p_a + problem.p_b), 0.5 * ws.eye)
-        return (x, None), SolveStatus.INFEASIBLE_NUMERICS, 0, -np.inf
-    # the barrier derivatives depend on x alone, so they are kept until x moves
-    x, factors, logdet = start
-    derivs = None
-    eye = np.eye(ws.m)
+    def __init__(self, d: int):
+        self.ev = _Batch(d)
+        _, _, self.cvec, *_ = _coords(d)
+        self.npv, self.m = d * (d + 1) // 2, len(self.cvec)
+        self.eye = np.eye(self.m)
+        self.rounds = []    # (problem, tol, budget, resume) of every program
+        self.x, self.start, self.dx, self.grad_phi = (np.zeros((0, self.m)) for _ in range(4))
+        self.hess = np.zeros((0, self.m, self.m))
+        for name in ("t", "tol", "budget", "nu", "fresh", "obj", "logdet", "lower",
+                     "stage_lower", "step", "psi", "psi_eps", "gdx", "used", "stage", "tries",
+                     "status", "started"):
+            setattr(self, name, [])
+        self.starting, self.searching, self.ended = [], [], []
 
-    if t is None:
-        t = nu / max(float(ws.cvec @ x), 1e-12)
-    used, broke_down = 0, False
-    status = SolveStatus.MAX_ITERATIONS
-    lower = -np.inf     # best certified lower bound on the optimum
+    def add(self, rounds) -> list[int]:
+        """Programs join, one per (problem, tol, budget, resume), and start at
+        the next ``tick``; returns their ids.  Ids go in order of sample count
+        within a call, which spares ``_Batch`` most reorderings."""
+        first, count = len(self.rounds), len(rounds)
+        order = sorted(range(count), key=lambda b: rounds[b][0].n)
+        rounds = [rounds[b] for b in order]
+        self.rounds += rounds
+        ws = [_Workspace(problem) for problem, *_ in rounds]
+        self.ev.extend(ws)
+        x = np.array([_initial_point(w) if r[3] is None else r[3][0] for w, r in zip(ws, rounds)])
+        self.x, self.start = np.concatenate([self.x, x]), np.concatenate([self.start, x])
+        self.dx, self.grad_phi = (np.concatenate([a, np.zeros_like(x)])
+                                  for a in (self.dx, self.grad_phi))
+        self.hess = np.concatenate([self.hess, np.zeros((count, self.m, self.m))])
+        self.t += [None if r[3] is None else r[3][1] for r in rounds]
+        self.tol += [r[1] for r in rounds]
+        self.budget += [r[2] for r in rounds]
+        self.fresh += [r[3] is None for r in rounds]
+        self.nu += [float(3 * w.d * w.n) for w in ws]
+        for name, value in (("obj", 0.0), ("logdet", 0.0), ("lower", -np.inf),
+                            ("stage_lower", -np.inf),
+                            ("step", 1.0), ("psi", 0.0), ("psi_eps", 0.0), ("gdx", 0.0),
+                            ("used", 0), ("stage", 0), ("tries", 0),
+                            ("status", SolveStatus.MAX_ITERATIONS), ("started", False)):
+            getattr(self, name).extend([value] * count)
+        self.starting += range(first, first + count)
+        ids = [0] * count
+        for at, b in enumerate(order):
+            ids[b] = first + at
+        return ids
 
-    for _stage in range(80):
-        # Newton centering at the current path parameter
-        stage_lower = lower
-        stalled = False
-        while used < budget:
-            if derivs is None:
-                derivs = ws.barrier_grad_hess(factors)
-            grad_phi, hess = derivs
-            grad = t * ws.cvec + grad_phi
-            scale = max(float(np.max(np.abs(np.diag(hess)))), 1.0)
-            for reg in (0.0, 1e-12, 1e-8, 1e-4):
-                try:
-                    dx = np.linalg.solve(hess + reg * scale * eye, -grad)
-                except np.linalg.LinAlgError:
+    def live(self) -> bool:
+        return bool(self.searching or self.starting)
+
+    def finished(self) -> list[int]:
+        """The programs done since the last call."""
+        ended, self.ended = self.ended, []
+        return ended
+
+    def result(self, b: int):
+        """((x, t), status, Newton steps, best certified lower bound) of program
+        ``b``, done: the iterate and path parameter it ended at, and the status
+        ``solve`` documents, before its checks on the full sample set.  Without
+        a strictly feasible start the iterate is the start point, t None, the
+        status ``infeasible_numerics`` and the lower bound -inf.  The program's
+        samples are let go: a result is read once."""
+        self.rounds[b] = self.ev.ws[b] = self.ev.joints[b] = None
+        if not self.started[b]:
+            return (self.start[b], None), SolveStatus.INFEASIBLE_NUMERICS, 0, -np.inf
+        return (self.x[b], self.t[b]), self.status[b], self.used[b], self.lower[b]
+
+    def _end_stages(self, ending) -> list[int]:
+        """The path stage ends for each (program, stalled, broke) of
+        ``ending``: settle its status, or raise t and return it to go on."""
+        going = []
+        for b, stalled, broke in ending:
+            obj, lower = self.obj[b], self.lower[b]
+            gap = (obj - lower) / max(abs(obj), 1e-300)
+            if broke:
+                self.status[b] = SolveStatus.INFEASIBLE_NUMERICS
+            elif gap <= self.tol[b]:
+                self.status[b] = SolveStatus.OPTIMAL
+            # a stage that certifies nothing new means t has outrun float64
+            elif not (self.used[b] >= self.budget[b] or stalled or lower <= self.stage_lower[b]):
+                self.t[b] *= T_GROWTH
+                self.stage[b] += 1
+                if self.stage[b] < 80:
+                    self.stage_lower[b] = lower
+                    going.append(b)
                     continue
-                lam2 = float(-grad @ dx)
-                if np.isfinite(lam2) and lam2 >= 0.0:
-                    break
-            else:
-                broke_down = True
-                break
-            obj = float(ws.cvec @ x)
-            if reg == 0.0 and lam2 < 1.0:
-                # the dual point Z_i = (S_i - S_i dF S_i) / t, dF = sum_k dx_k A_k,
-                # is feasible while lambda < 1, with gap (nu + grad_phi . dx) / t
-                lower = max(lower, obj - (nu + float(grad_phi @ dx)) / t)
-                if (obj - lower) / max(abs(obj), 1e-300) <= tol:
-                    break     # certified: centering further buys the round nothing
-            psi = t * obj - logdet
-            psi_eps = _ROUNDOFF * (abs(t * obj) + abs(logdet))
-            if 0.5 * lam2 <= max(_NEWTON_EPS, psi_eps):
-                break
-            used += 1
-            gdx = float(grad @ dx)
-            step = 1.0
-            while step > 1e-14:
-                trial = x + step * dx
-                ft, ldt = ws.chol_logdet(trial)
-                if ft is not None:
-                    psit = t * float(ws.cvec @ trial) - ldt
+            self.ended.append(b)
+        return going
+
+    def _newton(self, rows: list[int]) -> None:
+        """Newton steps at the kept derivatives until each of ``rows`` has a
+        line search to run or is done."""
+        cvec = self.cvec
+        while rows:
+            rows.sort()
+            at = _rows(rows)
+            t = [self.t[b] for b in rows]
+            grad_phi = self.grad_phi[at]
+            grad = np.array(t)[:, None] * cvec + grad_phi
+            dx, lam2, exact, fails = _newton_steps(self.hess[at], grad, self.eye)
+            # grad . dx is -lambda^2 exactly: negation commutes with every
+            # product and sum of the dot product
+            phi_dx = _dots(grad_phi, dx).tolist()
+            ending, going = [], []
+            for r, (b, tb, l2, ex, fl) in enumerate(zip(rows, t, lam2, exact, fails)):
+                if self.used[b] >= self.budget[b] or fl:
+                    ending.append((b, False, fl and self.used[b] < self.budget[b]))
+                    continue
+                ob = self.obj[b]
+                if ex and l2 < 1.0:
+                    # the dual point Z_i = (S_i - S_i dF S_i) / t, dF = sum_k dx_k A_k,
+                    # is feasible while lambda < 1, with gap (nu + grad_phi . dx) / t
+                    lower = self.lower[b] = max(self.lower[b], ob - (self.nu[b] + phi_dx[r]) / tb)
+                    if (ob - lower) / max(abs(ob), 1e-300) <= self.tol[b]:
+                        # certified: centering further buys the round nothing
+                        ending.append((b, False, False))
+                        continue
+                psi = tb * ob - self.logdet[b]
+                psi_eps = _ROUNDOFF * (abs(tb * ob) + abs(self.logdet[b]))
+                if 0.5 * l2 <= max(_NEWTON_EPS, psi_eps):
+                    ending.append((b, False, False))
+                    continue
+                self.used[b] += 1
+                self.psi[b], self.psi_eps[b], self.gdx[b], self.step[b] = psi, psi_eps, -l2, 1.0
+                going.append(r)
+                self.searching.append(b)
+            if len(going) == len(rows):
+                self.dx[at] = dx
+            elif going:
+                self.dx[[rows[r] for r in going]] = dx[going]
+            rows = self._end_stages(ending)
+
+    def tick(self) -> None:
+        """One evaluation for every program in a line search or starting, and
+        what follows from it until each needs its next."""
+        rows, starting = sorted(self.searching), self.starting
+        self.searching, self.starting = [], []
+        # each trial step goes with its halving, so a step that backtracks
+        # once costs no further call; a halving the search does not reach
+        # goes unread
+        halvings = np.array([1.0, 0.5])
+        at, count = _rows(rows), len(halvings)
+        lengths = np.array([self.step[b] for b in rows])[:, None] * halvings
+        trials = (self.x[at, None] + lengths[..., None] * self.dx[at, None]).reshape(-1, self.m)
+        entries, points = np.repeat(np.array(rows, dtype=int), count), trials
+        if starting:
+            entries = np.concatenate([entries, starting])
+            points = np.concatenate([trials, self.x[starting]])
+        logdet, ok = self.ev.chol_logdet(entries, points)
+        objs, logdet, ok = _dots(trials, self.cvec).tolist(), logdet.tolist(), ok.tolist()
+        moved, accepted, derive, picked, ending = [], [], [], [], []
+        for r, b in enumerate(rows):
+            t, psi, gdx, step = self.t[b], self.psi[b], self.gdx[b], self.step[b]
+            took = None     # the accepted entry, or -1 when the search stalls
+            for e in range(r * count, (r + 1) * count):
+                if ok[e]:
+                    psit = t * objs[e] - logdet[e]
                     if psit <= psi + 1e-2 * step * gdx:
+                        took = e
                         break
                 step *= 0.5
+                if not step > 1e-14:
+                    took = -1
+                    break
+            self.step[b] = step
+            if took is None:    # the halvings so far all failed
+                self.searching.append(b)
+                continue
+            if took < 0:
+                ending.append((b, True, False))
+                continue
+            e = took
+            # a decrease lost in the roundoff of psi is no progress: the point
+            # is as centered as float64 can tell
+            if psi - psit <= self.psi_eps[b]:
+                ending.append((b, False, False))
+                continue
+            moved.append(b)
+            accepted.append(e)
+            self.obj[b], self.logdet[b] = objs[e], logdet[e]
+            if self.used[b] < self.budget[b]:
+                picked.append(e)
+                derive.append(b)
             else:
-                stalled = True
-                break
-            if psi - psit <= psi_eps:
-                # a decrease lost in the roundoff of psi is no progress:
-                # the point is as centered as float64 can tell
-                break
-            x, factors, logdet, derivs = trial, ft, ldt, None
-        obj = float(ws.cvec @ x)
-        gap = (obj - lower) / max(abs(obj), 1e-300)
-        if broke_down:
-            status = SolveStatus.INFEASIBLE_NUMERICS
-            break
-        if gap <= tol:
-            status = SolveStatus.OPTIMAL
-            break
-        # a stage that certifies nothing new means t has outrun float64
-        if used >= budget or stalled or lower <= stage_lower:
-            status = SolveStatus.MAX_ITERATIONS
-            break
-        t *= T_GROWTH
+                ending.append((b, False, False))
+        if moved:
+            self.x[_rows(moved)] = trials[accepted]
+        # a start that is not strictly feasible doubles Pbar and tries again,
+        # 64 times in all; a resumed point is one its own round reached
+        doubled, began = [], []
+        for e, b in enumerate(starting, start=len(rows) * count):
+            self.tries[b] += 1
+            if ok[e]:
+                self.started[b], self.logdet[b] = True, logdet[e]
+                picked.append(e)
+                derive.append(b)
+                began.append(b)
+            elif self.fresh[b] and self.tries[b] < 64:
+                doubled.append(b)
+            else:
+                self.ended.append(b)
+        if doubled:
+            self.x[doubled, :self.npv] *= 2.0
+        self.starting = doubled
+        # the barrier derivatives depend on x alone, so each program's are
+        # kept until its x moves
+        if derive:
+            at = _rows(derive) if derive == sorted(derive) else derive
+            self.grad_phi[at], self.hess[at] = self.ev.grad_hess(picked)
+        if began:
+            for b, obj in zip(began, _dots(self.x[began], self.cvec).tolist()):
+                self.obj[b] = obj
+                if self.fresh[b]:
+                    self.t[b] = self.nu[b] / max(obj, 1e-12)
+        self._newton(self._end_stages(ending) + derive)
 
-    return (x, t), status, used, lower
+
+def _barrier(rounds):
+    """The ``_Lockstep`` rounds of one batch, run to their end together.
+
+    ``rounds`` lists one (problem, tol, budget, resume) per program, all of
+    one d; returns ``_Lockstep.result`` of each.
+    """
+    lock = _Lockstep(rounds[0][0].d)
+    ids = lock.add(rounds)
+    while lock.live():
+        lock.tick()
+    return [lock.result(b) for b in ids]
 
 
 def robust_fuse(a: GaussianEstimate, b: GaussianEstimate, pattern: CrossSparsityPattern,

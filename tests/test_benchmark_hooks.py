@@ -51,13 +51,13 @@ def test_one_public_solve_is_one_traced_solve_whatever_its_rounds(monkeypatch):
     problem = sdp.build_problem(pa, pb, [s.p_ab for s in draws])
     assert problem.n > sdp.ACTIVE_FACTOR * 7
     rounds = []
-    barrier = sdp._barrier
+    result = sdp._Lockstep.result
 
-    def spy(*args):
-        rounds.append(args[0].n)
-        return barrier(*args)
+    def spy(self, b):
+        rounds.append(self.rounds[b][0].n)
+        return result(self, b)
 
-    monkeypatch.setattr(sdp, "_barrier", spy)
+    monkeypatch.setattr(sdp._Lockstep, "result", spy)
     tracer = tracing.Tracer()
     uninstall = tracing.install(tracer, cofusion)
     try:

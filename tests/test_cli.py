@@ -262,9 +262,10 @@ def test_compare_writes_sweep_summary_manifest(capsys, tmp_path):
 COMPARE_PHASES = ("sample", "build", "solve", "check")
 
 
-def test_compare_manifest_sums_the_phases_of_worker_runs(capsys, tmp_path):
-    # under --jobs the phases are worker seconds summed over runs, which
-    # may exceed the wall time of ``run``; keys only, never the values
+def test_compare_manifest_times_the_stages_of_the_sweep(capsys, tmp_path):
+    # the sweep's stages (drawing and building every run, one batched solve,
+    # the checks) next to ``run`` and ``write``; keys only, never the values.
+    # --jobs is accepted and changes nothing
     cfg = _comparison_config(tmp_path, n_values=[3, 6])
     rc, out, _ = _run(capsys, ["compare", "--config", str(cfg), "--jobs", "2",
                                "--out", str(tmp_path / "runs")])

@@ -1,4 +1,5 @@
-"""Source hygiene: every name a package module imports is read in it."""
+"""Source hygiene: every name a package module imports is read in it, and
+the runtime stays one process, numpy only."""
 
 import ast
 from pathlib import Path
@@ -73,3 +74,22 @@ def _json_calls(path: Path) -> set[tuple[str, str]]:
 def test_json_is_read_and_written_only_through_core_helpers():
     calls = set().union(*(_json_calls(p) for p in _PACKAGE.glob("*.py")))
     assert calls == _JSON_HELPERS
+
+
+_CONCURRENCY = {"concurrent", "multiprocessing", "threading"}
+
+
+def test_no_module_starts_processes_or_threads():
+    # the package runs in one process: batched numpy calls, no pools
+    found = []
+    for path in sorted(_PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name.split(".")[0] in _CONCURRENCY]
+    assert found == []

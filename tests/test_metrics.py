@@ -12,6 +12,7 @@ from cofusion.core import (
     CrossSparsityPattern,
     DimensionError,
     GaussianEstimate,
+    make_substream_seed,
 )
 from cofusion.metrics import (
     SWEEP_CSV_COLUMNS,
@@ -23,6 +24,8 @@ from cofusion.metrics import (
     sweep_blocks,
     write_csv,
 )
+from cofusion.sampler import sample_set
+from cofusion.sdp import build_problem, solve_prefixes
 
 # quantile reference values frozen from an independent implementation
 CHI2_QUANTILES = [
@@ -148,15 +151,26 @@ def test_sweep_statistics_shape(small_sweep):
     assert min(cons["nmCI"]["min"]) >= -1e-9
 
 
-def test_sweep_jobs_do_not_change_results(small_sweep):
+def test_a_runs_rows_depend_on_neither_the_run_count_nor_the_other_runs():
+    # all runs are solved in one lockstep batch; a run's rows are bitwise the
+    # same with 2 runs or 4, and its SDP rows are those of solve_prefixes on
+    # its own program
     p_a = np.diag([3.0, 1.0])
     p_b = np.diag([1.0, 4.0])
     pattern = CrossSparsityPattern(2, 2, frozenset({(0, 1), (1, 0)}))
-    again = conservativeness_sweep(p_a, p_b, pattern, [5, 20], mc_runs=4, seed=7,
-                                   jobs=2)
-    assert again.rows == small_sweep.rows
-    assert again.deviation == small_sweep.deviation
-    assert again.conservativeness == small_sweep.conservativeness
+    sizes = [10, 50, 200, 400]
+    two = conservativeness_sweep(p_a, p_b, pattern, sizes, mc_runs=2, seed=9).rows
+    four = conservativeness_sweep(p_a, p_b, pattern, sizes, mc_runs=4, seed=9).rows
+    assert [repr(row) for row in four if row["run"] < 2] == [repr(row) for row in two]
+    for r in range(4):
+        draws = sample_set(p_a, p_b, pattern, sizes[-1], make_substream_seed(9, "samples", r))
+        problem = build_problem(p_a, p_b, [s.p_ab for s in draws])
+        sdp_rows = [row for row in four if row["run"] == r and row["method"] == "SDP"]
+        for row, sol in zip(sdp_rows, solve_prefixes(problem, sizes, 1e-6, 200)):
+            assert row["bound_trace"] == float(np.trace(sol.bound))
+            assert (row["solver_status"], row["solver_gap"], row["newton_iterations"],
+                    row["active_samples"]) == (sol.status.value, sol.gap,
+                                               sol.newton_iterations, sol.active_samples)
 
 
 def test_sweep_per_run_deviation_nonincreasing(small_sweep):

@@ -25,7 +25,9 @@ from cofusion.sdp import (
     _SHARED_FACTOR,
     SolveStatus,
     _barrier,
+    _Batch,
     _initial_point,
+    _solve_batch,
     _subset,
     _Workspace,
     build_problem,
@@ -354,9 +356,24 @@ def _random_problem(rng, d, n):
 
 def _points(ws, prob):
     # the start point, and an iterate a few Newton steps along the path
-    x0 = _initial_point(ws, prob)[0]
+    x0 = _initial_point(ws)
     sol = solve(prob, tol=1e-12, max_iters=6)
     return [x0, ws.pack(sol.bound, sol.gain_a)]
+
+
+def _evaluate(workspaces, rows, xs):
+    """(logdet, feasible, gradient, Hessian) of each program ``rows[r]`` at
+    ``xs[r]``, from one ``_Batch`` over all of them; the derivatives are
+    None where x is not strictly feasible."""
+    ev = _Batch(workspaces[0].d)
+    ev.extend(workspaces)
+    logdet, ok = ev.chol_logdet(np.asarray(rows), np.asarray(xs))
+    grads = [None] * len(rows)
+    if ok.any():
+        picked = np.flatnonzero(ok).tolist()
+        for at, g, h in zip(picked, *ev.grad_hess(picked)):
+            grads[at] = (g, h)
+    return logdet, ok, grads
 
 
 def _full_block_logdet(ws, x):
@@ -369,16 +386,18 @@ def _full_block_logdet(ws, x):
 
 
 def test_chol_logdet_matches_full_block_cholesky():
+    # every (problem, point) pair of a d is one batch: sizes 1, 7 and 300 side
+    # by side, each problem at two points
     rng = np.random.default_rng(21)
     for d in (1, 2, 3, 8):
-        for n in (1, 7, 300):
-            prob = _random_problem(rng, d, n)
-            ws = _Workspace(prob)
-            for x in _points(ws, prob):
-                factors, logdet = ws.chol_logdet(x)
-                ref = _full_block_logdet(ws, x)
-                assert factors is not None and ref is not None
-                assert logdet == pytest.approx(ref, rel=1e-10, abs=1e-10)
+        workspaces = [_Workspace(_random_problem(rng, d, n)) for n in (1, 7, 300)]
+        pairs = [(b, x) for b, ws in enumerate(workspaces) for x in _points(ws, ws.problem)]
+        logdets, ok, _ = _evaluate(workspaces, *zip(*pairs))
+        assert ok.all()
+        for (b, x), logdet in zip(pairs, logdets):
+            ref = _full_block_logdet(workspaces[b], x)
+            assert ref is not None
+            assert logdet == pytest.approx(ref, rel=1e-10, abs=1e-10)
 
 
 def test_chol_logdet_infeasible_exactly_when_a_full_block_is_not_pd():
@@ -388,13 +407,11 @@ def test_chol_logdet_infeasible_exactly_when_a_full_block_is_not_pd():
     prob = build_problem(np.eye(2), np.eye(2), samples)
     ws = _Workspace(prob)
     ka = 0.5 * np.eye(2)
-    for scale, feasible in ((1.0, True), (0.7, False), (0.4, False)):
-        x = ws.pack(scale * np.eye(2), ka)
-        factors, logdet = ws.chol_logdet(x)
+    xs = [ws.pack(scale * np.eye(2), ka) for scale in (1.0, 0.7, 0.4)]
+    logdets, ok, _ = _evaluate([ws], [0, 0, 0], xs)
+    for x, logdet, feasible, expected in zip(xs, logdets, ok, (True, False, False)):
         bad = np.flatnonzero(np.linalg.eigvalsh(_full_blocks(prob, *ws.unpack(x)))[:, 0] <= 0.0)
-        assert (factors is not None) == feasible == (len(bad) == 0)
-        if not feasible:
-            assert logdet == -np.inf
+        assert feasible == expected == (len(bad) == 0) == np.isfinite(logdet)
     # at Pbar = 0.7 I only the one sample's slack is indefinite
     x = ws.pack(0.7 * np.eye(2), ka)
     g = _full_blocks(prob, *ws.unpack(x))
@@ -403,14 +420,12 @@ def test_chol_logdet_infeasible_exactly_when_a_full_block_is_not_pd():
     rng = np.random.default_rng(22)
     prob = _random_problem(rng, 3, 40)
     ws = _Workspace(prob)
-    x0 = _initial_point(ws, prob)[0]
-    outcomes = set()
-    for _ in range(200):
-        x = x0 * rng.uniform(0.05, 1.0) + 0.5 * rng.standard_normal(x0.shape)
-        feasible = ws.chol_logdet(x)[0] is not None
+    x0 = _initial_point(ws)
+    xs = [x0 * rng.uniform(0.05, 1.0) + 0.5 * rng.standard_normal(x0.shape) for _ in range(200)]
+    _, ok, _ = _evaluate([ws], [0] * len(xs), xs)
+    for x, feasible in zip(xs, ok):
         assert feasible == (_full_block_logdet(ws, x) is not None)
-        outcomes.add(feasible)
-    assert outcomes == {True, False}
+    assert set(ok) == {True, False}
 
 
 def _full_block_basis(d):
@@ -428,31 +443,34 @@ def _full_block_basis(d):
 def test_barrier_derivatives_match_full_block_reference():
     # grad_k = -sum_i tr(S_i A_k) and H_kl = sum_i tr(S_i A_k S_i A_l) with
     # S_i the inverse of the full block, one sample at a time
+    # every (problem, point) pair of a d is one batch, as in the test above
     rng = np.random.default_rng(23)
     for d in (1, 2, 3, 8):
-        for n in (1, 7, 300):
-            prob = _random_problem(rng, d, n)
-            ws = _Workspace(prob)
-            a = _full_block_basis(d)
+        workspaces = [_Workspace(_random_problem(rng, d, n)) for n in (1, 7, 300)]
+        a = _full_block_basis(d)
+        for ws in workspaces:
             # G_i is affine in x with slopes A_k
-            x = _initial_point(ws, prob)[0]
-            g = _full_blocks(prob, *ws.unpack(x))[0]
+            x = _initial_point(ws)
+            g = _full_blocks(ws.problem, *ws.unpack(x))[0]
             for k, step in enumerate(np.eye(ws.m)):
-                np.testing.assert_allclose(_full_blocks(prob, *ws.unpack(x + step))[0] - g,
+                np.testing.assert_allclose(_full_blocks(ws.problem, *ws.unpack(x + step))[0] - g,
                                            a[k], rtol=0, atol=1e-12)
-            for x in _points(ws, prob):
-                grad, hess = ws.barrier_grad_hess(ws.chol_logdet(x)[0])
-                grad_ref = np.zeros(ws.m)
-                hess_ref = np.zeros((ws.m, ws.m))
-                for g in _full_blocks(prob, *ws.unpack(x)):
-                    s = np.linalg.inv(g)
-                    u = (s @ a).reshape(ws.m, -1)
-                    grad_ref -= np.einsum('pq,kqp->k', s, a)
-                    hess_ref += u @ (a @ s).reshape(ws.m, -1).T
-                np.testing.assert_allclose(
-                    grad, grad_ref, rtol=1e-9, atol=1e-9 * np.abs(grad_ref).max())
-                np.testing.assert_allclose(
-                    hess, hess_ref, rtol=1e-9, atol=1e-9 * np.abs(hess_ref).max())
+        pairs = [(b, x) for b, ws in enumerate(workspaces) for x in _points(ws, ws.problem)]
+        _, ok, derivs = _evaluate(workspaces, *zip(*pairs))
+        assert ok.all()
+        for (b, x), (grad, hess) in zip(pairs, derivs):
+            ws = workspaces[b]
+            grad_ref = np.zeros(ws.m)
+            hess_ref = np.zeros((ws.m, ws.m))
+            for g in _full_blocks(ws.problem, *ws.unpack(x)):
+                s = np.linalg.inv(g)
+                u = (s @ a).reshape(ws.m, -1)
+                grad_ref -= np.einsum('pq,kqp->k', s, a)
+                hess_ref += u @ (a @ s).reshape(ws.m, -1).T
+            np.testing.assert_allclose(
+                grad, grad_ref, rtol=1e-9, atol=1e-9 * np.abs(grad_ref).max())
+            np.testing.assert_allclose(
+                hess, hess_ref, rtol=1e-9, atol=1e-9 * np.abs(hess_ref).max())
 
 
 def test_min_slack_eig_is_the_least_slack_eigenvalue_at_the_returned_point():
@@ -486,18 +504,26 @@ def _round(problem, iterate, status, steps, lower):
                            status=status, newton_iterations=steps, active_samples=problem.n)
 
 
+def _spy_rounds(monkeypatch, record):
+    """Call ``record(problem, tol, resume, result)`` for every barrier round,
+    one program each, as its result is read."""
+    result = sdp._Lockstep.result
+
+    def spy(self, b):
+        problem, tol, _, resume = self.rounds[b]
+        out = result(self, b)
+        record(problem, tol, resume, out)
+        return out
+
+    monkeypatch.setattr(sdp._Lockstep, "result", spy)
+
+
 @pytest.fixture
 def rounds(monkeypatch):
     """(subset problem, round) of every barrier round while the test runs."""
     seen = []
-    barrier = sdp._barrier
-
-    def spy(problem, *args):
-        out = barrier(problem, *args)
-        seen.append((problem, _round(problem, *out)))
-        return out
-
-    monkeypatch.setattr(sdp, "_barrier", spy)
+    _spy_rounds(monkeypatch, lambda problem, tol, resume, out:
+                seen.append((problem, _round(problem, *out))))
     return seen
 
 
@@ -526,7 +552,7 @@ def test_active_set_solve_matches_the_whole_barrier(rounds):
         sol = solve(prob, tol=tol)
         assert len(rounds) >= 2
         rounds.clear()
-        whole = _round(prob, *_barrier(prob, tol, 200))
+        whole = _round(prob, *_barrier([(prob, tol, 200, None)])[0])
         assert sol.status is whole.status is SolveStatus.OPTIMAL
         assert sol.active_samples < prob.n and whole.active_samples == prob.n
         assert sol.min_slack_eig > 0.0
@@ -542,11 +568,12 @@ def test_a_round_resumed_after_screening_reaches_the_whole_solves_optimum(d):
     prob = _random_problem(np.random.default_rng(40 + d), d, 300)
     ws = _Workspace(prob)
     tol = 1e-7
-    (x, t), status, _, lower = _barrier(prob, _SCREEN_TOL, 200)
+    (x, t), status, _, lower = _barrier([(prob, _SCREEN_TOL, 200, None)])[0]
     obj = float(ws.cvec @ x)
     assert status is SolveStatus.OPTIMAL and tol < (obj - lower) / obj <= _SCREEN_TOL
-    (x, _), status, _, _ = _barrier(prob, tol, 200, (x, t))
-    (fresh, _), fresh_status, _, _ = _barrier(prob, tol, 200)
+    # the resumed round and a fresh one, side by side in one batch
+    ((x, _), status, _, _), ((fresh, _), fresh_status, _, _) = _barrier(
+        [(prob, tol, 200, (x, t)), (prob, tol, 200, None)])
     assert status is fresh_status is SolveStatus.OPTIMAL
     assert float(ws.cvec @ x) == pytest.approx(float(ws.cvec @ fresh), rel=tol)
 
@@ -617,27 +644,51 @@ def test_robust_fuse_reports_the_active_set():
     assert _first_set(2) <= large.diagnostics["active_samples"] < 400
 
 
-def test_failed_start_reports_the_central_point_on_either_path(monkeypatch):
-    # no strictly feasible start: a whole solve and an active-set solve
-    # report the same central point with its real least slack eigenvalue
-    monkeypatch.setattr(sdp, "_initial_point", lambda ws, problem: None)
+def _no_feasible_start(monkeypatch, problems=None):
+    """Starts that stay infeasible however often Pbar doubles (Pbar = -I),
+    for ``problems`` (all when None); returns that start's (Pbar, K_a)."""
+    central = sdp._initial_point
+
+    def start(ws):
+        if problems is not None and not any(ws.problem.p_a is p.p_a for p in problems):
+            return central(ws)
+        return ws.pack(-ws.eye, 0.5 * ws.eye)
+
+    monkeypatch.setattr(sdp, "_initial_point", start)
+    return -np.eye(2), 0.5 * np.eye(2)
+
+
+def test_failed_start_reports_its_start_point_on_either_path(monkeypatch):
+    # no strictly feasible start after 64 tries: a whole solve reports the
+    # start point with its real least slack eigenvalue; an active-set solve
+    # reports it repaired, lifted just past every sample's violation
+    pbar, ka = _no_feasible_start(monkeypatch)
     big = _free_2d_problem(400, 9)
     small = build_problem(big.p_a, big.p_b, list(big.samples[:50]))
     assert small.n <= _first_set(2) < big.n
-    central = 2.0 * symmetrize(big.p_a + big.p_b)
-    sols = []
-    for prob in (small, big):
-        sol = solve(prob, tol=1e-7)
-        slack_eig = _slack_eigs(prob, central, 0.5 * np.eye(2)).min()
+    sols = [solve(prob, tol=1e-7) for prob in (small, big)]
+    for prob, sol in zip((small, big), sols):
         assert sol.status is SolveStatus.INFEASIBLE_NUMERICS
         assert sol.gap == np.inf and sol.newton_iterations == 0
-        np.testing.assert_array_equal(sol.bound, central)
-        np.testing.assert_array_equal(sol.gain_a, 0.5 * np.eye(2))
-        assert sol.min_slack_eig == slack_eig > 0.0
-        assert np.linalg.eigvalsh(_full_blocks(prob, central, 0.5 * np.eye(2))).min() > 0.0
-        sols.append(sol)
-    assert sols[0].objective == sols[1].objective
+        np.testing.assert_array_equal(sol.gain_a, ka)
+        assert sol.min_slack_eig == _slack_eigs(prob, sol.bound, ka).min()
+    np.testing.assert_array_equal(sols[0].bound, pbar)
+    assert sols[0].min_slack_eig < 0.0
+    assert np.linalg.eigvalsh(_full_blocks(small, pbar, ka)).min() < 0.0
+    lift = sols[1].bound - pbar
+    np.testing.assert_allclose(lift, lift[0, 0] * np.eye(2), rtol=0, atol=1e-15)
+    assert sols[1].min_slack_eig > 0.0
     assert (sols[0].active_samples, sols[1].active_samples) == (50, _first_set(2))
+
+
+def test_the_start_is_the_central_point_when_it_is_feasible():
+    prob = _free_2d_problem(50, 9)
+    ws = _Workspace(prob)
+    np.testing.assert_array_equal(
+        _initial_point(ws), ws.pack(2.0 * symmetrize(prob.p_a + prob.p_b), 0.5 * np.eye(2)))
+    (x, _), status, _, _ = _barrier([(prob, 1e-7, 1, None)])[0]
+    assert status is SolveStatus.MAX_ITERATIONS
+    assert not np.array_equal(x, _initial_point(ws))    # one step from it
 
 
 # ---------------------------------------------------------------------------
@@ -672,14 +723,8 @@ def _shared_set(d):
 def fresh_rounds(monkeypatch):
     """Sample count of every barrier round that starts afresh while the test runs."""
     seen = []
-    barrier = sdp._barrier
-
-    def spy(problem, tol, budget, resume=None):
-        if resume is None:
-            seen.append(problem.n)
-        return barrier(problem, tol, budget, resume)
-
-    monkeypatch.setattr(sdp, "_barrier", spy)
+    _spy_rounds(monkeypatch, lambda problem, tol, resume, out:
+                resume is None and seen.append(problem.n))
     return seen
 
 
@@ -739,14 +784,8 @@ def test_each_prefix_spends_its_own_budget_on_the_shared_round(fresh_rounds):
 def all_rounds(monkeypatch):
     """(samples, tol, fresh, Newton steps) of every barrier round the test runs."""
     seen = []
-    barrier = sdp._barrier
-
-    def spy(problem, tol, budget, resume=None):
-        result = barrier(problem, tol, budget, resume)
-        seen.append((problem.n, tol, resume is None, result[2]))
-        return result
-
-    monkeypatch.setattr(sdp, "_barrier", spy)
+    _spy_rounds(monkeypatch, lambda problem, tol, resume, out:
+                seen.append((problem.n, tol, resume is None, out[2])))
     return seen
 
 
@@ -810,6 +849,42 @@ def test_a_prefix_that_leaves_the_shared_rounds_is_solved_on_its_own(slot):
                 assert _same(sol, solve_prefixes(prob, [n, n], tol=1e-6)[0])
         leaving_runs += left
     assert leaving_runs == 1
+
+
+# ---------------------------------------------------------------------------
+# a batch of problems solved in one lockstep
+
+@pytest.mark.parametrize("d, sizes, seeds", [(2, [20, 200, 400], (25, 22, 23)),
+                                             (3, [30, 400, 800], (29, 20, 22))])
+def test_a_batch_of_problems_is_solved_as_each_alone(monkeypatch, d, sizes, seeds):
+    # at a budget of 60 Newton steps: the shortest prefixes certify; the first
+    # problem's longer prefixes run out of budget on their shared set and are
+    # repaired; the second's longest grows its active set; the third has no
+    # strictly feasible start.  Every field of every solution is bitwise the
+    # one its problem gets alone, and the prefixes past the shared set share
+    # their rounds
+    problems = [_random_problem(np.random.default_rng(seed), d, sizes[-1]) for seed in seeds]
+    _no_feasible_start(monkeypatch, problems[2:])
+    rounds = []     # (samples, fresh, objective, gains) of every round
+    _spy_rounds(monkeypatch, lambda problem, tol, resume, out: rounds.append(
+        (problem.n, resume is None, *(lambda r: (r.objective, r.gain_a))(_round(problem, *out)))))
+    tol, budget, shared = 1e-6, 60, _shared_set(d)
+    batch = _solve_batch(problems, sizes, tol, budget)
+    assert sum(n == shared and fresh for n, fresh, _, _ in rounds) == len(problems)
+    for prob, sols in zip(problems, batch):
+        assert all(_same(a, b) for a, b in zip(sols, solve_prefixes(prob, sizes, tol, budget)))
+        assert _same(sols[0], solve(_subset(prob, slice(sizes[0])), tol, budget))
+    repaired, grown, unstarted = batch
+    assert repaired[0].status is grown[0].status is SolveStatus.OPTIMAL
+    for sol in repaired[1:]:
+        # a round's point lifted past the samples it violates: the same
+        # gains, a larger bound
+        assert sol.status is SolveStatus.MAX_ITERATIONS and sol.newton_iterations == budget
+        assert sol.active_samples == shared and sol.min_slack_eig > 0.0
+        assert any(np.array_equal(sol.gain_a, gains) and sol.objective > obj
+                   for _, _, obj, gains in rounds)
+    assert grown[-1].active_samples > shared
+    assert all(sol.status is SolveStatus.INFEASIBLE_NUMERICS for sol in unstarted)
 
 
 def test_solve_prefixes_validation():
