@@ -38,8 +38,7 @@ def main():
           f"({lo:.2f}, {hi:.2f}), state dim {row['state_dim']}")
     print(f"{'method':>12s} {'rmse':>8s} {'2-sigma':>9s} {'steady nees':>12s} "
           f"{'in band':>8s}")
-    for method in data.methods:
-        m = row["methods"][method]
+    for method, m in row["methods"].items():
         print(f"{method:>12s} {m['rmse_mean']:8.3f} {m['sigma2_mean']:9.3f} "
               f"{m['nees_steady']:12.2f} {m['nees_in_band_fraction']:8.2f}")
 

@@ -270,7 +270,7 @@ def _cmd_track(args) -> int:
     files = [("track.csv", TRACK_CSV_COLUMNS, track_blocks),
              ("omega.csv", OMEGA_CSV_COLUMNS, omega_blocks),
              ("truth.csv", TRUTH_CSV_COLUMNS, truth_blocks)]
-    if any(rec["est_mean"] is not None for r in data.runs for rec in r["methods"].values()):
+    if scenario.record_estimates != "none":
         files.append(("estimates.csv", ESTIMATE_CSV_COLUMNS, estimate_blocks))
     out_dir = _make_output_dir(args.out, scenario.name)
     with manifest.timed("write"):

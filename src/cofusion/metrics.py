@@ -200,6 +200,7 @@ class SweepStatistics:
 
 
 SWEEP_PHASES = ("sample", "build", "solve", "check")
+_CHUNK_RUNS = 25        # runs held at once: the sweep's memory grows with it, not with mc_runs
 
 
 def conservativeness_sweep(p_a, p_b, pattern: CrossSparsityPattern,
@@ -216,15 +217,14 @@ def conservativeness_sweep(p_a, p_b, pattern: CrossSparsityPattern,
     methods under the true cross-covariance.  Nested sample sets make
     the deviation curve nonincreasing per run up to solver tolerance.
 
-    Three stages: every run is drawn and built (its samples dropped once
-    its program holds them), then all runs' sizes are solved in one
-    lockstep ``sdp._solve_batch`` call, then every run is checked.  Each
-    run's solutions are bitwise those of ``solve_prefixes`` on its own
-    program, so no row depends on the run count or on the other runs.
-    ``timings`` holds the wall seconds of the stages: ``sample`` (the true
-    and the sampled cross-covariances) and ``build`` summed over runs,
-    ``solve``, and ``check`` (nmCI's bound, the margins under the true
-    cross-covariances and the rows).
+    The runs go in chunks of ``_CHUNK_RUNS``: every run is drawn and built
+    (its samples dropped once its program holds them), all their sizes
+    are solved in one lockstep ``sdp._solve_batch`` call, and every run is
+    checked.  Each run's solutions are bitwise those of ``solve_prefixes``
+    on its own program, so no row depends on the run count or on the
+    other runs.  ``timings`` sums over chunks the wall seconds of
+    ``sample`` (the true and the sampled cross-covariances), ``build``,
+    ``solve`` and ``check`` (the margins and the rows).
     """
     n_values = [int(n) for n in n_values]
     if not n_values or min(n_values) < 1:
@@ -237,23 +237,6 @@ def conservativeness_sweep(p_a, p_b, pattern: CrossSparsityPattern,
     p_b = np.asarray(p_b, dtype=float)
 
     timings = dict.fromkeys(SWEEP_PHASES, 0.0)
-    truths, problems = [], []
-    for r in range(mc_runs):
-        clock = perf_counter()
-        truths.append(sample_cross(p_a, p_b, pattern,
-                                   make_substream_seed(seed, "truth", r)).p_ab)
-        draws = sample_set(p_a, p_b, pattern, max(n_values),
-                           make_substream_seed(seed, "samples", r))
-        built = perf_counter()
-        timings["sample"] += built - clock
-        # the sample sets are nested, so each n's program is a prefix of one
-        problems.append(build_problem(p_a, p_b, [s.p_ab for s in draws]))
-        timings["build"] += perf_counter() - built
-    clock = perf_counter()
-    solutions = _solve_batch(problems, n_values, solver_tol, solver_max_iters)
-    timings["solve"] = perf_counter() - clock
-    clock = perf_counter()
-
     partition = partition_from_sparsity(pattern)
     zero_mean = np.zeros(partition.dim)
     a = GaussianEstimate(zero_mean, p_a)
@@ -263,29 +246,47 @@ def conservativeness_sweep(p_a, p_b, pattern: CrossSparsityPattern,
     eig_sdp = np.empty((mc_runs, len(n_values)))
     eig_nm = np.empty(mc_runs)
     rows: list[dict] = []
-    for r, (truth, sols) in enumerate(zip(truths, solutions)):
-        joint_true = JointCovariance(a.covariance, b.covariance, truth)
-        realized_nm = realized_cov(nm.gain_a, nm.gain_b, joint_true)
-        eig_nm[r] = float(np.linalg.eigvalsh(nm.bound - realized_nm)[0])
-        for i, (n, sol) in enumerate(zip(n_values, sols)):
-            dev[r, i] = float(np.linalg.norm(nm.bound - sol.bound, 2))
-            realized = realized_cov(sol.gain_a, sol.gain_b, joint_true)
-            eig_sdp[r, i] = float(np.linalg.eigvalsh(sol.bound - realized)[0])
-            rows.append({"n": n, "run": r, "method": "SDP",
-                         "deviation_2norm": float(dev[r, i]),
-                         "min_eig_margin": float(eig_sdp[r, i]),
-                         "bound_trace": float(np.trace(sol.bound)),
-                         "solver_status": sol.status.value,
-                         "solver_gap": sol.gap,
-                         "newton_iterations": sol.newton_iterations,
-                         "active_samples": sol.active_samples})
-            rows.append({"n": n, "run": r, "method": "nmCI",
-                         "deviation_2norm": 0.0,
-                         "min_eig_margin": float(eig_nm[r]),
-                         "bound_trace": float(np.trace(nm.bound)),
-                         "solver_status": "", "solver_gap": 0.0,
-                         "newton_iterations": "", "active_samples": ""})
-    timings["check"] = perf_counter() - clock
+    for start in range(0, mc_runs, _CHUNK_RUNS):
+        runs = range(start, min(start + _CHUNK_RUNS, mc_runs))
+        truths, problems = [], []
+        for r in runs:
+            clock = perf_counter()
+            truths.append(sample_cross(p_a, p_b, pattern,
+                                       make_substream_seed(seed, "truth", r)).p_ab)
+            draws = sample_set(p_a, p_b, pattern, max(n_values),
+                               make_substream_seed(seed, "samples", r))
+            built = perf_counter()
+            timings["sample"] += built - clock
+            # the sample sets are nested, so each n's program is a prefix of one
+            problems.append(build_problem(p_a, p_b, [s.p_ab for s in draws]))
+            timings["build"] += perf_counter() - built
+        clock = perf_counter()
+        solutions = _solve_batch(problems, n_values, solver_tol, solver_max_iters)
+        checked = perf_counter()
+        timings["solve"] += checked - clock
+        for r, truth, sols in zip(runs, truths, solutions):
+            joint_true = JointCovariance(a.covariance, b.covariance, truth)
+            realized_nm = realized_cov(nm.gain_a, nm.gain_b, joint_true)
+            eig_nm[r] = float(np.linalg.eigvalsh(nm.bound - realized_nm)[0])
+            for i, (n, sol) in enumerate(zip(n_values, sols)):
+                dev[r, i] = float(np.linalg.norm(nm.bound - sol.bound, 2))
+                realized = realized_cov(sol.gain_a, sol.gain_b, joint_true)
+                eig_sdp[r, i] = float(np.linalg.eigvalsh(sol.bound - realized)[0])
+                rows.append({"n": n, "run": r, "method": "SDP",
+                             "deviation_2norm": float(dev[r, i]),
+                             "min_eig_margin": float(eig_sdp[r, i]),
+                             "bound_trace": float(np.trace(sol.bound)),
+                             "solver_status": sol.status.value,
+                             "solver_gap": sol.gap,
+                             "newton_iterations": sol.newton_iterations,
+                             "active_samples": sol.active_samples})
+                rows.append({"n": n, "run": r, "method": "nmCI",
+                             "deviation_2norm": 0.0,
+                             "min_eig_margin": float(eig_nm[r]),
+                             "bound_trace": float(np.trace(nm.bound)),
+                             "solver_status": "", "solver_gap": 0.0,
+                             "newton_iterations": "", "active_samples": ""})
+        timings["check"] += perf_counter() - checked
 
     return SweepStatistics(
         deviation={"n": n_values,
@@ -314,12 +315,6 @@ TRACK_CSV_COLUMNS = ["run", "step", "method", "agent", "nees", "pos_error_norm",
                      "avg_two_sigma", "cov_trace"]
 OMEGA_CSV_COLUMNS = ["run", "step", "method", "edge", "block", "omega"]
 TRUTH_CSV_COLUMNS = ["run", "step", "label", "value"]
-
-def lead_lines(lead, tails) -> str:
-    """One template of ``tails``, the rest of each CSV line after its first
-    field (placeholders and CRLF included), with ``lead`` as that field."""
-    lead = f"{lead},"
-    return lead + lead.join(tails) if tails else ""
 
 def sweep_blocks(rows):
     """The sweep's dict rows as one ``write_csv`` block."""

@@ -48,13 +48,14 @@ filter's H^T|R|H are blocks that no filter step, CI or block-wise CI
 ever couples, so every covariance is exactly block-diagonal over them.
 Each filter's covariance is carried as stacks of its diagonal blocks,
 one (k, n, n) stack per block size (``core.StackLayout``), and means,
-truth and errors live in the matching permuted coordinates; records
-return to state-label order.  On both presets the blocks are the
-(group, axis) pairs.  Every numpy call covers all blocks of a size, for
-all filters in the filter step.  A scenario whose structure couples
-every state runs as one block through the same code, and
-``local_filter_step``, ``ci_fuse`` and ``nmci_fuse`` treat a dense
-covariance as a stack of one block.
+truth and errors live in the matching permuted coordinates.  Each
+method's ``MethodTrack`` returns to state-label order and holds the
+series that read only covariances and weights once, for every run.  On
+both presets the blocks are the (group, axis) pairs.  Every numpy call
+covers all blocks of a size, for all filters in the filter step.  A
+scenario whose structure couples every state runs as one block through
+the same code, and ``local_filter_step``, ``ci_fuse`` and ``nmci_fuse``
+treat a dense covariance as a stack of one block.
 
 The pass also computes each distinct covariance once.  Which (filter,
 block) covariances are equal follows from the structure alone: a class
@@ -872,7 +873,7 @@ def _fuse_round(covs: list[np.ndarray], views: list[np.ndarray], edges: np.ndarr
 def _lockstep(scenario: ScenarioConfig, method: str, plan: _FilterPlan,
               pieces: _Pieces | None, schedule: list, waves: list[np.ndarray],
               edges: np.ndarray, meas: np.ndarray, truth: np.ndarray,
-              prior_mean: np.ndarray, prior_cov: np.ndarray, timings: dict) -> list[dict]:
+              prior_mean: np.ndarray, prior_cov: np.ndarray, timings: dict) -> MethodTrack:
     """Step one method through a batch of runs; every method takes this path.
 
     ``plan`` holds the method's filters: the centralized one, or one per
@@ -895,22 +896,18 @@ def _lockstep(scenario: ScenarioConfig, method: str, plan: _FilterPlan,
     no strict mode: ``_nmci`` fuses the pieces and leaves the entries
     outside them (``pieces.off``, empty for an exact partition) out.  The wall
     time of the filter steps, fusions and metrics is added to ``timings``.
-    Returns one record per run, in state-label order; the covariance-only
-    entries (``avg2sig``, ``cov_trace``, ``est_std``, ``omega``) are
-    shared between them.
+    Returns the method's ``MethodTrack``, in state-label order: the
+    covariance-only series are computed once and hold for every run.
     """
     layout = plan.layout
     d, steps = layout.dim, scenario.n_steps
     pos_idx = scenario.layout().position_indices()
     pos = layout.position[pos_idx]
+    rec_ids = {"all": list(range(scenario.n_agents)), "report": [scenario.report_agent],
+               "none": []}[scenario.record_estimates]
     if method == "centralized":
-        rec_ids = [-1] if scenario.record_estimates != "none" else []
-        rec_cols = [0] * len(rec_ids)
-    else:
-        rec_ids = {"all": list(range(scenario.n_agents)),
-                   "report": [scenario.report_agent],
-                   "none": []}[scenario.record_estimates]
-        rec_cols = rec_ids
+        rec_ids = [-1] if rec_ids else []       # its one filter, recorded as agent -1
+    rec_cols = [max(a, 0) for a in rec_ids]
     n_runs, cols = len(truth), plan.n_filters
 
     truth = truth[..., layout.perm]
@@ -953,19 +950,17 @@ def _lockstep(scenario: ScenarioConfig, method: str, plan: _FilterPlan,
         timings["fuse"] += t2 - t1
         timings["metrics"] += time.perf_counter() - t2
 
-    return [{"nees": nees[r], "pos_err": pos_err[r], "avg2sig": avg2sig,
-             "cov_trace": cov_trace, "omega": records,
-             "est_mean": None if est_mean is None else est_mean[r],
-             "est_std": est_std, "est_agents": rec_ids}
-            for r in range(n_runs)]
+    return MethodTrack(nees=nees, pos_err=pos_err, est_mean=est_mean, avg2sig=avg2sig,
+                       cov_trace=cov_trace, est_std=est_std, omega=records,
+                       est_agents=rec_ids)
 
 
-def _simulate(scenario: ScenarioConfig, run_ids, methods) -> tuple[list[dict], dict, dict]:
-    """Records of the given runs, every method stepping them in lockstep.
+def _simulate(scenario: ScenarioConfig, run_ids, methods: tuple[str, ...]) -> TrackData:
+    """The given runs of every method, each method stepping them in lockstep.
 
-    Also returns the wall seconds spent drawing the runs and, summed over
-    methods, in filter steps, fusions and metrics; and per method the
-    ``_work_counts`` of its class schedule.
+    ``timings`` holds the wall seconds spent drawing the runs and, summed
+    over methods, in filter steps, fusions and metrics; ``work`` per
+    method the ``_work_counts`` of its class schedule.
     """
     for m in methods:
         if m not in METHODS:
@@ -995,8 +990,7 @@ def _simulate(scenario: ScenarioConfig, run_ids, methods) -> tuple[list[dict], d
     # CI is block-wise CI over one block of every state
     partitions = {"CI": BlockPartition((tuple(range(layout.dim)),)),
                   "nmCI": build_partition(scenario)}
-    out = [{"truth": dr.truth, "run": r, "methods": {}} for r, dr in zip(run_ids, draws)]
-    work = {}
+    tracks, work = {}, {}
     for method in methods:
         plan = plans["central" if method == "centralized" else "agents"]
         pieces = _Pieces(layout, partitions[method]) if method in partitions else None
@@ -1004,9 +998,9 @@ def _simulate(scenario: ScenarioConfig, run_ids, methods) -> tuple[list[dict], d
                                    layout.split(prior_cov),
                                    [f and pieces is not None for f in fusing])
         work[method] = _work_counts(schedule)
-        for o, rec in zip(out, _lockstep(scenario, method, plan, pieces, schedule, **shared)):
-            o["methods"][method] = rec
-    return out, timings, work
+        tracks[method] = _lockstep(scenario, method, plan, pieces, schedule, **shared)
+    return TrackData(scenario=scenario, run_ids=list(run_ids), truth=shared["truth"],
+                     tracks=tracks, timings=timings, work=work)
 
 
 def _work_counts(schedule: list) -> dict:
@@ -1020,32 +1014,47 @@ def _work_counts(schedule: list) -> dict:
 
 
 def simulate_run(scenario: ScenarioConfig, run_idx: int,
-                 methods: tuple[str, ...] | None = None) -> dict:
-    """Simulate one Monte-Carlo run for every requested method.
+                 methods: tuple[str, ...] | None = None) -> TrackData:
+    """Monte-Carlo run ``run_idx`` alone, every method replaying its ``draw_run`` draws.
 
-    Truth, measurements, and prior perturbations come from ``draw_run``
-    and are replayed identically for each method.  This is
-    ``run_scenario``'s lockstep with a batch of one run; its record is
-    the one ``run_scenario`` gives the same run, bitwise apart from
+    This is ``run_scenario``'s lockstep with a batch of one run: its
+    series are those ``run_scenario`` gives the run, bitwise apart from
     roundoff in NEES.
-    Returns per-method arrays of shape (steps, agents) for NEES,
-    position error, 2-sigma summary, and covariance trace, plus
-    recorded estimate trajectories and weight logs.
     """
-    return _simulate(scenario, [run_idx], tuple(methods or scenario.methods))[0][0]
+    return _simulate(scenario, [run_idx], tuple(methods or scenario.methods))
 
 
 # ---------------------------------------------------------------------------
 # Monte-Carlo driver and aggregation
 
+@dataclass(frozen=True, eq=False)
+class MethodTrack:
+    """One method's series over a batch of runs; the columns are its filters.
+
+    Covariances and weights never depend on the data, so the series that
+    read only them are held once, for every run.
+    """
+
+    nees: np.ndarray                 # (runs, steps, cols)
+    pos_err: np.ndarray              # (runs, steps, cols) position error norm
+    est_mean: np.ndarray | None      # (runs, steps, agents, d) recorded agents' means
+    avg2sig: np.ndarray              # (steps, cols) two-sigma position summary, shared
+    cov_trace: np.ndarray            # (steps, cols), shared
+    est_std: np.ndarray | None       # (steps, agents, d) recorded agents' std, shared
+    omega: list                      # weight records in configured order, shared
+    est_agents: list                 # recorded agents' ids, -1 the centralized filter's
+
+
 @dataclass
 class TrackData:
+    """A tracking experiment: its runs in order, and each method's ``MethodTrack``."""
+
     scenario: ScenarioConfig
-    methods: tuple[str, ...]
-    state_dim: int
-    runs: list[dict]
-    timings: dict = field(default_factory=dict)   # phase -> wall seconds
-    work: dict = field(default_factory=dict)      # method -> _work_counts
+    run_ids: list
+    truth: np.ndarray                               # (runs, steps, d)
+    tracks: dict                                    # method -> MethodTrack, in method order
+    timings: dict = field(default_factory=dict)     # phase -> wall seconds
+    work: dict = field(default_factory=dict)        # method -> _work_counts
 
 
 def run_scenario(scenario: ScenarioConfig, *, methods=None, mc_runs: int | None = None,
@@ -1053,18 +1062,14 @@ def run_scenario(scenario: ScenarioConfig, *, methods=None, mc_runs: int | None 
     """Run the Monte-Carlo experiment, every method stepping all runs in lockstep.
 
     ``methods``/``mc_runs``/``seed`` override the scenario fields.  Runs
-    draw from disjoint substreams by index, and a run's record does not
-    depend on the run count (NEES up to roundoff); records come in run
-    order.
+    draw from disjoint substreams by index, and a run's series do not
+    depend on the run count (NEES up to roundoff).
     """
     if seed is not None or mc_runs is not None:
         scenario = replace(scenario,
                            seed=scenario.seed if seed is None else seed,
                            mc_runs=scenario.mc_runs if mc_runs is None else mc_runs)
-    methods = tuple(methods or scenario.methods)
-    runs, timings, work = _simulate(scenario, range(scenario.mc_runs), methods)
-    return TrackData(scenario=scenario, methods=methods, state_dim=scenario.layout().dim,
-                     runs=runs, timings=timings, work=work)
+    return _simulate(scenario, range(scenario.mc_runs), tuple(methods or scenario.methods))
 
 
 def summarize(data: TrackData) -> dict:
@@ -1077,84 +1082,80 @@ def summarize(data: TrackData) -> dict:
     last quarter of the steps.
     """
     scn = data.scenario
-    n_runs = len(data.runs)
-    steps = scn.n_steps
+    n_runs, steps, dim = data.truth.shape
     tail = max(1, steps // 4)
-    band = _metrics.chi2_band(data.state_dim, n_runs, NEES_BAND_LEVEL)
-    summary: dict = {"state_dim": data.state_dim, "mc_runs": n_runs,
+    band = _metrics.chi2_band(dim, n_runs, NEES_BAND_LEVEL)
+    summary: dict = {"state_dim": dim, "mc_runs": n_runs,
                      "steps": steps, "level": NEES_BAND_LEVEL,
                      "report_agent": scn.report_agent,
                      "band": [band[0], band[1]], "methods": {}}
-    for method in data.methods:
+    for method, tr in data.tracks.items():
         col = 0 if method == "centralized" else scn.report_agent
-        nees_runs = np.stack([r["methods"][method]["nees"][:, col] for r in data.runs])
-        series = nees_runs.mean(axis=0)
-        pe = np.stack([r["methods"][method]["pos_err"] for r in data.runs])
-        rmse_runs = np.sqrt(np.mean(pe ** 2, axis=1))      # (runs, agents)
-        s2 = np.stack([r["methods"][method]["avg2sig"] for r in data.runs])
-        tr = np.stack([r["methods"][method]["cov_trace"] for r in data.runs])
+        series = tr.nees[:, :, col].mean(axis=0)
+        rmse_runs = np.sqrt(np.mean(tr.pos_err ** 2, axis=1))      # (runs, agents)
         in_band = float(np.mean((series >= band[0]) & (series <= band[1])))
         summary["methods"][method] = {
             "rmse_mean": float(np.mean(rmse_runs)),
-            "sigma2_mean": float(np.mean(s2)),
+            "sigma2_mean": float(np.mean(tr.avg2sig)),
             "nees_in_band_fraction": in_band,
             "nees_steady": float(series[-tail:].mean()),
-            "cov_trace_steady": float(tr[:, -tail:, :].mean()),
+            "cov_trace_steady": float(tr.cov_trace[-tail:].mean()),
         }
     return summary
 
 
 # ---------------------------------------------------------------------------
-# CSV blocks for ``metrics.write_csv`` (columns in metrics): one template per
-# (run, method), or per run for the truth, filled from the record arrays
+# CSV blocks for ``metrics.write_csv`` (columns in metrics): per run, one template
+# per method, its cells shared by every run filled in once, or one for the truth
 
 ESTIMATE_CSV_COLUMNS = ["run", "step", "method", "agent", "label", "mean", "std"]
 
+def _filled(lines: list[str], values=()) -> str:
+    """One template of ``lines``, each led by a NUL that stands for the run id, with
+    the raveled ``values`` filled in by one ``%`` call; a ``%%`` stays a field."""
+    return "\0".join(["", *lines]) % tuple(np.ravel(values).tolist())
+
+
+def _run_blocks(run_ids, parts):
+    """Per run, one block per (template, cells) part: the template led by the run
+    id, filled from the run's slice of the (runs, ...) ``cells`` (None: no fields)."""
+    for r, run in enumerate(run_ids):
+        for template, cells in parts:
+            yield (template.replace("\0", f"{run},"),
+                   () if cells is None else tuple(cells[r].ravel().tolist()))
+
+
 def track_blocks(data: TrackData):
-    agents = {m: [-1] if m == "centralized" else range(data.scenario.n_agents)
-              for m in data.methods}
-    tails = {m: [f"{k},{m},{a},%.12g,%.12g,%.12g,%.12g\r\n"
-                 for k in range(data.scenario.n_steps) for a in agents[m]]
-             for m in data.methods}
-    for r in data.runs:
-        for m in data.methods:
-            rec = r["methods"][m]
-            cells = np.stack([rec["nees"], rec["pos_err"], rec["avg2sig"],
-                              rec["cov_trace"]], axis=2)
-            yield _metrics.lead_lines(r["run"], tails[m]), tuple(cells.ravel().tolist())
+    parts = []
+    for m, tr in data.tracks.items():
+        agents = [-1] if m == "centralized" else range(data.scenario.n_agents)
+        lines = [f"{k},{m},{a},%%.12g,%%.12g,%.12g,%.12g\r\n"
+                 for k in range(data.scenario.n_steps) for a in agents]
+        parts.append((_filled(lines, np.stack([tr.avg2sig, tr.cov_trace], axis=2)),
+                      np.stack([tr.nees, tr.pos_err], axis=3)))
+    yield from _run_blocks(data.run_ids, parts)
 
 
 def omega_blocks(data: TrackData):
-    # the weights never depend on the data: a method's records are one list in every run
-    lines = {}
-    for r in data.runs:
-        for m in data.methods:
-            if m not in lines:
-                recs = r["methods"][m]["omega"]
-                lines[m] = ([f"{w['step']},{m},{w['edge']},{w['block']},%.12g\r\n"
-                             for w in recs], tuple(w["omega"] for w in recs))
-            tails, values = lines[m]
-            yield _metrics.lead_lines(r["run"], tails), values
+    yield from _run_blocks(data.run_ids, [
+        (_filled([f"{w['step']},{m},{w['edge']},{w['block']},%.12g\r\n" for w in tr.omega],
+                 [w["omega"] for w in tr.omega]), None)
+        for m, tr in data.tracks.items()])
 
 
 def truth_blocks(data: TrackData):
     labels = data.scenario.layout().labels()
-    tails = [f"{k},{lab},%.12g\r\n" for k in range(data.scenario.n_steps) for lab in labels]
-    for r in data.runs:
-        yield _metrics.lead_lines(r["run"], tails), tuple(r["truth"].ravel().tolist())
+    lines = [f"{k},{lab},%%.12g\r\n" for k in range(data.scenario.n_steps) for lab in labels]
+    yield from _run_blocks(data.run_ids, [(_filled(lines), data.truth)])
 
 
 def estimate_blocks(data: TrackData):
     labels = data.scenario.layout().labels()
-    steps = range(data.scenario.n_steps)
-    tails = {}
-    for r in data.runs:
-        for m in data.methods:
-            rec = r["methods"][m]
-            if rec["est_mean"] is None:
-                continue
-            if m not in tails:
-                tails[m] = [f"{k},{m},{aid},{lab},%.12g,%.12g\r\n"
-                            for k in steps for aid in rec["est_agents"] for lab in labels]
-            cells = np.stack([rec["est_mean"], rec["est_std"]], axis=3)
-            yield _metrics.lead_lines(r["run"], tails[m]), tuple(cells.ravel().tolist())
+    parts = []
+    for m, tr in data.tracks.items():
+        if tr.est_mean is not None:
+            lines = [f"{k},{m},{aid},{lab},%%.12g,%.12g\r\n"
+                     for k in range(data.scenario.n_steps) for aid in tr.est_agents
+                     for lab in labels]
+            parts.append((_filled(lines, tr.est_std), tr.est_mean))
+    yield from _run_blocks(data.run_ids, parts)

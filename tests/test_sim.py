@@ -13,11 +13,13 @@ from cofusion.metrics import (
     OMEGA_CSV_COLUMNS,
     TRACK_CSV_COLUMNS,
     TRUTH_CSV_COLUMNS,
+    chi2_band,
     nees,
     write_csv,
 )
 from cofusion.sim import (
     ESTIMATE_CSV_COLUMNS,
+    NEES_BAND_LEVEL,
     GroupSpec,
     ScenarioConfig,
     StateLayout,
@@ -413,28 +415,27 @@ def test_simulate_run_is_deterministic():
     scn = tiny_scenario()
     a = simulate_run(scn, 0)
     b = simulate_run(scn, 0)
-    np.testing.assert_array_equal(a["truth"], b["truth"])
+    np.testing.assert_array_equal(a.truth, b.truth)
     for m in scn.methods:
-        np.testing.assert_array_equal(a["methods"][m]["nees"],
-                                      b["methods"][m]["nees"])
+        np.testing.assert_array_equal(a.tracks[m].nees, b.tracks[m].nees)
     c = simulate_run(scn, 1)
-    assert not np.array_equal(a["truth"], c["truth"])
+    assert not np.array_equal(a.truth, c.truth)
 
 
 def test_methods_replay_identical_truth():
     scn = tiny_scenario()
-    rec = simulate_run(scn, 0)
+    data = simulate_run(scn, 0)
     # centralized tracks one column, the rest one per agent
-    assert rec["methods"]["centralized"]["nees"].shape == (scn.n_steps, 1)
-    assert rec["methods"]["CI"]["nees"].shape == (scn.n_steps, 2)
-    assert np.all(np.isfinite(rec["methods"]["nmCI"]["nees"]))
+    assert data.tracks["centralized"].nees.shape == (1, scn.n_steps, 1)
+    assert data.tracks["CI"].nees.shape == (1, scn.n_steps, 2)
+    assert np.all(np.isfinite(data.tracks["nmCI"].nees))
 
 
 def test_run_scenario_overrides():
     scn = tiny_scenario()
     data = run_scenario(scn, methods=("none",), mc_runs=1, seed=99)
-    assert data.methods == ("none",)
-    assert len(data.runs) == 1
+    assert list(data.tracks) == ["none"]
+    assert data.run_ids == [0] and data.truth.shape[0] == 1
     assert data.scenario.seed == 99
     with pytest.raises(ConfigError):
         run_scenario(scn, methods=("warp",))
@@ -444,8 +445,23 @@ def test_run_scenario_overrides():
 # lockstep runs against the per-run maths
 
 LOCKSTEP_METHODS = ("centralized", "CI", "nmCI", "none")
-RUN_ARRAYS = ("nees", "pos_err", "avg2sig", "cov_trace", "est_mean", "est_std")
+RUN_ARRAYS = ("nees", "pos_err", "est_mean")
 SHARED_ARRAYS = ("avg2sig", "cov_trace", "est_std")
+
+
+def _series(track, r):
+    """Run r's series of a ``MethodTrack``: its slice of each per-run array, and the shared ones."""
+    return {**{key: getattr(track, key)[r] for key in RUN_ARRAYS},
+            **{key: getattr(track, key) for key in SHARED_ARRAYS}}
+
+
+def _assert_same_tracks(data, want):
+    for method in data.tracks:
+        rec, ref = data.tracks[method], want.tracks[method]
+        for key in RUN_ARRAYS + SHARED_ARRAYS:
+            np.testing.assert_array_equal(getattr(rec, key), getattr(ref, key),
+                                          err_msg=f"{method} {key}")
+        assert rec.omega == ref.omega
 
 
 def _reference_run(scn, run_idx, method):
@@ -490,49 +506,44 @@ def _reference_run(scn, run_idx, method):
 def test_lockstep_matches_per_run_reference():
     scn = tiny_scenario(methods=LOCKSTEP_METHODS)
     data = run_scenario(scn, mc_runs=3)
-    for r, run in enumerate(data.runs):
+    for r in data.run_ids:
         for method in LOCKSTEP_METHODS:
             truth, want, omega = _reference_run(scn, r, method)
-            rec = run["methods"][method]
-            np.testing.assert_array_equal(run["truth"], truth)
-            for key in RUN_ARRAYS:
-                np.testing.assert_allclose(rec[key], want[key], rtol=1e-12, atol=0.0,
+            np.testing.assert_array_equal(data.truth[r], truth)
+            for key, got in _series(data.tracks[method], r).items():
+                np.testing.assert_allclose(got, want[key], rtol=1e-12, atol=0.0,
                                            err_msg=f"run {r} {method} {key}")
-            assert rec["omega"] == omega
+            assert data.tracks[method].omega == omega
 
 
 def test_lockstep_batch_equals_single_runs():
     scn = tiny_scenario(methods=LOCKSTEP_METHODS)
     data = run_scenario(scn, mc_runs=3)
-    for r, run in enumerate(data.runs):
+    assert data.run_ids == [0, 1, 2]
+    for r in data.run_ids:
         alone = simulate_run(scn, r)
-        assert run["run"] == alone["run"] == r
-        np.testing.assert_array_equal(run["truth"], alone["truth"])
+        assert alone.run_ids == [r]
+        np.testing.assert_array_equal(data.truth[r], alone.truth[0])
         for method in LOCKSTEP_METHODS:
-            rec, want = run["methods"][method], alone["methods"][method]
+            rec, want = data.tracks[method], alone.tracks[method]
+            got, ref = _series(rec, r), _series(want, 0)
             # the batch solves its NEES with several right-hand sides at once
-            np.testing.assert_allclose(rec["nees"], want["nees"], rtol=1e-12, atol=0.0)
-            for key in RUN_ARRAYS:
-                if key != "nees":
-                    np.testing.assert_array_equal(rec[key], want[key],
-                                                  err_msg=f"run {r} {method} {key}")
-            assert rec["omega"] == want["omega"]
-            assert rec["est_agents"] == want["est_agents"]
+            np.testing.assert_allclose(got.pop("nees"), ref.pop("nees"), rtol=1e-12, atol=0.0)
+            for key in got:
+                np.testing.assert_array_equal(got[key], ref[key],
+                                              err_msg=f"run {r} {method} {key}")
+            assert rec.omega == want.omega
+            assert rec.est_agents == want.est_agents
 
 
-def test_lockstep_covariance_outputs_equal_across_runs():
+def test_lockstep_runs_differ_in_truth_and_nees():
     scn = tiny_scenario(methods=LOCKSTEP_METHODS)
     data = run_scenario(scn, mc_runs=3)
-    first = data.runs[0]["methods"]
-    for run in data.runs[1:]:
-        assert not np.array_equal(run["truth"], data.runs[0]["truth"])
+    for r in (1, 2):
+        assert not np.array_equal(data.truth[r], data.truth[0])
         for method in LOCKSTEP_METHODS:
-            for key in SHARED_ARRAYS:
-                np.testing.assert_array_equal(run["methods"][method][key],
-                                              first[method][key])
-            assert run["methods"][method]["omega"] == first[method]["omega"]
-            assert not np.array_equal(run["methods"][method]["nees"],
-                                      first[method]["nees"])
+            nees = data.tracks[method].nees
+            assert not np.array_equal(nees[r], nees[0])
 
 
 # ---------------------------------------------------------------------------
@@ -612,7 +623,7 @@ def test_tracker_pieces_leave_entries_out_only_for_inexact_partitions(scn, exact
 def test_lenient_nmci_runs_where_the_partition_leaves_coupling_out():
     # the skewed agent's noise couples the axes each group_axes block splits
     data = run_scenario(tiny_scenario(**SKEW_AGENT), methods=("nmCI",), mc_runs=1)
-    assert np.all(np.isfinite(data.runs[0]["methods"]["nmCI"]["nees"]))
+    assert np.all(np.isfinite(data.tracks["nmCI"].nees))
 
 
 def _assert_lockstep_matches_reference(scn):
@@ -620,17 +631,17 @@ def _assert_lockstep_matches_reference(scn):
     # over 20 steps their outputs differed by at most 1.1e-12 relative and
     # their weights by 2.2e-15
     data = run_scenario(scn, mc_runs=2)
-    for r, run in enumerate(data.runs):
+    for r in data.run_ids:
         for method in LOCKSTEP_METHODS:
             truth, want, omega = _reference_run(scn, r, method)
-            rec = run["methods"][method]
-            np.testing.assert_array_equal(run["truth"], truth)
-            for key in RUN_ARRAYS:
-                np.testing.assert_allclose(rec[key], want[key], rtol=1e-11, atol=0.0,
+            rec = data.tracks[method]
+            np.testing.assert_array_equal(data.truth[r], truth)
+            for key, got in _series(rec, r).items():
+                np.testing.assert_allclose(got, want[key], rtol=1e-11, atol=0.0,
                                            err_msg=f"run {r} {method} {key}")
-            assert [(w["step"], w["edge"], w["block"]) for w in rec["omega"]] \
+            assert [(w["step"], w["edge"], w["block"]) for w in rec.omega] \
                 == [(w["step"], w["edge"], w["block"]) for w in omega]
-            np.testing.assert_allclose([w["omega"] for w in rec["omega"]],
+            np.testing.assert_allclose([w["omega"] for w in rec.omega],
                                        [w["omega"] for w in omega], rtol=0.0, atol=1e-12)
 
 
@@ -690,8 +701,7 @@ def test_lockstep_matches_per_run_reference_with_waves():
     data = run_scenario(scn, mc_runs=1)
     for method in ("CI", "nmCI"):
         _, _, omega = _reference_run(scn, 0, method)
-        recs = data.runs[0]["methods"][method]["omega"]
-        assert recs == omega
+        assert data.tracks[method].omega == omega
 
 
 def _one_edge_per_wave(edges):
@@ -706,12 +716,7 @@ def test_waves_fuse_as_the_configured_order_does_bitwise(monkeypatch, scn):
     waves = run_scenario(scn, mc_runs=2)
     monkeypatch.setattr(sim, "_fusion_waves", _one_edge_per_wave)
     one_by_one = run_scenario(scn, mc_runs=2)
-    for run, want in zip(waves.runs, one_by_one.runs):
-        for method in scn.methods:
-            rec, ref = run["methods"][method], want["methods"][method]
-            for key in RUN_ARRAYS:
-                np.testing.assert_array_equal(rec[key], ref[key], err_msg=f"{method} {key}")
-            assert rec["omega"] == ref["omega"]
+    _assert_same_tracks(waves, one_by_one)
 
 
 def test_wave_of_desk_stacks_fuses_each_edge_as_alone(monkeypatch):
@@ -773,12 +778,7 @@ def test_classes_fold_as_computing_every_covariance_does_bitwise(monkeypatch, sc
     monkeypatch.setattr(sim, "_classes", _identity_classes)
     monkeypatch.setattr(fusion, "_classes", _identity_classes)
     every = run_scenario(scn, mc_runs=2)
-    for run, want in zip(folded.runs, every.runs):
-        for method in scn.methods:
-            rec, ref = run["methods"][method], want["methods"][method]
-            for key in RUN_ARRAYS:
-                np.testing.assert_array_equal(rec[key], ref[key], err_msg=f"{method} {key}")
-            assert rec["omega"] == ref["omega"]
+    _assert_same_tracks(folded, every)
     for method in scn.methods:
         for part in ("filter_blocks", "intersections"):
             done = every.work[method][part]
@@ -854,6 +854,35 @@ def test_summarize_shape_and_band():
     assert 0.0 < lo < 12 < hi
 
 
+def test_summarize_equals_the_average_over_one_copy_per_run():
+    # the shared series are averaged over their one copy; averaging one
+    # stacked copy per run, as a per-run record would, moves the mean by
+    # roundoff only
+    scn = tiny_scenario(methods=LOCKSTEP_METHODS, n_steps=12)
+    data = run_scenario(scn, mc_runs=3)
+    got = summarize(data)
+    band = chi2_band(12, 3, NEES_BAND_LEVEL)
+    assert {k: v for k, v in got.items() if k != "methods"} == {
+        "state_dim": 12, "mc_runs": 3, "steps": 12, "level": NEES_BAND_LEVEL,
+        "report_agent": scn.report_agent, "band": [band[0], band[1]]}
+    tail = 3
+    for method, tr in data.tracks.items():
+        col = 0 if method == "centralized" else scn.report_agent
+        series = np.stack([tr.nees[r][:, col] for r in range(3)]).mean(axis=0)
+        pe = np.stack([tr.pos_err[r] for r in range(3)])
+        s2 = np.stack([tr.avg2sig] * 3)
+        trace = np.stack([tr.cov_trace] * 3)
+        want = {"rmse_mean": float(np.mean(np.sqrt(np.mean(pe ** 2, axis=1)))),
+                "nees_in_band_fraction":
+                    float(np.mean((series >= band[0]) & (series <= band[1]))),
+                "nees_steady": float(series[-tail:].mean())}
+        assert {k: got["methods"][method][k] for k in want} == want
+        assert got["methods"][method]["sigma2_mean"] \
+            == pytest.approx(float(np.mean(s2)), rel=1e-14, abs=0.0)
+        assert got["methods"][method]["cov_trace_steady"] \
+            == pytest.approx(float(trace[:, -tail:, :].mean()), rel=1e-14, abs=0.0)
+
+
 # ---------------------------------------------------------------------------
 # CSV blocks
 
@@ -912,49 +941,57 @@ def _reference_rows(data) -> dict:
     """Every track CSV's dict rows, in the order the files list them."""
     labels = data.scenario.layout().labels()
     rows = {"track.csv": [], "omega.csv": [], "truth.csv": [], "estimates.csv": []}
-    for r in data.runs:
-        for method in data.methods:
-            rec = r["methods"][method]
-            for k in range(rec["nees"].shape[0]):
-                for c in range(rec["nees"].shape[1]):
+    for r, run in enumerate(data.run_ids):
+        for method in data.tracks:
+            tr = data.tracks[method]
+            for k in range(tr.nees.shape[1]):
+                for c in range(tr.nees.shape[2]):
                     rows["track.csv"].append(
-                        {"run": r["run"], "step": k, "method": method,
+                        {"run": run, "step": k, "method": method,
                          "agent": -1 if method == "centralized" else c,
-                         "nees": float(rec["nees"][k, c]),
-                         "pos_error_norm": float(rec["pos_err"][k, c]),
-                         "avg_two_sigma": float(rec["avg2sig"][k, c]),
-                         "cov_trace": float(rec["cov_trace"][k, c])})
-    for r in data.runs:
-        for method in data.methods:
-            rows["omega.csv"] += [{"run": r["run"], "step": w["step"], "method": method,
+                         "nees": float(tr.nees[r, k, c]),
+                         "pos_error_norm": float(tr.pos_err[r, k, c]),
+                         "avg_two_sigma": float(tr.avg2sig[k, c]),
+                         "cov_trace": float(tr.cov_trace[k, c])})
+    for run in data.run_ids:
+        for method in data.tracks:
+            rows["omega.csv"] += [{"run": run, "step": w["step"], "method": method,
                                    "edge": w["edge"], "block": w["block"],
                                    "omega": w["omega"]}
-                                  for w in r["methods"][method]["omega"]]
-    for r in data.runs:
-        for k in range(r["truth"].shape[0]):
+                                  for w in data.tracks[method].omega]
+    for run, truth in zip(data.run_ids, data.truth):
+        for k in range(truth.shape[0]):
             for i, lab in enumerate(labels):
-                rows["truth.csv"].append({"run": r["run"], "step": k, "label": lab,
-                                          "value": float(r["truth"][k, i])})
-    for r in data.runs:
-        for method in data.methods:
-            rec = r["methods"][method]
-            if rec["est_mean"] is None:
+                rows["truth.csv"].append({"run": run, "step": k, "label": lab,
+                                          "value": float(truth[k, i])})
+    for r, run in enumerate(data.run_ids):
+        for method in data.tracks:
+            tr = data.tracks[method]
+            if tr.est_mean is None:
                 continue
-            for k in range(rec["est_mean"].shape[0]):
-                for ri, aid in enumerate(rec["est_agents"]):
+            for k in range(tr.est_mean.shape[1]):
+                for ri, aid in enumerate(tr.est_agents):
                     for i, lab in enumerate(labels):
                         rows["estimates.csv"].append(
-                            {"run": r["run"], "step": k, "method": method,
+                            {"run": run, "step": k, "method": method,
                              "agent": aid, "label": lab,
-                             "mean": float(rec["est_mean"][k, ri, i]),
-                             "std": float(rec["est_std"][k, ri, i])})
+                             "mean": float(tr.est_mean[r, k, ri, i]),
+                             "std": float(tr.est_std[k, ri, i])})
     return rows
 
 
-@pytest.mark.parametrize("record", ["all", "report", "none"])
-def test_blocks_write_the_dict_row_bytes(tmp_path, record):
-    # two runs, centralized rows with agent -1, per-block nmCI weights
-    data = run_scenario(tiny_scenario(record_estimates=record))
+# one run is the shape of a one-run workload; three share each method's
+# filled templates between runs
+WRITER_CASES = [(record, runs) for runs in (3, 1) for record in ("all", "report", "none")]
+
+
+@pytest.mark.parametrize("record, mc_runs", WRITER_CASES,
+                         ids=[rec if runs == 3 else f"{rec}-1run" for rec, runs in WRITER_CASES])
+def test_blocks_write_the_dict_row_bytes(tmp_path, record, mc_runs):
+    # centralized rows with agent -1, per-block nmCI weights, and the
+    # methods that do not fuse
+    data = run_scenario(tiny_scenario(record_estimates=record, methods=LOCKSTEP_METHODS),
+                        mc_runs=mc_runs)
     files = {"track.csv": (TRACK_CSV_COLUMNS, track_blocks),
              "omega.csv": (OMEGA_CSV_COLUMNS, omega_blocks),
              "truth.csv": (TRUTH_CSV_COLUMNS, truth_blocks),
