@@ -24,23 +24,23 @@ block.
 
 Covariances, Kalman gains, intersection weights and fusion gains never
 depend on the data: the Riccati recursion runs the same in every
-Monte-Carlo run.  So each method steps all runs in lockstep.  One
-covariance pass per scenario does the filter steps and the fusions
-through ``fusion._nmci``, the block-wise core behind
-``ci_fuse``/``nmci_fuse`` (CI is its one-block case), and applies their
-gains to a (runs, filters, d) array of means; NEES solves every run
-against one factorization per step and block.  A round's edges go in
-waves: each wave is one ``_nmci`` call over edges that share no agent,
-and each edge waits only for the earlier edges that share one of its
-agents, so every agent sees the inputs it would see edge by edge.
+Monte-Carlo run.  So one lockstep steps every method's filters, side by
+side, through all runs at once.  One covariance pass per scenario does
+the filter steps of all filters together, then each fusing method's
+round on its own filters through ``fusion._nmci``, the block-wise core
+behind ``ci_fuse``/``nmci_fuse`` (CI is its one-block case), and
+applies the gains to a (runs, filters, d) array of means.  A round's
+edges go in waves: each wave is one ``_nmci`` call over edges that share
+no agent, and each edge waits only for the earlier edges that share one
+of its agents, so every agent sees the inputs it would see edge by edge.
 ``_nmci`` fuses the pieces where stack blocks meet partition blocks and
 reads nothing else, so the tracker has no strict mode and no failure
-path: a covariance holds entries only inside its stack blocks, and
-whether the partition leaves some of them outside every piece
-(``_Pieces.off``) is a fact about the scenario's layout, not about the
-numbers.  With ``group_axes`` and diagonal noise there are none; with
+path: whether the partition leaves entries outside every piece
+(``_Pieces.off``) is a fact about the scenario's layout.  With
+``group_axes`` and diagonal noise there are none; with
 ``group_target_bias`` the target-bias coupling is left out, as lenient
-``nmci_fuse`` drops it.
+``nmci_fuse`` drops it.  NEES, errors and the recorded figures are
+computed over blocks of steps, for every filter at once.
 
 That pass exploits the scenario's independence structure.  The
 connected components of the union sparsity pattern of P0, F, Q and each
@@ -48,30 +48,24 @@ filter's H^T|R|H are blocks that no filter step, CI or block-wise CI
 ever couples, so every covariance is exactly block-diagonal over them.
 Each filter's covariance is carried as stacks of its diagonal blocks,
 one (k, n, n) stack per block size (``core.StackLayout``), and means,
-truth and errors live in the matching permuted coordinates.  Each
+truth and errors live in the matching permuted coordinates; each
 method's ``MethodTrack`` returns to state-label order and holds the
 series that read only covariances and weights once, for every run.  On
-both presets the blocks are the (group, axis) pairs.  Every numpy call
-covers all blocks of a size, for all filters in the filter step.  A
+both presets the blocks are the (group, axis) pairs.  A
 scenario whose structure couples every state runs as one block through
 the same code, and ``local_filter_step``, ``ci_fuse`` and ``nmci_fuse``
 treat a dense covariance as a stack of one block.
 
 The pass also computes each distinct covariance once.  Which (filter,
-block) covariances are equal follows from the structure alone: a class
-is a history (the prior block; each filter step's model on the block,
-its F and Q and the filter's H and R there; each fusion's two input
-blocks and the inputs its weight was searched over), and equal histories
-give bitwise equal matrices, since every batched numpy call treats its
-matrices one by one.  ``_class_schedule`` derives the classes once per
-scenario and method, without reading a covariance.  The filter step,
-its definiteness check and the trace terms and intersections of each
-wave run on one representative per class, and their results are
-gathered to every (filter, block); each weight search still sums every
-block's terms.  Means, the gains applied to them, NEES and the recorded
-covariance figures stay per filter.  On both presets the x- and y-axis
-blocks of a group are one class, and both agents of an edge adopt one
-bound.
+block) covariances are bitwise equal follows from the structure alone,
+and ``_class_schedule`` derives these classes once per scenario.  The
+filter step, its definiteness check and each wave's trace terms and
+intersections run on one representative per class, gathered to every
+(filter, block); each weight search still sums every block's terms.
+Means, NEES and the recorded figures stay per filter.  On both presets
+the x- and y-axis blocks of a group are one class, both agents of an
+edge adopt one bound, and an agent's filters of several methods are one
+class until its first fusion.
 """
 
 from __future__ import annotations
@@ -472,16 +466,15 @@ class _StepFold:
     """The classes of equal (filter, block) covariances one ``_covariance_step`` computes.
 
     Per size group, ``rows`` holds the flat (filter, block) index of each
-    class's representative, ``f`` and ``q`` its block's F and Q, and
+    class's representative, ``blocks`` its block, whose F and Q it takes, and
     ``inverse`` the (filters, k) class of every (filter, block).  Per
-    update group of the plan, ``updates`` holds (classes, h, r, inverse):
-    the classes it updates with their H and R, and the class of each of
-    its pairs among them.
+    update group of the plan, ``updates`` holds (classes, pair, inverse):
+    the classes it updates, the pair whose H and R each takes, and the
+    class of each of its pairs among them.
     """
 
     rows: tuple
-    f: tuple
-    q: tuple
+    blocks: tuple
     inverse: tuple
     updates: tuple
 
@@ -493,39 +486,29 @@ class _StepFold:
         for up in plan.updates:
             classes, pair, pairs = np.unique(inverse[up.group][up.filters, up.blocks],
                                              return_index=True, return_inverse=True)
-            updates.append((classes, up.h[pair], up.r[pair], pairs))
-        return cls(rows=tuple(rows), f=tuple(f[b] for f, b in zip(plan.f, blocks)),
-                   q=tuple(q[b] for q, b in zip(plan.q, blocks)), inverse=tuple(inverse),
+            updates.append((classes, pair, pairs))
+        return cls(rows=tuple(rows), blocks=tuple(blocks), inverse=tuple(inverse),
                    updates=tuple(updates))
 
-    @classmethod
-    def identity(cls, plan: _FilterPlan) -> "_StepFold":
-        """Every (filter, block) its own class."""
-        every = [np.arange(plan.n_filters * f.shape[0]) for f in plan.f]
-        return cls.of(plan, [e.reshape(plan.n_filters, -1) for e in every], every)
 
-
-def _covariance_step(covs: list[np.ndarray], plan: _FilterPlan,
-                     fold: _StepFold | None = None) -> list[np.ndarray]:
+def _covariance_step(covs: list[np.ndarray], plan: _FilterPlan, fold: _StepFold) -> list:
     """Covariance half of ``local_filter_step`` for every filter of a plan at once.
 
     ``covs`` holds, per size group, the filters' (filters, k, n, n) block
     stacks, and is updated in place.  ``fold`` names the (filter, block)
-    covariances that come out equal (every one its own by default): one
-    representative of each is predicted, in one batched call per group,
-    and updated if its filter's H observes its block, in one batched call
-    per update group; the results are checked for definiteness and
-    gathered to every (filter, block).  Returns the Kalman gain of each
-    update group's pairs, (u, n, m).
-    Neither depends on the mean or the measurement, so one call serves
-    every run that shares the covariances.
+    covariances that come out equal: one representative of each is
+    predicted, in one batched call per group, and updated if its filter's
+    H observes its block, in one batched call per update group; the
+    results are checked for definiteness and gathered to every (filter,
+    block).  Returns the Kalman gain of each update group's pairs, (u, n,
+    m).  Neither depends on the mean or the measurement, so one call
+    serves every run that shares the covariances.
     """
-    fold = fold or _StepFold.identity(plan)
-    reps = [symmetrize(f @ c.reshape((-1,) + c.shape[-2:])[rows] @ _t(f) + q)
-            for c, rows, f, q in zip(covs, fold.rows, fold.f, fold.q)]
+    reps = [symmetrize(f[b] @ c.reshape((-1,) + c.shape[-2:])[rows] @ _t(f[b]) + q[b])
+            for c, rows, b, f, q in zip(covs, fold.rows, fold.blocks, plan.f, plan.q)]
     gains = []
-    for up, (classes, h, r, inverse) in zip(plan.updates, fold.updates):
-        cov = reps[up.group][classes]
+    for up, (classes, pair, inverse) in zip(plan.updates, fold.updates):
+        cov, h, r = reps[up.group][classes], up.h[pair], up.r[pair]
         s = h @ cov @ _t(h) + r
         k = _t(np.linalg.solve(_t(s), _t(cov @ _t(h))))
         ikh = np.eye(cov.shape[-1]) - k @ h
@@ -568,7 +551,8 @@ def local_filter_step(belief: GaussianEstimate, model: FilterModel,
     """
     plan = _filter_plan(StackLayout([range(belief.dim)]), [model], [0])
     covs = [belief.covariance[None, None]]
-    gains = _covariance_step(covs, plan)
+    one = np.zeros((1, 1), dtype=np.intp)     # one filter, one block: one class
+    gains = _covariance_step(covs, plan, _StepFold.of(plan, [one], [one[0]]))
     means = belief.mean[None, None].copy()
     _mean_step(means, plan, gains, np.asarray(z, dtype=float)[None])
     return GaussianEstimate(means[0, 0], covs[0][0, 0], belief.labels)
@@ -701,10 +685,13 @@ def draw_run(scenario: ScenarioConfig, run_idx: int, model: FilterModel) -> RunD
 
     Biases, initial target states and the truth steps come from the
     run's "truth" substream, measurements from "meas" and the prior
-    perturbation from "prior", so every method sees the same run.
-    ``model`` is the scenario's ``centralized_model``: each step's
-    measurement is its H times the true state plus noise with covariance
-    R, the standard normals drawn in one call, in row order step by step.
+    perturbation from "prior", so every method sees the same run.  The
+    process noise is one (steps, targets, 4) draw, and each truth step
+    moves every target by one batched matrix-vector product, which rounds
+    as a per-target product does.  ``model`` is the scenario's
+    ``centralized_model``: each step's measurement is its H times the
+    true state plus noise with covariance R, the standard normals drawn
+    in one call, in row order step by step.
     """
     layout = scenario.layout()
     d = layout.dim
@@ -725,19 +712,18 @@ def draw_run(scenario: ScenarioConfig, run_idx: int, model: FilterModel) -> RunD
     for a in range(n_a):
         x[layout.bias_indices(a)] = biases[a]
 
-    truth = np.empty((steps, d))
+    # targets fill the first 4 * n_t states, target t's four from 4t
+    truth = np.repeat(x[None], steps, axis=0)
+    targets = truth[:, :4 * n_t].reshape(steps, n_t, 4, 1)
     phi, qn = target_transition(scenario.dt, scenario.q)
-    lq = np.linalg.cholesky(qn) if scenario.q > 0 else None
-    xk = x
+    noise = np.linalg.cholesky(qn) @ rng_truth.standard_normal((steps, n_t, 4, 1)) \
+        if scenario.q > 0 else None
+    xk = targets[0].copy()
     for k in range(steps):
-        nxt = xk.copy()
-        for t in range(n_t):
-            ti = layout.target_indices(t)
-            nxt[ti] = phi @ xk[ti]
-            if lq is not None:
-                nxt[ti] += lq @ rng_truth.standard_normal(4)
-        xk = nxt
-        truth[k] = xk
+        xk = phi @ xk
+        if noise is not None:
+            xk += noise[k]
+        targets[k] = xk
     w = rng_meas.standard_normal((steps, model.h.shape[0]))
     meas = truth @ model.h.T + w @ np.linalg.cholesky(model.r).T
 
@@ -785,20 +771,22 @@ def _fusion_waves(edges) -> list[np.ndarray]:
     return [np.array(wave, dtype=np.intp) for wave in waves]
 
 
-def _class_schedule(plan: _FilterPlan, pieces: _Pieces | None, waves: list[np.ndarray],
-                    edges: np.ndarray, prior: tuple, fusing: list[bool]) -> list[tuple]:
-    """Per step, the filter step's ``_StepFold`` and, on a fusing step, each wave's ``_Fold``.
+def _class_schedule(plan: _FilterPlan, lanes: list[tuple], waves: list[np.ndarray],
+                    prior: tuple, fusing: list[bool]) -> list[tuple]:
+    """Per step, the filter step's ``_StepFold`` and, on a fusing step, each lane's wave folds.
 
-    The covariances never depend on the data, so which of them are equal
-    follows from the scenario's structure alone.  A (filter, block)
-    covariance's class is its history: the prior block; then the class
-    it was stepped from and its model, the block's F and Q and the
-    filter's H and R on it; then, where it was fused, the class of the
-    bound its edge adopted (``_Fold.of``).  Equal histories give bitwise
-    equal matrices, since every batched numpy call treats its matrices
-    one by one.  The folds depend only on the classes before them, so
-    each distinct one is built once.  ``prior`` is the prior covariance
-    as the layout's stacks, ``fusing`` says which steps fuse.
+    ``lanes`` holds one (pieces, edges) lane per fusing method: its
+    partition on the plan's layout and the (edges, 2) filters it fuses.
+    A (filter, block) covariance's class is its history: the prior block;
+    then the class it was stepped from and its model, the block's F and Q
+    and the filter's H and R on it; then, where it was fused, the class
+    of the bound its edge adopted (``_Fold.of``).  Equal histories give
+    bitwise equal matrices, since every batched numpy call treats its
+    matrices one by one, so an agent's CI, nmCI and unfused filters are
+    one class until its first fusion.  The folds depend only on the
+    classes before them, so each distinct one is built once.  ``prior`` is
+    the prior covariance as the layout's stacks, ``fusing`` says which
+    steps fuse.
     """
     n = plan.n_filters
     state = [np.tile(_classes(p.reshape(p.shape[0], -1))[0], (n, 1)) for p in prior]
@@ -821,7 +809,8 @@ def _class_schedule(plan: _FilterPlan, pieces: _Pieces | None, waves: list[np.nd
         after = [i.reshape(s.shape) for i, s in zip(inverse, state)]
         return _StepFold.of(plan, after, rows), after
 
-    def wave(state, w):
+    def wave(state, lane, w):
+        pieces, edges = lanes[lane]
         ii, jj = edges[waves[w], 0], edges[waves[w], 1]
         fold, out = _Fold.of(pieces, [s[ii] for s in state], [s[jj] for s in state])
         after = [s.copy() for s in state]
@@ -841,19 +830,18 @@ def _class_schedule(plan: _FilterPlan, pieces: _Pieces | None, waves: list[np.nd
     schedule = []
     for fuse in fusing:
         step_fold, state = folded(step, state)
-        wave_folds = None
-        if fuse:
-            wave_folds = []
+        lane_folds = [[] for _ in lanes] if fuse else None
+        for lane in range(len(lanes)) if fuse else ():
             for w in range(len(waves)):
-                fold, state = folded(wave, state, w)
-                wave_folds.append(fold)
-        schedule.append((step_fold, wave_folds))
+                fold, state = folded(wave, state, lane, w)
+                lane_folds[lane].append(fold)
+        schedule.append((step_fold, lane_folds))
     return schedule
 
 
 def _fuse_round(covs: list[np.ndarray], views: list[np.ndarray], edges: np.ndarray,
                 waves: list[np.ndarray], pieces: _Pieces, folds: list) -> np.ndarray:
-    """Fuse one round's (edges, 2) agent pairs wave by wave, in place; (edges, blocks) weights.
+    """Fuse one round's (edges, 2) filter pairs wave by wave, in place; (edges, blocks) weights.
 
     ``covs`` holds per size group the (filters, k, n, n) stacks and
     ``views`` the (runs, filters, k, n) means.  Each wave is one
@@ -870,98 +858,43 @@ def _fuse_round(covs: list[np.ndarray], views: list[np.ndarray], edges: np.ndarr
     return omegas
 
 
-def _lockstep(scenario: ScenarioConfig, method: str, plan: _FilterPlan,
-              pieces: _Pieces | None, schedule: list, waves: list[np.ndarray],
-              edges: np.ndarray, meas: np.ndarray, truth: np.ndarray,
-              prior_mean: np.ndarray, prior_cov: np.ndarray, timings: dict) -> MethodTrack:
-    """Step one method through a batch of runs; every method takes this path.
+# steps of covariance and mean history the metrics hold and read at a time
+_METRIC_STEPS = 10
 
-    ``plan`` holds the method's filters: the centralized one, or one per
-    agent.  ``pieces`` places the method's fusion partition on the plan's
-    layout (one block for CI), or is None for a method that never fuses.
-    ``schedule`` is ``_class_schedule``'s, ``waves`` is ``_fusion_waves``
-    of the scenario's (edges, 2) ``edges``.  ``meas``
-    (runs, steps, rows), ``truth`` (runs, steps, d) and ``prior_mean``
-    (runs, d) stack the runs' draws.  The runs share every covariance,
-    since no fusion rule of the tracker draws anything at random.
-    Covariances are stacks of the plan layout's diagonal blocks, and
-    means, truth and errors live in its permuted coordinates.  Per step:
-    one batched filter step for all filters, then one block-wise
-    intersection per wave, batched over its edges, whose gains move the
-    (runs, filters, d) means; both compute each class of equal
-    covariances once, as the schedule folds them.  NEES solves all runs
-    against one factorization per block.  Fusing wave by wave gives the results and
-    weights of fusing edge by edge in configured order (see
-    ``_fuse_round``), and weights are recorded in that order.  There is
-    no strict mode: ``_nmci`` fuses the pieces and leaves the entries
-    outside them (``pieces.off``, empty for an exact partition) out.  The wall
-    time of the filter steps, fusions and metrics is added to ``timings``.
-    Returns the method's ``MethodTrack``, in state-label order: the
-    covariance-only series are computed once and hold for every run.
+
+def _block_metrics(layout: StackLayout, covs: list[np.ndarray], means: np.ndarray,
+                   truth: np.ndarray, pos: np.ndarray) -> tuple:
+    """NEES (runs, steps, filters), position errors and variances (steps, filters, d).
+
+    ``covs`` holds per size group the (steps, filters, k, n, n) stacks;
+    ``means`` (runs, steps, filters, d), ``truth`` (runs, steps, d) and
+    the positions ``pos`` are in permuted coordinates, the variances come
+    back in state-label order.  NEES solves every run against one
+    factorization per step, filter and block.
     """
-    layout = plan.layout
-    d, steps = layout.dim, scenario.n_steps
-    pos_idx = scenario.layout().position_indices()
-    pos = layout.position[pos_idx]
-    rec_ids = {"all": list(range(scenario.n_agents)), "report": [scenario.report_agent],
-               "none": []}[scenario.record_estimates]
-    if method == "centralized":
-        rec_ids = [-1] if rec_ids else []       # its one filter, recorded as agent -1
-    rec_cols = [max(a, 0) for a in rec_ids]
-    n_runs, cols = len(truth), plan.n_filters
-
-    truth = truth[..., layout.perm]
-    means = np.repeat(prior_mean[:, None, layout.perm], cols, axis=1)
-    views = layout.views(means)
-    covs = [np.repeat(s[None], cols, axis=0) for s in layout.split(prior_cov)]
-
-    nees = np.empty((n_runs, steps, cols))
-    pos_err = np.empty((n_runs, steps, cols))
-    avg2sig = np.empty((steps, cols))
-    cov_trace = np.empty((steps, cols))
-    est_mean = np.empty((n_runs, steps, len(rec_cols), d)) if rec_cols else None
-    est_std = np.empty((steps, len(rec_cols), d)) if rec_cols else None
-    records: list[dict] = []
-
-    for k, (step_fold, wave_folds) in enumerate(schedule):
-        t0 = time.perf_counter()
-        gains = _covariance_step(covs, plan, step_fold)
-        _mean_step(means, plan, gains, meas[:, k])
-        t1 = time.perf_counter()
-        if wave_folds is not None:
-            omegas = _fuse_round(covs, views, edges, waves, pieces, wave_folds)
-            for (i, j), w in zip(scenario.edges, omegas):
-                records += _weight_records(w, method, k, i, j)
-        t2 = time.perf_counter()
-        err = means - truth[:, k, None, :]
-        pos_err[:, k] = np.linalg.norm(err[:, :, pos], axis=2)
-        # one factorization of each block serves every run
-        errs = (np.moveaxis(e, 0, -1) for e in layout.views(err))
-        nees[:, k] = sum(np.sum(e * np.linalg.solve(c, e), axis=(1, 2))
-                         for c, e in zip(covs, errs)).T
-        var = np.concatenate([np.diagonal(c, axis1=-2, axis2=-1).reshape(cols, -1)
-                              for c in covs], axis=1)[:, layout.position]
-        avg2sig[k] = 2.0 * np.sqrt(np.mean(var[:, pos_idx], axis=1))
-        cov_trace[k] = np.sum(var, axis=1)
-        if rec_cols:
-            est_mean[:, k] = means[:, rec_cols][..., layout.position]
-            est_std[k] = np.sqrt(var[rec_cols])
-        timings["filter"] += t1 - t0
-        timings["fuse"] += t2 - t1
-        timings["metrics"] += time.perf_counter() - t2
-
-    return MethodTrack(nees=nees, pos_err=pos_err, est_mean=est_mean, avg2sig=avg2sig,
-                       cov_trace=cov_trace, est_std=est_std, omega=records,
-                       est_agents=rec_ids)
+    err = means - truth[:, :, None, :]
+    errs = (np.moveaxis(e, 0, -1) for e in layout.views(err))
+    nees = sum(np.sum(e * np.linalg.solve(c, e), axis=(-3, -2)) for c, e in zip(covs, errs))
+    var = np.concatenate([np.diagonal(c, axis1=-2, axis2=-1).reshape(c.shape[:2] + (-1,))
+                          for c in covs], axis=-1)[..., layout.position]
+    return np.moveaxis(nees, -1, 0), err[..., pos], var
 
 
 def _simulate(scenario: ScenarioConfig, run_ids, methods: tuple[str, ...]) -> TrackData:
-    """The given runs of every method, each method stepping them in lockstep.
+    """The given runs of every method, all stepped in one lockstep.
 
-    ``timings`` holds the wall seconds spent drawing the runs and, summed
-    over methods, in filter steps, fusions and metrics; ``work`` per
-    method the ``_work_counts`` of its class schedule.
+    One plan holds every method's filters side by side, in method order
+    (the centralized filter, or one per agent), each reading its own rows
+    of the measurement vector.  Per step: one batched filter step of every
+    filter, then per fusing method (a lane) its round on its own filters,
+    wave by wave (``_fuse_round``), both computing each class of equal
+    covariances once, as ``_class_schedule`` folds them.  Every
+    ``_METRIC_STEPS`` steps, ``_block_metrics`` reads the held covariances
+    and means of every filter, and each method's columns go to its
+    ``MethodTrack``.  ``timings`` holds the wall seconds spent drawing the
+    runs, in filter steps, fusions and metrics; ``work`` is ``_work_counts``.
     """
+    methods = tuple(dict.fromkeys(methods))
     for m in methods:
         if m not in METHODS:
             raise ConfigError(f"unknown method {m!r}")
@@ -975,42 +908,107 @@ def _simulate(scenario: ScenarioConfig, run_ids, methods: tuple[str, ...]) -> Tr
     timings["draw"] = time.perf_counter() - t0
     prior_cov = _prior_covariance(scenario)
     layout = _stack_layout(prior_cov, [central, *agent_models])
-    plans = {"central": _filter_plan(layout, [central], [0]),
-             "agents": _filter_plan(layout, agent_models,
-                                    [rows.start for rows in _row_blocks(agent_models)])}
-    shared = dict(meas=np.stack([dr.meas for dr in draws]),
-                  truth=np.stack([dr.truth for dr in draws]),
-                  prior_mean=np.stack([dr.prior_mean for dr in draws]),
-                  prior_cov=prior_cov, waves=_fusion_waves(scenario.edges),
-                  edges=np.array(scenario.edges, dtype=np.intp).reshape(-1, 2),
-                  timings=timings)
-    fusing = [k + 1 > scenario.fusion_start
-              and (k + 1 - scenario.fusion_start) % scenario.fusion_every == 0
-              for k in range(scenario.n_steps)]
+    agent_rows = [rows.start for rows in _row_blocks(agent_models)]
+    recorded = {"all": list(range(scenario.n_agents)), "report": [scenario.report_agent],
+                "none": []}[scenario.record_estimates]
+    d, steps, n_runs = layout.dim, scenario.n_steps, len(draws)
+    models, offsets, cols, tracks = [], [], {}, {}
+    for m in methods:
+        # the centralized filter is recorded as agent -1
+        group, rows, ids = ([central], [0], [-1] if recorded else []) if m == "centralized" \
+            else (agent_models, agent_rows, recorded)
+        cols[m] = slice(len(models), len(models) + len(group))
+        models, offsets = models + group, offsets + rows
+        width = (steps, len(group))
+        tracks[m] = MethodTrack(
+            nees=np.empty((n_runs, *width)), pos_err=np.empty((n_runs, *width)),
+            est_mean=np.empty((n_runs, steps, len(ids), d)) if ids else None,
+            avg2sig=np.empty(width), cov_trace=np.empty(width),
+            est_std=np.empty((steps, len(ids), d)) if ids else None, omega=[], est_agents=ids)
+    plan = _filter_plan(layout, models, offsets)
+    edges = np.array(scenario.edges, dtype=np.intp).reshape(-1, 2)
     # CI is block-wise CI over one block of every state
     partitions = {"CI": BlockPartition((tuple(range(layout.dim)),)),
                   "nmCI": build_partition(scenario)}
-    tracks, work = {}, {}
-    for method in methods:
-        plan = plans["central" if method == "centralized" else "agents"]
-        pieces = _Pieces(layout, partitions[method]) if method in partitions else None
-        schedule = _class_schedule(plan, pieces, shared["waves"], shared["edges"],
-                                   layout.split(prior_cov),
-                                   [f and pieces is not None for f in fusing])
-        work[method] = _work_counts(schedule)
-        tracks[method] = _lockstep(scenario, method, plan, pieces, schedule, **shared)
-    return TrackData(scenario=scenario, run_ids=list(run_ids), truth=shared["truth"],
-                     tracks=tracks, timings=timings, work=work)
+    lanes = {m: (_Pieces(layout, partitions[m]), edges + cols[m].start)
+             for m in methods if m in partitions}
+    waves = _fusion_waves(scenario.edges)
+    fusing = [k + 1 > scenario.fusion_start
+              and (k + 1 - scenario.fusion_start) % scenario.fusion_every == 0
+              for k in range(scenario.n_steps)]
+    schedule = _class_schedule(plan, [*lanes.values()], waves, layout.split(prior_cov), fusing)
+    n = plan.n_filters
+    meas = np.stack([dr.meas for dr in draws])
+    truth = np.stack([dr.truth for dr in draws])
+    permuted = truth[..., layout.perm]
+    means = np.repeat(np.stack([dr.prior_mean for dr in draws])[:, None, layout.perm], n, axis=1)
+    views = layout.views(means)
+    covs = [np.repeat(s[None], n, axis=0) for s in layout.split(prior_cov)]
+    pos_idx = scenario.layout().position_indices()
+    pos = layout.position[pos_idx]
+    block = min(_METRIC_STEPS, steps)
+    cov_held = [np.empty((block,) + c.shape) for c in covs]
+    means_held = np.empty((n_runs, block) + means.shape[1:])
+
+    for k, (step_fold, lane_folds) in enumerate(schedule):
+        t0 = time.perf_counter()
+        gains = _covariance_step(covs, plan, step_fold)
+        _mean_step(means, plan, gains, meas[:, k])
+        t1 = time.perf_counter()
+        for (m, (pieces, lane_edges)), folds in zip(lanes.items(), lane_folds or ()):
+            omegas = _fuse_round(covs, views, lane_edges, waves, pieces, folds)
+            for (i, j), w in zip(scenario.edges, omegas):
+                tracks[m].omega.extend(_weight_records(w, m, k, i, j))
+        t2 = time.perf_counter()
+        b = k % block
+        for held, c in zip(cov_held, covs):
+            held[b] = c
+        means_held[:, b] = means
+        if b + 1 == block or k + 1 == steps:
+            done = slice(k - b, k + 1)
+            nees, pos_err, var = _block_metrics(layout, [c[:b + 1] for c in cov_held],
+                                                means_held[:, :b + 1], permuted[:, done], pos)
+            for m, tr in tracks.items():
+                c = cols[m]
+                e, v, p = pos_err[:, :, c], var[:, c], var[:, c][..., pos_idx]
+                # per step, numpy summed an array that was one vector pairwise
+                # and other arrays along their last axis in order
+                if c.stop - c.start == 1:
+                    e = np.ascontiguousarray(e) if n_runs == 1 else e
+                    v, p = np.ascontiguousarray(v), np.ascontiguousarray(p)
+                tr.nees[:, done], tr.pos_err[:, done] = nees[..., c], np.linalg.norm(e, axis=-1)
+                tr.avg2sig[done] = 2.0 * np.sqrt(np.mean(p, axis=-1))
+                tr.cov_trace[done] = np.sum(v, axis=-1)
+                if tr.est_mean is not None:
+                    rec = [c.start + max(a, 0) for a in tr.est_agents]
+                    tr.est_mean[:, done] = means_held[:, :b + 1, rec][..., layout.position]
+                    tr.est_std[done] = np.sqrt(var[:, rec])
+        timings["filter"] += t1 - t0
+        timings["fuse"] += t2 - t1
+        timings["metrics"] += time.perf_counter() - t2
+    return TrackData(scenario=scenario, run_ids=list(run_ids), truth=truth, tracks=tracks,
+                     timings=timings, work=_work_counts(schedule, cols, list(lanes)))
 
 
-def _work_counts(schedule: list) -> dict:
-    """How many filter-step blocks and block intersections a schedule computes, and stands for."""
-    steps = [step for step, _ in schedule]
-    fused = [f for _, waves in schedule for fold in waves or () for f in fold.fused]
-    return {"filter_blocks": {"computed": sum(r.size for s in steps for r in s.rows),
-                              "entries": sum(i.size for s in steps for i in s.inverse)},
-            "intersections": {"computed": sum(pair.size for pair, _, _ in fused),
-                              "entries": sum(i.size for _, _, i in fused)}}
+def _work_counts(schedule: list, cols: dict, lanes: list) -> dict:
+    """Per method, the filter-step blocks and block intersections computed, and stood for.
+
+    ``cols`` maps each method to its filters' slice of the plan, ``lanes``
+    lists the fusing methods in lane order.  A class that filters of
+    several methods share counts for the first of them in method order.
+    """
+    steps = [(rows // inverse.shape[1], inverse) for step, _ in schedule
+             for rows, inverse in zip(step.rows, step.inverse)]
+    work = {}
+    for m, c in cols.items():
+        fused = [f for _, folds in schedule if folds and m in lanes
+                 for fold in folds[lanes.index(m)] for f in fold.fused]
+        owned = sum(int(np.sum((f >= c.start) & (f < c.stop))) for f, _ in steps)
+        work[m] = {"filter_blocks": {"computed": owned,
+                                     "entries": sum(i[c].size for _, i in steps)},
+                   "intersections": {"computed": sum(pair.size for pair, _, _ in fused),
+                                     "entries": sum(i.size for _, _, i in fused)}}
+    return work
 
 
 def simulate_run(scenario: ScenarioConfig, run_idx: int,

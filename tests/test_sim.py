@@ -322,6 +322,64 @@ def test_draw_run_matches_per_agent_measurements_bitwise(overrides):
         np.testing.assert_array_equal(draws.meas, want)
 
 
+def _truth_per_target(scn, run_idx, model):
+    """A run's (truth, meas, prior_mean) drawn the way the per-target loop drew them.
+
+    Step by step and target by target, four standard normals at a time
+    scaled by the Cholesky factor of the target's process noise, each
+    target moved by its own matrix-vector product.
+    """
+    lay = scn.layout()
+    rng_truth = make_substream(scn.seed, "truth", run_idx)
+    biases = rng_truth.uniform(-scn.bias_range, scn.bias_range, size=(scn.n_agents, 2))
+    x = np.zeros(lay.dim)
+    for t in range(scn.n_targets):
+        pos = rng_truth.uniform(-scn.init_position_spread, scn.init_position_spread, 2)
+        vel = rng_truth.normal(0.0, scn.init_velocity_std, 2)
+        x[lay.target_indices(t)] = [pos[0], vel[0], pos[1], vel[1]]
+    for a in range(scn.n_agents):
+        x[lay.bias_indices(a)] = biases[a]
+    truth = np.empty((scn.n_steps, lay.dim))
+    phi, qn = sim.target_transition(scn.dt, scn.q)
+    lq = np.linalg.cholesky(qn) if scn.q > 0 else None
+    xk = x
+    for k in range(scn.n_steps):
+        nxt = xk.copy()
+        for t in range(scn.n_targets):
+            ti = lay.target_indices(t)
+            nxt[ti] = phi @ xk[ti]
+            if lq is not None:
+                nxt[ti] += lq @ rng_truth.standard_normal(4)
+        xk = nxt
+        truth[k] = xk
+    w = make_substream(scn.seed, "meas", run_idx).standard_normal((scn.n_steps, model.h.shape[0]))
+    meas = truth @ model.h.T + w @ np.linalg.cholesky(model.r).T
+    l0 = np.linalg.cholesky(_prior_covariance(scn))
+    prior_mean = x + l0 @ make_substream(scn.seed, "prior", run_idx).standard_normal(lay.dim)
+    return truth, meas, prior_mean
+
+
+@pytest.mark.parametrize("name, overrides", [
+    (None, {}),
+    (None, {"q": 0.0}),
+    (None, {"groups": (GroupSpec((0, 1), (0, 1)), GroupSpec((2,), (2,))),
+            "edges": ((0, 1), (1, 2))}),
+    ("tracking_desk", {}),
+    ("tracking_full", {}),
+], ids=["tiny", "no-process-noise", "unequal-groups", "tracking_desk", "tracking_full"])
+def test_draw_run_steps_the_truth_as_the_per_target_loop_does_bitwise(name, overrides):
+    # one batched draw is the per-target loop's stream, and a batched
+    # matrix-vector product rounds as each target's own product does
+    scn = preset(name) if name else tiny_scenario(**overrides)
+    model = central_model(scn)
+    for run_idx in (0, 1):
+        draws = draw_run(scn, run_idx, model)
+        truth, meas, prior_mean = _truth_per_target(scn, run_idx, model)
+        np.testing.assert_array_equal(draws.truth, truth)
+        np.testing.assert_array_equal(draws.meas, meas)
+        np.testing.assert_array_equal(draws.prior_mean, prior_mean)
+
+
 @pytest.mark.parametrize("overrides", [
     {"r_target": ((1.0, 0.3), (0.3, 0.8)), "r_landmark": ((0.25, 0.1), (0.1, 0.3))},
     {"agent_r_target": (((2.0, -0.5), (-0.5, 0.5)), ((1.0, 0.2), (0.2, 1.0)))},
@@ -455,8 +513,8 @@ def _series(track, r):
             **{key: getattr(track, key) for key in SHARED_ARRAYS}}
 
 
-def _assert_same_tracks(data, want):
-    for method in data.tracks:
+def _assert_same_tracks(data, want, methods=None):
+    for method in methods or data.tracks:
         rec, ref = data.tracks[method], want.tracks[method]
         for key in RUN_ARRAYS + SHARED_ARRAYS:
             np.testing.assert_array_equal(getattr(rec, key), getattr(ref, key),
@@ -760,7 +818,7 @@ def _identity_classes(keys):
     return every, every
 
 
-@pytest.mark.parametrize("scn, twins", [
+CLASS_CASES = [
     (preset("tracking_desk", methods=LOCKSTEP_METHODS), True),
     (preset("tracking_full", n_steps=3, methods=LOCKSTEP_METHODS), True),
     # no axis twins, and no two edges fuse alike blocks
@@ -772,7 +830,11 @@ def _identity_classes(keys):
     (tiny_scenario(n_steps=8, methods=LOCKSTEP_METHODS, **THREE_GROUPS,
                    agent_r_target=(((1.0, 0.0), (0.0, 1.0)),) * 2 + (((3.0, 0.0), (0.0, 3.0)),)
                    + (((1.0, 0.0), (0.0, 1.0)),) * 3), True),
-], ids=["desk", "full", "correlated-desk", "unequal-groups", "group-axes", "three-groups"])
+]
+CLASS_IDS = ["desk", "full", "correlated-desk", "unequal-groups", "group-axes", "three-groups"]
+
+
+@pytest.mark.parametrize("scn, twins", CLASS_CASES, ids=CLASS_IDS)
 def test_classes_fold_as_computing_every_covariance_does_bitwise(monkeypatch, scn, twins):
     folded = run_scenario(scn, mc_runs=2)
     monkeypatch.setattr(sim, "_classes", _identity_classes)
@@ -791,6 +853,32 @@ def test_classes_fold_as_computing_every_covariance_does_bitwise(monkeypatch, sc
         fused = folded.work[method]["intersections"]
         assert 0 < fused["computed"] <= fused["entries"]
         assert (fused["computed"] < fused["entries"]) is twins
+
+
+@pytest.mark.parametrize("scn", [scn for scn, _ in CLASS_CASES] + [
+    preset("tracking_desk", n_steps=20, fusion_every=2, methods=LOCKSTEP_METHODS),
+    tiny_scenario(n_steps=10, fusion_start=3, methods=LOCKSTEP_METHODS, **THREE_GROUPS),
+    tiny_scenario(n_steps=8, record_estimates="report", methods=LOCKSTEP_METHODS, **UNEQUAL_GROUPS),
+    preset("tracking_desk", n_steps=12, record_estimates="none", methods=LOCKSTEP_METHODS),
+], ids=CLASS_IDS + ["fusion-every-2", "fusion-start-3", "report", "none"])
+def test_one_lockstep_steps_each_method_as_it_steps_alone(scn):
+    # the filters of all methods share one lockstep and their classes; a
+    # class merged across methods by mistake would show as a difference
+    together = run_scenario(scn, mc_runs=2)
+    for method in LOCKSTEP_METHODS:
+        alone = run_scenario(scn, methods=(method,), mc_runs=2)
+        _assert_same_tracks(together, alone, methods=(method,))
+        assert together.tracks[method].est_agents == alone.tracks[method].est_agents
+        work, own = together.work[method], alone.work[method]
+        # a class that filters of several methods share counts for the
+        # first of them, so the first method counts every class it holds
+        assert work["intersections"] == own["intersections"]
+        assert work["filter_blocks"]["entries"] == own["filter_blocks"]["entries"]
+        assert work["filter_blocks"]["computed"] <= own["filter_blocks"]["computed"]
+        assert (work == own) or method != LOCKSTEP_METHODS[0]
+    # CI, nmCI and unfused filters are alike until their first fusion
+    assert together.work["none"]["filter_blocks"]["computed"] \
+        < run_scenario(scn, methods=("none",), mc_runs=1).work["none"]["filter_blocks"]["computed"]
 
 
 def _step_classes(monkeypatch, scn, method):
