@@ -337,15 +337,14 @@ class _Workspace:
     def unpack(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return x[self.sym], x[self.npv:].reshape(self.d, self.d)
 
-    def slacks(self, x: np.ndarray):
-        """(C_i, K J_i) at x, with C_i = Pbar - K J_i K^T the d x d slacks,
-        as (n, d, d) and (n, d, 2d) arrays."""
+    def least_slack_eigs(self, x: np.ndarray) -> np.ndarray:
+        """(n,) least eigenvalue of each d x d slack C_i = Pbar - K J_i K^T at x."""
         d = self.d
         pbar, ka = self.unpack(x)
         k = np.concatenate([ka, self.eye - ka], axis=1)
         kj = (k @ self.joints.reshape(2 * d, -1)).reshape(d, 2 * d, self.n)
         # k @ kj[a] is row a of every K J_i K^T
-        return (pbar[:, :, None] - k @ kj).transpose(2, 0, 1), kj.transpose(2, 0, 1)
+        return np.linalg.eigvalsh((pbar[:, :, None] - k @ kj).transpose(2, 0, 1))[:, 0]
 
 
 def _initial_point(ws: _Workspace) -> np.ndarray:
@@ -690,7 +689,7 @@ def _solve_batch(problems, sizes, tol: float = DEFAULT_TOL,
         ready = []
         for b in lock.finished():
             log, result = owner.pop(b), lock.result(b)
-            log.rounds.append((result, np.linalg.eigvalsh(log.ws.slacks(result[0][0])[0])[:, 0]))
+            log.rounds.append((result, log.ws.least_slack_eigs(result[0][0])))
             ready += waiting.pop(id(log))
         if ready:
             ask(ready)
@@ -774,7 +773,7 @@ def _rounds(problem: SampledFusionProblem, ws: _Workspace, tol: float, max_iters
         delta = -float(worst.min())
         delta += max(_REPAIR_MARGIN * delta, _REPAIR_MARGIN * float(np.trace(pbar)) / d)
         x = ws.pack(pbar + delta * ws.eye, ka)
-        worst = np.linalg.eigvalsh(ws.slacks(x)[0])[:, 0]
+        worst = ws.least_slack_eigs(x)
     return x, status, used, lower, len(active), float(worst.min())
 
 

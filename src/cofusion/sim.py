@@ -40,7 +40,9 @@ path: whether the partition leaves entries outside every piece
 ``group_axes`` and diagonal noise there are none; with
 ``group_target_bias`` the target-bias coupling is left out, as lenient
 ``nmci_fuse`` drops it.  NEES, errors and the recorded figures are
-computed over blocks of steps, for every filter at once.
+computed over blocks of steps, for every filter at once.  Every sum but
+NEES's runs in index order, so a run's weights and every series but
+NEES are bitwise the same whatever the run count.
 
 That pass exploits the scenario's independence structure.  The
 connected components of the union sparsity pattern of P0, F, Q and each
@@ -143,25 +145,13 @@ class StateLayout:
         return tuple(labs)
 
 
-def _phi2(dt: float) -> np.ndarray:
-    return np.array([[1.0, dt], [0.0, 1.0]])
-
-
-def _q2(dt: float, q: float) -> np.ndarray:
-    dt = np.float64(dt)     # a huge dt overflows to inf instead of raising
-    return q * np.array([[dt ** 3 / 3.0, dt ** 2 / 2.0], [dt ** 2 / 2.0, dt]])
-
-
 def target_transition(dt: float, q: float) -> tuple[np.ndarray, np.ndarray]:
     """Per-target (4x4) transition and process noise, x and y decoupled."""
-    phi = np.zeros((4, 4))
-    qn = np.zeros((4, 4))
-    p2, n2 = _phi2(dt), _q2(dt, q)
-    phi[:2, :2] = p2
-    phi[2:, 2:] = p2
-    qn[:2, :2] = n2
-    qn[2:, 2:] = n2
-    return phi, qn
+    dt = np.float64(dt)     # a huge dt overflows to inf instead of raising
+    phi = np.array([[1.0, dt], [0.0, 1.0]])
+    qn = q * np.array([[dt ** 3 / 3.0, dt ** 2 / 2.0], [dt ** 2 / 2.0, dt]])
+    z = np.zeros((2, 2))
+    return np.block([[phi, z], [z, phi]]), np.block([[qn, z], [z, qn]])
 
 
 def global_transition(layout: StateLayout, dt: float, q: float) -> tuple[np.ndarray, np.ndarray]:
@@ -307,15 +297,13 @@ class ScenarioConfig:
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "assignments", assigned)
         object.__setattr__(self, "methods", methods)
-        object.__setattr__(self, "r_target",
-                           tuple(tuple(float(v) for v in row) for row in self.r_target))
-        object.__setattr__(self, "r_landmark",
-                           tuple(tuple(float(v) for v in row) for row in self.r_landmark))
+        def floats(m):
+            return tuple(tuple(float(v) for v in row) for row in m)
+
+        object.__setattr__(self, "r_target", floats(self.r_target))
+        object.__setattr__(self, "r_landmark", floats(self.r_landmark))
         if self.agent_r_target is not None:
-            object.__setattr__(
-                self, "agent_r_target",
-                tuple(tuple(tuple(float(v) for v in row) for row in m)
-                      for m in self.agent_r_target))
+            object.__setattr__(self, "agent_r_target", tuple(map(floats, self.agent_r_target)))
 
     @property
     def n_agents(self) -> int:
@@ -599,35 +587,27 @@ def build_partition(scenario: ScenarioConfig, scheme: str | None = None) -> Bloc
 # ---------------------------------------------------------------------------
 # fusion round
 
-def _weight_records(omegas, method: str, step: int, i: int, j: int) -> list[dict]:
-    """One weight record per partition block of an edge; CI has one block."""
-    return [{"step": step, "edge": f"{i}-{j}", "block": blk,
-             "omega": float(w), "method": method}
-            for blk, w in enumerate(omegas)]
-
-
 def fusion_round(beliefs: list[GaussianEstimate], edges, method: str, step: int,
-                 partition: BlockPartition) -> tuple[list[GaussianEstimate], list[dict]]:
+                 partition: BlockPartition) -> tuple[list[GaussianEstimate], np.ndarray]:
     """Fuse along every edge in order; both endpoints adopt the result.
 
     Edges are processed sequentially in the given order, so later edges
     see the outcome of earlier ones within the same round.  This is the
     per-estimate reference of the tracker's round, which fuses edges that
     share no agent with any pending earlier edge together and gets the
-    same results (see ``_fuse_round``).  ``partition`` is the block
+    same results (see ``_fuse_round``); its weights, like every series
+    but NEES, do not depend on the run count.  ``partition`` is the block
     structure every agent shares; only the block-wise method reads it,
     through lenient ``nmci_fuse``, since the tracker's core leaves the
-    entries outside the blocks out.  Weight values are returned as one
-    record per edge (per block for the block-wise method).  A failure on
-    an edge aborts with the edge id.
+    entries outside the blocks out.  Returns the (edges, blocks) weights:
+    one block for CI, none for ``none``.  A failing edge aborts with its id.
     """
-    if method == "none":
-        return list(beliefs), []
-    if method not in ("CI", "nmCI"):
+    blocks = {"CI": 1, "nmCI": partition.n_blocks, "none": 0}.get(method)
+    if blocks is None:
         raise ConfigError(f"fusion_round cannot run method {method!r}")
     out = list(beliefs)
-    records: list[dict] = []
-    for i, j in edges:
+    omegas = np.empty((len(edges), blocks))
+    for e, (i, j) in enumerate(edges if blocks else ()):
         try:
             if method == "CI":
                 res = ci_fuse(out[i], out[j])
@@ -636,8 +616,8 @@ def fusion_round(beliefs: list[GaussianEstimate], edges, method: str, step: int,
         except FusionError as exc:
             raise FusionError(f"fusion failed on edge ({i}, {j}) at step {step}: {exc}") from exc
         out[i] = out[j] = GaussianEstimate(res.fused_mean, res.bound, out[i].labels)
-        records += _weight_records(res.omega, method, step, i, j)
-    return out, records
+        omegas[e] = res.omega
+    return out, omegas
 
 
 # ---------------------------------------------------------------------------
@@ -771,8 +751,15 @@ def _fusion_waves(edges) -> list[np.ndarray]:
     return [np.array(wave, dtype=np.intp) for wave in waves]
 
 
+def _fusing(scenario: ScenarioConfig) -> np.ndarray:
+    """(steps,) booleans: step k fuses when k + 1 - ``fusion_start`` is a positive
+    multiple of ``fusion_every``."""
+    after = np.arange(1, scenario.n_steps + 1) - scenario.fusion_start
+    return (after > 0) & (after % scenario.fusion_every == 0)
+
+
 def _class_schedule(plan: _FilterPlan, lanes: list[tuple], waves: list[np.ndarray],
-                    prior: tuple, fusing: list[bool]) -> list[tuple]:
+                    prior: tuple, fusing: np.ndarray) -> list[tuple]:
     """Per step, the filter step's ``_StepFold`` and, on a fusing step, each lane's wave folds.
 
     ``lanes`` holds one (pieces, edges) lane per fusing method: its
@@ -840,44 +827,57 @@ def _class_schedule(plan: _FilterPlan, lanes: list[tuple], waves: list[np.ndarra
 
 
 def _fuse_round(covs: list[np.ndarray], views: list[np.ndarray], edges: np.ndarray,
-                waves: list[np.ndarray], pieces: _Pieces, folds: list) -> np.ndarray:
-    """Fuse one round's (edges, 2) filter pairs wave by wave, in place; (edges, blocks) weights.
+                waves: list[np.ndarray], pieces: _Pieces, folds: list,
+                omegas: np.ndarray) -> None:
+    """Fuse one round's (edges, 2) filter pairs wave by wave, in place.
 
     ``covs`` holds per size group the (filters, k, n, n) stacks and
     ``views`` the (runs, filters, k, n) means.  Each wave is one
-    ``_nmci`` call over its edges, folded by its ``_Fold``.
+    ``_nmci`` call over its edges, folded by its ``_Fold``; its weights
+    go to its rows of the (edges, blocks) ``omegas``.
     """
-    omegas = np.empty((len(edges), pieces.starts.size))
     for wave, fold in zip(waves, folds):
         ii, jj = edges[wave, 0], edges[wave, 1]
-        ws, gains_a, bounds = _nmci([c[ii] for c in covs], [c[jj] for c in covs], pieces, fold)
+        omegas[wave], gains_a, bounds = _nmci([c[ii] for c in covs], [c[jj] for c in covs],
+                                              pieces, fold)
         for view, c, gain_a, bound in zip(views, covs, gains_a, bounds):
             view[:, ii] = view[:, jj] = _fused_mean(gain_a, view[:, ii], view[:, jj])
             c[ii] = c[jj] = bound
-        omegas[wave] = ws
-    return omegas
 
 
 # steps of covariance and mean history the metrics hold and read at a time
 _METRIC_STEPS = 10
 
 
+def _in_order_sum(x: np.ndarray) -> np.ndarray:
+    """Sum over the last axis in index order, whatever the array's shape.
+
+    numpy sums pairwise along an axis it walks innermost, and which axis
+    that is depends on the shape; an accumulation is in order always.
+    """
+    return np.cumsum(x, axis=-1)[..., -1]
+
+
 def _block_metrics(layout: StackLayout, covs: list[np.ndarray], means: np.ndarray,
                    truth: np.ndarray, pos: np.ndarray) -> tuple:
-    """NEES (runs, steps, filters), position errors and variances (steps, filters, d).
+    """Per filter: NEES and position-error norms (runs, steps, filters), two-sigma
+    position figure and covariance trace (steps, filters), variances (steps, filters, d).
 
     ``covs`` holds per size group the (steps, filters, k, n, n) stacks;
     ``means`` (runs, steps, filters, d), ``truth`` (runs, steps, d) and
     the positions ``pos`` are in permuted coordinates, the variances come
-    back in state-label order.  NEES solves every run against one
-    factorization per step, filter and block.
+    back in state-label order.  Every sum but NEES's runs in index order,
+    so those series do not depend on the run count.  NEES solves every run
+    as one right-hand side of a factorization per step, filter and block.
     """
     err = means - truth[:, :, None, :]
     errs = (np.moveaxis(e, 0, -1) for e in layout.views(err))
     nees = sum(np.sum(e * np.linalg.solve(c, e), axis=(-3, -2)) for c, e in zip(covs, errs))
-    var = np.concatenate([np.diagonal(c, axis1=-2, axis2=-1).reshape(c.shape[:2] + (-1,))
-                          for c in covs], axis=-1)[..., layout.position]
-    return np.moveaxis(nees, -1, 0), err[..., pos], var
+    diag = np.concatenate([np.diagonal(c, axis1=-2, axis2=-1).reshape(c.shape[:2] + (-1,))
+                           for c in covs], axis=-1)
+    var = diag[..., layout.position]
+    return (np.moveaxis(nees, -1, 0), np.sqrt(_in_order_sum(np.square(err[..., pos]))),
+            2.0 * np.sqrt(_in_order_sum(diag[..., pos]) / pos.size), _in_order_sum(var), var)
 
 
 def _simulate(scenario: ScenarioConfig, run_ids, methods: tuple[str, ...]) -> TrackData:
@@ -890,9 +890,11 @@ def _simulate(scenario: ScenarioConfig, run_ids, methods: tuple[str, ...]) -> Tr
     wave by wave (``_fuse_round``), both computing each class of equal
     covariances once, as ``_class_schedule`` folds them.  Every
     ``_METRIC_STEPS`` steps, ``_block_metrics`` reads the held covariances
-    and means of every filter, and each method's columns go to its
-    ``MethodTrack``.  ``timings`` holds the wall seconds spent drawing the
-    runs, in filter steps, fusions and metrics; ``work`` is ``_work_counts``.
+    and means of every filter into one set of series over all filters, and
+    fusing methods' weights go to one (fusing steps, edges, blocks) array
+    each; at the end each method's ``MethodTrack`` takes its columns.
+    ``timings`` holds the wall seconds spent drawing the runs, in filter
+    steps, fusions and metrics; ``work`` is ``_work_counts``.
     """
     methods = tuple(dict.fromkeys(methods))
     for m in methods:
@@ -912,19 +914,16 @@ def _simulate(scenario: ScenarioConfig, run_ids, methods: tuple[str, ...]) -> Tr
     recorded = {"all": list(range(scenario.n_agents)), "report": [scenario.report_agent],
                 "none": []}[scenario.record_estimates]
     d, steps, n_runs = layout.dim, scenario.n_steps, len(draws)
-    models, offsets, cols, tracks = [], [], {}, {}
+    # per method: its filters, its recorded agents, and their places in ``rec``
+    models, offsets, cols, ids, recs, rec = [], [], {}, {}, {}, []
     for m in methods:
         # the centralized filter is recorded as agent -1
-        group, rows, ids = ([central], [0], [-1] if recorded else []) if m == "centralized" \
+        group, rows, ids[m] = ([central], [0], [-1] if recorded else []) if m == "centralized" \
             else (agent_models, agent_rows, recorded)
         cols[m] = slice(len(models), len(models) + len(group))
+        recs[m] = slice(len(rec), len(rec) + len(ids[m]))
+        rec += [cols[m].start + max(a, 0) for a in ids[m]]
         models, offsets = models + group, offsets + rows
-        width = (steps, len(group))
-        tracks[m] = MethodTrack(
-            nees=np.empty((n_runs, *width)), pos_err=np.empty((n_runs, *width)),
-            est_mean=np.empty((n_runs, steps, len(ids), d)) if ids else None,
-            avg2sig=np.empty(width), cov_trace=np.empty(width),
-            est_std=np.empty((steps, len(ids), d)) if ids else None, omega=[], est_agents=ids)
     plan = _filter_plan(layout, models, offsets)
     edges = np.array(scenario.edges, dtype=np.intp).reshape(-1, 2)
     # CI is block-wise CI over one block of every state
@@ -933,9 +932,10 @@ def _simulate(scenario: ScenarioConfig, run_ids, methods: tuple[str, ...]) -> Tr
     lanes = {m: (_Pieces(layout, partitions[m]), edges + cols[m].start)
              for m in methods if m in partitions}
     waves = _fusion_waves(scenario.edges)
-    fusing = [k + 1 > scenario.fusion_start
-              and (k + 1 - scenario.fusion_start) % scenario.fusion_every == 0
-              for k in range(scenario.n_steps)]
+    fusing = _fusing(scenario)
+    rounds = np.cumsum(fusing) - 1      # each fusing step's row of the weights
+    omegas = {m: np.empty((np.count_nonzero(fusing), len(edges), pieces.starts.size))
+              for m, (pieces, _) in lanes.items()}
     schedule = _class_schedule(plan, [*lanes.values()], waves, layout.split(prior_cov), fusing)
     n = plan.n_filters
     meas = np.stack([dr.meas for dr in draws])
@@ -944,11 +944,13 @@ def _simulate(scenario: ScenarioConfig, run_ids, methods: tuple[str, ...]) -> Tr
     means = np.repeat(np.stack([dr.prior_mean for dr in draws])[:, None, layout.perm], n, axis=1)
     views = layout.views(means)
     covs = [np.repeat(s[None], n, axis=0) for s in layout.split(prior_cov)]
-    pos_idx = scenario.layout().position_indices()
-    pos = layout.position[pos_idx]
+    pos = layout.position[scenario.layout().position_indices()]
     block = min(_METRIC_STEPS, steps)
     cov_held = [np.empty((block,) + c.shape) for c in covs]
     means_held = np.empty((n_runs, block) + means.shape[1:])
+    nees, pos_err = np.empty((2, n_runs, steps, n))
+    avg2sig, cov_trace = np.empty((2, steps, n))
+    est_mean, est_std = np.empty((n_runs, steps, len(rec), d)), np.empty((steps, len(rec), d))
 
     for k, (step_fold, lane_folds) in enumerate(schedule):
         t0 = time.perf_counter()
@@ -956,9 +958,7 @@ def _simulate(scenario: ScenarioConfig, run_ids, methods: tuple[str, ...]) -> Tr
         _mean_step(means, plan, gains, meas[:, k])
         t1 = time.perf_counter()
         for (m, (pieces, lane_edges)), folds in zip(lanes.items(), lane_folds or ()):
-            omegas = _fuse_round(covs, views, lane_edges, waves, pieces, folds)
-            for (i, j), w in zip(scenario.edges, omegas):
-                tracks[m].omega.extend(_weight_records(w, m, k, i, j))
+            _fuse_round(covs, views, lane_edges, waves, pieces, folds, omegas[m][rounds[k]])
         t2 = time.perf_counter()
         b = k % block
         for held, c in zip(cov_held, covs):
@@ -966,26 +966,21 @@ def _simulate(scenario: ScenarioConfig, run_ids, methods: tuple[str, ...]) -> Tr
         means_held[:, b] = means
         if b + 1 == block or k + 1 == steps:
             done = slice(k - b, k + 1)
-            nees, pos_err, var = _block_metrics(layout, [c[:b + 1] for c in cov_held],
-                                                means_held[:, :b + 1], permuted[:, done], pos)
-            for m, tr in tracks.items():
-                c = cols[m]
-                e, v, p = pos_err[:, :, c], var[:, c], var[:, c][..., pos_idx]
-                # per step, numpy summed an array that was one vector pairwise
-                # and other arrays along their last axis in order
-                if c.stop - c.start == 1:
-                    e = np.ascontiguousarray(e) if n_runs == 1 else e
-                    v, p = np.ascontiguousarray(v), np.ascontiguousarray(p)
-                tr.nees[:, done], tr.pos_err[:, done] = nees[..., c], np.linalg.norm(e, axis=-1)
-                tr.avg2sig[done] = 2.0 * np.sqrt(np.mean(p, axis=-1))
-                tr.cov_trace[done] = np.sum(v, axis=-1)
-                if tr.est_mean is not None:
-                    rec = [c.start + max(a, 0) for a in tr.est_agents]
-                    tr.est_mean[:, done] = means_held[:, :b + 1, rec][..., layout.position]
-                    tr.est_std[done] = np.sqrt(var[:, rec])
+            nees[:, done], pos_err[:, done], avg2sig[done], cov_trace[done], var = _block_metrics(
+                layout, [c[:b + 1] for c in cov_held], means_held[:, :b + 1], permuted[:, done],
+                pos)
+            est_mean[:, done] = means_held[:, :b + 1, rec][..., layout.position]
+            est_std[done] = np.sqrt(var[:, rec])
         timings["filter"] += t1 - t0
         timings["fuse"] += t2 - t1
         timings["metrics"] += time.perf_counter() - t2
+    # copies: numpy would sum ``summarize``'s means over a strided view in another order
+    tracks = {m: MethodTrack(nees=nees[..., c], pos_err=pos_err[..., c],
+                             est_mean=est_mean[:, :, recs[m]] if ids[m] else None,
+                             avg2sig=avg2sig[:, c].copy(), cov_trace=cov_trace[:, c].copy(),
+                             est_std=est_std[:, recs[m]] if ids[m] else None,
+                             omega=omegas.get(m), est_agents=ids[m])
+              for m, c in cols.items()}
     return TrackData(scenario=scenario, run_ids=list(run_ids), truth=truth, tracks=tracks,
                      timings=timings, work=_work_counts(schedule, cols, list(lanes)))
 
@@ -1016,8 +1011,8 @@ def simulate_run(scenario: ScenarioConfig, run_idx: int,
     """Monte-Carlo run ``run_idx`` alone, every method replaying its ``draw_run`` draws.
 
     This is ``run_scenario``'s lockstep with a batch of one run: its
-    series are those ``run_scenario`` gives the run, bitwise apart from
-    roundoff in NEES.
+    series and weights are those ``run_scenario`` gives the run, bitwise
+    apart from roundoff in NEES.
     """
     return _simulate(scenario, [run_idx], tuple(methods or scenario.methods))
 
@@ -1039,7 +1034,7 @@ class MethodTrack:
     avg2sig: np.ndarray              # (steps, cols) two-sigma position summary, shared
     cov_trace: np.ndarray            # (steps, cols), shared
     est_std: np.ndarray | None       # (steps, agents, d) recorded agents' std, shared
-    omega: list                      # weight records in configured order, shared
+    omega: np.ndarray | None         # (fusing steps, edges, blocks) weights, shared; or None
     est_agents: list                 # recorded agents' ids, -1 the centralized filter's
 
 
@@ -1060,8 +1055,10 @@ def run_scenario(scenario: ScenarioConfig, *, methods=None, mc_runs: int | None 
     """Run the Monte-Carlo experiment, every method stepping all runs in lockstep.
 
     ``methods``/``mc_runs``/``seed`` override the scenario fields.  Runs
-    draw from disjoint substreams by index, and a run's series do not
-    depend on the run count (NEES up to roundoff).
+    draw from disjoint substreams by index, and every series of a run but
+    NEES, weights included, is bitwise the same whatever the run count;
+    NEES solves the runs as right-hand sides of one factorization, so it
+    moves in the last bits.
     """
     if seed is not None or mc_runs is not None:
         scenario = replace(scenario,
@@ -1135,10 +1132,13 @@ def track_blocks(data: TrackData):
 
 
 def omega_blocks(data: TrackData):
+    scn = data.scenario
+    fusions = [(k, f"{i}-{j}") for k in np.flatnonzero(_fusing(scn)).tolist()
+               for i, j in scn.edges]
     yield from _run_blocks(data.run_ids, [
-        (_filled([f"{w['step']},{m},{w['edge']},{w['block']},%.12g\r\n" for w in tr.omega],
-                 [w["omega"] for w in tr.omega]), None)
-        for m, tr in data.tracks.items()])
+        (_filled([f"{k},{m},{e},{b},%.12g\r\n" for k, e in fusions
+                  for b in range(tr.omega.shape[2])], tr.omega), None)
+        for m, tr in data.tracks.items() if tr.omega is not None])
 
 
 def truth_blocks(data: TrackData):

@@ -436,28 +436,35 @@ def _beliefs_for(scn, seed=0):
 def test_fusion_round_none_is_identity():
     scn = tiny_scenario()
     beliefs = _beliefs_for(scn)
-    out, recs = fusion_round(beliefs, scn.edges, "none", 0, build_partition(scn))
-    assert out == beliefs and recs == []
+    out, omegas = fusion_round(beliefs, scn.edges, "none", 0, build_partition(scn))
+    assert out == beliefs and omegas.shape == (1, 0)
+
+
+@pytest.mark.parametrize("method, blocks", [("CI", 1), ("nmCI", 2), ("none", 0)])
+def test_fusion_round_without_edges_is_identity(method, blocks):
+    scn = tiny_scenario(edges=())
+    beliefs = _beliefs_for(scn)
+    out, omegas = fusion_round(beliefs, scn.edges, method, 0, build_partition(scn))
+    assert out == beliefs and omegas.shape == (0, blocks)
 
 
 def test_fusion_round_endpoints_share_result():
     scn = tiny_scenario()
     beliefs = _beliefs_for(scn)
-    out, recs = fusion_round(beliefs, scn.edges, "CI", 4, build_partition(scn))
+    out, omegas = fusion_round(beliefs, scn.edges, "CI", 4, build_partition(scn))
     np.testing.assert_array_equal(out[0].mean, out[1].mean)
     np.testing.assert_array_equal(out[0].covariance, out[1].covariance)
-    assert len(recs) == 1
-    assert recs[0]["edge"] == "0-1" and recs[0]["step"] == 4
-    assert 0.0 <= recs[0]["omega"] <= 1.0
+    np.testing.assert_array_equal(omegas[0], fusion.ci_fuse(*beliefs).omega)
+    assert omegas.shape == (1, 1) and 0.0 <= omegas[0, 0] <= 1.0
 
 
 def test_fusion_round_block_weights_per_edge():
     scn = tiny_scenario()
     beliefs = _beliefs_for(scn)
     part = build_partition(scn)
-    out, recs = fusion_round(beliefs, scn.edges, "nmCI", 0, part)
-    assert len(recs) == part.n_blocks
-    assert [r["block"] for r in recs] == list(range(part.n_blocks))
+    out, omegas = fusion_round(beliefs, scn.edges, "nmCI", 0, part)
+    assert omegas.shape == (1, part.n_blocks)
+    np.testing.assert_array_equal(omegas[0], fusion.nmci_fuse(*beliefs, part, strict=False).omega)
 
 
 def test_fusion_round_rejects_unknown_method():
@@ -516,10 +523,9 @@ def _series(track, r):
 def _assert_same_tracks(data, want, methods=None):
     for method in methods or data.tracks:
         rec, ref = data.tracks[method], want.tracks[method]
-        for key in RUN_ARRAYS + SHARED_ARRAYS:
-            np.testing.assert_array_equal(getattr(rec, key), getattr(ref, key),
+        for key in RUN_ARRAYS + SHARED_ARRAYS + ("omega",):
+            np.testing.assert_array_equal(getattr(rec, key), getattr(ref, key), strict=True,
                                           err_msg=f"{method} {key}")
-        assert rec.omega == ref.omega
 
 
 def _reference_run(scn, run_idx, method):
@@ -544,13 +550,13 @@ def _reference_run(scn, run_idx, method):
     out = {key: np.empty(shape) for key in ("nees", "pos_err", "avg2sig", "cov_trace")}
     out["est_mean"] = np.empty(shape + (lay.dim,))
     out["est_std"] = np.empty(shape + (lay.dim,))
-    omega = []
+    omega = []      # every step fuses: fusion_start 0, fusion_every 1
     for k in range(scn.n_steps):
         beliefs = [local_filter_step(b, m, draws.meas[k, rs])
                    for b, m, rs in zip(beliefs, models, rows)]
         if method in ("CI", "nmCI"):
-            beliefs, recs = fusion_round(beliefs, scn.edges, method, k, part)
-            omega += recs
+            beliefs, omegas = fusion_round(beliefs, scn.edges, method, k, part)
+            omega.append(omegas)
         for c, est in enumerate(beliefs):
             out["nees"][k, c] = nees(est, draws.truth[k])
             out["pos_err"][k, c] = np.linalg.norm(est.mean[pos] - draws.truth[k][pos])
@@ -558,7 +564,7 @@ def _reference_run(scn, run_idx, method):
             out["cov_trace"][k, c] = np.trace(est.covariance)
             out["est_mean"][k, c] = est.mean
             out["est_std"][k, c] = np.sqrt(np.diag(est.covariance))
-    return draws.truth, out, omega
+    return draws.truth, out, np.stack(omega) if omega else None
 
 
 def test_lockstep_matches_per_run_reference():
@@ -571,13 +577,12 @@ def test_lockstep_matches_per_run_reference():
             for key, got in _series(data.tracks[method], r).items():
                 np.testing.assert_allclose(got, want[key], rtol=1e-12, atol=0.0,
                                            err_msg=f"run {r} {method} {key}")
-            assert data.tracks[method].omega == omega
+            np.testing.assert_array_equal(data.tracks[method].omega, omega, strict=True)
 
 
-def test_lockstep_batch_equals_single_runs():
-    scn = tiny_scenario(methods=LOCKSTEP_METHODS)
-    data = run_scenario(scn, mc_runs=3)
-    assert data.run_ids == [0, 1, 2]
+def _assert_batch_equals_single_runs(scn, mc_runs):
+    data = run_scenario(scn, mc_runs=mc_runs)
+    assert data.run_ids == list(range(mc_runs))
     for r in data.run_ids:
         alone = simulate_run(scn, r)
         assert alone.run_ids == [r]
@@ -590,8 +595,19 @@ def test_lockstep_batch_equals_single_runs():
             for key in got:
                 np.testing.assert_array_equal(got[key], ref[key],
                                               err_msg=f"run {r} {method} {key}")
-            assert rec.omega == want.omega
+            np.testing.assert_array_equal(rec.omega, want.omega, strict=True)
             assert rec.est_agents == want.est_agents
+
+
+def test_lockstep_batch_equals_single_runs():
+    _assert_batch_equals_single_runs(tiny_scenario(methods=LOCKSTEP_METHODS), 3)
+
+
+@pytest.mark.parametrize("mc_runs", [1, 2, 5])
+def test_lockstep_batch_of_desk_equals_single_runs(mc_runs):
+    # 8 position entries: enough for numpy to sum a lone vector pairwise
+    _assert_batch_equals_single_runs(preset("tracking_desk", n_steps=30,
+                                            methods=LOCKSTEP_METHODS), mc_runs)
 
 
 def test_lockstep_runs_differ_in_truth_and_nees():
@@ -697,10 +713,11 @@ def _assert_lockstep_matches_reference(scn):
             for key, got in _series(rec, r).items():
                 np.testing.assert_allclose(got, want[key], rtol=1e-11, atol=0.0,
                                            err_msg=f"run {r} {method} {key}")
-            assert [(w["step"], w["edge"], w["block"]) for w in rec.omega] \
-                == [(w["step"], w["edge"], w["block"]) for w in omega]
-            np.testing.assert_allclose([w["omega"] for w in rec.omega],
-                                       [w["omega"] for w in omega], rtol=0.0, atol=1e-12)
+            if omega is None:
+                assert rec.omega is None
+            else:
+                assert rec.omega.shape == omega.shape
+                np.testing.assert_allclose(rec.omega, omega, rtol=0.0, atol=1e-12)
 
 
 def test_lockstep_matches_per_run_reference_with_coupled_axes():
@@ -759,7 +776,7 @@ def test_lockstep_matches_per_run_reference_with_waves():
     data = run_scenario(scn, mc_runs=1)
     for method in ("CI", "nmCI"):
         _, _, omega = _reference_run(scn, 0, method)
-        assert data.tracks[method].omega == omega
+        np.testing.assert_array_equal(data.tracks[method].omega, omega, strict=True)
 
 
 def _one_edge_per_wave(edges):
@@ -1027,7 +1044,10 @@ def _reference_csv(columns, rows) -> bytes:
 
 def _reference_rows(data) -> dict:
     """Every track CSV's dict rows, in the order the files list them."""
-    labels = data.scenario.layout().labels()
+    scn = data.scenario
+    labels = scn.layout().labels()
+    fusing = [k for k in range(scn.n_steps)
+              if k + 1 > scn.fusion_start and (k + 1 - scn.fusion_start) % scn.fusion_every == 0]
     rows = {"track.csv": [], "omega.csv": [], "truth.csv": [], "estimates.csv": []}
     for r, run in enumerate(data.run_ids):
         for method in data.tracks:
@@ -1042,11 +1062,16 @@ def _reference_rows(data) -> dict:
                          "avg_two_sigma": float(tr.avg2sig[k, c]),
                          "cov_trace": float(tr.cov_trace[k, c])})
     for run in data.run_ids:
-        for method in data.tracks:
-            rows["omega.csv"] += [{"run": run, "step": w["step"], "method": method,
-                                   "edge": w["edge"], "block": w["block"],
-                                   "omega": w["omega"]}
-                                  for w in data.tracks[method].omega]
+        for method, tr in data.tracks.items():
+            assert (tr.omega is None) == (method not in ("CI", "nmCI"))
+            if tr.omega is None:
+                continue
+            assert tr.omega.shape[:2] == (len(fusing), len(scn.edges))
+            rows["omega.csv"] += [{"run": run, "step": k, "method": method,
+                                   "edge": f"{i}-{j}", "block": b, "omega": float(w)}
+                                  for k, ws in zip(fusing, tr.omega)
+                                  for (i, j), we in zip(scn.edges, ws)
+                                  for b, w in enumerate(we)]
     for run, truth in zip(data.run_ids, data.truth):
         for k in range(truth.shape[0]):
             for i, lab in enumerate(labels):
@@ -1078,8 +1103,24 @@ WRITER_CASES = [(record, runs) for runs in (3, 1) for record in ("all", "report"
 def test_blocks_write_the_dict_row_bytes(tmp_path, record, mc_runs):
     # centralized rows with agent -1, per-block nmCI weights, and the
     # methods that do not fuse
-    data = run_scenario(tiny_scenario(record_estimates=record, methods=LOCKSTEP_METHODS),
-                        mc_runs=mc_runs)
+    _assert_blocks_write_the_dict_row_bytes(
+        tmp_path, run_scenario(tiny_scenario(record_estimates=record, methods=LOCKSTEP_METHODS),
+                               mc_runs=mc_runs))
+
+
+@pytest.mark.parametrize("overrides", [
+    dict(n_steps=10, fusion_every=3, fusion_start=2),
+    dict(edges=()),
+    dict(fusion_start=6),
+    dict(methods=("none", "nmCI", "centralized")),
+], ids=["every-3-from-2", "no-edges", "no-fusing-step", "method-order"])
+def test_blocks_write_the_dict_row_bytes_of_other_rounds(tmp_path, overrides):
+    _assert_blocks_write_the_dict_row_bytes(
+        tmp_path, run_scenario(tiny_scenario(**{"methods": LOCKSTEP_METHODS, **overrides})))
+
+
+def _assert_blocks_write_the_dict_row_bytes(tmp_path, data):
+    record = data.scenario.record_estimates
     files = {"track.csv": (TRACK_CSV_COLUMNS, track_blocks),
              "omega.csv": (OMEGA_CSV_COLUMNS, omega_blocks),
              "truth.csv": (TRUTH_CSV_COLUMNS, truth_blocks),
