@@ -7,21 +7,23 @@ the cross-covariance is actually known.
 
 Monolithic intersection is block-wise intersection over a partition of
 one block (Julier & Uhlmann, ACC 1997), so one private core, ``_nmci``,
-serves both rules.  It works on block-diagonal covariances stored as
-stacks of their diagonal blocks (see ``core.StackLayout``) and fuses
-each piece with ``_ci``.  Stacks may carry leading batch axes, and
-every batch entry is fused on its own, with the weights, gains and
-bounds a call of its own would give.  The core fuses only the entries
-inside the pieces where stack blocks meet partition blocks and reads no
-other entry, so it has no strict or lenient mode.  The tracker calls it
-directly on its filters' stacks, one batch entry per edge of a wave of
-edges that share no agent; its layout decides once per scenario which
-entries lie outside the pieces (``_Pieces.off``), and its ``_Fold`` which
-(edge, piece) pairs are equal, so that each distinct one is intersected
-once.  ``ci_fuse`` and ``nmci_fuse`` check their inputs and pass a dense
-covariance, unbatched, as a stack of one block, every piece its own
-class; ``nmci_fuse`` alone measures the off-block mass of its inputs,
-and rejects it in strict mode.
+serves both rules in the tracker, and ``nmci_fuse``.  It works on
+block-diagonal covariances stored as stacks of their diagonal blocks
+(see ``core.StackLayout``) and fuses each piece with ``_ci``.  Stacks
+may carry leading batch axes, and every batch entry is fused on its own,
+with the weights, gains and bounds a call of its own would give.  The
+core fuses only the entries inside the pieces where stack blocks meet
+partition blocks and reads no other entry, so it has no strict or
+lenient mode.  The tracker calls it directly on its filters' stacks, one
+batch entry per edge of a wave of edges that share no agent; its layout
+decides once per scenario which entries lie outside the pieces
+(``_Pieces.off``), and its ``_Fold`` which (edge, piece) pairs are
+equal, so that each distinct one is intersected once.  ``nmci_fuse``
+passes a dense covariance, unbatched, as a stack of one block, every
+piece its own class; it measures the off-block mass of its inputs, and
+rejects it in strict mode.  ``ci_fuse`` searches the weight over the
+trace terms of the two covariances, as ``_nmci`` does for one block, and
+intersects them with ``_ci``.
 """
 
 from __future__ import annotations
@@ -404,12 +406,6 @@ def optimize_ci_omega(p_a: np.ndarray, p_b: np.ndarray) -> float:
     return _weights(a, b, np.zeros(a.size, dtype=np.intp), np.zeros(1, dtype=np.intp))[0]
 
 
-def _dense_nmci(a: GaussianEstimate, b: GaussianEstimate, pieces: _Pieces):
-    """``_nmci`` on two estimates' covariances as stacks of one block, gain and bound (d, d)."""
-    omegas, (ga,), (bound,) = _nmci((a.covariance[None],), (b.covariance[None],), pieces)
-    return omegas, ga[0], bound[0]
-
-
 def ci_fuse(a: GaussianEstimate, b: GaussianEstimate,
             omega: float | None = None) -> FusionResult:
     """Covariance intersection of two same-state estimates.
@@ -421,14 +417,14 @@ def ci_fuse(a: GaussianEstimate, b: GaussianEstimate,
     """
     _check_same_labels(a, b)
     if omega is None:
-        pieces = _Pieces(StackLayout([range(a.dim)]), BlockPartition((tuple(range(a.dim)),)))
-        (w,), ga, bound = _dense_nmci(a, b, pieces)
+        w = _weights(*_trace_terms(a.covariance, b.covariance),
+                     np.zeros(a.dim, dtype=np.intp), np.zeros(1, dtype=np.intp))[0]
         source = "optimized"
     else:
         w, source = float(omega), "given"
         if not (0.0 <= w <= 1.0):
             raise DimensionError(f"omega must lie in [0, 1], got {w}")
-        ga, bound = _ci(a.covariance, b.covariance, w)
+    ga, bound = _ci(a.covariance, b.covariance, w)
     return FusionResult(
         gain_a=ga, gain_b=np.eye(a.dim) - ga, fused_mean=_fused_mean(ga, a.mean, b.mean),
         bound=bound, method=FusionMethod.CI, omega=np.array([w]),
@@ -459,7 +455,8 @@ def nmci_fuse(a: GaussianEstimate, b: GaussianEstimate, partition: BlockPartitio
             raise DimensionError(
                 f"covariance {side} couples different partition blocks (relative off-block mass "
                 f"{mass:.2e} > {OFF_BLOCK_TOL:g}); use lenient mode to drop the coupling")
-    omegas, ga, bound = _dense_nmci(a, b, pieces)
+    omegas, (ga,), (bound,) = _nmci((a.covariance[None],), (b.covariance[None],), pieces)
+    ga, bound = ga[0], bound[0]
     return FusionResult(
         gain_a=ga, gain_b=np.eye(a.dim) - ga, fused_mean=_fused_mean(ga, a.mean, b.mean),
         bound=bound, method=FusionMethod.NMCI, omega=omegas,

@@ -77,13 +77,14 @@ then holds strictly, and the objective pays d * delta.
 Nested prefixes: ``solve_prefixes`` solves the program on the first
 n_1, n_2, ... samples in one pass, and ``solve`` is its one-prefix case.
 When two or more prefixes are longer than _SHARED_FACTOR * m samples,
-each starts its loop on the first _SHARED_FACTOR * m.  Until a prefix's
-active set grows, its rounds have the same samples, tolerance, steps
-left and resumed point as the other prefixes', so each such round runs
-once per call, with its slack check taken over the longest sharing
-prefix (each prefix reads its own first n).  A prefix that grows its set,
-or whose point is repaired, goes on alone; no prefix's path depends on
-another's samples, and its status and ``min_slack_eig`` are its own.
+each starts its loop on the first _SHARED_FACTOR * m.  Until their active
+sets grow, those prefixes ask for the same rounds together (same
+samples, tolerance, steps left and resumed point), so each such round
+runs once per call, and its result goes to each of them with the least
+slack eigenvalues over the longest sharing prefix (each reads its own
+first n).  A prefix that grows its set, or whose point is repaired,
+goes on alone; no prefix's path depends on another's samples, and its
+status and ``min_slack_eig`` are its own.
 
 Batches: ``_solve_batch`` runs the rounds of every prefix of every
 problem it is given (all of one d) in one lockstep (``_Lockstep``).  A
@@ -634,11 +635,13 @@ def _solve_batch(problems, sizes, tol: float = DEFAULT_TOL,
     """``solve_prefixes`` of every problem (all of one d), as one list each.
 
     Every prefix's active-set loop (``_rounds``) asks for one barrier round
-    at a time, and each round joins one ``_Lockstep`` as soon as it is asked
-    for ("Batches" in the module docstring); a round that prefixes share
-    runs once.  When a round ends, its slack check runs and the prefixes
-    waiting on it ask for their next.  Each solution is bitwise the one
-    ``solve_prefixes`` returns for its problem alone.
+    at a time with the workspace that checks it, and each round joins one
+    ``_Lockstep`` as soon as it is asked for ("Batches" in the module
+    docstring); prefixes that ask with one check share the round, which
+    runs once.  When a round ends, its result and the check's least slack
+    eigenvalues go to the prefixes that asked, and they ask for their next.
+    Each solution is bitwise the one ``solve_prefixes`` returns for its
+    problem alone.
     """
     _check_solver_args(tol, max_iters)
     sizes = list(sizes)
@@ -649,48 +652,46 @@ def _solve_batch(problems, sizes, tol: float = DEFAULT_TOL,
         d = problem.d
         m = d * d + d * (d + 1) // 2
         shared = _SHARED_FACTOR * m
-        # the rounds the prefixes longer than ``shared`` share, with their checks
+        # checks the rounds that the prefixes longer than ``shared`` share
         opening = None
         if sum(size > shared for size in sizes) > 1:
-            opening = _RoundLog(_Workspace(_subset(problem, slice(max(sizes)))))
+            opening = _Workspace(_subset(problem, slice(max(sizes))))
         for size in sizes:
             prefix = _subset(problem, slice(size))
             ws = _Workspace(prefix)
             if opening is not None and size > shared:
-                first, share = shared, opening
+                first, check = shared, opening
             else:
-                first, share = ACTIVE_FACTOR * m, None
-            jobs.append((ws, _rounds(prefix, ws, tol, max_iters, first, share)))
+                first, check = ACTIVE_FACTOR * m, ws
+            jobs.append((ws, _rounds(prefix, ws, tol, max_iters, first, check)))
     out: list = [None] * len(jobs)
     lock = _Lockstep(problems[0].d)
-    owner, waiting = {}, {}    # program -> its log; log -> the jobs that wait on it
+    owner, waiting = {}, {}    # program -> its check; check -> the jobs that wait on it
 
     def ask(ready):
-        """Advance the ``ready`` jobs to their next round not run yet; those
-        rounds join the lockstep."""
+        """Send each (job, round result) of ``ready`` to its job; the rounds
+        the jobs ask for next join the lockstep."""
         asked = {}
-        for j in ready:
+        for j, sent in ready:
             ws, loop = jobs[j]
             try:
-                log, k, request = next(loop)
-                while k < len(log.rounds):     # run already for a prefix that shares it
-                    log, k, request = next(loop)
+                check, request = loop.send(sent)
             except StopIteration as stop:
                 out[j], jobs[j] = _solution(ws, tol, *stop.value), None
                 continue
-            waiting.setdefault(id(log), []).append(j)
-            asked.setdefault(id(log), (log, request))
+            waiting.setdefault(id(check), []).append(j)
+            asked.setdefault(id(check), (check, request))
         if asked:
-            logs, requests = zip(*asked.values())
-            owner.update(zip(lock.add(list(requests)), logs))
+            checks, requests = zip(*asked.values())
+            owner.update(zip(lock.add(list(requests)), checks))
 
-    ask(range(len(jobs)))
+    ask([(j, None) for j in range(len(jobs))])
     while owner:
         ready = []
         for b in lock.finished():
-            log, result = owner.pop(b), lock.result(b)
-            log.rounds.append((result, log.ws.least_slack_eigs(result[0][0])))
-            ready += waiting.pop(id(log))
+            check, result = owner.pop(b), lock.result(b)
+            sent = result, check.least_slack_eigs(result[0][0])
+            ready += [(j, sent) for j in waiting.pop(id(check))]
         if ready:
             ask(ready)
         else:
@@ -713,26 +714,18 @@ def _solution(ws: _Workspace, tol: float, x, status, used, lower, active,
                        newton_iterations=used, min_slack_eig=min_eig, active_samples=active)
 
 
-class _RoundLog:
-    """Barrier rounds run from one active set, in order, each stored with the
-    least slack eigenvalue of every sample of ``ws`` (the longest prefix the
-    log serves) at its x; a prefix of n samples reads the first n."""
-
-    def __init__(self, ws: _Workspace):
-        self.ws, self.rounds = ws, []
-
-
 def _rounds(problem: SampledFusionProblem, ws: _Workspace, tol: float, max_iters: int,
-            first: int, log: _RoundLog | None = None):
+            first: int, check: _Workspace):
     """The active-set loop of barrier rounds on all of ``problem``'s samples.
 
-    A generator: it yields (log, k, (subset problem, tol, budget, resume))
-    for round ``k`` of ``log`` and, once resumed, reads that round from
-    ``log.rounds[k]``, where ``_solve_batch`` stores it.  The first active
-    set is the first min(n, ``first``) samples.  Given ``log``, every round
-    (and slack check) before the set first grows is taken from it, or run
-    and stored there ("Nested prefixes" in the module docstring); each later
-    set starts a log of its own.  Returns (x, status, Newton steps, best
+    A generator: it yields (check, (subset problem, tol, budget, resume))
+    for each round and is sent back that round's ``_Lockstep.result`` with
+    the least slack eigenvalue of every sample of ``check`` at its x, of
+    which it reads the first n.  The first active set is the first
+    min(n, ``first``) samples.  ``check`` is ``ws`` or, for the rounds
+    before the set first grows, the workspace of the longest prefix that
+    shares them ("Nested prefixes" in the module docstring); each later set
+    is checked on ``ws``.  Returns (x, status, Newton steps, best
     certified lower bound, active samples, least eigenvalue of the n slacks
     at x): the last round's iterate, repaired when samples outside its set
     are still violated, and that round's status, before the checks
@@ -744,13 +737,11 @@ def _rounds(problem: SampledFusionProblem, ws: _Workspace, tol: float, max_iters
     active = np.flatnonzero(inside)
     sub = _subset(problem, active)
     used, lower, resume = 0, -np.inf, None
-    log, k = log or _RoundLog(ws), 0
     while True:
         screening = resume is None and tol < _SCREEN_TOL and n > first
         round_tol = _SCREEN_TOL if screening else tol
-        yield log, k, (sub, round_tol, max_iters - used, resume)
-        result, worst = log.rounds[k]
-        worst, k = worst[:n], k + 1
+        result, worst = yield check, (sub, round_tol, max_iters - used, resume)
+        worst = worst[:n]
         resume, status, steps, sub_lower = result
         used += steps
         lower = max(lower, sub_lower)
@@ -763,7 +754,7 @@ def _rounds(problem: SampledFusionProblem, ws: _Workspace, tol: float, max_iters
             nearest = outside[np.argsort(worst[outside], kind="stable")]
             inside[nearest[:violated.size + _NEAR * m]] = True
             active = np.flatnonzero(inside)
-            sub, resume, log, k = _subset(problem, active), None, _RoundLog(ws), 0
+            sub, resume, check = _subset(problem, active), None, ws
         elif not (screening and status is SolveStatus.OPTIMAL):
             break
     if violated.size:

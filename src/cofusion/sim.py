@@ -28,7 +28,7 @@ Monte-Carlo run.  So one lockstep steps every method's filters, side by
 side, through all runs at once.  One covariance pass per scenario does
 the filter steps of all filters together, then each fusing method's
 round on its own filters through ``fusion._nmci``, the block-wise core
-behind ``ci_fuse``/``nmci_fuse`` (CI is its one-block case), and
+behind ``nmci_fuse`` (CI is its one-block case), and
 applies the gains to a (runs, filters, d) array of means.  A round's
 edges go in waves: each wave is one ``_nmci`` call over edges that share
 no agent, and each edge waits only for the earlier edges that share one
@@ -55,8 +55,8 @@ method's ``MethodTrack`` returns to state-label order and holds the
 series that read only covariances and weights once, for every run.  On
 both presets the blocks are the (group, axis) pairs.  A
 scenario whose structure couples every state runs as one block through
-the same code, and ``local_filter_step``, ``ci_fuse`` and ``nmci_fuse``
-treat a dense covariance as a stack of one block.
+the same code, and ``local_filter_step`` and ``nmci_fuse`` treat a
+dense covariance as a stack of one block.
 
 The pass also computes each distinct covariance once.  Which (filter,
 block) covariances are bitwise equal follows from the structure alone,
@@ -845,7 +845,8 @@ def _fuse_round(covs: list[np.ndarray], views: list[np.ndarray], edges: np.ndarr
             c[ii] = c[jj] = bound
 
 
-# steps of covariance and mean history the metrics hold and read at a time
+# steps of covariance and mean history the metrics hold and read, and of a
+# run's rows the CSV writers format, at a time
 _METRIC_STEPS = 10
 
 
@@ -1100,60 +1101,59 @@ def summarize(data: TrackData) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# CSV blocks for ``metrics.write_csv`` (columns in metrics): per run, one template
-# per method, its cells shared by every run filled in once, or one for the truth
+# CSV blocks for ``metrics.write_csv`` (columns in metrics): per run, each part
+# (a method, or the truth) in pieces of at most ``_METRIC_STEPS`` rows
 
 ESTIMATE_CSV_COLUMNS = ["run", "step", "method", "agent", "label", "mean", "std"]
 
-def _filled(lines: list[str], values=()) -> str:
-    """One template of ``lines``, each led by a NUL that stands for the run id, with
-    the raveled ``values`` filled in by one ``%`` call; a ``%%`` stays a field."""
-    return "\0".join(["", *lines]) % tuple(np.ravel(values).tolist())
-
-
 def _run_blocks(run_ids, parts):
-    """Per run, one block per (template, cells) part: the template led by the run
-    id, filled from the run's slice of the (runs, ...) ``cells`` (None: no fields)."""
+    """Per run and part, blocks of at most ``_METRIC_STEPS`` rows, in row order.
+
+    A part is (steps, tails, shared, cells).  Its row of a step is one string
+    of a line per tail, each led by a NUL that stands for the run id and by
+    the step.  The tails' ``%.12g`` fields take the (steps, ...) ``shared``
+    cells, filled in once per piece for every run, and their ``%%.12g``
+    fields a run's (runs, steps, ...) ``cells``; None: no fields."""
+    def values(cells, at):
+        return () if cells is None else tuple(cells[at].ravel().tolist())
+    pieces = []
+    for steps, tails, shared, cells in parts:
+        rows = ["".join([f"\0{k},{tail}" for tail in tails]) for k in steps]
+        for s in range(0, len(rows), _METRIC_STEPS):
+            at = slice(s, s + _METRIC_STEPS)
+            pieces.append(("".join(rows[at]) % values(shared, at), cells, at))
     for r, run in enumerate(run_ids):
-        for template, cells in parts:
-            yield (template.replace("\0", f"{run},"),
-                   () if cells is None else tuple(cells[r].ravel().tolist()))
+        for template, cells, at in pieces:
+            yield template.replace("\0", f"{run},"), values(cells, (r, at))
 
 
 def track_blocks(data: TrackData):
-    parts = []
-    for m, tr in data.tracks.items():
-        agents = [-1] if m == "centralized" else range(data.scenario.n_agents)
-        lines = [f"{k},{m},{a},%%.12g,%%.12g,%.12g,%.12g\r\n"
-                 for k in range(data.scenario.n_steps) for a in agents]
-        parts.append((_filled(lines, np.stack([tr.avg2sig, tr.cov_trace], axis=2)),
-                      np.stack([tr.nees, tr.pos_err], axis=3)))
-    yield from _run_blocks(data.run_ids, parts)
+    steps, agents = range(data.scenario.n_steps), range(data.scenario.n_agents)
+    yield from _run_blocks(data.run_ids, (
+        (steps, [f"{m},{a},%%.12g,%%.12g,%.12g,%.12g\r\n"
+                 for a in ([-1] if m == "centralized" else agents)],
+         np.stack([tr.avg2sig, tr.cov_trace], axis=2), np.stack([tr.nees, tr.pos_err], axis=3))
+        for m, tr in data.tracks.items()))
 
 
 def omega_blocks(data: TrackData):
     scn = data.scenario
-    fusions = [(k, f"{i}-{j}") for k in np.flatnonzero(_fusing(scn)).tolist()
-               for i, j in scn.edges]
-    yield from _run_blocks(data.run_ids, [
-        (_filled([f"{k},{m},{e},{b},%.12g\r\n" for k, e in fusions
-                  for b in range(tr.omega.shape[2])], tr.omega), None)
-        for m, tr in data.tracks.items() if tr.omega is not None])
+    yield from _run_blocks(data.run_ids, (
+        (np.flatnonzero(_fusing(scn)).tolist(),
+         [f"{m},{i}-{j},{b},%.12g\r\n" for i, j in scn.edges for b in range(tr.omega.shape[2])],
+         tr.omega, None)
+        for m, tr in data.tracks.items() if tr.omega is not None))
 
 
 def truth_blocks(data: TrackData):
-    labels = data.scenario.layout().labels()
-    lines = [f"{k},{lab},%%.12g\r\n" for k in range(data.scenario.n_steps) for lab in labels]
-    yield from _run_blocks(data.run_ids, [(_filled(lines), data.truth)])
+    tails = [f"{lab},%%.12g\r\n" for lab in data.scenario.layout().labels()]
+    yield from _run_blocks(data.run_ids, [(range(data.scenario.n_steps), tails, None, data.truth)])
 
 
 def estimate_blocks(data: TrackData):
     labels = data.scenario.layout().labels()
-    parts = []
-    for m, tr in data.tracks.items():
-        if tr.est_mean is not None:
-            lines = [f"{k},{m},{aid},{lab},%%.12g,%.12g\r\n"
-                     for k in range(data.scenario.n_steps) for aid in tr.est_agents
-                     for lab in labels]
-            parts.append((_filled(lines, tr.est_std), tr.est_mean))
-    yield from _run_blocks(data.run_ids, parts)
+    yield from _run_blocks(data.run_ids, (
+        (range(data.scenario.n_steps),
+         [f"{m},{aid},{lab},%%.12g,%.12g\r\n" for aid in tr.est_agents for lab in labels],
+         tr.est_std, tr.est_mean)
+        for m, tr in data.tracks.items() if tr.est_mean is not None))

@@ -1094,7 +1094,7 @@ def _reference_rows(data) -> dict:
 
 
 # one run is the shape of a one-run workload; three share each method's
-# filled templates between runs
+# filled pieces between runs
 WRITER_CASES = [(record, runs) for runs in (3, 1) for record in ("all", "report", "none")]
 
 
@@ -1108,15 +1108,20 @@ def test_blocks_write_the_dict_row_bytes(tmp_path, record, mc_runs):
                                mc_runs=mc_runs))
 
 
-@pytest.mark.parametrize("overrides", [
-    dict(n_steps=10, fusion_every=3, fusion_start=2),
-    dict(edges=()),
-    dict(fusion_start=6),
-    dict(methods=("none", "nmCI", "centralized")),
-], ids=["every-3-from-2", "no-edges", "no-fusing-step", "method-order"])
-def test_blocks_write_the_dict_row_bytes_of_other_rounds(tmp_path, overrides):
-    _assert_blocks_write_the_dict_row_bytes(
-        tmp_path, run_scenario(tiny_scenario(**{"methods": LOCKSTEP_METHODS, **overrides})))
+@pytest.mark.parametrize("scenario", [
+    tiny_scenario(n_steps=10, fusion_every=3, fusion_start=2, methods=LOCKSTEP_METHODS),
+    tiny_scenario(edges=(), methods=LOCKSTEP_METHODS),
+    tiny_scenario(fusion_start=6, methods=LOCKSTEP_METHODS),
+    tiny_scenario(methods=("none", "nmCI", "centralized")),
+    # more steps than one block holds, not a multiple of it, and a single step
+    preset("tracking_desk", n_steps=23, mc_runs=2, methods=LOCKSTEP_METHODS),
+    preset("tracking_desk", n_steps=1, mc_runs=2, methods=LOCKSTEP_METHODS),
+    preset("tracking_desk", n_steps=23, mc_runs=2, record_estimates="report",
+           methods=LOCKSTEP_METHODS),
+], ids=["every-3-from-2", "no-edges", "no-fusing-step", "method-order", "desk-23-steps",
+        "desk-1-step", "desk-report"])
+def test_blocks_write_the_dict_row_bytes_of_other_rounds(tmp_path, scenario):
+    _assert_blocks_write_the_dict_row_bytes(tmp_path, run_scenario(scenario))
 
 
 def _assert_blocks_write_the_dict_row_bytes(tmp_path, data):
@@ -1128,6 +1133,23 @@ def _assert_blocks_write_the_dict_row_bytes(tmp_path, data):
     reference = _reference_rows(data)
     assert (reference["estimates.csv"] == []) == (record == "none")
     for name, (columns, blocks) in files.items():
+        _assert_blocks_bounded_in_row_order(
+            [template % values for template, values in blocks(data)], "method" in columns)
         write_csv(tmp_path / name, columns, blocks(data))
         want = _reference_csv(columns, reference[name])
         assert (tmp_path / name).read_bytes() == want, name
+
+
+def _assert_blocks_bounded_in_row_order(texts, by_method):
+    """No block holds lines of more than one run or more than ``_METRIC_STEPS``
+    steps, and each run's steps (per method, where the file has one) never
+    go back from one line or block to the next."""
+    last = {}
+    for text in texts:
+        keys = [line.split(",")[:3] for line in text.splitlines()]
+        assert len({run for run, _, _ in keys}) <= 1
+        assert len({step for _, step, _ in keys}) <= sim._METRIC_STEPS
+        for run, step, method in keys:
+            part = (run, method if by_method else None)
+            assert int(step) >= last.get(part, -1)
+            last[part] = int(step)
