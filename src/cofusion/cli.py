@@ -2,9 +2,9 @@
 comparison, or run the tracking experiment.
 
 Exit codes: 0 success, 2 configuration problem (bad flags, malformed,
-non-UTF-8 or inconsistent config/input files), 3 numerical failure
-(solver or sampler gave up, matrices lost definiteness mid-computation),
-4 I/O failure.
+non-UTF-8 or inconsistent config/input files, a tracking filter whose
+covariance loses definiteness), 3 numerical failure (solver or sampler
+gave up, an untyped linear-algebra failure), 4 I/O failure.
 """
 from __future__ import annotations
 

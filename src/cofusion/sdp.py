@@ -21,7 +21,8 @@ J_i^{-1} block: G_i is PD exactly when C_i is, logdet G_i =
 logdet C_i - logdet J_i, and S_i = G_i^{-1} has blocks C_i^{-1},
 -C_i^{-1} K J_i and J_i + J_i K^T C_i^{-1} K J_i (Boyd & Vandenberghe,
 section A.5.5).  The samples sit on the last axis: the joints are one
-(2d, 2d, n) array, and a feasibility test factors all n slacks as
+read-only (2d, 2d, n) array, ``SampledFusionProblem.joints_last``, built
+once by ``build_problem``, and a feasibility test factors all n slacks as
 C_i = L_i D_i L_i^T (Cholesky without square roots) with one
 ``core.ldl_pivots`` call, whose elimination is unrolled over (n,)
 vectors, and takes logdet from the pivots D_i.  Assembly gates every
@@ -118,7 +119,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from enum import Enum
 
 import numpy as np
@@ -178,28 +179,32 @@ class SolveStatus(str, Enum):
 class SampledFusionProblem:
     """Marginals and sampled joints, ready to solve.
 
-    ``joints`` stacks the joint covariances J_i, ``log_pivots`` the logs
-    of each J_i's Cholesky pivots, and ``joint_logdet`` is
-    sum_i logdet J_i, twice their sum.
+    ``joints_last`` holds the joint covariances J_i samples last, as one
+    read-only (2d, 2d, n) array; ``joints`` and ``samples`` are read-only
+    views of it.  ``log_pivots`` holds the logs of each J_i's Cholesky
+    pivots, and ``joint_logdet`` is sum_i logdet J_i, twice their sum.
     """
 
     p_a: np.ndarray
     p_b: np.ndarray
-    joints: np.ndarray
+    joints_last: np.ndarray
     joint_logdet: float
     log_pivots: np.ndarray
     d: int
 
     @property
     def n(self) -> int:
-        return len(self.joints)
+        return self.joints_last.shape[-1]
+
+    @property
+    def joints(self) -> np.ndarray:
+        """The (n, 2d, 2d) joint covariances, a read-only view of ``joints_last``."""
+        return self.joints_last.transpose(2, 0, 1)
 
     @property
     def samples(self) -> np.ndarray:
-        """The (n, d, d) cross-covariance samples, a read-only view of ``joints``."""
-        view = self.joints[:, :self.d, self.d:]
-        view.flags.writeable = False
-        return view
+        """The (n, d, d) cross-covariance samples, a read-only view of ``joints_last``."""
+        return self.joints_last[:self.d, self.d:].transpose(2, 0, 1)
 
 
 def build_problem(p_a, p_b, samples) -> SampledFusionProblem:
@@ -230,13 +235,13 @@ def build_problem(p_a, p_b, samples) -> SampledFusionProblem:
                 raise DimensionError(f"sample {i} has shape {np.shape(s)}, "
                                      f"expected ({d}, {d})")
         stack = np.array(samples, dtype=float)
-    n = len(stack)
-    joints = np.empty((n, 2 * d, 2 * d))
-    joints[:, :d, :d] = p_a
-    joints[:, d:, d:] = p_b
-    joints[:, :d, d:] = stack
-    joints[:, d:, :d] = stack.transpose(0, 2, 1)
-    pivots = ldl_pivots(joints.transpose(1, 2, 0).copy())
+    joints = np.empty((2 * d, 2 * d, len(stack)))
+    joints[:d, :d] = p_a[:, :, None]
+    joints[d:, d:] = p_b[:, :, None]
+    joints[:d, d:] = stack.transpose(1, 2, 0)
+    joints[d:, :d] = stack.transpose(2, 1, 0)
+    # ldl_pivots factors in place
+    pivots = ldl_pivots(joints.copy())
     # a nan pivot (a sample that is not finite) fails too
     bad = np.flatnonzero(~(pivots.min(axis=0) >= MIN_PIVOT ** 2))
     if bad.size:
@@ -248,7 +253,7 @@ def build_problem(p_a, p_b, samples) -> SampledFusionProblem:
     joints.flags.writeable = False
     log_pivots = 0.5 * np.log(pivots.T)
     log_pivots.flags.writeable = False
-    return SampledFusionProblem(p_a=p_a, p_b=p_b, joints=joints,
+    return SampledFusionProblem(p_a=p_a, p_b=p_b, joints_last=joints,
                                 joint_logdet=2.0 * float(np.sum(log_pivots)),
                                 log_pivots=log_pivots, d=d)
 
@@ -257,11 +262,13 @@ def _subset(problem: SampledFusionProblem, idx) -> SampledFusionProblem:
     """The program on the samples ``idx`` (an index array or a slice) selects.
 
     Equal to ``build_problem`` on those samples, without factoring a
-    joint again.
+    joint again.  A slice views the problem's arrays; an index array
+    gathers them.  Either way they are read-only.
     """
-    log_pivots = problem.log_pivots[idx]
+    joints, log_pivots = problem.joints_last[..., idx], problem.log_pivots[idx]
+    joints.flags.writeable = log_pivots.flags.writeable = False
     return SampledFusionProblem(
-        p_a=problem.p_a, p_b=problem.p_b, joints=problem.joints[idx],
+        p_a=problem.p_a, p_b=problem.p_b, joints_last=joints,
         joint_logdet=2.0 * float(np.sum(log_pivots)), log_pivots=log_pivots, d=problem.d)
 
 
@@ -308,54 +315,35 @@ def _coords(d: int):
     return out
 
 
-class _Workspace:
-    """Coordinates and slacks of one problem instance."""
-
-    def __init__(self, problem: SampledFusionProblem):
-        d, n = problem.d, problem.n
-        self.iu, self.sym, self.cvec, *_ = _coords(d)
-        self.d, self.n, self.npv, self.m = d, n, len(self.iu[0]), len(self.cvec)
-        self.problem = problem
-        self.eye = np.eye(d)
-
-    @property
-    def joints(self) -> np.ndarray:
-        """The joints batch last, as a (2d, 2d, n) copy (not kept: the
-        sweep holds the workspaces of every run at once)."""
-        return np.ascontiguousarray(self.problem.joints.transpose(1, 2, 0))
-
-    @cached_property
-    def e_upper(self) -> np.ndarray:
-        """The upper triangle of E_i = P_a + P_b - X_i - X_i^T, X_i the cross
-        block, batch last."""
-        d, problem = self.d, self.problem
-        cross = problem.joints[:, :d, d:].transpose(1, 2, 0)
-        return ((problem.p_a + problem.p_b)[:, :, None] - cross - cross.transpose(1, 0, 2))[self.iu]
-
-    def pack(self, pbar: np.ndarray, ka: np.ndarray) -> np.ndarray:
-        return np.concatenate([pbar[self.iu], ka.reshape(-1)])
-
-    def unpack(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return x[self.sym], x[self.npv:].reshape(self.d, self.d)
-
-    def least_slack_eigs(self, x: np.ndarray) -> np.ndarray:
-        """(n,) least eigenvalue of each d x d slack C_i = Pbar - K J_i K^T at x."""
-        d = self.d
-        pbar, ka = self.unpack(x)
-        k = np.concatenate([ka, self.eye - ka], axis=1)
-        kj = (k @ self.joints.reshape(2 * d, -1)).reshape(d, 2 * d, self.n)
-        # k @ kj[a] is row a of every K J_i K^T
-        return np.linalg.eigvalsh((pbar[:, :, None] - k @ kj).transpose(2, 0, 1))[:, 0]
+def _pack(d: int, pbar: np.ndarray, ka: np.ndarray) -> np.ndarray:
+    return np.concatenate([pbar[_coords(d)[0]], ka.reshape(-1)])
 
 
-def _initial_point(ws: _Workspace) -> np.ndarray:
+def _unpack(d: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(Pbar, K_a) at x; K_a views x."""
+    sym = _coords(d)[1]
+    return x[sym], x[d * (d + 1) // 2:].reshape(d, d)
+
+
+def _least_slack_eigs(problem: SampledFusionProblem, x: np.ndarray) -> np.ndarray:
+    """(n,) least eigenvalue of each d x d slack C_i = Pbar - K J_i K^T at x."""
+    d = problem.d
+    pbar, ka = _unpack(d, x)
+    k = np.concatenate([ka, np.eye(d) - ka], axis=1)
+    kj = (k @ problem.joints_last.reshape(2 * d, -1)).reshape(d, 2 * d, problem.n)
+    # k @ kj[a] is row a of every K J_i K^T
+    return np.linalg.eigvalsh((pbar[:, :, None] - k @ kj).transpose(2, 0, 1))[:, 0]
+
+
+def _initial_point(problem: SampledFusionProblem) -> np.ndarray:
     """The central start: K_a = I/2 and Pbar = 2 (P_a + P_b).
 
     It satisfies every LMI strictly because the realized covariance under
-    any PD joint never exceeds P_a + P_b for those gains; ``_barrier``
+    any PD joint never exceeds P_a + P_b for those gains; ``_Lockstep.tick``
     doubles Pbar in case conditioning eats the margin.
     """
-    return ws.pack(2.0 * symmetrize(ws.problem.p_a + ws.problem.p_b), 0.5 * ws.eye)
+    return _pack(problem.d, 2.0 * symmetrize(problem.p_a + problem.p_b),
+                 0.5 * np.eye(problem.d))
 
 
 class _Batch:
@@ -372,22 +360,24 @@ class _Batch:
     """
 
     def __init__(self, d: int):
-        iu, self.sym, _, self.upper, self.pair, w, self.hess_at = _coords(d)
+        self.iu, self.sym, _, self.upper, self.pair, w, self.hess_at = _coords(d)
         self.grad_w, self.hess_w = 2.0 * w, 2.0 * np.outer(w, w)
-        self.d, self.npv, self.eye = d, len(iu[0]), np.eye(d)
-        self.ws: list[_Workspace] = []
+        self.d, self.npv, self.eye = d, len(self.iu[0]), np.eye(d)
+        self.problems: list[SampledFusionProblem] = []
         self.ns, self.joint_logdet = np.zeros(0, dtype=int), np.zeros(0)
-        self.joints = []    # each program's joints batch last, (2d, 2d n), once asked for
+        # the upper triangle of each program's E_i = P_a + P_b - X_i - X_i^T,
+        # X_i the cross block, samples last, once asked for
+        self.e_upper = []
         self.layout = None
         self.factors = None
 
-    def extend(self, workspaces: list[_Workspace]) -> None:
+    def extend(self, problems: list[SampledFusionProblem]) -> None:
         """Programs join, numbered on from the last."""
-        self.ws += workspaces
-        self.joints += [None] * len(workspaces)
-        self.ns = np.concatenate([self.ns, [w.n for w in workspaces]])
+        self.problems += problems
+        self.e_upper += [None] * len(problems)
+        self.ns = np.concatenate([self.ns, [p.n for p in problems]])
         self.joint_logdet = np.concatenate([self.joint_logdet,
-                                            [w.problem.joint_logdet for w in workspaces]])
+                                            [p.joint_logdet for p in problems]])
 
     def _layout(self, rows: np.ndarray):
         """How a call on ``rows`` lays out its programs, kept while the same
@@ -405,22 +395,26 @@ class _Batch:
             cuts = [0, *(np.flatnonzero(np.diff(ns)) + 1), len(rows)]
             groups = [(g0, g1, ns[g0], offs[g0], offs[g1]) for g0, g1 in zip(cuts[:-1], cuts[1:])]
             for b in rows:
-                if self.joints[b] is None:
-                    self.joints[b] = self.ws[b].joints.reshape(2 * d, -1)
+                if self.e_upper[b] is None:
+                    problem = self.problems[b]
+                    cross = problem.joints_last[:d, d:]
+                    self.e_upper[b] = ((problem.p_a + problem.p_b)[:, :, None] - cross
+                                       - cross.transpose(1, 0, 2))[self.iu]
             # a group's joints stacked once per program, with how many
             # consecutive entries each program has (the trials of a line search)
             stacks = []
-            for g0, g1, *_ in groups:
+            for g0, g1, n, _, _ in groups:
                 ids = rows[g0:g1]
                 runs = np.flatnonzero(np.diff(ids)) + 1
                 lengths = np.diff([0, *runs, len(ids)])
                 each = int(lengths[0]) if (lengths == lengths[0]).all() else 1
-                stacks.append((each, np.stack([self.joints[b] for b in ids[::each]])))
+                joints = np.stack([self.problems[b].joints_last for b in ids[::each]])
+                stacks.append((each, joints.reshape(-1, 2 * d, 2 * d * n)))
             back = np.empty_like(order)
             back[order] = np.arange(len(order))
             if (order == np.arange(len(order))).all():
                 order = back = None     # in order already
-            e_upper = np.concatenate([self.ws[b].e_upper for b in rows], axis=1)
+            e_upper = np.concatenate([self.e_upper[b] for b in rows], axis=1)
             self.layout = key, (order, rows, ns, offs, back, groups, stacks, e_upper)
         return self.layout[1]
 
@@ -635,7 +629,7 @@ def _solve_batch(problems, sizes, tol: float = DEFAULT_TOL,
     """``solve_prefixes`` of every problem (all of one d), as one list each.
 
     Every prefix's active-set loop (``_rounds``) asks for one barrier round
-    at a time with the workspace that checks it, and each round joins one
+    at a time with the problem that checks it, and each round joins one
     ``_Lockstep`` as soon as it is asked for ("Batches" in the module
     docstring); prefixes that ask with one check share the round, which
     runs once.  When a round ends, its result and the check's least slack
@@ -655,15 +649,14 @@ def _solve_batch(problems, sizes, tol: float = DEFAULT_TOL,
         # checks the rounds that the prefixes longer than ``shared`` share
         opening = None
         if sum(size > shared for size in sizes) > 1:
-            opening = _Workspace(_subset(problem, slice(max(sizes))))
+            opening = _subset(problem, slice(max(sizes)))
         for size in sizes:
             prefix = _subset(problem, slice(size))
-            ws = _Workspace(prefix)
             if opening is not None and size > shared:
                 first, check = shared, opening
             else:
-                first, check = ACTIVE_FACTOR * m, ws
-            jobs.append((ws, _rounds(prefix, ws, tol, max_iters, first, check)))
+                first, check = ACTIVE_FACTOR * m, prefix
+            jobs.append((prefix, _rounds(prefix, tol, max_iters, first, check)))
     out: list = [None] * len(jobs)
     lock = _Lockstep(problems[0].d)
     owner, waiting = {}, {}    # program -> its check; check -> the jobs that wait on it
@@ -673,11 +666,11 @@ def _solve_batch(problems, sizes, tol: float = DEFAULT_TOL,
         the jobs ask for next join the lockstep."""
         asked = {}
         for j, sent in ready:
-            ws, loop = jobs[j]
+            prefix, loop = jobs[j]
             try:
                 check, request = loop.send(sent)
             except StopIteration as stop:
-                out[j], jobs[j] = _solution(ws, tol, *stop.value), None
+                out[j], jobs[j] = _solution(prefix, tol, *stop.value), None
                 continue
             waiting.setdefault(id(check), []).append(j)
             asked.setdefault(id(check), (check, request))
@@ -690,7 +683,7 @@ def _solve_batch(problems, sizes, tol: float = DEFAULT_TOL,
         ready = []
         for b in lock.finished():
             check, result = owner.pop(b), lock.result(b)
-            sent = result, check.least_slack_eigs(result[0][0])
+            sent = result, _least_slack_eigs(check, result[0][0])
             ready += [(j, sent) for j in waiting.pop(id(check))]
         if ready:
             ask(ready)
@@ -699,33 +692,34 @@ def _solve_batch(problems, sizes, tol: float = DEFAULT_TOL,
     return [out[i:i + len(sizes)] for i in range(0, len(out), len(sizes))]
 
 
-def _solution(ws: _Workspace, tol: float, x, status, used, lower, active,
+def _solution(problem: SampledFusionProblem, tol: float, x, status, used, lower, active,
               min_eig) -> SdpSolution:
     """A prefix's ``SdpSolution`` from its ``_rounds`` outcome, with the checks
     on its full sample set."""
-    pbar, ka = ws.unpack(x)
-    obj = float(ws.cvec @ x)
+    d = problem.d
+    pbar, ka = _unpack(d, x)
+    obj = float(_coords(d)[2] @ x)
     gap = (obj - lower) / max(abs(obj), 1e-300)
     if status is SolveStatus.OPTIMAL and (gap > tol or min_eig < -1e-7 * obj):
         status = SolveStatus.MAX_ITERATIONS
     # ka views x, and prefixes that end on a shared round share x
-    return SdpSolution(gain_a=ka.copy(), gain_b=ws.eye - ka, bound=symmetrize(pbar),
+    return SdpSolution(gain_a=ka.copy(), gain_b=np.eye(d) - ka, bound=symmetrize(pbar),
                        objective=obj, status=status, gap=float(gap),
                        newton_iterations=used, min_slack_eig=min_eig, active_samples=active)
 
 
-def _rounds(problem: SampledFusionProblem, ws: _Workspace, tol: float, max_iters: int,
-            first: int, check: _Workspace):
+def _rounds(problem: SampledFusionProblem, tol: float, max_iters: int, first: int,
+            check: SampledFusionProblem):
     """The active-set loop of barrier rounds on all of ``problem``'s samples.
 
     A generator: it yields (check, (subset problem, tol, budget, resume))
     for each round and is sent back that round's ``_Lockstep.result`` with
     the least slack eigenvalue of every sample of ``check`` at its x, of
     which it reads the first n.  The first active set is the first
-    min(n, ``first``) samples.  ``check`` is ``ws`` or, for the rounds
-    before the set first grows, the workspace of the longest prefix that
-    shares them ("Nested prefixes" in the module docstring); each later set
-    is checked on ``ws``.  Returns (x, status, Newton steps, best
+    min(n, ``first``) samples.  ``check`` is ``problem`` or, for the rounds
+    before the set first grows, the longest prefix that shares them
+    ("Nested prefixes" in the module docstring); each later set is checked
+    on ``problem``.  Returns (x, status, Newton steps, best
     certified lower bound, active samples, least eigenvalue of the n slacks
     at x): the last round's iterate, repaired when samples outside its set
     are still violated, and that round's status, before the checks
@@ -754,17 +748,17 @@ def _rounds(problem: SampledFusionProblem, ws: _Workspace, tol: float, max_iters
             nearest = outside[np.argsort(worst[outside], kind="stable")]
             inside[nearest[:violated.size + _NEAR * m]] = True
             active = np.flatnonzero(inside)
-            sub, resume, check = _subset(problem, active), None, ws
+            sub, resume, check = _subset(problem, active), None, problem
         elif not (screening and status is SolveStatus.OPTIMAL):
             break
     if violated.size:
         # out of budget (or broken down) with samples the subset point
         # violates: lift Pbar just past the worst violation
-        pbar, ka = ws.unpack(x)
+        pbar, ka = _unpack(d, x)
         delta = -float(worst.min())
         delta += max(_REPAIR_MARGIN * delta, _REPAIR_MARGIN * float(np.trace(pbar)) / d)
-        x = ws.pack(pbar + delta * ws.eye, ka)
-        worst = ws.least_slack_eigs(x)
+        x = _pack(d, pbar + delta * np.eye(d), ka)
+        worst = _least_slack_eigs(problem, x)
     return x, status, used, lower, len(active), float(worst.min())
 
 
@@ -810,9 +804,10 @@ class _Lockstep:
         order = sorted(range(count), key=lambda b: rounds[b][0].n)
         rounds = [rounds[b] for b in order]
         self.rounds += rounds
-        ws = [_Workspace(problem) for problem, *_ in rounds]
-        self.ev.extend(ws)
-        x = np.array([_initial_point(w) if r[3] is None else r[3][0] for w, r in zip(ws, rounds)])
+        problems = [problem for problem, *_ in rounds]
+        self.ev.extend(problems)
+        x = np.array([_initial_point(p) if r[3] is None else r[3][0]
+                      for p, r in zip(problems, rounds)])
         self.x, self.start = np.concatenate([self.x, x]), np.concatenate([self.start, x])
         self.dx, self.grad_phi = (np.concatenate([a, np.zeros_like(x)])
                                   for a in (self.dx, self.grad_phi))
@@ -821,7 +816,7 @@ class _Lockstep:
         self.tol += [r[1] for r in rounds]
         self.budget += [r[2] for r in rounds]
         self.fresh += [r[3] is None for r in rounds]
-        self.nu += [float(3 * w.d * w.n) for w in ws]
+        self.nu += [float(3 * p.d * p.n) for p in problems]
         for name, value in (("obj", 0.0), ("logdet", 0.0), ("lower", -np.inf),
                             ("stage_lower", -np.inf),
                             ("step", 1.0), ("psi", 0.0), ("psi_eps", 0.0), ("gdx", 0.0),
@@ -833,9 +828,6 @@ class _Lockstep:
         for at, b in enumerate(order):
             ids[b] = first + at
         return ids
-
-    def live(self) -> bool:
-        return bool(self.searching or self.starting)
 
     def finished(self) -> list[int]:
         """The programs done since the last call."""
@@ -849,7 +841,7 @@ class _Lockstep:
         a strictly feasible start the iterate is the start point, t None, the
         status ``infeasible_numerics`` and the lower bound -inf.  The program's
         samples are let go: a result is read once."""
-        self.rounds[b] = self.ev.ws[b] = self.ev.joints[b] = None
+        self.rounds[b] = self.ev.problems[b] = self.ev.e_upper[b] = None
         if not self.started[b]:
             return (self.start[b], None), SolveStatus.INFEASIBLE_NUMERICS, 0, -np.inf
         return (self.x[b], self.t[b]), self.status[b], self.used[b], self.lower[b]
@@ -1002,19 +994,6 @@ class _Lockstep:
                 if self.fresh[b]:
                     self.t[b] = self.nu[b] / max(obj, 1e-12)
         self._newton(self._end_stages(ending) + derive)
-
-
-def _barrier(rounds):
-    """The ``_Lockstep`` rounds of one batch, run to their end together.
-
-    ``rounds`` lists one (problem, tol, budget, resume) per program, all of
-    one d; returns ``_Lockstep.result`` of each.
-    """
-    lock = _Lockstep(rounds[0][0].d)
-    ids = lock.add(rounds)
-    while lock.live():
-        lock.tick()
-    return [lock.result(b) for b in ids]
 
 
 def robust_fuse(a: GaussianEstimate, b: GaussianEstimate, pattern: CrossSparsityPattern,

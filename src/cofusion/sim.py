@@ -549,8 +549,8 @@ def local_filter_step(belief: GaussianEstimate, model: FilterModel,
 # ---------------------------------------------------------------------------
 # partitions
 
-def build_partition(scenario: ScenarioConfig, scheme: str | None = None) -> BlockPartition:
-    """Fusion partition over the global state.
+def build_partition(scenario: ScenarioConfig) -> BlockPartition:
+    """Fusion partition over the global state, by ``scenario.partition_scheme``.
 
     ``group_target_bias`` groups each agent-group's target states and,
     separately, its agents' biases (the coupling an agent's measurements
@@ -559,15 +559,14 @@ def build_partition(scenario: ScenarioConfig, scheme: str | None = None) -> Bloc
     x-axis states and y-axis states; with diagonal noise matrices those
     blocks stay exactly uncorrelated, so no coupling is ever left out.
     """
-    scheme = scheme or scenario.partition_scheme
     layout = scenario.layout()
     blocks: list[tuple[int, ...]] = []
-    if scheme == "group_target_bias":
+    if scenario.partition_scheme == "group_target_bias":
         for g in scenario.groups:
             tblk = [i for t in g.targets for i in layout.target_indices(t)]
             bblk = [i for a in g.agents for i in layout.bias_indices(a)]
             blocks += [tuple(tblk), tuple(bblk)]
-    elif scheme == "group_axes":
+    else:   # group_axes, the one other name the scenario accepts
         for g in scenario.groups:
             xblk, yblk = [], []
             for t in g.targets:
@@ -579,8 +578,6 @@ def build_partition(scenario: ScenarioConfig, scheme: str | None = None) -> Bloc
                 xblk.append(bi[0])
                 yblk.append(bi[1])
             blocks += [tuple(xblk), tuple(yblk)]
-    else:
-        raise ConfigError(f"unknown partition scheme {scheme!r}")
     return BlockPartition(tuple(blocks))
 
 
@@ -1007,15 +1004,14 @@ def _work_counts(schedule: list, cols: dict, lanes: list) -> dict:
     return work
 
 
-def simulate_run(scenario: ScenarioConfig, run_idx: int,
-                 methods: tuple[str, ...] | None = None) -> TrackData:
+def simulate_run(scenario: ScenarioConfig, run_idx: int) -> TrackData:
     """Monte-Carlo run ``run_idx`` alone, every method replaying its ``draw_run`` draws.
 
     This is ``run_scenario``'s lockstep with a batch of one run: its
     series and weights are those ``run_scenario`` gives the run, bitwise
     apart from roundoff in NEES.
     """
-    return _simulate(scenario, [run_idx], tuple(methods or scenario.methods))
+    return _simulate(scenario, [run_idx], scenario.methods)
 
 
 # ---------------------------------------------------------------------------

@@ -390,6 +390,19 @@ def test_track_suppressed_estimates_stay_out_of_manifest(capsys, tmp_path):
     assert "estimates.csv" not in manifest["outputs"]
 
 
+def test_track_filter_that_loses_definiteness_is_exit_2(capsys, tmp_path):
+    # landmark noise of 1e-14 I leaves a filter covariance all but singular
+    # within four steps: a misconfigured scenario, so a config error
+    cfg = json.loads((Path(cli.__file__).parent / "presets" / "tracking_desk.json").read_text())
+    cfg.update(n_steps=4, mc_runs=1, r_landmark=[[1e-14, 0.0], [0.0, 1e-14]])
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(cfg))
+    rc, _, err = _run(capsys, ["track", "--config", str(path), "--out", str(tmp_path / "runs")])
+    assert rc == 2
+    assert "covariance is not positive definite" in err
+    assert not (tmp_path / "runs").exists()
+
+
 @pytest.mark.parametrize("method", ["bogus", "SDP"])
 def test_track_unknown_method_is_config_error(capsys, tmp_path, method):
     scn = _scenario_file(tmp_path)

@@ -93,3 +93,36 @@ def test_no_module_starts_processes_or_threads():
             found += [f"{path.name}:{node.lineno} {name}" for name in names
                       if name.split(".")[0] in _CONCURRENCY]
     assert found == []
+
+
+def _unreached_private_code() -> list[str]:
+    """Module-level ``_`` functions and classes of the package that no package
+    module loads, and methods of ``_`` classes that no package module calls
+    (or, for a property, reads)."""
+    trees = {p.name: ast.parse(p.read_text()) for p in sorted(_PACKAGE.glob("*.py"))}
+    loaded, called = set(), set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id if isinstance(node, ast.Name) else node.attr)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                called.add(node.func.attr)
+    unreached = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and node.name.startswith("_")):
+                continue
+            if node.name not in loaded:
+                unreached.append(f"{module}:{node.lineno} {node.name}")
+            if isinstance(node, ast.ClassDef):
+                unreached += [f"{module}:{m.lineno} {node.name}.{m.name}" for m in node.body
+                              if isinstance(m, ast.FunctionDef)
+                              and m.name not in (loaded if m.decorator_list else called)
+                              and not (m.name.startswith("__") and m.name.endswith("__"))]
+    return unreached
+
+
+def test_private_code_is_reached_from_the_package():
+    # private code that only tests reach belongs in the tests
+    assert _unreached_private_code() == []

@@ -24,12 +24,13 @@ from cofusion.sdp import (
     _SCREEN_TOL,
     _SHARED_FACTOR,
     SolveStatus,
-    _barrier,
     _Batch,
     _initial_point,
+    _least_slack_eigs,
+    _pack,
     _solve_batch,
     _subset,
-    _Workspace,
+    _unpack,
     build_problem,
     SdpSolution,
     robust_fuse,
@@ -65,6 +66,18 @@ def test_build_problem_shapes_and_inverses():
         assert prob.samples[i].tobytes() == s.tobytes()
         assert not prob.samples[i].flags.writeable
     assert prob.joint_logdet == pytest.approx(logdet, rel=1e-12)
+    # one read-only samples-last array; the joints and samples view it
+    stored = prob.joints_last
+    assert stored.shape == (4, 4, 5) and stored.flags.c_contiguous
+    assert not stored.flags.writeable
+    for view in (prob.joints, prob.samples):
+        assert np.shares_memory(view, stored) and not view.flags.writeable
+    np.testing.assert_array_equal(prob.joints, stored.transpose(2, 0, 1))
+    # a slice of the samples views them, an index array gathers them
+    for idx, shared in ((slice(1, 4), True), (np.array([0, 2, 4]), False)):
+        sub = _subset(prob, idx).joints_last
+        assert np.shares_memory(sub, stored) is shared and not sub.flags.writeable
+        np.testing.assert_array_equal(sub, stored[..., idx])
     own = [np.array(s) for s in samples]
     kept = build_problem(pa, pb, own).samples
     own[0][0, 0] += 1.0     # the problem keeps its own copy
@@ -354,19 +367,33 @@ def _random_problem(rng, d, n):
     return build_problem(pa, pb, samples)
 
 
-def _points(ws, prob):
+def _trace(d, x):
+    """tr Pbar at the point x, the program's objective."""
+    return float(sdp._coords(d)[2] @ x)
+
+
+def _barrier(rounds):
+    """``_Lockstep.result`` of each (problem, tol, budget, resume) of ``rounds``,
+    all of one d, run to their end together in one lockstep."""
+    lock = sdp._Lockstep(rounds[0][0].d)
+    ids = lock.add(rounds)
+    while lock.searching or lock.starting:
+        lock.tick()
+    return [lock.result(b) for b in ids]
+
+
+def _points(prob):
     # the start point, and an iterate a few Newton steps along the path
-    x0 = _initial_point(ws)
     sol = solve(prob, tol=1e-12, max_iters=6)
-    return [x0, ws.pack(sol.bound, sol.gain_a)]
+    return [_initial_point(prob), _pack(prob.d, sol.bound, sol.gain_a)]
 
 
-def _evaluate(workspaces, rows, xs):
+def _evaluate(problems, rows, xs):
     """(logdet, feasible, gradient, Hessian) of each program ``rows[r]`` at
     ``xs[r]``, from one ``_Batch`` over all of them; the derivatives are
     None where x is not strictly feasible."""
-    ev = _Batch(workspaces[0].d)
-    ev.extend(workspaces)
+    ev = _Batch(problems[0].d)
+    ev.extend(problems)
     logdet, ok = ev.chol_logdet(np.asarray(rows), np.asarray(xs))
     grads = [None] * len(rows)
     if ok.any():
@@ -376,8 +403,8 @@ def _evaluate(workspaces, rows, xs):
     return logdet, ok, grads
 
 
-def _full_block_logdet(ws, x):
-    g = _full_blocks(ws.problem, *ws.unpack(x))
+def _full_block_logdet(prob, x):
+    g = _full_blocks(prob, *_unpack(prob.d, x))
     try:
         chol = np.linalg.cholesky(g)
     except np.linalg.LinAlgError:
@@ -390,12 +417,12 @@ def test_chol_logdet_matches_full_block_cholesky():
     # by side, each problem at two points
     rng = np.random.default_rng(21)
     for d in (1, 2, 3, 8):
-        workspaces = [_Workspace(_random_problem(rng, d, n)) for n in (1, 7, 300)]
-        pairs = [(b, x) for b, ws in enumerate(workspaces) for x in _points(ws, ws.problem)]
-        logdets, ok, _ = _evaluate(workspaces, *zip(*pairs))
+        problems = [_random_problem(rng, d, n) for n in (1, 7, 300)]
+        pairs = [(b, x) for b, prob in enumerate(problems) for x in _points(prob)]
+        logdets, ok, _ = _evaluate(problems, *zip(*pairs))
         assert ok.all()
         for (b, x), logdet in zip(pairs, logdets):
-            ref = _full_block_logdet(workspaces[b], x)
+            ref = _full_block_logdet(problems[b], x)
             assert ref is not None
             assert logdet == pytest.approx(ref, rel=1e-10, abs=1e-10)
 
@@ -405,31 +432,28 @@ def test_chol_logdet_infeasible_exactly_when_a_full_block_is_not_pd():
     # single sample with cross 0.9 I realizes 0.95 I
     samples = [np.zeros((2, 2))] * 5 + [0.9 * np.eye(2)] + [np.zeros((2, 2))] * 3
     prob = build_problem(np.eye(2), np.eye(2), samples)
-    ws = _Workspace(prob)
     ka = 0.5 * np.eye(2)
-    xs = [ws.pack(scale * np.eye(2), ka) for scale in (1.0, 0.7, 0.4)]
-    logdets, ok, _ = _evaluate([ws], [0, 0, 0], xs)
+    xs = [_pack(2, scale * np.eye(2), ka) for scale in (1.0, 0.7, 0.4)]
+    logdets, ok, _ = _evaluate([prob], [0, 0, 0], xs)
     for x, logdet, feasible, expected in zip(xs, logdets, ok, (True, False, False)):
-        bad = np.flatnonzero(np.linalg.eigvalsh(_full_blocks(prob, *ws.unpack(x)))[:, 0] <= 0.0)
+        bad = np.flatnonzero(np.linalg.eigvalsh(_full_blocks(prob, *_unpack(2, x)))[:, 0] <= 0.0)
         assert feasible == expected == (len(bad) == 0) == np.isfinite(logdet)
     # at Pbar = 0.7 I only the one sample's slack is indefinite
-    x = ws.pack(0.7 * np.eye(2), ka)
-    g = _full_blocks(prob, *ws.unpack(x))
+    g = _full_blocks(prob, 0.7 * np.eye(2), ka)
     assert list(np.flatnonzero(np.linalg.eigvalsh(g)[:, 0] <= 0.0)) == [5]
     # random points: feasible exactly when every full block is PD
     rng = np.random.default_rng(22)
     prob = _random_problem(rng, 3, 40)
-    ws = _Workspace(prob)
-    x0 = _initial_point(ws)
+    x0 = _initial_point(prob)
     xs = [x0 * rng.uniform(0.05, 1.0) + 0.5 * rng.standard_normal(x0.shape) for _ in range(200)]
-    _, ok, _ = _evaluate([ws], [0] * len(xs), xs)
+    _, ok, _ = _evaluate([prob], [0] * len(xs), xs)
     for x, feasible in zip(xs, ok):
-        assert feasible == (_full_block_logdet(ws, x) is not None)
+        assert feasible == (_full_block_logdet(prob, x) is not None)
     assert set(ok) == {True, False}
 
 
 def _full_block_basis(d):
-    """The A_k of the 3d x 3d LMI blocks: dG_i / dx_k, for x as ``pack`` lays it out."""
+    """The A_k of the 3d x 3d LMI blocks: dG_i / dx_k, for x as ``_pack`` lays it out."""
     iu_r, iu_c = np.triu_indices(d)
     a = np.zeros((len(iu_r) + d * d, 3 * d, 3 * d))
     for k, (i, j) in enumerate(zip(iu_r, iu_c)):
@@ -446,27 +470,27 @@ def test_barrier_derivatives_match_full_block_reference():
     # every (problem, point) pair of a d is one batch, as in the test above
     rng = np.random.default_rng(23)
     for d in (1, 2, 3, 8):
-        workspaces = [_Workspace(_random_problem(rng, d, n)) for n in (1, 7, 300)]
+        problems = [_random_problem(rng, d, n) for n in (1, 7, 300)]
         a = _full_block_basis(d)
-        for ws in workspaces:
+        m = len(a)
+        for prob in problems:
             # G_i is affine in x with slopes A_k
-            x = _initial_point(ws)
-            g = _full_blocks(ws.problem, *ws.unpack(x))[0]
-            for k, step in enumerate(np.eye(ws.m)):
-                np.testing.assert_allclose(_full_blocks(ws.problem, *ws.unpack(x + step))[0] - g,
+            x = _initial_point(prob)
+            g = _full_blocks(prob, *_unpack(d, x))[0]
+            for k, step in enumerate(np.eye(m)):
+                np.testing.assert_allclose(_full_blocks(prob, *_unpack(d, x + step))[0] - g,
                                            a[k], rtol=0, atol=1e-12)
-        pairs = [(b, x) for b, ws in enumerate(workspaces) for x in _points(ws, ws.problem)]
-        _, ok, derivs = _evaluate(workspaces, *zip(*pairs))
+        pairs = [(b, x) for b, prob in enumerate(problems) for x in _points(prob)]
+        _, ok, derivs = _evaluate(problems, *zip(*pairs))
         assert ok.all()
         for (b, x), (grad, hess) in zip(pairs, derivs):
-            ws = workspaces[b]
-            grad_ref = np.zeros(ws.m)
-            hess_ref = np.zeros((ws.m, ws.m))
-            for g in _full_blocks(ws.problem, *ws.unpack(x)):
+            grad_ref = np.zeros(m)
+            hess_ref = np.zeros((m, m))
+            for g in _full_blocks(problems[b], *_unpack(d, x)):
                 s = np.linalg.inv(g)
-                u = (s @ a).reshape(ws.m, -1)
+                u = (s @ a).reshape(m, -1)
                 grad_ref -= np.einsum('pq,kqp->k', s, a)
-                hess_ref += u @ (a @ s).reshape(ws.m, -1).T
+                hess_ref += u @ (a @ s).reshape(m, -1).T
             np.testing.assert_allclose(
                 grad, grad_ref, rtol=1e-9, atol=1e-9 * np.abs(grad_ref).max())
             np.testing.assert_allclose(
@@ -475,11 +499,9 @@ def test_barrier_derivatives_match_full_block_reference():
 
 def test_min_slack_eig_is_the_least_slack_eigenvalue_at_the_returned_point():
     prob = _certified_instance()
-    ws = _Workspace(prob)
     for tol, max_iters in ((1e-7, 200), (1e-10, 3)):
         sol = solve(prob, tol=tol, max_iters=max_iters)
-        least = ws.least_slack_eigs(ws.pack(sol.bound, sol.gain_a))
-        assert sol.min_slack_eig == float(np.min(least))
+        assert sol.min_slack_eig == float(np.min(_slack_eigs(prob, sol.bound, sol.gain_a)))
 
 
 # ---------------------------------------------------------------------------
@@ -498,9 +520,8 @@ def _free_2d_problem(n, seed):
 
 def _round(problem, iterate, status, steps, lower):
     """A barrier round's result read as the fields ``solve`` reports."""
-    ws = _Workspace(problem)
-    bound, gain_a = ws.unpack(iterate[0])
-    return SimpleNamespace(bound=bound, gain_a=gain_a, objective=float(ws.cvec @ iterate[0]),
+    bound, gain_a = _unpack(problem.d, iterate[0])
+    return SimpleNamespace(bound=bound, gain_a=gain_a, objective=_trace(problem.d, iterate[0]),
                            status=status, newton_iterations=steps, active_samples=problem.n)
 
 
@@ -528,8 +549,7 @@ def rounds(monkeypatch):
 
 
 def _slack_eigs(problem, bound, gain_a):
-    ws = _Workspace(problem)
-    return ws.least_slack_eigs(ws.pack(bound, gain_a))
+    return _least_slack_eigs(problem, _pack(problem.d, bound, gain_a))
 
 
 def test_subset_equals_build_problem_on_its_samples():
@@ -566,16 +586,15 @@ def test_a_round_resumed_after_screening_reaches_the_whole_solves_optimum(d):
     # wherever centering stands; the path resumed from there still ends at
     # the optimum a fresh solve reaches
     prob = _random_problem(np.random.default_rng(40 + d), d, 300)
-    ws = _Workspace(prob)
     tol = 1e-7
     (x, t), status, _, lower = _barrier([(prob, _SCREEN_TOL, 200, None)])[0]
-    obj = float(ws.cvec @ x)
+    obj = _trace(d, x)
     assert status is SolveStatus.OPTIMAL and tol < (obj - lower) / obj <= _SCREEN_TOL
     # the resumed round and a fresh one, side by side in one batch
     ((x, _), status, _, _), ((fresh, _), fresh_status, _, _) = _barrier(
         [(prob, tol, 200, (x, t)), (prob, tol, 200, None)])
     assert status is fresh_status is SolveStatus.OPTIMAL
-    assert float(ws.cvec @ x) == pytest.approx(float(ws.cvec @ fresh), rel=tol)
+    assert _trace(d, x) == pytest.approx(_trace(d, fresh), rel=tol)
 
 
 def test_binding_sample_after_the_first_set_joins_the_active_set(rounds):
@@ -649,10 +668,10 @@ def _no_feasible_start(monkeypatch, problems=None):
     for ``problems`` (all when None); returns that start's (Pbar, K_a)."""
     central = sdp._initial_point
 
-    def start(ws):
-        if problems is not None and not any(ws.problem.p_a is p.p_a for p in problems):
-            return central(ws)
-        return ws.pack(-ws.eye, 0.5 * ws.eye)
+    def start(problem):
+        if problems is not None and not any(problem.p_a is p.p_a for p in problems):
+            return central(problem)
+        return _pack(problem.d, -np.eye(problem.d), 0.5 * np.eye(problem.d))
 
     monkeypatch.setattr(sdp, "_initial_point", start)
     return -np.eye(2), 0.5 * np.eye(2)
@@ -683,12 +702,11 @@ def test_failed_start_reports_its_start_point_on_either_path(monkeypatch):
 
 def test_the_start_is_the_central_point_when_it_is_feasible():
     prob = _free_2d_problem(50, 9)
-    ws = _Workspace(prob)
     np.testing.assert_array_equal(
-        _initial_point(ws), ws.pack(2.0 * symmetrize(prob.p_a + prob.p_b), 0.5 * np.eye(2)))
+        _initial_point(prob), _pack(2, 2.0 * symmetrize(prob.p_a + prob.p_b), 0.5 * np.eye(2)))
     (x, _), status, _, _ = _barrier([(prob, 1e-7, 1, None)])[0]
     assert status is SolveStatus.MAX_ITERATIONS
-    assert not np.array_equal(x, _initial_point(ws))    # one step from it
+    assert not np.array_equal(x, _initial_point(prob))    # one step from it
 
 
 # ---------------------------------------------------------------------------

@@ -402,19 +402,19 @@ def test_draw_run_matches_per_agent_measurements_with_correlated_noise(overrides
 def test_build_partition_schemes_cover_state():
     scn = tiny_scenario()
     for scheme in ("group_target_bias", "group_axes"):
-        part = build_partition(scn, scheme)
+        part = build_partition(replace(scn, partition_scheme=scheme))
         assert part.dim == scn.layout().dim
 
 
 def test_group_target_bias_blocks():
     scn = tiny_scenario()
-    part = build_partition(scn, "group_target_bias")
+    part = build_partition(replace(scn, partition_scheme="group_target_bias"))
     assert part.blocks == ((0, 1, 2, 3, 4, 5, 6, 7), (8, 9, 10, 11))
 
 
 def test_group_axes_blocks_split_by_axis():
     scn = tiny_scenario()
-    part = build_partition(scn, "group_axes")
+    part = build_partition(replace(scn, partition_scheme="group_axes"))
     x, y = part.blocks
     assert set(x) == {0, 1, 4, 5, 8, 10}
     assert set(y) == {2, 3, 6, 7, 9, 11}
