@@ -338,9 +338,11 @@ def _least_slack_eigs(problem: SampledFusionProblem, x: np.ndarray) -> np.ndarra
 def _initial_point(problem: SampledFusionProblem) -> np.ndarray:
     """The central start: K_a = I/2 and Pbar = 2 (P_a + P_b).
 
-    It satisfies every LMI strictly because the realized covariance under
-    any PD joint never exceeds P_a + P_b for those gains; ``_Lockstep.tick``
-    doubles Pbar in case conditioning eats the margin.
+    With S = P_a + P_b, every slack there is C_i = (7/4) S - (X_i + X_i^T) / 4
+    for the cross block X_i, and a PD joint has X_i + X_i^T <= S, so
+    C_i >= (3/2) S.  ``check_spd`` keeps lambda_min(S) far above the
+    slack's roundoff, so the start fails only where its arithmetic is not
+    finite (Boyd & Vandenberghe, Convex Optimization, section 11.3).
     """
     return _pack(problem.d, 2.0 * symmetrize(problem.p_a + problem.p_b),
                  0.5 * np.eye(problem.d))
@@ -366,15 +368,19 @@ class _Batch:
         self.problems: list[SampledFusionProblem] = []
         self.ns, self.joint_logdet = np.zeros(0, dtype=int), np.zeros(0)
         # the upper triangle of each program's E_i = P_a + P_b - X_i - X_i^T,
-        # X_i the cross block, samples last, once asked for
+        # X_i the cross block, samples last
         self.e_upper = []
         self.layout = None
         self.factors = None
 
     def extend(self, problems: list[SampledFusionProblem]) -> None:
         """Programs join, numbered on from the last."""
+        d = self.d
         self.problems += problems
-        self.e_upper += [None] * len(problems)
+        for problem in problems:
+            cross = problem.joints_last[:d, d:]
+            self.e_upper.append(((problem.p_a + problem.p_b)[:, :, None] - cross
+                                 - cross.transpose(1, 0, 2))[self.iu])
         self.ns = np.concatenate([self.ns, [p.n for p in problems]])
         self.joint_logdet = np.concatenate([self.joint_logdet,
                                             [p.joint_logdet for p in problems]])
@@ -394,12 +400,6 @@ class _Batch:
             offs = np.concatenate([[0], np.cumsum(ns)])
             cuts = [0, *(np.flatnonzero(np.diff(ns)) + 1), len(rows)]
             groups = [(g0, g1, ns[g0], offs[g0], offs[g1]) for g0, g1 in zip(cuts[:-1], cuts[1:])]
-            for b in rows:
-                if self.e_upper[b] is None:
-                    problem = self.problems[b]
-                    cross = problem.joints_last[:d, d:]
-                    self.e_upper[b] = ((problem.p_a + problem.p_b)[:, :, None] - cross
-                                       - cross.transpose(1, 0, 2))[self.iu]
             # a group's joints stacked once per program, with how many
             # consecutive entries each program has (the trials of a line search)
             stacks = []
@@ -598,11 +598,12 @@ def solve(problem: SampledFusionProblem, tol: float = DEFAULT_TOL,
     objective) returns the last iterate with status ``max_iterations``,
     well before the budget in the last two cases.  A start point or
     Newton-system breakdown returns ``infeasible_numerics``.  Whatever the
-    status, the returned point satisfies all n LMIs strictly, unless no
-    strictly feasible start point was found; then it is the central point
-    K_a = I/2, Pbar = 2 (P_a + P_b), and ``min_slack_eig`` says how far it
-    misses.  A ``tol`` that is not finite and positive, or ``max_iters``
-    below 1, raises DimensionError.
+    status, the returned point satisfies all n LMIs strictly, unless the
+    start failed, which it does only where its arithmetic is not finite
+    (``_initial_point``); then it is the central point K_a = I/2,
+    Pbar = 2 (P_a + P_b), and ``min_slack_eig`` says how far it misses.
+    A ``tol`` that is not finite and positive, or ``max_iters`` below 1,
+    raises DimensionError.
     """
     return solve_prefixes(problem, [problem.n], tol, max_iters)[0]
 
@@ -659,12 +660,12 @@ def _solve_batch(problems, sizes, tol: float = DEFAULT_TOL,
             jobs.append((prefix, _rounds(prefix, tol, max_iters, first, check)))
     out: list = [None] * len(jobs)
     lock = _Lockstep(problems[0].d)
-    owner, waiting = {}, {}    # program -> its check; check -> the jobs that wait on it
+    owner = {}    # program -> (its check, the jobs that wait on it)
 
     def ask(ready):
         """Send each (job, round result) of ``ready`` to its job; the rounds
         the jobs ask for next join the lockstep."""
-        asked = {}
+        asked = {}    # check -> (request, the jobs that ask with it)
         for j, sent in ready:
             prefix, loop = jobs[j]
             try:
@@ -672,19 +673,18 @@ def _solve_batch(problems, sizes, tol: float = DEFAULT_TOL,
             except StopIteration as stop:
                 out[j], jobs[j] = _solution(prefix, tol, *stop.value), None
                 continue
-            waiting.setdefault(id(check), []).append(j)
-            asked.setdefault(id(check), (check, request))
+            asked.setdefault(check, (request, []))[1].append(j)
         if asked:
-            checks, requests = zip(*asked.values())
-            owner.update(zip(lock.add(list(requests)), checks))
+            requests, waits = zip(*asked.values())
+            owner.update(zip(lock.add(list(requests)), zip(asked, waits)))
 
     ask([(j, None) for j in range(len(jobs))])
     while owner:
         ready = []
         for b in lock.finished():
-            check, result = owner.pop(b), lock.result(b)
+            (check, waits), result = owner.pop(b), lock.result(b)
             sent = result, _least_slack_eigs(check, result[0][0])
-            ready += [(j, sent) for j in waiting.pop(id(check))]
+            ready += [(j, sent) for j in waits]
         if ready:
             ask(ready)
         else:
@@ -766,10 +766,10 @@ class _Lockstep:
     """Barrier path-following for programs of one d, in lockstep.
 
     Each program runs on all samples of its problem, from the central start
-    point (``_initial_point``, Pbar doubled up to 63 times until it is
-    strictly feasible), or, given ``resume``, from the (x, t) an earlier
-    run on the same problem ended at.  It spends at most ``budget`` Newton
-    steps and stops at the first step that certifies its ``tol``.
+    point (``_initial_point``) with t = nu / trace(Pbar), or, given
+    ``resume``, from the (x, t) an earlier run on the same problem ended
+    at.  It spends at most ``budget`` Newton steps and stops at the first
+    step that certifies its ``tol``.
 
     Programs join with ``add`` at any time.  Each ``tick`` makes one
     evaluation for every program that is starting or in a line search: one
@@ -785,13 +785,12 @@ class _Lockstep:
     def __init__(self, d: int):
         self.ev = _Batch(d)
         _, _, self.cvec, *_ = _coords(d)
-        self.npv, self.m = d * (d + 1) // 2, len(self.cvec)
+        self.m = len(self.cvec)
         self.eye = np.eye(self.m)
-        self.rounds = []    # (problem, tol, budget, resume) of every program
-        self.x, self.start, self.dx, self.grad_phi = (np.zeros((0, self.m)) for _ in range(4))
+        self.x, self.dx, self.grad_phi = (np.zeros((0, self.m)) for _ in range(3))
         self.hess = np.zeros((0, self.m, self.m))
-        for name in ("t", "tol", "budget", "nu", "fresh", "obj", "logdet", "lower",
-                     "stage_lower", "step", "psi", "psi_eps", "gdx", "used", "stage", "tries",
+        for name in ("t", "tol", "budget", "nu", "obj", "logdet", "lower",
+                     "stage_lower", "step", "psi", "psi_eps", "gdx", "used", "stage",
                      "status", "started"):
             setattr(self, name, [])
         self.starting, self.searching, self.ended = [], [], []
@@ -800,27 +799,25 @@ class _Lockstep:
         """Programs join, one per (problem, tol, budget, resume), and start at
         the next ``tick``; returns their ids.  Ids go in order of sample count
         within a call, which spares ``_Batch`` most reorderings."""
-        first, count = len(self.rounds), len(rounds)
+        first, count = len(self.t), len(rounds)
         order = sorted(range(count), key=lambda b: rounds[b][0].n)
         rounds = [rounds[b] for b in order]
-        self.rounds += rounds
         problems = [problem for problem, *_ in rounds]
         self.ev.extend(problems)
         x = np.array([_initial_point(p) if r[3] is None else r[3][0]
                       for p, r in zip(problems, rounds)])
-        self.x, self.start = np.concatenate([self.x, x]), np.concatenate([self.start, x])
+        self.x = np.concatenate([self.x, x])
         self.dx, self.grad_phi = (np.concatenate([a, np.zeros_like(x)])
                                   for a in (self.dx, self.grad_phi))
         self.hess = np.concatenate([self.hess, np.zeros((count, self.m, self.m))])
         self.t += [None if r[3] is None else r[3][1] for r in rounds]
         self.tol += [r[1] for r in rounds]
         self.budget += [r[2] for r in rounds]
-        self.fresh += [r[3] is None for r in rounds]
         self.nu += [float(3 * p.d * p.n) for p in problems]
         for name, value in (("obj", 0.0), ("logdet", 0.0), ("lower", -np.inf),
                             ("stage_lower", -np.inf),
                             ("step", 1.0), ("psi", 0.0), ("psi_eps", 0.0), ("gdx", 0.0),
-                            ("used", 0), ("stage", 0), ("tries", 0),
+                            ("used", 0), ("stage", 0),
                             ("status", SolveStatus.MAX_ITERATIONS), ("started", False)):
             getattr(self, name).extend([value] * count)
         self.starting += range(first, first + count)
@@ -837,13 +834,14 @@ class _Lockstep:
     def result(self, b: int):
         """((x, t), status, Newton steps, best certified lower bound) of program
         ``b``, done: the iterate and path parameter it ended at, and the status
-        ``solve`` documents, before its checks on the full sample set.  Without
-        a strictly feasible start the iterate is the start point, t None, the
-        status ``infeasible_numerics`` and the lower bound -inf.  The program's
-        samples are let go: a result is read once."""
-        self.rounds[b] = self.ev.problems[b] = self.ev.e_upper[b] = None
+        ``solve`` documents, before its checks on the full sample set.  A start
+        fails only where its arithmetic is not finite (``_initial_point``); a
+        program whose start failed has the start point as its iterate, t None,
+        the status ``infeasible_numerics`` and the lower bound -inf.  The
+        program's samples are let go: a result is read once."""
+        self.ev.problems[b] = self.ev.e_upper[b] = None
         if not self.started[b]:
-            return (self.start[b], None), SolveStatus.INFEASIBLE_NUMERICS, 0, -np.inf
+            return (self.x[b], None), SolveStatus.INFEASIBLE_NUMERICS, 0, -np.inf
         return (self.x[b], self.t[b]), self.status[b], self.used[b], self.lower[b]
 
     def _end_stages(self, ending) -> list[int]:
@@ -966,23 +964,18 @@ class _Lockstep:
                 ending.append((b, False, False))
         if moved:
             self.x[_rows(moved)] = trials[accepted]
-        # a start that is not strictly feasible doubles Pbar and tries again,
-        # 64 times in all; a resumed point is one its own round reached
-        doubled, began = [], []
+        # a start that fails ends its program: a central start fails only where
+        # it is not finite (``_initial_point``), and a resumed point evaluates
+        # as when its own round accepted it, so no retry could succeed
+        began = []
         for e, b in enumerate(starting, start=len(rows) * count):
-            self.tries[b] += 1
             if ok[e]:
                 self.started[b], self.logdet[b] = True, logdet[e]
                 picked.append(e)
                 derive.append(b)
                 began.append(b)
-            elif self.fresh[b] and self.tries[b] < 64:
-                doubled.append(b)
             else:
                 self.ended.append(b)
-        if doubled:
-            self.x[doubled, :self.npv] *= 2.0
-        self.starting = doubled
         # the barrier derivatives depend on x alone, so each program's are
         # kept until its x moves
         if derive:
@@ -991,8 +984,8 @@ class _Lockstep:
         if began:
             for b, obj in zip(began, _dots(self.x[began], self.cvec).tolist()):
                 self.obj[b] = obj
-                if self.fresh[b]:
-                    self.t[b] = self.nu[b] / max(obj, 1e-12)
+                if self.t[b] is None:
+                    self.t[b] = self.nu[b] / obj
         self._newton(self._end_stages(ending) + derive)
 
 

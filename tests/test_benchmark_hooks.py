@@ -50,14 +50,20 @@ def test_one_public_solve_is_one_traced_solve_whatever_its_rounds(monkeypatch):
     draws = sample_set(pa, pb, CrossSparsityPattern.unconstrained(2, 2), 600, seed=7)
     problem = sdp.build_problem(pa, pb, [s.p_ab for s in draws])
     assert problem.n > sdp.ACTIVE_FACTOR * 7
-    rounds = []
-    result = sdp._Lockstep.result
+    rounds, asked = [], {}    # (lockstep, id) -> the round's sample count
+    add, result = sdp._Lockstep.add, sdp._Lockstep.result
 
-    def spy(self, b):
-        rounds.append(self.rounds[b][0].n)
+    def spy_add(self, requests):
+        ids = add(self, requests)
+        asked.update(((self, b), r[0].n) for b, r in zip(ids, requests))
+        return ids
+
+    def spy_result(self, b):
+        rounds.append(asked.pop((self, b)))
         return result(self, b)
 
-    monkeypatch.setattr(sdp._Lockstep, "result", spy)
+    monkeypatch.setattr(sdp._Lockstep, "add", spy_add)
+    monkeypatch.setattr(sdp._Lockstep, "result", spy_result)
     tracer = tracing.Tracer()
     uninstall = tracing.install(tracer, cofusion)
     try:

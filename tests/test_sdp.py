@@ -307,11 +307,12 @@ def _free_pair(d):
 @pytest.mark.parametrize("d", [2, 3])
 def test_a_change_of_units_changes_no_verdict(d):
     # scaling every covariance by c scales the program by c: the same path,
-    # the same status, and the objective and least slack in the new units
+    # the same status, and the objective and least slack in the new units.
+    # 1e-16 is the least scale at which d = 2's joints pass the MIN_PIVOT gate
     pa, pb, cross, _ = _free_pair(d)
     ref = solve(build_problem(pa, pb, cross))
     assert ref.status is SolveStatus.OPTIMAL
-    for c in (1e-12, 1e-8, 1e-4, 1.0, 1e4, 1e8, 1e12):
+    for c in (1e-16, 1e-14, 1e-12, 1e-8, 1e-4, 1.0, 1e4, 1e8, 1e12, 1e100):
         sol = solve(build_problem(c * pa, c * pb, c * cross))
         assert sol.status is ref.status
         assert sol.newton_iterations == ref.newton_iterations
@@ -528,15 +529,22 @@ def _round(problem, iterate, status, steps, lower):
 def _spy_rounds(monkeypatch, record):
     """Call ``record(problem, tol, resume, result)`` for every barrier round,
     one program each, as its result is read."""
-    result = sdp._Lockstep.result
+    add, result = sdp._Lockstep.add, sdp._Lockstep.result
+    asked = {}    # (lockstep, id) -> (problem, tol, budget, resume)
 
-    def spy(self, b):
-        problem, tol, _, resume = self.rounds[b]
+    def spy_add(self, rounds):
+        ids = add(self, rounds)
+        asked.update(((self, b), r) for b, r in zip(ids, rounds))
+        return ids
+
+    def spy_result(self, b):
+        problem, tol, _, resume = asked.pop((self, b))
         out = result(self, b)
         record(problem, tol, resume, out)
         return out
 
-    monkeypatch.setattr(sdp._Lockstep, "result", spy)
+    monkeypatch.setattr(sdp._Lockstep, "add", spy_add)
+    monkeypatch.setattr(sdp._Lockstep, "result", spy_result)
 
 
 @pytest.fixture
@@ -664,8 +672,8 @@ def test_robust_fuse_reports_the_active_set():
 
 
 def _no_feasible_start(monkeypatch, problems=None):
-    """Starts that stay infeasible however often Pbar doubles (Pbar = -I),
-    for ``problems`` (all when None); returns that start's (Pbar, K_a)."""
+    """Starts that are infeasible (Pbar = -I), for ``problems`` (all when
+    None); returns that start's (Pbar, K_a)."""
     central = sdp._initial_point
 
     def start(problem):
@@ -678,9 +686,9 @@ def _no_feasible_start(monkeypatch, problems=None):
 
 
 def test_failed_start_reports_its_start_point_on_either_path(monkeypatch):
-    # no strictly feasible start after 64 tries: a whole solve reports the
-    # start point with its real least slack eigenvalue; an active-set solve
-    # reports it repaired, lifted just past every sample's violation
+    # no strictly feasible start: a whole solve reports the start point
+    # with its real least slack eigenvalue; an active-set solve reports it
+    # repaired, lifted just past every sample's violation
     pbar, ka = _no_feasible_start(monkeypatch)
     big = _free_2d_problem(400, 9)
     small = build_problem(big.p_a, big.p_b, list(big.samples[:50]))
@@ -707,6 +715,36 @@ def test_the_start_is_the_central_point_when_it_is_feasible():
     (x, _), status, _, _ = _barrier([(prob, 1e-7, 1, None)])[0]
     assert status is SolveStatus.MAX_ITERATIONS
     assert not np.array_equal(x, _initial_point(prob))    # one step from it
+
+
+def test_the_central_start_clears_every_slack_at_any_conditioning():
+    # at the central start every slack is (7/4) S - (X_i + X_i^T) / 4 >= (3/2) S,
+    # S = P_a + P_b, so its first evaluation succeeds whatever the conditioning
+    rng = np.random.default_rng(40)
+    for d in (1, 2, 3, 4):
+        off = frozenset((i, j) for i in range(d) for j in range(d) if i != j)
+        for cond in (1.0, 1e5, 1e10):
+            # scaling the axes keeps the correlations, and so the sampler's pace
+            spread = np.diag(cond ** -np.linspace(0.0, 0.5, d))
+            pa, pb = (spread @ rand_spd(rng, d) @ spread for _ in range(2))
+            samples = [s.p_ab for pattern in (CrossSparsityPattern.unconstrained(d, d),
+                                              CrossSparsityPattern(d, d, off))
+                       for s in sample_set(pa, pb, pattern, 3, seed=d)]
+            # rank-one crosses L_a u v^T L_b^T just inside the admissible set, for
+            # random unit u, v and for those that load S's least eigenvector
+            la, lb = np.linalg.cholesky(pa), np.linalg.cholesky(pb)
+            least = np.linalg.eigh(pa + pb)[1][:, 0]
+            for u, v in ((rng.standard_normal(d), rng.standard_normal(d)),
+                         (la.T @ least, lb.T @ least)):
+                u, v = u / np.linalg.norm(u), v / np.linalg.norm(v)
+                samples.append(la @ np.outer(u, v) @ lb.T * (1.0 - 1e-6))
+            prob = build_problem(pa, pb, samples)
+            x = _initial_point(prob)
+            floor = 1.5 * np.linalg.eigvalsh(pa + pb)[0] * (1.0 - 1e-9)
+            assert _least_slack_eigs(prob, x).min() >= floor
+            ev = _Batch(d)
+            ev.extend([prob])
+            assert ev.chol_logdet(np.array([0]), x[None])[1].all()
 
 
 # ---------------------------------------------------------------------------
