@@ -132,8 +132,10 @@ def check_symmetric(m, *, name: str = "matrix") -> np.ndarray:
         raise DimensionError(f"{name} must be square, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise NotSymmetricError(f"{name} contains non-finite entries")
-    scale = max(float(np.linalg.norm(m)), 1e-300)
-    if float(np.linalg.norm(m - m.T)) > SYMMETRY_RTOL * scale:
+    # both norms of m times a power of two near 1 / max|m|: the scaling is
+    # exact, and neither norm overflows or underflows at any scale
+    unit = np.ldexp(m, -math.frexp(float(np.abs(m).max(initial=0.0)))[1])
+    if float(np.linalg.norm(unit - unit.T)) > SYMMETRY_RTOL * float(np.linalg.norm(unit)):
         raise NotSymmetricError(f"{name} is not symmetric within rtol={SYMMETRY_RTOL:g}")
     return symmetrize(m)
 

@@ -38,14 +38,18 @@ for the cross block X_i.  The upper entries of all R_i form one
 (d(2d+1), n) array: the gradient is a row sum of it, and each Hessian
 entry is two entries of its Gram matrix.
 
+Units: ``build_problem`` divides P_a, P_b and the samples by 2^e, e the
+binary exponent of tr(P_a + P_b), and ``_solution`` multiplies back what
+it reports in covariance units.  A power of two scales a float exactly, so
+inputs scaled by any 2^k give the solver bitwise the same arrays.
+
 Feasibility is judged on the slacks alone: ``min_slack_eig`` is the least
 eigenvalue of all n slacks C_i at the returned point, in the units of
 the covariances.  It scales with them, as the objective does, whereas
 the full blocks mix the units of Pbar with those of J_i^{-1}.
 
-Certification: every Newton step dx at path parameter t, taken where
-the barrier Hessian solves without regularization and the decrement
-lambda is below 1, yields a dual-feasible point
+Certification: every Newton step dx at path parameter t where the
+decrement lambda is below 1 yields a dual-feasible point
 Z_i = (S_i - S_i dF S_i) / t, with S_i = G_i^{-1} for the LMI blocks G_i
 and dF = sum_k dx_k A_k (Boyd & Vandenberghe, Convex Optimization,
 sections 11.2-11.3 and 11.6).  Its duality gap is (nu + grad_phi . dx) / t,
@@ -141,8 +145,8 @@ from .sampler import CrossSparsityPattern, sample_cross, sample_set
 
 DEFAULT_TOL = 1e-7
 DEFAULT_MAX_ITERS = 200
-# a joint covariance whose Cholesky pivots are not all at least this (its
-# LDL^T pivots at least MIN_PIVOT**2) rejects the sample
+# a sample whose normalized joint covariance (``build_problem``) has a Cholesky
+# pivot below this (an LDL^T pivot below MIN_PIVOT**2) is rejected
 MIN_PIVOT = 1e-10
 # geometric increase of the path parameter (gap shrinks by 0.2 per stage)
 T_GROWTH = 5.0
@@ -177,12 +181,14 @@ class SolveStatus(str, Enum):
 
 @dataclass(frozen=True, eq=False)
 class SampledFusionProblem:
-    """Marginals and sampled joints, ready to solve.
+    """Marginals and sampled joints, ready to solve, in normalized units.
 
-    ``joints_last`` holds the joint covariances J_i samples last, as one
-    read-only (2d, 2d, n) array; ``joints`` and ``samples`` are read-only
-    views of it.  ``log_pivots`` holds the logs of each J_i's Cholesky
-    pivots, and ``joint_logdet`` is sum_i logdet J_i, twice their sum.
+    ``p_a``, ``p_b`` and ``joints_last`` hold the marginals and the joint
+    covariances J_i divided by 2^``exponent``, the joints samples last as
+    one read-only (2d, 2d, n) array.  ``log_pivots`` holds the logs of each
+    normalized J_i's Cholesky pivots, and ``joint_logdet`` is sum_i logdet
+    J_i, twice their sum.  ``joints`` and ``samples`` are read-only copies
+    in the units of the input, bitwise as given.
     """
 
     p_a: np.ndarray
@@ -191,6 +197,7 @@ class SampledFusionProblem:
     joint_logdet: float
     log_pivots: np.ndarray
     d: int
+    exponent: int
 
     @property
     def n(self) -> int:
@@ -198,21 +205,25 @@ class SampledFusionProblem:
 
     @property
     def joints(self) -> np.ndarray:
-        """The (n, 2d, 2d) joint covariances, a read-only view of ``joints_last``."""
-        return self.joints_last.transpose(2, 0, 1)
+        """The (n, 2d, 2d) joint covariances."""
+        out = np.ldexp(self.joints_last, self.exponent).transpose(2, 0, 1)
+        out.flags.writeable = False
+        return out
 
     @property
     def samples(self) -> np.ndarray:
-        """The (n, d, d) cross-covariance samples, a read-only view of ``joints_last``."""
-        return self.joints_last[:self.d, self.d:].transpose(2, 0, 1)
+        """The (n, d, d) cross-covariance samples."""
+        return self.joints[:, :self.d, self.d:]
 
 
 def build_problem(p_a, p_b, samples) -> SampledFusionProblem:
     """Assemble the sampled program; gates each joint once.
 
-    Each sample is a d x d cross-covariance; the implied joint
-    [[P_a, S], [S^T, P_b]] must be positive definite with every LDL^T
-    pivot at least MIN_PIVOT**2 (every Cholesky pivot at least 1e-10),
+    P_a, P_b and the samples are divided by 2^e, e the binary exponent of
+    tr(P_a + P_b) (``math.frexp``), so the program is held with its trace in
+    [1/2, 1).  Each sample is a d x d cross-covariance; the implied joint
+    [[P_a, S], [S^T, P_b]] must be positive definite with every LDL^T pivot
+    at least MIN_PIVOT**2 = 1e-20 times 2^e, a gate relative to the trace,
     otherwise the sample is rejected (the raised error carries
     ``sample_index``, the first such sample, so callers can redraw it).
     """
@@ -235,6 +246,10 @@ def build_problem(p_a, p_b, samples) -> SampledFusionProblem:
                 raise DimensionError(f"sample {i} has shape {np.shape(s)}, "
                                      f"expected ({d}, {d})")
         stack = np.array(samples, dtype=float)
+    # tr(P_a + P_b) taken at a scale where the sum cannot overflow
+    top = math.frexp(max(p_a.max(), p_b.max()))[1]
+    exponent = math.frexp(float(np.trace(np.ldexp(p_a, -top) + np.ldexp(p_b, -top))))[1] + top
+    p_a, p_b, stack = (np.ldexp(a, -exponent) for a in (p_a, p_b, stack))
     joints = np.empty((2 * d, 2 * d, len(stack)))
     joints[:d, :d] = p_a[:, :, None]
     joints[d:, d:] = p_b[:, :, None]
@@ -247,7 +262,7 @@ def build_problem(p_a, p_b, samples) -> SampledFusionProblem:
     if bad.size:
         err = NotPositiveDefiniteError(
             f"sample {bad[0]}: joint covariance fails the conditioning "
-            f"threshold (Cholesky pivot < {MIN_PIVOT:g})")
+            f"threshold (an LDL^T pivot below {MIN_PIVOT ** 2:g} * 2^{exponent})")
         err.sample_index = int(bad[0])
         raise err
     joints.flags.writeable = False
@@ -255,7 +270,7 @@ def build_problem(p_a, p_b, samples) -> SampledFusionProblem:
     log_pivots.flags.writeable = False
     return SampledFusionProblem(p_a=p_a, p_b=p_b, joints_last=joints,
                                 joint_logdet=2.0 * float(np.sum(log_pivots)),
-                                log_pivots=log_pivots, d=d)
+                                log_pivots=log_pivots, d=d, exponent=exponent)
 
 
 def _subset(problem: SampledFusionProblem, idx) -> SampledFusionProblem:
@@ -269,7 +284,8 @@ def _subset(problem: SampledFusionProblem, idx) -> SampledFusionProblem:
     joints.flags.writeable = log_pivots.flags.writeable = False
     return SampledFusionProblem(
         p_a=problem.p_a, p_b=problem.p_b, joints_last=joints,
-        joint_logdet=2.0 * float(np.sum(log_pivots)), log_pivots=log_pivots, d=problem.d)
+        joint_logdet=2.0 * float(np.sum(log_pivots)), log_pivots=log_pivots, d=problem.d,
+        exponent=problem.exponent)
 
 
 @dataclass(frozen=True, eq=False)
@@ -527,49 +543,28 @@ def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a[:, None, :], b[..., None])[:, 0, 0]
 
 
-def _newton_steps(hess: np.ndarray, grad: np.ndarray, eye: np.ndarray):
-    """(dx, lambda^2, unregularized, broken down) of each Newton system
-    H dx = -g in a batch, the last three as lists.
+def _newton_steps(hess: np.ndarray, grad: np.ndarray):
+    """(dx, lambda^2, broken down) of each Newton system H dx = -g in a batch,
+    the last two as lists.
 
-    Each system takes the first of the regularizations 0, 1e-12, 1e-8 and
-    1e-4 (times max(|diag H|, 1)) under which it solves with a finite
-    lambda^2 = -g . dx >= 0; one that none gives has broken down.  ``eye``
-    is the m x m identity.
+    At a strictly feasible point H is positive definite, so a system that
+    does not solve, or whose lambda^2 = -g . dx is not finite and
+    non-negative, has broken down in roundoff; it is not retried.
     """
-    k, m = grad.shape
-    # max(|diag H|, 1), nan when the diagonal is
-    scale = np.maximum(np.abs(hess.reshape(k, -1)[:, ::m + 1]).max(axis=1), 1.0)
     rhs = -grad
-    dx = np.empty((k, m))
-    lam2, level, todo = [math.nan] * k, [-1] * k, list(range(k))
-    for at, reg in enumerate((0.0, 1e-12, 1e-8, 1e-4)):
-        mine = slice(None) if len(todo) == k else todo
-        a = hess[mine] + (reg * scale[mine])[:, None, None] * eye
-        try:
-            step = np.linalg.solve(a, rhs[mine, :, None])[..., 0]
-        except np.linalg.LinAlgError:
-            # one singular system fails the whole stack: solve one by one,
-            # with nan for those that fail
-            step = np.full((len(a), m), np.nan)
-            for r in range(len(a)):
-                try:
-                    step[r] = np.linalg.solve(a[r], rhs[mine][r])
-                except np.linalg.LinAlgError:
-                    pass
-        found = _dots(rhs[mine], step).tolist()
-        good = [math.isfinite(l2) and l2 >= 0.0 for l2 in found]
-        if at == 0 and all(good):
-            return step, found, good, [False] * k
-        left = []
-        for r, (b, l2) in enumerate(zip(todo, found)):
-            if good[r]:
-                dx[b], lam2[b], level[b] = step[r], l2, at
-            else:
-                left.append(b)
-        if not left:
-            break
-        todo = left
-    return dx, lam2, [v == 0 for v in level], [v < 0 for v in level]
+    try:
+        dx = np.linalg.solve(hess, rhs[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        # one singular system fails the whole stack: solve one by one, with
+        # nan for those that fail
+        dx = np.full_like(rhs, np.nan)
+        for r, (h, g) in enumerate(zip(hess, rhs)):
+            try:
+                dx[r] = np.linalg.solve(h, g)
+            except np.linalg.LinAlgError:
+                pass
+    lam2 = _dots(rhs, dx).tolist()
+    return dx, lam2, [not (math.isfinite(l2) and l2 >= 0.0) for l2 in lam2]
 
 
 def _check_solver_args(tol: float, max_iters: int) -> None:
@@ -596,11 +591,13 @@ def solve(problem: SampledFusionProblem, tol: float = DEFAULT_TOL,
     or a tolerance that float64 cannot reach (a path stage that certifies
     nothing new, once centering is down to the roundoff of the barrier
     objective) returns the last iterate with status ``max_iterations``,
-    well before the budget in the last two cases.  A start point or
-    Newton-system breakdown returns ``infeasible_numerics``.  Whatever the
-    status, the returned point satisfies all n LMIs strictly, unless the
-    start failed, which it does only where its arithmetic is not finite
-    (``_initial_point``); then it is the central point K_a = I/2,
+    well before the budget in the last two cases.  ``infeasible_numerics``
+    means roundoff broke the method: a start whose arithmetic is not
+    finite (``_initial_point``), or a Newton system that does not solve or
+    gives a lambda^2 that is not finite and non-negative, which a
+    positive definite barrier Hessian cannot; nothing is retried.
+    Whatever the status, the returned point satisfies all n LMIs strictly,
+    unless the start failed; then it is the central point K_a = I/2,
     Pbar = 2 (P_a + P_b), and ``min_slack_eig`` says how far it misses.
     A ``tol`` that is not finite and positive, or ``max_iters`` below 1,
     raises DimensionError.
@@ -695,7 +692,7 @@ def _solve_batch(problems, sizes, tol: float = DEFAULT_TOL,
 def _solution(problem: SampledFusionProblem, tol: float, x, status, used, lower, active,
               min_eig) -> SdpSolution:
     """A prefix's ``SdpSolution`` from its ``_rounds`` outcome, with the checks
-    on its full sample set."""
+    on its full sample set, in the units of the input."""
     d = problem.d
     pbar, ka = _unpack(d, x)
     obj = float(_coords(d)[2] @ x)
@@ -703,9 +700,11 @@ def _solution(problem: SampledFusionProblem, tol: float, x, status, used, lower,
     if status is SolveStatus.OPTIMAL and (gap > tol or min_eig < -1e-7 * obj):
         status = SolveStatus.MAX_ITERATIONS
     # ka views x, and prefixes that end on a shared round share x
-    return SdpSolution(gain_a=ka.copy(), gain_b=np.eye(d) - ka, bound=symmetrize(pbar),
-                       objective=obj, status=status, gap=float(gap),
-                       newton_iterations=used, min_slack_eig=min_eig, active_samples=active)
+    e = problem.exponent
+    return SdpSolution(gain_a=ka.copy(), gain_b=np.eye(d) - ka, bound=np.ldexp(symmetrize(pbar), e),
+                       objective=math.ldexp(obj, e), status=status, gap=float(gap),
+                       newton_iterations=used, min_slack_eig=math.ldexp(min_eig, e),
+                       active_samples=active)
 
 
 def _rounds(problem: SampledFusionProblem, tol: float, max_iters: int, first: int,
@@ -786,7 +785,6 @@ class _Lockstep:
         self.ev = _Batch(d)
         _, _, self.cvec, *_ = _coords(d)
         self.m = len(self.cvec)
-        self.eye = np.eye(self.m)
         self.x, self.dx, self.grad_phi = (np.zeros((0, self.m)) for _ in range(3))
         self.hess = np.zeros((0, self.m, self.m))
         for name in ("t", "tol", "budget", "nu", "obj", "logdet", "lower",
@@ -876,17 +874,17 @@ class _Lockstep:
             t = [self.t[b] for b in rows]
             grad_phi = self.grad_phi[at]
             grad = np.array(t)[:, None] * cvec + grad_phi
-            dx, lam2, exact, fails = _newton_steps(self.hess[at], grad, self.eye)
+            dx, lam2, fails = _newton_steps(self.hess[at], grad)
             # grad . dx is -lambda^2 exactly: negation commutes with every
             # product and sum of the dot product
             phi_dx = _dots(grad_phi, dx).tolist()
             ending, going = [], []
-            for r, (b, tb, l2, ex, fl) in enumerate(zip(rows, t, lam2, exact, fails)):
+            for r, (b, tb, l2, fl) in enumerate(zip(rows, t, lam2, fails)):
                 if self.used[b] >= self.budget[b] or fl:
                     ending.append((b, False, fl and self.used[b] < self.budget[b]))
                     continue
                 ob = self.obj[b]
-                if ex and l2 < 1.0:
+                if l2 < 1.0:
                     # the dual point Z_i = (S_i - S_i dF S_i) / t, dF = sum_k dx_k A_k,
                     # is feasible while lambda < 1, with gap (nu + grad_phi . dx) / t
                     lower = self.lower[b] = max(self.lower[b], ob - (self.nu[b] + phi_dx[r]) / tb)
@@ -997,10 +995,11 @@ def robust_fuse(a: GaussianEstimate, b: GaussianEstimate, pattern: CrossSparsity
     solver.  Samples rejected by the conditioning gate at build time are
     redrawn from a dedicated substream (at most 100 redraws).  Draws have
     the sampler's default attempt budget, and the solve ``solve``'s
-    default of ``DEFAULT_MAX_ITERS`` Newton steps.  A ``tol`` that
-    ``solve`` would refuse is refused before any sample is drawn.  Raises
-    SolverError when the solver reports a numerical breakdown; a budget
-    exhaustion is returned with its status in the diagnostics.
+    default of ``DEFAULT_MAX_ITERS`` Newton steps, in the normalized units
+    of ``build_problem``, so the covariances' units change no status.  A
+    ``tol`` that ``solve`` would refuse is refused before any sample is
+    drawn.  Raises SolverError when the solve ends ``infeasible_numerics``;
+    a budget exhaustion is returned with its status in the diagnostics.
     """
     _check_same_labels(a, b)
     if n < 1:
@@ -1023,8 +1022,7 @@ def robust_fuse(a: GaussianEstimate, b: GaussianEstimate, pattern: CrossSparsity
                 make_substream_seed(seed, "redraw", redraws)).p_ab
     sol = solve(problem, tol=tol)
     if sol.status is SolveStatus.INFEASIBLE_NUMERICS:
-        raise SolverError("semidefinite solve broke down numerically "
-                          f"(gap={sol.gap:.3e}); consider rescaling the inputs")
+        raise SolverError(f"semidefinite solve broke down numerically (gap={sol.gap:.3e})")
     mean = sol.gain_a @ a.mean + sol.gain_b @ b.mean
     return FusionResult(
         gain_a=sol.gain_a, gain_b=sol.gain_b, fused_mean=mean, bound=sol.bound,

@@ -137,6 +137,29 @@ def test_fuse_sdp_deterministic_outputs(est_files, tmp_path, capsys):
     assert d["diagnostics"]["status"] == "optimal"
 
 
+@pytest.mark.filterwarnings("error")
+def test_fuse_sdp_in_any_units_is_the_unit_scale_solve(capsys, tmp_path):
+    # the program is solved in normalized units: scaling both covariances by
+    # c moves no Newton step and scales the bound by c
+    free = tmp_path / "free.json"
+    free.write_text(json.dumps({"dim_a": 2, "dim_b": 2, "zero_indices": []}))
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    runs = {}
+    for c in (1.0, 1e-20, 1e200, 1e-300):
+        GaussianEstimate([0.0, 0.0], c * np.diag([3.0, 1.0]), ("x", "y")).save(a)
+        GaussianEstimate([1.0, 1.0], c * np.diag([1.0, 4.0]), ("x", "y")).save(b)
+        rc, out, _ = _run(capsys, ["fuse", str(a), str(b), "--method", "SDP",
+                                   "--pattern", str(free), "--n", "50"])
+        assert rc == 0
+        diag = json.loads(out)["diagnostics"]
+        assert diag["status"] == "optimal"
+        runs[c] = diag["newton_iterations"], diag["trace"] / c
+    steps, trace = runs.pop(1.0)
+    for c, (scaled_steps, scaled_trace) in runs.items():
+        assert scaled_steps == steps
+        assert scaled_trace == pytest.approx(trace, rel=1e-12)
+
+
 def _no_sampling(*args, **kwargs):
     raise AssertionError("the sampler ran")
 

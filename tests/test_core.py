@@ -55,6 +55,19 @@ def test_check_symmetric_rejects(bad):
         check_symmetric(bad)
 
 
+@pytest.mark.filterwarnings("error")
+def test_the_symmetry_check_holds_at_any_scale():
+    # from entries of about 1e154 the Frobenius norms themselves overflow, so
+    # an unscaled check compares inf with inf and lets any matrix through
+    lopsided = np.array([[1.0, 0.9], [0.0, 1.0]])
+    for c in (1e160, 1e300):
+        with pytest.raises(NotSymmetricError):
+            GaussianEstimate(np.zeros(2), c * lopsided)
+    sym = np.array([[2.0, 0.5], [0.5, 1.0]])
+    for c in (1e300, 1e-300):
+        np.testing.assert_array_equal(GaussianEstimate(np.zeros(2), c * sym).covariance, c * sym)
+
+
 def test_check_symmetric_rejects_nonsquare():
     with pytest.raises(DimensionError):
         check_symmetric(np.ones((2, 3)))

@@ -65,14 +65,21 @@ def test_build_problem_shapes_and_inverses():
         logdet += np.linalg.slogdet(joint)[1]
         assert prob.samples[i].tobytes() == s.tobytes()
         assert not prob.samples[i].flags.writeable
-    assert prob.joint_logdet == pytest.approx(logdet, rel=1e-12)
-    # one read-only samples-last array; the joints and samples view it
+    # the program is held divided by 2^e, e the binary exponent of the trace,
+    # so each normalized joint's logdet is 4 e log 2 below the given one's
+    e = prob.exponent
+    assert 0.5 <= np.ldexp(np.trace(pa + pb), -e) < 1.0
+    assert prob.joint_logdet == pytest.approx(logdet - 5 * 4 * e * np.log(2.0), rel=1e-12)
+    np.testing.assert_array_equal(prob.p_a, np.ldexp(pa, -e))
+    np.testing.assert_array_equal(prob.p_b, np.ldexp(pb, -e))
+    # one read-only samples-last array; the joints and samples are read-only
+    # copies of it in the given units
     stored = prob.joints_last
     assert stored.shape == (4, 4, 5) and stored.flags.c_contiguous
     assert not stored.flags.writeable
     for view in (prob.joints, prob.samples):
-        assert np.shares_memory(view, stored) and not view.flags.writeable
-    np.testing.assert_array_equal(prob.joints, stored.transpose(2, 0, 1))
+        assert not view.flags.writeable
+    np.testing.assert_array_equal(prob.joints, np.ldexp(stored, e).transpose(2, 0, 1))
     # a slice of the samples views them, an index array gathers them
     for idx, shared in ((slice(1, 4), True), (np.array([0, 2, 4]), False)):
         sub = _subset(prob, idx).joints_last
@@ -155,7 +162,8 @@ def test_solution_feasible_and_certified():
         assert is_conservative(sol.bound, actual, tol=1e-6)
     # every full LMI block [[bound, K], [K^T, J_i^-1]] with K = [gain_a, gain_b]
     # is positive semidefinite
-    assert np.linalg.eigvalsh(_full_blocks(prob, sol.bound, sol.gain_a)).min() >= -1e-7
+    bound = np.ldexp(sol.bound, -prob.exponent)
+    assert np.linalg.eigvalsh(_full_blocks(prob, bound, sol.gain_a)).min() >= -1e-7
 
 
 def _certified_instance():
@@ -304,20 +312,39 @@ def _free_pair(d):
     return pa, pb, np.array([s.p_ab for s in draws]), rng
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("d", [2, 3])
 def test_a_change_of_units_changes_no_verdict(d):
     # scaling every covariance by c scales the program by c: the same path,
-    # the same status, and the objective and least slack in the new units.
-    # 1e-16 is the least scale at which d = 2's joints pass the MIN_PIVOT gate
+    # the same status, and the bound and least slack in the new units.  The
+    # program is solved divided by 2^e, e the binary exponent of its trace,
+    # so any scale check_spd accepts, down to 1e-300 and up to 1e300, gates
+    # and solves as unit scale does, and without a numpy warning
     pa, pb, cross, _ = _free_pair(d)
     ref = solve(build_problem(pa, pb, cross))
     assert ref.status is SolveStatus.OPTIMAL
-    for c in (1e-16, 1e-14, 1e-12, 1e-8, 1e-4, 1.0, 1e4, 1e8, 1e12, 1e100):
+    # the last scale is the largest power of two at which check_spd accepts
+    # the marginals; at d = 3 tr(P_a + P_b) overflows there
+    top = 1023 - int(np.frexp(max(pa.max(), pb.max()))[1])
+    for k in (-900, -60, -1, 1, 60, 900, top):
+        # a power of two scales a float exactly: bitwise the same solve
+        c = 2.0 ** k
+        sol = solve(build_problem(c * pa, c * pb, c * cross))
+        assert sol.status is ref.status
+        assert sol.newton_iterations == ref.newton_iterations
+        assert sol.gain_a.tobytes() == ref.gain_a.tobytes()
+        assert sol.gain_b.tobytes() == ref.gain_b.tobytes()
+        assert (sol.bound / c).tobytes() == ref.bound.tobytes()
+        assert sol.objective / c == ref.objective and sol.gap == ref.gap
+        assert sol.min_slack_eig / c == ref.min_slack_eig
+    for k in (-300, -200, -100, -20, -17, -16, -14, -12, -8, -4, 0, 4, 8, 12, 20, 100, 150, 160,
+              200, 300):
+        c = 10.0 ** k
         sol = solve(build_problem(c * pa, c * pb, c * cross))
         assert sol.status is ref.status
         assert sol.newton_iterations == ref.newton_iterations
         assert sol.gap == pytest.approx(ref.gap, rel=1e-6)
-        assert sol.objective / c == pytest.approx(ref.objective, rel=1e-10)
+        assert sol.objective / c == pytest.approx(ref.objective, rel=1e-12)
         # the least slack is about 1e-11 of the trace, so its roundoff is a
         # large part of it: compare it on the scale of the trace
         assert abs(sol.min_slack_eig / c - ref.min_slack_eig) <= 1e-12 * ref.objective
@@ -344,14 +371,15 @@ def test_swapping_the_pair_or_rotating_the_frame_moves_the_solution_with_it(d):
 
 def _full_blocks(prob, pbar, ka):
     """The LMI blocks [[Pbar, K], [K^T, J_i^-1]], K = [K_a, I - K_a], of every
-    sample, with the joints inverted here as an independent reference."""
+    sample, in the program's normalized units, with the joints inverted here
+    as an independent reference."""
     d = prob.d
     k = np.hstack([ka, np.eye(d) - ka])
     g = np.empty((prob.n, 3 * d, 3 * d))
     g[:, :d, :d] = pbar
     g[:, :d, d:] = k
     g[:, d:, :d] = k.T
-    g[:, d:, d:] = symmetrize(np.linalg.inv(prob.joints))
+    g[:, d:, d:] = symmetrize(np.linalg.inv(prob.joints_last.transpose(2, 0, 1)))
     return g
 
 
@@ -384,9 +412,10 @@ def _barrier(rounds):
 
 
 def _points(prob):
-    # the start point, and an iterate a few Newton steps along the path
+    # the start point, and an iterate a few Newton steps along the path, in
+    # the program's normalized units
     sol = solve(prob, tol=1e-12, max_iters=6)
-    return [_initial_point(prob), _pack(prob.d, sol.bound, sol.gain_a)]
+    return [_initial_point(prob), _pack(prob.d, np.ldexp(sol.bound, -prob.exponent), sol.gain_a)]
 
 
 def _evaluate(problems, rows, xs):
@@ -430,17 +459,19 @@ def test_chol_logdet_matches_full_block_cholesky():
 
 def test_chol_logdet_infeasible_exactly_when_a_full_block_is_not_pd():
     # zero cross blocks realize (P_a + P_b) / 4 = I / 2 at K_a = I / 2; the
-    # single sample with cross 0.9 I realizes 0.95 I
+    # single sample with cross 0.9 I realizes 0.95 I (in the given units; the
+    # program holds them divided by 2^3)
     samples = [np.zeros((2, 2))] * 5 + [0.9 * np.eye(2)] + [np.zeros((2, 2))] * 3
     prob = build_problem(np.eye(2), np.eye(2), samples)
+    assert prob.exponent == 3
     ka = 0.5 * np.eye(2)
-    xs = [_pack(2, scale * np.eye(2), ka) for scale in (1.0, 0.7, 0.4)]
+    xs = [_pack(2, scale / 8 * np.eye(2), ka) for scale in (1.0, 0.7, 0.4)]
     logdets, ok, _ = _evaluate([prob], [0, 0, 0], xs)
     for x, logdet, feasible, expected in zip(xs, logdets, ok, (True, False, False)):
         bad = np.flatnonzero(np.linalg.eigvalsh(_full_blocks(prob, *_unpack(2, x)))[:, 0] <= 0.0)
         assert feasible == expected == (len(bad) == 0) == np.isfinite(logdet)
     # at Pbar = 0.7 I only the one sample's slack is indefinite
-    g = _full_blocks(prob, 0.7 * np.eye(2), ka)
+    g = _full_blocks(prob, 0.7 / 8 * np.eye(2), ka)
     assert list(np.flatnonzero(np.linalg.eigvalsh(g)[:, 0] <= 0.0)) == [5]
     # random points: feasible exactly when every full block is PD
     rng = np.random.default_rng(22)
@@ -520,9 +551,12 @@ def _free_2d_problem(n, seed):
 
 
 def _round(problem, iterate, status, steps, lower):
-    """A barrier round's result read as the fields ``solve`` reports."""
+    """A barrier round's result read as the fields ``solve`` reports, in the
+    given units."""
     bound, gain_a = _unpack(problem.d, iterate[0])
-    return SimpleNamespace(bound=bound, gain_a=gain_a, objective=_trace(problem.d, iterate[0]),
+    e = problem.exponent
+    return SimpleNamespace(bound=np.ldexp(bound, e), gain_a=gain_a,
+                           objective=np.ldexp(_trace(problem.d, iterate[0]), e),
                            status=status, newton_iterations=steps, active_samples=problem.n)
 
 
@@ -557,14 +591,21 @@ def rounds(monkeypatch):
 
 
 def _slack_eigs(problem, bound, gain_a):
-    return _least_slack_eigs(problem, _pack(problem.d, bound, gain_a))
+    """The least eigenvalue of each slack at (bound, gain_a), in the given units."""
+    e = problem.exponent
+    return np.ldexp(_least_slack_eigs(problem, _pack(problem.d, np.ldexp(bound, -e), gain_a)), e)
+
+
+def _marginals(problem):
+    """(P_a, P_b) in the given units."""
+    return (np.ldexp(m, problem.exponent) for m in (problem.p_a, problem.p_b))
 
 
 def test_subset_equals_build_problem_on_its_samples():
     prob = _random_problem(np.random.default_rng(24), 2, 50)
     for idx in (slice(30), np.array([0, 3, 4, 17, 49])):
         sub = _subset(prob, idx)
-        ref = build_problem(prob.p_a, prob.p_b, [prob.samples[i] for i in np.arange(50)[idx]])
+        ref = build_problem(*_marginals(prob), [prob.samples[i] for i in np.arange(50)[idx]])
         assert sub.n == ref.n and sub.d == ref.d
         for name in ("joints", "log_pivots"):
             np.testing.assert_array_equal(getattr(sub, name), getattr(ref, name))
@@ -672,8 +713,8 @@ def test_robust_fuse_reports_the_active_set():
 
 
 def _no_feasible_start(monkeypatch, problems=None):
-    """Starts that are infeasible (Pbar = -I), for ``problems`` (all when
-    None); returns that start's (Pbar, K_a)."""
+    """Starts that are infeasible (Pbar = -I in normalized units), for
+    ``problems`` (all when None); returns that start's (Pbar, K_a)."""
     central = sdp._initial_point
 
     def start(problem):
@@ -691,7 +732,7 @@ def test_failed_start_reports_its_start_point_on_either_path(monkeypatch):
     # repaired, lifted just past every sample's violation
     pbar, ka = _no_feasible_start(monkeypatch)
     big = _free_2d_problem(400, 9)
-    small = build_problem(big.p_a, big.p_b, list(big.samples[:50]))
+    small = build_problem(*_marginals(big), list(big.samples[:50]))
     assert small.n <= _first_set(2) < big.n
     sols = [solve(prob, tol=1e-7) for prob in (small, big)]
     for prob, sol in zip((small, big), sols):
@@ -699,10 +740,10 @@ def test_failed_start_reports_its_start_point_on_either_path(monkeypatch):
         assert sol.gap == np.inf and sol.newton_iterations == 0
         np.testing.assert_array_equal(sol.gain_a, ka)
         assert sol.min_slack_eig == _slack_eigs(prob, sol.bound, ka).min()
-    np.testing.assert_array_equal(sols[0].bound, pbar)
+    np.testing.assert_array_equal(sols[0].bound, np.ldexp(pbar, small.exponent))
     assert sols[0].min_slack_eig < 0.0
     assert np.linalg.eigvalsh(_full_blocks(small, pbar, ka)).min() < 0.0
-    lift = sols[1].bound - pbar
+    lift = sols[1].bound - np.ldexp(pbar, big.exponent)
     np.testing.assert_allclose(lift, lift[0, 0] * np.eye(2), rtol=0, atol=1e-15)
     assert sols[1].min_slack_eig > 0.0
     assert (sols[0].active_samples, sols[1].active_samples) == (50, _first_set(2))
@@ -740,7 +781,7 @@ def test_the_central_start_clears_every_slack_at_any_conditioning():
                 samples.append(la @ np.outer(u, v) @ lb.T * (1.0 - 1e-6))
             prob = build_problem(pa, pb, samples)
             x = _initial_point(prob)
-            floor = 1.5 * np.linalg.eigvalsh(pa + pb)[0] * (1.0 - 1e-9)
+            floor = 1.5 * np.linalg.eigvalsh(prob.p_a + prob.p_b)[0] * (1.0 - 1e-9)
             assert _least_slack_eigs(prob, x).min() >= floor
             ev = _Batch(d)
             ev.extend([prob])
@@ -941,6 +982,42 @@ def test_a_batch_of_problems_is_solved_as_each_alone(monkeypatch, d, sizes, seed
                    for _, _, obj, gains in rounds)
     assert grown[-1].active_samples > shared
     assert all(sol.status is SolveStatus.INFEASIBLE_NUMERICS for sol in unstarted)
+
+
+@pytest.mark.parametrize("spoil", [np.zeros_like, np.negative], ids=["singular", "indefinite"])
+def test_a_newton_system_that_breaks_down_ends_only_its_own_program(monkeypatch, spoil):
+    # one program of three in a lockstep gets a zero (or negated) barrier
+    # Hessian, so its first Newton system has no solution (or a negative
+    # lambda^2): it ends infeasible_numerics at its start, with no retry, and
+    # the other two are bitwise what they are alone
+    problems = [_random_problem(np.random.default_rng(seed), 2, 60) for seed in (30, 31, 32)]
+    broken = problems[1]
+    chol_logdet, grad_hess = _Batch.chol_logdet, _Batch.grad_hess
+    entries = {}    # evaluator -> the programs of its last chol_logdet entries
+
+    def spy(self, rows, xs):
+        entries[self] = rows
+        return chol_logdet(self, rows, xs)
+
+    def spoiled(self, picked):
+        grads, hess = grad_hess(self, picked)
+        for r, e in enumerate(picked):
+            if self.problems[entries[self][e]].p_a is broken.p_a:
+                hess[r] = spoil(hess[r])
+        return grads, hess
+
+    monkeypatch.setattr(_Batch, "chol_logdet", spy)
+    monkeypatch.setattr(_Batch, "grad_hess", spoiled)
+    tol, sizes = 1e-7, [60]
+    batch = _solve_batch(problems, sizes, tol)
+    sol = batch[1][0]
+    assert sol.status is SolveStatus.INFEASIBLE_NUMERICS
+    assert sol.newton_iterations == 0 and sol.gap == np.inf
+    np.testing.assert_array_equal(sol.gain_a, 0.5 * np.eye(2))
+    assert sol.min_slack_eig > 0.0
+    for prob, sols in zip(problems[::2], batch[::2]):
+        assert sols[0].status is SolveStatus.OPTIMAL
+        assert _same(sols[0], solve_prefixes(prob, sizes, tol)[0])
 
 
 def test_solve_prefixes_validation():
