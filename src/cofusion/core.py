@@ -120,9 +120,20 @@ def as_seed(value, name: str = "seed") -> int:
 # matrix checks
 
 def symmetrize(m: np.ndarray) -> np.ndarray:
-    """Return the symmetric part (m + m.T) / 2, of each matrix of a (..., n, n) stack."""
+    """Return the symmetric part (m + m.T) / 2, of each matrix of a (..., n, n) stack.
+
+    Each half is taken before the sum, so entries near the float64 limit
+    do not overflow; halving is exact above the subnormal range, so there
+    the result is bitwise that of halving the sum.
+    """
     m = np.asarray(m, dtype=float)
-    return 0.5 * (m + np.swapaxes(m, -1, -2))
+    return 0.5 * m + 0.5 * np.swapaxes(m, -1, -2)
+
+
+def _unit_scaled(m: np.ndarray) -> np.ndarray:
+    """m times a power of two near 1 / max|m|: exact, so no ratio of its
+    entries moves, and no norm of it overflows or underflows at any scale."""
+    return np.ldexp(m, -math.frexp(float(np.abs(m).max(initial=0.0)))[1])
 
 
 def check_symmetric(m, *, name: str = "matrix") -> np.ndarray:
@@ -132,9 +143,7 @@ def check_symmetric(m, *, name: str = "matrix") -> np.ndarray:
         raise DimensionError(f"{name} must be square, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise NotSymmetricError(f"{name} contains non-finite entries")
-    # both norms of m times a power of two near 1 / max|m|: the scaling is
-    # exact, and neither norm overflows or underflows at any scale
-    unit = np.ldexp(m, -math.frexp(float(np.abs(m).max(initial=0.0)))[1])
+    unit = _unit_scaled(m)
     if float(np.linalg.norm(unit - unit.T)) > SYMMETRY_RTOL * float(np.linalg.norm(unit)):
         raise NotSymmetricError(f"{name} is not symmetric within rtol={SYMMETRY_RTOL:g}")
     return symmetrize(m)

@@ -13,17 +13,19 @@ block-diagonal covariances stored as stacks of their diagonal blocks
 may carry leading batch axes, and every batch entry is fused on its own,
 with the weights, gains and bounds a call of its own would give.  The
 core fuses only the entries inside the pieces where stack blocks meet
-partition blocks and reads no other entry, so it has no strict or
-lenient mode.  The tracker calls it directly on its filters' stacks, one
-batch entry per edge of a wave of edges that share no agent; its layout
-decides once per scenario which entries lie outside the pieces
-(``_Pieces.off``), and its ``_Fold`` which (edge, piece) pairs are
-equal, so that each distinct one is intersected once.  ``nmci_fuse``
+partition blocks and reads no other entry.  The tracker calls it
+directly on its filters' stacks, one batch entry per edge of a wave of
+edges that share no agent; its layout decides once per scenario which
+entries lie outside the pieces (``_Pieces.off``), and its ``_Fold``
+which (edge, piece) pairs are equal, so that each distinct one is
+intersected once.  ``nmci_fuse``
 passes a dense covariance, unbatched, as a stack of one block, every
-piece its own class; it measures the off-block mass of its inputs, and
-rejects it in strict mode.  ``ci_fuse`` searches the weight over the
-trace terms of the two covariances, as ``_nmci`` does for one block, and
-intersects them with ``_ci``.
+piece its own class; it first measures the off-block mass of its
+inputs, in any units, and refuses inputs that couple different partition
+blocks, since block-wise intersection is conservative only where they
+do not.  ``ci_fuse`` searches the weight over the trace terms of the two
+covariances, as ``_nmci`` does for one block, and intersects them with
+``_ci``.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from .core import (
     JointCovariance,
     NotPositiveDefiniteError,
     StackLayout,
+    _unit_scaled,
     check_spd,
     min_eigenvalue,
     symmetrize,
@@ -431,37 +434,34 @@ def ci_fuse(a: GaussianEstimate, b: GaussianEstimate,
         diagnostics={"omega_source": source, "trace": float(np.trace(bound))})
 
 
-def nmci_fuse(a: GaussianEstimate, b: GaussianEstimate, partition: BlockPartition,
-              *, strict: bool = True) -> FusionResult:
+def nmci_fuse(a: GaussianEstimate, b: GaussianEstimate,
+              partition: BlockPartition) -> FusionResult:
     """Block-wise covariance intersection with an independent weight per block.
 
     Valid when each input covariance is block-diagonal over ``partition``
     and the unknown cross-correlation cannot couple different blocks; the
     result then never has a larger trace than monolithic intersection.
-    In strict mode a covariance with off-block mass above
-    ``OFF_BLOCK_TOL`` (relative Frobenius) is an error; in lenient mode
-    the off-block entries are dropped and the dropped mass is reported in
-    the diagnostics; dropping them leaves every block marginal as it is.
+    A covariance with off-block mass above ``OFF_BLOCK_TOL`` (relative
+    Frobenius) is an error, checked for A before B.
     """
     _check_same_labels(a, b)
     if partition.dim != a.dim:
         raise DimensionError(
             f"partition covers {partition.dim} states but estimates have {a.dim}")
     pieces = _Pieces(StackLayout([range(a.dim)]), partition)
-    dropped = [float(_off_mass((x.covariance[None],), pieces.off)) for x in (a, b)]
-    dropped_a, dropped_b = (m if m > OFF_BLOCK_TOL else 0.0 for m in dropped)
-    for side, mass in zip("AB", (dropped_a, dropped_b)):
-        if strict and mass:
+    for side, x in zip("AB", (a, b)):
+        mass = float(_off_mass((_unit_scaled(x.covariance)[None],), pieces.off))
+        if mass > OFF_BLOCK_TOL:
             raise DimensionError(
                 f"covariance {side} couples different partition blocks (relative off-block mass "
-                f"{mass:.2e} > {OFF_BLOCK_TOL:g}); use lenient mode to drop the coupling")
+                f"{mass:.2e} > {OFF_BLOCK_TOL:g}); fuse it with CI, or with a partition that "
+                f"keeps the coupling inside one block")
     omegas, (ga,), (bound,) = _nmci((a.covariance[None],), (b.covariance[None],), pieces)
     ga, bound = ga[0], bound[0]
     return FusionResult(
         gain_a=ga, gain_b=np.eye(a.dim) - ga, fused_mean=_fused_mean(ga, a.mean, b.mean),
         bound=bound, method=FusionMethod.NMCI, omega=omegas,
-        diagnostics={"strict": strict, "dropped_mass_a": dropped_a,
-                     "dropped_mass_b": dropped_b, "trace": float(np.trace(bound))})
+        diagnostics={"trace": float(np.trace(bound))})
 
 
 def exact_fuse(a: GaussianEstimate, b: GaussianEstimate, p_ab: np.ndarray) -> FusionResult:

@@ -789,7 +789,7 @@ class _Lockstep:
         self.hess = np.zeros((0, self.m, self.m))
         for name in ("t", "tol", "budget", "nu", "obj", "logdet", "lower",
                      "stage_lower", "step", "psi", "psi_eps", "gdx", "used", "stage",
-                     "status", "started"):
+                     "status"):
             setattr(self, name, [])
         self.starting, self.searching, self.ended = [], [], []
 
@@ -816,7 +816,7 @@ class _Lockstep:
                             ("stage_lower", -np.inf),
                             ("step", 1.0), ("psi", 0.0), ("psi_eps", 0.0), ("gdx", 0.0),
                             ("used", 0), ("stage", 0),
-                            ("status", SolveStatus.MAX_ITERATIONS), ("started", False)):
+                            ("status", SolveStatus.MAX_ITERATIONS)):
             getattr(self, name).extend([value] * count)
         self.starting += range(first, first + count)
         ids = [0] * count
@@ -838,8 +838,6 @@ class _Lockstep:
         the status ``infeasible_numerics`` and the lower bound -inf.  The
         program's samples are let go: a result is read once."""
         self.ev.problems[b] = self.ev.e_upper[b] = None
-        if not self.started[b]:
-            return (self.x[b], None), SolveStatus.INFEASIBLE_NUMERICS, 0, -np.inf
         return (self.x[b], self.t[b]), self.status[b], self.used[b], self.lower[b]
 
     def _end_stages(self, ending) -> list[int]:
@@ -968,11 +966,12 @@ class _Lockstep:
         began = []
         for e, b in enumerate(starting, start=len(rows) * count):
             if ok[e]:
-                self.started[b], self.logdet[b] = True, logdet[e]
+                self.logdet[b] = logdet[e]
                 picked.append(e)
                 derive.append(b)
                 began.append(b)
             else:
+                self.status[b], self.t[b] = SolveStatus.INFEASIBLE_NUMERICS, None
                 self.ended.append(b)
         # the barrier derivatives depend on x alone, so each program's are
         # kept until its x moves

@@ -34,15 +34,15 @@ edges go in waves: each wave is one ``_nmci`` call over edges that share
 no agent, and each edge waits only for the earlier edges that share one
 of its agents, so every agent sees the inputs it would see edge by edge.
 ``_nmci`` fuses the pieces where stack blocks meet partition blocks and
-reads nothing else, so the tracker has no strict mode and no failure
-path: whether the partition leaves entries outside every piece
-(``_Pieces.off``) is a fact about the scenario's layout.  With
-``group_axes`` and diagonal noise there are none; with
-``group_target_bias`` the target-bias coupling is left out, as lenient
-``nmci_fuse`` drops it.  NEES, errors and the recorded figures are
-computed over blocks of steps, for every filter at once.  Every sum but
-NEES's runs in index order, so a run's weights and every series but
-NEES are bitwise the same whatever the run count.
+reads nothing else, so the tracker's fusion has no failure path: whether
+the partition leaves entries outside every piece (``_Pieces.off``) is a
+fact about the scenario's layout.  With ``group_axes`` and diagonal
+noise there are none; with ``group_target_bias`` the target-bias
+coupling is left out, where ``nmci_fuse`` would refuse it.  NEES,
+errors and the recorded figures are computed over blocks of steps, for
+every filter at once.  Every sum but NEES's runs in index order, so a
+run's weights and every series but NEES are bitwise the same whatever
+the run count.
 
 That pass exploits the scenario's independence structure.  The
 connected components of the union sparsity pattern of P0, F, Q and each
@@ -594,14 +594,23 @@ def fusion_round(beliefs: list[GaussianEstimate], edges, method: str, step: int,
     share no agent with any pending earlier edge together and gets the
     same results (see ``_fuse_round``); its weights, like every series
     but NEES, do not depend on the run count.  ``partition`` is the block
-    structure every agent shares; only the block-wise method reads it,
-    through lenient ``nmci_fuse``, since the tracker's core leaves the
-    entries outside the blocks out.  Returns the (edges, blocks) weights:
-    one block for CI, none for ``none``.  A failing edge aborts with its id.
+    structure every agent shares; only the block-wise method reads it.
+    The tracker's core never reads the entries outside the partition
+    blocks, so each endpoint's are zeroed before ``nmci_fuse``, which
+    refuses inputs that couple blocks.  Returns the (edges, blocks)
+    weights: one block for CI, none for ``none``.  A failing edge aborts
+    with its id.
     """
     blocks = {"CI": 1, "nmCI": partition.n_blocks, "none": 0}.get(method)
     if blocks is None:
         raise ConfigError(f"fusion_round cannot run method {method!r}")
+    off = _Pieces(StackLayout([range(partition.dim)]), partition).off[0]
+
+    def blockwise(x: GaussianEstimate) -> GaussianEstimate:
+        cov = x.covariance.copy()
+        cov.flat[off] = 0.0
+        return GaussianEstimate(x.mean, cov, x.labels)
+
     out = list(beliefs)
     omegas = np.empty((len(edges), blocks))
     for e, (i, j) in enumerate(edges if blocks else ()):
@@ -609,7 +618,7 @@ def fusion_round(beliefs: list[GaussianEstimate], edges, method: str, step: int,
             if method == "CI":
                 res = ci_fuse(out[i], out[j])
             else:
-                res = nmci_fuse(out[i], out[j], partition, strict=False)
+                res = nmci_fuse(blockwise(out[i]), blockwise(out[j]), partition)
         except FusionError as exc:
             raise FusionError(f"fusion failed on edge ({i}, {j}) at step {step}: {exc}") from exc
         out[i] = out[j] = GaussianEstimate(res.fused_mean, res.bound, out[i].labels)

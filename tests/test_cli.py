@@ -112,6 +112,20 @@ def test_fuse_nmci_explicit_partition_matches_pattern(capsys, est_files,
     assert json.loads(out1)["bound"] == json.loads(out2)["bound"]
 
 
+def test_fuse_nmci_refuses_a_covariance_that_couples_the_blocks(capsys, tmp_path):
+    a = GaussianEstimate([0.0, 0.0], [[2.0, 0.8], [0.8, 2.0]], ("x", "y"))
+    b = GaussianEstimate([1.0, 1.0], [[1.0, 0.0], [0.0, 4.0]], ("x", "y"))
+    pa, pb, part, out = (tmp_path / name for name in ("a.json", "b.json", "part.json", "f.json"))
+    a.save(pa)
+    b.save(pb)
+    part.write_text(json.dumps({"blocks": [[0], [1]]}))
+    rc, _, err = _run(capsys, ["fuse", str(pa), str(pb), "--method", "nmCI",
+                               "--partition", str(part), "--out", str(out)])
+    assert rc == 2
+    assert "covariance A couples different partition blocks" in err
+    assert not out.exists()
+
+
 def test_fuse_nmci_without_structure_is_config_error(capsys, est_files):
     pa, pb, _ = est_files
     rc, _, err = _run(capsys, ["fuse", str(pa), str(pb), "--method", "nmCI"])

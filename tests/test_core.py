@@ -28,6 +28,7 @@ from cofusion.core import (
     min_eigenvalue,
     partition_from_sparsity,
     partition_to_sparsity,
+    symmetrize,
     validate_omega,
 )
 
@@ -66,6 +67,15 @@ def test_the_symmetry_check_holds_at_any_scale():
     sym = np.array([[2.0, 0.5], [0.5, 1.0]])
     for c in (1e300, 1e-300):
         np.testing.assert_array_equal(GaussianEstimate(np.zeros(2), c * sym).covariance, c * sym)
+
+
+@pytest.mark.filterwarnings("error")
+def test_symmetrizing_entries_near_the_float64_limit_does_not_overflow():
+    # 1.5e308 + 1.5e308 overflows; each half does not
+    big = np.diag([1.5e308, 1e308])
+    np.testing.assert_array_equal(GaussianEstimate(np.zeros(2), big).covariance, big)
+    np.testing.assert_array_equal(symmetrize(np.array([[1.5e308, 1e308], [1.4e308, 1.0]])),
+                                  [[1.5e308, 1.2e308], [1.2e308, 1.0]])
 
 
 def test_check_symmetric_rejects_nonsquare():

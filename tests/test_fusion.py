@@ -1,5 +1,7 @@
 """Closed-form fusion rules: intersection, block-wise intersection, exact."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -251,8 +253,16 @@ def test_nmci_block_means_match_per_block_ci():
         np.testing.assert_allclose(r.bound[np.ix_(blk, blk)], sub.bound, rtol=1e-10)
 
 
-@pytest.mark.parametrize("strict", [True, False])
-def test_nmci_core_equals_the_public_rule_bitwise(strict):
+def _inside(part, p):
+    """p with its entries outside the partition blocks zeroed."""
+    mask = np.zeros(p.shape, dtype=bool)
+    for blk in part.blocks:
+        mask[np.ix_(blk, blk)] = True
+    return np.where(mask, p, 0.0)
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_nmci_core_equals_the_public_rule_bitwise(exact):
     rng = np.random.default_rng(16)
     part = BlockPartition(((0, 3), (1,), (2, 4, 5)))
     covs = []
@@ -261,21 +271,25 @@ def test_nmci_core_equals_the_public_rule_bitwise(strict):
         for blk in part.blocks:
             c[np.ix_(blk, blk)] = rand_spd(rng, len(blk))
         covs.append(c)
-    if not strict:
+    if not exact:
         covs[0] = covs[0] + 0.2 * rand_spd(rng, 6)     # couples the blocks
     a, b = est(rng.standard_normal(6), covs[0]), est(rng.standard_normal(6), covs[1])
     # a dense covariance is a stack of one block; the core reads only the
-    # entries inside the partition blocks, so a coupling changes nothing
+    # entries inside the partition blocks, so it fuses a coupled input as
+    # the public rule fuses that input with the coupling zeroed
     omegas, (gain_a,), (bound,) = _nmci(
         (a.covariance[None],), (b.covariance[None],), _Pieces(StackLayout([range(6)]), part))
     gain_a, bound = gain_a[0], bound[0]
-    r = nmci_fuse(a, b, part, strict=strict)
+    if not exact:
+        with pytest.raises(DimensionError, match="covariance A couples"):
+            nmci_fuse(a, b, part)
+        a = est(a.mean, _inside(part, a.covariance))
+    r = nmci_fuse(a, b, part)
     np.testing.assert_array_equal(omegas, r.omega)
     np.testing.assert_array_equal(gain_a, r.gain_a)
     np.testing.assert_array_equal(np.eye(6) - gain_a, r.gain_b)
     np.testing.assert_array_equal(bound, r.bound)
-    assert (r.diagnostics["dropped_mass_a"] > 0.0) is not strict
-    assert r.diagnostics["dropped_mass_b"] == 0.0
+    assert r.diagnostics == {"trace": float(np.trace(bound))}
     # each block is the monolithic rule on that block's marginals
     for k, blk in enumerate(part.blocks):
         sub = ci_fuse(a.marginal(blk), b.marginal(blk))
@@ -382,14 +396,20 @@ def _check_stacked_nmci(part):
     for _ in range(5):
         pa, pb = _block_diagonal(rng, STACKED), _block_diagonal(rng, STACKED)
         omegas, gain, bound = _nmci(STACKED.split(pa), STACKED.split(pb), pieces)
-        want = nmci_fuse(est(np.zeros(16), pa), est(np.zeros(16), pb), part, strict=False)
+        # the stack blocks that a partition block splits couple the blocks
+        with pytest.raises(DimensionError, match="covariance A couples"):
+            nmci_fuse(est(np.zeros(16), pa), est(np.zeros(16), pb), part)
+        want = nmci_fuse(est(np.zeros(16), _inside(part, pa)),
+                         est(np.zeros(16), _inside(part, pb)), part)
         np.testing.assert_allclose(omegas, want.omega, rtol=0.0, atol=1e-12)
         _assert_close_relative(_assembled(STACKED, bound), want.bound, 1e-12)
         _assert_close_relative(_assembled(STACKED, gain), want.gain_a, 1e-12)
-        # the entries the stacks leave out are the ones lenient mode drops
-        dropped = [_off_mass(STACKED.split(p), pieces.off) for p in (pa, pb)]
-        np.testing.assert_allclose(dropped, (want.diagnostics["dropped_mass_a"],
-                                             want.diagnostics["dropped_mass_b"]), rtol=1e-12)
+        # the entries the stacks leave out are the ones outside the partition
+        # blocks of the dense matrices
+        dense = _Pieces(DENSE, part)
+        np.testing.assert_allclose([_off_mass(STACKED.split(p), pieces.off) for p in (pa, pb)],
+                                   [_off_mass((p[None],), dense.off) for p in (pa, pb)],
+                                   rtol=1e-12)
 
 
 @pytest.mark.parametrize("part", [
@@ -420,25 +440,34 @@ def test_batched_nmci_equals_separate_calls_bitwise(part):
                                     for side in stacks], rtol=1e-14)
 
 
-def test_nmci_strict_rejects_coupling_lenient_drops_it():
+def test_nmci_rejects_coupling_naming_the_coupled_side():
     part = BlockPartition(((0,), (1,)))
     coupled = est([0.0, 0.0], np.array([[2.0, 0.8], [0.8, 2.0]]))
     plain = est([0.0, 0.0], np.eye(2))
-    # A is checked before B, and only the coupled side reports dropped mass
+    # A is checked before B
     for a, b, side in ((coupled, plain, "A"), (plain, coupled, "B"), (coupled, coupled, "A")):
-        with pytest.raises(DimensionError, match=f"covariance {side} couples.*lenient"):
-            nmci_fuse(a, b, part, strict=True)
-        r = nmci_fuse(a, b, part, strict=False)
-        assert (r.diagnostics["dropped_mass_a"] > 0.0) is (a is coupled)
-        assert (r.diagnostics["dropped_mass_b"] > 0.0) is (b is coupled)
-        # off-block entries of the bound are zero after the projection
-        assert r.bound[0, 1] == 0.0
-    # a coupling within the tolerance passes strict mode and counts as none
+        with pytest.raises(DimensionError, match=f"covariance {side} couples"):
+            nmci_fuse(a, b, part)
+    # a coupling within the tolerance passes and is not fused
     tiny = est([0.0, 0.0], np.array([[2.0, 1e-11], [1e-11, 2.0]]))
     assert _off_mass((tiny.covariance[None],), _Pieces(StackLayout([range(2)]), part).off) \
         < OFF_BLOCK_TOL
-    r = nmci_fuse(tiny, plain, part, strict=True)
-    assert r.diagnostics["dropped_mass_a"] == r.diagnostics["dropped_mass_b"] == 0.0
+    r = nmci_fuse(tiny, plain, part)
+    assert r.bound[0, 1] == 0.0 and r.gain_a[0, 1] == 0.0
+    assert list(r.diagnostics) == ["trace"]
+
+
+@pytest.mark.parametrize("c", [1e-300, 1e-200, 1e-170, 1e160, 1e200, 1e300])
+def test_nmci_rejects_coupling_at_any_scale(c):
+    # off-block mass 0.23: its squares would underflow or overflow unscaled
+    part = BlockPartition(((0,), (1, 2)))
+    p = np.array([[2.0, 0.5, 0.3], [0.5, 2.0, 0.4], [0.3, 0.4, 2.0]])
+    coupled = est(np.zeros(3), c * p)
+    plain = est(np.zeros(3), c * np.eye(3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DimensionError, match="covariance A couples"):
+            nmci_fuse(coupled, plain, part)
 
 
 def test_nmci_partition_must_cover_state():

@@ -464,7 +464,7 @@ def test_fusion_round_block_weights_per_edge():
     part = build_partition(scn)
     out, omegas = fusion_round(beliefs, scn.edges, "nmCI", 0, part)
     assert omegas.shape == (1, part.n_blocks)
-    np.testing.assert_array_equal(omegas[0], fusion.nmci_fuse(*beliefs, part, strict=False).omega)
+    np.testing.assert_array_equal(omegas[0], fusion.nmci_fuse(*beliefs, part).omega)
 
 
 def test_fusion_round_rejects_unknown_method():
