@@ -52,7 +52,7 @@ from .core import (
 OMEGA_TOL = 1e-8
 # relative off-block Frobenius mass block-wise fusion tolerates as zero
 OFF_BLOCK_TOL = 1e-9
-# relative objective difference below which two weights count as tied
+# relative objective difference below which two weights count as tied, in any units
 _TIE_RTOL = 1e-12
 
 
@@ -92,21 +92,29 @@ def _weights(a: np.ndarray, b: np.ndarray, seg: np.ndarray, starts: np.ndarray) 
     over its terms.  Objective sums come from one batched evaluation for
     all segments, and each segment's search takes the steps a search of
     its own would take: every operation is elementwise or a sum within
-    one segment.
+    one segment.  Each segment is searched in its own units: its terms
+    times 2^-e, e the binary exponent of its largest term.  That product
+    is exact, and f, f' and f'' all scale with the units, so every step
+    and decision is the one the unscaled terms would give wherever
+    nothing under- or overflows, and the search holds at any scale
+    ``check_spd`` accepts.  Weights whose objectives differ by at most
+    ``_TIE_RTOL`` relative are tied.  The w = 1 endpoint is evaluated at
+    b itself, which a + (b - a) need not round to when b is far below a.
     """
+    e = np.frexp(np.maximum.reduceat(np.maximum(a, b), starts))[1][seg]
+    a, b = np.ldexp(a, -e), np.ldexp(b, -e)
     ab, gap = a * b, b - a
     abgap = ab * gap
 
     def sums(x):
         return np.add.reduceat(x, starts, axis=-1)
 
-    def derivatives(w):
-        den = a + np.asarray(w)[..., seg] * gap
+    def derivatives(den):
         t = abgap / den ** 2
         return (-sums(t)).tolist(), (2.0 * sums(t * gap / den)).tolist()
 
     n = starts.size
-    (g0, g1), _ = derivatives([[0.0] * n, [1.0] * n])
+    (g0, g1), _ = derivatives(np.stack([a, b]))
     w = [0.0 if d0 >= 0.0 else 1.0 if d1 <= 0.0 else 0.5 for d0, d1 in zip(g0, g1)]
     # f' is increasing and changes sign inside [lo, hi] of each active segment
     active = [s for s in range(n) if not (g0[s] >= 0.0 or g1[s] <= 0.0)]
@@ -115,7 +123,7 @@ def _weights(a: np.ndarray, b: np.ndarray, seg: np.ndarray, starts: np.ndarray) 
         active = [s for s in active if hi[s] - lo[s] > OMEGA_TOL]
         if not active:
             break
-        g, h = derivatives(w)
+        g, h = derivatives(a + np.asarray(w)[seg] * gap)
         searching = []
         for s in active:
             step = g[s] / h[s]
@@ -126,11 +134,11 @@ def _weights(a: np.ndarray, b: np.ndarray, seg: np.ndarray, starts: np.ndarray) 
             w[s] = w[s] - step if lo[s] < w[s] - step < hi[s] else 0.5 * (lo[s] + hi[s])
             searching.append(s)
         active = searching
-    den = a + np.array([w, [0.5] * n, [0.0] * n, [1.0] * n])[:, seg] * gap
+    den = np.vstack([a + np.array([w, [0.5] * n, [0.0] * n])[:, seg] * gap, b])
     fw, f_half, f_zero, f_one = sums(ab / den).tolist()
     out = []
     for s in range(n):
-        slack = _TIE_RTOL * max(abs(fw[s]), 1.0)
+        slack = _TIE_RTOL * abs(fw[s])
         if abs(f_half[s] - fw[s]) <= slack:
             out.append(0.5)
         elif f_zero[s] <= fw[s] + slack or w[s] < OMEGA_TOL:
@@ -402,8 +410,13 @@ def optimize_ci_omega(p_a: np.ndarray, p_b: np.ndarray) -> float:
     scalar sum (Niehsen, FUSION 2002; Reinhardt, Noack & Hanebeck, FUSION
     2012).  f is convex on [0, 1], so its minimum is an endpoint where f'
     does not change sign, else the root of f', found by Newton steps
-    safeguarded by bisection.  Exact ties (e.g. P_a == P_b) resolve to
-    0.5; minima within ``OMEGA_TOL`` of an endpoint snap onto it.
+    safeguarded by bisection.  A minimum whose objective is within 1e-12
+    relative of f(0.5) is a tie (e.g. P_a == P_b) and resolves to 0.5;
+    minima within ``OMEGA_TOL`` of an endpoint, or whose objective is
+    within that slack of the endpoint's, snap onto it.  The search runs
+    in the terms' own units, so scaling both inputs by any factor
+    ``check_spd`` accepts gives the same weight (bitwise, for a power of
+    two).
     """
     a, b = _trace_terms(check_spd(p_a, name="P_a"), check_spd(p_b, name="P_b"))
     return _weights(a, b, np.zeros(a.size, dtype=np.intp), np.zeros(1, dtype=np.intp))[0]

@@ -11,7 +11,7 @@ import pytest
 
 from cofusion import cli, metrics, sdp
 from cofusion.core import GaussianEstimate
-from cofusion.fusion import exact_fuse
+from cofusion.fusion import OMEGA_TOL, exact_fuse
 from cofusion.metrics import SWEEP_CSV_COLUMNS, TRACK_CSV_COLUMNS
 from cofusion.sim import GroupSpec, ScenarioConfig
 
@@ -172,6 +172,24 @@ def test_fuse_sdp_in_any_units_is_the_unit_scale_solve(capsys, tmp_path):
     for c, (scaled_steps, scaled_trace) in runs.items():
         assert scaled_steps == steps
         assert scaled_trace == pytest.approx(trace, rel=1e-12)
+
+
+@pytest.mark.parametrize("c", [1e-162, 1e103])
+def test_fuse_ci_far_from_unit_scale_gives_the_unit_scale_weight(tmp_path, c):
+    # README's pair; the weight search runs in the terms' own units, so it
+    # neither divides by an underflowed curvature nor overflows a·b·(b − a)
+    GaussianEstimate([0.0, 0.0], c * np.diag([1.0, 9.0]), ("x", "y")).save(tmp_path / "a.json")
+    GaussianEstimate([1.0, 1.0], c * np.array([[6.0, 1.0], [1.0, 1.5]]),
+                     ("x", "y")).save(tmp_path / "b.json")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "cofusion", "fuse", "a.json", "b.json",
+                           "--method", "CI"], cwd=tmp_path, capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert abs(json.loads(proc.stdout)["omega"][0] - 0.4468772884) <= OMEGA_TOL
 
 
 def _no_sampling(*args, **kwargs):

@@ -17,6 +17,7 @@ from cofusion.core import (
 )
 from cofusion.fusion import (
     OFF_BLOCK_TOL,
+    OMEGA_TOL,
     _ci,
     _Fold,
     _nmci,
@@ -579,3 +580,126 @@ def test_a_folded_batch_computes_each_class_once_bitwise(part):
             for cls in np.unique(o):
                 same = b[o == cls]
                 assert np.all(same == same[0])
+
+
+# ---------------------------------------------------------------------------
+# the same answers in any units, order and frame (metamorphic relations)
+
+# README's CI pair and its trace-optimal weight
+README_A = np.diag([1.0, 9.0])
+README_B = np.array([[6.0, 1.0], [1.0, 1.5]])
+README_OMEGA = 0.4468772884
+
+
+def _metamorphic_pairs():
+    """(P_a, P_b, partition): README's pair, then random pairs at d 1 to 3."""
+    rng = np.random.default_rng(43)
+    pairs = [(README_A, README_B, BlockPartition(((0,), (1,))))]
+    for d, blocks in ((1, ((0,),)), (2, ((0,), (1,))), (3, ((0, 2), (1,)))):
+        for _ in range(3):
+            pairs.append((rand_spd(rng, d), rand_spd(rng, d, scale=rng.uniform(0.1, 10.0)),
+                          BlockPartition(blocks)))
+    return pairs
+
+
+def _fused(pa, pb, part):
+    """The weight search, CI, and nmCI on the pair's parts inside the partition's blocks."""
+    z = np.zeros(len(pa))
+    return (optimize_ci_omega(pa, pb), ci_fuse(est(z, pa), est(z, pb)),
+            nmci_fuse(est(z, _inside(part, pa)), est(z, _inside(part, pb)), part))
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_power_of_two_scales_ci_and_nmci_bitwise():
+    # the search runs in each segment's own units, so a scale that rounds
+    # nothing moves no step: the same weights and gains, the bound times c
+    for pa, pb, part in _metamorphic_pairs():
+        ref = _fused(pa, pb, part)
+        # the largest power of two at which check_spd accepts both inputs
+        top = 1023 - int(np.frexp(max(pa.max(), pb.max()))[1])
+        for k in (-1000, -999, -500, -61, -60, -1, 1, 60, 61, 500, top - 1, top):
+            c = 2.0 ** k
+            got = _fused(c * pa, c * pb, part)
+            assert got[0] == ref[0]
+            for r, g in zip(ref[1:], got[1:]):
+                assert g.omega.tobytes() == r.omega.tobytes()
+                assert g.gain_a.tobytes() == r.gain_a.tobytes()
+                assert g.gain_b.tobytes() == r.gain_b.tobytes()
+                assert (g.bound / c).tobytes() == r.bound.tobytes()
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_change_of_units_moves_no_weight():
+    rng = np.random.default_rng(44)
+    for pa, pb, part in _metamorphic_pairs():
+        ref = _fused(pa, pb, part)
+        c = rng.standard_normal((len(pa), len(pa)))
+        cross = np.linalg.cholesky(pa) @ (0.5 * c / np.linalg.norm(c, 2)) \
+            @ np.linalg.cholesky(pb).T
+        ref_exact = exact_fuse(est(np.zeros(len(pa)), pa), est(np.zeros(len(pa)), pb), cross)
+        for k in range(-300, 301, 25):
+            c = 10.0 ** k
+            got = _fused(c * pa, c * pb, part)
+            assert abs(got[0] - ref[0]) <= OMEGA_TOL
+            for r, g in zip(ref[1:], got[1:]):
+                np.testing.assert_allclose(g.omega, r.omega, rtol=0, atol=OMEGA_TOL)
+                _assert_close_relative(g.gain_a, r.gain_a, 1e-10)
+                _assert_close_relative(g.bound / c, r.bound, 1e-10)
+            exact = exact_fuse(est(np.zeros(len(pa)), c * pa), est(np.zeros(len(pa)), c * pb),
+                               c * cross)
+            _assert_close_relative(exact.bound / c, ref_exact.bound, 1e-10)
+
+
+@pytest.mark.filterwarnings("error")
+def test_readme_pair_has_one_weight_in_every_unit():
+    for k in range(-300, 301):
+        c = 10.0 ** k
+        assert abs(optimize_ci_omega(c * README_A, c * README_B) - README_OMEGA) <= OMEGA_TOL
+
+
+def test_swapping_the_inputs_swaps_the_weights():
+    for pa, pb, part in _metamorphic_pairs():
+        for ref, got in zip(_fused(pa, pb, part), _fused(pb, pa, part)):
+            if isinstance(ref, float):
+                assert abs(got - (1.0 - ref)) <= OMEGA_TOL
+                continue
+            np.testing.assert_allclose(got.omega, 1.0 - ref.omega, rtol=0, atol=OMEGA_TOL)
+            _assert_close_relative(got.gain_a, ref.gain_b, 1e-10)
+            _assert_close_relative(got.bound, ref.bound, 1e-10)
+
+
+def test_an_orthogonal_change_of_frame_rotates_the_bound():
+    # CI in any frame; nmCI in frames that turn each partition block on its own
+    rng = np.random.default_rng(45)
+    for pa, pb, part in _metamorphic_pairs():
+        d = len(pa)
+        q = np.linalg.qr(rng.standard_normal((d, d)))[0]
+        q_part = np.zeros((d, d))
+        for blk in part.blocks:
+            q_part[np.ix_(blk, blk)] = np.linalg.qr(rng.standard_normal((len(blk),) * 2))[0]
+        ref = _fused(pa, pb, part)
+        z = np.zeros(d)
+        ci = ci_fuse(est(z, q @ pa @ q.T), est(z, q @ pb @ q.T))
+        assert abs(ci.omega[0] - ref[1].omega[0]) <= OMEGA_TOL
+        _assert_close_relative(ci.bound, q @ ref[1].bound @ q.T, 1e-10)
+        na, nb = (q_part @ _inside(part, p) @ q_part.T for p in (pa, pb))
+        nm = nmci_fuse(est(z, na), est(z, nb), part)
+        np.testing.assert_allclose(nm.omega, ref[2].omega, rtol=0, atol=OMEGA_TOL)
+        _assert_close_relative(nm.bound, q_part @ ref[2].bound @ q_part.T, 1e-10)
+
+
+@pytest.mark.filterwarnings("error")
+def test_an_input_far_tighter_than_the_other_takes_all_the_weight():
+    # the tie slack is relative to f, and f(1) is taken at b itself: a tight
+    # b is not tied with the midpoint, whose bound is twice b's trace
+    part = BlockPartition(((0,), (1,)))
+    z = np.zeros(2)
+    for k in range(12, 101):
+        pb = README_B * 10.0 ** -k
+        assert optimize_ci_omega(README_A, pb) == 0.0
+        r = ci_fuse(est(z, README_A), est(z, pb))
+        assert r.omega[0] == 0.0
+        np.testing.assert_array_equal(r.bound, pb)
+        nm = nmci_fuse(est(z, README_A), est(z, _inside(part, pb)), part)
+        np.testing.assert_array_equal(nm.omega, [0.0, 0.0])
+        np.testing.assert_array_equal(nm.bound, _inside(part, pb))

@@ -54,6 +54,10 @@ def _fuse_cases() -> dict[str, list[str]]:
         for n in (50, 600):
             cases[f"fuse-SDP-{d}d-n{n}"] = ["fuse", *pair, "--method", "SDP", "--pattern",
                                             f"{{in}}/free{d}.json", "--n", str(n)]
+    # README's CI pair far below and above unit scale
+    for k in ("1e-162", "1e103"):
+        cases[f"fuse-CI-2d-x{k}"] = ["fuse", f"{{in}}/ra{k}.json", f"{{in}}/rb{k}.json",
+                                     "--method", "CI"]
     return {name: argv + ["--out", "fused.json"] for name, argv in cases.items()}
 
 
@@ -63,6 +67,8 @@ CASES = {
                                "--seed", str(s), "--out", "runs"] for s in (1, 3)},
     "track-full-6-steps": ["track", "--config", "{in}/full6.json", "--mc", "1",
                            "--out", "runs"],
+    # every step, so that the late nmCI weight decisions are reached
+    "track-full-preset": ["track", "--config", "tracking_full", "--mc", "1", "--out", "runs"],
     **{f"compare-seed{s}": ["compare", "--mc", "3", "--seed", str(s), "--out", "runs"]
        for s in (0, 3, 7)},
     **_fuse_cases(),
@@ -102,6 +108,9 @@ def _write_inputs(at: Path) -> None:
             for blk in blocks:
                 cov[np.ix_(blk, blk)] = _spd(rng, len(blk))
             estimate(name, rng.standard_normal(d), cov)
+    for k in ("1e-162", "1e103"):
+        estimate(f"ra{k}.json", np.zeros(2), float(k) * np.diag([1.0, 9.0]))
+        estimate(f"rb{k}.json", np.ones(2), float(k) * np.array([[6.0, 1.0], [1.0, 1.5]]))
     full = json.loads((ROOT / "src" / "cofusion" / "presets" / "tracking_full.json").read_text())
     dump("full6.json", {**full, "n_steps": 6})
 
