@@ -153,22 +153,32 @@ def _weights(a: np.ndarray, b: np.ndarray, seg: np.ndarray, starts: np.ndarray) 
 def _ci(p_a: np.ndarray, p_b: np.ndarray, w) -> tuple[np.ndarray, np.ndarray]:
     """(gain of a, intersected covariance) of SPD (..., n, n) stacks at weight w.
 
-    ``w`` is one weight, or one per matrix of the stack.  Where it is 0
-    (or 1) the bound is P_b (or P_a) itself and the gain exactly 0 (or I).
+    ``w`` is one weight, or one per matrix of the stack.  Only the
+    matrices whose weight lies strictly inside (0, 1) are intersected;
+    where it is 0 (or 1) the bound is P_b (or P_a) itself and the gain
+    exactly 0 (or I), with no solve.
     """
-    w = np.asarray(w, dtype=float)[..., None, None]
+    w = np.asarray(w, dtype=float)
+    inside = (0.0 < w) & (w < 1.0)
+    if inside.all():
+        return _intersected(p_a, p_b, w)
+    # the layout the gains of an all-inside stack have, so that products
+    # with them round the same whichever weights settled
+    gain = np.swapaxes(np.zeros(p_a.shape), -1, -2)
+    gain[w == 1.0] = np.eye(p_a.shape[-1])
+    bound = np.where((w == 0.0)[..., None, None], p_b, p_a)
+    if inside.any():
+        gain[inside], bound[inside] = _intersected(p_a[inside], p_b[inside], w[inside])
+    return gain, bound
+
+
+def _intersected(p_a: np.ndarray, p_b: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_ci`` where every weight lies strictly inside (0, 1)."""
+    w = w[..., None, None]
     # with S = w*P_b + (1-w)*P_a, the intersected covariance is
     # P_b S^-1 P_a and the gain of a is w * P_b S^-1
     pb_sinv = np.swapaxes(np.linalg.solve(w * p_b + (1.0 - w) * p_a, p_b), -1, -2)
-    gain, bound = w * pb_sinv, symmetrize(pb_sinv @ p_a)
-    if np.any((w == 0.0) | (w == 1.0)):
-        # in place: the other gains keep their memory layout, so products
-        # with them round as they would without these ends in the stack
-        np.copyto(gain, 0.0, where=w == 0.0)
-        np.copyto(gain, np.eye(p_a.shape[-1]), where=w == 1.0)
-        np.copyto(bound, p_b, where=w == 0.0)
-        np.copyto(bound, p_a, where=w == 1.0)
-    return gain, bound
+    return w * pb_sinv, symmetrize(pb_sinv @ p_a)
 
 
 class _Pieces:

@@ -318,14 +318,17 @@ TRUTH_CSV_COLUMNS = ["run", "step", "label", "value"]
 
 def sweep_blocks(rows):
     """The sweep's dict rows as one ``write_csv`` block."""
-    yield ("%d,%d,%s,%.12g,%.12g,%.12g,%s,%.12g,%s,%s\r\n" * len(rows),
-           tuple(row[c] for row in rows for c in SWEEP_CSV_COLUMNS))
+    yield ("%d,%d,%s,%.12g,%.12g,%.12g,%s,%.12g,%s,%s\r\n" * len(rows)
+           % tuple(row[c] for row in rows for c in SWEEP_CSV_COLUMNS))
 
-def write_csv(path, columns, rows) -> None:
-    """Write the header, then each block of ``rows``, a (template, values)
-    pair, with one ``template % values`` call.  Floats go out as ``%.12g``
-    and lines end in CRLF: the bytes ``csv.writer`` writes for the cells."""
+def write_csv(path, columns, blocks) -> None:
+    """Write the header, then each text block of ``blocks`` as it comes.
+
+    The blocks hold whole lines, floats as ``%.12g`` and CRLF line ends:
+    the bytes ``csv.writer`` writes for the cells.  A generator of blocks
+    (``sweep_blocks``, ``sim.track_blocks`` and the like) builds each one
+    only when it is written."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(columns) + "\r\n")
-        for template, values in rows:
-            fh.write(template % values)
+        for text in blocks:
+            fh.write(text)

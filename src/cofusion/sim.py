@@ -1111,33 +1111,54 @@ def summarize(data: TrackData) -> dict:
 
 ESTIMATE_CSV_COLUMNS = ["run", "step", "method", "agent", "label", "mean", "std"]
 
-def _run_blocks(run_ids, parts):
-    """Per run and part, blocks of at most ``_METRIC_STEPS`` rows, in row order.
+def _text(values: np.ndarray) -> np.ndarray:
+    """``%.12g`` of every float64 of ``values``, as str objects in its shape.
 
-    A part is (steps, tails, shared, cells).  Its row of a step is one string
-    of a line per tail, each led by a NUL that stands for the run id and by
-    the step.  The tails' ``%.12g`` fields take the (steps, ...) ``shared``
-    cells, filled in once per piece for every run, and their ``%%.12g``
-    fields a run's (runs, steps, ...) ``cells``; None: no fields."""
-    def values(cells, at):
-        return () if cells is None else tuple(cells[at].ravel().tolist())
-    pieces = []
-    for steps, tails, shared, cells in parts:
-        rows = ["".join([f"\0{k},{tail}" for tail in tails]) for k in steps]
-        for s in range(0, len(rows), _METRIC_STEPS):
-            at = slice(s, s + _METRIC_STEPS)
-            pieces.append(("".join(rows[at]) % values(shared, at), cells, at))
+    Each distinct value is formatted once, all of them in one ``%`` call.
+    Values are told apart by their bits, so -0.0 and 0.0 keep their own
+    text."""
+    bits, at = np.unique(values.view(np.uint64).ravel(), return_inverse=True)
+    text = ("%.12g\n" * bits.size % tuple(bits.view(np.float64).tolist())).split("\n")
+    return np.array(text[:-1], dtype=object)[at].reshape(values.shape)
+
+
+def _run_blocks(run_ids, parts):
+    """Per run and part, the text of at most ``_METRIC_STEPS`` steps' lines, in row order.
+
+    A part is (steps, heads, cells, shared).  Its line of step k and head h
+    reads "run,k,h" and then one ``%.12g`` field per array: first each
+    (runs, steps, ...) array of ``cells`` at the run, then each (steps,
+    ...) array of ``shared``, whose trailing axes run over the heads.  A
+    block's text is built only when it is yielded, so no more than one
+    block's text is held at a time.  Its lines are one (steps, heads,
+    tokens) array of str: run and step, head, each field (``_text`` of
+    the block's values) with commas between, and the line end, filled by
+    basic slicing and joined once."""
+    layouts = []
+    for steps, heads, cells, shared in parts:
+        line = np.empty((len(heads), 2 * (len(cells) + len(shared)) + 2), dtype=object)
+        line[:, 1], line[:, 3:-2:2], line[:, -1] = np.array(heads, dtype=object), ",", "\r\n"
+        layouts.append((np.array([f"{k}," for k in steps], dtype=object), line, cells, shared))
     for r, run in enumerate(run_ids):
-        for template, cells, at in pieces:
-            yield template.replace("\0", f"{run},"), values(cells, (r, at))
+        for keys, line, cells, shared in layouts:
+            for s in range(0, keys.size, _METRIC_STEPS):
+                at = slice(s, s + _METRIC_STEPS)
+                fields = [c[r, at] for c in cells] + [x[at] for x in shared]
+                lines = np.empty((keys[at].size,) + line.shape, dtype=object)
+                lines[:] = line
+                lines[:, :, 0] = (f"{run}," + keys[at])[:, None]
+                values = np.empty(lines.shape[:2] + (len(fields),))
+                for i, f in enumerate(fields):
+                    values[:, :, i] = f.reshape(values.shape[:2])
+                lines[:, :, 2:-1:2] = _text(values)
+                yield "".join(lines.ravel().tolist())
 
 
 def track_blocks(data: TrackData):
     steps, agents = range(data.scenario.n_steps), range(data.scenario.n_agents)
     yield from _run_blocks(data.run_ids, (
-        (steps, [f"{m},{a},%%.12g,%%.12g,%.12g,%.12g\r\n"
-                 for a in ([-1] if m == "centralized" else agents)],
-         np.stack([tr.avg2sig, tr.cov_trace], axis=2), np.stack([tr.nees, tr.pos_err], axis=3))
+        (steps, [f"{m},{a}," for a in ([-1] if m == "centralized" else agents)],
+         (tr.nees, tr.pos_err), (tr.avg2sig, tr.cov_trace))
         for m, tr in data.tracks.items()))
 
 
@@ -1145,20 +1166,20 @@ def omega_blocks(data: TrackData):
     scn = data.scenario
     yield from _run_blocks(data.run_ids, (
         (np.flatnonzero(_fusing(scn)).tolist(),
-         [f"{m},{i}-{j},{b},%.12g\r\n" for i, j in scn.edges for b in range(tr.omega.shape[2])],
-         tr.omega, None)
+         [f"{m},{i}-{j},{b}," for i, j in scn.edges for b in range(tr.omega.shape[2])],
+         (), (tr.omega,))
         for m, tr in data.tracks.items() if tr.omega is not None))
 
 
 def truth_blocks(data: TrackData):
-    tails = [f"{lab},%%.12g\r\n" for lab in data.scenario.layout().labels()]
-    yield from _run_blocks(data.run_ids, [(range(data.scenario.n_steps), tails, None, data.truth)])
+    heads = [f"{lab}," for lab in data.scenario.layout().labels()]
+    yield from _run_blocks(data.run_ids, [(range(data.scenario.n_steps), heads, (data.truth,), ())])
 
 
 def estimate_blocks(data: TrackData):
     labels = data.scenario.layout().labels()
     yield from _run_blocks(data.run_ids, (
         (range(data.scenario.n_steps),
-         [f"{m},{aid},{lab},%%.12g,%.12g\r\n" for aid in tr.est_agents for lab in labels],
-         tr.est_std, tr.est_mean)
+         [f"{m},{aid},{lab}," for aid in tr.est_agents for lab in labels],
+         (tr.est_mean,), (tr.est_std,))
         for m, tr in data.tracks.items() if tr.est_mean is not None))

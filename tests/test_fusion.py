@@ -362,6 +362,30 @@ def test_one_block_nmci_is_ci_bitwise():
             np.testing.assert_array_equal(bd, want_bound)
 
 
+@pytest.mark.parametrize("n", [1, 2, 4, 14])
+def test_ci_solves_only_the_open_weights_of_a_mixed_stack(monkeypatch, n):
+    rng = np.random.default_rng(41 + n)
+    pa, pb = (np.stack([rand_spd(rng, n) for _ in range(9)]) for _ in range(2))
+    w = np.array([0.0, 1.0, 0.3, 0.0, 0.5, 1.0, 0.9, 0.2, 0.0])
+    solved = []
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda s, b: solved.append(len(s)) or solve(s, b))
+    gain, bound = _ci(pa, pb, w)
+    # settled weights are copies, not solves
+    assert solved == [4]
+    for i, wi in enumerate(w):
+        want_gain, want_bound = _ci(pa[i], pb[i], wi)
+        np.testing.assert_array_equal(gain[i], want_gain)
+        np.testing.assert_array_equal(bound[i], want_bound)
+    np.testing.assert_array_equal(gain[w == 0.0], 0.0)
+    np.testing.assert_array_equal(gain[w == 1.0], np.broadcast_to(np.eye(n), (2, n, n)))
+    np.testing.assert_array_equal(bound[w == 0.0], pb[w == 0.0])
+    np.testing.assert_array_equal(bound[w == 1.0], pa[w == 1.0])
+    # the layout of an all-open stack, so that products with the gains round alike
+    open_gain, open_bound = _ci(pa, pb, np.full(9, 0.5))
+    assert (gain.strides, bound.strides) == (open_gain.strides, open_bound.strides)
+
+
 def test_partition_of_stack_blocks_gives_per_block_ci():
     # every stack block is one partition block, listed in reverse order
     blocks = [tuple(states) for group in STACKED.groups for states in group.tolist()]

@@ -236,12 +236,12 @@ def test_sweep_rejects_a_seed_the_substreams_would_alias(monkeypatch, seed):
 
 def test_write_csv_format(tmp_path):
     path = tmp_path / "out.csv"
-    block = ("%d,%.12g,%s\r\n" * 2, (1, 0.1234567890123456, "x", 2, 1e-300, ""))
-    write_csv(path, ["a", "b", "c"], [block])
+    # blocks are whole lines, written as they come after the header
+    blocks = iter(["1,%.12g,x\r\n" % 0.1234567890123456, "2,%.12g,\r\n" % 1e-300])
+    write_csv(path, ["a", "b", "c"], blocks)
     text = path.read_text()
     lines = text.strip().split("\n")
     assert lines[0] == "a,b,c"
-    # floats carry 12 significant digits
     assert lines[1] == "1,0.123456789012,x"
     assert lines[2] == "2,1e-300,"
     with open(path, newline="", encoding="utf-8") as fh:

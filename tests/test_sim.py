@@ -1134,7 +1134,7 @@ def _assert_blocks_write_the_dict_row_bytes(tmp_path, data):
     assert (reference["estimates.csv"] == []) == (record == "none")
     for name, (columns, blocks) in files.items():
         _assert_blocks_bounded_in_row_order(
-            [template % values for template, values in blocks(data)], "method" in columns)
+            list(blocks(data)), "method" in columns)
         write_csv(tmp_path / name, columns, blocks(data))
         want = _reference_csv(columns, reference[name])
         assert (tmp_path / name).read_bytes() == want, name
@@ -1153,3 +1153,70 @@ def _assert_blocks_bounded_in_row_order(texts, by_method):
             part = (run, method if by_method else None)
             assert int(step) >= last.get(part, -1)
             last[part] = int(step)
+
+
+def _template_blocks(run_ids, parts):
+    """The row builder that filled every block's template before the first
+    one was written: per part, each block's ``shared`` cells formatted
+    once for all runs.  A part is (steps, tails, shared, cells); the tails'
+    ``%.12g`` fields take the (steps, ...) ``shared`` cells, their
+    ``%%.12g`` fields a run's (runs, steps, ...) ``cells``; None: none."""
+    def values(cells, at):
+        return () if cells is None else tuple(cells[at].ravel().tolist())
+    pieces = []
+    for steps, tails, shared, cells in parts:
+        rows = ["".join([f"\0{k},{tail}" for tail in tails]) for k in steps]
+        for s in range(0, len(rows), sim._METRIC_STEPS):
+            at = slice(s, s + sim._METRIC_STEPS)
+            pieces.append(("".join(rows[at]) % values(shared, at), cells, at))
+    for r, run in enumerate(run_ids):
+        for template, cells, at in pieces:
+            yield template.replace("\0", f"{run},"), values(cells, (r, at))
+
+
+# values that format alike or unusually: both zeros, both nans, the
+# infinities, the edge of the normal range and the subnormals below it
+AWKWARD_VALUES = [-0.0, 0.0, np.nan, -np.nan, np.inf, -np.inf, 1e-300, 2.2250738585072014e-308,
+                  5e-324, -2.5e-310, 1.0, 0.5, 1e16, 123456789012.5]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_run_blocks_write_the_template_builders_bytes(seed):
+    rng = np.random.default_rng(seed)
+    n_runs = int(rng.integers(1, 4))
+    run_ids = sorted(rng.choice(100, n_runs, replace=False).tolist())
+    # a small pool, so that values repeat across runs, steps and heads
+    pool = np.array(AWKWARD_VALUES + (rng.standard_normal(8)
+                                      * 10.0 ** rng.integers(-30, 30, 8)).tolist())
+    parts, template_parts = [], []
+    for p in range(int(rng.integers(1, 4))):
+        n_steps = int(rng.choice([1, 7, 10, 23]))
+        steps = (range(n_steps) if rng.random() < 0.5
+                 else sorted(rng.choice(200, n_steps, replace=False).tolist()))
+        shape = tuple(rng.integers(1, 4, int(rng.integers(1, 3))))
+        heads = [f"m{p},{h}," for h in range(int(np.prod(shape)))]
+        n_cells, n_shared = [(0, 1), (1, 0), (1, 1), (2, 2)][int(rng.integers(4))]
+        cells = tuple(rng.choice(pool, (n_runs, n_steps) + shape) for _ in range(n_cells))
+        shared = tuple(rng.choice(pool, (n_steps,) + shape) for _ in range(n_shared))
+        parts.append((steps, heads, cells, shared))
+        fields = ",".join(["%%.12g"] * n_cells + ["%.12g"] * n_shared)
+        template_parts.append((steps, [f"{head}{fields}\r\n" for head in heads],
+                               np.stack(shared, axis=-1) if shared else None,
+                               np.stack(cells, axis=-1) if cells else None))
+    want = [template % values for template, values in _template_blocks(run_ids, template_parts)]
+    assert list(sim._run_blocks(run_ids, parts)) == want
+
+
+def test_first_estimate_block_formats_that_blocks_values_only(monkeypatch):
+    data = run_scenario(tiny_scenario(n_steps=23, record_estimates="all"), mc_runs=3)
+    formatted = []
+    text = sim._text
+    monkeypatch.setattr(sim, "_text", lambda values: formatted.append(values.size) or text(values))
+    blocks = estimate_blocks(data)
+    first = next(blocks)
+    # the first method's first block: ten steps of its recorded agents' labels
+    lines = sim._METRIC_STEPS * next(iter(data.tracks.values())).est_std[0].size
+    assert len(first.splitlines()) == lines
+    assert formatted == [2 * lines]
+    rest = list(blocks)
+    assert len(formatted) == 1 + len(rest)
