@@ -203,6 +203,8 @@ def ldl_pivots(a: np.ndarray) -> np.ndarray:
     L_ij D_j.  Each step is one numpy call over the whole batch.  A matrix is
     positive definite exactly when its pivots are all positive; a pivot that
     is not spoils only the later steps of its own matrix, with inf or nan.
+    The sampler's decisions, the barrier's slacks, the joint gate and the
+    tracker's NEES all factor with it; ``ldl_forward`` then solves with L.
     """
     m = len(a)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -212,6 +214,22 @@ def ldl_pivots(a: np.ndarray) -> np.ndarray:
                 row = a[i, j + 1:i + 1]
                 row -= ratio[i - j - 1] * a[j + 1:i + 1, j]
     return np.einsum("ii...->i...", a)
+
+
+def ldl_forward(ldl: np.ndarray, pivots: np.ndarray, y: np.ndarray) -> None:
+    """Overwrite the batch-last (m, ...) stack ``y`` with L^-1 y, for ``ldl``
+    and ``pivots`` as ``ldl_pivots`` leaves them.
+
+    For each row j in turn, and each i < j in turn, row j loses L_ji =
+    ldl[j, i] / D_i times row i.  The factors broadcast against y's rows,
+    so y may carry axes the factored batch lacks (one right-hand side per
+    run, say).  Every operation is elementwise, so each entry is bitwise
+    the same whatever else shares the call.  Summing (L^-1 x)^2 / D over
+    the rows gives x^T A^-1 x.
+    """
+    for j in range(1, len(y)):
+        for i in range(j):
+            y[j] -= (ldl[j, i] / pivots[i]) * y[i]
 
 
 def is_conservative(bound: np.ndarray, actual: np.ndarray, tol: float = 1e-9) -> bool:

@@ -100,6 +100,10 @@ def _weights(a: np.ndarray, b: np.ndarray, seg: np.ndarray, starts: np.ndarray) 
     ``check_spd`` accepts.  Weights whose objectives differ by at most
     ``_TIE_RTOL`` relative are tied.  The w = 1 endpoint is evaluated at
     b itself, which a + (b - a) need not round to when b is far below a.
+    The endpoint slopes are taken in closed form, f'(0) = -sum(b*(b - a)/a)
+    and f'(1) = -sum(a*(b - a)/b), with no squared denominator: when one
+    term is far below the other, a*b*(b - a) / a^2 would over- or underflow
+    where these do not.  f'' is needed only inside the search.
     """
     e = np.frexp(np.maximum.reduceat(np.maximum(a, b), starts))[1][seg]
     a, b = np.ldexp(a, -e), np.ldexp(b, -e)
@@ -114,7 +118,7 @@ def _weights(a: np.ndarray, b: np.ndarray, seg: np.ndarray, starts: np.ndarray) 
         return (-sums(t)).tolist(), (2.0 * sums(t * gap / den)).tolist()
 
     n = starts.size
-    (g0, g1), _ = derivatives(np.stack([a, b]))
+    g0, g1 = (-sums(np.stack([b * gap / a, a * gap / b]))).tolist()
     w = [0.0 if d0 >= 0.0 else 1.0 if d1 <= 0.0 else 0.5 for d0, d1 in zip(g0, g1)]
     # f' is increasing and changes sign inside [lo, hi] of each active segment
     active = [s for s in range(n) if not (g0[s] >= 0.0 or g1[s] <= 0.0)]

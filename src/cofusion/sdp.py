@@ -33,10 +33,10 @@ directions.  With T = [[I, 0, 0], [0, I, -I]] (2d x 3d), each basis
 matrix is A_k = T^T B_k T for a 2d x 2d B_k (``_coords``), so
 tr(S_i A_k S_i A_l) = tr(R_i B_k R_i B_l) with R_i = T S_i T^T =
 N_i^T D_i^-1 N_i + blockdiag(0, E_i), N_i = L_i^-1 [I, -(K J_i[:, :d] -
-K J_i[:, d:])] by forward substitution, and E_i = P_a + P_b - X_i - X_i^T
-for the cross block X_i.  The upper entries of all R_i form one
-(d(2d+1), n) array: the gradient is a row sum of it, and each Hessian
-entry is two entries of its Gram matrix.
+K J_i[:, d:])] by forward substitution (``core.ldl_forward``), and
+E_i = P_a + P_b - X_i - X_i^T for the cross block X_i.  The upper
+entries of all R_i form one (d(2d+1), n) array: the gradient is a row
+sum of it, and each Hessian entry is two entries of its Gram matrix.
 
 Units: ``build_problem`` divides P_a, P_b and the samples by 2^e, e the
 binary exponent of tr(P_a + P_b), and ``_solution`` multiplies back what
@@ -136,6 +136,7 @@ from .core import (
     NotPositiveDefiniteError,
     SolverError,
     check_spd,
+    ldl_forward,
     ldl_pivots,
     make_substream_seed,
     symmetrize,
@@ -477,7 +478,8 @@ class _Batch:
         """Gradients (k, m) and Hessians (k, m, m) of -sum_i logdet G_i at the
         points of the last ``chol_logdet`` call's entries ``picked``
         (ascending), through the upper triangles of R_i = T S_i T^T (module
-        docstring)."""
+        docstring).  N_i is forward-substituted by ``core.ldl_forward`` with
+        the factors ``chol_logdet`` kept."""
         (order, rows, ns, offs, back, groups, _, e_upper), ldl, pivots, kjs = self.factors
         d, q, k = self.d, len(self.upper), len(picked)
         if back is not None:
@@ -506,10 +508,7 @@ class _Batch:
                 np.subtract(kj[:, :, d:], kj[:, :, :d], out=out)
                 runs.append((at, c, n))
                 at += c * n
-        for j in range(1, d):
-            for i in range(j):
-                # the eliminated ldl[j, i] is L_ji D_i
-                nmat[j] -= (ldl[j, i] / pivots[i]) * nmat[i]
+        ldl_forward(ldl, pivots, nmat)
         r = np.einsum("jan,jbn->abn", nmat / pivots[:, None], nmat)
         r = r.reshape(4 * d * d, total)[self.upper]
         # E_i's upper triangle is the last rows of R_i's
@@ -1001,8 +1000,6 @@ def robust_fuse(a: GaussianEstimate, b: GaussianEstimate, pattern: CrossSparsity
     a budget exhaustion is returned with its status in the diagnostics.
     """
     _check_same_labels(a, b)
-    if n < 1:
-        raise DimensionError("n must be at least 1")
     _check_solver_args(tol, DEFAULT_MAX_ITERS)
     drawn = sample_set(a.covariance, b.covariance, pattern, n, seed)
     arrs = [s.p_ab for s in drawn]

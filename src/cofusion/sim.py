@@ -40,9 +40,9 @@ fact about the scenario's layout.  With ``group_axes`` and diagonal
 noise there are none; with ``group_target_bias`` the target-bias
 coupling is left out, where ``nmci_fuse`` would refuse it.  NEES,
 errors and the recorded figures are computed over blocks of steps, for
-every filter at once.  Every sum but NEES's runs in index order, so a
-run's weights and every series but NEES are bitwise the same whatever
-the run count.
+every filter at once.  Every sum runs in index order, and NEES
+substitutes each run's error on its own, so a run's weights and series
+are bitwise the same whatever the run count.
 
 That pass exploits the scenario's independence structure.  The
 connected components of the union sparsity pattern of P0, F, Q and each
@@ -90,6 +90,8 @@ from .core import (
     as_seed,
     check_spd,
     check_spd_stacks,
+    ldl_forward,
+    ldl_pivots,
     make_substream,
     parsing,
     read_json,
@@ -592,8 +594,8 @@ def fusion_round(beliefs: list[GaussianEstimate], edges, method: str, step: int,
     see the outcome of earlier ones within the same round.  This is the
     per-estimate reference of the tracker's round, which fuses edges that
     share no agent with any pending earlier edge together and gets the
-    same results (see ``_fuse_round``); its weights, like every series
-    but NEES, do not depend on the run count.  ``partition`` is the block
+    same results (see ``_fuse_round``); its weights, like every series,
+    do not depend on the run count.  ``partition`` is the block
     structure every agent shares; only the block-wise method reads it.
     The tracker's core never reads the entries outside the partition
     blocks, so each endpoint's are zeroed before ``nmci_fuse``, which
@@ -870,20 +872,31 @@ def _block_metrics(layout: StackLayout, covs: list[np.ndarray], means: np.ndarra
     """Per filter: NEES and position-error norms (runs, steps, filters), two-sigma
     position figure and covariance trace (steps, filters), variances (steps, filters, d).
 
-    ``covs`` holds per size group the (steps, filters, k, n, n) stacks;
-    ``means`` (runs, steps, filters, d), ``truth`` (runs, steps, d) and
-    the positions ``pos`` are in permuted coordinates, the variances come
-    back in state-label order.  Every sum but NEES's runs in index order,
-    so those series do not depend on the run count.  NEES solves every run
-    as one right-hand side of a factorization per step, filter and block.
+    ``covs`` holds per size group the batch-last (n, n, steps, filters, k)
+    stacks, which it factors in place; ``means`` (runs, steps, filters,
+    d), ``truth`` (runs, steps, d) and the positions ``pos`` are in
+    permuted coordinates, the variances come back in state-label order.
+    Each (step, filter, block) covariance is factored once as L D L^T
+    (``core.ldl_pivots``), and each run's error e is forward-substituted
+    on its own (``core.ldl_forward``): its NEES e^T P^-1 e sums
+    (L^-1 e)^2 / D.  Every sum runs in index order, so no series depends
+    on the run count.
     """
     err = means - truth[:, :, None, :]
-    errs = (np.moveaxis(e, 0, -1) for e in layout.views(err))
-    nees = sum(np.sum(e * np.linalg.solve(c, e), axis=(-3, -2)) for c, e in zip(covs, errs))
-    diag = np.concatenate([np.diagonal(c, axis1=-2, axis2=-1).reshape(c.shape[:2] + (-1,))
+    # read before the factoring overwrites the diagonals
+    diag = np.concatenate([np.einsum("ii...->...i", c).reshape(c.shape[2:4] + (-1,))
                            for c in covs], axis=-1)
+    terms = []
+    for c, e in zip(covs, layout.views(err)):
+        pivots = ldl_pivots(c)
+        # the (n, runs, steps, filters, k) errors
+        y = np.moveaxis(e, -1, 0).copy()
+        ldl_forward(c, pivots, y)
+        quad = np.square(y) / pivots[:, None]
+        terms.append(np.moveaxis(quad, 0, -1).reshape(err.shape[:3] + (-1,)))
     var = diag[..., layout.position]
-    return (np.moveaxis(nees, -1, 0), np.sqrt(_in_order_sum(np.square(err[..., pos]))),
+    return (_in_order_sum(np.concatenate(terms, axis=-1)),
+            np.sqrt(_in_order_sum(np.square(err[..., pos]))),
             2.0 * np.sqrt(_in_order_sum(diag[..., pos]) / pos.size), _in_order_sum(var), var)
 
 
@@ -906,7 +919,7 @@ def _simulate(scenario: ScenarioConfig, run_ids, methods: tuple[str, ...]) -> Tr
     methods = tuple(dict.fromkeys(methods))
     for m in methods:
         if m not in METHODS:
-            raise ConfigError(f"unknown method {m!r}")
+            raise ConfigError(f"unknown method {m!r}; choose from {list(METHODS)}")
     timings = dict.fromkeys(("draw", "filter", "fuse", "metrics"), 0.0)
     t0 = time.perf_counter()
     dynamics = global_transition(scenario.layout(), scenario.dt, scenario.q)
@@ -953,7 +966,8 @@ def _simulate(scenario: ScenarioConfig, run_ids, methods: tuple[str, ...]) -> Tr
     covs = [np.repeat(s[None], n, axis=0) for s in layout.split(prior_cov)]
     pos = layout.position[scenario.layout().position_indices()]
     block = min(_METRIC_STEPS, steps)
-    cov_held = [np.empty((block,) + c.shape) for c in covs]
+    # batch-last, as ``_block_metrics`` factors them
+    cov_held = [np.empty(c.shape[-2:] + (block,) + c.shape[:-2]) for c in covs]
     means_held = np.empty((n_runs, block) + means.shape[1:])
     nees, pos_err = np.empty((2, n_runs, steps, n))
     avg2sig, cov_trace = np.empty((2, steps, n))
@@ -969,13 +983,13 @@ def _simulate(scenario: ScenarioConfig, run_ids, methods: tuple[str, ...]) -> Tr
         t2 = time.perf_counter()
         b = k % block
         for held, c in zip(cov_held, covs):
-            held[b] = c
+            held[:, :, b] = np.moveaxis(c, (-2, -1), (0, 1))
         means_held[:, b] = means
         if b + 1 == block or k + 1 == steps:
             done = slice(k - b, k + 1)
             nees[:, done], pos_err[:, done], avg2sig[done], cov_trace[done], var = _block_metrics(
-                layout, [c[:b + 1] for c in cov_held], means_held[:, :b + 1], permuted[:, done],
-                pos)
+                layout, [c[:, :, :b + 1] for c in cov_held], means_held[:, :b + 1],
+                permuted[:, done], pos)
             est_mean[:, done] = means_held[:, :b + 1, rec][..., layout.position]
             est_std[done] = np.sqrt(var[:, rec])
         timings["filter"] += t1 - t0
@@ -1017,8 +1031,7 @@ def simulate_run(scenario: ScenarioConfig, run_idx: int) -> TrackData:
     """Monte-Carlo run ``run_idx`` alone, every method replaying its ``draw_run`` draws.
 
     This is ``run_scenario``'s lockstep with a batch of one run: its
-    series and weights are those ``run_scenario`` gives the run, bitwise
-    apart from roundoff in NEES.
+    series and weights are bitwise those ``run_scenario`` gives the run.
     """
     return _simulate(scenario, [run_idx], scenario.methods)
 
@@ -1061,10 +1074,8 @@ def run_scenario(scenario: ScenarioConfig, *, methods=None, mc_runs: int | None 
     """Run the Monte-Carlo experiment, every method stepping all runs in lockstep.
 
     ``methods``/``mc_runs``/``seed`` override the scenario fields.  Runs
-    draw from disjoint substreams by index, and every series of a run but
-    NEES, weights included, is bitwise the same whatever the run count;
-    NEES solves the runs as right-hand sides of one factorization, so it
-    moves in the last bits.
+    draw from disjoint substreams by index, and every series of a run,
+    weights included, is bitwise the same whatever the run count.
     """
     if seed is not None or mc_runs is not None:
         scenario = replace(scenario,

@@ -22,6 +22,7 @@ from cofusion.core import (
     check_symmetric,
     cov_to_corr,
     is_conservative,
+    ldl_forward,
     ldl_pivots,
     make_substream,
     make_substream_seed,
@@ -202,6 +203,24 @@ def test_ldl_pivots_flag_exactly_the_matrices_that_are_not_positive_definite():
     rest = np.setdiff1d(np.arange(len(mats)), sorted(bad))
     alone = ldl_pivots(good.transpose(1, 2, 0).copy())
     assert np.array_equal(piv[:, rest], alone)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 6, 14])
+def test_ldl_forward_gives_each_right_hand_sides_quadratic_form(m):
+    rng = np.random.default_rng(m)
+    mats = np.array([rand_spd(rng, m, scale=10.0 ** rng.uniform(-3, 3)) for _ in range(5)])
+    x = rng.standard_normal((3, 5, m))      # three right-hand sides per matrix
+    ldl = np.moveaxis(mats, (-2, -1), (0, 1)).copy()
+    piv = ldl_pivots(ldl)
+    y = np.moveaxis(x, -1, 0).copy()
+    ldl_forward(ldl, piv, y)
+    want = np.sum(x * np.linalg.solve(mats, x[..., None])[..., 0], axis=-1)
+    np.testing.assert_allclose(np.sum(y ** 2 / piv[:, None], axis=0), want, rtol=1e-10)
+    # a right-hand side alone is bitwise the same as in the batch
+    for r in range(3):
+        alone = np.moveaxis(x[r], -1, 0).copy()
+        ldl_forward(ldl, piv, alone)
+        assert np.array_equal(alone, y[:, r])
 
 
 def test_is_conservative_basic():

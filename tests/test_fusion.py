@@ -616,13 +616,18 @@ README_OMEGA = 0.4468772884
 
 
 def _metamorphic_pairs():
-    """(P_a, P_b, partition): README's pair, then random pairs at d 1 to 3."""
+    """(P_a, P_b, partition): README's pair, random pairs at d 1 to 3, then one at
+    each preset's stack-block size, split as ``group_target_bias`` splits it."""
     rng = np.random.default_rng(43)
     pairs = [(README_A, README_B, BlockPartition(((0,), (1,))))]
     for d, blocks in ((1, ((0,),)), (2, ((0,), (1,))), (3, ((0, 2), (1,)))):
         for _ in range(3):
             pairs.append((rand_spd(rng, d), rand_spd(rng, d, scale=rng.uniform(0.1, 10.0)),
                           BlockPartition(blocks)))
+    # tracking_desk's blocks hold 4 target and 2 bias states, tracking_full's 10 and 4
+    for d, targets in ((6, 4), (14, 10)):
+        pairs.append((rand_spd(rng, d), rand_spd(rng, d, scale=rng.uniform(0.1, 10.0)),
+                      BlockPartition((tuple(range(targets)), tuple(range(targets, d))))))
     return pairs
 
 
@@ -681,6 +686,30 @@ def test_readme_pair_has_one_weight_in_every_unit():
         assert abs(optimize_ci_omega(c * README_A, c * README_B) - README_OMEGA) <= OMEGA_TOL
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scaled", ["a", "b"])
+def test_either_input_in_any_units_fuses_without_a_warning(scaled):
+    # README's pair, and its block-diagonal part for nmCI, with one input
+    # scaled by 10^k: from |k| = 1 that input is the tighter or the looser
+    part = BlockPartition(((0,), (1,)))
+    z = np.zeros(2)
+    pairs = ((README_A, README_B), (_inside(part, README_A), _inside(part, README_B)))
+    for k in range(-307, 308):
+        c = 10.0 ** k
+        (pa, pb), (na, nb) = ((c * a, b) if scaled == "a" else (a, c * b) for a, b in pairs)
+        omega = optimize_ci_omega(pa, pb)
+        ci = ci_fuse(est(z, pa), est(z, pb))
+        nm = nmci_fuse(est(z, na), est(z, nb), part)
+        if k == 0:
+            continue
+        # b is the tighter input when a is scaled up or b down
+        w, tight, n_tight = (0.0, pb, nb) if (k > 0) == (scaled == "a") else (1.0, pa, na)
+        assert omega == w and ci.omega[0] == w, k
+        np.testing.assert_array_equal(ci.bound, tight)
+        np.testing.assert_array_equal(nm.omega, [w, w])
+        np.testing.assert_array_equal(nm.bound, n_tight)
+
+
 def test_swapping_the_inputs_swaps_the_weights():
     for pa, pb, part in _metamorphic_pairs():
         for ref, got in zip(_fused(pa, pb, part), _fused(pb, pa, part)):
@@ -710,6 +739,37 @@ def test_an_orthogonal_change_of_frame_rotates_the_bound():
         nm = nmci_fuse(est(z, na), est(z, nb), part)
         np.testing.assert_allclose(nm.omega, ref[2].omega, rtol=0, atol=OMEGA_TOL)
         _assert_close_relative(nm.bound, q_part @ ref[2].bound @ q_part.T, 1e-10)
+
+
+def test_a_relabelling_relabels_the_fused_estimate():
+    # states reordered through ``reindex``: CI, nmCI over the partition's
+    # blocks mapped to the new order, and exact with the cross permuted
+    rng = np.random.default_rng(46)
+    for pa, pb, part in _metamorphic_pairs():
+        d = len(pa)
+        labels = [f"s{i}" for i in range(d)]
+        perm = rng.permutation(d)
+        new_labels, where = [labels[i] for i in perm], np.argsort(perm)
+        moved = BlockPartition(tuple(tuple(sorted(int(where[i]) for i in blk))
+                                     for blk in part.blocks))
+        c = rng.standard_normal((d, d))
+        cross = np.linalg.cholesky(pa) @ (0.5 * c / np.linalg.norm(c, 2)) \
+            @ np.linalg.cholesky(pb).T
+        ma, mb = rng.standard_normal((2, d))
+        a, b = est(ma, pa, labels), est(mb, pb, labels)
+        na, nb = est(ma, _inside(part, pa), labels), est(mb, _inside(part, pb), labels)
+        cases = [(ci_fuse(a, b), ci_fuse(a.reindex(new_labels), b.reindex(new_labels))),
+                 (nmci_fuse(na, nb, part),
+                  nmci_fuse(na.reindex(new_labels), nb.reindex(new_labels), moved)),
+                 (exact_fuse(a, b, cross), exact_fuse(a.reindex(new_labels), b.reindex(new_labels),
+                                                      cross[np.ix_(perm, perm)]))]
+        for ref, got in cases:
+            if ref.omega is not None:
+                np.testing.assert_allclose(got.omega, ref.omega, rtol=0, atol=OMEGA_TOL)
+            for key in ("gain_a", "gain_b", "bound"):
+                _assert_close_relative(getattr(got, key), getattr(ref, key)[np.ix_(perm, perm)],
+                                       1e-10)
+            _assert_close_relative(got.fused_mean, ref.fused_mean[perm], 1e-10)
 
 
 @pytest.mark.filterwarnings("error")

@@ -3,22 +3,22 @@
 
     python tools/same_outputs.py PARENT [--allow GLOB ...] [--case NAME ...]
 
-PARENT is any commit git can name.  The script checks it out with
-``git worktree add --detach`` under a temporary directory, writes one set
-of input files there, and runs every case of ``CASES`` with each tree's
-``src`` on ``PYTHONPATH``: first the parent's, then this working tree's
-(uncommitted edits included).  It compares every output file but
-``manifest.json`` byte for byte.  A case that exits non-zero leaves an
-``exit.txt`` with its status and standard error, compared like an
-output.  For each file that differs it prints the largest relative
-change per numeric CSV column or JSON key, and the keys or columns only
-one side has.
+PARENT is any commit git can name.  The script extracts the parent's
+``src/`` with ``git archive`` (``ab_time._extract``) under a temporary
+directory, writes one set of input files there, and runs every case of
+``CASES`` with each tree's ``src`` on ``PYTHONPATH``: first the parent's,
+then this working tree's (uncommitted edits included).  It compares
+every output file but ``manifest.json`` byte for byte.  A case that
+exits non-zero leaves an ``exit.txt`` with its status and standard
+error, compared like an output.  For each file that differs it prints
+the largest relative change per numeric CSV column or JSON key, and the
+keys or columns only one side has.
 
 The exit status is 0 when every output is identical, or when each
 differing file matches an ``--allow`` glob (matched against
 ``CASE/FILE``, e.g. ``fuse-nmCI-*/fused.json``), and 1 otherwise.  The
-worktree and every output are removed on the way out.  ``--case`` runs
-only the named cases.  Standard library and numpy only.
+extracted tree and every output are removed on the way out.  ``--case``
+runs only the named cases.  Standard library and numpy only.
 """
 
 from __future__ import annotations
@@ -37,6 +37,8 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+
+from ab_time import _extract
 
 ROOT = Path(__file__).resolve().parent.parent
 SKIPPED = {"manifest.json"}     # timestamps and timings
@@ -213,8 +215,7 @@ def main(argv=None) -> int:
     tmp = Path(tempfile.mkdtemp(prefix="same-outputs-"))
     parent = tmp / "parent"
     try:
-        subprocess.run(["git", "-C", str(ROOT), "worktree", "add", "--detach", "--quiet",
-                        str(parent), args.parent], check=True)
+        _extract(args.parent, parent)
         _write_inputs(tmp / "inputs")
         for side, tree in (("parent", parent), ("change", ROOT)):
             for name in names:
@@ -238,10 +239,7 @@ def main(argv=None) -> int:
         print(f"outputs: {same} identical, {len(differing)} differing, {refused} not allowed")
         return 1 if refused else 0
     finally:
-        subprocess.run(["git", "-C", str(ROOT), "worktree", "remove", "--force", str(parent)],
-                       capture_output=True)
         shutil.rmtree(tmp, ignore_errors=True)
-        subprocess.run(["git", "-C", str(ROOT), "worktree", "prune"], capture_output=True)
 
 
 if __name__ == "__main__":
