@@ -13,12 +13,16 @@ block-diagonal covariances stored as stacks of their diagonal blocks
 may carry leading batch axes, and every batch entry is fused on its own,
 with the weights, gains and bounds a call of its own would give.  The
 core fuses only the entries inside the pieces where stack blocks meet
-partition blocks and reads no other entry.  The tracker calls it
-directly on its filters' stacks, one batch entry per edge of a wave of
-edges that share no agent; its layout decides once per scenario which
-entries lie outside the pieces (``_Pieces.off``), and its ``_Fold``
-which (edge, piece) pairs are equal, so that each distinct one is
-intersected once.  ``nmci_fuse``
+partition blocks and reads no other entry.  It takes lanes, each its own
+stacks, partition and fold, and runs one weight search over all of them.
+The tracker calls it directly on its filters' stacks, one call per wave
+for every fusing method: a lane per method, one batch entry per edge of
+a wave of edges that share no agent.  Its layout decides once per
+scenario which entries lie outside the pieces (``_Pieces.off``), and
+its ``_Fold`` which (edge, piece) pairs are equal, so that each
+distinct one is intersected once; the fold's ``_Plan`` holds the
+indices that gather, order and scatter them, built once per fold.
+``nmci_fuse``
 passes a dense covariance, unbatched, as a stack of one block, every
 piece its own class; it first measures the off-block mass of its
 inputs, in any units, and refuses inputs that couple different partition
@@ -31,12 +35,14 @@ covariances, as ``_nmci`` does for one block, and intersects them with
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .core import (
     BlockPartition,
     DimensionError,
+    FusionError,
     FusionMethod,
     FusionResult,
     GaussianEstimate,
@@ -54,6 +60,9 @@ OMEGA_TOL = 1e-8
 OFF_BLOCK_TOL = 1e-9
 # relative objective difference below which two weights count as tied, in any units
 _TIE_RTOL = 1e-12
+# smallest normal float64: a weight search whose products of terms reach
+# below it, in the segment's own units, is decided without one
+_TINY = np.finfo(float).tiny
 
 
 def _check_same_labels(a: GaussianEstimate, b: GaussianEstimate) -> None:
@@ -96,18 +105,28 @@ def _weights(a: np.ndarray, b: np.ndarray, seg: np.ndarray, starts: np.ndarray) 
     times 2^-e, e the binary exponent of its largest term.  That product
     is exact, and f, f' and f'' all scale with the units, so every step
     and decision is the one the unscaled terms would give wherever
-    nothing under- or overflows, and the search holds at any scale
-    ``check_spd`` accepts.  Weights whose objectives differ by at most
-    ``_TIE_RTOL`` relative are tied.  The w = 1 endpoint is evaluated at
-    b itself, which a + (b - a) need not round to when b is far below a.
+    nothing under- or overflows.  A segment where some product a*b falls
+    below float64's normal range in its units, whose inputs lie more than
+    a hundred decades apart, is decided by dominance (``_dominance``) and
+    not searched, so every pair of scales ``check_spd`` accepts gets its
+    weight.  Weights whose objectives differ by at most ``_TIE_RTOL``
+    relative are tied.  The w = 1 endpoint is evaluated at b itself,
+    which a + (b - a) need not round to when b is far below a.
     The endpoint slopes are taken in closed form, f'(0) = -sum(b*(b - a)/a)
     and f'(1) = -sum(a*(b - a)/b), with no squared denominator: when one
     term is far below the other, a*b*(b - a) / a^2 would over- or underflow
     where these do not.  f'' is needed only inside the search.
     """
     e = np.frexp(np.maximum.reduceat(np.maximum(a, b), starts))[1][seg]
-    a, b = np.ldexp(a, -e), np.ldexp(b, -e)
-    ab, gap = a * b, b - a
+    raw, (a, b) = (a, b), (np.ldexp(a, -e), np.ldexp(b, -e))
+    ab, settled = a * b, {}
+    if ab.min() < _TINY:
+        far = np.minimum.reduceat(ab, starts) < _TINY
+        settled = _dominance(*raw, starts, np.flatnonzero(far))
+        # the search reads ones in their place
+        a, b = (np.where(far[seg], 1.0, x) for x in (a, b))
+        ab = a * b
+    gap = b - a
     abgap = ab * gap
 
     def sums(x):
@@ -151,7 +170,29 @@ def _weights(a: np.ndarray, b: np.ndarray, seg: np.ndarray, starts: np.ndarray) 
             out.append(1.0)
         else:
             out.append(w[s])
+    for s, w_s in settled.items():
+        out[s] = w_s
     return out
+
+
+def _dominance(a: np.ndarray, b: np.ndarray, starts: np.ndarray, far) -> dict[int, float]:
+    """Weights of the segments ``far`` lists, where a product a*b underflows in their units.
+
+    Such a segment holds a term below 2^-510 times its largest.  A term of
+    either input lies within that input's eigenvalue range, which
+    ``check_spd`` bounds to 1e12, so every term of one input lies below
+    every term of the other.  Where no b term exceeds its a term,
+    f'(0) = sum(b*(a - b)/a) >= 0 and f is convex, so w = 0 is the
+    minimum, exactly, at any scale; where no a term exceeds its b term,
+    w = 1.  Terms on both sides are refused.
+    """
+    gap = b - a
+    below = np.maximum.reduceat(gap, starts)[far] <= 0.0
+    above = np.minimum.reduceat(gap, starts)[far] >= 0.0
+    if not np.all(below | above):
+        raise FusionError("the inputs' variances along their common axes span more than float64 "
+                          "resolves, and neither input is tighter along every axis")
+    return dict(zip(far.tolist(), np.where(below, 0.0, 1.0).tolist()))
 
 
 def _ci(p_a: np.ndarray, p_b: np.ndarray, w) -> tuple[np.ndarray, np.ndarray]:
@@ -189,21 +230,21 @@ class _Pieces:
     """Where a partition's blocks lie in stacked covariances of one layout, for ``_nmci``.
 
     A piece is one stack block intersected with one partition block.
-    ``groups`` holds (stack group, index, part) per stack group and piece
-    size: ``index`` gathers those pieces from the group's (..., k, n, n)
-    stack into a (..., u, m, m) one, and ``part`` names each piece's
-    partition block.  Where the pieces are exactly the group's blocks,
-    whole and in order (every block of CI's one-block partition, or of a
-    partition made of stack blocks), ``index`` is ``...``: the stack is
-    read as it is.  ``places`` holds, per piece group, each piece's block
-    and (u, m) positions within it, and ``pos_ids`` numbers the distinct
-    position lists.  Their trace terms, concatenated group by group and
-    taken in ``order``, run partition block by partition block (``seg``)
-    from ``starts``.  Numbering the pieces the same way, ``by_part`` lists
-    each partition block's pieces in that order and ``by_block`` each
-    stack group's blocks' pieces, padded with -1.  ``off`` lists, per
-    stack group, the flat entries of its (k, n, n) blocks outside every
-    piece.
+    ``groups`` holds (stack group, whole, part) per stack group and piece
+    size, ``part`` naming each piece's partition block.  ``whole`` says
+    the pieces are exactly the group's blocks, whole and in order (every
+    block of CI's one-block partition, or of a partition made of stack
+    blocks), so the stack is read as it is; other pieces are gathered
+    from it.  ``shapes`` holds each stack group's (k, n).  ``places``
+    holds, per piece group, each piece's block and (u, m) positions
+    within it, and ``pos_ids``, computed on first use (only ``_Fold.of``
+    reads it), numbers the distinct position lists.  Their trace terms,
+    concatenated group by group and taken in ``order``, run partition
+    block by partition block (``seg``) from ``starts``.  Numbering the
+    pieces the same way, ``by_part`` lists each partition block's pieces
+    in that order and ``by_block`` each stack group's blocks' pieces,
+    padded with -1.  ``off`` lists, per stack group, the flat entries of
+    its (k, n, n) blocks outside every piece.
     """
 
     def __init__(self, layout: StackLayout, partition: BlockPartition):
@@ -221,16 +262,14 @@ class _Pieces:
                     by_part.setdefault(p, []).append(i)
                 for p, pos in sorted(by_part.items()):
                     pieces.setdefault((g, len(pos)), []).append((blk, pos, p))
-        self.groups, self.places, self.pos_ids, term_part = [], [], [], []
+        self.shapes = [states.shape for states in layout.groups]
+        self.groups, self.places, term_part = [], [], []
         of_block = [[[] for _ in states] for states in layout.groups]
         first = 0
         for (g, m), items in pieces.items():
             blk, pos, part = (np.array(column) for column in zip(*items))
-            index = ... if (blk.size, m) == layout.groups[g].shape \
-                else (..., blk[:, None, None], pos[:, :, None], pos[:, None, :])
-            self.groups.append((g, index, part))
+            self.groups.append((g, (blk.size, m) == self.shapes[g], part))
             self.places.append((blk, pos))
-            self.pos_ids.append(np.unique(pos, axis=0, return_inverse=True)[1].ravel())
             term_part.append(np.repeat(part, m))
             for u, b in enumerate(blk.tolist()):
                 of_block[g][b].append(first + u)
@@ -243,6 +282,10 @@ class _Pieces:
         self.order = np.argsort(term_part, kind="stable")
         self.seg = term_part[self.order]
         self.starts = np.searchsorted(self.seg, np.arange(partition.n_blocks))
+
+    @cached_property
+    def pos_ids(self) -> list[np.ndarray]:
+        return [np.unique(pos, axis=0, return_inverse=True)[1].ravel() for _, pos in self.places]
 
 
 def _padded(rows: list[list[int]]) -> np.ndarray:
@@ -271,20 +314,71 @@ def _classes(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 @dataclass(frozen=True, eq=False)
-class _Fold:
-    """Which (batch entry, piece) pairs of one ``_nmci`` call are equal, so each is computed once.
+class _Plan:
+    """The indices one ``_nmci`` lane reads and writes under one fold, built with the fold.
 
-    Per piece group, ``terms`` holds (entry, piece, inverse): the batch
-    entry and piece of one representative of each class of equal input
-    pairs, whose trace terms are computed, and the class of every (batch
-    entry, piece), flattened.  ``fused`` holds (pair, weight, inverse)
-    for the classes of equal intersections: each one's input pair class
-    and flat index into the (batch, partition blocks) weights, whose gain
-    and bound are computed, and the class of every (batch entry, piece).
+    Per piece group, ``gather`` holds (shape, index): the group's stacks,
+    reshaped to ``shape``, taken at ``index`` along their first axis give
+    the fold's representative input pairs, whole blocks for a group whose
+    pieces are its blocks, else (reps, m, m) pieces of the flat stacks.
+    ``term`` takes every batch entry's trace terms, in search order, from
+    the representatives' terms of all groups concatenated and flattened;
+    ``seg`` and ``starts`` are the segments of the weight search over
+    them, one per (batch entry, partition block).  Per piece group,
+    ``scatter`` is None where the pieces are the group's blocks, else the
+    flat positions of every (batch entry, piece)'s gain and bound in the
+    zero-filled (..., k, n, n) stacks.
     """
 
-    terms: list
+    gather: list
+    term: np.ndarray
+    seg: np.ndarray
+    starts: np.ndarray
+    scatter: list
+
+    @classmethod
+    def of(cls, pieces: _Pieces, terms: list, n_entries: int) -> "_Plan":
+        """The plan of a fold whose (entry, piece, inverse) per piece group are ``terms``."""
+        gather, scatter, term, first = [], [], [], 0
+        entries = np.arange(n_entries)
+        for (g, whole, _), (blk, pos), (entry, piece, inverse) in zip(
+                pieces.groups, pieces.places, terms):
+            k, n = pieces.shapes[g]
+            u, m = pos.shape
+            if whole:
+                gather.append(((-1, n, n), entry * k + piece))
+                scatter.append(None)
+            else:
+                # (entries * u, m, m) positions of every (batch entry, piece)
+                every = (((entries[:, None] * k + blk)[..., None, None] * n + pos[:, :, None]) * n
+                         + pos[:, None, :]).reshape(-1, m, m)
+                gather.append(((-1,), every[entry * u + piece]))
+                scatter.append(every)
+            term.append((first + inverse[:, None] * m + np.arange(m)).reshape(n_entries, -1))
+            first += entry.size * m
+        n_terms, n_blocks = pieces.seg.size, pieces.starts.size
+        return cls(gather=gather, term=np.concatenate(term, axis=1)[:, pieces.order].ravel(),
+                   seg=(entries[:, None] * n_blocks + pieces.seg).ravel(),
+                   starts=(entries[:, None] * n_terms + pieces.starts).ravel(), scatter=scatter)
+
+
+@dataclass(frozen=True, eq=False)
+class _Fold:
+    """Which (batch entry, piece) pairs of one ``_nmci`` lane are equal, so each is computed once.
+
+    ``fused`` holds per piece group (pair, weight, inverse) for the
+    classes of equal intersections: each one's input pair class and flat
+    index into the (batch, partition blocks) weights, whose gain and bound
+    are computed, and the class of every (batch entry, piece), flattened.
+    ``plan`` (``_Plan``) holds the indices that gather one representative
+    of each class of equal input pairs, whose trace terms are computed,
+    and that lay the terms out for the search and the gains and bounds
+    out in the stacks.  It is built with the fold, so a fold used by many
+    calls, as ``sim._class_schedule`` shares them, builds it once.
+    """
+
     fused: list
+    plan: _Plan
 
     @classmethod
     def identity(cls, pieces: _Pieces, n_entries: int) -> "_Fold":
@@ -295,7 +389,7 @@ class _Fold:
             entry, piece = np.divmod(every, part.size)
             terms.append((entry, piece, every))
             fused.append((every, entry * pieces.starts.size + part[piece], every))
-        return cls(terms=terms, fused=fused)
+        return cls(fused=fused, plan=_Plan.of(pieces, terms, n_entries))
 
     @classmethod
     def of(cls, pieces: _Pieces, a, b) -> tuple["_Fold", list[np.ndarray]]:
@@ -331,7 +425,7 @@ class _Fold:
         fused_ids = np.concatenate(fused_ids, axis=1)
         out = [_classes(_pick(fused_ids, blocks))[0].reshape(n_entries, -1)
                for blocks in pieces.by_block]
-        return cls(terms=terms, fused=fused), out
+        return cls(fused=fused, plan=_Plan.of(pieces, terms, n_entries)), out
 
 
 def _pick(ids: np.ndarray, index: np.ndarray) -> np.ndarray:
@@ -348,57 +442,62 @@ def _off_mass(p, off) -> np.ndarray:
     return np.sqrt(part) / np.maximum(np.sqrt(whole), 1e-300)
 
 
-def _nmci(p_a, p_b, pieces: _Pieces, fold: _Fold | None = None):
-    """Block-wise intersection of SPD stacked covariances over a partition of their states.
+def _nmci(lanes: list) -> list[tuple]:
+    """Block-wise intersection of SPD stacked covariances over partitions of their states.
 
-    ``p_a`` and ``p_b`` are sequences of (..., k, n, n) stacks of the
-    layout ``pieces`` was built on; all share one leading batch shape, and
-    each batch entry is one intersection.  Returns (per-block weights,
-    gain of a, bound): the weights (..., blocks), the gain and bound as
-    stacks.  Only the entries inside the pieces are read: those
-    ``pieces.off`` lists are neither checked nor fused, and are zero in
-    the gain and bound.  ``fold`` names the (batch entry, piece) pairs
-    that are equal (every pair its own by default): trace terms, gains
-    and bounds are computed once per class, in one batched call per piece
-    group, and gathered to every pair of the class.  One search over the
-    gathered terms finds every weight: each batch entry's partition blocks
-    are segments of their own, searched as an unbatched call searches
-    them.
+    Each lane is (p_a, p_b, pieces, fold): ``p_a`` and ``p_b`` are
+    sequences of (..., k, n, n) stacks of the layout ``pieces`` was built
+    on, all sharing one leading batch shape, and each batch entry is one
+    intersection.  Returns per lane (per-block weights, gain of a, bound):
+    the weights (..., blocks), the gain and bound as stacks.  Only the
+    entries inside the pieces are read: those ``pieces.off`` lists are
+    neither checked nor fused, and are zero in the gain and bound.
+    ``fold`` (``_Fold``) names the (batch entry, piece) pairs that are
+    equal, None for every pair its own: trace terms, gains and bounds are
+    computed once per class, in one batched call per piece group, and
+    gathered to every pair of the class, through the fold's plan.  One
+    search over every lane's gathered terms finds every weight: each
+    batch entry's partition blocks are segments of their own, searched as
+    an unbatched call searches them.
     """
-    batch = p_a[0].shape[:-3]
-    n_entries = int(np.prod(batch))
-    fold = fold or _Fold.identity(pieces, n_entries)
-    subs, term_a, term_b = [], [], []
-    for (g, ix, _), (blk, pos), (entry, piece, inverse) in zip(pieces.groups, pieces.places,
-                                                                fold.terms):
-        if ix is ...:
-            sa, sb = (p[g].reshape((-1,) + p[g].shape[-2:])[entry * blk.size + piece]
-                      for p in (p_a, p_b))
-        else:
-            at = (entry[:, None, None], blk[piece][:, None, None],
-                  pos[piece][:, :, None], pos[piece][:, None, :])
-            sa, sb = (p[g].reshape((-1,) + p[g].shape[-3:])[at] for p in (p_a, p_b))
-        subs.append((sa, sb))
-        ta, tb = _trace_terms(sa, sb)
-        term_a.append(ta[inverse].reshape(n_entries, -1))
-        term_b.append(tb[inverse].reshape(n_entries, -1))
-    a, b = (np.concatenate(t, axis=-1)[:, pieces.order] for t in (term_a, term_b))
-    n_terms, n_blocks = a.shape[-1], pieces.starts.size
-    entries = np.arange(n_entries)[:, None]
-    omegas = np.array(_weights(a.ravel(), b.ravel(), (entries * n_blocks + pieces.seg).ravel(),
-                               (entries * n_terms + pieces.starts).ravel()))
-    gain_a, bound = [None] * len(p_a), [None] * len(p_a)
-    for (g, ix, _), (sa, sb), (pair, weight, inverse) in zip(pieces.groups, subs, fold.fused):
-        gain, fused = _ci(sa[pair], sb[pair], omegas[weight])
-        # a gather keeps each gain's memory layout, so the roundoff, of products
-        gain, fused = (x[inverse].reshape(batch + (-1,) + x.shape[-2:]) for x in (gain, fused))
-        if ix is ...:
-            gain_a[g], bound[g] = gain, fused
-            continue
-        if gain_a[g] is None:
-            gain_a[g], bound[g] = np.zeros_like(p_a[g]), np.zeros_like(p_a[g])
-        gain_a[g][ix], bound[g][ix] = gain, fused
-    return omegas.reshape(batch + (n_blocks,)), gain_a, bound
+    runs, a, b, seg, starts = [], [], [], [], []
+    n_segs = n_terms = 0
+    for p_a, p_b, pieces, fold in lanes:
+        batch = p_a[0].shape[:-3]
+        fold = fold or _Fold.identity(pieces, int(np.prod(batch)))
+        plan, subs, term_a, term_b = fold.plan, [], [], []
+        for (g, _, _), (shape, index) in zip(pieces.groups, plan.gather):
+            sa, sb = (np.take(p[g].reshape(shape), index, axis=0) for p in (p_a, p_b))
+            subs.append((sa, sb))
+            ta, tb = _trace_terms(sa, sb)
+            term_a.append(ta.ravel())
+            term_b.append(tb.ravel())
+        a.append(np.concatenate(term_a)[plan.term])
+        b.append(np.concatenate(term_b)[plan.term])
+        seg.append(plan.seg + n_segs)
+        starts.append(plan.starts + n_terms)
+        runs.append((p_a, pieces, fold, batch, subs, n_segs))
+        n_segs, n_terms = n_segs + plan.starts.size, n_terms + plan.term.size
+    omegas = np.array(_weights(*(np.concatenate(x) for x in (a, b, seg, starts))))
+    out = []
+    for p_a, pieces, fold, batch, subs, first in runs:
+        weights = omegas[first:first + fold.plan.starts.size]
+        gain_a, bound = [None] * len(p_a), [None] * len(p_a)
+        for (g, _, _), (sa, sb), (pair, weight, inverse), scatter in zip(
+                pieces.groups, subs, fold.fused, fold.plan.scatter):
+            gain, fused = _ci(sa[pair], sb[pair], weights[weight])
+            # a gather keeps each gain's memory layout, so the roundoff, of products
+            gain, fused = (x[inverse] for x in (gain, fused))
+            if scatter is None:
+                gain_a[g], bound[g] = (x.reshape(batch + (-1,) + x.shape[-2:])
+                                       for x in (gain, fused))
+                continue
+            if gain_a[g] is None:
+                gain_a[g], bound[g] = np.zeros(p_a[g].shape), np.zeros(p_a[g].shape)
+            gain_a[g].reshape(-1)[scatter] = gain
+            bound[g].reshape(-1)[scatter] = fused
+        out.append((weights.reshape(batch + (pieces.starts.size,)), gain_a, bound))
+    return out
 
 
 def _fused_mean(gain_a: np.ndarray, mean_a: np.ndarray, mean_b: np.ndarray) -> np.ndarray:
@@ -483,7 +582,8 @@ def nmci_fuse(a: GaussianEstimate, b: GaussianEstimate,
                 f"covariance {side} couples different partition blocks (relative off-block mass "
                 f"{mass:.2e} > {OFF_BLOCK_TOL:g}); fuse it with CI, or with a partition that "
                 f"keeps the coupling inside one block")
-    omegas, (ga,), (bound,) = _nmci((a.covariance[None],), (b.covariance[None],), pieces)
+    ((omegas, (ga,), (bound,)),) = _nmci([((a.covariance[None],), (b.covariance[None],), pieces,
+                                           None)])
     ga, bound = ga[0], bound[0]
     return FusionResult(
         gain_a=ga, gain_b=np.eye(a.dim) - ga, fused_mean=_fused_mean(ga, a.mean, b.mean),

@@ -227,6 +227,11 @@ def build_problem(p_a, p_b, samples) -> SampledFusionProblem:
     at least MIN_PIVOT**2 = 1e-20 times 2^e, a gate relative to the trace,
     otherwise the sample is rejected (the raised error carries
     ``sample_index``, the first such sample, so callers can redraw it).
+    A joint's first d pivots are P_a's, and its last d at most P_b's (the
+    k-th pivot of M is 1/(M_[:k+1]^-1)_kk, and the Schur complement
+    P_b - S^T P_a^-1 S lies below P_b), so marginals whose own pivots fail
+    the gate, such as inputs far apart in scale, fail it with every
+    sample; they are refused first, naming the traces' ratio.
     """
     p_a = check_spd(p_a, name="P_a")
     p_b = check_spd(p_b, name="P_b")
@@ -250,13 +255,20 @@ def build_problem(p_a, p_b, samples) -> SampledFusionProblem:
     # tr(P_a + P_b) taken at a scale where the sum cannot overflow
     top = math.frexp(max(p_a.max(), p_b.max()))[1]
     exponent = math.frexp(float(np.trace(np.ldexp(p_a, -top) + np.ldexp(p_b, -top))))[1] + top
+    marginals = (p_a, p_b)
     p_a, p_b, stack = (np.ldexp(a, -exponent) for a in (p_a, p_b, stack))
+    # ldl_pivots factors in place
+    if not ldl_pivots(np.stack([p_a, p_b], axis=-1)).min() >= MIN_PIVOT ** 2:
+        decades = math.log10(np.trace(marginals[0])) - math.log10(np.trace(marginals[1]))
+        raise NotPositiveDefiniteError(
+            f"the marginals fail the conditioning threshold before any cross-covariance "
+            f"(an LDL^T pivot below {MIN_PIVOT ** 2:g} * 2^{exponent}), at a relative scale "
+            f"tr(P_a) / tr(P_b) = 10^{decades:.1f}")
     joints = np.empty((2 * d, 2 * d, len(stack)))
     joints[:d, :d] = p_a[:, :, None]
     joints[d:, d:] = p_b[:, :, None]
     joints[:d, d:] = stack.transpose(1, 2, 0)
     joints[d:, :d] = stack.transpose(2, 1, 0)
-    # ldl_pivots factors in place
     pivots = ldl_pivots(joints.copy())
     # a nan pivot (a sample that is not finite) fails too
     bad = np.flatnonzero(~(pivots.min(axis=0) >= MIN_PIVOT ** 2))

@@ -30,9 +30,10 @@ the filter steps of all filters together, then each fusing method's
 round on its own filters through ``fusion._nmci``, the block-wise core
 behind ``nmci_fuse`` (CI is its one-block case), and
 applies the gains to a (runs, filters, d) array of means.  A round's
-edges go in waves: each wave is one ``_nmci`` call over edges that share
-no agent, and each edge waits only for the earlier edges that share one
-of its agents, so every agent sees the inputs it would see edge by edge.
+edges go in waves of edges that share no agent, one ``_nmci`` call per
+wave for every fusing method (a lane each, one weight search for all),
+and each edge waits only for the earlier edges that share one of its
+agents, so every agent sees the inputs it would see edge by edge.
 ``_nmci`` fuses the pieces where stack blocks meet partition blocks and
 reads nothing else, so the tracker's fusion has no failure path: whether
 the partition leaves entries outside every piece (``_Pieces.off``) is a
@@ -64,6 +65,8 @@ and ``_class_schedule`` derives these classes once per scenario.  The
 filter step, its definiteness check and each wave's trace terms and
 intersections run on one representative per class, gathered to every
 (filter, block); each weight search still sums every block's terms.
+Each distinct wave fold carries its plan (``fusion._Plan``), the flat
+indices of its gathers and scatters, built once with the fold.
 Means, NEES and the recorded figures stay per filter.  On both presets
 the x- and y-axis blocks of a group are one class, both agents of an
 edge adopt one bound, and an agent's filters of several methods are one
@@ -834,23 +837,27 @@ def _class_schedule(plan: _FilterPlan, lanes: list[tuple], waves: list[np.ndarra
     return schedule
 
 
-def _fuse_round(covs: list[np.ndarray], views: list[np.ndarray], edges: np.ndarray,
-                waves: list[np.ndarray], pieces: _Pieces, folds: list,
-                omegas: np.ndarray) -> None:
-    """Fuse one round's (edges, 2) filter pairs wave by wave, in place.
+def _fuse_round(covs: list[np.ndarray], views: list[np.ndarray], lanes: list,
+                waves: list[np.ndarray], folds: list, omegas: list) -> None:
+    """Fuse one round of every fusing method, wave by wave, in place.
 
     ``covs`` holds per size group the (filters, k, n, n) stacks and
-    ``views`` the (runs, filters, k, n) means.  Each wave is one
-    ``_nmci`` call over its edges, folded by its ``_Fold``; its weights
-    go to its rows of the (edges, blocks) ``omegas``.
+    ``views`` the (runs, filters, k, n) means.  Per fusing method,
+    ``lanes`` holds its (pieces, (edges, 2) filters), ``folds`` its wave
+    folds and ``omegas`` its (edges, blocks) weights of the round.  Each
+    wave is one ``_nmci`` call over every method's edges of that wave, one
+    lane each, folded by its ``_Fold``; the methods fuse disjoint filters,
+    so each sees the inputs a round of its own would give.
     """
-    for wave, fold in zip(waves, folds):
-        ii, jj = edges[wave, 0], edges[wave, 1]
-        omegas[wave], gains_a, bounds = _nmci([c[ii] for c in covs], [c[jj] for c in covs],
-                                              pieces, fold)
-        for view, c, gain_a, bound in zip(views, covs, gains_a, bounds):
-            view[:, ii] = view[:, jj] = _fused_mean(gain_a, view[:, ii], view[:, jj])
-            c[ii] = c[jj] = bound
+    for w, wave in enumerate(waves):
+        pairs = [(edges[wave, 0], edges[wave, 1]) for _, edges in lanes]
+        fused = _nmci([([c[ii] for c in covs], [c[jj] for c in covs], pieces, lane_folds[w])
+                       for (ii, jj), (pieces, _), lane_folds in zip(pairs, lanes, folds)])
+        for (ii, jj), weights, (omega, gains_a, bounds) in zip(pairs, omegas, fused):
+            weights[wave] = omega
+            for view, c, gain_a, bound in zip(views, covs, gains_a, bounds):
+                view[:, ii] = view[:, jj] = _fused_mean(gain_a, view[:, ii], view[:, jj])
+                c[ii] = c[jj] = bound
 
 
 # steps of covariance and mean history the metrics hold and read, and of a
@@ -906,13 +913,14 @@ def _simulate(scenario: ScenarioConfig, run_ids, methods: tuple[str, ...]) -> Tr
     One plan holds every method's filters side by side, in method order
     (the centralized filter, or one per agent), each reading its own rows
     of the measurement vector.  Per step: one batched filter step of every
-    filter, then per fusing method (a lane) its round on its own filters,
-    wave by wave (``_fuse_round``), both computing each class of equal
-    covariances once, as ``_class_schedule`` folds them.  Every
-    ``_METRIC_STEPS`` steps, ``_block_metrics`` reads the held covariances
-    and means of every filter into one set of series over all filters, and
-    fusing methods' weights go to one (fusing steps, edges, blocks) array
-    each; at the end each method's ``MethodTrack`` takes its columns.
+    filter, then the round of every fusing method (a lane each, on its
+    own filters), wave by wave (``_fuse_round``), both computing each
+    class of equal covariances once, as ``_class_schedule`` folds them.
+    Every ``_METRIC_STEPS`` steps, ``_block_metrics`` reads the held
+    covariances and means of every filter into one set of series over all
+    filters, and fusing methods' weights go to one (fusing steps, edges,
+    blocks) array each; at the end each method's ``MethodTrack`` takes
+    its columns.
     ``timings`` holds the wall seconds spent drawing the runs, in filter
     steps, fusions and metrics; ``work`` is ``_work_counts``.
     """
@@ -978,8 +986,9 @@ def _simulate(scenario: ScenarioConfig, run_ids, methods: tuple[str, ...]) -> Tr
         gains = _covariance_step(covs, plan, step_fold)
         _mean_step(means, plan, gains, meas[:, k])
         t1 = time.perf_counter()
-        for (m, (pieces, lane_edges)), folds in zip(lanes.items(), lane_folds or ()):
-            _fuse_round(covs, views, lane_edges, waves, pieces, folds, omegas[m][rounds[k]])
+        if lane_folds:
+            _fuse_round(covs, views, [*lanes.values()], waves, lane_folds,
+                        [omegas[m][rounds[k]] for m in lanes])
         t2 = time.perf_counter()
         b = k % block
         for held, c in zip(cov_held, covs):
@@ -1143,20 +1152,24 @@ def _run_blocks(run_ids, parts):
     block's text is built only when it is yielded, so no more than one
     block's text is held at a time.  Its lines are one (steps, heads,
     tokens) array of str: run and step, head, each field (``_text`` of
-    the block's values) with commas between, and the line end, filled by
-    basic slicing and joined once."""
+    the block's values) with commas between, and the line end, joined
+    once.  Each part fills one such array, ``_METRIC_STEPS`` steps long,
+    with its heads, commas and line ends once; a block overwrites only its
+    run and step column and its fields."""
     layouts = []
     for steps, heads, cells, shared in parts:
-        line = np.empty((len(heads), 2 * (len(cells) + len(shared)) + 2), dtype=object)
-        line[:, 1], line[:, 3:-2:2], line[:, -1] = np.array(heads, dtype=object), ",", "\r\n"
-        layouts.append((np.array([f"{k}," for k in steps], dtype=object), line, cells, shared))
+        keys = np.array([f"{k}," for k in steps], dtype=object)
+        lines = np.empty((min(_METRIC_STEPS, keys.size), len(heads),
+                          2 * (len(cells) + len(shared)) + 2), dtype=object)
+        lines[:, :, 1], lines[:, :, 3:-2:2], lines[:, :, -1] = \
+            np.array(heads, dtype=object), ",", "\r\n"
+        layouts.append((keys, lines, cells, shared))
     for r, run in enumerate(run_ids):
-        for keys, line, cells, shared in layouts:
+        for keys, skeleton, cells, shared in layouts:
             for s in range(0, keys.size, _METRIC_STEPS):
                 at = slice(s, s + _METRIC_STEPS)
                 fields = [c[r, at] for c in cells] + [x[at] for x in shared]
-                lines = np.empty((keys[at].size,) + line.shape, dtype=object)
-                lines[:] = line
+                lines = skeleton[:keys[at].size]
                 lines[:, :, 0] = (f"{run}," + keys[at])[:, None]
                 values = np.empty(lines.shape[:2] + (len(fields),))
                 for i, f in enumerate(fields):

@@ -24,3 +24,30 @@ def test_head_against_itself_reports_every_figure():
     assert set(report["fuse-sdp"]) == {"parent_min_s", "change_min_s", "min_ratio",
                                        "median_pair_ratio", "wins", "rounds"}
     assert report["fuse-sdp"]["rounds"] == 2
+
+
+def _files():
+    return {p: p.stat().st_mtime_ns for p in ROOT.rglob("*")
+            if p.is_file() and ".git" not in p.relative_to(ROOT).parts}
+
+
+def test_head_against_itself_replays_each_layers_calls_bitwise():
+    head = subprocess.run(["git", "-C", str(ROOT), "rev-parse", "--verify", "HEAD"],
+                          capture_output=True, text=True)
+    if head.returncode:
+        pytest.skip("the timing extracts a commit, and this tree is not a git checkout")
+    before = _files()
+    proc = subprocess.run([sys.executable, str(ROOT / "tools" / "ab_time.py"), "HEAD",
+                           "--layer", "fusion._ci", "--layer", "sim._block_metrics",
+                           "--call", "track-tiny", "--rounds", "2"],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert list(report) == ["fusion._ci", "sim._block_metrics"]
+    for figures in report.values():
+        assert set(figures) == {"parent_min_s", "change_min_s", "min_ratio", "median_pair_ratio",
+                                "wins", "rounds", "calls", "bitwise_equal", "max_rel_diff"}
+        assert figures["rounds"] == 2 and figures["calls"] > 0
+        assert figures["bitwise_equal"] is True and figures["max_rel_diff"] is None
+    # the parent's tree and every output live under a temporary directory
+    assert _files() == before

@@ -9,6 +9,7 @@ from cofusion.core import (
     BlockPartition,
     CrossSparsityPattern,
     DimensionError,
+    FusionError,
     GaussianEstimate,
     JointCovariance,
     NotPositiveDefiniteError,
@@ -24,6 +25,7 @@ from cofusion.fusion import (
     _off_mass,
     _Pieces,
     _trace_terms,
+    _weights,
     ci_fuse,
     exact_fuse,
     nmci_fuse,
@@ -34,6 +36,12 @@ from cofusion.sampler import sample_cross
 
 P_A = np.diag([3.0, 1.0])
 P_B = np.diag([1.0, 4.0])
+
+
+def _nmci1(p_a, p_b, pieces, fold=None):
+    """``_nmci`` on one lane."""
+    (out,) = _nmci([(p_a, p_b, pieces, fold)])
+    return out
 
 
 def rand_spd(rng, d, scale=1.0):
@@ -278,7 +286,7 @@ def test_nmci_core_equals_the_public_rule_bitwise(exact):
     # a dense covariance is a stack of one block; the core reads only the
     # entries inside the partition blocks, so it fuses a coupled input as
     # the public rule fuses that input with the coupling zeroed
-    omegas, (gain_a,), (bound,) = _nmci(
+    omegas, (gain_a,), (bound,) = _nmci1(
         (a.covariance[None],), (b.covariance[None],), _Pieces(StackLayout([range(6)]), part))
     gain_a, bound = gain_a[0], bound[0]
     if not exact:
@@ -334,8 +342,8 @@ def test_stacked_omega_and_ci_match_the_assembled_matrix():
     rng = np.random.default_rng(17)
     for _ in range(10):
         pa, pb = _block_diagonal(rng, STACKED), _block_diagonal(rng, STACKED)
-        (w,), gain, bound = _nmci(STACKED.split(pa), STACKED.split(pb), stacked)
-        (w_dense,), _, _ = _nmci((pa[None],), (pb[None],), dense)
+        (w,), gain, bound = _nmci1(STACKED.split(pa), STACKED.split(pb), stacked)
+        (w_dense,), _, _ = _nmci1((pa[None],), (pb[None],), dense)
         assert abs(w - w_dense) <= 1e-12
         assert 0.0 < w < 1.0
         want_gain, want_bound = _ci(pa, pb, w)
@@ -348,14 +356,14 @@ def test_one_block_nmci_is_ci_bitwise():
     for _ in range(5):
         pa, pb = _block_diagonal(rng, STACKED), _block_diagonal(rng, STACKED)
         # a dense covariance as a stack of one block: the public weight search
-        (w,), (gain,), (bound,) = _nmci((pa[None],), (pb[None],), _Pieces(DENSE, ONE_BLOCK))
+        (w,), (gain,), (bound,) = _nmci1((pa[None],), (pb[None],), _Pieces(DENSE, ONE_BLOCK))
         assert w == optimize_ci_omega(pa, pb)
         want_gain, want_bound = _ci(pa, pb, w)
         np.testing.assert_array_equal(gain[0], want_gain)
         np.testing.assert_array_equal(bound[0], want_bound)
         # on block stacks every stack is read and returned whole
         sa, sb = STACKED.split(pa), STACKED.split(pb)
-        (w,), gain, bound = _nmci(sa, sb, _Pieces(STACKED, ONE_BLOCK))
+        (w,), gain, bound = _nmci1(sa, sb, _Pieces(STACKED, ONE_BLOCK))
         for xa, xb, g, bd in zip(sa, sb, gain, bound):
             want_gain, want_bound = _ci(xa, xb, w)
             np.testing.assert_array_equal(g, want_gain)
@@ -391,11 +399,11 @@ def test_partition_of_stack_blocks_gives_per_block_ci():
     blocks = [tuple(states) for group in STACKED.groups for states in group.tolist()]
     part = BlockPartition(tuple(reversed(blocks)))
     pieces = _Pieces(STACKED, part)
-    assert all(ix is ... for _, ix, _ in pieces.groups)
+    assert all(whole for _, whole, _ in pieces.groups)
     rng = np.random.default_rng(20)
     for _ in range(5):
         pa, pb = _block_diagonal(rng, STACKED), _block_diagonal(rng, STACKED)
-        omegas, gain, bound = _nmci(STACKED.split(pa), STACKED.split(pb), pieces)
+        omegas, gain, bound = _nmci1(STACKED.split(pa), STACKED.split(pb), pieces)
         assert omegas.size == len(blocks)
         gain, bound = _assembled(STACKED, gain), _assembled(STACKED, bound)
         for k, blk in enumerate(part.blocks):
@@ -420,7 +428,7 @@ def _check_stacked_nmci(part):
     rng = np.random.default_rng(18)
     for _ in range(5):
         pa, pb = _block_diagonal(rng, STACKED), _block_diagonal(rng, STACKED)
-        omegas, gain, bound = _nmci(STACKED.split(pa), STACKED.split(pb), pieces)
+        omegas, gain, bound = _nmci1(STACKED.split(pa), STACKED.split(pb), pieces)
         # the stack blocks that a partition block splits couple the blocks
         with pytest.raises(DimensionError, match="covariance A couples"):
             nmci_fuse(est(np.zeros(16), pa), est(np.zeros(16), pb), part)
@@ -450,12 +458,12 @@ def test_batched_nmci_equals_separate_calls_bitwise(part):
     stacks = [[np.stack([STACKED.split(p[side])[g] for p in pairs]).reshape((2, 3) + shape)
                for g, shape in enumerate(x.shape for x in STACKED.split(pairs[0][0]))]
               for side in (0, 1)]
-    omegas, gain, bound = _nmci(*stacks, pieces)
+    omegas, gain, bound = _nmci1(*stacks, pieces)
     assert omegas.shape == (2, 3, part.n_blocks)
     assert np.all(omegas[1, 1] == 0.5) and np.all(omegas[1, 2] == 1.0)
     dropped = [_off_mass(side, pieces.off) for side in stacks]
     for e in np.ndindex(2, 3):
-        w, g, b = _nmci(*([x[e] for x in side] for side in stacks), pieces)
+        w, g, b = _nmci1(*([x[e] for x in side] for side in stacks), pieces)
         np.testing.assert_array_equal(omegas[e], w)
         for got, want in zip(gain + bound, g + b):
             np.testing.assert_array_equal(got[e], want)
@@ -593,8 +601,8 @@ def test_a_folded_batch_computes_each_class_once_bitwise(part):
                 classes[side].append(c)
                 stacks[side].append(mats[c])
         fold, out = _Fold.of(pieces, *classes)
-        omegas, gain, bound = _nmci(*stacks, pieces, fold)
-        want = _nmci(*stacks, pieces)
+        omegas, gain, bound = _nmci1(*stacks, pieces, fold)
+        want = _nmci1(*stacks, pieces)
         np.testing.assert_array_equal(omegas, want[0])
         for got, ref in zip(gain + bound, want[1] + want[2]):
             np.testing.assert_array_equal(got, ref)
@@ -708,6 +716,52 @@ def test_either_input_in_any_units_fuses_without_a_warning(scaled):
         np.testing.assert_array_equal(ci.bound, tight)
         np.testing.assert_array_equal(nm.omega, [w, w])
         np.testing.assert_array_equal(nm.bound, n_tight)
+
+
+def _assert_sandwiched(bound, pa, pb):
+    """tr(bound) <= min(tr P_a, tr P_b), and bound >= (P_a^-1 + P_b^-1)^-1, in the
+    bound's power-of-two units (inputs hundreds of decades apart overflow otherwise)."""
+    assert np.trace(bound) <= min(np.trace(pa), np.trace(pb)) * (1.0 + 1e-12)
+    e = int(np.frexp(np.trace(bound))[1])
+    lower = np.linalg.inv(sum(np.ldexp(np.linalg.inv(p), e) for p in (pa, pb)))
+    unit = np.ldexp(bound, -e)
+    assert np.linalg.eigvalsh(unit - lower)[0] >= -1e-12 * np.trace(unit)
+
+
+@pytest.mark.filterwarnings("error")
+def test_inputs_any_decades_apart_fuse_between_the_sandwich_bounds():
+    # A times 10^i against B times 10^j, up to 600 decades apart: CI on
+    # README's pair, nmCI on the 6-state pair split 4 + 2; a FusionError is
+    # the only other answer allowed
+    nm_a, nm_b, part = _metamorphic_pairs()[-2]
+    nm_a, nm_b = _inside(part, nm_a), _inside(part, nm_b)
+    z2, z6 = np.zeros(2), np.zeros(6)
+    refused = 0
+    for i in range(-300, 301, 50):
+        for j in range(-300, 301, 50):
+            ca, cb = 10.0 ** i, 10.0 ** j
+            try:
+                omega = optimize_ci_omega(ca * README_A, cb * README_B)
+                ci = ci_fuse(est(z2, ca * README_A), est(z2, cb * README_B))
+                nm = nmci_fuse(est(z6, ca * nm_a), est(z6, cb * nm_b), part)
+            except FusionError:
+                refused += 1
+                continue
+            assert ci.omega[0] == omega, (i, j)
+            _assert_sandwiched(ci.bound, ca * README_A, cb * README_B)
+            _assert_sandwiched(nm.bound, ca * nm_a, cb * nm_b)
+            if i != j:
+                # far apart, the tighter input takes all the weight
+                assert omega == (0.0 if i > j else 1.0), (i, j)
+    assert refused == 0
+
+
+def test_a_weight_search_with_terms_beyond_range_on_both_sides_is_refused():
+    # inputs check_spd accepts cannot give these terms; the search refuses
+    # them rather than read an underflowed objective
+    with pytest.raises(FusionError, match="neither input is tighter"):
+        _weights(np.array([1.0, 1e-310]), np.array([1e-310, 1.0]),
+                 np.zeros(2, dtype=np.intp), np.zeros(1, dtype=np.intp))
 
 
 def test_swapping_the_inputs_swaps_the_weights():

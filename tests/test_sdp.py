@@ -284,6 +284,19 @@ def test_robust_fuse_deterministic_and_documented():
         robust_fuse(a, b, pat, n=0, seed=1)
 
 
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+def test_robust_fuse_refuses_marginals_far_apart_naming_their_scale(scale):
+    # no cross-covariance passes the pivot gate with these marginals, so the
+    # refusal names their relative scale, not a sample to redraw
+    a = est(np.zeros(2), np.diag([1.0, 9.0]) * scale)
+    b = est(np.zeros(2), np.array([[6.0, 1.0], [1.0, 1.5]]) / scale)
+    want = "10^400.1" if scale > 1 else "10^-399.9"
+    with pytest.raises(NotPositiveDefiniteError, match=r"relative scale tr\(P_a\) / tr\(P_b\) = "
+                       + want.replace("^", r"\^")) as info:
+        robust_fuse(a, b, CrossSparsityPattern.unconstrained(2, 2), n=20, seed=1)
+    assert getattr(info.value, "sample_index", None) is None
+
+
 def test_robust_fuse_bound_conservative_on_fresh_samples():
     # check against samples the solver never saw
     rng = np.random.default_rng(7)

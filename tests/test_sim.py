@@ -8,7 +8,13 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from cofusion.core import ConfigError, FusionError, GaussianEstimate, make_substream
+from cofusion.core import (
+    BlockPartition,
+    ConfigError,
+    FusionError,
+    GaussianEstimate,
+    make_substream,
+)
 from cofusion.metrics import (
     OMEGA_CSV_COLUMNS,
     TRACK_CSV_COLUMNS,
@@ -39,7 +45,7 @@ from cofusion.sim import (
     truth_blocks,
 )
 from cofusion import fusion, sim
-from cofusion.fusion import _nmci, _Pieces
+from cofusion.fusion import _Fold, _nmci, _Pieces
 from cofusion.sim import _fusion_waves, _prior_covariance, _stack_layout
 
 
@@ -795,15 +801,17 @@ def test_waves_fuse_as_the_configured_order_does_bitwise(monkeypatch, scn):
 def test_wave_of_desk_stacks_fuses_each_edge_as_alone(monkeypatch):
     calls = []
 
-    def spy(p_a, p_b, pieces, fold):
-        calls.append((p_a, p_b, pieces))
-        return _nmci(p_a, p_b, pieces, fold)
+    def spy(lanes):
+        calls.append(lanes)
+        return _nmci(lanes)
 
     monkeypatch.setattr(sim, "_nmci", spy)
     run_scenario(preset("tracking_desk", n_steps=3, methods=("CI", "nmCI")), mc_runs=1)
-    assert len(calls) == 6 and all(p_a[0].shape[0] == 2 for p_a, *_ in calls)
+    # one call per wave, with a lane for CI and one for nmCI
+    assert len(calls) == 3 and all(len(lanes) == 2 for lanes in calls)
+    assert all(p_a[0].shape[0] == 2 for lanes in calls for p_a, *_ in lanes)
     interior = 0
-    for p_a, p_b, pieces in calls:
+    for p_a, p_b, pieces, _ in (lane for lanes in calls for lane in lanes):
         # two extra entries share the batch, one at a tie (0.5) and one at an
         # end point (1.0); no entry may change what another gets
         for extra_a, extra_b, end in ((p_a, p_a, 0.5), ([1e-6 * x for x in p_b], p_b, 1.0)):
@@ -812,10 +820,10 @@ def test_wave_of_desk_stacks_fuses_each_edge_as_alone(monkeypatch):
             for shape in ((4,), (2, 2)):
                 xa = [x.reshape(shape + x.shape[1:]) for x in sa]
                 xb = [x.reshape(shape + x.shape[1:]) for x in sb]
-                omegas, gains, bounds = _nmci(xa, xb, pieces)
+                ((omegas, gains, bounds),) = _nmci([(xa, xb, pieces, None)])
                 assert omegas.shape == shape + (pieces.starts.size,)
                 for e in np.ndindex(shape):
-                    w, g, b = _nmci([x[e] for x in xa], [x[e] for x in xb], pieces)
+                    ((w, g, b),) = _nmci([([x[e] for x in xa], [x[e] for x in xb], pieces, None)])
                     np.testing.assert_array_equal(omegas[e], w)
                     for got, want in zip(gains + bounds, g + b):
                         np.testing.assert_array_equal(got[e], want)
@@ -823,6 +831,54 @@ def test_wave_of_desk_stacks_fuses_each_edge_as_alone(monkeypatch):
                 assert np.all(ws[2:] == end)
                 interior += np.count_nonzero((0.0 < ws[:2]) & (ws[:2] < 1.0))
     assert interior > 0
+
+
+@pytest.mark.parametrize("name", ["tracking_desk", "tracking_full"])
+@pytest.mark.parametrize("shape", [(4,), (2, 2)])
+@pytest.mark.parametrize("folded", [False, True], ids=["identity", "folded"])
+def test_one_search_over_ci_and_nmci_lanes_fuses_each_lane_as_alone(name, shape, folded):
+    # CI's lane reads whole blocks, group_target_bias's gathers pieces of
+    # them; blocks drawn from three matrices per size, one a scaled copy of
+    # another, give repeated pairs, ties and end points
+    scn = preset(name, n_steps=3)
+    layout = stack_layout(scn)
+    rng = np.random.default_rng(47)
+    lanes = []
+    for part in (BlockPartition((tuple(range(layout.dim)),)), build_partition(scn)):
+        pieces = _Pieces(layout, part)
+        stacks, classes = [[], []], [[], []]
+        for states in layout.groups:
+            k, n = states.shape
+            x = rng.standard_normal((2, n, n))
+            mats = x @ np.swapaxes(x, -1, -2) + n * np.eye(n)
+            mats = np.concatenate([mats, 1e-6 * mats[:1]])
+            for side in (0, 1):
+                c = rng.integers(0, 3, size=(4, k))
+                classes[side].append(c)
+                stacks[side].append(mats[c].reshape(shape + (k, n, n)))
+        lanes.append((*stacks, pieces, _Fold.of(pieces, *classes)[0] if folded else None))
+    together = _nmci(lanes)
+    assert len(together) == 2
+    for lane, (omegas, gains, bounds) in zip(lanes, together):
+        ((w, g, b),) = _nmci([lane])
+        assert omegas.shape == shape + (lane[2].starts.size,)
+        np.testing.assert_array_equal(omegas, w)
+        for got, want in zip(gains + bounds, g + b):
+            np.testing.assert_array_equal(got, want)
+            assert got.strides == want.strides
+
+
+def test_each_distinct_wave_fold_builds_its_plan_once(monkeypatch):
+    built, calls = [], []
+    of = fusion._Plan.of
+    monkeypatch.setattr(fusion._Plan, "of",
+                        classmethod(lambda cls, *args: built.append(args) or of(*args)))
+    monkeypatch.setattr(sim, "_nmci", lambda lanes: calls.append(lanes) or _nmci(lanes))
+    run_scenario(preset("tracking_desk"), mc_runs=3)
+    # 100 waves of a CI and an nmCI lane share 4 folds, each with its plan
+    folds = {id(fold) for lanes in calls for *_, fold in lanes}
+    assert (len(calls), sum(map(len, calls))) == (100, 200)
+    assert len(built) == len(folds) == 4
 
 
 # ---------------------------------------------------------------------------

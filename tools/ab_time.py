@@ -2,6 +2,7 @@
 """Time named calls of a parent commit and of this tree side by side, in one process.
 
     python tools/ab_time.py PARENT [--rounds K] [--call NAME ...]
+    python tools/ab_time.py PARENT --layer MODULE.FUNC[=NEW] [--call NAME ...]
 
 PARENT is any commit git can name.  The script extracts the parent's
 ``src/`` with ``git archive`` under a temporary directory and imports
@@ -14,7 +15,8 @@ written under the temporary directory:
 - ``track-full-6``: ``track`` on tracking_full cut to 6 steps, 1 run;
 - ``compare-3``: ``compare`` on comparison_2d with 3 runs;
 - ``fuse-sdp``: ``fuse --method SDP`` on the three SDP pairs of the
-  benchmark's fuse-mix workload (``perfbench/workloads.py``).
+  benchmark's fuse-mix workload (``perfbench/workloads.py``);
+- ``track-tiny``: ``track`` on tracking_desk cut to 12 steps, 1 run.
 
 Configurations are passed as file paths, since a preset name resolves
 through the ``cofusion`` package name: each tree reads its own presets,
@@ -25,12 +27,30 @@ of standard output is one JSON object: per call, each side's minimum
 time, the ratio of the minimum times (change over parent), the median of
 the per-round ratios, and the rounds the change was faster.  BLAS runs
 one thread, as in the benchmark.  Standard library and numpy only.
+
+With ``--layer MODULE.FUNC`` (``MODULE`` a module of the package, e.g.
+``fusion._ci``), the named calls run once, in this tree only, with that
+function wrapped: each call's arguments are deep-copied before it runs,
+up to ``--max-calls`` calls (500) and ``--max-mb`` megabytes of arrays
+(100).  Every round then replays the recorded calls through the parent's function and
+through this tree's, on fresh copies made outside the timing, the order
+alternating as above, and the report gives the same figures for the
+replays, with ``calls`` recorded, ``bitwise_equal`` (every array of the
+two sides' returns equal in shape, dtype and bytes) and
+``max_rel_diff``: per returned array that differs, by its position in
+the flattened return of its call, max|change - parent| / max|parent|.
+``MODULE.FUNC=NEW`` replays the parent's ``MODULE.FUNC`` against this
+tree's ``NEW`` (a rename; ``NEW`` is ``FUNC2`` or ``MODULE2.FUNC2``);
+without it, a function whose signature differs between the trees exits
+2.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import copy
+import inspect
 import importlib
 import importlib.util
 import io
@@ -45,8 +65,10 @@ import tempfile
 import time
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parent.parent
-CALLS = ("track-desk", "track-full-6", "compare-3", "fuse-sdp")
+CALLS = ("track-desk", "track-full-6", "compare-3", "fuse-sdp", "track-tiny")
 
 
 def _extract(commit: str, at: Path) -> Path:
@@ -71,10 +93,11 @@ def _load(src: Path, name: str):
 
 
 def _write_inputs(src: Path, at: Path) -> list[list[str]]:
-    """The full-6 configuration and fuse-mix's SDP pairs under ``at``; the SDP argv lists."""
+    """The cut configurations and fuse-mix's SDP pairs under ``at``; the SDP argv lists."""
     at.mkdir()
-    full = json.loads((src / "cofusion" / "presets" / "tracking_full.json").read_text())
-    (at / "full6.json").write_text(json.dumps({**full, "n_steps": 6}))
+    for name, cut, steps in (("tracking_full", "full6", 6), ("tracking_desk", "tiny", 12)):
+        full = json.loads((src / "cofusion" / "presets" / f"{name}.json").read_text())
+        (at / f"{cut}.json").write_text(json.dumps({**full, "n_steps": steps}))
     sys.path.insert(0, str(ROOT / "perfbench"))
     try:
         import workloads
@@ -101,6 +124,8 @@ def _argvs(call: str, src: Path, inputs: Path, sdp: list[list[str]], out: Path) 
         argvs = [["track", "--config", str(presets / "tracking_desk.json"), "--mc", "4"]]
     elif call == "track-full-6":
         argvs = [["track", "--config", str(inputs / "full6.json"), "--mc", "1"]]
+    elif call == "track-tiny":
+        argvs = [["track", "--config", str(inputs / "tiny.json"), "--mc", "1"]]
     elif call == "compare-3":
         argvs = [["compare", "--config", str(presets / "comparison_2d.json"), "--mc", "3"]]
     else:
@@ -121,13 +146,141 @@ def _timed(cli, argvs: list[list[str]], out: Path) -> float:
         shutil.rmtree(out)
 
 
+def _arrays(x) -> list:
+    """The arrays and numbers of a nested return, flattened in order."""
+    if isinstance(x, dict):
+        return [a for v in x.values() for a in _arrays(v)]
+    if isinstance(x, (list, tuple)):
+        return [a for v in x for a in _arrays(v)]
+    if isinstance(x, (np.ndarray, float, int, np.generic)):
+        return [np.asarray(x)]
+    return [a for v in vars(x).values() for a in _arrays(v)] if hasattr(x, "__dict__") else []
+
+
+def _nbytes(x) -> int:
+    return sum(a.nbytes for a in _arrays(x))
+
+
+def _record(module, name: str, runs: list, max_calls: int, max_bytes: float) -> list:
+    """Deep copies of the (args, kwargs) of ``module.name``'s calls while each of ``runs`` runs.
+
+    The function is wrapped in every module of the package that holds it,
+    so calls through a ``from .module import name`` are recorded too.
+    Recording stops at ``max_calls`` calls or ``max_bytes`` bytes of arrays."""
+    calls, size = [], 0
+    original = getattr(module, name)
+    package = module.__name__.rpartition(".")[0]
+    holders = [m for key, m in list(sys.modules.items())
+               if key.startswith(package + ".") and getattr(m, name, None) is original]
+
+    def wrapped(*args, **kwargs):
+        nonlocal size
+        if len(calls) < max_calls:
+            saved = copy.deepcopy((args, kwargs))
+            if size + _nbytes(saved) <= max_bytes:
+                calls.append(saved)
+                size += _nbytes(saved)
+        return original(*args, **kwargs)
+
+    for m in holders:
+        setattr(m, name, wrapped)
+    try:
+        for run in runs:
+            run()
+    finally:
+        for m in holders:
+            setattr(m, name, original)
+    return calls
+
+
+def _compare(old, new) -> tuple[bool, dict]:
+    """(bitwise equal, {position: max relative difference}) of two calls' returns."""
+    old, new = _arrays(old), _arrays(new)
+    if len(old) != len(new):
+        return False, {"arrays": [len(old), len(new)]}
+    same, diff = True, {}
+    for i, (o, n) in enumerate(zip(old, new)):
+        if o.shape != n.shape or o.dtype != n.dtype:
+            same, diff[i] = False, None
+        elif o.tobytes() != n.tobytes():
+            same = False
+            scale = float(np.max(np.abs(o))) if o.size else 0.0
+            diff[i] = float(np.max(np.abs(n.astype(float) - o))) / (scale or 1.0)
+    return same, diff
+
+
+def _layer(spec: str, clis: dict, plans: dict, calls: list, args, tmp: Path) -> dict:
+    """Record ``spec``'s calls in this tree, then replay them through both trees' functions."""
+    old, _, new = spec.partition("=")
+    if new and "." not in new:
+        # a bare NEW names a function of OLD's module
+        new = f"{old.rpartition('.')[0]}.{new}"
+    funcs = {}
+    for side, qualified in (("parent", old), ("change", new or old)):
+        module_name, _, name = qualified.rpartition(".")
+        package = clis[side].__name__.rpartition(".")[0]
+        module = importlib.import_module(f"{package}.{module_name}")
+        if not callable(getattr(module, name, None)):
+            raise SystemExit(f"error: the {side} tree has no function {qualified}")
+        funcs[side] = (module, name, getattr(module, name))
+    signatures = {side: inspect.signature(f) for side, (_, _, f) in funcs.items()}
+    params = {side: [(p.name, p.kind) for p in sig.parameters.values()]
+              for side, sig in signatures.items()}
+    if not new and params["parent"] != params["change"]:
+        print(f"error: {old} takes {signatures['parent']} in the parent and "
+              f"{signatures['change']} here; name this tree's function with {old}=NEW",
+              file=sys.stderr)
+        raise SystemExit(2)
+    runs = [lambda call=call: _timed(clis["change"], plans["change", call], tmp / "out")
+            for call in calls]
+    recorded = _record(*funcs["change"][:2], runs, args.max_calls, args.max_mb * 2 ** 20)
+    if not recorded:
+        raise SystemExit(f"error: no call of {new or old} while running {', '.join(calls)}")
+    times = {"parent": [], "change": []}
+    returns = {}
+    for rnd in range(-1, args.rounds):
+        for side in ("parent", "change") if rnd % 2 == 0 else ("change", "parent"):
+            f = funcs[side][2]
+            inputs = copy.deepcopy(recorded)
+            start = time.perf_counter()
+            out = [f(*a, **kw) for a, kw in inputs]
+            elapsed = time.perf_counter() - start
+            if rnd < 0:
+                returns[side] = out
+            else:
+                times[side].append(elapsed)
+            del inputs, out
+    same, diffs = True, {}
+    for k, (o, n) in enumerate(zip(returns["parent"], returns["change"])):
+        equal, diff = _compare(o, n)
+        same &= equal
+        diffs.update({f"{k}.{i}": d for i, d in diff.items()})
+    return {**_figures(times["parent"], times["change"]), "calls": len(recorded),
+            "bitwise_equal": same, "max_rel_diff": diffs or None}
+
+
+def _figures(old: list[float], new: list[float]) -> dict:
+    return {"parent_min_s": round(min(old), 5), "change_min_s": round(min(new), 5),
+            "min_ratio": round(min(new) / min(old), 4),
+            "median_pair_ratio": round(statistics.median(n / o for o, n in zip(old, new)), 4),
+            "wins": sum(n < o for o, n in zip(old, new)), "rounds": len(old)}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", help="the commit to compare this tree with")
     parser.add_argument("--rounds", type=int, default=10, help="timed rounds (default 10)")
     parser.add_argument("--call", action="append", choices=CALLS, metavar="NAME",
                         help="time only this call (repeatable; default: every call)")
+    parser.add_argument("--layer", action="append", metavar="MODULE.FUNC[=NEW]",
+                        help="replay the calls' calls of one function instead (repeatable)")
+    parser.add_argument("--max-calls", type=int, default=500,
+                        help="calls of a layer recorded at most (default 500)")
+    parser.add_argument("--max-mb", type=float, default=100.0,
+                        help="megabytes of a layer's arguments recorded at most (default 100)")
     args = parser.parse_args(argv)
+    # the package trees are imported, not installed: leave no bytecode behind
+    sys.dont_write_bytecode = True
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = "1"
     calls = args.call or list(CALLS)
@@ -138,6 +291,15 @@ def main(argv=None) -> int:
         sdp = _write_inputs(trees["change"], tmp / "inputs")
         plans = {(side, call): _argvs(call, trees[side], tmp / "inputs", sdp, tmp / "out")
                  for side in trees for call in calls}
+        if args.layer:
+            report = {spec: _layer(spec, clis, plans, calls, args, tmp) for spec in args.layer}
+            for spec, r in report.items():
+                print(f"{spec}: {r['calls']} calls, min {r['parent_min_s']:.4f} -> "
+                      f"{r['change_min_s']:.4f} s  ratio {r['min_ratio']:.3f}  median pair "
+                      f"ratio {r['median_pair_ratio']:.3f}  wins {r['wins']}/{r['rounds']}  "
+                      f"bitwise {r['bitwise_equal']}", file=sys.stderr)
+            print(json.dumps(report))
+            return 0
         times = {key: [] for key in plans}
         for rnd in range(-1, args.rounds):
             order = ("parent", "change") if rnd % 2 == 0 else ("change", "parent")
@@ -149,11 +311,7 @@ def main(argv=None) -> int:
         report = {}
         for call in calls:
             old, new = times["parent", call], times["change", call]
-            report[call] = {
-                "parent_min_s": round(min(old), 5), "change_min_s": round(min(new), 5),
-                "min_ratio": round(min(new) / min(old), 4),
-                "median_pair_ratio": round(statistics.median(n / o for o, n in zip(old, new)), 4),
-                "wins": sum(n < o for o, n in zip(old, new)), "rounds": len(old)}
+            report[call] = _figures(old, new)
             print(f"{call:13s} min {min(old):.4f} -> {min(new):.4f} s  "
                   f"ratio {report[call]['min_ratio']:.3f}  "
                   f"median pair ratio {report[call]['median_pair_ratio']:.3f}  "
