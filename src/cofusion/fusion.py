@@ -20,8 +20,8 @@ for every fusing method: a lane per method, one batch entry per edge of
 a wave of edges that share no agent.  Its layout decides once per
 scenario which entries lie outside the pieces (``_Pieces.off``), and
 its ``_Fold`` which (edge, piece) pairs are equal, so that each
-distinct one is intersected once; the fold's ``_Plan`` holds the
-indices that gather, order and scatter them, built once per fold.
+distinct one is intersected once; the fold also holds the indices
+that gather, order and scatter them, built once per fold.
 ``nmci_fuse``
 passes a dense covariance, unbatched, as a stack of one block, every
 piece its own class; it first measures the off-block mass of its
@@ -282,10 +282,29 @@ class _Pieces:
         self.order = np.argsort(term_part, kind="stable")
         self.seg = term_part[self.order]
         self.starts = np.searchsorted(self.seg, np.arange(partition.n_blocks))
+        self._flat: dict[int, list] = {}
 
     @cached_property
     def pos_ids(self) -> list[np.ndarray]:
         return [np.unique(pos, axis=0, return_inverse=True)[1].ravel() for _, pos in self.places]
+
+    def flat(self, n_entries: int) -> list:
+        """Per piece group, where its pieces lie in (n_entries, k, n, n) stacks, flattened.
+
+        None for a group whose pieces are its blocks, else the (n_entries
+        * u, m, m) flat positions of every (batch entry, piece).  Built
+        once per entry count, and shared by every fold of that count.
+        """
+        if n_entries not in self._flat:
+            entries, out = np.arange(n_entries)[:, None], []
+            for (g, whole, _), (blk, pos) in zip(self.groups, self.places):
+                k, n = self.shapes[g]
+                m = pos.shape[1]
+                out.append(None if whole else
+                           (((entries * k + blk)[..., None, None] * n + pos[:, :, None]) * n
+                            + pos[:, None, :]).reshape(-1, m, m))
+            self._flat[n_entries] = out
+        return self._flat[n_entries]
 
 
 def _padded(rows: list[list[int]]) -> np.ndarray:
@@ -314,55 +333,6 @@ def _classes(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 @dataclass(frozen=True, eq=False)
-class _Plan:
-    """The indices one ``_nmci`` lane reads and writes under one fold, built with the fold.
-
-    Per piece group, ``gather`` holds (shape, index): the group's stacks,
-    reshaped to ``shape``, taken at ``index`` along their first axis give
-    the fold's representative input pairs, whole blocks for a group whose
-    pieces are its blocks, else (reps, m, m) pieces of the flat stacks.
-    ``term`` takes every batch entry's trace terms, in search order, from
-    the representatives' terms of all groups concatenated and flattened;
-    ``seg`` and ``starts`` are the segments of the weight search over
-    them, one per (batch entry, partition block).  Per piece group,
-    ``scatter`` is None where the pieces are the group's blocks, else the
-    flat positions of every (batch entry, piece)'s gain and bound in the
-    zero-filled (..., k, n, n) stacks.
-    """
-
-    gather: list
-    term: np.ndarray
-    seg: np.ndarray
-    starts: np.ndarray
-    scatter: list
-
-    @classmethod
-    def of(cls, pieces: _Pieces, terms: list, n_entries: int) -> "_Plan":
-        """The plan of a fold whose (entry, piece, inverse) per piece group are ``terms``."""
-        gather, scatter, term, first = [], [], [], 0
-        entries = np.arange(n_entries)
-        for (g, whole, _), (blk, pos), (entry, piece, inverse) in zip(
-                pieces.groups, pieces.places, terms):
-            k, n = pieces.shapes[g]
-            u, m = pos.shape
-            if whole:
-                gather.append(((-1, n, n), entry * k + piece))
-                scatter.append(None)
-            else:
-                # (entries * u, m, m) positions of every (batch entry, piece)
-                every = (((entries[:, None] * k + blk)[..., None, None] * n + pos[:, :, None]) * n
-                         + pos[:, None, :]).reshape(-1, m, m)
-                gather.append(((-1,), every[entry * u + piece]))
-                scatter.append(every)
-            term.append((first + inverse[:, None] * m + np.arange(m)).reshape(n_entries, -1))
-            first += entry.size * m
-        n_terms, n_blocks = pieces.seg.size, pieces.starts.size
-        return cls(gather=gather, term=np.concatenate(term, axis=1)[:, pieces.order].ravel(),
-                   seg=(entries[:, None] * n_blocks + pieces.seg).ravel(),
-                   starts=(entries[:, None] * n_terms + pieces.starts).ravel(), scatter=scatter)
-
-
-@dataclass(frozen=True, eq=False)
 class _Fold:
     """Which (batch entry, piece) pairs of one ``_nmci`` lane are equal, so each is computed once.
 
@@ -370,15 +340,26 @@ class _Fold:
     classes of equal intersections: each one's input pair class and flat
     index into the (batch, partition blocks) weights, whose gain and bound
     are computed, and the class of every (batch entry, piece), flattened.
-    ``plan`` (``_Plan``) holds the indices that gather one representative
-    of each class of equal input pairs, whose trace terms are computed,
-    and that lay the terms out for the search and the gains and bounds
-    out in the stacks.  It is built with the fold, so a fold used by many
-    calls, as ``sim._class_schedule`` shares them, builds it once.
+    The rest is the fold's plan, built with it (``_plan``), so a fold used
+    by many calls, as ``sim._class_schedule`` shares them, builds it once.
+    Per piece group, ``gather`` holds (shape, index): the group's stacks,
+    reshaped to ``shape``, taken at ``index`` along their first axis give
+    one representative of each class of equal input pairs, whole blocks
+    for a group whose pieces are its blocks, else (reps, m, m) pieces of
+    the flat stacks.  ``term`` takes every batch entry's trace terms, in
+    search order, from the representatives' terms of all groups
+    concatenated and flattened; ``seg`` and ``starts`` are the segments
+    of the weight search over them, one per (batch entry, partition
+    block).  ``scatter`` is ``pieces.flat(n_entries)``: per piece group,
+    where the gains and bounds go in the zero-filled stacks.
     """
 
     fused: list
-    plan: _Plan
+    gather: list
+    term: np.ndarray
+    seg: np.ndarray
+    starts: np.ndarray
+    scatter: list
 
     @classmethod
     def identity(cls, pieces: _Pieces, n_entries: int) -> "_Fold":
@@ -389,7 +370,7 @@ class _Fold:
             entry, piece = np.divmod(every, part.size)
             terms.append((entry, piece, every))
             fused.append((every, entry * pieces.starts.size + part[piece], every))
-        return cls(fused=fused, plan=_Plan.of(pieces, terms, n_entries))
+        return cls(fused, *_plan(pieces, terms, n_entries))
 
     @classmethod
     def of(cls, pieces: _Pieces, a, b) -> tuple["_Fold", list[np.ndarray]]:
@@ -425,7 +406,27 @@ class _Fold:
         fused_ids = np.concatenate(fused_ids, axis=1)
         out = [_classes(_pick(fused_ids, blocks))[0].reshape(n_entries, -1)
                for blocks in pieces.by_block]
-        return cls(fused=fused, plan=_Plan.of(pieces, terms, n_entries)), out
+        return cls(fused, *_plan(pieces, terms, n_entries)), out
+
+
+def _plan(pieces: _Pieces, terms: list, n_entries: int) -> tuple:
+    """(gather, term, seg, starts, scatter) of a fold whose (entry, piece, inverse) are ``terms``."""
+    gather, term, first = [], [], 0
+    scatter = pieces.flat(n_entries)
+    for (g, _, _), (_, pos), (entry, piece, inverse), every in zip(
+            pieces.groups, pieces.places, terms, scatter):
+        u, m = pos.shape
+        if every is None:
+            n = pieces.shapes[g][1]
+            gather.append(((-1, n, n), entry * pieces.shapes[g][0] + piece))
+        else:
+            gather.append(((-1,), every[entry * u + piece]))
+        term.append((first + inverse[:, None] * m + np.arange(m)).reshape(n_entries, -1))
+        first += entry.size * m
+    entries = np.arange(n_entries)[:, None]
+    return (gather, np.concatenate(term, axis=1)[:, pieces.order].ravel(),
+            (entries * pieces.starts.size + pieces.seg).ravel(),
+            (entries * pieces.seg.size + pieces.starts).ravel(), scatter)
 
 
 def _pick(ids: np.ndarray, index: np.ndarray) -> np.ndarray:
@@ -465,26 +466,26 @@ def _nmci(lanes: list) -> list[tuple]:
     for p_a, p_b, pieces, fold in lanes:
         batch = p_a[0].shape[:-3]
         fold = fold or _Fold.identity(pieces, int(np.prod(batch)))
-        plan, subs, term_a, term_b = fold.plan, [], [], []
-        for (g, _, _), (shape, index) in zip(pieces.groups, plan.gather):
+        subs, term_a, term_b = [], [], []
+        for (g, _, _), (shape, index) in zip(pieces.groups, fold.gather):
             sa, sb = (np.take(p[g].reshape(shape), index, axis=0) for p in (p_a, p_b))
             subs.append((sa, sb))
             ta, tb = _trace_terms(sa, sb)
             term_a.append(ta.ravel())
             term_b.append(tb.ravel())
-        a.append(np.concatenate(term_a)[plan.term])
-        b.append(np.concatenate(term_b)[plan.term])
-        seg.append(plan.seg + n_segs)
-        starts.append(plan.starts + n_terms)
+        a.append(np.concatenate(term_a)[fold.term])
+        b.append(np.concatenate(term_b)[fold.term])
+        seg.append(fold.seg + n_segs)
+        starts.append(fold.starts + n_terms)
         runs.append((p_a, pieces, fold, batch, subs, n_segs))
-        n_segs, n_terms = n_segs + plan.starts.size, n_terms + plan.term.size
+        n_segs, n_terms = n_segs + fold.starts.size, n_terms + fold.term.size
     omegas = np.array(_weights(*(np.concatenate(x) for x in (a, b, seg, starts))))
     out = []
     for p_a, pieces, fold, batch, subs, first in runs:
-        weights = omegas[first:first + fold.plan.starts.size]
+        weights = omegas[first:first + fold.starts.size]
         gain_a, bound = [None] * len(p_a), [None] * len(p_a)
         for (g, _, _), (sa, sb), (pair, weight, inverse), scatter in zip(
-                pieces.groups, subs, fold.fused, fold.plan.scatter):
+                pieces.groups, subs, fold.fused, fold.scatter):
             gain, fused = _ci(sa[pair], sb[pair], weights[weight])
             # a gather keeps each gain's memory layout, so the roundoff, of products
             gain, fused = (x[inverse] for x in (gain, fused))

@@ -65,7 +65,7 @@ and ``_class_schedule`` derives these classes once per scenario.  The
 filter step, its definiteness check and each wave's trace terms and
 intersections run on one representative per class, gathered to every
 (filter, block); each weight search still sums every block's terms.
-Each distinct wave fold carries its plan (``fusion._Plan``), the flat
+Each distinct wave fold carries its plan (``fusion._plan``), the flat
 indices of its gathers and scatters, built once with the fold.
 Means, NEES and the recorded figures stay per filter.  On both presets
 the x- and y-axis blocks of a group are one class, both agents of an

@@ -870,9 +870,8 @@ def test_one_search_over_ci_and_nmci_lanes_fuses_each_lane_as_alone(name, shape,
 
 def test_each_distinct_wave_fold_builds_its_plan_once(monkeypatch):
     built, calls = [], []
-    of = fusion._Plan.of
-    monkeypatch.setattr(fusion._Plan, "of",
-                        classmethod(lambda cls, *args: built.append(args) or of(*args)))
+    plan = fusion._plan
+    monkeypatch.setattr(fusion, "_plan", lambda *args: built.append(args) or plan(*args))
     monkeypatch.setattr(sim, "_nmci", lambda lanes: calls.append(lanes) or _nmci(lanes))
     run_scenario(preset("tracking_desk"), mc_runs=3)
     # 100 waves of a CI and an nmCI lane share 4 folds, each with its plan

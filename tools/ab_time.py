@@ -31,8 +31,9 @@ one thread, as in the benchmark.  Standard library and numpy only.
 With ``--layer MODULE.FUNC`` (``MODULE`` a module of the package, e.g.
 ``fusion._ci``), the named calls run once, in this tree only, with that
 function wrapped: each call's arguments are deep-copied before it runs,
-up to ``--max-calls`` calls (500) and ``--max-mb`` megabytes of arrays
-(100).  Every round then replays the recorded calls through the parent's function and
+recording stopping at the first call that would pass 500 calls or 100 MiB
+of arrays, so the replayed calls are always the run's first ones.  Every
+round then replays the recorded calls through the parent's function and
 through this tree's, on fresh copies made outside the timing, the order
 alternating as above, and the report gives the same figures for the
 replays, with ``calls`` recorded, ``bitwise_equal`` (every array of the
@@ -69,6 +70,9 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 CALLS = ("track-desk", "track-full-6", "compare-3", "fuse-sdp", "track-tiny")
+# the most calls, and bytes of their arrays, one --layer records
+_MAX_CALLS = 500
+_MAX_BYTES = 100 * 2 ** 20
 
 
 def _extract(commit: str, at: Path) -> Path:
@@ -161,23 +165,26 @@ def _nbytes(x) -> int:
     return sum(a.nbytes for a in _arrays(x))
 
 
-def _record(module, name: str, runs: list, max_calls: int, max_bytes: float) -> list:
-    """Deep copies of the (args, kwargs) of ``module.name``'s calls while each of ``runs`` runs.
+def _record(module, name: str, runs: list) -> list:
+    """Deep copies of the (args, kwargs) of ``module.name``'s first calls while ``runs`` run.
 
     The function is wrapped in every module of the package that holds it,
     so calls through a ``from .module import name`` are recorded too.
-    Recording stops at ``max_calls`` calls or ``max_bytes`` bytes of arrays."""
-    calls, size = [], 0
+    Recording stops for good at the first call that would pass
+    ``_MAX_CALLS`` calls or ``_MAX_BYTES`` bytes of arrays, so the calls
+    kept are a prefix of the run's."""
+    calls, size, full = [], 0, False
     original = getattr(module, name)
     package = module.__name__.rpartition(".")[0]
     holders = [m for key, m in list(sys.modules.items())
                if key.startswith(package + ".") and getattr(m, name, None) is original]
 
     def wrapped(*args, **kwargs):
-        nonlocal size
-        if len(calls) < max_calls:
+        nonlocal size, full
+        if not full:
             saved = copy.deepcopy((args, kwargs))
-            if size + _nbytes(saved) <= max_bytes:
+            full = len(calls) == _MAX_CALLS or size + _nbytes(saved) > _MAX_BYTES
+            if not full:
                 calls.append(saved)
                 size += _nbytes(saved)
         return original(*args, **kwargs)
@@ -233,7 +240,7 @@ def _layer(spec: str, clis: dict, plans: dict, calls: list, args, tmp: Path) -> 
         raise SystemExit(2)
     runs = [lambda call=call: _timed(clis["change"], plans["change", call], tmp / "out")
             for call in calls]
-    recorded = _record(*funcs["change"][:2], runs, args.max_calls, args.max_mb * 2 ** 20)
+    recorded = _record(*funcs["change"][:2], runs)
     if not recorded:
         raise SystemExit(f"error: no call of {new or old} while running {', '.join(calls)}")
     times = {"parent": [], "change": []}
@@ -274,10 +281,6 @@ def main(argv=None) -> int:
                         help="time only this call (repeatable; default: every call)")
     parser.add_argument("--layer", action="append", metavar="MODULE.FUNC[=NEW]",
                         help="replay the calls' calls of one function instead (repeatable)")
-    parser.add_argument("--max-calls", type=int, default=500,
-                        help="calls of a layer recorded at most (default 500)")
-    parser.add_argument("--max-mb", type=float, default=100.0,
-                        help="megabytes of a layer's arguments recorded at most (default 100)")
     args = parser.parse_args(argv)
     # the package trees are imported, not installed: leave no bytecode behind
     sys.dont_write_bytecode = True
