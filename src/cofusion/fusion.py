@@ -34,6 +34,7 @@ covariances, as ``_nmci`` does for one block, and intersects them with
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -600,19 +601,30 @@ def exact_fuse(a: GaussianEstimate, b: GaussianEstimate, p_ab: np.ndarray) -> Fu
     S = P_a + P_b - P_ab - P_ab^T is inverted by pseudo-inverse so that
     degenerate joints (e.g. two copies of the same estimate) still fuse.
     The joint covariance must be positive semidefinite within 1e-9 relative.
+    A joint whose largest entry lies above 2^1000 is fused in units of 2^e
+    that bring it below, so that no sum overflows; the gains do not depend
+    on the units, and the bound is scaled back.
     """
     _check_same_labels(a, b)
-    joint = JointCovariance(a.covariance, b.covariance, p_ab)
+    p_a, p_b = a.covariance, b.covariance
+    joint = JointCovariance(p_a, p_b, p_ab)
+    p_ab = joint.p_ab
     g = joint.assembled()
+    # a power of two scales exactly; inputs below 2^1000 are not scaled
+    e = max(math.frexp(float(np.abs(g).max()))[1] - 1000, 0)
+    if e:
+        p_a, p_b, p_ab = (np.ldexp(m, -e) for m in (p_a, p_b, p_ab))
+        joint = JointCovariance(p_a, p_b, p_ab)
+        g = joint.assembled()
     scale = max(float(np.linalg.norm(g, 2)), 1e-300)
     if min_eigenvalue(g) < -1e-9 * scale:
         raise NotPositiveDefiniteError(
             "joint covariance is indefinite; the stated cross-covariance "
             "is inconsistent with the marginals")
-    s = symmetrize(a.covariance + b.covariance - p_ab - np.asarray(p_ab).T)
-    ga = (b.covariance - np.asarray(p_ab, dtype=float).T) @ np.linalg.pinv(s, hermitian=True)
+    s = symmetrize(p_a + p_b - p_ab - p_ab.T)
+    ga = (p_b - p_ab.T) @ np.linalg.pinv(s, hermitian=True)
     gb = np.eye(a.dim) - ga
-    bound = realized_cov(ga, gb, joint)
+    bound = np.ldexp(realized_cov(ga, gb, joint), e)
     mean = ga @ a.mean + gb @ b.mean
     return FusionResult(
         gain_a=ga, gain_b=gb, fused_mean=mean, bound=bound,

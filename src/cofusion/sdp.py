@@ -91,32 +91,39 @@ first n).  A prefix that grows its set, or whose point is repaired,
 goes on alone; no prefix's path depends on another's samples, and its
 status and ``min_slack_eig`` are its own.
 
-Batches: ``_solve_batch`` runs the rounds of every prefix of every
-problem it is given (all of one d) in one lockstep (``_Lockstep``).  A
-round joins as soon as its prefix asks for it.  Each tick makes one
-evaluation for every round in a line search, with the trial step's
-halving alongside, so a step that backtracks once costs no further tick.
-The per-sample work of a tick (the slacks, ``core.ldl_pivots``, the
-derivatives) is one numpy call over the samples of all rounds laid end
-to end.  Every product with a round's own K, and every sum over a round's
-samples (logdet, the gradient's row sums, the Gram matrix of the
-Hessian), stays per round: one stacked call per group of rounds with the
-same sample count, which makes for each round the BLAS call or reduction
-a lone solve makes.  Sums over the whole batch with zero weights, or
-products padded to a common width, would change the order of the
-additions.  So a round's iterates are bitwise those of a lone solve,
-whatever shares its batch, and no solution depends on which other
-prefixes or problems were solved with it.
+Batches: a barrier round is one ``_barrier`` generator, the method in
+textbook order (start, path stages, damped Newton steps, backtracking)
+with its state in local variables.  It yields a request for each
+evaluation it needs: the logdet at its start, the objectives and logdets
+of a trial step and its halving, the derivatives at a point it accepted,
+or a Newton step.  ``_solve_batch`` runs the rounds of every prefix of
+every problem it is given (all of one d) in one lockstep (``_Lockstep``),
+which a round joins as soon as its prefix asks for it.  Each tick answers
+every start and search with one evaluation, then the derivatives and the
+Newton steps that follow, each kind with one batched call; a trial's
+halving goes alongside it, so a step that backtracks once costs no
+further tick.  The per-sample work of a tick (the slacks,
+``core.ldl_pivots``, the derivatives) is one numpy call over the samples
+of all rounds laid end to end.  Every product with a round's own K, and
+every sum over a round's samples (logdet, the gradient's row sums, the
+Gram matrix of the Hessian), stays per round: one stacked call per group
+of rounds with the same sample count, which makes for each round the BLAS
+call or reduction a lone solve makes.  Sums over the whole batch with zero
+weights, or products padded to a common width, would change the order of
+the additions.  So each answer, and with it a round's iterates, is bitwise
+that of a lone solve, whatever shares its batch, and no solution depends
+on which other prefixes or problems were solved with it.
 
-Centering: a stage centers until lambda^2 / 2 <= _NEWTON_EPS, and a round
-stops at the first Newton step that certifies its tolerance, centered or
-not.  Near the end of the path the float64 roundoff of the barrier
-objective psi = t * trace(Pbar) - logdet swamps any absolute stopping
-rule, so centering also ends when lambda^2 / 2 falls below that roundoff,
-or when an accepted step lowers psi by no more than it (no progress; the
-step is discarded).  A stage that raises the certified lower bound no
-further means the tolerance is out of float64's reach: the solve ends
-there with ``max_iterations``.
+Centering (``_barrier``): a stage centers until lambda^2 / 2 <=
+_NEWTON_EPS, and a round stops at the first Newton step that certifies
+its tolerance, centered or not.  Near the end of the path the float64
+roundoff of the barrier objective psi = t * trace(Pbar) - logdet swamps
+any absolute stopping rule, so centering also ends when lambda^2 / 2
+falls below that roundoff, or when an accepted step lowers psi by no more
+than it (no progress; the step is discarded).  A stage that raises the
+certified lower bound no further means the tolerance is out of float64's
+reach: the solve ends there with ``max_iterations``, as it does after 80
+stages.
 """
 
 from __future__ import annotations
@@ -217,6 +224,12 @@ class SampledFusionProblem:
         return self.joints[:, :self.d, self.d:]
 
 
+def _log10_trace(p: np.ndarray) -> float:
+    """log10 tr(p) of an SPD p, its trace taken at a scale where it cannot overflow."""
+    k = math.frexp(p.max())[1]
+    return math.log10(np.trace(np.ldexp(p, -k))) + k * math.log10(2.0)
+
+
 def build_problem(p_a, p_b, samples) -> SampledFusionProblem:
     """Assemble the sampled program; gates each joint once.
 
@@ -259,7 +272,7 @@ def build_problem(p_a, p_b, samples) -> SampledFusionProblem:
     p_a, p_b, stack = (np.ldexp(a, -exponent) for a in (p_a, p_b, stack))
     # ldl_pivots factors in place
     if not ldl_pivots(np.stack([p_a, p_b], axis=-1)).min() >= MIN_PIVOT ** 2:
-        decades = math.log10(np.trace(marginals[0])) - math.log10(np.trace(marginals[1]))
+        decades = _log10_trace(marginals[0]) - _log10_trace(marginals[1])
         raise NotPositiveDefiniteError(
             f"the marginals fail the conditioning threshold before any cross-covariance "
             f"(an LDL^T pivot below {MIN_PIVOT ** 2:g} * 2^{exponent}), at a relative scale "
@@ -540,14 +553,6 @@ class _Batch:
                 self.hess_w * (gram[:, self.hess_at[0]] + gram[:, self.hess_at[1]]))
 
 
-def _rows(ids: list[int]):
-    """An index for the batch-array rows ``ids`` (ascending): a slice when
-    they are consecutive, which numpy serves far faster than a gather."""
-    if ids and ids[-1] - ids[0] + 1 == len(ids):
-        return slice(ids[0], ids[-1] + 1)
-    return np.array(ids, dtype=int)
-
-
 def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row by row a_r . b_r (b may be one shared vector), each the one BLAS
     dot product that ``a_r @ b_r`` takes."""
@@ -772,67 +777,129 @@ def _rounds(problem: SampledFusionProblem, tol: float, max_iters: int, first: in
     return x, status, used, lower, len(active), float(worst.min())
 
 
+def _barrier(problem: SampledFusionProblem, tol: float, budget: int, resume, cvec: np.ndarray):
+    """Barrier path-following on all of ``problem``'s samples, as a generator.
+
+    It starts from the central point (``_initial_point``) with
+    t = nu / trace(Pbar), or, given ``resume``, from the (x, t) an earlier
+    run on the same problem ended at; it spends at most ``budget`` Newton
+    steps and stops at the first step that certifies ``tol``.  Every
+    evaluation is a request, answered by ``_Lockstep`` together with other
+    programs' requests:
+
+    - ("start", x): (logdet, strictly feasible) at x;
+    - ("search", x, dx, step): the trial x + step dx and its halving
+      x + (step / 2) dx as a (2, m) array, and lists of their objectives,
+      logdets and feasibility;
+    - ("derive", i): the gradient and Hessian of -sum_i logdet G_i at
+      point i of the last evaluation;
+    - ("newton", t, grad_phi, hess): the Newton step dx, lambda^2, whether
+      the system broke down (``_newton_steps``), and grad_phi . dx.
+
+    Returns ((x, t), status, Newton steps, best certified lower bound): the
+    iterate and path parameter it ended at, and the status ``solve``
+    documents, before its checks on the full sample set.  A central start
+    fails only where its arithmetic is not finite (``_initial_point``), and
+    a resumed point evaluates as when its own round accepted it, so no
+    retry could succeed: a failed start returns the start point, t None,
+    the status ``infeasible_numerics`` and the lower bound -inf.
+    """
+    x, t = (_initial_point(problem), None) if resume is None else resume
+    logdet, ok = yield "start", x
+    if not ok:
+        return (x, None), SolveStatus.INFEASIBLE_NUMERICS, 0, -np.inf
+    # the barrier derivatives depend on x alone, so they are kept until x moves
+    grad_phi, hess = yield "derive", 0
+    nu = float(3 * problem.d * problem.n)
+    obj = _dots(x[None], cvec).tolist()[0]
+    if t is None:
+        t = nu / obj
+    used, lower, stage_lower = 0, -np.inf, -np.inf
+    for _ in range(80):     # path stages, each centering at t
+        stalled = False
+        while used < budget:
+            dx, lam2, broke, phi_dx = yield "newton", t, grad_phi, hess
+            if broke:
+                return (x, t), SolveStatus.INFEASIBLE_NUMERICS, used, lower
+            if lam2 < 1.0:
+                # the dual point Z_i = (S_i - S_i dF S_i) / t, dF = sum_k dx_k A_k,
+                # is feasible while lambda < 1, with gap (nu + grad_phi . dx) / t
+                lower = max(lower, obj - (nu + phi_dx) / t)
+                if (obj - lower) / max(abs(obj), 1e-300) <= tol:
+                    # certified: centering further buys the round nothing
+                    break
+            psi = t * obj - logdet
+            psi_eps = _ROUNDOFF * (abs(t * obj) + abs(logdet))
+            if 0.5 * lam2 <= max(_NEWTON_EPS, psi_eps):
+                break
+            used += 1
+            # backtracking from the full step, with the Armijo slope
+            # grad . dx = -lambda^2 (exactly: negation commutes with every
+            # product and sum of the dot product).  Each trial comes with its
+            # halving, so a step that backtracks once costs no further evaluation
+            step, at = 1.0, 2
+            while True:
+                if at == 2:
+                    trials, objs, logdets, oks = yield "search", x, dx, step
+                    at = 0
+                if oks[at]:
+                    psit = t * objs[at] - logdets[at]
+                    if psit <= psi - 1e-2 * step * lam2:
+                        break
+                step *= 0.5
+                at += 1
+                if not step > 1e-14:
+                    stalled = True
+                    break
+            # a decrease lost in the roundoff of psi is no progress: the point
+            # is as centered as float64 can tell
+            if stalled or psi - psit <= psi_eps:
+                break
+            x, obj, logdet = trials[at], objs[at], logdets[at]
+            if used < budget:
+                grad_phi, hess = yield "derive", at
+        if (obj - lower) / max(abs(obj), 1e-300) <= tol:
+            return (x, t), SolveStatus.OPTIMAL, used, lower
+        # a stage that certifies nothing new means t has outrun float64
+        if used >= budget or stalled or lower <= stage_lower:
+            break
+        t *= T_GROWTH
+        stage_lower = lower
+    return (x, t), SolveStatus.MAX_ITERATIONS, used, lower
+
+
 class _Lockstep:
-    """Barrier path-following for programs of one d, in lockstep.
+    """``_barrier`` programs of one d, stepped together.
 
-    Each program runs on all samples of its problem, from the central start
-    point (``_initial_point``) with t = nu / trace(Pbar), or, given
-    ``resume``, from the (x, t) an earlier run on the same problem ended
-    at.  It spends at most ``budget`` Newton steps and stops at the first
-    step that certifies its ``tol``.
-
-    Programs join with ``add`` at any time.  Each ``tick`` makes one
-    evaluation for every program that is starting or in a line search: one
-    ``_Batch`` call serves them all, and each needing derivatives gets them
-    from one more, and its Newton step from one batched solve.  A program's
-    vectors (x, its Newton step, the barrier derivatives) are rows of batch
-    arrays; its scalars (t, path stage, steps, line-search step, bounds and
-    status) are entries of Python lists, and its tests are the lone
-    method's, on Python floats, so each program follows exactly the path it
-    follows alone.
+    Programs join with ``add`` at any time, and between ticks each asks
+    for a "start" or a "search".  A ``tick`` answers all of those with one
+    ``_Batch.chol_logdet`` call (the searches' trial points built by one
+    expression) and one ``_dots`` for the trials' objectives, then every
+    "derive" that follows with one ``_Batch.grad_hess`` call, then the
+    "newton" requests with one ``_newton_steps`` call at a time until none
+    is left.  Each answer is bitwise the one a program alone gets
+    (``_Batch``), so each follows exactly the path it follows alone.
     """
 
     def __init__(self, d: int):
         self.ev = _Batch(d)
-        _, _, self.cvec, *_ = _coords(d)
+        self.cvec = _coords(d)[2]
         self.m = len(self.cvec)
-        self.x, self.dx, self.grad_phi = (np.zeros((0, self.m)) for _ in range(3))
-        self.hess = np.zeros((0, self.m, self.m))
-        for name in ("t", "tol", "budget", "nu", "obj", "logdet", "lower",
-                     "stage_lower", "step", "psi", "psi_eps", "gdx", "used", "stage",
-                     "status"):
-            setattr(self, name, [])
-        self.starting, self.searching, self.ended = [], [], []
+        self.programs, self.asks = {}, {}   # by id, of the programs still running
+        self.results, self.ended = {}, []
 
     def add(self, rounds) -> list[int]:
         """Programs join, one per (problem, tol, budget, resume), and start at
         the next ``tick``; returns their ids.  Ids go in order of sample count
         within a call, which spares ``_Batch`` most reorderings."""
-        first, count = len(self.t), len(rounds)
-        order = sorted(range(count), key=lambda b: rounds[b][0].n)
-        rounds = [rounds[b] for b in order]
-        problems = [problem for problem, *_ in rounds]
-        self.ev.extend(problems)
-        x = np.array([_initial_point(p) if r[3] is None else r[3][0]
-                      for p, r in zip(problems, rounds)])
-        self.x = np.concatenate([self.x, x])
-        self.dx, self.grad_phi = (np.concatenate([a, np.zeros_like(x)])
-                                  for a in (self.dx, self.grad_phi))
-        self.hess = np.concatenate([self.hess, np.zeros((count, self.m, self.m))])
-        self.t += [None if r[3] is None else r[3][1] for r in rounds]
-        self.tol += [r[1] for r in rounds]
-        self.budget += [r[2] for r in rounds]
-        self.nu += [float(3 * p.d * p.n) for p in problems]
-        for name, value in (("obj", 0.0), ("logdet", 0.0), ("lower", -np.inf),
-                            ("stage_lower", -np.inf),
-                            ("step", 1.0), ("psi", 0.0), ("psi_eps", 0.0), ("gdx", 0.0),
-                            ("used", 0), ("stage", 0),
-                            ("status", SolveStatus.MAX_ITERATIONS)):
-            getattr(self, name).extend([value] * count)
-        self.starting += range(first, first + count)
-        ids = [0] * count
-        for at, b in enumerate(order):
-            ids[b] = first + at
+        first = len(self.ev.problems)
+        order = sorted(range(len(rounds)), key=lambda b: rounds[b][0].n)
+        self.ev.extend([rounds[b][0] for b in order])
+        ids = [0] * len(rounds)
+        for at, b in enumerate(order, start=first):
+            self.programs[at] = _barrier(*rounds[b], self.cvec)
+            self.asks[at] = next(self.programs[at])
+            ids[b] = at
         return ids
 
     def finished(self) -> list[int]:
@@ -841,160 +908,55 @@ class _Lockstep:
         return ended
 
     def result(self, b: int):
-        """((x, t), status, Newton steps, best certified lower bound) of program
-        ``b``, done: the iterate and path parameter it ended at, and the status
-        ``solve`` documents, before its checks on the full sample set.  A start
-        fails only where its arithmetic is not finite (``_initial_point``); a
-        program whose start failed has the start point as its iterate, t None,
-        the status ``infeasible_numerics`` and the lower bound -inf.  The
-        program's samples are let go: a result is read once."""
+        """What program ``b``'s ``_barrier`` returned.  Its samples are let go:
+        a result is read once."""
         self.ev.problems[b] = self.ev.e_upper[b] = None
-        return (self.x[b], self.t[b]), self.status[b], self.used[b], self.lower[b]
+        return self.results.pop(b)
 
-    def _end_stages(self, ending) -> list[int]:
-        """The path stage ends for each (program, stalled, broke) of
-        ``ending``: settle its status, or raise t and return it to go on."""
-        going = []
-        for b, stalled, broke in ending:
-            obj, lower = self.obj[b], self.lower[b]
-            gap = (obj - lower) / max(abs(obj), 1e-300)
-            if broke:
-                self.status[b] = SolveStatus.INFEASIBLE_NUMERICS
-            elif gap <= self.tol[b]:
-                self.status[b] = SolveStatus.OPTIMAL
-            # a stage that certifies nothing new means t has outrun float64
-            elif not (self.used[b] >= self.budget[b] or stalled or lower <= self.stage_lower[b]):
-                self.t[b] *= T_GROWTH
-                self.stage[b] += 1
-                if self.stage[b] < 80:
-                    self.stage_lower[b] = lower
-                    going.append(b)
-                    continue
+    def _answer(self, b: int, answer) -> str | None:
+        """Send program ``b`` its answer; what it asks next, None once it is done."""
+        try:
+            self.asks[b] = self.programs[b].send(answer)
+        except StopIteration as done:
+            del self.programs[b], self.asks[b]
+            self.results[b] = done.value
             self.ended.append(b)
-        return going
-
-    def _newton(self, rows: list[int]) -> None:
-        """Newton steps at the kept derivatives until each of ``rows`` has a
-        line search to run or is done."""
-        cvec = self.cvec
-        while rows:
-            rows.sort()
-            at = _rows(rows)
-            t = [self.t[b] for b in rows]
-            grad_phi = self.grad_phi[at]
-            grad = np.array(t)[:, None] * cvec + grad_phi
-            dx, lam2, fails = _newton_steps(self.hess[at], grad)
-            # grad . dx is -lambda^2 exactly: negation commutes with every
-            # product and sum of the dot product
-            phi_dx = _dots(grad_phi, dx).tolist()
-            ending, going = [], []
-            for r, (b, tb, l2, fl) in enumerate(zip(rows, t, lam2, fails)):
-                if self.used[b] >= self.budget[b] or fl:
-                    ending.append((b, False, fl and self.used[b] < self.budget[b]))
-                    continue
-                ob = self.obj[b]
-                if l2 < 1.0:
-                    # the dual point Z_i = (S_i - S_i dF S_i) / t, dF = sum_k dx_k A_k,
-                    # is feasible while lambda < 1, with gap (nu + grad_phi . dx) / t
-                    lower = self.lower[b] = max(self.lower[b], ob - (self.nu[b] + phi_dx[r]) / tb)
-                    if (ob - lower) / max(abs(ob), 1e-300) <= self.tol[b]:
-                        # certified: centering further buys the round nothing
-                        ending.append((b, False, False))
-                        continue
-                psi = tb * ob - self.logdet[b]
-                psi_eps = _ROUNDOFF * (abs(tb * ob) + abs(self.logdet[b]))
-                if 0.5 * l2 <= max(_NEWTON_EPS, psi_eps):
-                    ending.append((b, False, False))
-                    continue
-                self.used[b] += 1
-                self.psi[b], self.psi_eps[b], self.gdx[b], self.step[b] = psi, psi_eps, -l2, 1.0
-                going.append(r)
-                self.searching.append(b)
-            if len(going) == len(rows):
-                self.dx[at] = dx
-            elif going:
-                self.dx[[rows[r] for r in going]] = dx[going]
-            rows = self._end_stages(ending)
+            return None
+        return self.asks[b][0]
 
     def tick(self) -> None:
-        """One evaluation for every program in a line search or starting, and
-        what follows from it until each needs its next."""
-        rows, starting = sorted(self.searching), self.starting
-        self.searching, self.starting = [], []
-        # each trial step goes with its halving, so a step that backtracks
-        # once costs no further call; a halving the search does not reach
-        # goes unread
-        halvings = np.array([1.0, 0.5])
-        at, count = _rows(rows), len(halvings)
-        lengths = np.array([self.step[b] for b in rows])[:, None] * halvings
-        trials = (self.x[at, None] + lengths[..., None] * self.dx[at, None]).reshape(-1, self.m)
-        entries, points = np.repeat(np.array(rows, dtype=int), count), trials
-        if starting:
-            entries = np.concatenate([entries, starting])
-            points = np.concatenate([trials, self.x[starting]])
+        """One evaluation for every program that starts or searches, and the
+        requests that follow from it until each asks for its next."""
+        m, cvec = self.m, self.cvec
+        searching = [(b, ask) for b, ask in self.asks.items() if ask[0] == "search"]
+        starting = [(b, ask[1]) for b, ask in self.asks.items() if ask[0] == "start"]
+        x, dx = (np.array([ask[k] for _, ask in searching]).reshape(-1, m) for k in (1, 2))
+        lengths = np.array([ask[3] for _, ask in searching])[:, None] * np.array([1.0, 0.5])
+        trials = (x[:, None] + lengths[..., None] * dx[:, None]).reshape(-1, m)
+        entries = np.array([b for b, _ in searching for _ in range(2)] + [b for b, _ in starting],
+                           dtype=int)
+        points = np.concatenate([trials, [point for _, point in starting]]) if starting else trials
         logdet, ok = self.ev.chol_logdet(entries, points)
-        objs, logdet, ok = _dots(trials, self.cvec).tolist(), logdet.tolist(), ok.tolist()
-        moved, accepted, derive, picked, ending = [], [], [], [], []
-        for r, b in enumerate(rows):
-            t, psi, gdx, step = self.t[b], self.psi[b], self.gdx[b], self.step[b]
-            took = None     # the accepted entry, or -1 when the search stalls
-            for e in range(r * count, (r + 1) * count):
-                if ok[e]:
-                    psit = t * objs[e] - logdet[e]
-                    if psit <= psi + 1e-2 * step * gdx:
-                        took = e
-                        break
-                step *= 0.5
-                if not step > 1e-14:
-                    took = -1
-                    break
-            self.step[b] = step
-            if took is None:    # the halvings so far all failed
-                self.searching.append(b)
-                continue
-            if took < 0:
-                ending.append((b, True, False))
-                continue
-            e = took
-            # a decrease lost in the roundoff of psi is no progress: the point
-            # is as centered as float64 can tell
-            if psi - psit <= self.psi_eps[b]:
-                ending.append((b, False, False))
-                continue
-            moved.append(b)
-            accepted.append(e)
-            self.obj[b], self.logdet[b] = objs[e], logdet[e]
-            if self.used[b] < self.budget[b]:
-                picked.append(e)
-                derive.append(b)
-            else:
-                ending.append((b, False, False))
-        if moved:
-            self.x[_rows(moved)] = trials[accepted]
-        # a start that fails ends its program: a central start fails only where
-        # it is not finite (``_initial_point``), and a resumed point evaluates
-        # as when its own round accepted it, so no retry could succeed
-        began = []
-        for e, b in enumerate(starting, start=len(rows) * count):
-            if ok[e]:
-                self.logdet[b] = logdet[e]
-                picked.append(e)
-                derive.append(b)
-                began.append(b)
-            else:
-                self.status[b], self.t[b] = SolveStatus.INFEASIBLE_NUMERICS, None
-                self.ended.append(b)
-        # the barrier derivatives depend on x alone, so each program's are
-        # kept until its x moves
+        objs, logdet, ok = _dots(trials, cvec).tolist(), logdet.tolist(), ok.tolist()
+        derive = []     # (program, entry of its point)
+        for e, (b, _) in zip(range(0, len(trials), 2), searching):
+            asked = self._answer(b, (trials[e:e + 2], objs[e:e + 2], logdet[e:e + 2],
+                                     ok[e:e + 2]))
+            if asked == "derive":
+                derive.append((b, e + self.asks[b][1]))
+        for e, (b, _) in enumerate(starting, start=len(trials)):
+            if self._answer(b, (logdet[e], ok[e])) == "derive":
+                derive.append((b, e))
         if derive:
-            at = _rows(derive) if derive == sorted(derive) else derive
-            self.grad_phi[at], self.hess[at] = self.ev.grad_hess(picked)
-        if began:
-            for b, obj in zip(began, _dots(self.x[began], self.cvec).tolist()):
-                self.obj[b] = obj
-                if self.t[b] is None:
-                    self.t[b] = self.nu[b] / obj
-        self._newton(self._end_stages(ending) + derive)
+            grad_phi, hess = self.ev.grad_hess([e for _, e in derive])
+            for (b, _), g, h in zip(derive, grad_phi, hess):
+                self._answer(b, (g, h))
+        while newton := [(b, ask) for b, ask in self.asks.items() if ask[0] == "newton"]:
+            t, grad_phi, hess = (np.array([ask[k] for _, ask in newton]) for k in (1, 2, 3))
+            dx, lam2, broke = _newton_steps(hess, t[:, None] * cvec + grad_phi)
+            phi_dx = _dots(grad_phi, dx).tolist()
+            for r, (b, _) in enumerate(newton):
+                self._answer(b, (dx[r], lam2[r], broke[r], phi_dx[r]))
 
 
 def robust_fuse(a: GaussianEstimate, b: GaussianEstimate, pattern: CrossSparsityPattern,

@@ -192,6 +192,41 @@ def test_fuse_ci_far_from_unit_scale_gives_the_unit_scale_weight(tmp_path, c):
     assert abs(json.loads(proc.stdout)["omega"][0] - 0.4468772884) <= OMEGA_TOL
 
 
+@pytest.mark.parametrize("method", ["CI", "nmCI", "exact", "SDP"])
+def test_fuse_at_extreme_scales_answers_or_refuses_with_a_typed_exit(capsys, tmp_path, method):
+    # README's pair (its diagonal for nmCI), each input at 1, 2^1000, 2^-1000,
+    # near float64's largest or at the smallest normal number: every call
+    # either fuses, with nothing on stderr, or refuses with exit 2 or 3.  A
+    # RuntimeWarning fails the test (pyproject's filterwarnings)
+    pa, pb = np.diag([1.0, 9.0]), np.array([[6.0, 1.0], [1.0, 1.5]])
+    if method == "nmCI":
+        pb = np.diag(np.diag(pb))
+    files = {"part": {"blocks": [[0], [1]]}, "cross": {"matrix": [[0.0, 0.0], [0.0, 0.0]]},
+             "free": {"dim_a": 2, "dim_b": 2, "zero_indices": []}}
+    for name, content in files.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(content))
+    extra = {"CI": [], "nmCI": ["--partition", str(tmp_path / "part.json")],
+             "exact": ["--cross", str(tmp_path / "cross.json")],
+             "SDP": ["--pattern", str(tmp_path / "free.json"), "--n", "20"]}[method]
+    top = 1.79e308 / max(np.linalg.eigvalsh(p)[-1] for p in (pa, pb))
+    scales = (1.0, 2.0 ** 1000, 2.0 ** -1000, top, np.finfo(float).tiny)
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    fused = 0
+    for ca in scales:
+        for cb in scales:
+            GaussianEstimate([0.0, 0.0], ca * pa, ("x", "y")).save(a)
+            GaussianEstimate([1.0, 1.0], cb * pb, ("x", "y")).save(b)
+            rc, out, err = _run(capsys, ["fuse", str(a), str(b), "--method", method, *extra])
+            assert rc in (0, 2, 3), (ca, cb, err)
+            if rc == 0:
+                assert err == "", (ca, cb)
+                fused += 1
+            else:
+                assert out == "" and err.startswith("error:"), (ca, cb)
+    # every pair at one scale fuses
+    assert fused >= len(scales)
+
+
 def _no_sampling(*args, **kwargs):
     raise AssertionError("the sampler ran")
 

@@ -1,5 +1,6 @@
 """Closed-form fusion rules: intersection, block-wise intersection, exact."""
 
+import math
 import warnings
 
 import numpy as np
@@ -550,6 +551,19 @@ def test_exact_bound_not_above_either_marginal():
             atol=1e-12)
 
 
+@pytest.mark.filterwarnings("error")
+def test_exact_fusion_near_the_float64_limit_is_the_unit_scale_fusion():
+    # README's pair times 1.79e307, whose largest entry is 1.611e308: P_a + P_b
+    # overflows in these units, so the gains come from units of 2^e
+    c, z = 1.79e307, np.zeros(2)
+    ref = exact_fuse(est(z, README_A), est(z, README_B), np.zeros((2, 2)))
+    got = exact_fuse(est(z, c * README_A), est(z, c * README_B), np.zeros((2, 2)))
+    assert got.diagnostics["innovation_rank"] == 2
+    _assert_close_relative(got.gain_a, ref.gain_a, 1e-12)
+    _assert_close_relative(got.bound / c, ref.bound, 1e-12)
+    _assert_sandwiched(got.bound, c * README_A, c * README_B)
+
+
 def test_exact_rejects_inconsistent_cross():
     a = est([0.0], [[1.0]])
     b = est([0.0], [[1.0]])
@@ -718,41 +732,64 @@ def test_either_input_in_any_units_fuses_without_a_warning(scaled):
         np.testing.assert_array_equal(nm.bound, n_tight)
 
 
+def _exponent(m):
+    return int(np.frexp(np.abs(m).max())[1])
+
+
 def _assert_sandwiched(bound, pa, pb):
-    """tr(bound) <= min(tr P_a, tr P_b), and bound >= (P_a^-1 + P_b^-1)^-1, in the
-    bound's power-of-two units (inputs hundreds of decades apart overflow otherwise)."""
-    assert np.trace(bound) <= min(np.trace(pa), np.trace(pb)) * (1.0 + 1e-12)
-    e = int(np.frexp(np.trace(bound))[1])
-    lower = np.linalg.inv(sum(np.ldexp(np.linalg.inv(p), e) for p in (pa, pb)))
+    """tr(bound) <= min(tr P_a, tr P_b), and bound >= (P_a^-1 + P_b^-1)^-1, each in
+    power-of-two units that keep its sums and inverses in range (inputs hundreds
+    of decades apart, or near float64's largest, overflow otherwise)."""
+    e = _exponent(bound)
+    info = 0.0     # 2^e (P_a^-1 + P_b^-1)
+    for p in (pa, pb):
+        k = max(e, _exponent(p))
+        assert np.trace(np.ldexp(bound, -k)) <= np.trace(np.ldexp(p, -k)) * (1.0 + 1e-12)
+        k = _exponent(p)
+        info = info + np.ldexp(np.linalg.inv(np.ldexp(p, -k)), e - k)
     unit = np.ldexp(bound, -e)
-    assert np.linalg.eigvalsh(unit - lower)[0] >= -1e-12 * np.trace(unit)
+    assert np.linalg.eigvalsh(unit - np.linalg.inv(info))[0] >= -1e-12 * np.trace(unit)
+
+
+def _scale_pairs(pa, pb):
+    """(c_a, c_b) to fuse c_a P_a with c_b P_b at: 10^i against 10^j, i and j from
+    -300 to 300 in steps of 50, then each pairing of 1, 2^1000, 2^-1000, the
+    scale that puts the pair's largest eigenvalue at 1.79e308 and the one that
+    puts its least nonzero entry at the smallest normal number, 2.2e-308."""
+    top = 1.79e308 / max(np.linalg.eigvalsh(p)[-1] for p in (pa, pb))
+    least = np.finfo(float).tiny / min(np.abs(p[p != 0]).min() for p in (pa, pb))
+    extremes = (1.0, 2.0 ** 1000, 2.0 ** -1000, top, least)
+    return ([(10.0 ** i, 10.0 ** j) for i in range(-300, 301, 50) for j in range(-300, 301, 50)]
+            + [(ca, cb) for ca in extremes for cb in extremes])
 
 
 @pytest.mark.filterwarnings("error")
 def test_inputs_any_decades_apart_fuse_between_the_sandwich_bounds():
-    # A times 10^i against B times 10^j, up to 600 decades apart: CI on
-    # README's pair, nmCI on the 6-state pair split 4 + 2; a FusionError is
-    # the only other answer allowed
+    # A times c_a against B times c_b (``_scale_pairs``), up to 616 decades
+    # apart: CI on README's pair, nmCI on the 6-state pair split 4 + 2; a
+    # FusionError is the only other answer allowed
     nm_a, nm_b, part = _metamorphic_pairs()[-2]
     nm_a, nm_b = _inside(part, nm_a), _inside(part, nm_b)
     z2, z6 = np.zeros(2), np.zeros(6)
     refused = 0
-    for i in range(-300, 301, 50):
-        for j in range(-300, 301, 50):
-            ca, cb = 10.0 ** i, 10.0 ** j
-            try:
-                omega = optimize_ci_omega(ca * README_A, cb * README_B)
-                ci = ci_fuse(est(z2, ca * README_A), est(z2, cb * README_B))
-                nm = nmci_fuse(est(z6, ca * nm_a), est(z6, cb * nm_b), part)
-            except FusionError:
-                refused += 1
-                continue
-            assert ci.omega[0] == omega, (i, j)
-            _assert_sandwiched(ci.bound, ca * README_A, cb * README_B)
-            _assert_sandwiched(nm.bound, ca * nm_a, cb * nm_b)
-            if i != j:
-                # far apart, the tighter input takes all the weight
-                assert omega == (0.0 if i > j else 1.0), (i, j)
+    for (ca, cb), (na, nb) in zip(_scale_pairs(README_A, README_B), _scale_pairs(nm_a, nm_b)):
+        try:
+            omega = optimize_ci_omega(ca * README_A, cb * README_B)
+            ci = ci_fuse(est(z2, ca * README_A), est(z2, cb * README_B))
+            nm = nmci_fuse(est(z6, na * nm_a), est(z6, nb * nm_b), part)
+        except FusionError:
+            refused += 1
+            continue
+        assert ci.omega[0] == omega, (ca, cb)
+        _assert_sandwiched(ci.bound, ca * README_A, cb * README_B)
+        _assert_sandwiched(nm.bound, na * nm_a, nb * nm_b)
+        if abs(math.log10(ca) - math.log10(cb)) >= 50:
+            # far apart, the tighter input takes all the weight, and is the bound
+            w = 0.0 if ca > cb else 1.0
+            assert omega == w and (nm.omega == w).all(), (ca, cb)
+            tight, n_tight = (cb * README_B, nb * nm_b) if ca > cb else (ca * README_A, na * nm_a)
+            assert ci.bound.tobytes() == tight.tobytes(), (ca, cb)
+            assert nm.bound.tobytes() == n_tight.tobytes(), (ca, cb)
     assert refused == 0
 
 

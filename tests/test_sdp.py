@@ -315,6 +315,27 @@ def test_robust_fuse_bound_conservative_on_fresh_samples():
     assert worst > -0.05 * float(np.linalg.norm(r.bound, 2))
 
 
+def test_random_pairs_meet_the_sdp_and_exact_sandwich_checks():
+    # checks that share no code with either rule: CI's (bound, gain) is
+    # feasible for every admissible sample, so the sampled optimum lies below
+    # CI's trace; exact fusion's bound is what its own gains realize
+    rng = np.random.default_rng(23)
+    for d in (1, 2, 3):
+        for seed in range(3):
+            pa, pb = rand_spd(rng, d), rng.uniform(0.1, 10.0) * rand_spd(rng, d)
+            a, b = est(np.zeros(d), pa), est(np.zeros(d), pb)
+            r = robust_fuse(a, b, CrossSparsityPattern.unconstrained(d, d), n=50, seed=seed)
+            gap = r.diagnostics["gap"]
+            assert np.trace(r.bound) <= np.trace(ci_fuse(a, b).bound) * (1.0 + gap), (d, seed)
+            c = rng.standard_normal((d, d))
+            cross = np.linalg.cholesky(pa) @ (0.9 * c / np.linalg.norm(c, 2)) \
+                @ np.linalg.cholesky(pb).T
+            exact = exact_fuse(a, b, cross)
+            joint = JointCovariance(a.covariance, b.covariance, cross)
+            np.testing.assert_array_equal(
+                exact.bound, realized_cov(exact.gain_a, exact.gain_b, joint))
+
+
 # ---------------------------------------------------------------------------
 # metamorphic relations: units, the order of the pair, the frame
 
@@ -419,7 +440,7 @@ def _barrier(rounds):
     all of one d, run to their end together in one lockstep."""
     lock = sdp._Lockstep(rounds[0][0].d)
     ids = lock.add(rounds)
-    while lock.searching or lock.starting:
+    while lock.asks:
         lock.tick()
     return [lock.result(b) for b in ids]
 
@@ -657,6 +678,32 @@ def test_a_round_resumed_after_screening_reaches_the_whole_solves_optimum(d):
         [(prob, tol, 200, (x, t)), (prob, tol, 200, None)])
     assert status is fresh_status is SolveStatus.OPTIMAL
     assert _trace(d, x) == pytest.approx(_trace(d, fresh), rel=tol)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_rounds_joining_a_running_lockstep_follow_their_lone_paths(d):
+    # fresh and resumed rounds join one lockstep at ticks 0, 3 and 7, while
+    # the earlier ones are still running; each ends bitwise as it does alone
+    rng = np.random.default_rng(70 + d)
+    problems = [_random_problem(rng, d, n) for n in (40, 90, 40, 150, 60, 90)]
+    screened = _barrier([(problems[k], _SCREEN_TOL, 200, None) for k in (1, 3, 4)])
+    resumed = {k: out[0] for k, out in zip((1, 3, 4), screened)}
+    joins = {0: [(problems[0], 1e-7, 200, None), (problems[1], 1e-7, 200, resumed[1])],
+             3: [(problems[2], _SCREEN_TOL, 200, None), (problems[3], 1e-7, 12, resumed[3])],
+             7: [(problems[4], 1e-7, 200, resumed[4]), (problems[5], 1e-7, 200, None)]}
+    lock = sdp._Lockstep(d)
+    ids, tick = [], 0
+    while tick <= max(joins) or lock.asks:
+        if tick in joins:
+            assert tick == 0 or lock.asks
+            ids += lock.add(joins[tick])
+        lock.tick()
+        tick += 1
+    together = [lock.result(b) for b in ids]
+    alone = [_barrier([r])[0] for r in (r for rounds in joins.values() for r in rounds)]
+    for ((x, t), status, steps, lower), ((ref_x, ref_t), *ref) in zip(together, alone):
+        assert x.tobytes() == ref_x.tobytes()
+        assert (t, status, steps, lower) == (ref_t, *ref)
 
 
 def test_binding_sample_after_the_first_set_joins_the_active_set(rounds):

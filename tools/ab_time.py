@@ -51,6 +51,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import copy
+import enum
 import inspect
 import importlib
 import importlib.util
@@ -156,9 +157,14 @@ def _arrays(x) -> list:
         return [a for v in x.values() for a in _arrays(v)]
     if isinstance(x, (list, tuple)):
         return [a for v in x for a in _arrays(v)]
-    if isinstance(x, (np.ndarray, float, int, np.generic)):
+    if isinstance(x, enum.Enum):
+        # a leaf: an enum member's vars hold its class, which holds the member
+        x = x.value
+    if isinstance(x, (np.ndarray, float, int, np.generic, str)):
         return [np.asarray(x)]
-    return [a for v in vars(x).values() for a in _arrays(v)] if hasattr(x, "__dict__") else []
+    if isinstance(x, type) or not hasattr(x, "__dict__"):
+        return []
+    return [a for v in vars(x).values() for a in _arrays(v)]
 
 
 def _nbytes(x) -> int:
